@@ -4,9 +4,9 @@
 //! the encode path; this module turns that claim into a checked
 //! invariant instead of a code-review judgement. The counter wraps the
 //! system allocator and counts allocation events (alloc, alloc_zeroed,
-//! realloc — frees are not counted) on threads that arm it, so the rest
-//! of the process pays one thread-local load per allocation and nothing
-//! else.
+//! realloc — frees are not counted) and the bytes they request on
+//! threads that arm it, so the rest of the process pays one thread-local
+//! load per allocation and nothing else.
 //!
 //! Gated behind the off-by-default `alloc-counter` feature so the
 //! benchmark binaries keep the stock allocator (even a disarmed counter
@@ -27,30 +27,34 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Count one allocation event of `size` bytes (a realloc counts its
+/// whole new size).
 #[inline]
-fn bump() {
+fn bump(size: usize) {
     ARMED.with(|armed| {
         if armed.get() {
             COUNT.with(|c| c.set(c.get() + 1));
+            BYTES.with(|b| b.set(b.get() + size as u64));
         }
     });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -59,14 +63,34 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
+/// What an armed stretch of code allocated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Allocs {
+    /// Allocation events (alloc, alloc_zeroed, realloc).
+    pub events: u64,
+    /// Bytes those events requested.
+    pub bytes: u64,
+}
+
 /// Run `f` with the counter armed on this thread; return its result and
 /// the number of allocation events it performed.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let (result, allocs) = measure_allocs(f);
+    (result, allocs.events)
+}
+
+/// [`measure`], also reporting the bytes allocated.
+pub fn measure_allocs<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
     COUNT.with(|c| c.set(0));
+    BYTES.with(|b| b.set(0));
     ARMED.with(|a| a.set(true));
     let result = f();
     ARMED.with(|a| a.set(false));
-    (result, COUNT.with(|c| c.get()))
+    let allocs = Allocs {
+        events: COUNT.with(|c| c.get()),
+        bytes: BYTES.with(|b| b.get()),
+    };
+    (result, allocs)
 }
 
 #[cfg(test)]
@@ -82,6 +106,99 @@ mod tests {
         assert!(n >= 1, "a fresh Vec must register");
         let ((), n) = measure(|| {});
         assert_eq!(n, 0);
+        let ((), allocs) = measure_allocs(|| {
+            let mut v: Vec<u8> = Vec::with_capacity(1000);
+            v.reserve_exact(3000);
+        });
+        assert_eq!(
+            allocs,
+            Allocs {
+                events: 2,
+                bytes: 4000
+            }
+        );
+    }
+
+    /// Per-call byte budget for a bulk tree call once its buffers are
+    /// warm. The 1.2 MB payload is handed between layers by move and by
+    /// borrow, so what a call may still allocate is envelope skeletons,
+    /// the reply and the entry lists — a few KiB. One copy of the payload
+    /// would blow the budget twenty times over.
+    const BULK_CALL_BYTE_BUDGET: u64 = 64 * 1024;
+
+    /// A `SoapService` with the LEAD `Verify` operation.
+    fn verify_service<E: soap::EncodingPolicy>(encoding: E) -> soap::SoapService<E> {
+        let mut registry = soap::ServiceRegistry::new();
+        bxsoap::register_verify(&mut registry);
+        soap::SoapService::new(encoding, std::sync::Arc::new(registry))
+    }
+
+    /// Serving a 100k-pair tree Verify from warm scratch lends the
+    /// decoded payload to the handler instead of copying it out of the
+    /// decode target: the call allocates far less than the payload.
+    fn tree_service_call_stays_under_budget<E: soap::EncodingPolicy>(encoding: E) {
+        let (index, values) = bxsoap::lead_dataset(100_000, 42);
+        let request = encoding
+            .encode(&bxsoap::verify_request_envelope(&index, &values).into_document())
+            .unwrap();
+        let service = verify_service(encoding);
+        let mut scratch = soap::DecodeScratch::default();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            assert!(!service.handle_bytes_scratch(&mut scratch, &request, &mut out));
+        }
+        let (is_fault, allocs) =
+            measure_allocs(|| service.handle_bytes_scratch(&mut scratch, &request, &mut out));
+        assert!(!is_fault);
+        assert!(
+            allocs.bytes < BULK_CALL_BYTE_BUDGET,
+            "{} tree service call allocated {allocs:?} in steady state",
+            service.encoding().name()
+        );
+    }
+
+    #[test]
+    fn bulk_tree_service_call_does_not_copy_the_payload() {
+        xmltext::num::warm_up();
+        tree_service_call_stays_under_budget(soap::BxsaEncoding::default());
+        tree_service_call_stays_under_budget(soap::XmlEncoding::default());
+    }
+
+    /// A warm engine's `call_with` moves the caller's 100k-pair envelope
+    /// into the document it encodes, and the loopback server lends the
+    /// decoded request to its handler: client and server together
+    /// allocate far less than the payload per call.
+    #[test]
+    fn bulk_call_with_does_not_copy_the_payload() {
+        use soap::{BxsaEncoding, CallOptions, DecodeScratch, LoopbackBinding, SoapEngine};
+
+        let (index, values) = bxsoap::lead_dataset(100_000, 42);
+        let service = verify_service(BxsaEncoding::default());
+        let mut scratch = DecodeScratch::default();
+        let mut engine = SoapEngine::new(
+            BxsaEncoding::default(),
+            LoopbackBinding::new(move |request: &[u8]| {
+                let mut reply = Vec::new();
+                service.handle_bytes_scratch(&mut scratch, request, &mut reply);
+                reply
+            }),
+        );
+        let options = CallOptions::new();
+        for _ in 0..3 {
+            let request = bxsoap::verify_request_envelope(&index, &values);
+            engine.call_with(request, &options).unwrap();
+        }
+        let request = bxsoap::verify_request_envelope(&index, &values);
+        let (reply, allocs) = measure_allocs(|| engine.call_with(request, &options));
+        let reply = reply.unwrap();
+        assert_eq!(
+            reply.body_element().unwrap().child_value("ok"),
+            Some(&bxdm::AtomicValue::Bool(true))
+        );
+        assert!(
+            allocs.bytes < BULK_CALL_BYTE_BUDGET,
+            "call_with allocated {allocs:?} in steady state"
+        );
     }
 
     /// The PR's acceptance invariant: after warmup, encoding the paper's

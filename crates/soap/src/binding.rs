@@ -88,8 +88,9 @@ pub struct HttpBinding {
     pub soap_action: Option<String>,
     /// Per-phase time budgets for each exchange (default: unlimited).
     pub timeouts: Timeouts,
-    /// Reusable request scaffold: the path is fixed at construction and
-    /// the body buffer's capacity survives across calls.
+    /// Reusable request head: the path is fixed at construction; the
+    /// body is never copied in — each exchange borrows the engine's
+    /// encoded payload.
     request: transport::HttpRequest,
     /// Reusable response parse target (body capacity survives).
     response: HttpResponse,
@@ -131,6 +132,19 @@ impl HttpBinding {
         self.conn.reuse_count()
     }
 
+    /// Rebuild the reusable request's headers for one exchange.
+    fn set_headers(&mut self, content_type: &str) {
+        self.request.headers.clear();
+        self.request
+            .headers
+            .push(("Content-Type".into(), content_type.into()));
+        if let Some(action) = &self.soap_action {
+            self.request
+                .headers
+                .push(("SOAPAction".into(), action.clone()));
+        }
+    }
+
     // --- streaming half (used by `SoapEngine::call_streaming`) ---
     //
     // The same reusable request scaffold and cached connection, but the
@@ -147,16 +161,7 @@ impl HttpBinding {
         deadline: Option<&Deadline>,
     ) -> SoapResult<()> {
         self.pending = false;
-        self.request.body.clear();
-        self.request.headers.clear();
-        self.request
-            .headers
-            .push(("Content-Type".into(), content_type.into()));
-        if let Some(action) = &self.soap_action {
-            self.request
-                .headers
-                .push(("SOAPAction".into(), action.clone()));
-        }
+        self.set_headers(content_type);
         let timeouts = match deadline {
             Some(d) => self.timeouts.clamped_to(d).map_err(SoapError::Transport)?,
             None => self.timeouts,
@@ -227,19 +232,7 @@ impl Clone for HttpBinding {
 impl BindingPolicy for HttpBinding {
     fn send_request(&mut self, payload: &[u8], content_type: &str) -> SoapResult<()> {
         self.pending = false;
-        // Refill the reusable request in place: same path, rebuilt
-        // headers, body capacity kept.
-        self.request.body.clear();
-        self.request.body.extend_from_slice(payload);
-        self.request.headers.clear();
-        self.request
-            .headers
-            .push(("Content-Type".into(), content_type.into()));
-        if let Some(action) = &self.soap_action {
-            self.request
-                .headers
-                .push(("SOAPAction".into(), action.clone()));
-        }
+        self.set_headers(content_type);
         // One HTTP exchange = write + read on the cached connection
         // (connect only when cold or the kept socket died); under a call
         // deadline every phase budget narrows to what's left (and an
@@ -249,7 +242,7 @@ impl BindingPolicy for HttpBinding {
             None => self.timeouts,
         };
         self.conn
-            .exchange_with_into(&self.request, &timeouts, &mut self.response)?;
+            .exchange_with_into(&self.request, payload, &timeouts, &mut self.response)?;
         // SOAP-over-HTTP delivers faults in 500 responses with a SOAP
         // body; anything else non-2xx is a transport-level error carrying
         // the status, a body prefix, and any Retry-After.

@@ -318,14 +318,16 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
         options: &CallOptions,
     ) -> SoapResult<SoapEnvelope> {
         let options = self.resolve_options(request.operation(), options);
-        let mut request = self.security.apply(request)?;
+        // Built once: the entries move into the document, and a retry
+        // only re-stamps its deadline header in place.
+        let mut request = self.security.apply(request)?.into_document();
         self.run_exchange(
             &options,
             |enc, header, out| {
                 if let Some(h) = header {
-                    h.stamp(&mut request);
+                    h.stamp_document(&mut request);
                 }
-                enc.encode_into(&request.to_document(), out)
+                enc.encode_into(&request, out)
             },
             |me| me.finish_call(),
         )
@@ -498,7 +500,8 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
     fn finish_call(&mut self) -> SoapResult<SoapEnvelope> {
         self.encoding
             .decode_into(&self.response_buf, &mut self.decode_buf)?;
-        let envelope = SoapEnvelope::from_document(&self.decode_buf)?;
+        // The caller owns the reply: move its entries out, no copy.
+        let envelope = SoapEnvelope::take_from(&mut self.decode_buf)?;
         if let Some(fault) = envelope.as_fault() {
             return Err(SoapError::Fault(fault));
         }
@@ -508,8 +511,7 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
 
     /// One-way message (no response expected).
     pub fn send(&mut self, message: SoapEnvelope) -> SoapResult<()> {
-        let message = self.security.apply(message)?;
-        let doc = message.to_document();
+        let doc = self.security.apply(message)?.into_document();
         self.encoding.encode_into(&doc, &mut self.encode_buf)?;
         self.binding
             .send_one_way(&self.encode_buf, self.encoding.content_type())
@@ -569,7 +571,7 @@ impl<E: TypedEncoding, B: BindingPolicy> SoapEngine<E, B, NoSecurity> {
         // foreign shape, or garbage (which errors here like any call).
         self.encoding
             .decode_into(&self.response_buf, &mut self.decode_buf)?;
-        let envelope = SoapEnvelope::from_document(&self.decode_buf)?;
+        let envelope = SoapEnvelope::take_from(&mut self.decode_buf)?;
         if let Some(fault) = envelope.as_fault() {
             return Err(SoapError::Fault(fault));
         }
@@ -642,7 +644,7 @@ impl<E: crate::streaming::StreamEncoding> SoapEngine<E, crate::binding::HttpBind
             }
         }
         self.encoding
-            .encode_into(&manifest.to_document(), &mut self.encode_buf)?;
+            .encode_into(&manifest.into_document(), &mut self.encode_buf)?;
         self.binding
             .stream_begin(self.encoding.content_type(), deadline.as_ref())?;
         self.binding.stream_send_part(&self.encode_buf)?;
@@ -670,7 +672,7 @@ impl<E: crate::streaming::StreamEncoding> SoapEngine<E, crate::binding::HttpBind
         }
         self.encoding
             .decode_into(&self.response_buf, &mut self.decode_buf)?;
-        let envelope = SoapEnvelope::from_document(&self.decode_buf)?;
+        let envelope = SoapEnvelope::take_from(&mut self.decode_buf)?;
         if let Some(fault) = envelope.as_fault() {
             return Err(SoapError::Fault(fault));
         }
@@ -707,7 +709,7 @@ mod tests {
                     .with_namespace("m", "http://example.org/m")
                     .with_child(Element::leaf("m:total", AtomicValue::F64(total))),
             );
-            enc.encode(&reply.to_document()).unwrap()
+            enc.encode(&reply.into_document()).unwrap()
         }
     }
 
@@ -755,7 +757,7 @@ mod tests {
             XmlEncoding::default(),
             LoopbackBinding::new(move |_: &[u8]| {
                 let fault = SoapFault::new(FaultCode::Client, "rejected").to_element();
-                enc.encode(&SoapEnvelope::with_body(fault).to_document())
+                enc.encode(&SoapEnvelope::with_body(fault).into_document())
                     .unwrap()
             }),
         );
@@ -835,7 +837,7 @@ mod tests {
             XmlEncoding::default(),
             LoopbackBinding::new(move |_: &[u8]| {
                 let fault = SoapFault::new(FaultCode::Client, "rejected").to_element();
-                enc.encode(&SoapEnvelope::with_body(fault).to_document())
+                enc.encode(&SoapEnvelope::with_body(fault).into_document())
                     .unwrap()
             }),
         )
@@ -868,7 +870,7 @@ mod tests {
                             AtomicValue::I64(header.budget_millis as i64),
                         )),
                 );
-                enc.encode(&reply.to_document()).unwrap()
+                enc.encode(&reply.into_document()).unwrap()
             }),
         );
         let opts = CallOptions::new().within(Duration::from_secs(5));
@@ -891,12 +893,91 @@ mod tests {
                         "m",
                         "http://example.org/m",
                     ))
-                    .to_document(),
+                    .into_document(),
                 )
                 .unwrap()
             }),
         );
         engine.call_with(sum_request(), &CallOptions::new()).unwrap();
+    }
+
+    /// Records every attempt's request bytes and refuses the first
+    /// `refusals` connects (the retry-safe failure class), then lets the
+    /// loopback answer.
+    struct RefusingRecorder<F: FnMut(&[u8]) -> Vec<u8>> {
+        refusals: u32,
+        sent: Vec<Vec<u8>>,
+        inner: LoopbackBinding<F>,
+    }
+
+    impl<F: FnMut(&[u8]) -> Vec<u8>> BindingPolicy for RefusingRecorder<F> {
+        fn send_request(&mut self, payload: &[u8], content_type: &str) -> SoapResult<()> {
+            self.sent.push(payload.to_vec());
+            if self.refusals > 0 {
+                self.refusals -= 1;
+                return Err(SoapError::Transport(
+                    transport::TransportError::ConnectFailed {
+                        addr: "recorder".into(),
+                        source: std::io::Error::from(std::io::ErrorKind::ConnectionRefused),
+                    },
+                ));
+            }
+            self.inner.send_request(payload, content_type)
+        }
+
+        fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
+            self.inner.receive_response_into(out)
+        }
+    }
+
+    /// A deadline call that retries twice re-stamps its built document
+    /// per attempt: each attempt carries exactly one `bx:Deadline`, and
+    /// its bytes are what stamping the envelope and then building it
+    /// would have sent.
+    fn retried_deadline_attempts_match_stamp_then_build<Enc>()
+    where
+        Enc: EncodingPolicy + Default + Clone,
+    {
+        use crate::envelope::{DeadlineHeader, DEADLINE_HEADER_LOCAL};
+        use transport::RetryPolicy;
+
+        let mut engine = SoapEngine::new(
+            Enc::default(),
+            RefusingRecorder {
+                refusals: 2,
+                sent: Vec::new(),
+                inner: LoopbackBinding::new(sum_service(Enc::default())),
+            },
+        )
+        .with_retry(RetryPolicy::no_delay(5));
+        let request = sum_request().with_header(
+            Element::leaf("m:Trace", AtomicValue::Str("t-1".into()))
+                .with_namespace("m", "http://example.org/m"),
+        );
+        let opts = CallOptions::new().within(Duration::from_secs(30));
+        engine.call_with(request.clone(), &opts).unwrap();
+        assert_eq!(engine.last_call_attempts(), 3);
+        let sent = std::mem::take(&mut engine.binding().sent);
+        assert_eq!(sent.len(), 3);
+        for bytes in &sent {
+            let wire = SoapEnvelope::from_document(&Enc::default().decode(bytes).unwrap()).unwrap();
+            let stamped: Vec<&Element> = wire
+                .headers
+                .iter()
+                .filter(|h| h.name.local() == DEADLINE_HEADER_LOCAL)
+                .collect();
+            assert_eq!(stamped.len(), 1, "one bx:Deadline per attempt");
+            let header = DeadlineHeader::from_element(stamped[0]).unwrap();
+            let mut old = request.clone();
+            header.stamp(&mut old);
+            assert_eq!(bytes, &Enc::default().encode(&old.to_document()).unwrap());
+        }
+    }
+
+    #[test]
+    fn retried_deadline_attempts_match_stamp_then_build_on_both_encodings() {
+        retried_deadline_attempts_match_stamp_then_build::<BxsaEncoding>();
+        retried_deadline_attempts_match_stamp_then_build::<XmlEncoding>();
     }
 
     #[test]
@@ -1107,7 +1188,7 @@ mod tests {
                 BxsaEncoding::default(),
                 LoopbackBinding::new(move |_: &[u8]| {
                     let fault = SoapFault::new(FaultCode::Client, "nope").to_element();
-                    EncodingPolicy::encode(&enc, &SoapEnvelope::with_body(fault).to_document())
+                    EncodingPolicy::encode(&enc, &SoapEnvelope::with_body(fault).into_document())
                         .unwrap()
                 }),
             );

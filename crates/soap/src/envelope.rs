@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use bxdm::{AtomicValue, Document, Element};
+use bxdm::{AtomicValue, Content, Document, Element, Node};
 use transport::Deadline;
 
 use crate::error::{SoapError, SoapResult};
@@ -16,9 +16,19 @@ pub const SOAP_ENV_PREFIX: &str = "soapenv";
 /// A SOAP message: optional header entries plus body entries.
 ///
 /// The envelope is deliberately *not* stored as a pre-built element tree:
-/// it materializes into bXDM on send ([`SoapEnvelope::to_document`]) and
-/// is recovered from bXDM on receive ([`SoapEnvelope::from_document`]),
+/// it materializes into bXDM on send ([`SoapEnvelope::into_document`])
+/// and is recovered from bXDM on receive ([`SoapEnvelope::take_from`]),
 /// keeping the engine symmetric across encodings.
+///
+/// Both hand-offs move the entries rather than copy them, so a payload
+/// crosses the envelope/document boundary without a pass over its
+/// bytes: the caller's envelope becomes the document the encoder reads,
+/// and a decoded document's entries become the envelope a handler
+/// borrows. A server lends the entries out of its reused decode target
+/// and puts them back afterwards, so the next decode refills the same
+/// array buffers in place. The copying
+/// forms ([`SoapEnvelope::to_document`], [`SoapEnvelope::from_document`])
+/// are thin wrappers for callers that must keep the original.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SoapEnvelope {
     /// Children of `soapenv:Header` (absent when empty).
@@ -68,41 +78,43 @@ impl SoapEnvelope {
         self.body_element().map(SoapFault::from_element)
     }
 
-    /// Materialize the envelope as a bXDM document.
+    /// Materialize the envelope as a bXDM document, moving the entries
+    /// into the tree (no copy of the payload).
     ///
     /// The root declares the envelope namespace plus the `xsi`/`xsd`/`bx`
     /// typing namespaces, so typed leaf and array payloads are
     /// self-describing in the textual encoding too (paper §4.2).
-    pub fn to_document(&self) -> Document {
+    pub fn into_document(self) -> Document {
         let mut envelope = Element::component(format!("{SOAP_ENV_PREFIX}:Envelope"))
             .with_namespace(SOAP_ENV_PREFIX, SOAP_ENV_URI)
             .with_namespace("xsi", bxdm::XSI_URI)
             .with_namespace("xsd", bxdm::XSD_URI)
             .with_namespace(xmltext::BX_PREFIX, xmltext::BX_URI);
         if !self.headers.is_empty() {
-            let mut header = Element::component(format!("{SOAP_ENV_PREFIX}:Header"));
-            for h in &self.headers {
-                header.push_child(h.clone());
-            }
-            envelope.push_child(header);
+            envelope.push_child(wrap_entries("Header", self.headers));
         }
-        let mut body = Element::component(format!("{SOAP_ENV_PREFIX}:Body"));
-        for b in &self.body {
-            body.push_child(b.clone());
-        }
-        envelope.push_child(body);
+        envelope.push_child(wrap_entries("Body", self.body));
         Document::with_root(envelope)
     }
 
-    /// Recover an envelope from a decoded document.
+    /// [`into_document`](SoapEnvelope::into_document) for a caller that
+    /// keeps the envelope: copies every entry.
+    pub fn to_document(&self) -> Document {
+        self.clone().into_document()
+    }
+
+    /// Move the header and body entries out of a decoded document,
+    /// leaving its `Envelope`/`Header`/`Body` skeleton behind.
     ///
     /// Tolerant of any prefix bound to the SOAP namespace, and of
     /// documents that omit the namespace declarations entirely (as the
     /// minimal encodings used in the size experiments do) by falling back
-    /// to local-name matching.
-    pub fn from_document(doc: &Document) -> SoapResult<SoapEnvelope> {
+    /// to local-name matching. Header entries of every `Header` element
+    /// are kept; of several `Body` elements the last wins. Non-element
+    /// nodes between entries (whitespace text) are dropped.
+    pub fn take_from(doc: &mut Document) -> SoapResult<SoapEnvelope> {
         let root = doc
-            .root()
+            .root_mut()
             .ok_or_else(|| SoapError::Protocol("message has no root element".into()))?;
         if root.name.local() != "Envelope" {
             return Err(SoapError::Protocol(format!(
@@ -112,15 +124,49 @@ impl SoapEnvelope {
         }
         let mut headers = Vec::new();
         let mut body = None;
-        for child in root.child_elements() {
-            match child.name.local() {
-                "Header" => headers.extend(child.child_elements().cloned()),
-                "Body" => body = Some(child.child_elements().cloned().collect::<Vec<_>>()),
-                _ => {}
+        if let Content::Children(parts) = &mut root.content {
+            for part in parts.iter_mut().filter_map(Node::as_element_mut) {
+                match part.name.local() {
+                    "Header" => headers.extend(drain_entries(part)),
+                    "Body" => body = Some(drain_entries(part).collect()),
+                    _ => {}
+                }
             }
         }
         let body = body.ok_or_else(|| SoapError::Protocol("Envelope has no Body".into()))?;
         Ok(SoapEnvelope { headers, body })
+    }
+
+    /// Put entries taken by [`take_from`](SoapEnvelope::take_from) back
+    /// into the document's first `Header` and first `Body`, so a reused
+    /// decode target keeps their buffers for the next decode. Entries
+    /// with no matching skeleton element are dropped.
+    pub(crate) fn restore_into(self, doc: &mut Document) {
+        let Some(Element {
+            content: Content::Children(parts),
+            ..
+        }) = doc.root_mut()
+        else {
+            return;
+        };
+        let (mut headers, mut body) = (Some(self.headers), Some(self.body));
+        for part in parts.iter_mut().filter_map(Node::as_element_mut) {
+            let entries = match part.name.local() {
+                "Header" => headers.take(),
+                "Body" => body.take(),
+                _ => None,
+            };
+            if let Some(entries) = entries {
+                part.children_mut()
+                    .extend(entries.into_iter().map(Node::Element));
+            }
+        }
+    }
+
+    /// Recover a copy of the envelope from a decoded document (see
+    /// [`take_from`](SoapEnvelope::take_from), which moves instead).
+    pub fn from_document(doc: &Document) -> SoapResult<SoapEnvelope> {
+        SoapEnvelope::take_from(&mut doc.clone())
     }
 
     /// Total number of bXDM nodes in the envelope (diagnostics).
@@ -131,6 +177,22 @@ impl SoapEnvelope {
             .map(Element::node_count)
             .sum()
     }
+}
+
+/// `soapenv:<local>` holding `entries` as its children.
+fn wrap_entries(local: &str, entries: Vec<Element>) -> Element {
+    let mut wrapper = Element::component(format!("{SOAP_ENV_PREFIX}:{local}"));
+    *wrapper.children_mut() = entries.into_iter().map(Node::Element).collect();
+    wrapper
+}
+
+/// Move the element children out of `parent`, keeping its child list's
+/// capacity for the entries to come back to.
+fn drain_entries(parent: &mut Element) -> impl Iterator<Item = Element> + '_ {
+    parent.children_mut().drain(..).filter_map(|n| match n {
+        Node::Element(e) => Some(e),
+        _ => None,
+    })
 }
 
 /// Find a header entry by local name.
@@ -258,6 +320,33 @@ impl DeadlineHeader {
             .retain(|h| h.name.local() != DEADLINE_HEADER_LOCAL);
         envelope.headers.push(self.to_element());
     }
+
+    /// [`stamp`](DeadlineHeader::stamp) on an envelope already built into
+    /// a document: the same edit, made in the document's `Header`
+    /// (created in front of the `Body` when absent), so the result equals
+    /// stamping the envelope and then calling
+    /// [`SoapEnvelope::into_document`].
+    pub(crate) fn stamp_document(&self, doc: &mut Document) {
+        let Some(root) = doc.root_mut() else {
+            return;
+        };
+        let parts = root.children_mut();
+        let at = parts
+            .iter()
+            .position(|n| n.as_element().is_some_and(|e| e.name.local() == "Header"))
+            .unwrap_or_else(|| {
+                parts.insert(0, Node::Element(wrap_entries("Header", Vec::new())));
+                0
+            });
+        if let Node::Element(header) = &mut parts[at] {
+            let entries = header.children_mut();
+            entries.retain(|n| {
+                n.as_element()
+                    .is_none_or(|e| e.name.local() != DEADLINE_HEADER_LOCAL)
+            });
+            entries.push(Node::Element(self.to_element()));
+        }
+    }
 }
 
 /// A non-negative integer leaf by local name, tolerating `Str`-typed
@@ -329,6 +418,121 @@ mod tests {
         let bin = bxsa::encode(&doc).unwrap();
         let back = SoapEnvelope::from_document(&bxsa::decode(&bin).unwrap()).unwrap();
         assert_eq!(back, env);
+    }
+
+    /// An envelope shaped by generated numbers: `headers` header entries
+    /// (each possibly `mustUnderstand`), `entries` body entries mixing
+    /// packed arrays of `len` values, typed leaves and text, and nested
+    /// components.
+    fn shaped(headers: usize, entries: usize, len: usize, salt: u64) -> SoapEnvelope {
+        let mut env = SoapEnvelope::default();
+        for h in 0..headers {
+            let mut e = Element::leaf(
+                format!("h:H{h}"),
+                AtomicValue::I64((salt + h as u64) as i64),
+            )
+            .with_namespace("h", "http://example.org/h");
+            if (salt + h as u64).is_multiple_of(2) {
+                e = e.with_attr("soapenv:mustUnderstand", "1");
+            }
+            env.headers.push(e);
+        }
+        for b in 0..entries {
+            let values: Vec<f64> = (0..len)
+                .map(|i| (i as u64 * 31 + salt) as f64 / 7.0)
+                .collect();
+            let entry = Element::component(format!("m:Op{b}"))
+                .with_namespace("m", "http://example.org/m")
+                .with_child(Element::array("m:v", ArrayValue::F64(values)))
+                .with_child(Element::array(
+                    "m:i",
+                    ArrayValue::I32((0..len as i32).collect()),
+                ))
+                .with_child(Element::leaf("m:s", AtomicValue::Str(format!("s{salt}"))))
+                .with_child(
+                    Element::component("m:nested")
+                        .with_child(Element::leaf("m:b", AtomicValue::Bool(salt.is_multiple_of(3)))),
+                );
+            env.body.push(entry);
+        }
+        env
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The moving builder and the copying wrapper build the same
+        /// document, with and without headers; taking the entries back
+        /// out recovers the envelope, and restoring them rebuilds the
+        /// document exactly.
+        #[test]
+        fn moved_and_copied_documents_agree(
+            headers in 0usize..4,
+            entries in 0usize..3,
+            len in 0usize..40,
+            salt in 0u64..1000,
+        ) {
+            let env = shaped(headers, entries, len, salt);
+            let copied = env.to_document();
+            let mut moved = env.clone().into_document();
+            proptest::prop_assert_eq!(&moved, &copied);
+            proptest::prop_assert_eq!(SoapEnvelope::from_document(&copied).unwrap(), env.clone());
+            let taken = SoapEnvelope::take_from(&mut moved).unwrap();
+            proptest::prop_assert_eq!(&taken, &env);
+            taken.restore_into(&mut moved);
+            proptest::prop_assert_eq!(&moved, &copied);
+        }
+
+        /// Stamping the built document is stamping the envelope and then
+        /// building it — whether the envelope had headers, a deadline
+        /// already, or neither.
+        #[test]
+        fn stamp_document_matches_stamp_then_build(
+            headers in 0usize..3,
+            prior in 0u64..3,
+            budget in 0u64..100_000,
+            hops in 0u32..9,
+        ) {
+            let mut env = shaped(headers, 1, 3, budget);
+            if prior > 0 {
+                DeadlineHeader::new(prior * 1000, 8).stamp(&mut env);
+            }
+            let header = DeadlineHeader::new(budget, hops);
+            let mut doc = env.to_document();
+            header.stamp_document(&mut doc);
+            header.stamp_document(&mut doc);
+            header.stamp(&mut env);
+            proptest::prop_assert_eq!(doc, env.into_document());
+        }
+    }
+
+    #[test]
+    fn taken_entries_leave_a_reusable_decode_target() {
+        let env = sample();
+        let bin = bxsa::encode(&env.to_document()).unwrap();
+        let mut doc = Document::new();
+        bxsa::decode_into(&bin, &mut doc).unwrap();
+        let array_ptr = |doc: &Document| {
+            let body = doc.root().unwrap().find_child("Body").unwrap();
+            let data = body
+                .child_elements()
+                .next()
+                .unwrap()
+                .find_child("data")
+                .unwrap();
+            data.as_f64_array().unwrap().as_ptr()
+        };
+        let before = array_ptr(&doc);
+        let taken = SoapEnvelope::take_from(&mut doc).unwrap();
+        assert_eq!(taken, env);
+        taken.restore_into(&mut doc);
+        bxsa::decode_into(&bin, &mut doc).unwrap();
+        assert_eq!(
+            array_ptr(&doc),
+            before,
+            "the refill must land in the restored buffer"
+        );
+        assert_eq!(SoapEnvelope::from_document(&doc).unwrap(), env);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Intermediary {
                         &format!("intermediary relay failed: {e}"),
                     ));
                     in_encoding
-                        .encode(&fault.to_document())
+                        .encode(&fault.into_document())
                         .unwrap_or_default()
                 }
             }
@@ -158,7 +158,7 @@ impl Intermediary {
                             &format!("intermediary relay failed: {e}"),
                         ));
                         HttpResponse::server_error(
-                            t.in_enc.encode(&fault.to_document()).unwrap_or_default(),
+                            t.in_enc.encode(&fault.into_document()).unwrap_or_default(),
                         )
                         .with_header("Content-Type", content_type)
                     }
@@ -197,10 +197,10 @@ where
     UpB: BindingPolicy,
 {
     // Decode on the down-link encoding...
-    let doc = in_encoding.decode(request)?;
+    let mut doc = in_encoding.decode(request)?;
     // (Validate it is an envelope — intermediaries are SOAP nodes, not
     // byte pipes.)
-    let mut envelope = SoapEnvelope::from_document(&doc)?;
+    let mut envelope = SoapEnvelope::take_from(&mut doc)?;
 
     // A `bx:Deadline` header makes this hop budget- and hop-aware: an
     // already-spent budget is refused without touching the upstream, an
@@ -210,14 +210,14 @@ where
     let budget = match DeadlineHeader::from_envelope(&envelope)? {
         Some(h) if h.expired() => {
             let fault = fault_envelope(SoapFault::deadline_expired(EXPIRED_RETRY_AFTER));
-            return in_encoding.encode(&fault.to_document());
+            return in_encoding.encode(&fault.into_document());
         }
         Some(h) if h.hops == 0 => {
             let fault = fault_envelope(SoapFault::new(
                 FaultCode::Client,
                 "bx:Deadline hop count exhausted at intermediary",
             ));
-            return in_encoding.encode(&fault.to_document());
+            return in_encoding.encode(&fault.into_document());
         }
         Some(h) => Some((h, h.start())),
         None => None,
@@ -234,7 +234,7 @@ where
             header.decremented(local.elapsed()).stamp(&mut envelope);
             up_binding.set_call_deadline(Some(*local));
         }
-        let payload = up_encoding.encode(&envelope.to_document())?;
+        let payload = up_encoding.encode(&envelope.into_document())?;
         let exchanged = up_binding.exchange(&payload, up_encoding.content_type());
         if budget.is_some() {
             up_binding.set_call_deadline(None);
@@ -259,19 +259,19 @@ where
     InE: EncodingPolicy,
     UpE: EncodingPolicy,
 {
-    let doc = in_encoding.decode(request)?;
-    let mut envelope = SoapEnvelope::from_document(&doc)?;
+    let mut doc = in_encoding.decode(request)?;
+    let mut envelope = SoapEnvelope::take_from(&mut doc)?;
     let budget = match DeadlineHeader::from_envelope(&envelope)? {
         Some(h) if h.expired() => {
             let fault = fault_envelope(SoapFault::deadline_expired(EXPIRED_RETRY_AFTER));
-            return in_encoding.encode(&fault.to_document());
+            return in_encoding.encode(&fault.into_document());
         }
         Some(h) if h.hops == 0 => {
             let fault = fault_envelope(SoapFault::new(
                 FaultCode::Client,
                 "bx:Deadline hop count exhausted at intermediary",
             ));
-            return in_encoding.encode(&fault.to_document());
+            return in_encoding.encode(&fault.into_document());
         }
         Some(h) => Some((h, h.start())),
         None => None,
@@ -280,7 +280,7 @@ where
         header.decremented(local.elapsed()).stamp(&mut envelope);
         up_binding.set_call_deadline(Some(*local));
     }
-    let payload = up_encoding.encode(&envelope.to_document())?;
+    let payload = up_encoding.encode(&envelope.into_document())?;
     let exchanged = up_binding.exchange(&payload, up_encoding.content_type());
     if budget.is_some() {
         up_binding.set_call_deadline(None);
@@ -359,7 +359,7 @@ where
         if self
             .target
             .in_enc
-            .encode_into(&envelope.to_document(), &mut out)
+            .encode_into(&envelope.into_document(), &mut out)
             .is_err()
         {
             out.clear();
@@ -374,7 +374,7 @@ where
         let opened = (|| -> SoapResult<HttpConnection> {
             let t = &self.target;
             t.in_enc.decode_into(part, &mut self.doc)?;
-            let mut envelope = SoapEnvelope::from_document(&self.doc)?;
+            let mut envelope = SoapEnvelope::take_from(&mut self.doc)?;
             let budget = match DeadlineHeader::from_envelope(&envelope)? {
                 Some(h) if h.expired() => {
                     return Err(SoapError::Fault(SoapFault::deadline_expired(
@@ -399,7 +399,8 @@ where
             let head = HttpRequest::post(&t.upstream_path, t.up_enc.content_type(), Vec::new());
             conn.stream_begin_with(&head, &timeouts)
                 .map_err(SoapError::Transport)?;
-            t.up_enc.encode_into(&envelope.to_document(), &mut self.buf)?;
+            t.up_enc
+                .encode_into(&envelope.into_document(), &mut self.buf)?;
             conn.stream_send_part(&self.buf)
                 .map_err(SoapError::Transport)?;
             Ok(conn)

@@ -91,7 +91,7 @@ impl TcpSoapServer {
             &crate::service::fault_envelope(crate::fault::SoapFault::overloaded(
                 config.overload.retry_after_hint,
             ))
-            .to_document(),
+            .into_document(),
         )?;
         // Faults travel in-band on raw TCP: the envelope itself says so.
         // The scoped handler keeps each connection's request/response

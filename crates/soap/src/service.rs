@@ -285,6 +285,25 @@ pub struct DecodeScratch {
     doc: Document,
 }
 
+impl DecodeScratch {
+    /// Decode `request` into the scratch document and lend its envelope
+    /// to `serve`. The entries are moved out for the loan and put back
+    /// afterwards, so the payload is never copied and the next decode
+    /// refills the same buffers.
+    fn lend<E: EncodingPolicy, R>(
+        &mut self,
+        encoding: &E,
+        request: &[u8],
+        serve: impl FnOnce(&SoapEnvelope) -> SoapResult<R>,
+    ) -> SoapResult<R> {
+        encoding.decode_into(request, &mut self.doc)?;
+        let envelope = SoapEnvelope::take_from(&mut self.doc)?;
+        let result = serve(&envelope);
+        envelope.restore_into(&mut self.doc);
+        result
+    }
+}
+
 /// What a typed operation closure decided about one request.
 enum TypedServe {
     /// The request matched the typed shape and a response (or fault) was
@@ -308,11 +327,11 @@ type TypedPeek = dyn for<'a> Fn(&'a [u8]) -> Option<&'a str> + Send + Sync;
 /// a fault.
 fn encode_tree_response<E: EncodingPolicy>(
     encoding: &E,
-    response: &SoapEnvelope,
+    response: SoapEnvelope,
     out: &mut Vec<u8>,
 ) -> bool {
     let is_fault = response.is_fault();
-    if let Err(e) = encoding.encode_into(&response.to_document(), out) {
+    if let Err(e) = encoding.encode_into(&response.into_document(), out) {
         // Encoding a fault envelope cannot realistically fail, but
         // never panic in the server path.
         out.clear();
@@ -437,17 +456,12 @@ impl<E: EncodingPolicy> SoapService<E> {
         if let Some(is_fault) = self.try_typed(request, None, out) {
             return is_fault;
         }
-        let response = match self.try_handle(scratch, request) {
-            Ok(envelope) => envelope,
-            Err(e) => fault_envelope(fault_for_error(e)),
-        };
-        encode_tree_response(&self.encoding, &response, out)
-    }
-
-    fn try_handle(&self, scratch: &mut DecodeScratch, request: &[u8]) -> SoapResult<SoapEnvelope> {
-        self.encoding.decode_into(request, &mut scratch.doc)?;
-        let envelope = SoapEnvelope::from_document(&scratch.doc)?;
-        Ok(self.registry.dispatch(&envelope))
+        let response = scratch
+            .lend(&self.encoding, request, |envelope| {
+                Ok(self.registry.dispatch(envelope))
+            })
+            .unwrap_or_else(|e| fault_envelope(fault_for_error(e)));
+        encode_tree_response(&self.encoding, response, out)
     }
 
     /// [`handle_bytes_scratch`](SoapService::handle_bytes_scratch) with
@@ -472,26 +486,24 @@ impl<E: EncodingPolicy> SoapService<E> {
             outcome.is_fault = is_fault;
             return outcome;
         }
-        let response = match self.try_handle_deadline(scratch, request, &mut outcome) {
-            Ok(envelope) => envelope,
-            Err(e) => fault_envelope(fault_for_error(e)),
-        };
-        outcome.is_fault = encode_tree_response(&self.encoding, &response, out);
+        let response = scratch
+            .lend(&self.encoding, request, |envelope| {
+                self.dispatch_deadline(envelope, &mut outcome)
+            })
+            .unwrap_or_else(|e| fault_envelope(fault_for_error(e)));
+        outcome.is_fault = encode_tree_response(&self.encoding, response, out);
         outcome
     }
 
-    fn try_handle_deadline(
+    fn dispatch_deadline(
         &self,
-        scratch: &mut DecodeScratch,
-        request: &[u8],
+        envelope: &SoapEnvelope,
         outcome: &mut HandleOutcome,
     ) -> SoapResult<SoapEnvelope> {
-        self.encoding.decode_into(request, &mut scratch.doc)?;
-        let envelope = SoapEnvelope::from_document(&scratch.doc)?;
         // A malformed deadline header errors out of `?` into a Client
         // fault — a budget we failed to read must not be silently waived.
-        let Some(header) = DeadlineHeader::from_envelope(&envelope)? else {
-            return Ok(self.registry.dispatch(&envelope));
+        let Some(header) = DeadlineHeader::from_envelope(envelope)? else {
+            return Ok(self.registry.dispatch(envelope));
         };
         if header.expired() {
             outcome.retry_after = Some(EXPIRED_RETRY_AFTER);
@@ -502,7 +514,7 @@ impl<E: EncodingPolicy> SoapService<E> {
         // Relative-budget scheme: the stamped milliseconds restart as a
         // local clock; whatever the handler leaves bounds the reply.
         let local = header.start();
-        let response = self.registry.dispatch(&envelope);
+        let response = self.registry.dispatch(envelope);
         outcome.reply_budget = Some(
             local
                 .budget()
@@ -570,7 +582,7 @@ impl<E: TypedEncoding + Clone + Send + Sync + 'static> SoapService<E> {
                 // operation" would mislead).
                 Err(e) => {
                     let is_fault =
-                        encode_tree_response(&enc, &fault_envelope(fault_for_error(e)), out);
+                        encode_tree_response(&enc, fault_envelope(fault_for_error(e)), out);
                     return TypedServe::Handled(is_fault);
                 }
             };
@@ -579,7 +591,7 @@ impl<E: TypedEncoding + Clone + Send + Sync + 'static> SoapService<E> {
                     .and_then(|()| enc.encode_typed(&*resp, None, ts, out));
                 match served {
                     Ok(()) => false,
-                    Err(e) => encode_tree_response(&enc, &fault_envelope(fault_for_error(e)), out),
+                    Err(e) => encode_tree_response(&enc, fault_envelope(fault_for_error(e)), out),
                 }
             };
             let is_fault = match (deadline, outcome) {
@@ -591,7 +603,7 @@ impl<E: TypedEncoding + Clone + Send + Sync + 'static> SoapService<E> {
                         oc.retry_after = Some(EXPIRED_RETRY_AFTER);
                         encode_tree_response(
                             &enc,
-                            &fault_envelope(SoapFault::deadline_expired(EXPIRED_RETRY_AFTER)),
+                            fault_envelope(SoapFault::deadline_expired(EXPIRED_RETRY_AFTER)),
                             out,
                         )
                     } else {
@@ -710,7 +722,7 @@ mod tests {
     fn service_handles_bytes_end_to_end() {
         let service = SoapService::new(XmlEncoding::default(), echo_registry());
         let req_bytes = XmlEncoding::default()
-            .encode(&env("Echo").to_document())
+            .encode(&env("Echo").into_document())
             .unwrap();
         let (resp_bytes, is_fault) = service.handle_bytes(&req_bytes);
         assert!(!is_fault);
@@ -865,7 +877,7 @@ mod tests {
                 Element::component("Mystery").with_attr("soapenv:mustUnderstand", "1"),
             );
             let request = BxsaEncoding::default()
-                .encode(&envelope.to_document())
+                .encode(&envelope.into_document())
                 .unwrap();
             let (reply, is_fault) = service.handle_bytes(&request);
             assert!(is_fault);
@@ -887,7 +899,7 @@ mod tests {
                 Element::component("p:Probe").with_namespace("p", "http://example.org/probe"),
             );
             let request = BxsaEncoding::default()
-                .encode(&envelope.to_document())
+                .encode(&envelope.into_document())
                 .unwrap();
             let (reply, is_fault) = service.handle_bytes(&request);
             assert!(is_fault);

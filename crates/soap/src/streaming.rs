@@ -348,7 +348,7 @@ impl<E: EncodingPolicy> ServiceStreamSession<E> {
         if self
             .service
             .encoding()
-            .encode_into(&envelope.to_document(), &mut out)
+            .encode_into(&envelope.into_document(), &mut out)
             .is_err()
         {
             out.clear();
@@ -360,7 +360,7 @@ impl<E: EncodingPolicy> ServiceStreamSession<E> {
     fn handle_manifest(&mut self, part: &[u8]) {
         let dispatched = (|| -> SoapResult<Box<dyn StreamOp>> {
             self.service.encoding().decode_into(part, &mut self.doc)?;
-            let envelope = SoapEnvelope::from_document(&self.doc)?;
+            let envelope = SoapEnvelope::take_from(&mut self.doc)?;
             // Honor the caller's deadline at the gate: a budget already
             // spent on arrival is refused before any part is processed.
             if let Some(h) = DeadlineHeader::from_envelope(&envelope)? {
@@ -434,7 +434,7 @@ impl<E: StreamEncoding + Send + Sync + 'static> transport::StreamSession
                         let is_err = self
                             .service
                             .encoding()
-                            .encode_into(&envelope.to_document(), &mut out);
+                            .encode_into(&envelope.into_document(), &mut out);
                         if is_err.is_err() {
                             out.clear();
                         }
@@ -446,7 +446,7 @@ impl<E: StreamEncoding + Send + Sync + 'static> transport::StreamSession
                     Ok(envelope) => {
                         self.service
                             .encoding()
-                            .encode_into(&envelope.to_document(), &mut self.reply_manifest)
+                            .encode_into(&envelope.into_document(), &mut self.reply_manifest)
                             .map_err(wire_err)?;
                         self.manifest_sent = false;
                         Ok(WireReply::Streamed(transport::HttpResponse::ok(

@@ -106,15 +106,19 @@ impl HttpConnection {
         response: &mut HttpResponse,
     ) -> TransportResult<()> {
         let timeouts = self.timeouts;
-        self.exchange_with_into(request, &timeouts, response)
+        self.exchange_with_into(request, &request.body, &timeouts, response)
     }
 
-    /// [`exchange_into`](HttpConnection::exchange_into) with per-call
+    /// [`exchange_into`](HttpConnection::exchange_into) with the body
+    /// borrowed from the caller (`request.body` is ignored) and per-call
     /// budgets — the hook deadline-aware callers use to clamp each
-    /// exchange to the remaining end-to-end budget.
+    /// exchange to the remaining end-to-end budget. The head and `body`
+    /// go out in one vectored write, so the payload is never copied
+    /// into the request.
     pub fn exchange_with_into(
         &mut self,
         request: &HttpRequest,
+        body: &[u8],
         timeouts: &Timeouts,
         response: &mut HttpResponse,
     ) -> TransportResult<()> {
@@ -127,7 +131,7 @@ impl HttpConnection {
         loop {
             let reused = self.stream.is_some();
             let reader = self.connected(timeouts)?;
-            match try_exchange(reader, request, timeouts, response) {
+            match try_exchange(reader, request, body, timeouts, response) {
                 Ok(()) => {
                     if crate::http::response_keeps_alive(&response.headers) {
                         if reused {
@@ -353,11 +357,12 @@ impl HttpConnection {
 fn try_exchange(
     reader: &mut BufReader<TcpStream>,
     request: &HttpRequest,
+    body: &[u8],
     timeouts: &Timeouts,
     response: &mut HttpResponse,
 ) -> Result<(), Attempt> {
     let started = Instant::now();
-    if let Err(e) = request.write_to_with(&mut reader.get_ref(), true) {
+    if let Err(e) = request.write_with_body(&mut reader.get_ref(), body, true) {
         return Err(match e {
             TransportError::Io(io) if TransportError::io_is_timeout(&io) => {
                 Attempt::Fatal(TransportError::TimedOut {

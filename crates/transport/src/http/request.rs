@@ -1,9 +1,10 @@
 //! HTTP requests.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
 
 use crate::error::{TransportError, TransportResult};
 use crate::http::{find_header, read_body_into, read_head, CRLF};
+use crate::iovec::write_all_vectored;
 
 /// An HTTP/1.1 request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,33 +63,24 @@ impl HttpRequest {
     /// caller-set `Connection`/`Content-Length` headers are dropped so
     /// exactly one of each goes out, and truthfully.
     pub fn write_to_with(&self, out: &mut impl Write, keep_alive: bool) -> TransportResult<()> {
-        let mut head = String::with_capacity(128);
-        head.push_str(&self.method);
-        head.push(' ');
-        head.push_str(&self.path);
-        head.push_str(" HTTP/1.1");
-        head.push_str(CRLF);
-        for (name, value) in &self.headers {
-            if name.eq_ignore_ascii_case("connection")
-                || name.eq_ignore_ascii_case("content-length")
-            {
-                continue;
-            }
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str(CRLF);
-        }
-        head.push_str(&format!("Content-Length: {}{CRLF}", self.body.len()));
-        head.push_str(if keep_alive {
-            "Connection: keep-alive"
-        } else {
-            "Connection: close"
-        });
-        head.push_str(CRLF);
-        head.push_str(CRLF);
-        out.write_all(head.as_bytes())?;
-        out.write_all(&self.body)?;
+        self.write_with_body(out, &self.body, keep_alive)
+    }
+
+    /// [`write_to_with`](HttpRequest::write_to_with) with the body passed
+    /// separately (the `body` field is ignored): head and body go out in
+    /// one vectored write loop, so a caller holding the payload elsewhere
+    /// sends it without first copying it into the request.
+    pub(crate) fn write_with_body(
+        &self,
+        out: &mut impl Write,
+        body: &[u8],
+        keep_alive: bool,
+    ) -> TransportResult<()> {
+        let head = self.head(Some(body.len()), keep_alive);
+        write_all_vectored(
+            out,
+            &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body)],
+        )?;
         out.flush()?;
         Ok(())
     }
@@ -102,6 +94,15 @@ impl HttpRequest {
         out: &mut impl Write,
         keep_alive: bool,
     ) -> TransportResult<()> {
+        out.write_all(self.head(None, keep_alive).as_bytes())?;
+        out.flush()?;
+        Ok(())
+    }
+
+    /// The request line and headers, framed by `Content-Length:
+    /// <content_length>` or, for `None`, `Transfer-Encoding: chunked`.
+    /// Caller-set framing and `Connection` headers are replaced.
+    fn head(&self, content_length: Option<usize>, keep_alive: bool) -> String {
         let mut head = String::with_capacity(128);
         head.push_str(&self.method);
         head.push(' ');
@@ -111,7 +112,7 @@ impl HttpRequest {
         for (name, value) in &self.headers {
             if name.eq_ignore_ascii_case("connection")
                 || name.eq_ignore_ascii_case("content-length")
-                || name.eq_ignore_ascii_case("transfer-encoding")
+                || (content_length.is_none() && name.eq_ignore_ascii_case("transfer-encoding"))
             {
                 continue;
             }
@@ -120,8 +121,13 @@ impl HttpRequest {
             head.push_str(value);
             head.push_str(CRLF);
         }
-        head.push_str("Transfer-Encoding: chunked");
-        head.push_str(CRLF);
+        match content_length {
+            Some(len) => head.push_str(&format!("Content-Length: {len}{CRLF}")),
+            None => {
+                head.push_str("Transfer-Encoding: chunked");
+                head.push_str(CRLF);
+            }
+        }
         head.push_str(if keep_alive {
             "Connection: keep-alive"
         } else {
@@ -129,9 +135,7 @@ impl HttpRequest {
         });
         head.push_str(CRLF);
         head.push_str(CRLF);
-        out.write_all(head.as_bytes())?;
-        out.flush()?;
-        Ok(())
+        head
     }
 
     /// Parse a request from a buffered stream.

@@ -193,8 +193,9 @@ fn read_some(io: &mut ConnIo, buf: &mut [u8], filled: &mut usize) -> TransportRe
 enum FramedPhase {
     /// Reading the 4-byte length prefix (`filled` bytes so far).
     Prefix { filled: usize },
-    /// Reading `expected` payload bytes into `request`.
-    Payload { expected: usize },
+    /// Reading `expected` payload bytes into `request[..expected]`
+    /// (`filled` bytes so far).
+    Payload { expected: usize, filled: usize },
     /// Writing prefix + response (`written` of `4 + response.len()`).
     Write { written: usize },
 }
@@ -211,6 +212,9 @@ pub(crate) struct FramedDriver<S, H> {
     overload: Arc<Overload>,
     phase: FramedPhase,
     prefix: [u8; 4],
+    /// Payload buffer, kept at its high-water length so a request never
+    /// pays to zero bytes an earlier request already initialized; the
+    /// current request is the `expected`-byte prefix.
     request: Vec<u8>,
     response: Vec<u8>,
     out_prefix: [u8; 4],
@@ -267,8 +271,8 @@ where
         }
     }
 
-    fn dispatch(&mut self) -> TransportResult<()> {
-        self.metrics.bytes_in.add(self.request.len() as u64);
+    fn dispatch(&mut self, len: usize) -> TransportResult<()> {
+        self.metrics.bytes_in.add(len as u64);
         self.metrics.requests.inc();
         self.metrics.requests_inflight.add(1.0);
         self.holds_inflight = true;
@@ -276,7 +280,7 @@ where
         self.ctl.reset();
         let started = Instant::now();
         let (state, handler) = (&mut self.state, &self.handler);
-        let (request, response, ctl) = (&self.request, &mut self.response, &mut self.ctl);
+        let (request, response, ctl) = (&self.request[..len], &mut self.response, &mut self.ctl);
         if let Err(e) = run_handler(|| handler(state, request, response, ctl)) {
             crate::metrics::count_handler_panic("tcp");
             return Err(e);
@@ -329,22 +333,23 @@ where
                             declared: expected as u64,
                         });
                     }
-                    self.request.clear();
-                    self.phase = FramedPhase::Payload { expected };
+                    self.phase = FramedPhase::Payload {
+                        expected,
+                        filled: 0,
+                    };
                 }
-                FramedPhase::Payload { expected } => {
+                FramedPhase::Payload { expected, filled } => {
                     let expected = *expected;
                     // Chunk-bounded growth, resumable across WouldBlock:
-                    // the buffer holds exactly the bytes received so far.
-                    while self.request.len() < expected {
-                        let have = self.request.len();
-                        let target = expected.min(have + RECV_CHUNK);
-                        self.request.resize(target, 0);
-                        let mut filled = have;
-                        let progressed =
-                            read_some(io, &mut self.request[..target], &mut filled);
-                        self.request.truncate(filled);
-                        match progressed {
+                    // the buffer only grows (zero-filled) up to one chunk
+                    // past the bytes received, and is never shrunk, so
+                    // only bytes no earlier request reached are zeroed.
+                    while *filled < expected {
+                        let target = expected.min(*filled + RECV_CHUNK);
+                        if self.request.len() < target {
+                            self.request.resize(target, 0);
+                        }
+                        match read_some(io, &mut self.request[..target], filled) {
                             Ok(true) => {}
                             Ok(false) => return Ok(Step::read()),
                             Err(e) => return Err(e),
@@ -355,7 +360,7 @@ where
                     match self.maybe_shed(ctx) {
                         Some(Some(step)) => return Ok(step),
                         Some(None) => {}
-                        None => self.dispatch()?,
+                        None => self.dispatch(expected)?,
                     }
                 }
                 FramedPhase::Write { written } => {

@@ -307,7 +307,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framed::FramedStream;
+    use crate::framed::{FramedStream, RECV_CHUNK};
     use std::io::Write;
     use std::net::TcpStream;
 
@@ -350,6 +350,32 @@ mod tests {
             let mut expected = msg.to_vec();
             expected.reverse();
             assert_eq!(client.recv().unwrap(), expected);
+        }
+        drop(client);
+        server.shutdown();
+    }
+
+    /// The reactor keeps its payload buffer at the high-water length
+    /// across requests; a small request after a large one on the same
+    /// connection must still reach the handler as exactly its own bytes,
+    /// with no stale tail from the earlier request.
+    #[test]
+    fn small_request_after_a_large_one_carries_no_stale_tail() {
+        let server = crate::ServerBuilder::bind("127.0.0.1:0")
+            .serve_framed(
+                || (),
+                |_scratch, req, out: &mut Vec<u8>, _ctl| out.extend_from_slice(req),
+            )
+            .unwrap();
+        let addr = server.local_addr().to_string();
+        let mut client = FramedStream::connect(&addr).unwrap();
+        let large: Vec<u8> = (0..3 * RECV_CHUNK as u32 + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let middle = vec![0x5a; RECV_CHUNK / 2];
+        for msg in [&large[..], b"tiny", b"", &middle, b"abc", &large, b"z"] {
+            client.send(msg).unwrap();
+            assert_eq!(client.recv().unwrap(), msg, "{}-byte request", msg.len());
         }
         drop(client);
         server.shutdown();

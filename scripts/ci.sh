@@ -10,6 +10,9 @@ cargo test -q --workspace
 # Zero-allocation steady-state gates: encode (PR 1) and decode (PR 3).
 # `steady_state_decode_is_allocation_free` fails this step — and the
 # build — if a change reintroduces per-message decode allocation.
+# The same step runs the byte gates: a warm 100k-pair tree Verify must
+# allocate under 64 KiB per call, server-side and through call_with, so
+# no layer may copy the bulk payload again.
 cargo test -q -p bench --features alloc-counter --lib
 
 # Decode benches: run the codec-throughput ablation and require that the
@@ -153,6 +156,19 @@ for f in crates/transport/src/http/*.rs crates/transport/src/reactor/*.rs \
         exit 1
     fi
 done
+
+# Benchmark smoke: the loopback benchmark (BENCHMARK.json, perfbench/)
+# must build from this checkout and answer every call correctly on a
+# short bulk_upload run. Its last line of output is the JSON summary.
+bench_smoke=$(python3 perfbench/run.py --workload bulk_upload --seed 1 --seconds 2 --trace 0) || {
+    echo "perfbench: bulk_upload smoke run failed" >&2
+    exit 1
+}
+if ! tail -n 1 <<<"$bench_smoke" \
+    | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'; then
+    echo "perfbench: bulk_upload smoke run did not report \"correct\": true" >&2
+    exit 1
+fi
 
 cargo clippy --workspace --all-targets -- -D warnings
 

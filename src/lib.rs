@@ -68,10 +68,19 @@ pub fn verify_request_envelope(index: &[i32], values: &[f64]) -> soap::SoapEnvel
 
 /// The verification the paper's server performs on each value: every
 /// index is in range and every reading is physically plausible.
+///
+/// One fused pass with no early exit: the per-pair test folds with `&`
+/// instead of short-circuiting, which lets the compiler vectorize it.
+/// The range test is false for NaN and rejects ±inf.
 pub fn verify_dataset(index: &[i32], values: &[f64]) -> bool {
     index.len() == values.len()
-        && index.iter().enumerate().all(|(i, &x)| x == i as i32)
-        && values.iter().all(|v| v.is_finite() && (100.0..400.0).contains(v))
+        && index
+            .iter()
+            .zip(values)
+            .enumerate()
+            .fold(true, |ok, (i, (&x, v))| {
+                ok & (x == i as i32) & (100.0..400.0).contains(v)
+            })
 }
 
 /// Register the LEAD `Verify` operation on a service registry. Shared by
@@ -361,6 +370,82 @@ mod tests {
         assert!(!verify_dataset(&index[..9], &values));
     }
 
+    /// The short-circuiting form the fused `verify_dataset` replaced,
+    /// kept as its oracle.
+    fn verify_dataset_reference(index: &[i32], values: &[f64]) -> bool {
+        index.len() == values.len()
+            && index.iter().enumerate().all(|(i, &x)| x == i as i32)
+            && values
+                .iter()
+                .all(|v| v.is_finite() && (100.0..400.0).contains(v))
+    }
+
+    /// Readings at and around the edges of the plausible range.
+    const CORNERS: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        100.0,
+        400.0,
+        99.99,
+        399.99,
+        f64::MIN_POSITIVE,
+        250.0,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The fused pass answers exactly as the short-circuiting form on
+        /// valid datasets with corner readings planted, a wrong index at
+        /// the first or last position, and a length mismatch.
+        #[test]
+        fn fused_verify_matches_the_short_circuit_form(
+            len in 0usize..24,
+            planted in proptest::collection::vec((0usize..24, 0usize..CORNERS.len()), 0..3),
+            bad_index in 0usize..3,
+            mismatch in 0usize..3,
+        ) {
+            let (mut index, mut values) = lead_dataset(len, len as u64);
+            for (at, corner) in planted {
+                if at < len {
+                    values[at] = CORNERS[corner];
+                }
+            }
+            match bad_index {
+                1 if len > 0 => index[0] = 1,
+                2 if len > 0 => index[len - 1] = -1,
+                _ => {}
+            }
+            match mismatch {
+                1 => index.push(len as i32),
+                2 => values.push(250.0),
+                _ => {}
+            }
+            proptest::prop_assert_eq!(
+                verify_dataset(&index, &values),
+                verify_dataset_reference(&index, &values)
+            );
+        }
+    }
+
+    #[test]
+    fn fused_verify_decides_each_corner_alone() {
+        for corner in CORNERS {
+            let (index, mut values) = lead_dataset(5, 9);
+            values[4] = corner;
+            assert_eq!(
+                verify_dataset(&index, &values),
+                verify_dataset_reference(&index, &values),
+                "reading {corner:?}"
+            );
+        }
+        assert!(verify_dataset(&[0], &[100.0]), "100.0 is in range");
+        assert!(!verify_dataset(&[0], &[400.0]), "400.0 is out of range");
+        assert!(!verify_dataset(&[0], &[-0.0]));
+    }
+
     #[test]
     fn verify_operation_dispatches() {
         let (index, values) = lead_dataset(50, 3);
@@ -372,6 +457,94 @@ mod tests {
             resp.body_element().unwrap().child_value("ok"),
             Some(&bxdm::AtomicValue::Bool(true))
         );
+    }
+
+    /// The tree path lends a request's entries out of the reused decode
+    /// document and puts them back: after a 100k-pair Verify, the same
+    /// scratch must serve every other request shape correctly — a
+    /// differently shaped Verify, an unknown operation, a
+    /// `mustUnderstand` fault and an expired deadline — and the bulk
+    /// request again after each.
+    #[test]
+    fn scratch_reused_after_a_bulk_verify_serves_every_request_shape() {
+        use bxdm::{AtomicValue, Element};
+        use soap::{
+            BxsaEncoding, DeadlineHeader, DecodeScratch, EncodingPolicy, FaultCode, SoapEnvelope,
+            SoapService,
+        };
+        use std::sync::Arc;
+
+        let enc = BxsaEncoding::default();
+        let mut registry = soap::ServiceRegistry::new();
+        register_verify(&mut registry);
+        let service = SoapService::new(enc.clone(), Arc::new(registry));
+        let mut scratch = DecodeScratch::default();
+        let mut out = Vec::new();
+        let wire = |env: SoapEnvelope| enc.encode(&env.into_document()).unwrap();
+        let reply = |out: &[u8]| SoapEnvelope::from_document(&enc.decode(out).unwrap()).unwrap();
+        let verified = |env: &SoapEnvelope| {
+            let body = env.body_element().expect("reply body");
+            match (body.child_value("ok"), body.child_value("count")) {
+                (Some(AtomicValue::Bool(ok)), Some(AtomicValue::I64(n))) => (*ok, *n),
+                other => panic!("not a VerifyResponse: {other:?}"),
+            }
+        };
+
+        let (index, values) = lead_dataset(100_000, 5);
+        let bulk = wire(verify_request_envelope(&index, &values));
+        let (small_index, mut small_values) = lead_dataset(10, 6);
+        small_values[9] = f64::NAN;
+        let small = wire(
+            verify_request_envelope(&small_index, &small_values).with_header(
+                Element::leaf("d:Note", AtomicValue::Str("reshaped".into()))
+                    .with_namespace("d", LEAD_NS),
+            ),
+        );
+        let unknown = wire(SoapEnvelope::with_body(
+            Element::component("d:Nope").with_namespace("d", LEAD_NS),
+        ));
+        let mystery = wire(
+            verify_request_envelope(
+                &small_index,
+                &small_index.iter().map(|_| 200.0).collect::<Vec<_>>(),
+            )
+            .with_header(
+                Element::component("d:Mystery")
+                    .with_namespace("d", LEAD_NS)
+                    .with_attr("soapenv:mustUnderstand", "1"),
+            ),
+        );
+        let mut expired_env = verify_request_envelope(&small_index, &small_values);
+        DeadlineHeader::new(0, 8).stamp(&mut expired_env);
+        let expired = wire(expired_env);
+
+        let serve_bulk = |scratch: &mut DecodeScratch, out: &mut Vec<u8>| {
+            assert!(!service.handle_bytes_scratch(scratch, &bulk, out));
+            assert_eq!(verified(&reply(out)), (true, 100_000));
+        };
+        serve_bulk(&mut scratch, &mut out);
+
+        assert!(!service.handle_bytes_scratch(&mut scratch, &small, &mut out));
+        assert_eq!(verified(&reply(&out)), (false, 10));
+        serve_bulk(&mut scratch, &mut out);
+
+        assert!(service.handle_bytes_scratch(&mut scratch, &unknown, &mut out));
+        let fault = reply(&out).as_fault().expect("unknown operation faults");
+        assert_eq!(fault.code, FaultCode::Client);
+        assert!(fault.string.contains("Nope"), "{}", fault.string);
+        serve_bulk(&mut scratch, &mut out);
+
+        assert!(service.handle_bytes_scratch(&mut scratch, &mystery, &mut out));
+        let fault = reply(&out).as_fault().expect("mustUnderstand faults");
+        assert_eq!(fault.code, FaultCode::MustUnderstand);
+        serve_bulk(&mut scratch, &mut out);
+
+        let outcome = service.handle_bytes_deadline(&mut scratch, &expired, &mut out);
+        assert!(outcome.is_fault);
+        assert_eq!(outcome.retry_after, Some(soap::EXPIRED_RETRY_AFTER));
+        let fault = reply(&out).as_fault().expect("expired deadline faults");
+        assert_eq!(fault.code, FaultCode::Server);
+        serve_bulk(&mut scratch, &mut out);
     }
 
     #[test]
