@@ -65,7 +65,7 @@ fn bench_skip_scan(c: &mut Criterion) {
                         last = Some(info.expect("frame"));
                     }
                     let last = last.expect("at least one child");
-                    bxsa::decoder::decode_element_at(bytes, last.start, &Default::default())
+                    bxsa::decoder::decode_element_at(bytes, last.start)
                         .expect("decode last")
                         .find_child("seq")
                         .and_then(|e| e.leaf_value())

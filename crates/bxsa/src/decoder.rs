@@ -1,38 +1,21 @@
 //! BXSA frames → bXDM.
+//!
+//! The tree decoder is the `frame::Cursor` plus an in-place
+//! refill: it walks the frame stream in lockstep with an existing tree.
 
 use bxdm::{
-    ArrayValue, Attribute, AtomicValue, Content, Document, Element, NamespaceDecl, Node, QName,
+    ArrayValue, AtomicValue, Attribute, Content, Document, Element, NamespaceDecl, Node, QName,
     ScopeChain,
 };
-use bxdm::namespace::NsRef;
-use xbs::{ByteOrder, TypeCode, XbsReader};
 
 use crate::error::{BxsaError, BxsaResult};
-use crate::frame::{parse_prefix, FrameType};
-
-/// Decoding options.
-#[derive(Debug, Clone)]
-pub struct DecodeOptions {
-    /// Maximum frame nesting depth accepted. Guards the recursive parser
-    /// against stack exhaustion on adversarial input.
-    pub max_depth: usize,
-}
-
-impl Default for DecodeOptions {
-    fn default() -> DecodeOptions {
-        DecodeOptions { max_depth: 256 }
-    }
-}
-
-/// Decode a complete BXSA document with default options.
-pub fn decode(bytes: &[u8]) -> BxsaResult<Document> {
-    decode_with(bytes, &DecodeOptions::default())
-}
+use crate::frame::{read_array_into, Cursor, FrameType};
+use crate::pull::{LeafValue, PullEvent};
 
 /// Decode a complete BXSA document.
-pub fn decode_with(bytes: &[u8], opts: &DecodeOptions) -> BxsaResult<Document> {
+pub fn decode(bytes: &[u8]) -> BxsaResult<Document> {
     let mut doc = Document::new();
-    decode_into_with(bytes, &mut doc, opts)?;
+    decode_into(bytes, &mut doc)?;
     Ok(doc)
 }
 
@@ -53,61 +36,28 @@ pub fn decode_with(bytes: &[u8], opts: &DecodeOptions) -> BxsaResult<Document> {
 /// callers must treat the document as garbage until the next successful
 /// decode.
 pub fn decode_into(bytes: &[u8], doc: &mut Document) -> BxsaResult<()> {
-    decode_into_with(bytes, doc, &DecodeOptions::default())
-}
-
-/// [`decode_into`] with explicit options.
-pub fn decode_into_with(bytes: &[u8], doc: &mut Document, opts: &DecodeOptions) -> BxsaResult<()> {
-    let mut dec = Decoder {
-        r: XbsReader::new(bytes, ByteOrder::Little),
-        opts,
-    };
-    dec.fill_document(doc)?;
-    finish_with_optional_checksum(&mut dec.r, "document")
-}
-
-/// End-of-input check shared by the tree decoders and the pull reader:
-/// after the top-level frame, the input must either end or carry exactly
-/// one checksum frame covering everything before it (which is verified).
-/// Anything else is a typed error.
-pub(crate) fn finish_with_optional_checksum(r: &mut XbsReader<'_>, what: &str) -> BxsaResult<()> {
-    if r.is_at_end() {
-        return Ok(());
+    let mut c = Cursor::new(bytes);
+    let (frame, count) = c.document()?;
+    doc.children.truncate(count);
+    if count > doc.children.len() {
+        doc.children.reserve(count.min(1024) - doc.children.len());
     }
-    let pos = r.position();
-    let buf = r.buffer();
-    if matches!(parse_prefix(buf[pos], pos), Ok((_, FrameType::Checksum))) {
-        let end = crate::frame::verify_checksum_frame(buf, 0, pos)?;
-        r.seek(end)?;
+    for i in 0..count {
+        if i == doc.children.len() {
+            doc.children.push(blank_node());
+        }
+        fill_frame(&mut c, None, &mut doc.children[i])?;
     }
-    if !r.is_at_end() {
-        return Err(BxsaError::Structure {
-            what: format!("{} trailing byte(s) after the {what} frame", r.remaining()),
-        });
-    }
-    Ok(())
+    c.finish(Some(&frame))
 }
 
 /// Decode a standalone element frame (the output of
-/// [`crate::encoder::encode_element`]).
-pub fn decode_element(bytes: &[u8], opts: &DecodeOptions) -> BxsaResult<Element> {
-    // Not `decode_element_at(bytes, 0, ..)`: that entry point decodes a
-    // frame embedded in a larger buffer and so cannot demand end-of-input.
-    // A standalone part must end after its frame (or its checksum), else
-    // trailing garbage — or a checksum frame that would catch corruption —
-    // would be silently ignored.
-    let mut dec = Decoder {
-        r: XbsReader::new(bytes, ByteOrder::Little),
-        opts,
-    };
-    let node = dec.read_frame(0, None)?;
-    finish_with_optional_checksum(&mut dec.r, "element")?;
-    match node {
-        Node::Element(e) => Ok(e),
-        other => Err(BxsaError::Structure {
-            what: format!("expected an element frame, found {other:?}"),
-        }),
-    }
+/// [`crate::encoder::encode_element`]): the input must end after the
+/// frame, or after one checksum frame covering it.
+pub fn decode_element(bytes: &[u8]) -> BxsaResult<Element> {
+    let mut node = blank_node();
+    decode_element_into(bytes, &mut node)?;
+    into_element(node)
 }
 
 /// [`decode_element`] into a reusable [`Node`] slot: contents are
@@ -117,21 +67,9 @@ pub fn decode_element(bytes: &[u8], opts: &DecodeOptions) -> BxsaResult<Element>
 /// [`decode_into`]). On error the slot holds unspecified but valid
 /// contents.
 pub fn decode_element_into(bytes: &[u8], node: &mut Node) -> BxsaResult<()> {
-    decode_element_into_with(bytes, node, &DecodeOptions::default())
-}
-
-/// [`decode_element_into`] with explicit options.
-pub fn decode_element_into_with(
-    bytes: &[u8],
-    node: &mut Node,
-    opts: &DecodeOptions,
-) -> BxsaResult<()> {
-    let mut dec = Decoder {
-        r: XbsReader::new(bytes, ByteOrder::Little),
-        opts,
-    };
-    dec.fill_frame(0, None, node)?;
-    finish_with_optional_checksum(&mut dec.r, "element")
+    let mut c = Cursor::new(bytes);
+    fill_frame(&mut c, None, node)?;
+    c.finish(None)
 }
 
 /// Decode one element frame located at `offset` inside a larger document
@@ -140,17 +78,16 @@ pub fn decode_element_into_with(
 /// The whole buffer must be passed, not a slice of the frame: alignment
 /// padding inside the frame is relative to the *document* start, so the
 /// decoder has to see the true offsets.
-pub fn decode_element_at(
-    bytes: &[u8],
-    offset: usize,
-    opts: &DecodeOptions,
-) -> BxsaResult<Element> {
-    let mut dec = Decoder {
-        r: XbsReader::new(bytes, ByteOrder::Little),
-        opts,
-    };
-    dec.r.seek(offset)?;
-    match dec.read_frame(0, None)? {
+pub fn decode_element_at(bytes: &[u8], offset: usize) -> BxsaResult<Element> {
+    let mut c = Cursor::new(bytes);
+    c.r.seek(offset)?;
+    let mut node = blank_node();
+    fill_frame(&mut c, None, &mut node)?;
+    into_element(node)
+}
+
+fn into_element(node: Node) -> BxsaResult<Element> {
+    match node {
         Node::Element(e) => Ok(e),
         other => Err(BxsaError::Structure {
             what: format!("expected an element frame, found {other:?}"),
@@ -158,30 +95,11 @@ pub fn decode_element_at(
     }
 }
 
-struct Decoder<'a, 'o> {
-    r: XbsReader<'a>,
-    opts: &'o DecodeOptions,
-}
-
 /// A placeholder node for growing a recycled child list; allocation-free
 /// (`String::new` does not allocate) and immediately overwritten by
-/// [`Decoder::fill_frame`].
+/// [`fill_frame`].
 fn blank_node() -> Node {
     Node::Text(String::new())
-}
-
-/// Overwrite an `Option<String>` slot, reusing the existing capacity.
-fn set_opt_string(slot: &mut Option<String>, value: Option<&str>) {
-    match value {
-        Some(v) => match slot {
-            Some(s) => {
-                s.clear();
-                s.push_str(v);
-            }
-            None => *slot = Some(v.to_owned()),
-        },
-        None => *slot = None,
-    }
 }
 
 /// Overwrite a `String` slot, reusing the existing capacity.
@@ -190,346 +108,154 @@ fn set_string(slot: &mut String, value: &str) {
     slot.push_str(value);
 }
 
-impl Decoder<'_, '_> {
-    fn fill_document(&mut self, doc: &mut Document) -> BxsaResult<()> {
-        let start = self.r.position();
-        let (order, frame_type) = parse_prefix(self.r.read_raw_u8()?, start)?;
-        if frame_type != FrameType::Document {
-            return Err(BxsaError::Structure {
-                what: format!("expected a document frame, found {frame_type:?}"),
-            });
+/// `$slot` as its `$variant` payload, first replacing it with
+/// `$variant($fresh)` when it holds another variant.
+macro_rules! slot_as {
+    ($slot:expr, $variant:path, $fresh:expr) => {{
+        if !matches!($slot, $variant(..)) {
+            *$slot = $variant($fresh);
         }
-        self.r.set_order(order);
-        let size = self.r.read_vls_padded()?;
-        let count = self.r.read_count(1)?;
-        doc.children.truncate(count);
-        if count > doc.children.len() {
-            doc.children.reserve(count.min(1024) - doc.children.len());
+        match $slot {
+            $variant(v) => v,
+            _ => unreachable!("just assigned"),
         }
-        for i in 0..count {
-            if i == doc.children.len() {
-                doc.children.push(blank_node());
+    }};
+}
+
+/// Overwrite an atomic value slot; a string refills the slot's capacity.
+fn fill_atomic(slot: &mut AtomicValue, value: LeafValue<'_>) {
+    match (slot, value) {
+        (AtomicValue::Str(s), LeafValue::Str(v)) => set_string(s, v),
+        (slot, value) => *slot = value.to_atomic(),
+    }
+}
+
+fn fill_frame(
+    c: &mut Cursor<'_>,
+    parent: Option<&ScopeChain<'_>>,
+    slot: &mut Node,
+) -> BxsaResult<()> {
+    let frame = c.open()?;
+    if frame.kind.is_element() {
+        let el = slot_as!(slot, Node::Element, Element::component(""));
+        fill_element(c, frame.kind, parent, el)?;
+    } else {
+        match (c.text(frame.kind)?, slot) {
+            (PullEvent::Text(s), Node::Text(t)) | (PullEvent::Comment(s), Node::Comment(t)) => {
+                set_string(t, s)
             }
-            self.fill_frame(0, None, &mut doc.children[i])?;
+            (PullEvent::Pi { target, data }, Node::Pi { target: t, data: d }) => {
+                set_string(t, target);
+                set_string(d, data);
+            }
+            (PullEvent::Text(s), slot) => *slot = Node::Text(s.to_owned()),
+            (PullEvent::Comment(s), slot) => *slot = Node::Comment(s.to_owned()),
+            (PullEvent::Pi { target, data }, slot) => {
+                *slot = Node::Pi {
+                    target: target.to_owned(),
+                    data: data.to_owned(),
+                }
+            }
+            _ => unreachable!("text-like frames read as text events"),
         }
-        self.check_frame_end(start, size)?;
-        Ok(())
     }
+    c.close(&frame)
+}
 
-    fn check_frame_end(&mut self, start: usize, declared: u64) -> BxsaResult<()> {
-        let consumed = (self.r.position() - start) as u64;
-        if consumed != declared {
-            return Err(BxsaError::FrameSizeMismatch {
-                offset: start,
-                declared,
-                consumed,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read one frame into a fresh node (the standalone-element entry
-    /// point; document decoding goes through [`Decoder::fill_frame`]).
-    fn read_frame(&mut self, depth: usize, parent: Option<&ScopeChain<'_>>) -> BxsaResult<Node> {
-        let mut node = blank_node();
-        self.fill_frame(depth, parent, &mut node)?;
-        Ok(node)
-    }
-
-    fn fill_frame(
-        &mut self,
-        depth: usize,
-        parent: Option<&ScopeChain<'_>>,
-        slot: &mut Node,
-    ) -> BxsaResult<()> {
-        if depth > self.opts.max_depth {
-            return Err(BxsaError::Structure {
-                what: format!("frame nesting exceeds max_depth {}", self.opts.max_depth),
-            });
-        }
-        let start = self.r.position();
-        let (order, frame_type) = parse_prefix(self.r.read_raw_u8()?, start)?;
-        // Byte order is a per-frame property; restore the enclosing
-        // frame's order afterwards (embedded frames may differ).
-        let outer_order = self.r.order();
-        self.r.set_order(order);
-        let size = self.r.read_vls_padded()?;
-        let result = match frame_type {
-            FrameType::Document => Err(BxsaError::Structure {
-                what: "nested document frame".into(),
+fn fill_element(
+    c: &mut Cursor<'_>,
+    kind: FrameType,
+    parent: Option<&ScopeChain<'_>>,
+    el: &mut Element,
+) -> BxsaResult<()> {
+    // Namespace symbol table, refilled slot-by-slot into the element's
+    // own `namespaces` Vec; during recursion the scope chain borrows it
+    // from the element being filled, so namespace tracking needs no side
+    // allocations and no final clone.
+    let n = c.decls()?;
+    el.namespaces.truncate(n);
+    for i in 0..n {
+        let (prefix, uri) = c.decl()?;
+        match el.namespaces.get_mut(i) {
+            Some(decl) => {
+                match (&mut decl.prefix, prefix) {
+                    (Some(s), Some(p)) => set_string(s, p),
+                    (slot, p) => *slot = p.map(str::to_owned),
+                }
+                set_string(&mut decl.uri, uri);
+            }
+            None => el.namespaces.push(NamespaceDecl {
+                prefix: prefix.map(str::to_owned),
+                uri: uri.to_owned(),
             }),
-            // Checksum frames are only valid trailing a top-level frame
-            // (see `finish_with_optional_checksum`); one inside a
-            // container is a structure violation.
-            FrameType::Checksum => Err(BxsaError::Structure {
-                what: format!("checksum frame at offset {start} inside a container frame"),
-            }),
-            FrameType::Component | FrameType::Leaf | FrameType::Array => {
-                let el = match slot {
-                    Node::Element(e) => e,
-                    other => {
-                        *other = Node::Element(Element::component(""));
-                        match other {
-                            Node::Element(e) => e,
-                            _ => unreachable!("just assigned"),
-                        }
-                    }
-                };
-                self.fill_element_body(frame_type, depth, parent, el)
-            }
-            FrameType::CharData => self.r.read_str().map_err(Into::into).map(|s| match slot {
-                Node::Text(t) => set_string(t, s),
-                other => *other = Node::Text(s.to_owned()),
-            }),
-            FrameType::Comment => (|| {
-                let s = self.r.read_str()?;
-                crate::wellformed::check_comment(s)?;
-                match slot {
-                    Node::Comment(t) => set_string(t, s),
-                    other => *other = Node::Comment(s.to_owned()),
-                }
-                Ok(())
-            })(),
-            FrameType::Pi => (|| {
-                let t = self.r.read_str()?;
-                let d = self.r.read_str()?;
-                crate::wellformed::check_pi(t, d)?;
-                match slot {
-                    Node::Pi { target, data } => {
-                        set_string(target, t);
-                        set_string(data, d);
-                    }
-                    other => {
-                        *other = Node::Pi {
-                            target: t.to_owned(),
-                            data: d.to_owned(),
-                        }
-                    }
-                }
-                Ok(())
-            })(),
-        };
-        self.r.set_order(outer_order);
-        result?;
-        self.check_frame_end(start, size)
-    }
-
-    fn fill_element_body(
-        &mut self,
-        frame_type: FrameType,
-        depth: usize,
-        parent: Option<&ScopeChain<'_>>,
-        el: &mut Element,
-    ) -> BxsaResult<()> {
-        // Namespace symbol table, refilled slot-by-slot into the
-        // element's own `namespaces` Vec; during recursion the scope
-        // chain borrows it from the element being filled, so namespace
-        // tracking needs no side allocations and no final clone.
-        let n1 = self.r.read_count(2)?;
-        el.namespaces.truncate(n1);
-        for i in 0..n1 {
-            let prefix = self.r.read_str()?;
-            let uri = self.r.read_str()?;
-            if !prefix.is_empty() {
-                crate::wellformed::check_name("namespace prefix", prefix)?;
-            }
-            match el.namespaces.get_mut(i) {
-                Some(decl) => {
-                    set_opt_string(&mut decl.prefix, (!prefix.is_empty()).then_some(prefix));
-                    set_string(&mut decl.uri, uri);
-                }
-                None => el.namespaces.push(NamespaceDecl {
-                    prefix: (!prefix.is_empty()).then(|| prefix.to_owned()),
-                    uri: uri.to_owned(),
-                }),
-            }
         }
-        // Disjoint-field split: the chain immutably borrows `namespaces`
-        // while the name, attributes, and content slots are refilled.
-        let Element {
-            name,
-            namespaces,
-            attributes,
-            content,
-        } = el;
-        let chain = match parent {
-            Some(p) => p.child(namespaces),
-            None => ScopeChain::root(namespaces),
-        };
-
-        self.fill_qname(&chain, name)?;
-        let n2 = self.r.read_count(3)?;
-        attributes.truncate(n2);
-        for i in 0..n2 {
-            if i == attributes.len() {
-                attributes.push(Attribute {
-                    name: QName::new(None, ""),
-                    value: AtomicValue::Bool(false),
-                });
-            }
-            let attr = &mut attributes[i];
-            self.fill_qname(&chain, &mut attr.name)?;
-            self.fill_atomic(&mut attr.value)?;
-        }
-
-        match frame_type {
-            FrameType::Leaf => {
-                let value = match content {
-                    Content::Leaf(v) => v,
-                    other => {
-                        *other = Content::Leaf(AtomicValue::Bool(false));
-                        match other {
-                            Content::Leaf(v) => v,
-                            _ => unreachable!("just assigned"),
-                        }
-                    }
-                };
-                self.fill_atomic(value)?;
-            }
-            FrameType::Array => {
-                let value = match content {
-                    Content::Array(v) => v,
-                    other => {
-                        *other = Content::Array(ArrayValue::U8(Vec::new()));
-                        match other {
-                            Content::Array(v) => v,
-                            _ => unreachable!("just assigned"),
-                        }
-                    }
-                };
-                self.fill_array(value)?;
-            }
-            FrameType::Component => {
-                let count = self.r.read_count(1)?;
-                let children = match content {
-                    Content::Children(c) => c,
-                    other => {
-                        *other = Content::Children(Vec::new());
-                        match other {
-                            Content::Children(c) => c,
-                            _ => unreachable!("just assigned"),
-                        }
-                    }
-                };
-                children.truncate(count);
-                if count > children.len() {
-                    children.reserve(count.min(4096) - children.len());
-                }
-                for i in 0..count {
-                    if i == children.len() {
-                        children.push(blank_node());
-                    }
-                    self.fill_frame(depth + 1, Some(&chain), &mut children[i])?;
-                }
-            }
-            _ => unreachable!("caller filters to element frames"),
-        }
-        Ok(())
     }
-
-    /// Read a tokenized namespace reference + local name into `name`.
-    fn fill_qname(&mut self, chain: &ScopeChain<'_>, name: &mut QName) -> BxsaResult<()> {
-        let at = self.r.position();
-        let tag = self.r.read_vls()?;
-        let prefix: Option<&str> = if tag == 0 {
-            None
-        } else {
-            let index = self.r.read_vls()?;
-            let r = NsRef {
-                scope_depth: (tag - 1).try_into().map_err(|_| BxsaError::BadNamespaceRef { offset: at })?,
-                index: index.try_into().map_err(|_| BxsaError::BadNamespaceRef { offset: at })?,
-            };
-            let decl = chain
-                .lookup_ref(r)
-                .ok_or(BxsaError::BadNamespaceRef { offset: at })?;
-            decl.prefix.as_deref()
-        };
-        let local = self.r.read_str()?;
-        crate::wellformed::check_name("local name", local)?;
-        name.set(prefix, local);
+    // Disjoint-field split: the chain immutably borrows `namespaces`
+    // while the name, attributes, and content slots are refilled.
+    let Element {
+        name,
+        namespaces,
+        attributes,
+        content,
+    } = el;
+    let chain = match parent {
+        Some(p) => p.child(namespaces),
+        None => ScopeChain::root(namespaces),
+    };
+    let fill_qname = |c: &mut Cursor<'_>, slot: &mut QName| -> BxsaResult<()> {
+        let n = c.name()?;
+        slot.set(n.resolve(|r| chain.lookup_ref(r))?, n.local);
         Ok(())
-    }
-
-    fn fill_atomic(&mut self, slot: &mut AtomicValue) -> BxsaResult<()> {
-        let at = self.r.position();
-        let code = TypeCode::from_byte(self.r.read_raw_u8()?, at)?;
-        *slot = match code {
-            TypeCode::I8 => AtomicValue::I8(self.r.read_i8()?),
-            TypeCode::U8 => AtomicValue::U8(self.r.read_u8()?),
-            TypeCode::I16 => AtomicValue::I16(self.r.read_i16()?),
-            TypeCode::U16 => AtomicValue::U16(self.r.read_u16()?),
-            TypeCode::I32 => AtomicValue::I32(self.r.read_i32()?),
-            TypeCode::U32 => AtomicValue::U32(self.r.read_u32()?),
-            TypeCode::I64 => AtomicValue::I64(self.r.read_i64()?),
-            TypeCode::U64 => AtomicValue::U64(self.r.read_u64()?),
-            TypeCode::F32 => AtomicValue::F32(self.r.read_f32()?),
-            TypeCode::F64 => AtomicValue::F64(self.r.read_f64()?),
-            TypeCode::Str => {
-                let s = self.r.read_str()?;
-                if let AtomicValue::Str(t) = slot {
-                    set_string(t, s);
-                    return Ok(());
-                }
-                AtomicValue::Str(s.to_owned())
-            }
-            TypeCode::Bool => {
-                let b = self.r.read_raw_u8()?;
-                if b > 1 {
-                    return Err(BxsaError::BadValueType {
-                        offset: at,
-                        what: format!("boolean byte {b:#04x}"),
-                    });
-                }
-                AtomicValue::Bool(b == 1)
-            }
-        };
-        Ok(())
-    }
-
-    fn fill_array(&mut self, slot: &mut ArrayValue) -> BxsaResult<()> {
-        let at = self.r.position();
-        let code = TypeCode::from_byte(self.r.read_raw_u8()?, at)?;
-        let width = code.width().filter(|_| code != TypeCode::Bool && code != TypeCode::Str);
-        let Some(width) = width else {
-            return Err(BxsaError::BadValueType {
-                offset: at,
-                what: format!("{code:?} is not a valid array element type"),
+    };
+    fill_qname(c, name)?;
+    let n = c.attrs()?;
+    attributes.truncate(n);
+    for i in 0..n {
+        if i == attributes.len() {
+            attributes.push(Attribute {
+                name: QName::new(None, ""),
+                value: AtomicValue::Bool(false),
             });
-        };
-        let count = self.r.read_count(width)?;
-        // Same-variant slots refill their payload Vec in place (one
-        // bounds-checked bulk copy on native byte order); a variant
-        // change allocates a fresh payload for this array only.
-        macro_rules! fill_variant {
-            ($variant:ident) => {{
-                if let ArrayValue::$variant(v) = slot {
-                    self.r.read_packed_into(count, v)?;
-                } else {
-                    *slot = ArrayValue::$variant(self.r.read_packed(count)?);
-                }
-            }};
         }
-        match code {
-            TypeCode::I8 => fill_variant!(I8),
-            TypeCode::U8 => fill_variant!(U8),
-            TypeCode::I16 => fill_variant!(I16),
-            TypeCode::U16 => fill_variant!(U16),
-            TypeCode::I32 => fill_variant!(I32),
-            TypeCode::U32 => fill_variant!(U32),
-            TypeCode::I64 => fill_variant!(I64),
-            TypeCode::U64 => fill_variant!(U64),
-            TypeCode::F32 => fill_variant!(F32),
-            TypeCode::F64 => fill_variant!(F64),
-            TypeCode::Str | TypeCode::Bool => unreachable!("filtered above"),
-        }
-        Ok(())
+        fill_qname(c, &mut attributes[i].name)?;
+        fill_atomic(&mut attributes[i].value, c.value()?);
     }
+    match kind {
+        FrameType::Leaf => {
+            let value = c.value()?;
+            fill_atomic(
+                slot_as!(content, Content::Leaf, AtomicValue::Bool(false)),
+                value,
+            );
+        }
+        FrameType::Array => {
+            let (code, len) = c.array_head()?;
+            let slot = slot_as!(content, Content::Array, ArrayValue::U8(Vec::new()));
+            read_array_into(&mut c.r, code, len, slot)?;
+        }
+        _ => {
+            let count = c.children()?;
+            let children = slot_as!(content, Content::Children, Vec::new());
+            children.truncate(count);
+            if count > children.len() {
+                children.reserve(count.min(4096) - children.len());
+            }
+            for i in 0..count {
+                if i == children.len() {
+                    children.push(blank_node());
+                }
+                fill_frame(c, Some(&chain), &mut children[i])?;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::{encode, encode_element, encode_with, EncodeOptions};
+    use xbs::{ByteOrder, TypeCode};
 
     fn sample_doc() -> Document {
         Document::with_root(
@@ -629,22 +355,25 @@ mod tests {
 
     #[test]
     fn depth_limit_enforced() {
-        let mut e = Element::component("leafmost");
-        for _ in 0..40 {
-            e = Element::component("wrap").with_child(e);
-        }
-        let bytes = encode(&Document::with_root(e)).unwrap();
-        let ok = decode_with(&bytes, &DecodeOptions { max_depth: 64 });
-        assert!(ok.is_ok());
-        let err = decode_with(&bytes, &DecodeOptions { max_depth: 8 });
-        assert!(matches!(err, Err(BxsaError::Structure { .. })));
+        let nested = |levels: usize| {
+            let mut e = Element::component("leafmost");
+            for _ in 1..levels {
+                e = Element::component("wrap").with_child(e);
+            }
+            encode(&Document::with_root(e)).unwrap()
+        };
+        assert!(decode(&nested(crate::MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            decode(&nested(crate::MAX_DEPTH + 1)),
+            Err(BxsaError::Structure { .. })
+        ));
     }
 
     #[test]
     fn standalone_element_roundtrip() {
         let e = Element::array("v", ArrayValue::U8(vec![1, 2, 3]));
         let bytes = encode_element(&e, &EncodeOptions::default()).unwrap();
-        assert_eq!(decode_element(&bytes, &DecodeOptions::default()).unwrap(), e);
+        assert_eq!(decode_element(&bytes).unwrap(), e);
     }
 
     #[test]

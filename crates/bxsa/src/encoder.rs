@@ -1,11 +1,15 @@
-//! bXDM → BXSA frames.
+//! bXDM → BXSA frames: a recursive walk over the tree, writing through
+//! the shared `frame::Out` frame writer. Open frames live on the
+//! recursion stack and namespace references resolve through a
+//! [`ScopeChain`] on that stack, so encoding allocates nothing beyond the
+//! output buffer.
 
-use bxdm::{Content, Document, Element, Node, ScopeChain};
+use bxdm::{ArrayValue, Content, Document, Element, Node, ScopeChain};
 use xbs::{ByteOrder, XbsWriter};
 
-use crate::error::{BxsaError, BxsaResult};
-use crate::estimate::{body_bound, document_body_bound, element_body_bound, size_field_len};
-use crate::frame::{prefix_byte, FrameType};
+use crate::error::BxsaResult;
+use crate::estimate::{body_bound, document_body_bound, element_body_bound};
+use crate::frame::{FrameType, Out};
 
 /// Encoding options.
 #[derive(Debug, Clone, Default)]
@@ -21,22 +25,6 @@ pub struct EncodeOptions {
     pub checksum: bool,
 }
 
-/// Append a checksum frame covering everything already in the writer.
-pub(crate) fn append_checksum_frame(w: &mut XbsWriter, order: ByteOrder) {
-    let crc = crate::crc32c::crc32c(w.as_bytes());
-    w.put_raw_u8(prefix_byte(order, FrameType::Checksum));
-    w.put_raw_u8(crate::frame::CHECKSUM_FRAME_LEN as u8);
-    w.put_raw_u8(crate::frame::CHECKSUM_ALG_CRC32C);
-    // Raw bytes, not `put_u32`: scalar puts align to the buffer start,
-    // which would pad the frame to a position-dependent size. The frame
-    // is fixed-layout; only the CRC's byte order follows the prefix.
-    let bytes = match order {
-        ByteOrder::Little => crc.to_le_bytes(),
-        ByteOrder::Big => crc.to_be_bytes(),
-    };
-    w.put_bytes(&bytes);
-}
-
 /// Encode a document with default options (little-endian).
 pub fn encode(doc: &Document) -> BxsaResult<Vec<u8>> {
     encode_with(doc, &EncodeOptions::default())
@@ -46,16 +34,9 @@ pub fn encode(doc: &Document) -> BxsaResult<Vec<u8>> {
 pub fn encode_with(doc: &Document, opts: &EncodeOptions) -> BxsaResult<Vec<u8>> {
     // Pre-size the output from the estimate: one allocation for the
     // common case.
-    let bound = document_body_bound(&doc.children);
-    let mut enc = Encoder {
-        w: XbsWriter::with_capacity(bound + 12, opts.byte_order),
-        order: opts.byte_order,
-    };
-    enc.write_document(doc)?;
-    if opts.checksum {
-        append_checksum_frame(&mut enc.w, opts.byte_order);
-    }
-    Ok(enc.w.into_bytes())
+    let mut buf = Vec::with_capacity(document_body_bound(&doc.children) + 12);
+    encode_into_with(doc, opts, &mut buf)?;
+    Ok(buf)
 }
 
 /// Encode a document into a caller-provided buffer with default options.
@@ -69,39 +50,24 @@ pub fn encode_into(doc: &Document, buf: &mut Vec<u8>) -> BxsaResult<()> {
 }
 
 /// Encode a document into a caller-provided buffer with explicit options.
-pub fn encode_into_with(
-    doc: &Document,
-    opts: &EncodeOptions,
-    buf: &mut Vec<u8>,
-) -> BxsaResult<()> {
-    let mut enc = Encoder {
-        w: XbsWriter::from_buf(std::mem::take(buf), opts.byte_order),
-        order: opts.byte_order,
-    };
-    let result = enc.write_document(doc);
-    if result.is_ok() && opts.checksum {
-        append_checksum_frame(&mut enc.w, opts.byte_order);
-    }
-    *buf = enc.w.take_buf();
-    if result.is_err() {
-        buf.clear();
-    }
-    result
+pub fn encode_into_with(doc: &Document, opts: &EncodeOptions, buf: &mut Vec<u8>) -> BxsaResult<()> {
+    encode_frame(opts, buf, |out| {
+        let frame = out.open(FrameType::Document, document_body_bound(&doc.children));
+        out.0.put_vls(doc.children.len() as u64);
+        for child in &doc.children {
+            write_node(out, child, None)?;
+        }
+        out.close(frame);
+        Ok(())
+    })
 }
 
 /// Encode a single element as a standalone frame sequence (no document
 /// frame). Used by tests and by intermediaries re-framing message parts.
 pub fn encode_element(element: &Element, opts: &EncodeOptions) -> BxsaResult<Vec<u8>> {
-    let body = element_body_bound(element);
-    let mut enc = Encoder {
-        w: XbsWriter::with_capacity(1 + size_field_len(body) + body, opts.byte_order),
-        order: opts.byte_order,
-    };
-    enc.write_element_frame(element, None)?;
-    if opts.checksum {
-        append_checksum_frame(&mut enc.w, opts.byte_order);
-    }
-    Ok(enc.w.into_bytes())
+    let mut buf = Vec::with_capacity(crate::estimate::framed(element_body_bound(element)));
+    encode_element_into(element, opts, &mut buf)?;
+    Ok(buf)
 }
 
 /// [`encode_element`] into a caller-provided buffer (cleared first,
@@ -111,219 +77,118 @@ pub fn encode_element_into(
     opts: &EncodeOptions,
     buf: &mut Vec<u8>,
 ) -> BxsaResult<()> {
-    let mut enc = Encoder {
-        w: XbsWriter::from_buf(std::mem::take(buf), opts.byte_order),
-        order: opts.byte_order,
-    };
-    let result = enc.write_element_frame(element, None);
+    encode_frame(opts, buf, |out| write_element(out, element, None))
+}
+
+/// Write one top-level frame with `write` into `buf` (cleared, capacity
+/// kept), then the checksum trailer when `opts` asks for it. On error
+/// the buffer is left cleared.
+fn encode_frame(
+    opts: &EncodeOptions,
+    buf: &mut Vec<u8>,
+    write: impl FnOnce(&mut Out) -> BxsaResult<()>,
+) -> BxsaResult<()> {
+    let mut out = Out(XbsWriter::from_buf(std::mem::take(buf), opts.byte_order));
+    let result = write(&mut out);
     if result.is_ok() && opts.checksum {
-        append_checksum_frame(&mut enc.w, opts.byte_order);
+        out.checksum();
     }
-    *buf = enc.w.take_buf();
+    *buf = out.0.take_buf();
     if result.is_err() {
         buf.clear();
     }
     result
 }
 
-struct Encoder {
-    w: XbsWriter,
-    order: ByteOrder,
+fn write_node(out: &mut Out, node: &Node, parent: Option<&ScopeChain<'_>>) -> BxsaResult<()> {
+    let (kind, first, second) = match node {
+        Node::Element(e) => return write_element(out, e, parent),
+        Node::Text(t) => (FrameType::CharData, t, None),
+        Node::Comment(c) => {
+            crate::wellformed::check_comment(c)?;
+            (FrameType::Comment, c, None)
+        }
+        Node::Pi { target, data } => {
+            crate::wellformed::check_pi(target, data)?;
+            (FrameType::Pi, target, Some(data))
+        }
+    };
+    let frame = out.open(kind, body_bound(node));
+    out.0.put_str(first);
+    if let Some(second) = second {
+        out.0.put_str(second);
+    }
+    out.close(frame);
+    Ok(())
 }
 
-impl Encoder {
-    fn write_document(&mut self, doc: &Document) -> BxsaResult<()> {
-        let bound = document_body_bound(&doc.children);
-        let (start, field_len) = self.open_frame(FrameType::Document, bound);
-        self.w.put_vls(doc.children.len() as u64);
-        for child in &doc.children {
-            self.write_frame(child, None)?;
-        }
-        self.close_frame(start, field_len);
-        Ok(())
+fn write_element(out: &mut Out, e: &Element, parent: Option<&ScopeChain<'_>>) -> BxsaResult<()> {
+    let kind = match &e.content {
+        Content::Children(_) => FrameType::Component,
+        Content::Leaf(_) => FrameType::Leaf,
+        Content::Array(_) => FrameType::Array,
+    };
+    let frame = out.open(kind, element_body_bound(e));
+    // Namespace symbol table ("Repeated N1 times" in Figure 2).
+    out.0.put_vls(e.namespaces.len() as u64);
+    for decl in &e.namespaces {
+        out.decl(decl.prefix.as_deref(), &decl.uri)?;
     }
-
-    /// Write the prefix byte and reserve the size field; returns the frame
-    /// start offset and the reserved length.
-    fn open_frame(&mut self, frame_type: FrameType, bound: usize) -> (usize, usize) {
-        let start = self.w.offset();
-        self.w.put_raw_u8(prefix_byte(self.order, frame_type));
-        let field_len = size_field_len(bound);
-        self.w.reserve(field_len);
-        (start, field_len)
+    // The element's own declarations are in scope for its own name.
+    // The scope chain lives on the recursion stack and borrows the
+    // element's declaration slice, so namespace tracking costs no heap.
+    let chain = match parent {
+        Some(p) => p.child(&e.namespaces),
+        None => ScopeChain::root(&e.namespaces),
+    };
+    out.name(
+        e.name.prefix(),
+        chain.find_ref(e.name.prefix()),
+        e.name.local(),
+    )?;
+    out.0.put_vls(e.attributes.len() as u64);
+    for attr in &e.attributes {
+        // Per the XML namespaces rules, unprefixed attributes are never
+        // in the default namespace, so they always encode "no namespace".
+        let prefix = attr.name.prefix();
+        let ns = prefix.and_then(|p| chain.find_ref(Some(p)));
+        out.name(prefix, ns, attr.name.local())?;
+        out.value((&attr.value).into());
     }
-
-    /// Backpatch the size field with the frame's actual total size.
-    fn close_frame(&mut self, start: usize, field_len: usize) {
-        let total = (self.w.offset() - start) as u64;
-        self.w.patch_vls_padded(start + 1, total, field_len);
-    }
-
-    fn write_frame(&mut self, node: &Node, parent: Option<&ScopeChain<'_>>) -> BxsaResult<()> {
-        match node {
-            Node::Element(e) => self.write_element_frame(e, parent),
-            Node::Text(t) => {
-                self.write_text_like(FrameType::CharData, t);
-                Ok(())
-            }
-            Node::Comment(c) => {
-                crate::wellformed::check_comment(c)?;
-                self.write_text_like(FrameType::Comment, c);
-                Ok(())
-            }
-            Node::Pi { target, data } => {
-                crate::wellformed::check_pi(target, data)?;
-                let bound = body_bound(node);
-                let (start, field_len) = self.open_frame(FrameType::Pi, bound);
-                self.w.put_str(target);
-                self.w.put_str(data);
-                self.close_frame(start, field_len);
-                Ok(())
+    match &e.content {
+        Content::Children(children) => {
+            out.0.put_vls(children.len() as u64);
+            for child in children {
+                write_node(out, child, Some(&chain))?;
             }
         }
+        Content::Leaf(value) => out.value(value.into()),
+        Content::Array(array) => write_array(out, array),
     }
+    out.close(frame);
+    Ok(())
+}
 
-    fn write_text_like(&mut self, frame_type: FrameType, text: &str) {
-        let bound = xbs::vls::vls_len(text.len() as u64) + text.len();
-        let (start, field_len) = self.open_frame(frame_type, bound);
-        self.w.put_str(text);
-        self.close_frame(start, field_len);
-    }
-
-    fn write_element_frame(
-        &mut self,
-        e: &Element,
-        parent: Option<&ScopeChain<'_>>,
-    ) -> BxsaResult<()> {
-        let node_bound = element_body_bound(e);
-        let frame_type = match &e.content {
-            Content::Children(_) => FrameType::Component,
-            Content::Leaf(_) => FrameType::Leaf,
-            Content::Array(_) => FrameType::Array,
-        };
-        let (start, field_len) = self.open_frame(frame_type, node_bound);
-
-        // Namespace symbol table ("Repeated N1 times" in Figure 2). An
-        // absent prefix (default namespace) is encoded as a zero-length
-        // prefix string.
-        self.w.put_vls(e.namespaces.len() as u64);
-        for decl in &e.namespaces {
-            if let Some(prefix) = decl.prefix.as_deref() {
-                crate::wellformed::check_name("namespace prefix", prefix)?;
-            }
-            self.w.put_str(decl.prefix.as_deref().unwrap_or(""));
-            self.w.put_str(&decl.uri);
-        }
-        // The element's own declarations are in scope for its own name.
-        // The scope chain lives on the recursion stack and borrows the
-        // element's declaration slice, so namespace tracking costs no heap.
-        let chain = match parent {
-            Some(p) => p.child(&e.namespaces),
-            None => ScopeChain::root(&e.namespaces),
-        };
-
-        crate::wellformed::check_name("local name", e.name.local())?;
-        self.write_ns_ref(&chain, e.name.prefix(), false)?;
-        self.w.put_str(e.name.local());
-
-        self.w.put_vls(e.attributes.len() as u64);
-        for attr in &e.attributes {
-            crate::wellformed::check_name("local name", attr.name.local())?;
-            self.write_ns_ref(&chain, attr.name.prefix(), true)?;
-            self.w.put_str(attr.name.local());
-            self.write_atomic(&attr.value);
-        }
-
-        match &e.content {
-            Content::Children(children) => {
-                self.w.put_vls(children.len() as u64);
-                for child in children {
-                    self.write_frame(child, Some(&chain))?;
-                }
-            }
-            Content::Leaf(value) => self.write_atomic(value),
-            Content::Array(array) => self.write_array(array),
-        }
-
-        self.close_frame(start, field_len);
-        Ok(())
-    }
-
-    /// Encode a namespace reference: VLS 0 for "no namespace", else
-    /// VLS(scope depth + 1) followed by VLS(index) — the tokenized form of
-    /// §4.1 ("a namespace reference also includes the namespace scope
-    /// depth ... a count backwards to indicate where the namespace was
-    /// declared").
-    fn write_ns_ref(
-        &mut self,
-        chain: &ScopeChain<'_>,
-        prefix: Option<&str>,
-        is_attr: bool,
-    ) -> BxsaResult<()> {
-        // Per the XML namespaces rules, unprefixed attributes are never in
-        // the default namespace, so they always encode "no namespace".
-        let r = if is_attr && prefix.is_none() {
-            None
-        } else {
-            chain.find_ref(prefix)
-        };
-        match r {
-            Some(r) => {
-                self.w.put_vls(r.scope_depth as u64 + 1);
-                self.w.put_vls(r.index as u64);
-            }
-            None => {
-                if let Some(p) = prefix {
-                    return Err(BxsaError::UndeclaredPrefix { prefix: p.to_owned() });
-                }
-                self.w.put_vls(0);
-            }
-        }
-        Ok(())
-    }
-
-    fn write_atomic(&mut self, value: &bxdm::AtomicValue) {
-        use bxdm::AtomicValue as A;
-        self.w.put_raw_u8(value.type_code() as u8);
-        match value {
-            A::I8(v) => self.w.put_i8(*v),
-            A::U8(v) => self.w.put_u8(*v),
-            A::I16(v) => self.w.put_i16(*v),
-            A::U16(v) => self.w.put_u16(*v),
-            A::I32(v) => self.w.put_i32(*v),
-            A::U32(v) => self.w.put_u32(*v),
-            A::I64(v) => self.w.put_i64(*v),
-            A::U64(v) => self.w.put_u64(*v),
-            A::F32(v) => self.w.put_f32(*v),
-            A::F64(v) => self.w.put_f64(*v),
-            A::Str(s) => self.w.put_str(s),
-            A::Bool(b) => self.w.put_raw_u8(*b as u8),
-        }
-    }
-
-    fn write_array(&mut self, array: &bxdm::ArrayValue) {
-        use bxdm::ArrayValue as V;
-        self.w.put_raw_u8(array.type_code() as u8);
-        self.w.put_vls(array.len() as u64);
-        match array {
-            V::I8(v) => self.w.put_packed(v),
-            V::U8(v) => self.w.put_packed(v),
-            V::I16(v) => self.w.put_packed(v),
-            V::U16(v) => self.w.put_packed(v),
-            V::I32(v) => self.w.put_packed(v),
-            V::U32(v) => self.w.put_packed(v),
-            V::I64(v) => self.w.put_packed(v),
-            V::U64(v) => self.w.put_packed(v),
-            V::F32(v) => self.w.put_packed(v),
-            V::F64(v) => self.w.put_packed(v),
-        }
+fn write_array(out: &mut Out, array: &ArrayValue) {
+    match array {
+        ArrayValue::I8(v) => out.array(v),
+        ArrayValue::U8(v) => out.array(v),
+        ArrayValue::I16(v) => out.array(v),
+        ArrayValue::U16(v) => out.array(v),
+        ArrayValue::I32(v) => out.array(v),
+        ArrayValue::U32(v) => out.array(v),
+        ArrayValue::I64(v) => out.array(v),
+        ArrayValue::U64(v) => out.array(v),
+        ArrayValue::F32(v) => out.array(v),
+        ArrayValue::F64(v) => out.array(v),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bxdm::{ArrayValue, AtomicValue};
+    use crate::error::BxsaError;
+    use bxdm::AtomicValue;
 
     #[test]
     fn undeclared_prefix_is_an_error() {

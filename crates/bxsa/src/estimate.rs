@@ -9,7 +9,7 @@
 //! under-estimating would be a panic in the encoder, and the property
 //! tests in `lib.rs` exercise this.
 
-use bxdm::{ArrayValue, AtomicValue, Content, Element, Node};
+use bxdm::{AtomicValue, Content, Element, Node};
 use xbs::vls::vls_len;
 use xbs::TypeCode;
 
@@ -27,8 +27,7 @@ pub fn str_field(s: &str) -> usize {
 pub fn atomic_bound(code: TypeCode, str_len: usize) -> usize {
     1 + match code.width() {
         Some(w) => w + (w - 1),
-        None if code == TypeCode::Str => vls_len(str_len as u64) + str_len,
-        None => 1, // Bool: one raw byte
+        None => vls_len(str_len as u64) + str_len, // Str
     }
 }
 
@@ -97,26 +96,11 @@ pub fn framed(body_bound: usize) -> usize {
 }
 
 fn atomic_value_bound(v: &AtomicValue) -> usize {
-    // 1 byte type code + value (+ worst-case alignment padding).
-    1 + match v.type_code() {
-        TypeCode::Str => match v {
-            AtomicValue::Str(s) => str_field(s),
-            _ => unreachable!("Str code implies Str variant"),
-        },
-        code => {
-            let w = code.width().expect("fixed-width code");
-            w + (w - 1)
-        }
-    }
-}
-
-fn array_value_bound(a: &ArrayValue) -> usize {
-    let w = a
-        .type_code()
-        .width()
-        .expect("array element types are fixed-width");
-    // type code + count + padding + payload
-    1 + vls_len(a.len() as u64) + (w - 1) + a.len() * w
+    let str_len = match v {
+        AtomicValue::Str(s) => s.len(),
+        _ => 0,
+    };
+    atomic_bound(v.type_code(), str_len)
 }
 
 fn element_header_bound(e: &Element) -> usize {
@@ -149,7 +133,7 @@ pub fn element_body_bound(e: &Element) -> usize {
             }
         }
         Content::Leaf(v) => n += atomic_value_bound(v),
-        Content::Array(a) => n += array_value_bound(a),
+        Content::Array(a) => n += packed_array_bound(a.type_code(), a.len()),
     }
     n
 }
@@ -190,7 +174,7 @@ pub fn document_body_bound(children: &[Node]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bxdm::Element;
+    use bxdm::{ArrayValue, Element};
 
     #[test]
     fn size_field_len_brackets() {

@@ -1,11 +1,27 @@
-//! The common frame prefix (paper Figure 2, top rows).
+//! The BXSA frame core (paper Figure 2): the common prefix, the size
+//! field, the element header, typed values and packed arrays.
+//!
+//! Every reader in the crate parses frames through `Cursor` and every
+//! writer emits them through `Out`, so the grammar and its checks live
+//! in this one module. See DESIGN.md, "One frame core".
 //!
 //! Bit layout of the prefix byte: the two high bits are the byte-order
 //! code ("BO" in Figure 2), the low six bits are the frame-type code.
 
-use xbs::ByteOrder;
+use bxdm::namespace::NsRef;
+use bxdm::{ArrayValue, NamespaceDecl};
+use xbs::{ByteOrder, Primitive, TypeCode, XbsError, XbsReader, XbsWriter};
 
 use crate::error::{BxsaError, BxsaResult};
+use crate::estimate::size_field_len;
+use crate::pull::{LeafValue, PullEvent};
+use crate::wellformed::{check_comment, check_name, check_pi};
+
+/// The deepest frame nesting every reader accepts. A top-level frame (a
+/// document's child, or a standalone part) is at depth 1; a frame one
+/// level deeper than this is a typed error. Guards the recursive tree
+/// decoder against stack exhaustion on adversarial input.
+pub const MAX_DEPTH: usize = 256;
 
 /// The kinds of frames a BXSA document is built from.
 ///
@@ -60,7 +76,10 @@ impl FrameType {
 
     /// `true` for the three element frame kinds.
     pub fn is_element(self) -> bool {
-        matches!(self, FrameType::Component | FrameType::Leaf | FrameType::Array)
+        matches!(
+            self,
+            FrameType::Component | FrameType::Leaf | FrameType::Array
+        )
     }
 }
 
@@ -69,71 +88,7 @@ impl FrameType {
 pub(crate) const CHECKSUM_FRAME_LEN: usize = 7;
 
 /// Algorithm byte for CRC32C — the only algorithm currently assigned.
-pub(crate) const CHECKSUM_ALG_CRC32C: u8 = 0x01;
-
-/// Parse and verify a checksum frame starting at `at`, whose CRC must
-/// cover `buf[covered_start..at]`. Returns the frame's end offset.
-///
-/// Any malformation is a typed error — a corrupt checksum frame must
-/// never be silently skipped, or it would defeat the integrity check it
-/// exists to provide.
-pub(crate) fn verify_checksum_frame(
-    buf: &[u8],
-    covered_start: usize,
-    at: usize,
-) -> BxsaResult<usize> {
-    let mut r = xbs::XbsReader::new(buf, ByteOrder::Little);
-    r.seek(at)?;
-    let (order, ft) = parse_prefix(r.read_raw_u8()?, at)?;
-    if ft != FrameType::Checksum {
-        return Err(BxsaError::Structure {
-            what: format!("expected checksum frame at offset {at}"),
-        });
-    }
-    if at == covered_start {
-        return Err(BxsaError::Structure {
-            what: format!("checksum frame at offset {at} has no preceding frame to cover"),
-        });
-    }
-    r.set_order(order);
-    let size = r.read_vls_padded()?;
-    let end = at
-        .checked_add(size as usize)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| BxsaError::Structure {
-            what: format!("checksum frame at offset {at} declares size {size} past buffer end"),
-        })?;
-    let alg = r.read_raw_u8()?;
-    if alg != CHECKSUM_ALG_CRC32C {
-        return Err(BxsaError::Structure {
-            what: format!("unknown checksum algorithm {alg:#04x} at offset {at}"),
-        });
-    }
-    // Raw unaligned read — see `append_checksum_frame` for why the CRC
-    // is not an aligned scalar field.
-    let raw = r.read_bytes(4)?;
-    let raw: [u8; 4] = raw.try_into().expect("read_bytes(4) returned 4 bytes");
-    let stored = match order {
-        ByteOrder::Little => u32::from_le_bytes(raw),
-        ByteOrder::Big => u32::from_be_bytes(raw),
-    };
-    if r.position() != end {
-        return Err(BxsaError::FrameSizeMismatch {
-            offset: at,
-            declared: size,
-            consumed: (r.position() - at) as u64,
-        });
-    }
-    let computed = crate::crc32c::crc32c(&buf[covered_start..at]);
-    if stored != computed {
-        return Err(BxsaError::ChecksumMismatch {
-            offset: at,
-            stored,
-            computed,
-        });
-    }
-    Ok(end)
-}
+const CHECKSUM_ALG_CRC32C: u8 = 0x01;
 
 /// Pack a prefix byte from byte order and frame type.
 #[inline]
@@ -149,6 +104,564 @@ pub fn parse_prefix(byte: u8, offset: usize) -> BxsaResult<(ByteOrder, FrameType
     })?;
     let frame_type = FrameType::from_code(byte & 0x3f, offset)?;
     Ok((order, frame_type))
+}
+
+/// A frame as its prefix and size field declare it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame {
+    pub kind: FrameType,
+    pub order: ByteOrder,
+    pub start: usize,
+    /// Offset of the first body byte (after prefix and size field).
+    pub body: usize,
+    /// Offset one past the last byte: `start` plus the declared size.
+    pub end: usize,
+}
+
+/// Parse the prefix and size field of the frame at `buf[start]`. The end
+/// is overflow-checked and never before the body, but not checked
+/// against `buf`: the streaming assembler sizes frames it has not yet
+/// received. A buffer ending inside the size field is an
+/// `UnexpectedEof` error.
+pub(crate) fn frame_at(buf: &[u8], start: usize) -> BxsaResult<Frame> {
+    let byte = *buf.get(start).ok_or(XbsError::UnexpectedEof {
+        offset: start,
+        needed: 1,
+    })?;
+    let (order, kind) = parse_prefix(byte, start)?;
+    let (size, used) = xbs::vls::read_vls_padded(&buf[start + 1..], start + 1)?;
+    let body = start + 1 + used;
+    let end = usize::try_from(size)
+        .ok()
+        .and_then(|size| start.checked_add(size))
+        .filter(|&end| end >= body)
+        .ok_or_else(|| BxsaError::Structure {
+            what: format!("frame at offset {start} declares impossible size {size}"),
+        })?;
+    Ok(Frame {
+        kind,
+        order,
+        start,
+        body,
+        end,
+    })
+}
+
+/// [`frame_at`] for a frame that must lie inside `buf`.
+pub(crate) fn frame_in(buf: &[u8], start: usize) -> BxsaResult<Frame> {
+    let frame = frame_at(buf, start)?;
+    if frame.end > buf.len() {
+        return Err(BxsaError::Structure {
+            what: format!(
+                "frame at offset {start} declares size {} past buffer end",
+                frame.end - start
+            ),
+        });
+    }
+    Ok(frame)
+}
+
+/// `true` when the byte at `at` is a checksum frame's prefix.
+pub(crate) fn is_checksum_at(buf: &[u8], at: usize) -> bool {
+    buf.get(at)
+        .is_some_and(|&b| matches!(parse_prefix(b, at), Ok((_, FrameType::Checksum))))
+}
+
+/// Parse and verify the checksum frame at `at`, whose CRC must cover
+/// `buf[..at]`. Returns the frame's end offset.
+///
+/// Any malformation is a typed error — a corrupt checksum frame must
+/// never be silently skipped, or it would defeat the integrity check it
+/// exists to provide.
+pub(crate) fn verify_checksum_frame(buf: &[u8], at: usize) -> BxsaResult<usize> {
+    let frame = frame_in(buf, at)?;
+    if frame.kind != FrameType::Checksum || at == 0 {
+        return Err(BxsaError::Structure {
+            what: format!("no checksum frame covering a preceding frame at offset {at}"),
+        });
+    }
+    // Raw unaligned CRC — see `Out::checksum` for why it is not an
+    // aligned scalar field.
+    let &[alg, a, b, c, d] = &buf[frame.body..frame.end] else {
+        return Err(BxsaError::FrameSizeMismatch {
+            offset: at,
+            declared: (frame.end - at) as u64,
+            consumed: CHECKSUM_FRAME_LEN as u64,
+        });
+    };
+    if alg != CHECKSUM_ALG_CRC32C {
+        return Err(BxsaError::Structure {
+            what: format!("unknown checksum algorithm {alg:#04x} at offset {at}"),
+        });
+    }
+    let stored = match frame.order {
+        ByteOrder::Little => u32::from_le_bytes([a, b, c, d]),
+        ByteOrder::Big => u32::from_be_bytes([a, b, c, d]),
+    };
+    let computed = crate::crc32c::crc32c(&buf[..at]);
+    if stored != computed {
+        return Err(BxsaError::ChecksumMismatch {
+            offset: at,
+            stored,
+            computed,
+        });
+    }
+    Ok(frame.end)
+}
+
+/// A tokenized element or attribute name as read off the wire: the
+/// namespace reference (unresolved) and the checked local name.
+pub(crate) struct Name<'a> {
+    ns: Option<NsRef>,
+    at: usize,
+    pub local: &'a str,
+}
+
+impl Name<'_> {
+    /// The prefix the reference resolves to through `lookup` (the
+    /// reader's scope chain); a dangling reference is a typed error.
+    pub fn resolve<'d>(
+        &self,
+        lookup: impl FnOnce(NsRef) -> Option<&'d NamespaceDecl>,
+    ) -> BxsaResult<Option<&'d str>> {
+        let Some(r) = self.ns else { return Ok(None) };
+        let decl = lookup(r).ok_or(BxsaError::BadNamespaceRef { offset: self.at })?;
+        Ok(decl.prefix.as_deref())
+    }
+}
+
+/// The frame-reading core: one cursor under the tree decoder, the pull
+/// reader, the typed field reader and the scanner.
+///
+/// It owns prefix and size parsing, the frame-end and document-end
+/// checks with the optional checksum trailer, the nesting limit, the
+/// element-header fields, typed values and the packed-array head. Every
+/// [`open`](Cursor::open) must be matched by one
+/// [`close`](Cursor::close) or [`skip`](Cursor::skip).
+pub(crate) struct Cursor<'a> {
+    pub r: XbsReader<'a>,
+    depth: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
+        Cursor {
+            r: XbsReader::new(buf, ByteOrder::Little),
+            depth: 0,
+        }
+    }
+
+    fn head(&mut self) -> BxsaResult<Frame> {
+        let frame = frame_in(self.r.buffer(), self.r.position())?;
+        self.r.set_order(frame.order);
+        self.r.seek(frame.body)?;
+        Ok(frame)
+    }
+
+    /// Open the document frame and read its top-level frame count.
+    pub fn document(&mut self) -> BxsaResult<(Frame, usize)> {
+        let doc = self.head()?;
+        if doc.kind != FrameType::Document {
+            return Err(BxsaError::Structure {
+                what: format!("expected a document frame, found {:?}", doc.kind),
+            });
+        }
+        Ok((doc, self.r.read_count(1)?))
+    }
+
+    /// Open the next frame inside a container (or a standalone part):
+    /// depth-checked, and never a document or checksum frame.
+    pub fn open(&mut self) -> BxsaResult<Frame> {
+        if self.depth >= MAX_DEPTH {
+            return Err(BxsaError::Structure {
+                what: format!("frame nesting exceeds MAX_DEPTH {MAX_DEPTH}"),
+            });
+        }
+        let frame = self.head()?;
+        match frame.kind {
+            FrameType::Document => Err(BxsaError::Structure {
+                what: "nested document frame".into(),
+            }),
+            // Checksum frames are only valid trailing a top-level frame
+            // (see `finish`).
+            FrameType::Checksum => Err(BxsaError::Structure {
+                what: format!(
+                    "checksum frame at offset {} inside a container frame",
+                    frame.start
+                ),
+            }),
+            _ => {
+                self.depth += 1;
+                Ok(frame)
+            }
+        }
+    }
+
+    fn check_end(&self, frame: &Frame) -> BxsaResult<()> {
+        let at = self.r.position();
+        if at != frame.end {
+            return Err(BxsaError::FrameSizeMismatch {
+                offset: frame.start,
+                declared: (frame.end - frame.start) as u64,
+                consumed: at.saturating_sub(frame.start) as u64,
+            });
+        }
+        Ok(())
+    }
+
+    /// Leave an opened frame whose body must have ended exactly at its
+    /// declared size.
+    pub fn close(&mut self, frame: &Frame) -> BxsaResult<()> {
+        self.check_end(frame)?;
+        self.depth = self.depth.saturating_sub(1);
+        Ok(())
+    }
+
+    /// Leave an opened frame by jumping to its end, unparsed.
+    pub fn skip(&mut self, frame: &Frame) -> BxsaResult<()> {
+        self.r.seek(frame.end)?;
+        self.depth = self.depth.saturating_sub(1);
+        Ok(())
+    }
+
+    /// End of input after the top-level frame: the document frame (when
+    /// given) must end here, and the input must then either end or carry
+    /// exactly one checksum frame covering everything before it.
+    pub fn finish(&mut self, doc: Option<&Frame>) -> BxsaResult<()> {
+        if let Some(doc) = doc {
+            self.check_end(doc)?;
+        }
+        let at = self.r.position();
+        if is_checksum_at(self.r.buffer(), at) {
+            let end = verify_checksum_frame(self.r.buffer(), at)?;
+            self.r.seek(end)?;
+        }
+        if !self.r.is_at_end() {
+            return Err(BxsaError::Structure {
+                what: format!(
+                    "{} trailing byte(s) after the top-level frame",
+                    self.r.remaining()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Element header: the length of the namespace symbol table.
+    pub fn decls(&mut self) -> BxsaResult<usize> {
+        Ok(self.r.read_count(2)?)
+    }
+
+    /// One symbol-table entry: `(prefix, uri)`, `None` prefix for the
+    /// default namespace (an empty prefix string on the wire).
+    pub fn decl(&mut self) -> BxsaResult<(Option<&'a str>, &'a str)> {
+        let prefix = self.r.read_str()?;
+        let uri = self.r.read_str()?;
+        if prefix.is_empty() {
+            return Ok((None, uri));
+        }
+        check_name("namespace prefix", prefix)?;
+        Ok((Some(prefix), uri))
+    }
+
+    /// A namespace reference (VLS 0 for none, else VLS(scope depth + 1)
+    /// and VLS(index)) followed by the local name.
+    pub fn name(&mut self) -> BxsaResult<Name<'a>> {
+        let at = self.r.position();
+        let bad = |_| BxsaError::BadNamespaceRef { offset: at };
+        let ns = match self.r.read_vls()? {
+            0 => None,
+            tag => Some(NsRef {
+                scope_depth: u32::try_from(tag - 1).map_err(bad)?,
+                index: u32::try_from(self.r.read_vls()?).map_err(bad)?,
+            }),
+        };
+        let local = self.r.read_str()?;
+        check_name("local name", local)?;
+        Ok(Name { ns, at, local })
+    }
+
+    /// Element header: the attribute count (each attribute is a
+    /// [`name`](Cursor::name) and a [`value`](Cursor::value)).
+    pub fn attrs(&mut self) -> BxsaResult<usize> {
+        Ok(self.r.read_count(3)?)
+    }
+
+    /// A component's child-frame count.
+    pub fn children(&mut self) -> BxsaResult<usize> {
+        Ok(self.r.read_count(1)?)
+    }
+
+    /// A whole element header with every field checked but no namespace
+    /// reference resolved (resolving needs a scope stack): the local name
+    /// and the attribute count.
+    pub fn plain_header(&mut self) -> BxsaResult<(&'a str, usize)> {
+        for _ in 0..self.decls()? {
+            self.decl()?;
+        }
+        let local = self.name()?.local;
+        let attrs = self.attrs()?;
+        for _ in 0..attrs {
+            self.name()?;
+            self.value()?;
+        }
+        Ok((local, attrs))
+    }
+
+    fn code(&mut self) -> BxsaResult<TypeCode> {
+        let at = self.r.position();
+        Ok(TypeCode::from_byte(self.r.read_raw_u8()?, at)?)
+    }
+
+    /// A typed atomic value: type code, then the value.
+    pub fn value(&mut self) -> BxsaResult<LeafValue<'a>> {
+        let at = self.r.position();
+        Ok(match self.code()? {
+            TypeCode::I8 => LeafValue::I8(self.r.read_i8()?),
+            TypeCode::U8 => LeafValue::U8(self.r.read_u8()?),
+            TypeCode::I16 => LeafValue::I16(self.r.read_i16()?),
+            TypeCode::U16 => LeafValue::U16(self.r.read_u16()?),
+            TypeCode::I32 => LeafValue::I32(self.r.read_i32()?),
+            TypeCode::U32 => LeafValue::U32(self.r.read_u32()?),
+            TypeCode::I64 => LeafValue::I64(self.r.read_i64()?),
+            TypeCode::U64 => LeafValue::U64(self.r.read_u64()?),
+            TypeCode::F32 => LeafValue::F32(self.r.read_f32()?),
+            TypeCode::F64 => LeafValue::F64(self.r.read_f64()?),
+            TypeCode::Str => LeafValue::Str(self.r.read_str()?),
+            TypeCode::Bool => match self.r.read_raw_u8()? {
+                b @ (0 | 1) => LeafValue::Bool(b == 1),
+                b => {
+                    return Err(BxsaError::BadValueType {
+                        offset: at,
+                        what: format!("boolean byte {b:#04x}"),
+                    })
+                }
+            },
+        })
+    }
+
+    fn expect_code(&mut self, want: TypeCode) -> BxsaResult<()> {
+        let at = self.r.position();
+        let code = self.code()?;
+        if code != want {
+            return Err(BxsaError::BadValueType {
+                offset: at,
+                what: format!("expected {want:?}, found {code:?}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// A fixed-width atomic value whose type code must be `T`'s.
+    pub fn scalar<T: Primitive>(&mut self) -> BxsaResult<T> {
+        self.expect_code(T::TYPE_CODE)?;
+        Ok(self.r.read::<T>()?)
+    }
+
+    /// The head of a packed array: element type and count. Leaves the
+    /// cursor at the payload, past its (checked) alignment padding.
+    pub fn array_head(&mut self) -> BxsaResult<(TypeCode, usize)> {
+        let at = self.r.position();
+        let code = self.code()?;
+        let width = match code {
+            TypeCode::Str | TypeCode::Bool => None,
+            numeric => numeric.width(),
+        };
+        let Some(width) = width else {
+            return Err(BxsaError::BadValueType {
+                offset: at,
+                what: format!("{code:?} is not a valid array element type"),
+            });
+        };
+        let len = self.r.read_count(width)?;
+        self.r.align(width)?;
+        Ok((code, len))
+    }
+
+    /// [`array_head`](Cursor::array_head) of an array whose element type
+    /// must be `T`; returns the count.
+    pub fn array_of<T: Primitive>(&mut self) -> BxsaResult<usize> {
+        self.expect_code(T::TYPE_CODE)?;
+        let len = self.r.read_count(T::WIDTH)?;
+        self.r.align(T::WIDTH)?;
+        Ok(len)
+    }
+
+    /// The body of a character-data, comment or PI frame, checked
+    /// against XML's grammar for its kind.
+    pub fn text(&mut self, kind: FrameType) -> BxsaResult<PullEvent<'a>> {
+        let s = self.r.read_str()?;
+        Ok(match kind {
+            FrameType::CharData => PullEvent::Text(s),
+            FrameType::Comment => {
+                check_comment(s)?;
+                PullEvent::Comment(s)
+            }
+            _ => {
+                let data = self.r.read_str()?;
+                check_pi(s, data)?;
+                PullEvent::Pi { target: s, data }
+            }
+        })
+    }
+}
+
+/// Read a packed payload of `len` items of type `code` into `slot`. A
+/// slot of the same variant is refilled in place (one bounds-checked
+/// bulk copy on native byte order); another variant is replaced.
+pub(crate) fn read_array_into(
+    r: &mut XbsReader<'_>,
+    code: TypeCode,
+    len: usize,
+    slot: &mut ArrayValue,
+) -> BxsaResult<()> {
+    macro_rules! fill {
+        ($variant:ident) => {
+            match slot {
+                ArrayValue::$variant(v) => r.read_packed_into(len, v)?,
+                other => *other = ArrayValue::$variant(r.read_packed(len)?),
+            }
+        };
+    }
+    match code {
+        TypeCode::I8 => fill!(I8),
+        TypeCode::U8 => fill!(U8),
+        TypeCode::I16 => fill!(I16),
+        TypeCode::U16 => fill!(U16),
+        TypeCode::I32 => fill!(I32),
+        TypeCode::U32 => fill!(U32),
+        TypeCode::I64 => fill!(I64),
+        TypeCode::U64 => fill!(U64),
+        TypeCode::F32 => fill!(F32),
+        TypeCode::F64 => fill!(F64),
+        TypeCode::Str | TypeCode::Bool => {
+            return Err(BxsaError::BadValueType {
+                offset: r.position(),
+                what: format!("{code:?} is not an array element type"),
+            })
+        }
+    }
+    Ok(())
+}
+
+/// A frame opened by [`Out::open`]: its start and reserved size-field
+/// length, for the backpatch in [`Out::close`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Open {
+    start: usize,
+    field_len: usize,
+}
+
+/// The frame-writing core under the tree encoder and
+/// [`crate::FrameWriter`]. Each caller keeps its own namespace-reference
+/// lookup and hands the resolved reference to [`Out::name`].
+pub(crate) struct Out(pub XbsWriter);
+
+impl Out {
+    /// Write the prefix byte and reserve a size field wide enough for
+    /// any body up to `body_bound` bytes.
+    pub fn open(&mut self, kind: FrameType, body_bound: usize) -> Open {
+        let start = self.0.offset();
+        self.0.put_raw_u8(prefix_byte(self.0.order(), kind));
+        let field_len = size_field_len(body_bound);
+        self.0.reserve(field_len);
+        Open { start, field_len }
+    }
+
+    /// Backpatch the size field with the frame's actual total size.
+    pub fn close(&mut self, open: Open) {
+        let total = (self.0.offset() - open.start) as u64;
+        self.0
+            .patch_vls_padded(open.start + 1, total, open.field_len);
+    }
+
+    /// One symbol-table entry; a `None` prefix (default namespace) is an
+    /// empty prefix string.
+    pub fn decl(&mut self, prefix: Option<&str>, uri: &str) -> BxsaResult<()> {
+        if let Some(prefix) = prefix {
+            check_name("namespace prefix", prefix)?;
+        }
+        self.0.put_str(prefix.unwrap_or(""));
+        self.0.put_str(uri);
+        Ok(())
+    }
+
+    /// A tokenized name (§4.1): `ns` is the declaration `prefix`
+    /// resolved to, written as VLS(scope depth + 1) and VLS(index), or
+    /// VLS 0 for no namespace.
+    pub fn name(&mut self, prefix: Option<&str>, ns: Option<NsRef>, local: &str) -> BxsaResult<()> {
+        check_name("local name", local)?;
+        match (ns, prefix) {
+            (Some(r), _) => {
+                self.0.put_vls(r.scope_depth as u64 + 1);
+                self.0.put_vls(r.index as u64);
+            }
+            (None, Some(p)) => {
+                return Err(BxsaError::UndeclaredPrefix {
+                    prefix: p.to_owned(),
+                })
+            }
+            (None, None) => {
+                self.0.put_vls(0);
+            }
+        }
+        self.0.put_str(local);
+        Ok(())
+    }
+
+    /// A fixed-width atomic value: type code, then the aligned value.
+    pub fn scalar<T: Primitive>(&mut self, value: T) {
+        self.0.put_raw_u8(T::TYPE_CODE as u8);
+        self.0.put(value);
+    }
+
+    /// Any atomic value.
+    pub fn value(&mut self, value: LeafValue<'_>) {
+        match value {
+            LeafValue::I8(v) => self.scalar(v),
+            LeafValue::U8(v) => self.scalar(v),
+            LeafValue::I16(v) => self.scalar(v),
+            LeafValue::U16(v) => self.scalar(v),
+            LeafValue::I32(v) => self.scalar(v),
+            LeafValue::U32(v) => self.scalar(v),
+            LeafValue::I64(v) => self.scalar(v),
+            LeafValue::U64(v) => self.scalar(v),
+            LeafValue::F32(v) => self.scalar(v),
+            LeafValue::F64(v) => self.scalar(v),
+            LeafValue::Str(s) => {
+                self.0.put_raw_u8(TypeCode::Str as u8);
+                self.0.put_str(s);
+            }
+            LeafValue::Bool(b) => {
+                self.0.put_raw_u8(TypeCode::Bool as u8);
+                self.0.put_raw_u8(b as u8);
+            }
+        }
+    }
+
+    /// A packed array: element type code, VLS count, aligned payload.
+    pub fn array<T: Primitive>(&mut self, values: &[T]) {
+        self.0.put_raw_u8(T::TYPE_CODE as u8);
+        self.0.put_vls(values.len() as u64);
+        self.0.put_packed(values);
+    }
+
+    /// Append a checksum frame covering everything already written.
+    pub fn checksum(&mut self) {
+        let crc = crate::crc32c::crc32c(self.0.as_bytes());
+        let order = self.0.order();
+        self.0.put_raw_u8(prefix_byte(order, FrameType::Checksum));
+        self.0.put_raw_u8(CHECKSUM_FRAME_LEN as u8);
+        self.0.put_raw_u8(CHECKSUM_ALG_CRC32C);
+        // Raw bytes, not `put_u32`: scalar puts align to the buffer start,
+        // which would pad the frame to a position-dependent size. The frame
+        // is fixed-layout; only the CRC's byte order follows the prefix.
+        self.0.put_bytes(&match order {
+            ByteOrder::Little => crc.to_le_bytes(),
+            ByteOrder::Big => crc.to_be_bytes(),
+        });
+    }
 }
 
 #[cfg(test)]

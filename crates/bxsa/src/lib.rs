@@ -23,6 +23,12 @@
 //! declaring table by *(scope depth, index)* instead of repeating prefix
 //! strings (§4.1).
 //!
+//! The tree codec ([`decode`], [`encode`]), the [`pull`] reader, the
+//! [`typed`] field reader and writer, the [`scan`]ner and the [`stream`]
+//! assembler all parse and write frames through one core in [`frame`],
+//! so every reader checks the same things and accepts the same bytes;
+//! frame nesting is capped at [`MAX_DEPTH`] on every path.
+//!
 //! ```
 //! use bxdm::{Document, Element, AtomicValue, ArrayValue};
 //!
@@ -50,16 +56,13 @@ pub mod transcode;
 pub mod typed;
 mod wellformed;
 
-pub use decoder::{
-    decode, decode_element, decode_element_at, decode_element_into, decode_element_into_with,
-    decode_into, decode_into_with, decode_with, DecodeOptions,
-};
+pub use decoder::{decode, decode_element, decode_element_at, decode_element_into, decode_into};
 pub use encoder::{
     encode, encode_element, encode_element_into, encode_into, encode_into_with, encode_with,
     EncodeOptions,
 };
 pub use error::{BxsaError, BxsaResult};
-pub use frame::FrameType;
+pub use frame::{FrameType, MAX_DEPTH};
 pub use pull::{ArrayHandle, ElementStart, LeafValue, PullEvent, PullReader};
 pub use scan::FrameScanner;
 pub use stream::{FrameAssembler, FrameSink, DEFAULT_WINDOW};

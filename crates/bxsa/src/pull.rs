@@ -27,12 +27,11 @@
 //! assert_eq!(names, ["set", "v"]);
 //! ```
 
-use bxdm::namespace::NsRef;
-use bxdm::{ArrayValue, Attribute, AtomicValue, NamespaceDecl, NsContext, QName};
+use bxdm::{ArrayValue, AtomicValue, Attribute, NamespaceDecl, NsContext, QName};
 use xbs::{ByteOrder, Primitive, TypeCode, XbsReader};
 
 use crate::error::{BxsaError, BxsaResult};
-use crate::frame::{parse_prefix, FrameType};
+use crate::frame::{read_array_into, Cursor, Frame, FrameType};
 
 /// The header of an element frame, common to all three element kinds.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,28 +61,17 @@ pub struct ArrayHandle<'a> {
 }
 
 impl<'a> ArrayHandle<'a> {
-    /// Decode the payload into an owned [`ArrayValue`].
-    pub fn read(&self) -> BxsaResult<ArrayValue> {
+    fn reader(&self) -> BxsaResult<XbsReader<'a>> {
         let mut r = XbsReader::new(self.buf, self.order);
         r.seek(self.payload_start)?;
-        Ok(match self.code {
-            TypeCode::I8 => ArrayValue::I8(r.read_packed(self.len)?),
-            TypeCode::U8 => ArrayValue::U8(r.read_packed(self.len)?),
-            TypeCode::I16 => ArrayValue::I16(r.read_packed(self.len)?),
-            TypeCode::U16 => ArrayValue::U16(r.read_packed(self.len)?),
-            TypeCode::I32 => ArrayValue::I32(r.read_packed(self.len)?),
-            TypeCode::U32 => ArrayValue::U32(r.read_packed(self.len)?),
-            TypeCode::I64 => ArrayValue::I64(r.read_packed(self.len)?),
-            TypeCode::U64 => ArrayValue::U64(r.read_packed(self.len)?),
-            TypeCode::F32 => ArrayValue::F32(r.read_packed(self.len)?),
-            TypeCode::F64 => ArrayValue::F64(r.read_packed(self.len)?),
-            other => {
-                return Err(BxsaError::BadValueType {
-                    offset: self.payload_start,
-                    what: format!("{other:?} is not an array element type"),
-                })
-            }
-        })
+        Ok(r)
+    }
+
+    /// Decode the payload into an owned [`ArrayValue`].
+    pub fn read(&self) -> BxsaResult<ArrayValue> {
+        let mut value = ArrayValue::U8(Vec::new());
+        read_array_into(&mut self.reader()?, self.code, self.len, &mut value)?;
+        Ok(value)
     }
 
     /// Borrow the payload zero-copy when byte order and alignment allow.
@@ -94,9 +82,7 @@ impl<'a> ArrayHandle<'a> {
                 what: format!("payload is {:?}, requested {:?}", self.code, T::TYPE_CODE),
             });
         }
-        let mut r = XbsReader::new(self.buf, self.order);
-        r.seek(self.payload_start)?;
-        Ok(r.read_packed_zero_copy::<T>(self.len)?)
+        Ok(self.reader()?.read_packed_zero_copy::<T>(self.len)?)
     }
 }
 
@@ -153,6 +139,26 @@ impl LeafValue<'_> {
     }
 }
 
+impl<'a> From<&'a AtomicValue> for LeafValue<'a> {
+    /// Borrow an owned value (strings by reference).
+    fn from(value: &'a AtomicValue) -> LeafValue<'a> {
+        match value {
+            AtomicValue::I8(v) => LeafValue::I8(*v),
+            AtomicValue::U8(v) => LeafValue::U8(*v),
+            AtomicValue::I16(v) => LeafValue::I16(*v),
+            AtomicValue::U16(v) => LeafValue::U16(*v),
+            AtomicValue::I32(v) => LeafValue::I32(*v),
+            AtomicValue::U32(v) => LeafValue::U32(*v),
+            AtomicValue::I64(v) => LeafValue::I64(*v),
+            AtomicValue::U64(v) => LeafValue::U64(*v),
+            AtomicValue::F32(v) => LeafValue::F32(*v),
+            AtomicValue::F64(v) => LeafValue::F64(*v),
+            AtomicValue::Bool(v) => LeafValue::Bool(*v),
+            AtomicValue::Str(v) => LeafValue::Str(v),
+        }
+    }
+}
+
 /// One streaming event.
 ///
 /// Events are zero-copy: text, comment, PI, and leaf-string payloads are
@@ -187,58 +193,41 @@ pub enum PullEvent<'a> {
     },
 }
 
-/// What the reader still owes for an open scope.
+/// What the reader still owes for an open element frame.
 #[derive(Debug)]
 enum Pending {
-    /// A component element with `remaining` child frames to read.
-    Component { end: usize, remaining: usize },
-    /// A leaf element whose value event is due.
-    LeafValue { end: usize },
-    /// An array element whose handle event is due.
-    ArrayValue { end: usize },
-    /// An element whose end event is due, then the frame closes at `end`.
-    End { end: usize },
+    /// A component with `remaining` child frames to read.
+    Component(Frame, usize),
+    /// A leaf whose value event is due.
+    LeafValue(Frame),
+    /// An array whose handle event is due.
+    ArrayValue(Frame),
+    /// An element whose end event is due.
+    End(Frame),
 }
 
 /// The streaming reader.
 pub struct PullReader<'a> {
-    r: XbsReader<'a>,
+    c: Cursor<'a>,
     ctx: NsContext,
     stack: Vec<Pending>,
     /// Remaining top-level frames in the document frame.
     top_remaining: usize,
-    doc_end: usize,
+    doc: Frame,
     finished: bool,
 }
 
 impl<'a> PullReader<'a> {
     /// Open a reader over an encoded document.
     pub fn new(buf: &'a [u8]) -> BxsaResult<PullReader<'a>> {
-        let mut r = XbsReader::new(buf, ByteOrder::Little);
-        let start = r.position();
-        let (order, frame_type) = parse_prefix(r.read_raw_u8()?, start)?;
-        if frame_type != FrameType::Document {
-            return Err(BxsaError::Structure {
-                what: format!("expected a document frame, found {frame_type:?}"),
-            });
-        }
-        r.set_order(order);
-        let size = r.read_vls_padded()? as usize;
-        // Hostile size fields are attacker-controlled u64s: the addition
-        // must not wrap, and the declared end must stay inside the buffer.
-        let doc_end = start
-            .checked_add(size)
-            .filter(|&e| e <= buf.len())
-            .ok_or_else(|| BxsaError::Structure {
-                what: format!("document frame declares size {size} past buffer end"),
-            })?;
-        let top_remaining = r.read_count(1)?;
+        let mut c = Cursor::new(buf);
+        let (doc, top_remaining) = c.document()?;
         Ok(PullReader {
-            r,
+            c,
             ctx: NsContext::new(),
             stack: Vec::new(),
             top_remaining,
-            doc_end,
+            doc,
             finished: false,
         })
     }
@@ -249,55 +238,60 @@ impl<'a> PullReader<'a> {
         if self.finished {
             return Ok(None);
         }
-        // Deliver owed value/end events for the innermost open scope.
+        // Deliver owed value/end events for the innermost open element.
         match self.stack.pop() {
+            None if self.top_remaining == 0 => {
+                self.finished = true;
+                self.c.finish(Some(&self.doc))?;
+                Ok(None)
+            }
             None => {
-                if self.top_remaining == 0 {
-                    self.finish()?;
-                    return Ok(None);
-                }
                 self.top_remaining -= 1;
                 self.read_frame().map(Some)
             }
-            Some(Pending::LeafValue { end }) => {
-                let value = self.read_leaf()?;
-                self.stack.push(Pending::End { end });
+            Some(Pending::LeafValue(frame)) => {
+                let value = self.c.value()?;
+                self.stack.push(Pending::End(frame));
                 Ok(Some(PullEvent::LeafValue(value)))
             }
-            Some(Pending::ArrayValue { end }) => {
-                let handle = self.read_array_handle(end)?;
-                self.stack.push(Pending::End { end });
-                Ok(Some(PullEvent::Array(handle)))
+            Some(Pending::ArrayValue(frame)) => {
+                let (code, len) = self.c.array_head()?;
+                let payload_start = self.c.r.position();
+                let width = code.width().expect("array_head returns fixed-width codes");
+                // Advance past the payload without decoding it.
+                self.c.r.read_bytes(len * width)?;
+                self.stack.push(Pending::End(frame));
+                Ok(Some(PullEvent::Array(ArrayHandle {
+                    buf: self.c.r.buffer(),
+                    payload_start,
+                    code,
+                    len,
+                    order: self.c.r.order(),
+                })))
             }
-            Some(Pending::End { end }) => {
-                self.close_element(end)?;
+            Some(Pending::End(frame) | Pending::Component(frame, 0)) => {
+                self.ctx.pop_scope();
+                self.c.close(&frame)?;
                 Ok(Some(PullEvent::ElementEnd))
             }
-            Some(Pending::Component { end, remaining }) => {
-                if remaining == 0 {
-                    self.close_element(end)?;
-                    return Ok(Some(PullEvent::ElementEnd));
-                }
-                self.stack.push(Pending::Component {
-                    end,
-                    remaining: remaining - 1,
-                });
+            Some(Pending::Component(frame, remaining)) => {
+                self.stack.push(Pending::Component(frame, remaining - 1));
                 self.read_frame().map(Some)
             }
         }
     }
 
     /// Skip the innermost open element entirely (children, payload and
-    /// all), without generating events — the streaming counterpart of the
-    /// size-field skip-scan.
+    /// all), without generating events or parsing what it skips — the
+    /// streaming counterpart of the size-field skip-scan.
     pub fn skip_element(&mut self) -> BxsaResult<()> {
-        let end = match self.stack.pop() {
+        let frame = match self.stack.pop() {
             Some(
-                Pending::Component { end, .. }
-                | Pending::LeafValue { end }
-                | Pending::ArrayValue { end }
-                | Pending::End { end },
-            ) => end,
+                Pending::Component(frame, _)
+                | Pending::LeafValue(frame)
+                | Pending::ArrayValue(frame)
+                | Pending::End(frame),
+            ) => frame,
             None => {
                 return Err(BxsaError::Structure {
                     what: "skip_element with no open element".into(),
@@ -305,208 +299,52 @@ impl<'a> PullReader<'a> {
             }
         };
         self.ctx.pop_scope();
-        self.r.seek(end)?;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> BxsaResult<()> {
-        self.finished = true;
-        if self.r.position() != self.doc_end {
-            return Err(BxsaError::FrameSizeMismatch {
-                offset: 0,
-                declared: self.doc_end as u64,
-                consumed: self.r.position() as u64,
-            });
-        }
-        // Verify a trailing checksum frame when the sender appended one.
-        crate::decoder::finish_with_optional_checksum(&mut self.r, "document")
-    }
-
-    fn close_element(&mut self, end: usize) -> BxsaResult<()> {
-        self.ctx.pop_scope();
-        let at = self.r.position();
-        if at != end {
-            return Err(BxsaError::FrameSizeMismatch {
-                offset: end,
-                declared: end as u64,
-                consumed: at as u64,
-            });
-        }
-        Ok(())
+        self.c.skip(&frame)
     }
 
     fn read_frame(&mut self) -> BxsaResult<PullEvent<'a>> {
-        let start = self.r.position();
-        let (order, frame_type) = parse_prefix(self.r.read_raw_u8()?, start)?;
-        self.r.set_order(order);
-        let size = self.r.read_vls_padded()? as usize;
-        let end = start
-            .checked_add(size)
-            .filter(|&e| e <= self.r.buffer().len())
-            .ok_or_else(|| BxsaError::Structure {
-                what: format!("frame at offset {start} declares size {size} past buffer end"),
-            })?;
-        match frame_type {
-            FrameType::Document => Err(BxsaError::Structure {
-                what: "nested document frame".into(),
-            }),
-            FrameType::Checksum => Err(BxsaError::Structure {
-                what: format!("checksum frame at offset {start} inside a container frame"),
-            }),
-            FrameType::CharData => {
-                let text = self.r.read_str()?;
-                self.expect_end(start, end)?;
-                Ok(PullEvent::Text(text))
-            }
-            FrameType::Comment => {
-                let text = self.r.read_str()?;
-                self.expect_end(start, end)?;
-                Ok(PullEvent::Comment(text))
-            }
-            FrameType::Pi => {
-                let target = self.r.read_str()?;
-                let data = self.r.read_str()?;
-                self.expect_end(start, end)?;
-                Ok(PullEvent::Pi { target, data })
-            }
-            FrameType::Component | FrameType::Leaf | FrameType::Array => {
-                let header = self.read_element_header()?;
-                match frame_type {
-                    FrameType::Component => {
-                        let remaining = self.r.read_count(1)?;
-                        self.stack.push(Pending::Component { end, remaining });
-                    }
-                    FrameType::Leaf => self.stack.push(Pending::LeafValue { end }),
-                    FrameType::Array => self.stack.push(Pending::ArrayValue { end }),
-                    _ => unreachable!(),
-                }
-                Ok(PullEvent::ElementStart(header))
-            }
+        let frame = self.c.open()?;
+        if !frame.kind.is_element() {
+            let event = self.c.text(frame.kind)?;
+            self.c.close(&frame)?;
+            return Ok(event);
         }
-    }
-
-    fn expect_end(&mut self, start: usize, end: usize) -> BxsaResult<()> {
-        if self.r.position() != end {
-            return Err(BxsaError::FrameSizeMismatch {
-                offset: start,
-                declared: (end - start) as u64,
-                consumed: (self.r.position() - start) as u64,
+        let n = self.c.decls()?;
+        let mut namespaces = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (prefix, uri) = self.c.decl()?;
+            namespaces.push(NamespaceDecl {
+                prefix: prefix.map(str::to_owned),
+                uri: uri.to_owned(),
             });
         }
-        Ok(())
-    }
-
-    fn read_element_header(&mut self) -> BxsaResult<ElementStart> {
-        let n1 = self.r.read_count(2)?;
-        let mut decls = Vec::with_capacity(n1);
-        for _ in 0..n1 {
-            let prefix = self.r.read_str()?;
-            let uri = self.r.read_str()?.to_owned();
-            decls.push(NamespaceDecl {
-                prefix: (!prefix.is_empty()).then(|| prefix.to_owned()),
-                uri,
-            });
-        }
-        self.ctx.push_scope(&decls);
+        self.ctx.push_scope(&namespaces);
         let name = self.read_qname()?;
-        let n2 = self.r.read_count(3)?;
-        let mut attributes = Vec::with_capacity(n2);
-        for _ in 0..n2 {
-            let attr_name = self.read_qname()?;
-            let value = self.read_atomic()?;
-            attributes.push(Attribute {
-                name: attr_name,
-                value,
-            });
+        let n = self.c.attrs()?;
+        let mut attributes = Vec::with_capacity(n);
+        for _ in 0..n {
+            let name = self.read_qname()?;
+            let value = self.c.value()?.to_atomic();
+            attributes.push(Attribute { name, value });
         }
-        Ok(ElementStart {
+        self.stack.push(match frame.kind {
+            FrameType::Component => Pending::Component(frame, self.c.children()?),
+            FrameType::Leaf => Pending::LeafValue(frame),
+            _ => Pending::ArrayValue(frame),
+        });
+        Ok(PullEvent::ElementStart(ElementStart {
             name,
-            namespaces: decls,
+            namespaces,
             attributes,
-        })
+        }))
     }
 
     fn read_qname(&mut self) -> BxsaResult<QName> {
-        let at = self.r.position();
-        let tag = self.r.read_vls()?;
-        let prefix: Option<&str> = if tag == 0 {
-            None
-        } else {
-            let index = self.r.read_vls()?;
-            let r = NsRef {
-                scope_depth: (tag - 1)
-                    .try_into()
-                    .map_err(|_| BxsaError::BadNamespaceRef { offset: at })?,
-                index: index
-                    .try_into()
-                    .map_err(|_| BxsaError::BadNamespaceRef { offset: at })?,
-            };
-            self.ctx
-                .lookup_ref(r)
-                .ok_or(BxsaError::BadNamespaceRef { offset: at })?
-                .prefix
-                .as_deref()
-        };
-        let local = self.r.read_str()?;
-        Ok(QName::new(prefix, local))
-    }
-
-    fn read_leaf(&mut self) -> BxsaResult<LeafValue<'a>> {
-        let at = self.r.position();
-        let code = TypeCode::from_byte(self.r.read_raw_u8()?, at)?;
-        Ok(match code {
-            TypeCode::I8 => LeafValue::I8(self.r.read_i8()?),
-            TypeCode::U8 => LeafValue::U8(self.r.read_u8()?),
-            TypeCode::I16 => LeafValue::I16(self.r.read_i16()?),
-            TypeCode::U16 => LeafValue::U16(self.r.read_u16()?),
-            TypeCode::I32 => LeafValue::I32(self.r.read_i32()?),
-            TypeCode::U32 => LeafValue::U32(self.r.read_u32()?),
-            TypeCode::I64 => LeafValue::I64(self.r.read_i64()?),
-            TypeCode::U64 => LeafValue::U64(self.r.read_u64()?),
-            TypeCode::F32 => LeafValue::F32(self.r.read_f32()?),
-            TypeCode::F64 => LeafValue::F64(self.r.read_f64()?),
-            TypeCode::Str => LeafValue::Str(self.r.read_str()?),
-            TypeCode::Bool => {
-                let b = self.r.read_raw_u8()?;
-                if b > 1 {
-                    return Err(BxsaError::BadValueType {
-                        offset: at,
-                        what: format!("boolean byte {b:#04x}"),
-                    });
-                }
-                LeafValue::Bool(b == 1)
-            }
-        })
-    }
-
-    fn read_atomic(&mut self) -> BxsaResult<AtomicValue> {
-        self.read_leaf().map(LeafValue::to_atomic)
-    }
-
-    fn read_array_handle(&mut self, end: usize) -> BxsaResult<ArrayHandle<'a>> {
-        let at = self.r.position();
-        let code = TypeCode::from_byte(self.r.read_raw_u8()?, at)?;
-        let width = code
-            .width()
-            .filter(|_| code != TypeCode::Bool && code != TypeCode::Str)
-            .ok_or_else(|| BxsaError::BadValueType {
-                offset: at,
-                what: format!("{code:?} is not a valid array element type"),
-            })?;
-        let len = self.r.read_count(width)?;
-        let payload_start = self.r.position();
-        let handle = ArrayHandle {
-            buf: self.r.buffer(),
-            payload_start,
-            code,
-            len,
-            order: self.r.order(),
-        };
-        // Advance past the payload without touching it.
-        let aligned = xbs::align_up(payload_start, width);
-        self.r.seek(aligned + len * width)?;
-        let _ = end;
-        Ok(handle)
+        let name = self.c.name()?;
+        Ok(QName::new(
+            name.resolve(|r| self.ctx.lookup_ref(r))?,
+            name.local,
+        ))
     }
 }
 

@@ -5,12 +5,14 @@
 //! parsing all parts of the document." [`FrameScanner`] walks sibling
 //! frames by hopping over their declared sizes; nothing inside a skipped
 //! frame is touched. The `skip_scan` bench quantifies the win over a full
-//! parse.
+//! parse. The scanner and the array-payload readers are the
+//! `frame::Cursor` without descending: a located frame's prefix
+//! and size get the same checks as on every other read path.
 
-use xbs::{ByteOrder, Primitive, XbsReader};
+use xbs::{ByteOrder, Primitive};
 
 use crate::error::{BxsaError, BxsaResult};
-use crate::frame::{parse_prefix, FrameType};
+use crate::frame::{frame_in, Cursor, FrameType};
 
 /// A frame located by a scan, without its body having been parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,20 +47,12 @@ impl<'a> FrameScanner<'a> {
     /// Scan the frames of an encoded document, starting at the first
     /// top-level frame *inside* the document frame.
     pub fn document(buf: &'a [u8]) -> BxsaResult<FrameScanner<'a>> {
-        let info = peek_frame(buf, 0)?;
-        if info.frame_type != FrameType::Document {
-            return Err(BxsaError::Structure {
-                what: format!("expected a document frame, found {:?}", info.frame_type),
-            });
-        }
-        // Skip the child-count VLS to land on the first child frame.
-        let mut r = XbsReader::new(buf, info.byte_order);
-        r.seek(info.body_start)?;
-        let _count = r.read_vls()?;
+        let mut c = Cursor::new(buf);
+        let (doc, _count) = c.document()?;
         Ok(FrameScanner {
             buf,
-            pos: r.position(),
-            end: info.start + info.len,
+            pos: c.r.position(),
+            end: doc.end,
         })
     }
 
@@ -80,57 +74,50 @@ impl Iterator for FrameScanner<'_> {
         if self.pos >= self.end {
             return None;
         }
-        match peek_frame(self.buf, self.pos) {
-            Ok(info) => {
-                if info.start + info.len > self.end {
-                    self.pos = self.end;
-                    return Some(Err(BxsaError::Structure {
-                        what: format!(
-                            "frame at {} overruns its container (len {})",
-                            info.start, info.len
-                        ),
-                    }));
-                }
-                self.pos = info.start + info.len;
-                Some(Ok(info))
-            }
-            Err(e) => {
-                self.pos = self.end; // stop iteration after an error
-                Some(Err(e))
-            }
-        }
+        // A frame must fit its container; stop after an error, else hop
+        // over the frame.
+        let info = peek_frame(&self.buf[..self.end], self.pos);
+        self.pos = info.as_ref().map_or(self.end, |info| info.start + info.len);
+        Some(info)
     }
 }
 
 /// Read just a frame's prefix and size field at `offset`.
 pub fn peek_frame(buf: &[u8], offset: usize) -> BxsaResult<FrameInfo> {
-    let mut r = XbsReader::new(buf, ByteOrder::Little);
-    r.seek(offset)?;
-    let (byte_order, frame_type) = parse_prefix(r.read_raw_u8()?, offset)?;
-    let len = r.read_vls_padded()?;
-    let body_start = r.position();
-    let len: usize = len.try_into().map_err(|_| BxsaError::Structure {
-        what: "frame size exceeds addressable memory".into(),
-    })?;
-    if len < body_start - offset || offset + len > buf.len() {
-        return Err(BxsaError::Structure {
-            what: format!("frame at {offset} declares impossible size {len}"),
-        });
-    }
+    let frame = frame_in(buf, offset)?;
     Ok(FrameInfo {
-        frame_type,
-        byte_order,
-        start: offset,
-        len,
-        body_start,
+        frame_type: frame.kind,
+        byte_order: frame.order,
+        start: frame.start,
+        len: frame.end - frame.start,
+        body_start: frame.body,
     })
 }
 
-/// Zero-copy view of an **array frame's** packed payload, without parsing
-/// the element header.
+/// A cursor at the payload of the array frame `info` locates, after
+/// checking its header and that its element type is `T`; and the count.
+fn array_payload<'a, T: Primitive>(
+    buf: &'a [u8],
+    info: &FrameInfo,
+) -> BxsaResult<(Cursor<'a>, usize)> {
+    let mut c = Cursor::new(buf);
+    c.r.seek(info.start)?;
+    let frame = c.open()?;
+    if frame.kind != FrameType::Array {
+        return Err(BxsaError::Structure {
+            what: format!("{:?} is not an array frame", frame.kind),
+        });
+    }
+    c.plain_header()?;
+    let len = c.array_of::<T>()?;
+    Ok((c, len))
+}
+
+/// Zero-copy view of an **array frame's** packed payload, without
+/// building the element.
 ///
-/// Walks the header fields of the array frame located by `info`
-/// (namespace table, name, attributes), checks the element type code
+/// Checks the header fields of the array frame located by `info`
+/// (namespace table, name, attributes) and that the element type code
 /// matches `T`, and returns a borrowed slice over the payload when the
 /// byte order is native and the mapping is aligned; `Ok(None)` means a
 /// copying read is required (foreign order or unaligned buffer).
@@ -138,92 +125,15 @@ pub fn array_payload_view<'a, T: Primitive>(
     buf: &'a [u8],
     info: &FrameInfo,
 ) -> BxsaResult<Option<&'a [T]>> {
-    if info.frame_type != FrameType::Array {
-        return Err(BxsaError::Structure {
-            what: format!("{:?} is not an array frame", info.frame_type),
-        });
-    }
-    let mut r = XbsReader::new(buf, info.byte_order);
-    r.seek(info.body_start)?;
-    skip_element_header(&mut r)?;
-    let at = r.position();
-    let code = xbs::TypeCode::from_byte(r.read_raw_u8()?, at)?;
-    if code != T::TYPE_CODE {
-        return Err(BxsaError::BadValueType {
-            offset: at,
-            what: format!("payload is {code:?}, requested {:?}", T::TYPE_CODE),
-        });
-    }
-    let count = r.read_count(T::WIDTH)?;
-    Ok(r.read_packed_zero_copy::<T>(count)?)
+    let (mut c, len) = array_payload::<T>(buf, info)?;
+    Ok(c.r.read_packed_zero_copy::<T>(len)?)
 }
 
 /// Copying read of an array frame's payload (always succeeds on valid
 /// input; pairs with [`array_payload_view`]).
 pub fn array_payload_copy<T: Primitive>(buf: &[u8], info: &FrameInfo) -> BxsaResult<Vec<T>> {
-    if info.frame_type != FrameType::Array {
-        return Err(BxsaError::Structure {
-            what: format!("{:?} is not an array frame", info.frame_type),
-        });
-    }
-    let mut r = XbsReader::new(buf, info.byte_order);
-    r.seek(info.body_start)?;
-    skip_element_header(&mut r)?;
-    let at = r.position();
-    let code = xbs::TypeCode::from_byte(r.read_raw_u8()?, at)?;
-    if code != T::TYPE_CODE {
-        return Err(BxsaError::BadValueType {
-            offset: at,
-            what: format!("payload is {code:?}, requested {:?}", T::TYPE_CODE),
-        });
-    }
-    let count = r.read_count(T::WIDTH)?;
-    Ok(r.read_packed(count)?)
-}
-
-/// Advance a reader past an element frame's namespace table, name
-/// reference, local name and attribute list, leaving it at the content.
-fn skip_element_header(r: &mut XbsReader<'_>) -> BxsaResult<()> {
-    let n1 = r.read_count(2)?;
-    for _ in 0..n1 {
-        let _prefix = r.read_str()?;
-        let _uri = r.read_str()?;
-    }
-    skip_qname(r)?;
-    let n2 = r.read_count(3)?;
-    for _ in 0..n2 {
-        skip_qname(r)?;
-        skip_atomic(r)?;
-    }
-    Ok(())
-}
-
-fn skip_qname(r: &mut XbsReader<'_>) -> BxsaResult<()> {
-    let tag = r.read_vls()?;
-    if tag != 0 {
-        let _index = r.read_vls()?;
-    }
-    let _local = r.read_str()?;
-    Ok(())
-}
-
-fn skip_atomic(r: &mut XbsReader<'_>) -> BxsaResult<()> {
-    let at = r.position();
-    let code = xbs::TypeCode::from_byte(r.read_raw_u8()?, at)?;
-    match code {
-        xbs::TypeCode::Str => {
-            let _s = r.read_str()?;
-        }
-        xbs::TypeCode::Bool => {
-            let _b = r.read_raw_u8()?;
-        }
-        other => {
-            let w = other.width().expect("fixed width");
-            r.align(w)?;
-            let _ = r.read_bytes(w)?;
-        }
-    }
-    Ok(())
+    let (mut c, len) = array_payload::<T>(buf, info)?;
+    Ok(c.r.read_packed(len)?)
 }
 
 #[cfg(test)]

@@ -21,12 +21,11 @@
 //!   [`crate::PullReader`]-style scan via [`crate::scan::peek_frame`].
 
 use bxdm::Element;
-use xbs::vls::read_vls_padded;
 use xbs::XbsError;
 
 use crate::encoder::{encode_element_into, EncodeOptions};
 use crate::error::{BxsaError, BxsaResult};
-use crate::frame::{parse_prefix, FrameType};
+use crate::frame::{self, FrameType};
 
 /// Default streaming window: the upper bound on a single part frame and
 /// on the bytes either half buffers at steady state.
@@ -142,33 +141,25 @@ impl FrameAssembler {
         }
     }
 
-    /// Declared total size of the frame starting at `at`, or `None` when
-    /// more input is needed to learn or to hold it.
-    fn frame_total_at(&mut self, at: usize) -> BxsaResult<Option<usize>> {
-        // Size field: a padded VLS right after the prefix. A truncated
-        // field reads as UnexpectedEof — "need more" unless the stream
-        // already ended.
-        let total = match read_vls_padded(&self.buf[at + 1..], at + 1) {
-            Ok((len, _)) => {
-                let len: usize = len.try_into().map_err(|_| BxsaError::Structure {
-                    what: "frame size exceeds addressable memory".into(),
-                })?;
-                len
+    /// Kind and declared total size of the frame starting at `at`, or
+    /// `None` when more input is needed to learn or to hold it.
+    fn extent_at(&mut self, at: usize) -> BxsaResult<Option<(FrameType, usize)>> {
+        // A size field cut short reads as UnexpectedEof — "need more"
+        // unless the stream already ended.
+        let frame = match frame::frame_at(&self.buf, at) {
+            Ok(frame) => frame,
+            Err(BxsaError::Xbs(XbsError::UnexpectedEof { .. })) if !self.finished => {
+                return Ok(None)
             }
-            Err(XbsError::UnexpectedEof { .. }) if !self.finished => return Ok(None),
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(e),
         };
+        let total = frame.end - at;
         if total > self.window {
             return Err(BxsaError::Structure {
                 what: format!(
                     "frame declares {total} bytes, over the {}-byte streaming window",
                     self.window
                 ),
-            });
-        }
-        if total < 2 {
-            return Err(BxsaError::Structure {
-                what: format!("frame declares impossible size {total}"),
             });
         }
         let avail = self.buf.len() - at;
@@ -181,7 +172,7 @@ impl FrameAssembler {
             self.buf.reserve(total - avail);
             return Ok(None);
         }
-        Ok(Some(total))
+        Ok(Some((frame.kind, total)))
     }
 
     /// Surface the next complete frame, or `None` if more input is
@@ -204,33 +195,24 @@ impl FrameAssembler {
             // and verifying it needs the covered bytes — don't compact.
             return Ok(None);
         }
-        if self.consumed > 0 && self.buf.len() > self.consumed {
-            if let (_, FrameType::Checksum) = parse_prefix(self.buf[self.consumed], self.consumed)?
-            {
-                let Some(total) = self.frame_total_at(self.consumed)? else {
-                    return Ok(None);
-                };
-                let end = crate::frame::verify_checksum_frame(
-                    &self.buf[..self.consumed + total],
-                    0,
-                    self.consumed,
-                )?;
-                self.consumed = end;
-            }
+        if self.consumed > 0 && frame::is_checksum_at(&self.buf, self.consumed) {
+            let Some((_, total)) = self.extent_at(self.consumed)? else {
+                return Ok(None);
+            };
+            let covered = &self.buf[..self.consumed + total];
+            self.consumed = frame::verify_checksum_frame(covered, self.consumed)?;
         }
         self.compact();
         if self.buf.is_empty() {
             return Ok(None);
         }
-        // Prefix byte: validate eagerly so garbage fails fast. A checksum
-        // frame at offset 0 has no preceding frame to cover — reject.
-        let (_, ft) = parse_prefix(self.buf[0], 0)?;
-        if ft == FrameType::Checksum {
+        // A checksum frame at offset 0 has no preceding frame to cover.
+        if frame::is_checksum_at(&self.buf, 0) {
             return Err(BxsaError::Structure {
                 what: "checksum frame with no preceding frame to cover".into(),
             });
         }
-        let Some(total) = self.frame_total_at(0)? else {
+        let Some((_, total)) = self.extent_at(0)? else {
             return Ok(None);
         };
         self.consumed = total;
@@ -241,7 +223,7 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::{decode_element, decode_element_into, DecodeOptions};
+    use crate::decoder::{decode_element, decode_element_into};
     use crate::pull::{PullEvent, PullReader};
     use bxdm::{ArrayValue, AtomicValue, Node};
 
@@ -279,7 +261,7 @@ mod tests {
                 asm.feed(&wire[fed..end]);
                 fed = end;
                 while let Some(frame) = asm.next_frame().unwrap() {
-                    got.push(decode_element(frame, &DecodeOptions::default()).unwrap());
+                    got.push(decode_element(frame).unwrap());
                 }
             }
             asm.finish();
@@ -306,7 +288,7 @@ mod tests {
         // for the pull reader by scanning the element directly.
         let info = crate::scan::peek_frame(frame, 0).unwrap();
         assert!(info.frame_type.is_element());
-        let element = decode_element(frame, &DecodeOptions::default()).unwrap();
+        let element = decode_element(frame).unwrap();
         assert_eq!(element, part(1, 8));
     }
 

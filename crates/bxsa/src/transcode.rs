@@ -11,13 +11,13 @@
 use bxdm::Document;
 use xmltext::{XmlReadOptions, XmlWriteOptions};
 
-use crate::decoder::{decode_with, DecodeOptions};
+use crate::decoder::decode;
 use crate::encoder::{encode_with, EncodeOptions};
 use crate::error::{BxsaError, BxsaResult};
 
 /// Convert a BXSA document to textual XML (typed, schema-less).
 pub fn bxsa_to_xml(bytes: &[u8]) -> BxsaResult<String> {
-    let doc = decode_with(bytes, &DecodeOptions::default())?;
+    let doc = decode(bytes)?;
     let Ok(xml) = xmltext::to_string_with(&doc, &XmlWriteOptions::default());
     Ok(xml)
 }

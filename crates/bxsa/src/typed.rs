@@ -7,15 +7,21 @@
 //! for byte** — as a pair of cursors:
 //!
 //! * [`FrameWriter`] writes element frames directly from typed fields
-//!   (scalars, `&str`, packed numeric slices), reserving frame size
-//!   fields from the same [`crate::estimate`] arithmetic the tree
-//!   encoder uses, so a typed encode of a message and a tree encode of
-//!   its bXDM equivalent produce identical bytes.
+//!   (scalars, `&str`, packed numeric slices) through the same frame
+//!   writer as the tree encoder, reserving frame size fields from the
+//!   same [`crate::estimate`] arithmetic, so a typed encode of a message
+//!   and a tree encode of its bXDM equivalent produce identical bytes.
 //! * [`FieldReader`] pulls element headers and typed values straight off
-//!   the frame stream with no per-element allocation at all: namespace
-//!   tables are skipped (typed readers match local names, like the
-//!   lenient tree consumers), strings are borrowed, and arrays refill
-//!   caller-owned buffers via [`xbs::XbsReader::read_packed_into`].
+//!   the frame stream with no per-element allocation at all: strings are
+//!   borrowed, arrays refill caller-owned buffers, and
+//!   [`FieldReader::finish`] checks the document end and the checksum
+//!   trailer.
+//!
+//! Both are thin layers over the crate's one frame core, so every field
+//! they write or read gets the same checks as on the tree path. The
+//! reader's one leniency: namespace references are checked but not
+//! resolved, because resolving them needs a scope stack and so
+//! allocates; typed readers match local names.
 //!
 //! Typed elements carry no attributes — the model's typing attributes
 //! (`xsi:type`, `bx:arrayType`) exist only in the *textual* encoding;
@@ -52,11 +58,13 @@
 //! r.close(&set).unwrap();
 //! ```
 
-use xbs::{ByteOrder, Primitive, TypeCode, XbsReader, XbsWriter};
+use bxdm::namespace::NsRef;
+use xbs::{ByteOrder, Primitive, TypeCode, XbsWriter};
 
 use crate::error::{BxsaError, BxsaResult};
-use crate::estimate::{self, size_field_len};
-use crate::frame::{parse_prefix, prefix_byte, FrameType};
+use crate::estimate::{self, framed};
+use crate::frame::{Cursor, Frame, FrameType, Open, Out, CHECKSUM_FRAME_LEN};
+use crate::pull::LeafValue;
 
 /// A namespace declaration as typed schemas carry them: `(prefix, uri)`,
 /// `None` prefix for the default namespace. `'static` because typed
@@ -92,10 +100,10 @@ impl TypedName {
 /// mid-message, turning "the estimate is an upper bound" into a checked
 /// invariant.
 pub struct FrameWriter {
-    w: XbsWriter,
+    out: Out,
     order: ByteOrder,
-    /// Open frames: (start offset, reserved size-field length).
-    frames: Vec<(usize, usize)>,
+    /// Open frames, innermost last.
+    frames: Vec<Open>,
     /// In-scope namespace declarations, flat; one scope per open element.
     decls: Vec<TypedDecl>,
     scope_starts: Vec<usize>,
@@ -109,7 +117,7 @@ impl FrameWriter {
     /// A writer encoding in the given byte order.
     pub fn new(order: ByteOrder) -> FrameWriter {
         FrameWriter {
-            w: XbsWriter::new(order),
+            out: Out(XbsWriter::new(order)),
             order,
             frames: Vec::new(),
             decls: Vec::new(),
@@ -149,25 +157,22 @@ impl FrameWriter {
         // preallocation the estimate exists for. The checksum frame (if
         // enabled) lands after the document frame, inside the same
         // reservation, so the no-realloc guard still holds.
-        let trailer = if self.checksum {
-            crate::frame::CHECKSUM_FRAME_LEN
-        } else {
-            0
-        };
-        taken.reserve(1 + size_field_len(body_bound) + body_bound + trailer);
+        let trailer = if self.checksum { CHECKSUM_FRAME_LEN } else { 0 };
+        taken.reserve(framed(body_bound) + trailer);
         self.guard = (taken.capacity(), taken.as_ptr() as usize);
-        self.w = XbsWriter::from_buf(taken, self.order);
+        self.out = Out(XbsWriter::from_buf(taken, self.order));
         self.frames.clear();
         self.decls.clear();
         self.scope_starts.clear();
-        self.open_frame(FrameType::Document, body_bound);
-        self.w.put_vls(child_count as u64);
+        self.frames
+            .push(self.out.open(FrameType::Document, body_bound));
+        self.out.0.put_vls(child_count as u64);
     }
 
     /// The document-frame body bound for a single root element with the
     /// given body bound.
     pub fn document_bound(root_body_bound: usize) -> usize {
-        xbs::vls::vls_len(1) + estimate::framed(root_body_bound)
+        xbs::vls::vls_len(1) + framed(root_body_bound)
     }
 
     /// Close the document frame and hand the buffer back.
@@ -177,16 +182,20 @@ impl FrameWriter {
     /// [`begin_document`](FrameWriter::begin_document) — i.e. that every
     /// bound supplied really was an upper bound.
     pub fn finish_document(&mut self, buf: &mut Vec<u8>) -> BxsaResult<()> {
-        if self.frames.len() != 1 {
+        let [doc] = self.frames[..] else {
             return Err(BxsaError::Structure {
-                what: format!("{} element frame(s) still open at finish", self.frames.len() - 1),
+                what: format!(
+                    "{} element frame(s) still open at finish",
+                    self.frames.len() - 1
+                ),
             });
-        }
-        self.close_frame();
+        };
+        self.frames.clear();
+        self.out.close(doc);
         if self.checksum {
-            crate::encoder::append_checksum_frame(&mut self.w, self.order);
+            self.out.checksum();
         }
-        *buf = self.w.take_buf();
+        *buf = self.out.0.take_buf();
         debug_assert_eq!(
             (buf.capacity(), buf.as_ptr() as usize),
             self.guard,
@@ -204,7 +213,7 @@ impl FrameWriter {
         self.frames.clear();
         self.decls.clear();
         self.scope_starts.clear();
-        *buf = self.w.take_buf();
+        *buf = self.out.0.take_buf();
         buf.clear();
     }
 
@@ -221,9 +230,10 @@ impl FrameWriter {
         child_count: usize,
         body_bound: usize,
     ) -> BxsaResult<()> {
-        self.open_frame(FrameType::Component, body_bound);
-        self.write_header(name, decls)?;
-        self.w.put_vls(child_count as u64);
+        self.frames
+            .push(self.out.open(FrameType::Component, body_bound));
+        self.header(name, decls)?;
+        self.out.0.put_vls(child_count as u64);
         Ok(())
     }
 
@@ -234,7 +244,8 @@ impl FrameWriter {
                 what: "end_component with no open component".into(),
             });
         }
-        self.close_frame();
+        let frame = self.frames.pop().expect("checked above");
+        self.out.close(frame);
         self.pop_scope();
         Ok(())
     }
@@ -246,15 +257,8 @@ impl FrameWriter {
         decls: &[TypedDecl],
         value: T,
     ) -> BxsaResult<()> {
-        let bound = estimate::plain_leaf_body_bound(name.local, decls, T::TYPE_CODE, 0)
-            + self.decl_bound(decls);
-        self.open_frame(FrameType::Leaf, bound);
-        self.write_header(name, decls)?;
-        self.w.put_raw_u8(T::TYPE_CODE as u8);
-        self.w.put(value);
-        self.close_frame();
-        self.pop_scope();
-        Ok(())
+        let bound = estimate::plain_leaf_body_bound(name.local, decls, T::TYPE_CODE, 0);
+        self.element(FrameType::Leaf, name, decls, bound, |out| out.scalar(value))
     }
 
     /// Write a complete string leaf element frame.
@@ -264,15 +268,10 @@ impl FrameWriter {
         decls: &[TypedDecl],
         value: &str,
     ) -> BxsaResult<()> {
-        let bound = estimate::plain_leaf_body_bound(name.local, decls, TypeCode::Str, value.len())
-            + self.decl_bound(decls);
-        self.open_frame(FrameType::Leaf, bound);
-        self.write_header(name, decls)?;
-        self.w.put_raw_u8(TypeCode::Str as u8);
-        self.w.put_str(value);
-        self.close_frame();
-        self.pop_scope();
-        Ok(())
+        let bound = estimate::plain_leaf_body_bound(name.local, decls, TypeCode::Str, value.len());
+        self.element(FrameType::Leaf, name, decls, bound, |out| {
+            out.value(LeafValue::Str(value))
+        })
     }
 
     /// Write a complete boolean leaf element frame.
@@ -282,15 +281,10 @@ impl FrameWriter {
         decls: &[TypedDecl],
         value: bool,
     ) -> BxsaResult<()> {
-        let bound = estimate::plain_leaf_body_bound(name.local, decls, TypeCode::Bool, 0)
-            + self.decl_bound(decls);
-        self.open_frame(FrameType::Leaf, bound);
-        self.write_header(name, decls)?;
-        self.w.put_raw_u8(TypeCode::Bool as u8);
-        self.w.put_raw_u8(value as u8);
-        self.close_frame();
-        self.pop_scope();
-        Ok(())
+        let bound = estimate::plain_leaf_body_bound(name.local, decls, TypeCode::Bool, 0);
+        self.element(FrameType::Leaf, name, decls, bound, |out| {
+            out.value(LeafValue::Bool(value))
+        })
     }
 
     /// Write a complete packed-array element frame.
@@ -300,102 +294,78 @@ impl FrameWriter {
         decls: &[TypedDecl],
         values: &[T],
     ) -> BxsaResult<()> {
-        let bound =
-            estimate::plain_array_body_bound(name.local, decls, T::TYPE_CODE, values.len())
-                + self.decl_bound(decls);
-        self.open_frame(FrameType::Array, bound);
-        self.write_header(name, decls)?;
-        self.w.put_raw_u8(T::TYPE_CODE as u8);
-        self.w.put_vls(values.len() as u64);
-        self.w.put_packed(values);
-        self.close_frame();
+        let bound = estimate::plain_array_body_bound(name.local, decls, T::TYPE_CODE, values.len());
+        self.element(FrameType::Array, name, decls, bound, |out| {
+            out.array(values)
+        })
+    }
+
+    /// A whole leaf or array element frame: header, then `content`.
+    fn element(
+        &mut self,
+        kind: FrameType,
+        name: TypedName,
+        decls: &[TypedDecl],
+        bound: usize,
+        content: impl FnOnce(&mut Out),
+    ) -> BxsaResult<()> {
+        let frame = self.out.open(kind, bound);
+        self.header(name, decls)?;
+        content(&mut self.out);
+        self.out.close(frame);
         self.pop_scope();
         Ok(())
-    }
-
-    // `plain_*_body_bound` charges str_field per decl with borrowed
-    // lifetimes; this recomputes nothing — the decls slice passed to
-    // every write method *is* the bound's decls — so the extra term is 0.
-    // Kept as a function so the call sites read as "body bound for this
-    // element"; inlined away.
-    #[inline(always)]
-    fn decl_bound(&self, _decls: &[TypedDecl]) -> usize {
-        0
-    }
-
-    fn open_frame(&mut self, frame_type: FrameType, bound: usize) {
-        let start = self.w.offset();
-        self.w.put_raw_u8(prefix_byte(self.order, frame_type));
-        let field_len = size_field_len(bound);
-        self.w.reserve(field_len);
-        self.frames.push((start, field_len));
-    }
-
-    fn close_frame(&mut self) {
-        let (start, field_len) = self.frames.pop().expect("caller checked an open frame");
-        let total = (self.w.offset() - start) as u64;
-        self.w.patch_vls_padded(start + 1, total, field_len);
     }
 
     /// Namespace table, name reference, local name, empty attribute
     /// table — the header every typed element frame shares. Pushes the
     /// element's scope (popped by `end_component`/the leaf writers).
-    fn write_header(&mut self, name: TypedName, decls: &[TypedDecl]) -> BxsaResult<()> {
-        self.w.put_vls(decls.len() as u64);
-        for (prefix, uri) in decls {
-            self.w.put_str(prefix.unwrap_or(""));
-            self.w.put_str(uri);
+    fn header(&mut self, name: TypedName, decls: &[TypedDecl]) -> BxsaResult<()> {
+        self.out.0.put_vls(decls.len() as u64);
+        for &(prefix, uri) in decls {
+            self.out.decl(prefix, uri)?;
         }
         self.scope_starts.push(self.decls.len());
         self.decls.extend_from_slice(decls);
-        self.write_ns_ref(name.prefix)?;
-        self.w.put_str(name.local);
-        self.w.put_vls(0); // typed elements carry no attributes
+        self.out
+            .name(name.prefix, self.find_ref(name.prefix), name.local)?;
+        self.out.0.put_vls(0); // typed elements carry no attributes
         Ok(())
     }
 
     fn pop_scope(&mut self) {
-        let start = self.scope_starts.pop().expect("scope pushed by write_header");
+        let start = self.scope_starts.pop().expect("scope pushed by header");
         self.decls.truncate(start);
     }
 
-    /// The tokenized namespace reference of `bxdm::ScopeChain::find_ref`:
-    /// innermost scope first, later declarations within a scope win.
-    fn write_ns_ref(&mut self, prefix: Option<&str>) -> BxsaResult<()> {
-        for (depth_back, scope_idx) in (0..self.scope_starts.len()).rev().enumerate() {
-            let start = self.scope_starts[scope_idx];
-            let end = self
-                .scope_starts
-                .get(scope_idx + 1)
-                .copied()
-                .unwrap_or(self.decls.len());
-            for idx in (0..end - start).rev() {
-                if self.decls[start + idx].0 == prefix {
-                    self.w.put_vls(depth_back as u64 + 1);
-                    self.w.put_vls(idx as u64);
-                    return Ok(());
-                }
+    /// The namespace reference of `bxdm::ScopeChain::find_ref`: innermost
+    /// scope first, later declarations within a scope win.
+    fn find_ref(&self, prefix: Option<&str>) -> Option<NsRef> {
+        let mut end = self.decls.len();
+        for (depth, &start) in self.scope_starts.iter().rev().enumerate() {
+            if let Some(index) = self.decls[start..end].iter().rposition(|d| d.0 == prefix) {
+                return Some(NsRef {
+                    scope_depth: depth as u32,
+                    index: index as u32,
+                });
             }
+            end = start;
         }
-        if let Some(p) = prefix {
-            return Err(BxsaError::UndeclaredPrefix { prefix: p.to_owned() });
-        }
-        self.w.put_vls(0);
-        Ok(())
+        None
     }
 }
 
 /// One parsed element frame header: what [`FieldReader::open`] saw.
 ///
-/// Carries the frame's end offset so [`FieldReader::close`] can verify
-/// the declared size and [`FieldReader::skip`] can jump past unknown
-/// content in O(1) — the paper's accelerated sequential access, applied
+/// Carries the frame's extent so [`FieldReader::close`] can verify the
+/// declared size and [`FieldReader::skip`] can jump past unknown content
+/// in O(1) — the paper's accelerated sequential access, applied
 /// field-wise.
 #[derive(Debug, Clone, Copy)]
 pub struct ElementHead<'a> {
-    /// Local name (namespace prefixes are skipped — typed readers match
-    /// local names, like the envelope layer's lenient tree consumers).
-    /// Empty for non-element frames (text, comment, PI).
+    /// Local name (namespace references are not resolved — typed readers
+    /// match local names, like the envelope layer's lenient tree
+    /// consumers). Empty for non-element frames (text, comment, PI).
     pub local: &'a str,
     /// The frame type: `Component`, `Leaf`, `Array`, or a text-like.
     pub kind: FrameType,
@@ -405,20 +375,20 @@ pub struct ElementHead<'a> {
     pub attr_count: usize,
     /// Declared child-element count (component frames only).
     pub child_count: usize,
-    /// Offset one past the frame's last byte.
-    end: usize,
+    frame: Frame,
 }
 
 /// An allocation-free pull cursor over a BXSA document's frames.
 ///
 /// Unlike [`crate::pull::PullReader`] — which materializes namespace
 /// contexts, attribute vectors, and an event stack per message — this
-/// reader holds only the underlying [`XbsReader`]: open/close state
-/// lives in the caller's control flow as [`ElementHead`] values, so a
-/// schema-known decode performs no heap allocation at all beyond the
-/// arrays it refills in place.
+/// reader holds only the frame core's cursor: open/close state lives in
+/// the caller's control flow as [`ElementHead`] values, so a schema-known
+/// decode performs no heap allocation at all beyond the arrays it
+/// refills in place.
 pub struct FieldReader<'a> {
-    r: XbsReader<'a>,
+    c: Cursor<'a>,
+    doc: Frame,
     top_count: usize,
 }
 
@@ -426,24 +396,9 @@ impl<'a> FieldReader<'a> {
     /// Open a document: validates the document frame prefix and size
     /// field, and positions the cursor at the first child frame.
     pub fn new(bytes: &'a [u8]) -> BxsaResult<FieldReader<'a>> {
-        let mut r = XbsReader::new(bytes, ByteOrder::Little);
-        let (order, ft) = parse_prefix(r.read_raw_u8()?, 0)?;
-        if ft != FrameType::Document {
-            return Err(BxsaError::Structure {
-                what: format!("expected a document frame, found {ft:?}"),
-            });
-        }
-        r.set_order(order);
-        let size = r.read_vls_padded()?;
-        if size > bytes.len() as u64 {
-            return Err(BxsaError::FrameSizeMismatch {
-                offset: 0,
-                declared: size,
-                consumed: bytes.len() as u64,
-            });
-        }
-        let top_count = r.read_count(1)?;
-        Ok(FieldReader { r, top_count })
+        let mut c = Cursor::new(bytes);
+        let (doc, top_count) = c.document()?;
+        Ok(FieldReader { c, doc, top_count })
     }
 
     /// Declared number of top-level frames (a SOAP message has one).
@@ -453,7 +408,7 @@ impl<'a> FieldReader<'a> {
 
     /// Current byte offset (diagnostics).
     pub fn position(&self) -> usize {
-        self.r.position()
+        self.c.r.position()
     }
 
     /// Parse the next frame's header.
@@ -470,107 +425,70 @@ impl<'a> FieldReader<'a> {
     /// the value readers, [`close`](FieldReader::close) (components,
     /// after their children), or [`skip`](FieldReader::skip).
     pub fn open(&mut self) -> BxsaResult<ElementHead<'a>> {
-        let start = self.r.position();
-        let (order, kind) = parse_prefix(self.r.read_raw_u8()?, start)?;
-        self.r.set_order(order);
-        let size = self.r.read_vls_padded()?;
-        let end = start.checked_add(size as usize).filter(|&e| {
-            e <= self.r.buffer().len() && e >= self.r.position()
-        });
-        let Some(end) = end else {
-            return Err(BxsaError::FrameSizeMismatch {
-                offset: start,
-                declared: size,
-                consumed: (self.r.position() - start) as u64,
-            });
+        let frame = self.c.open()?;
+        let mut head = ElementHead {
+            local: "",
+            kind: frame.kind,
+            attr_count: 0,
+            child_count: 0,
+            frame,
         };
-        match kind {
-            FrameType::Component | FrameType::Leaf | FrameType::Array => {
-                // Namespace table: skipped, not resolved — typed readers
-                // match local names only.
-                let n1 = self.r.read_count(2)?;
-                for _ in 0..n1 {
-                    self.r.read_str()?;
-                    self.r.read_str()?;
-                }
-                // Name reference: VLS 0 = no namespace, else depth+index.
-                if self.r.read_vls()? != 0 {
-                    self.r.read_vls()?;
-                }
-                let local = self.r.read_str()?;
-                let attr_count = self.r.read_count(2)?;
-                for _ in 0..attr_count {
-                    if self.r.read_vls()? != 0 {
-                        self.r.read_vls()?;
-                    }
-                    self.r.read_str()?;
-                    self.skip_atomic(start)?;
-                }
-                let child_count = if kind == FrameType::Component {
-                    self.r.read_count(1)?
-                } else {
-                    0
-                };
-                Ok(ElementHead {
-                    local,
-                    kind,
-                    attr_count,
-                    child_count,
-                    end,
-                })
+        if frame.kind.is_element() {
+            (head.local, head.attr_count) = self.c.plain_header()?;
+            if frame.kind == FrameType::Component {
+                head.child_count = self.c.children()?;
             }
-            // Text-like frames: leave the body unread; callers skip.
-            _ => Ok(ElementHead {
-                local: "",
-                kind,
-                attr_count: 0,
-                child_count: 0,
-                end,
-            }),
         }
+        Ok(head)
     }
 
     /// Verify a fully consumed frame ended exactly at its declared size.
     pub fn close(&mut self, head: &ElementHead<'a>) -> BxsaResult<()> {
-        if self.r.position() != head.end {
-            return Err(BxsaError::FrameSizeMismatch {
-                offset: head.end,
-                declared: head.end as u64,
-                consumed: self.r.position() as u64,
-            });
-        }
-        Ok(())
+        self.c.close(&head.frame)
     }
 
     /// Jump past an opened frame without parsing its content.
     pub fn skip(&mut self, head: &ElementHead<'a>) -> BxsaResult<()> {
-        Ok(self.r.seek(head.end)?)
+        self.c.skip(&head.frame)
+    }
+
+    /// After the last top-level frame: the document frame must end here,
+    /// and the input must then end or carry one checksum frame, which is
+    /// verified — the same end-of-input check as the tree decoder's.
+    pub fn finish(&mut self) -> BxsaResult<()> {
+        self.c.finish(Some(&self.doc))
     }
 
     /// Read an opened leaf's fixed-width value (and close the frame).
     pub fn read_value<T: Primitive>(&mut self, head: &ElementHead<'a>) -> BxsaResult<T> {
-        self.expect_leaf_code(head, T::TYPE_CODE)?;
-        self.r.align(T::WIDTH)?;
-        let v = self.r.read::<T>()?;
+        expect_kind(head, FrameType::Leaf)?;
+        let value = self.c.scalar::<T>()?;
         self.close(head)?;
-        Ok(v)
+        Ok(value)
     }
 
     /// Read an opened leaf's string value, borrowed from the input (and
     /// close the frame).
     pub fn read_str(&mut self, head: &ElementHead<'a>) -> BxsaResult<&'a str> {
-        self.expect_leaf_code(head, TypeCode::Str)?;
-        let s = self.r.read_str()?;
-        self.close(head)?;
-        Ok(s)
+        match self.read_leaf(head)? {
+            LeafValue::Str(s) => Ok(s),
+            other => Err(mistyped(head, other)),
+        }
     }
 
     /// Read an opened leaf's boolean value (and close the frame).
     pub fn read_bool(&mut self, head: &ElementHead<'a>) -> BxsaResult<bool> {
-        self.expect_leaf_code(head, TypeCode::Bool)?;
-        let b = self.r.read_raw_u8()? != 0;
+        match self.read_leaf(head)? {
+            LeafValue::Bool(b) => Ok(b),
+            other => Err(mistyped(head, other)),
+        }
+    }
+
+    fn read_leaf(&mut self, head: &ElementHead<'a>) -> BxsaResult<LeafValue<'a>> {
+        expect_kind(head, FrameType::Leaf)?;
+        let value = self.c.value()?;
         self.close(head)?;
-        Ok(b)
+        Ok(value)
     }
 
     /// Refill `out` (cleared, capacity kept) from an opened array frame
@@ -581,63 +499,29 @@ impl<'a> FieldReader<'a> {
         head: &ElementHead<'a>,
         out: &mut Vec<T>,
     ) -> BxsaResult<()> {
-        if head.kind != FrameType::Array {
-            return Err(BxsaError::Structure {
-                what: format!("expected an array frame for {:?}, found {:?}", head.local, head.kind),
-            });
-        }
-        let at = self.r.position();
-        let code = self.code_byte(at)?;
-        if code != T::TYPE_CODE {
-            return Err(BxsaError::BadValueType {
-                offset: at,
-                what: format!("expected {:?} array, found {code:?}", T::TYPE_CODE),
-            });
-        }
-        let len = self.r.read_count(T::WIDTH)?;
-        self.r.read_packed_into(len, out)?;
+        expect_kind(head, FrameType::Array)?;
+        let len = self.c.array_of::<T>()?;
+        self.c.r.read_packed_into(len, out)?;
         self.close(head)
     }
+}
 
-    fn expect_leaf_code(&mut self, head: &ElementHead<'a>, want: TypeCode) -> BxsaResult<()> {
-        if head.kind != FrameType::Leaf {
-            return Err(BxsaError::Structure {
-                what: format!("expected a leaf frame for {:?}, found {:?}", head.local, head.kind),
-            });
-        }
-        let at = self.r.position();
-        let code = self.code_byte(at)?;
-        if code != want {
-            return Err(BxsaError::BadValueType {
-                offset: at,
-                what: format!("expected {want:?}, found {code:?}"),
-            });
-        }
-        Ok(())
+fn expect_kind(head: &ElementHead<'_>, kind: FrameType) -> BxsaResult<()> {
+    if head.kind != kind {
+        return Err(BxsaError::Structure {
+            what: format!(
+                "expected a {kind:?} frame for {:?}, found {:?}",
+                head.local, head.kind
+            ),
+        });
     }
+    Ok(())
+}
 
-    fn code_byte(&mut self, at: usize) -> BxsaResult<TypeCode> {
-        let byte = self.r.read_raw_u8()?;
-        Ok(TypeCode::from_byte(byte, at)?)
-    }
-
-    /// Skip one atomic value (attribute position): type-code byte plus
-    /// the value it announces.
-    fn skip_atomic(&mut self, frame_start: usize) -> BxsaResult<()> {
-        let code = self.code_byte(frame_start)?;
-        match code.width() {
-            Some(w) => {
-                self.r.align(w)?;
-                self.r.read_bytes(w)?;
-            }
-            None if code == TypeCode::Str => {
-                self.r.read_str()?;
-            }
-            None => {
-                self.r.read_raw_u8()?;
-            }
-        }
-        Ok(())
+fn mistyped(head: &ElementHead<'_>, found: LeafValue<'_>) -> BxsaError {
+    BxsaError::BadValueType {
+        offset: head.frame.body,
+        what: format!("leaf {:?} holds {found:?}", head.local),
     }
 }
 

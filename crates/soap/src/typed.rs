@@ -259,6 +259,57 @@ fn read_deadline_bxsa<'a>(
     })
 }
 
+/// Walk a BXSA envelope whose single body entry is an `M`: `Header`
+/// entries go to `header` (which returns `false` to fall back), the body
+/// entry fills `out`, and then `Body`, `Envelope` and the document must
+/// close cleanly, checksum trailer included. `Ok(false)` means the
+/// message has a shape the typed path doesn't own (a second body, a late
+/// header, anything else) — decode it on the generic tree path.
+fn decode_bxsa_envelope<'a, M: FromBxsa>(
+    bytes: &'a [u8],
+    out: &mut M,
+    mut header: impl FnMut(&mut FieldReader<'a>, &ElementHead<'a>) -> SoapResult<bool>,
+) -> SoapResult<bool> {
+    let mut r = FieldReader::new(bytes)?;
+    if r.top_count() != 1 {
+        return Ok(false);
+    }
+    let env = r.open()?;
+    if env.kind != FrameType::Component || env.local != "Envelope" || env.attr_count != 0 {
+        return Ok(false);
+    }
+    let mut matched = false;
+    for _ in 0..env.child_count {
+        let child = r.open()?;
+        match (child.kind, child.local) {
+            (FrameType::Component, "Header") if !matched => {
+                if !header(&mut r, &child)? {
+                    return Ok(false);
+                }
+            }
+            (FrameType::Component, "Body") if !matched && child.child_count == 1 => {
+                let first = r.open()?;
+                if !first.kind.is_element()
+                    || first.local != M::expected_local()
+                    || first.attr_count != 0
+                {
+                    return Ok(false);
+                }
+                out.decode_bxsa(&mut r, &first)?;
+                r.close(&child)?;
+                matched = true;
+            }
+            _ => return Ok(false),
+        }
+    }
+    if !matched {
+        return Ok(false);
+    }
+    r.close(&env)?;
+    r.finish()?;
+    Ok(true)
+}
+
 impl TypedEncoding for BxsaEncoding {
     fn encode_typed<M: ToBxsa>(
         &self,
@@ -268,6 +319,7 @@ impl TypedEncoding for BxsaEncoding {
         out: &mut Vec<u8>,
     ) -> SoapResult<()> {
         scratch.frame.set_order(self.options.byte_order);
+        scratch.frame.set_checksum(self.options.checksum);
         let w = &mut scratch.frame;
         let body_body = plain_component_body_bound("Body", &[], 1, framed(msg.bxsa_body_bound()));
         let (child_count, header_frames) = match deadline {
@@ -295,33 +347,15 @@ impl TypedEncoding for BxsaEncoding {
         bytes: &[u8],
         out: &mut M,
     ) -> SoapResult<TypedDecode> {
-        let mut r = FieldReader::new(bytes)?;
-        let env = r.open()?;
-        if env.kind != FrameType::Component || env.local != "Envelope" || env.attr_count != 0 {
-            return Ok(TypedDecode::Fallback);
-        }
-        for _ in 0..env.child_count {
-            let child = r.open()?;
-            match (child.kind, child.local) {
-                (FrameType::Component, "Header") => r.skip(&child)?,
-                (FrameType::Component, "Body") => {
-                    if child.child_count != 1 {
-                        return Ok(TypedDecode::Fallback);
-                    }
-                    let first = r.open()?;
-                    if first.kind.is_element()
-                        && first.local == M::expected_local()
-                        && first.attr_count == 0
-                    {
-                        out.decode_bxsa(&mut r, &first)?;
-                        return Ok(TypedDecode::Matched);
-                    }
-                    return Ok(TypedDecode::Fallback);
-                }
-                _ => return Ok(TypedDecode::Fallback),
-            }
-        }
-        Ok(TypedDecode::Fallback)
+        let matched = decode_bxsa_envelope(bytes, out, |r, header| {
+            r.skip(header)?;
+            Ok(true)
+        })?;
+        Ok(if matched {
+            TypedDecode::Matched
+        } else {
+            TypedDecode::Fallback
+        })
     }
 
     fn decode_typed_request<M: FromBxsa>(
@@ -329,53 +363,31 @@ impl TypedEncoding for BxsaEncoding {
         bytes: &[u8],
         out: &mut M,
     ) -> SoapResult<TypedRequest> {
-        let mut r = FieldReader::new(bytes)?;
-        let env = r.open()?;
-        if env.kind != FrameType::Component || env.local != "Envelope" || env.attr_count != 0 {
-            return Ok(TypedRequest::Fallback);
-        }
         let mut deadline = None;
-        for _ in 0..env.child_count {
-            let child = r.open()?;
-            match (child.kind, child.local) {
-                (FrameType::Component, "Header") => {
-                    for _ in 0..child.child_count {
-                        let h = r.open()?;
-                        if h.kind == FrameType::Component
-                            && h.local == DEADLINE_HEADER_LOCAL
-                            && h.attr_count == 0
-                        {
-                            match read_deadline_bxsa(&mut r, &h)? {
-                                Some(d) => deadline = Some(d),
-                                None => return Ok(TypedRequest::Fallback),
-                            }
-                        } else {
-                            // Foreign header — it may demand
-                            // mustUnderstand processing the typed path
-                            // doesn't do.
-                            return Ok(TypedRequest::Fallback);
-                        }
-                    }
-                    r.close(&child)?;
+        let matched = decode_bxsa_envelope(bytes, out, |r, header| {
+            for _ in 0..header.child_count {
+                let h = r.open()?;
+                // A foreign header may demand mustUnderstand processing
+                // the typed path doesn't do.
+                if h.kind != FrameType::Component
+                    || h.local != DEADLINE_HEADER_LOCAL
+                    || h.attr_count != 0
+                {
+                    return Ok(false);
                 }
-                (FrameType::Component, "Body") => {
-                    if child.child_count != 1 {
-                        return Ok(TypedRequest::Fallback);
-                    }
-                    let first = r.open()?;
-                    if first.kind.is_element()
-                        && first.local == M::expected_local()
-                        && first.attr_count == 0
-                    {
-                        out.decode_bxsa(&mut r, &first)?;
-                        return Ok(TypedRequest::Matched { deadline });
-                    }
-                    return Ok(TypedRequest::Fallback);
+                match read_deadline_bxsa(r, &h)? {
+                    Some(d) => deadline = Some(d),
+                    None => return Ok(false),
                 }
-                _ => return Ok(TypedRequest::Fallback),
             }
-        }
-        Ok(TypedRequest::Fallback)
+            r.close(header)?;
+            Ok(true)
+        })?;
+        Ok(if matched {
+            TypedRequest::Matched { deadline }
+        } else {
+            TypedRequest::Fallback
+        })
     }
 
     fn peek_operation<'a>(&self, bytes: &'a [u8]) -> Option<&'a str> {

@@ -508,20 +508,41 @@ fn arb_msg() -> impl Strategy<Value = DynMsg> {
         })
 }
 
+/// The BXSA option cases both directions are checked under: each byte
+/// order, and a checksummed encode.
+fn bxsa_options() -> [EncodeOptions; 3] {
+    [
+        EncodeOptions {
+            byte_order: ByteOrder::Little,
+            checksum: false,
+        },
+        EncodeOptions {
+            byte_order: ByteOrder::Big,
+            checksum: false,
+        },
+        EncodeOptions {
+            byte_order: ByteOrder::Little,
+            checksum: true,
+        },
+    ]
+}
+
 /// Typed encode == tree encode, byte for byte, on every wire.
 fn assert_encodes_match(msg: &DynMsg) {
     let envelope = SoapEnvelope::with_body(msg.tree());
     let doc = envelope.to_document();
     let mut scratch = TypedScratch::default();
 
-    for order in [ByteOrder::Little, ByteOrder::Big] {
-        let enc = BxsaEncoding {
-            options: EncodeOptions { byte_order: order, ..Default::default() },
-        };
+    for options in bxsa_options() {
+        let enc = BxsaEncoding { options };
         let tree = EncodingPolicy::encode(&enc, &doc).unwrap();
         let mut typed = Vec::new();
         enc.encode_typed(msg, None, &mut scratch, &mut typed).unwrap();
-        assert_eq!(typed, tree, "BXSA {order:?} bytes diverge for {msg:?}");
+        assert_eq!(
+            typed, tree,
+            "BXSA {:?} bytes diverge for {msg:?}",
+            enc.options
+        );
     }
 
     let enc = XmlEncoding::default();
@@ -540,16 +561,19 @@ fn assert_encodes_match(msg: &DynMsg) {
 fn assert_decodes_match(msg: &DynMsg) {
     let doc = SoapEnvelope::with_body(msg.tree()).to_document();
 
-    for order in [ByteOrder::Little, ByteOrder::Big] {
-        let enc = BxsaEncoding {
-            options: EncodeOptions { byte_order: order, ..Default::default() },
-        };
+    for options in bxsa_options() {
+        let enc = BxsaEncoding { options };
         let wire = EncodingPolicy::encode(&enc, &doc).unwrap();
         let mut back = msg.clone();
         back.fields.iter_mut().for_each(|(_, _, v)| v.zero());
         let outcome = enc.decode_typed_reply(&wire, &mut back).unwrap();
         assert_eq!(outcome, TypedDecode::Matched);
-        assert_eq!(back.fingerprint(), msg.fingerprint(), "BXSA {order:?} decode for {msg:?}");
+        let options = &enc.options;
+        assert_eq!(
+            back.fingerprint(),
+            msg.fingerprint(),
+            "BXSA {options:?} decode for {msg:?}"
+        );
     }
 
     let enc = XmlEncoding::default();

@@ -1,13 +1,14 @@
 //! Fuzz every BXSA reader against the same untrusted bytes: the tree
 //! decoder (fresh and dirty-slot), the pull reader, the allocation-free
-//! field reader, and the streaming frame assembler.
+//! field reader, the skip scanner with its array-payload reader, and the
+//! streaming frame assembler.
 //!
 //! Oracles beyond "don't panic":
 //! * Fresh decode and dirty-slot `decode_into` must agree byte for byte.
 //! * A document that decodes must re-encode canonically and decode back
 //!   to itself (idempotence — the wrong-value detector).
-//! * If the tree decoder accepts the input, the pull reader must drive
-//!   the same input to completion without error, arrays included.
+//! * The pull reader accepts the input, driven to completion with every
+//!   array read, exactly when the tree decoder does.
 
 use libfuzzer_sys::fuzz_target;
 
@@ -42,6 +43,21 @@ fn drive_field_reader(data: &[u8]) {
     }
 }
 
+fn drive_scanner(data: &[u8]) {
+    let Ok(scanner) = bxsa::FrameScanner::document(data) else {
+        return;
+    };
+    for info in scanner.take(100_000) {
+        let Ok(info) = info else {
+            return;
+        };
+        if info.frame_type == bxsa::FrameType::Array {
+            let _ = bxsa::scan::array_payload_copy::<f64>(data, &info);
+            let _ = bxsa::scan::array_payload_copy::<i32>(data, &info);
+        }
+    }
+}
+
 fn drive_assembler(data: &[u8]) {
     let mut asm = bxsa::FrameAssembler::new(bxsa::DEFAULT_WINDOW);
     for piece in data.chunks(7) {
@@ -49,7 +65,7 @@ fn drive_assembler(data: &[u8]) {
         loop {
             match asm.next_frame() {
                 Ok(Some(frame)) => {
-                    let _ = bxsa::decode_element(frame, &bxsa::DecodeOptions::default());
+                    let _ = bxsa::decode_element(frame);
                 }
                 Ok(None) => break,
                 Err(_) => return,
@@ -99,11 +115,15 @@ fuzz_target!(|data: &[u8]| {
             assert_eq!(re2, re, "re-encode round trip changed the document");
             drive_pull(data).expect("pull reader rejected tree-decodable input");
         }
-        Err(_) => {
-            let _ = drive_pull(data);
+        Err(e) => {
+            assert!(
+                drive_pull(data).is_err(),
+                "pull reader accepted input the tree decoder rejected: {e}"
+            );
         }
     }
 
     drive_field_reader(data);
+    drive_scanner(data);
     drive_assembler(data);
 });

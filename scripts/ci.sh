@@ -123,6 +123,17 @@ for f in crates/transport/src/tcpserver.rs crates/transport/src/http/server.rs \
     fi
 done
 
+# One frame parser: the BXSA frame grammar (prefix byte, padded size
+# field) is parsed only in the frame core, crates/bxsa/src/frame.rs;
+# every other reader goes through its cursor. Test modules are exempt.
+for f in crates/bxsa/src/*.rs; do
+    [ "$(basename "$f")" = frame.rs ] && continue
+    if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nE 'parse_prefix\(|read_vls_padded\('; then
+        echo "bxsa: $f parses frame prefixes or sizes; use the frame core in frame.rs" >&2
+        exit 1
+    fi
+done
+
 # Streaming job (PR 9): the end-to-end streamed lane stays live and
 # constant-memory. The e2e tests drive a >=8x-window payload
 # client -> transcoding intermediary -> server and back; the chunked

@@ -6,11 +6,12 @@
 
 use bxdm::{ArrayValue, AtomicValue, Document, Element};
 use bxsa::{
-    decode, decode_element, encode, encode_element, encode_with, BxsaError, DecodeOptions,
-    EncodeOptions, FrameAssembler, FrameSink, PullReader, DEFAULT_WINDOW,
+    decode, decode_element, encode, encode_element, encode_with, BxsaError, EncodeOptions,
+    FrameAssembler, FrameSink, PullReader, DEFAULT_WINDOW,
 };
 use soap::encoding::BxsaEncoding;
 use soap::streaming::{PartScratch, StreamEncoding};
+use soap::{DeadlineHeader, EncodingPolicy, TypedEncoding, TypedRequest, TypedScratch};
 use xbs::ByteOrder;
 
 fn sample_doc() -> Document {
@@ -104,6 +105,45 @@ fn every_bit_flip_in_a_checksummed_document_is_rejected() {
             assert!(errored, "pull decode accepted a flip at byte {byte} bit {bit}");
         }
     }
+
+    // The typed fast path: a checksummed typed Verify request (with a
+    // deadline header, so the header walk is covered too) is the tree
+    // request's bytes, and a flip anywhere gives an error or a fallback
+    // to the tree path — never a typed match on corrupted values.
+    let enc = BxsaEncoding::default().with_checksum();
+    let (index, values) = bxsoap::lead_dataset(16, 7);
+    let request = bxsoap::VerifyRequest { index, values };
+    let deadline = DeadlineHeader::new(5_000, 3);
+    let mut envelope = bxsoap::verify_request_envelope(&request.index, &request.values);
+    deadline.stamp(&mut envelope);
+    let mut wire = Vec::new();
+    enc.encode_typed(
+        &request,
+        Some(&deadline),
+        &mut TypedScratch::default(),
+        &mut wire,
+    )
+    .unwrap();
+    assert_eq!(wire, enc.encode(&envelope.to_document()).unwrap());
+    let mut out = bxsoap::VerifyRequest::default();
+    assert_eq!(
+        enc.decode_typed_request(&wire, &mut out).unwrap(),
+        TypedRequest::Matched {
+            deadline: Some(deadline)
+        }
+    );
+    assert_eq!(out, request);
+    for byte in 0..wire.len() {
+        for bit in 0..8 {
+            let mut corrupt = wire.clone();
+            corrupt[byte] ^= 1 << bit;
+            let outcome = enc.decode_typed_request(&corrupt, &mut out);
+            assert!(
+                !matches!(outcome, Ok(TypedRequest::Matched { .. })),
+                "typed decode matched a flip at byte {byte} bit {bit}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -127,12 +167,12 @@ fn payload_corruption_reports_checksum_mismatch() {
 fn checksummed_element_frames_roundtrip_and_reject_flips() {
     let part = sample_part(3);
     let bytes = encode_element(&part, &checksum_opts(ByteOrder::Little)).unwrap();
-    assert_eq!(decode_element(&bytes, &DecodeOptions::default()).unwrap(), part);
+    assert_eq!(decode_element(&bytes).unwrap(), part);
     for byte in 0..bytes.len() {
         let mut corrupt = bytes.clone();
         corrupt[byte] ^= 0x01;
         assert!(
-            decode_element(&corrupt, &DecodeOptions::default()).is_err(),
+            decode_element(&corrupt).is_err(),
             "element decode accepted a flip at byte {byte}"
         );
     }
@@ -186,7 +226,7 @@ fn assembler_absorbs_checksums_and_rejects_corruption() {
             asm.feed(&wire[fed..end]);
             fed = end;
             while let Some(frame) = asm.next_frame().unwrap() {
-                got.push(decode_element(frame, &DecodeOptions::default()).unwrap());
+                got.push(decode_element(frame).unwrap());
             }
         }
         asm.finish();

@@ -1,7 +1,9 @@
 //! Minimized regression tests for bugs surfaced by the fuzz targets
-//! (`fuzz/fuzz_targets/`) and the hostile-length audit. Each test embeds
-//! its reproducer inline; the same bytes are checked into the seed
-//! corpora under `fuzz/corpus/` so every future fuzz run replays them.
+//! (`fuzz/fuzz_targets/`), the hostile-length audit and the cross-reader
+//! audit (inputs one BXSA reader rejected and another accepted). Each
+//! test embeds its reproducer inline; the same bytes are checked into the
+//! seed corpora under `fuzz/corpus/` so every future fuzz run replays
+//! them.
 //!
 //! The inputs here must *error cleanly* — the bugs they pin were
 //! panics, integer overflows, or silent wrong-value acceptance.
@@ -18,37 +20,132 @@ use soap::{
 };
 use transport::http::chunked::{ChunkDecoder, ChunkEvent};
 
+/// Drive the pull reader to the end of the document.
+fn pull_to_end(bytes: &[u8]) -> bxsa::BxsaResult<()> {
+    let mut r = bxsa::PullReader::new(bytes)?;
+    while r.next_event()?.is_some() {}
+    Ok(())
+}
+
 /// Drive every BXSA reader over one hostile input; none may panic, and
 /// all must reject it.
 fn all_bxsa_readers_reject(bytes: &[u8], label: &str) {
     assert!(bxsa::decode(bytes).is_err(), "tree decode accepted {label}");
+    let field_walk = || -> bxsa::BxsaResult<()> {
+        let mut fr = bxsa::FieldReader::new(bytes)?;
+        for _ in 0..fr.top_count() {
+            let head = fr.open()?;
+            fr.skip(&head)?;
+        }
+        fr.finish()
+    };
+    assert!(field_walk().is_err(), "field reader accepted {label}");
+    assert!(pull_to_end(bytes).is_err(), "pull reader accepted {label}");
+    // The skip scanner: a frame found at any offset must fit the buffer,
+    // and a scan over the whole input must surface an error.
+    for offset in 0..bytes.len() {
+        if let Ok(info) = bxsa::scan::peek_frame(bytes, offset) {
+            assert!(
+                info.start + info.len <= bytes.len(),
+                "peek at {offset} overran {label}"
+            );
+        }
+    }
     assert!(
-        bxsa::FieldReader::new(bytes).is_err() || {
-            let mut fr = bxsa::FieldReader::new(bytes).unwrap();
-            loop {
-                match fr.open() {
-                    Ok(head) => {
-                        if fr.skip(&head).is_err() {
-                            break true;
-                        }
-                    }
-                    Err(_) => break true,
-                }
-            }
-        },
+        bxsa::FrameScanner::range(bytes, 0, bytes.len()).any(|f| f.is_err()),
+        "range scan accepted {label}"
+    );
+}
+
+/// A small document every reader can walk: a root holding an `i32` leaf
+/// named `abc` and a `bool` leaf named `ok`.
+fn probe_doc(checksum: bool) -> Vec<u8> {
+    let doc = bxdm::Document::with_root(
+        Element::component("r")
+            .with_child(Element::leaf("abc", AtomicValue::I32(7)))
+            .with_child(Element::leaf("ok", AtomicValue::Bool(true))),
+    );
+    let opts = bxsa::EncodeOptions {
+        checksum,
+        ..Default::default()
+    };
+    bxsa::encode_with(&doc, &opts).unwrap()
+}
+
+/// The schema-known read of [`probe_doc`] a typed decoder makes, ending
+/// with the document-end and trailer check.
+fn field_read_probe(bytes: &[u8]) -> bxsa::BxsaResult<(i32, bool)> {
+    let mut fr = bxsa::FieldReader::new(bytes)?;
+    let root = fr.open()?;
+    let (mut n, mut ok) = (0, false);
+    for _ in 0..root.child_count {
+        let f = fr.open()?;
+        match f.local {
+            "abc" => n = fr.read_value::<i32>(&f)?,
+            "ok" => ok = fr.read_bool(&f)?,
+            _ => fr.skip(&f)?,
+        }
+    }
+    fr.close(&root)?;
+    fr.finish()?;
+    Ok((n, ok))
+}
+
+/// The tree decoder, the pull reader and a field read followed by
+/// `finish` must each reject `bytes`.
+fn every_reader_rejects(bytes: &[u8], label: &str) {
+    assert!(bxsa::decode(bytes).is_err(), "tree decode accepted {label}");
+    assert!(pull_to_end(bytes).is_err(), "pull reader accepted {label}");
+    assert!(
+        field_read_probe(bytes).is_err(),
         "field reader accepted {label}"
     );
-    let errored = match bxsa::PullReader::new(bytes) {
-        Err(_) => true,
-        Ok(mut r) => loop {
-            match r.next_event() {
-                Ok(Some(_)) => {}
-                Ok(None) => break false,
-                Err(_) => break true,
-            }
-        },
-    };
-    assert!(errored, "pull reader accepted {label}");
+}
+
+#[test]
+fn probe_document_reads_the_same_on_every_reader() {
+    for checksum in [false, true] {
+        let bytes = probe_doc(checksum);
+        assert!(bxsa::decode(&bytes).is_ok());
+        assert!(pull_to_end(&bytes).is_ok());
+        assert_eq!(field_read_probe(&bytes).unwrap(), (7, true));
+    }
+}
+
+#[test]
+fn every_reader_rejects_a_local_name_that_is_not_an_xml_name() {
+    // Cross-reader audit: only the tree decoder checked local names, so the pull
+    // reader and the field reader accepted an element named `<bc`.
+    let mut bytes = probe_doc(false);
+    let at = bytes.windows(3).position(|w| w == b"abc").unwrap();
+    bytes[at] = b'<';
+    every_reader_rejects(&bytes, "local name <bc");
+}
+
+#[test]
+fn every_reader_rejects_a_bool_byte_other_than_0_or_1() {
+    // Cross-reader audit: `FieldReader::read_bool` read any nonzero byte as `true`.
+    let mut bytes = probe_doc(false);
+    let at = bytes.windows(2).rposition(|w| w == [0x0c, 0x01]).unwrap();
+    bytes[at + 1] = 0x02;
+    every_reader_rejects(&bytes, "bool byte 0x02");
+}
+
+#[test]
+fn every_reader_rejects_a_trailing_byte() {
+    // Cross-reader audit: the field reader never looked past the top-level frame.
+    let mut bytes = probe_doc(false);
+    bytes.push(0x00);
+    every_reader_rejects(&bytes, "one trailing byte");
+}
+
+#[test]
+fn every_reader_rejects_a_corrupted_checksum_trailer() {
+    // Cross-reader audit: the field reader never verified the CRC32C trailer, so a
+    // corrupted checksummed message read back as if it were intact.
+    let mut bytes = probe_doc(true);
+    *bytes.last_mut().unwrap() ^= 0x01;
+    every_reader_rejects(&bytes, "flipped CRC trailer");
 }
 
 #[test]
@@ -93,7 +190,7 @@ fn standalone_element_decode_demands_end_of_input() {
     let mut trailing = bytes.clone();
     trailing.extend_from_slice(b"garbage");
     assert!(
-        bxsa::decode_element(&trailing, &bxsa::DecodeOptions::default()).is_err(),
+        bxsa::decode_element(&trailing).is_err(),
         "trailing bytes after a standalone element must be rejected"
     );
 
@@ -111,7 +208,7 @@ fn standalone_element_decode_demands_end_of_input() {
     let mut corrupt = checked.clone();
     corrupt[5] ^= 0x01;
     assert!(
-        bxsa::decode_element(&corrupt, &bxsa::DecodeOptions::default()).is_err(),
+        bxsa::decode_element(&corrupt).is_err(),
         "bit flip under a checksum must never decode to wrong values"
     );
 }

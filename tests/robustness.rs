@@ -125,20 +125,39 @@ fn bxsa_huge_declared_sizes_rejected() {
     assert!(bxsa::decode(&bytes).is_err());
 }
 
-/// Deep nesting must hit the decoder's depth limit, not the stack.
+/// Deep nesting must hit the frame core's depth limit, not the stack,
+/// and the tree decoder and the pull reader must draw the line at the
+/// same depth: `MAX_DEPTH` nested frames pass, one more is rejected.
 #[test]
 fn bxsa_deep_nesting_bounded() {
-    let mut e = bxdm::Element::component("x");
-    for _ in 0..300 {
-        e = bxdm::Element::component("w").with_child(e);
-    }
-    let bytes = bxsa::encode(&bxdm::Document::with_root(e)).unwrap();
-    // Default max_depth is 256 < 301.
+    let nested = |levels: usize| {
+        let mut e = bxdm::Element::component("x");
+        for _ in 1..levels {
+            e = bxdm::Element::component("w").with_child(e);
+        }
+        bxsa::encode(&bxdm::Document::with_root(e)).unwrap()
+    };
+    let pull = |bytes: &[u8]| -> bxsa::BxsaResult<usize> {
+        let mut r = bxsa::PullReader::new(bytes)?;
+        let mut events = 0;
+        while r.next_event()?.is_some() {
+            events += 1;
+        }
+        Ok(events)
+    };
+    let deepest = nested(bxsa::MAX_DEPTH);
+    assert!(bxsa::decode(&deepest).is_ok());
+    assert_eq!(pull(&deepest).unwrap(), 2 * bxsa::MAX_DEPTH);
+
+    let too_deep = nested(bxsa::MAX_DEPTH + 1);
     assert!(matches!(
-        bxsa::decode(&bytes),
+        bxsa::decode(&too_deep),
         Err(bxsa::BxsaError::Structure { .. })
     ));
-    // With a raised limit it works.
-    let opts = bxsa::DecodeOptions { max_depth: 400 };
-    assert!(bxsa::decode_with(&bytes, &opts).is_ok());
+    assert!(matches!(
+        pull(&too_deep),
+        Err(bxsa::BxsaError::Structure { .. })
+    ));
+    // Far past the limit: still a typed error, never a stack overflow.
+    assert!(bxsa::decode(&nested(4 * bxsa::MAX_DEPTH)).is_err());
 }
