@@ -4,11 +4,7 @@
 //!
 //! 1. **10k sustain** — ≥10,000 concurrent keep-alive HTTP connections
 //!    against one evented server, all exchanging requests at once.
-//! 2. **Evented vs threaded** — the same echo workload against the
-//!    reactor servers and against classic thread-per-connection baselines
-//!    (implemented *here*, so the transport crate itself stays free of
-//!    per-connection threads).
-//! 3. **Keep-alive vs one-shot** — requests-per-second with connection
+//! 2. **Keep-alive vs one-shot** — requests-per-second with connection
 //!    reuse vs a fresh connection per request, across the Table 1 payload
 //!    grid (§6: 12 B/value × model sizes 10/100/1000/4000).
 //!
@@ -39,14 +35,15 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use obs::Histogram;
-use transport::{Events, HttpRequest, HttpResponse, HttpServer, Interest, Poller, TcpServer};
-use transport::{HttpServerConfig, OverloadConfig};
+use transport::{
+    Events, HttpRequest, HttpResponse, Interest, OverloadConfig, Poller, ServerBuilder,
+};
 
 /// Table 1 payload grid: 12 B per array value at model sizes
 /// 10 / 100 / 1000 / 4000.
@@ -70,149 +67,52 @@ fn main() {
 /// Child-process entry: bind the requested server flavor on an ephemeral
 /// port, print `ADDR <addr>` for the parent, then park until killed.
 fn serve(mode: &str) {
-    let addr = match mode {
-        "http-evented" => {
-            let server = HttpServer::bind_with(
-                "127.0.0.1:0",
-                HttpServerConfig {
-                    read_timeout: Some(Duration::from_secs(60)),
-                    write_timeout: Some(Duration::from_secs(60)),
-                    metrics_path: None,
-                    overload: OverloadConfig::default(),
-                },
-                |req| HttpResponse::ok("application/octet-stream", req.body.clone()),
-            )
-            .expect("bind http-evented");
-            let addr = server.local_addr();
-            std::mem::forget(server); // lives until the process is killed
-            addr
-        }
-        "tcp-evented" => {
-            let server = TcpServer::bind("127.0.0.1:0", |req| req).expect("bind tcp-evented");
-            let addr = server.local_addr();
-            std::mem::forget(server);
-            addr
-        }
-        "http-threaded" => threaded_http_server(),
-        "tcp-threaded" => threaded_tcp_server(),
+    let echo = |req: &HttpRequest| HttpResponse::ok("application/octet-stream", req.body.clone());
+    let server = match mode {
+        "http-evented" => ServerBuilder::bind("127.0.0.1:0")
+            .read_timeout(Duration::from_secs(60))
+            .write_timeout(Duration::from_secs(60))
+            .serve_http(echo),
         // Admission-capped echo: 128 connections (BX_SERVER_MAX_CONNS
         // overrides), accept-then-reject, a whole-message deadline that
         // kills slow-loris trickles, and a tight write budget that kills
         // stalled readers. Metrics stay scrapable under attack.
-        "http-overload" => {
-            let server = HttpServer::bind_with(
-                "127.0.0.1:0",
-                HttpServerConfig {
-                    read_timeout: Some(Duration::from_secs(5)),
-                    write_timeout: Some(Duration::from_secs(1)),
-                    metrics_path: Some("/metrics"),
-                    overload: OverloadConfig {
-                        max_connections: Some(128),
-                        reject_when_full: true,
-                        message_deadline: Some(Duration::from_millis(500)),
-                        ..OverloadConfig::default()
-                    },
-                },
-                |req| HttpResponse::ok("application/octet-stream", req.body.clone()),
-            )
-            .expect("bind http-overload");
-            let addr = server.local_addr();
-            std::mem::forget(server);
-            addr
-        }
+        "http-overload" => ServerBuilder::bind("127.0.0.1:0")
+            .read_timeout(Duration::from_secs(5))
+            .write_timeout(Duration::from_secs(1))
+            .metrics_path("/metrics")
+            .overload(OverloadConfig {
+                max_connections: Some(128),
+                reject_when_full: true,
+                message_deadline: Some(Duration::from_millis(500)),
+                ..OverloadConfig::default()
+            })
+            .serve_http(echo),
         // Slow echo (20 ms nap per request) with request-level shedding:
         // the inflight bound and queue-delay signal turn the excess away
         // as 503s before any handler work.
-        "http-slow" => {
-            let server = HttpServer::bind_with(
-                "127.0.0.1:0",
-                HttpServerConfig {
-                    read_timeout: Some(Duration::from_secs(5)),
-                    write_timeout: Some(Duration::from_secs(5)),
-                    metrics_path: Some("/metrics"),
-                    overload: OverloadConfig {
-                        max_inflight: Some(2),
-                        shed_queue_delay: Some(Duration::from_millis(100)),
-                        ..OverloadConfig::default()
-                    },
-                },
-                |req| {
-                    std::thread::sleep(Duration::from_millis(20));
-                    HttpResponse::ok("application/octet-stream", req.body.clone())
-                },
-            )
-            .expect("bind http-slow");
-            let addr = server.local_addr();
-            std::mem::forget(server);
-            addr
-        }
+        "http-slow" => ServerBuilder::bind("127.0.0.1:0")
+            .read_timeout(Duration::from_secs(5))
+            .write_timeout(Duration::from_secs(5))
+            .metrics_path("/metrics")
+            .overload(OverloadConfig {
+                max_inflight: Some(2),
+                shed_queue_delay: Some(Duration::from_millis(100)),
+                ..OverloadConfig::default()
+            })
+            .serve_http(move |req| {
+                std::thread::sleep(Duration::from_millis(20));
+                echo(req)
+            }),
         other => panic!("unknown serve mode {other:?}"),
-    };
-    println!("ADDR {addr}");
+    }
+    .unwrap_or_else(|e| panic!("bind {mode}: {e}"));
+    println!("ADDR {}", server.local_addr());
     use std::io::Write as _;
     std::io::stdout().flush().expect("flush addr line");
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }
-}
-
-/// The pre-reactor baseline, preserved here for comparison: one OS
-/// thread per accepted connection, blocking reads and writes, keep-alive
-/// honored by looping until the client says close.
-fn threaded_http_server() -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind http-threaded");
-    let addr = listener.local_addr().expect("local addr");
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            std::thread::spawn(move || {
-                let _ = stream.set_nodelay(true);
-                let mut reader = BufReader::new(stream);
-                while let Ok(req) = HttpRequest::read_from(&mut reader) {
-                    let keep_alive = !req
-                        .header("connection")
-                        .is_some_and(|c| c.eq_ignore_ascii_case("close"));
-                    let resp = HttpResponse::ok("application/octet-stream", req.body);
-                    if resp.write_to_with(&mut reader.get_mut(), keep_alive).is_err()
-                        || !keep_alive
-                    {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    addr
-}
-
-/// Thread-per-connection framed-TCP echo baseline.
-fn threaded_tcp_server() -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind tcp-threaded");
-    let addr = listener.local_addr().expect("local addr");
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            std::thread::spawn(move || {
-                let _ = stream.set_nodelay(true);
-                let mut payload = Vec::new();
-                loop {
-                    let mut prefix = [0u8; 4];
-                    if stream.read_exact(&mut prefix).is_err() {
-                        break;
-                    }
-                    let len = u32::from_be_bytes(prefix) as usize;
-                    payload.resize(len, 0);
-                    if stream.read_exact(&mut payload).is_err() {
-                        break;
-                    }
-                    if stream.write_all(&prefix).is_err() || stream.write_all(&payload).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    addr
 }
 
 /// Spawn `--serve <mode>` as a subprocess and wait for its `ADDR` line.
@@ -268,15 +168,6 @@ impl Drop for ServerProc {
 // ---------------------------------------------------------------------
 // Epoll client
 // ---------------------------------------------------------------------
-
-/// How one exchange's response is delimited.
-#[derive(Clone, Copy, PartialEq)]
-enum Protocol {
-    /// 4-byte big-endian length prefix.
-    Framed,
-    /// HTTP/1.1 head + `Content-Length` body.
-    Http,
-}
 
 /// Connection lifecycle across exchanges.
 #[derive(Clone, Copy, PartialEq)]
@@ -341,10 +232,10 @@ impl LoadConn {
     }
 
     /// Pull response bytes; true when the response is complete.
-    fn step_read(&mut self, protocol: Protocol) -> std::io::Result<bool> {
+    fn step_read(&mut self) -> std::io::Result<bool> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if self.complete(protocol)? {
+            if self.complete()? {
                 return Ok(true);
             }
             match self.stream.read(&mut chunk) {
@@ -362,37 +253,26 @@ impl LoadConn {
         }
     }
 
-    fn complete(&mut self, protocol: Protocol) -> std::io::Result<bool> {
-        match protocol {
-            Protocol::Framed => {
-                if self.expected.is_none() && self.inbuf.len() >= 4 {
-                    let len =
-                        u32::from_be_bytes([self.inbuf[0], self.inbuf[1], self.inbuf[2], self.inbuf[3]]);
-                    self.expected = Some(4 + len as usize);
-                }
-                Ok(self.expected.is_some_and(|e| self.inbuf.len() >= e))
-            }
-            Protocol::Http => {
-                if self.head_len.is_none() {
-                    if let Some(pos) = self.inbuf.windows(4).position(|w| w == b"\r\n\r\n") {
-                        let head = &self.inbuf[..pos];
-                        let body_len = head
-                            .split(|&b| b == b'\n')
-                            .filter_map(|line| {
-                                let line = std::str::from_utf8(line).ok()?;
-                                let (name, value) = line.split_once(':')?;
-                                name.eq_ignore_ascii_case("content-length")
-                                    .then(|| value.trim().parse::<usize>().ok())?
-                            })
-                            .next()
-                            .ok_or_else(|| std::io::Error::other("response without Content-Length"))?;
-                        self.head_len = Some(pos + 4);
-                        self.expected = Some(pos + 4 + body_len);
-                    }
-                }
-                Ok(self.expected.is_some_and(|e| self.inbuf.len() >= e))
+    /// True once the HTTP/1.1 head and its `Content-Length` body are in.
+    fn complete(&mut self) -> std::io::Result<bool> {
+        if self.head_len.is_none() {
+            if let Some(pos) = self.inbuf.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = &self.inbuf[..pos];
+                let body_len = head
+                    .split(|&b| b == b'\n')
+                    .filter_map(|line| {
+                        let line = std::str::from_utf8(line).ok()?;
+                        let (name, value) = line.split_once(':')?;
+                        name.eq_ignore_ascii_case("content-length")
+                            .then(|| value.trim().parse::<usize>().ok())?
+                    })
+                    .next()
+                    .ok_or_else(|| std::io::Error::other("response without Content-Length"))?;
+                self.head_len = Some(pos + 4);
+                self.expected = Some(pos + 4 + body_len);
             }
         }
+        Ok(self.expected.is_some_and(|e| self.inbuf.len() >= e))
     }
 }
 
@@ -456,7 +336,6 @@ impl CellResult {
 /// concurrency — not client pacing — is the offered load.
 fn run_cell(
     addr: &str,
-    protocol: Protocol,
     reuse: Reuse,
     request: &[u8],
     concurrency: usize,
@@ -541,7 +420,7 @@ fn run_cell(
             let Some(conn) = conns.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
-            let step = drive_conn(conn, protocol, request, event.writable);
+            let step = drive_conn(conn, request, event.writable);
             match step {
                 Ok(None) => {
                     // Mid-exchange: make sure the interest matches phase.
@@ -556,7 +435,7 @@ fn run_cell(
                     // An overloaded server's explicit "no": tallied apart
                     // from goodput, checked against the contract, and the
                     // socket (which the server is closing) recycled.
-                    if protocol == Protocol::Http && conn.inbuf.starts_with(b"HTTP/1.1 503") {
+                    if conn.inbuf.starts_with(b"HTTP/1.1 503") {
                         shed += 1;
                         if !shed_contract_ok(&conn.inbuf) {
                             shed_violations += 1;
@@ -627,14 +506,13 @@ fn run_cell(
 /// when an exchange completed.
 fn drive_conn(
     conn: &mut LoadConn,
-    protocol: Protocol,
     request: &[u8],
     writable: bool,
 ) -> std::io::Result<Option<Duration>> {
     if !conn.reading && (writable || conn.written > 0) && !conn.step_write(request)? {
         return Ok(None);
     }
-    if conn.reading && conn.step_read(protocol)? {
+    if conn.reading && conn.step_read()? {
         return Ok(Some(conn.started.elapsed()));
     }
     Ok(None)
@@ -643,13 +521,6 @@ fn drive_conn(
 // ---------------------------------------------------------------------
 // Request builders
 // ---------------------------------------------------------------------
-
-fn framed_request(payload: usize) -> Vec<u8> {
-    let mut wire = Vec::with_capacity(4 + payload);
-    wire.extend_from_slice(&(payload as u32).to_be_bytes());
-    wire.resize(4 + payload, 0x42);
-    wire
-}
 
 fn http_request(payload: usize, keep_alive: bool) -> Vec<u8> {
     let req = HttpRequest::post("/echo", "application/octet-stream", vec![0x42; payload]);
@@ -666,7 +537,6 @@ fn sustain(connections: usize, duration: Duration) -> (CellResult, f64) {
     let server = ServerProc::start("http-evented");
     let result = run_cell(
         &server.addr,
-        Protocol::Http,
         Reuse::KeepAlive,
         &http_request(PAYLOAD_GRID[0], true),
         connections,
@@ -675,57 +545,6 @@ fn sustain(connections: usize, duration: Duration) -> (CellResult, f64) {
     );
     let conn_rate = result.connects as f64 / result.connect_time.as_secs_f64().max(1e-9);
     (result, conn_rate)
-}
-
-struct Comparison {
-    mode: &'static str,
-    rps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    errors: u64,
-}
-
-fn compare_servers(concurrency: usize, duration: Duration) -> Vec<Comparison> {
-    let cells: [(&str, Protocol); 4] = [
-        ("http-evented", Protocol::Http),
-        ("http-threaded", Protocol::Http),
-        ("tcp-evented", Protocol::Framed),
-        ("tcp-threaded", Protocol::Framed),
-    ];
-    cells
-        .iter()
-        .map(|&(mode, protocol)| {
-            let server = ServerProc::start(mode);
-            let request = match protocol {
-                Protocol::Http => http_request(PAYLOAD_GRID[1], true),
-                Protocol::Framed => framed_request(PAYLOAD_GRID[1]),
-            };
-            let r = run_cell(
-                &server.addr,
-                protocol,
-                Reuse::KeepAlive,
-                &request,
-                concurrency,
-                duration,
-                u64::MAX,
-            );
-            eprintln!(
-                "  {mode:>13}: {:.0} req/s, p99 {:.0} µs, {} errors",
-                r.rps(),
-                r.quantile_us(0.99),
-                r.errors
-            );
-            Comparison {
-                mode,
-                rps: r.rps(),
-                p50_us: r.quantile_us(0.5),
-                p99_us: r.quantile_us(0.99),
-                p999_us: r.quantile_us(0.999),
-                errors: r.errors,
-            }
-        })
-        .collect()
 }
 
 struct GridRow {
@@ -748,7 +567,6 @@ fn keepalive_vs_close(
         .map(|&payload| {
             let ka = run_cell(
                 &server.addr,
-                Protocol::Http,
                 Reuse::KeepAlive,
                 &http_request(payload, true),
                 concurrency,
@@ -759,7 +577,6 @@ fn keepalive_vs_close(
             // capped by exchange count to stay inside the port range.
             let close = run_cell(
                 &server.addr,
-                Protocol::Http,
                 Reuse::PerRequest,
                 &http_request(payload, false),
                 concurrency,
@@ -827,7 +644,6 @@ fn openloop_overload(cap: usize, duration: Duration) -> OverloadOutcome {
     let request = http_request(PAYLOAD_GRID[0], true);
     let unloaded = run_cell(
         &server.addr,
-        Protocol::Http,
         Reuse::KeepAlive,
         &request,
         (cap / 2).max(1),
@@ -836,7 +652,6 @@ fn openloop_overload(cap: usize, duration: Duration) -> OverloadOutcome {
     );
     let loaded = run_cell(
         &server.addr,
-        Protocol::Http,
         Reuse::KeepAlive,
         &request,
         cap * 2,
@@ -1059,7 +874,6 @@ fn slowloris_attack(cap: usize, swarm: usize, duration: Duration) -> LorisOutcom
     std::thread::sleep(duration / 4);
     let victim = run_cell(
         &addr,
-        Protocol::Http,
         Reuse::KeepAlive,
         &http_request(PAYLOAD_GRID[0], true),
         4,
@@ -1131,7 +945,6 @@ fn stalled_readers(count: usize, payload: usize) -> StalledOutcome {
     }
     let victim = run_cell(
         &server.addr,
-        Protocol::Http,
         Reuse::KeepAlive,
         &http_request(PAYLOAD_GRID[0], true),
         2,
@@ -1166,7 +979,6 @@ fn shed_slow_service(concurrency: usize, duration: Duration) -> ShedOutcome {
         ServerProc::start_with_env("http-slow", &[("BX_SERVER_WORKERS", "4")]);
     let cell = run_cell(
         &server.addr,
-        Protocol::Http,
         Reuse::KeepAlive,
         &http_request(PAYLOAD_GRID[0], true),
         concurrency,
@@ -1414,9 +1226,6 @@ fn full_grid() {
         sustain.errors,
     );
 
-    eprintln!("loadgen: evented vs threaded (256 conns, 1.2 KB)");
-    let comparisons = compare_servers(256, Duration::from_secs(3));
-
     eprintln!("loadgen: keep-alive vs one-shot across the payload grid");
     let grid = keepalive_vs_close(&PAYLOAD_GRID, 64, Duration::from_secs(2), 4_000);
 
@@ -1438,20 +1247,6 @@ fn full_grid() {
         sustain.quantile_us(0.99),
         sustain.quantile_us(0.999),
     ));
-    out.push_str("  \"evented_vs_threaded_256conn_1200B\": [\n");
-    for (i, c) in comparisons.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"server\": \"{}\", \"req_per_sec\": {:.0}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"errors\": {}}}{}\n",
-            c.mode,
-            c.rps,
-            c.p50_us,
-            c.p99_us,
-            c.p999_us,
-            c.errors,
-            if i + 1 < comparisons.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"keepalive_vs_close_64conn\": [\n");
     for (i, row) in grid.iter().enumerate() {
         out.push_str(&format!(

@@ -158,12 +158,6 @@ impl AnyEngine {
         }
     }
 
-    /// Request/response exchange with the default options (dispatches to
-    /// the inner engine). Prefer [`AnyEngine::call_with`] in new code.
-    pub fn call(&mut self, request: SoapEnvelope) -> SoapResult<SoapEnvelope> {
-        self.call_with(request, &CallOptions::new())
-    }
-
     /// Typed request/response exchange (dispatches to the inner engine's
     /// [`SoapEngine::call_typed`]) — the fast path is available on every
     /// wire configuration, since both shipped encodings implement

@@ -521,12 +521,15 @@ mod tests {
 
     #[test]
     fn tcp_binding_roundtrip_against_real_server() {
-        let server = transport::TcpServer::bind("127.0.0.1:0", |req| {
-            let mut v = req;
-            v.reverse();
-            v
-        })
-        .unwrap();
+        let server = transport::ServerBuilder::bind("127.0.0.1:0")
+            .serve_framed(
+                || (),
+                |_scratch, req, out, _ctl| {
+                    out.extend_from_slice(req);
+                    out.reverse();
+                },
+            )
+            .unwrap();
         let mut binding = TcpBinding::new(&server.local_addr().to_string());
         let out = binding.exchange(b"abc", "application/bxsa").unwrap();
         assert_eq!(out, b"cba");
@@ -546,11 +549,12 @@ mod tests {
 
     #[test]
     fn http_binding_roundtrip_against_real_server() {
-        let server = transport::HttpServer::bind("127.0.0.1:0", |req| {
-            assert_eq!(req.method, "POST");
-            transport::HttpResponse::ok("text/xml", req.body.clone())
-        })
-        .unwrap();
+        let server = transport::ServerBuilder::bind("127.0.0.1:0")
+            .serve_http(|req| {
+                assert_eq!(req.method, "POST");
+                transport::HttpResponse::ok("text/xml", req.body.clone())
+            })
+            .unwrap();
         let mut binding = HttpBinding::new(&server.local_addr().to_string(), "/soap");
         binding.soap_action = Some("\"op\"".into());
         let out = binding.exchange(b"<x/>", "text/xml").unwrap();
@@ -560,10 +564,9 @@ mod tests {
 
     #[test]
     fn http_binding_reuses_its_connection() {
-        let server = transport::HttpServer::bind("127.0.0.1:0", |req| {
-            transport::HttpResponse::ok("text/xml", req.body.clone())
-        })
-        .unwrap();
+        let server = transport::ServerBuilder::bind("127.0.0.1:0")
+            .serve_http(|req| transport::HttpResponse::ok("text/xml", req.body.clone()))
+            .unwrap();
         let mut binding = HttpBinding::new(&server.local_addr().to_string(), "/soap");
         for i in 0..5u8 {
             let out = binding.exchange(&[i], "text/xml").unwrap();

@@ -17,9 +17,9 @@ use crate::typed::{FromBxsa, ToBxsa, TypedDecode, TypedEncoding, TypedScratch};
 /// Per-call knobs for [`SoapEngine::call_with`] — the one place where
 /// idempotency, deadline, retry, and circuit-breaker decisions meet.
 ///
-/// The default (`CallOptions::new()`) reproduces the classic
-/// `call` behaviour: idempotent, no deadline, the engine's installed
-/// retry policy and breaker. Each knob overrides one dimension:
+/// The default (`CallOptions::new()`) is idempotent, with no deadline
+/// and the engine's installed retry policy and breaker. Each knob
+/// overrides one dimension:
 ///
 /// ```
 /// use soap::CallOptions;
@@ -33,9 +33,9 @@ use crate::typed::{FromBxsa, ToBxsa, TypedDecode, TypedEncoding, TypedScratch};
 #[derive(Debug, Clone, Default)]
 pub struct CallOptions {
     /// May the exchange be replayed on retry-safe failures? `false`
-    /// suppresses all retries regardless of installed policy (the old
-    /// `call_non_idempotent`). Note `Default` derives `false`; use
-    /// [`CallOptions::new`] for the idempotent default.
+    /// suppresses all retries regardless of installed policy. Note
+    /// `Default` derives `false`; use [`CallOptions::new`] for the
+    /// idempotent default.
     pub idempotent: bool,
     /// End-to-end budget for the whole call (all attempts and backoff
     /// delays included). When set, the engine stamps a `bx:Deadline`
@@ -173,20 +173,7 @@ pub struct SoapEngine<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy = N
 impl<E: EncodingPolicy, B: BindingPolicy> SoapEngine<E, B> {
     /// Assemble an engine from its two core policies (no security).
     pub fn new(encoding: E, binding: B) -> SoapEngine<E, B> {
-        SoapEngine {
-            encoding,
-            binding,
-            security: NoSecurity,
-            retry: None,
-            breaker: None,
-            last_attempts: 0,
-            encode_buf: Vec::new(),
-            response_buf: Vec::new(),
-            decode_buf: Document::new(),
-            typed_scratch: TypedScratch::default(),
-            part_scratch: Default::default(),
-            metadata: None,
-        }
+        SoapEngine::with_security(encoding, binding, NoSecurity)
     }
 }
 
@@ -216,11 +203,6 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
         self
     }
 
-    /// Enable or disable retries in place.
-    pub fn set_retry(&mut self, policy: Option<RetryPolicy>) {
-        self.retry = policy;
-    }
-
     /// Route every call through a shared circuit breaker (chainable).
     /// Typically a [`transport::BreakerRegistry`] handle for the
     /// endpoint, so all engines talking to it share one view of its
@@ -228,11 +210,6 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
     pub fn with_breaker(mut self, breaker: BreakerHandle) -> SoapEngine<E, B, S> {
         self.breaker = Some(breaker);
         self
-    }
-
-    /// Install or remove the circuit breaker in place.
-    pub fn set_breaker(&mut self, breaker: Option<BreakerHandle>) {
-        self.breaker = breaker;
     }
 
     /// Consult a service's per-operation metadata for call defaults
@@ -274,10 +251,8 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
         &mut self.binding
     }
 
-    /// Request/response message exchange with per-call options — the
-    /// consolidated call surface; [`call`](SoapEngine::call) and
-    /// [`call_non_idempotent`](SoapEngine::call_non_idempotent) are thin
-    /// wrappers over it.
+    /// Request/response message exchange with per-call options — the one
+    /// tree call; `CallOptions::new()` asks for the defaults.
     ///
     /// A SOAP fault in the response surfaces as [`SoapError::Fault`],
     /// keeping the happy path a plain envelope.
@@ -471,30 +446,6 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
         self.binding.set_call_deadline(None);
         m.call_latency.observe_duration(call_start.elapsed());
         result
-    }
-
-    /// Request/response message exchange with the default options
-    /// (idempotent; engine-level retry and breaker; no deadline).
-    ///
-    /// Legacy surface, kept as a thin wrapper.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `call_with(request, &CallOptions::new())`"
-    )]
-    pub fn call(&mut self, request: SoapEnvelope) -> SoapResult<SoapEnvelope> {
-        self.call_with(request, &CallOptions::new())
-    }
-
-    /// Request/response exchange for requests with side effects that
-    /// must not be replayed: never retries, whatever policy is installed.
-    ///
-    /// Legacy surface, kept as a thin wrapper.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `call_with(request, &CallOptions::new().non_idempotent())`"
-    )]
-    pub fn call_non_idempotent(&mut self, request: SoapEnvelope) -> SoapResult<SoapEnvelope> {
-        self.call_with(request, &CallOptions::new().non_idempotent())
     }
 
     fn finish_call(&mut self) -> SoapResult<SoapEnvelope> {
@@ -880,7 +831,7 @@ mod tests {
             panic!("echoed budget missing");
         };
         assert!(*budget > 0 && *budget <= 5000, "stamped {budget} ms");
-        // Plain `call` must not stamp anything.
+        // A call without a deadline must not stamp anything.
         let enc = XmlEncoding::default();
         let mut engine = SoapEngine::new(
             XmlEncoding::default(),
@@ -1121,8 +1072,6 @@ mod tests {
     }
 
     #[test]
-    // The deprecated shims must keep their exact semantics until removal.
-    #[allow(deprecated)]
     fn call_non_idempotent_never_retries() {
         use crate::binding::FaultingBinding;
         use transport::faulty::{FaultInjector, FaultProfile};
@@ -1138,7 +1087,9 @@ mod tests {
             ),
         )
         .with_retry(RetryPolicy::no_delay(10));
-        let err = engine.call_non_idempotent(sum_request()).unwrap_err();
+        let err = engine
+            .call_with(sum_request(), &CallOptions::new().non_idempotent())
+            .unwrap_err();
         assert!(matches!(err, SoapError::Transport(_)));
         assert_eq!(engine.last_call_attempts(), 1, "must not be replayed");
         // The installed policy survives for subsequent idempotent calls.

@@ -40,15 +40,9 @@ use crate::metrics;
 use crate::service::{fault_envelope, fault_for_error, EXPIRED_RETRY_AFTER};
 use crate::streaming::{wire_err, PartScratch, StreamEncoding, MAX_PART_LEN};
 
-/// The listening half of a relay: framed TCP or reactor HTTP.
-enum Inner {
-    Tcp(transport::TcpServer),
-    Http(transport::HttpServer),
-}
-
-/// A running relay node.
+/// A running relay node, listening on framed TCP or HTTP.
 pub struct Intermediary {
-    inner: Inner,
+    inner: transport::Server,
 }
 
 impl Intermediary {
@@ -70,24 +64,24 @@ impl Intermediary {
         UpB: BindingPolicy + Send + 'static,
     {
         let upstream = Arc::new(Mutex::new((up_encoding, up_binding)));
-        let inner = transport::TcpServer::bind(addr, move |request| {
-            let result = relay(&in_encoding, &upstream, &request);
-            match result {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    let fault = fault_envelope(SoapFault::new(
-                        FaultCode::Server,
-                        &format!("intermediary relay failed: {e}"),
-                    ));
-                    in_encoding
-                        .encode(&fault.into_document())
-                        .unwrap_or_default()
-                }
-            }
-        })?;
-        Ok(Intermediary {
-            inner: Inner::Tcp(inner),
-        })
+        let inner = transport::ServerBuilder::bind(addr).serve_framed(
+            || (),
+            move |_scratch, request, out, _ctl| {
+                *out = match relay(&in_encoding, &upstream, request) {
+                    Ok(bytes) => bytes,
+                    Err(e) => {
+                        let fault = fault_envelope(SoapFault::new(
+                            FaultCode::Server,
+                            &format!("intermediary relay failed: {e}"),
+                        ));
+                        in_encoding
+                            .encode(&fault.into_document())
+                            .unwrap_or_default()
+                    }
+                };
+            },
+        )?;
+        Ok(Intermediary { inner })
     }
 
     /// Listen over HTTP at `addr`/`path` with down-link encoding `InE`
@@ -164,25 +158,17 @@ impl Intermediary {
                     }
                 }
             })?;
-        Ok(Intermediary {
-            inner: Inner::Http(inner),
-        })
+        Ok(Intermediary { inner })
     }
 
     /// The relay's listening address.
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            Inner::Tcp(s) => s.local_addr(),
-            Inner::Http(s) => s.local_addr(),
-        }
+        self.inner.local_addr()
     }
 
     /// Stop relaying.
     pub fn shutdown(self) {
-        match self.inner {
-            Inner::Tcp(s) => s.shutdown(),
-            Inner::Http(s) => s.shutdown(),
-        }
+        self.inner.shutdown();
     }
 }
 

@@ -46,7 +46,7 @@ fn builder_for_http(addr: &str, config: &HttpServerConfig) -> transport::ServerB
 
 /// A SOAP service listening on framed TCP.
 pub struct TcpSoapServer {
-    inner: transport::TcpServer,
+    inner: transport::Server,
 }
 
 impl TcpSoapServer {
@@ -55,29 +55,50 @@ impl TcpSoapServer {
     where
         E: EncodingPolicy + Send + Sync + 'static,
     {
-        TcpSoapServer::bind_with(addr, TcpServerConfig::default(), encoding, registry)
+        let service = SoapService::new(encoding, registry);
+        TcpSoapServer::bind_service_with(addr, TcpServerConfig::default(), service)
     }
 
-    /// [`bind`](TcpSoapServer::bind) with explicit per-connection limits.
-    pub fn bind_with<E>(
+    /// [`bind`](TcpSoapServer::bind) with explicit per-connection limits,
+    /// serving a caller-built [`SoapService`] — the way to put typed
+    /// operations ([`SoapService::register_typed`]) on a live listener,
+    /// since those are registered on the service rather than the
+    /// registry.
+    pub fn bind_service_with<E>(
         addr: &str,
         config: TcpServerConfig,
+        service: SoapService<E>,
+    ) -> SoapResult<TcpSoapServer>
+    where
+        E: EncodingPolicy + Send + Sync + 'static,
+    {
+        TcpSoapServer::serve(builder_for(addr, &config), &config, service)
+    }
+
+    /// [`bind`](TcpSoapServer::bind) with every accepted stream wrapped
+    /// in a fault-injecting transport drawing from `injector` —
+    /// byte-level torture of the server's own read *and write* paths
+    /// under a live accept loop. Apart from the injected faults it
+    /// serves exactly like [`bind_service_with`](TcpSoapServer::bind_service_with).
+    pub fn bind_faulty<E>(
+        addr: &str,
+        config: TcpServerConfig,
+        injector: transport::SharedInjector,
         encoding: E,
         registry: Arc<ServiceRegistry>,
     ) -> SoapResult<TcpSoapServer>
     where
         E: EncodingPolicy + Send + Sync + 'static,
     {
-        TcpSoapServer::bind_service_with(addr, config, SoapService::new(encoding, registry))
+        let builder = builder_for(addr, &config).faults(injector);
+        TcpSoapServer::serve(builder, &config, SoapService::new(encoding, registry))
     }
 
-    /// [`bind_with`](TcpSoapServer::bind_with), but serving a caller-built
-    /// [`SoapService`] — the way to put typed operations
-    /// ([`SoapService::register_typed`]) on a live listener, since those
-    /// are registered on the service rather than the registry.
-    pub fn bind_service_with<E>(
-        addr: &str,
-        config: TcpServerConfig,
+    /// The one framed-TCP SOAP funnel: every constructor above ends here,
+    /// so all of them shed and answer the same way.
+    fn serve<E>(
+        builder: transport::ServerBuilder,
+        config: &TcpServerConfig,
         service: SoapService<E>,
     ) -> SoapResult<TcpSoapServer>
     where
@@ -100,34 +121,8 @@ impl TcpSoapServer {
         // allocation. Requests carrying a bx:Deadline are honored:
         // expired ones fault without dispatch, and the reply write is
         // capped to what's left of the caller's budget.
-        let inner = builder_for(addr, &config)
+        let inner = builder
             .shed_payload(shed_payload)
-            .serve_framed(DecodeScratch::default, move |scratch, request, out, ctl| {
-                let outcome = service.handle_bytes_deadline(scratch, request, out);
-                if let Some(budget) = outcome.reply_budget {
-                    ctl.cap_write(budget);
-                }
-            })?;
-        Ok(TcpSoapServer { inner })
-    }
-
-    /// [`bind_with`](TcpSoapServer::bind_with) with every accepted
-    /// stream wrapped in a fault-injecting transport drawing from
-    /// `injector` — byte-level torture of the server's own read *and
-    /// write* paths under a live accept loop.
-    pub fn bind_faulty<E>(
-        addr: &str,
-        config: TcpServerConfig,
-        injector: transport::SharedInjector,
-        encoding: E,
-        registry: Arc<ServiceRegistry>,
-    ) -> SoapResult<TcpSoapServer>
-    where
-        E: EncodingPolicy + Send + Sync + 'static,
-    {
-        let service = SoapService::new(encoding, registry);
-        let inner = builder_for(addr, &config)
-            .faults(injector)
             .serve_framed(DecodeScratch::default, move |scratch, request, out, ctl| {
                 let outcome = service.handle_bytes_deadline(scratch, request, out);
                 if let Some(budget) = outcome.reply_budget {
@@ -166,14 +161,14 @@ impl TcpSoapServer {
 
 /// A SOAP service listening on HTTP POST.
 pub struct HttpSoapServer {
-    inner: transport::HttpServer,
+    inner: transport::Server,
 }
 
 impl HttpSoapServer {
     /// Serve `registry` with encoding `E` on `addr` at `path`. Also
     /// answers `GET /metrics` with the process-wide metrics in
     /// Prometheus text format; use
-    /// [`bind_with`](HttpSoapServer::bind_with) and
+    /// [`bind_service_with`](HttpSoapServer::bind_service_with) and
     /// [`HttpServerConfig::metrics_path`] to move or disable the scrape
     /// endpoint.
     pub fn bind<E>(
@@ -189,25 +184,12 @@ impl HttpSoapServer {
             metrics_path: Some("/metrics"),
             ..HttpServerConfig::default()
         };
-        HttpSoapServer::bind_with(addr, path, config, encoding, registry)
+        let service = SoapService::new(encoding, registry);
+        HttpSoapServer::bind_service_with(addr, path, config, service)
     }
 
-    /// [`bind`](HttpSoapServer::bind) with explicit per-connection limits.
-    pub fn bind_with<E>(
-        addr: &str,
-        path: &str,
-        config: HttpServerConfig,
-        encoding: E,
-        registry: Arc<ServiceRegistry>,
-    ) -> SoapResult<HttpSoapServer>
-    where
-        E: StreamEncoding + Send + Sync + 'static,
-    {
-        HttpSoapServer::bind_service_with(addr, path, config, SoapService::new(encoding, registry))
-    }
-
-    /// [`bind_with`](HttpSoapServer::bind_with), but serving a
-    /// caller-built [`SoapService`] — see
+    /// [`bind`](HttpSoapServer::bind) with explicit per-connection
+    /// limits, serving a caller-built [`SoapService`] — see
     /// [`TcpSoapServer::bind_service_with`]. This is also where
     /// streaming operations ([`SoapService::register_streaming`]) go
     /// live: when the service has any, chunked requests at `path` are
@@ -453,15 +435,14 @@ mod tests {
         use std::io::Write;
         use std::time::Duration;
 
-        let server = TcpSoapServer::bind_with(
+        let server = TcpSoapServer::bind_service_with(
             "127.0.0.1:0",
             TcpServerConfig {
                 read_timeout: Some(Duration::from_millis(50)),
                 write_timeout: Some(Duration::from_secs(5)),
                 ..TcpServerConfig::default()
             },
-            BxsaEncoding::default(),
-            verify_registry(),
+            SoapService::new(BxsaEncoding::default(), verify_registry()),
         )
         .unwrap();
         let addr = server.local_addr();

@@ -1,13 +1,11 @@
-//! One builder for every server shape.
+//! One builder for every server shape, and the only way to bind one.
 //!
-//! The `bind_*` constructor zoo grew one method per option combination
-//! (scratch init, reply control, shed payload, fault injection, shared
-//! pools, …). [`ServerBuilder`] replaces it: chain the options you need,
-//! then finish with [`serve_framed`](ServerBuilder::serve_framed) (the
-//! framed-TCP binding) or [`serve_http`](ServerBuilder::serve_http) /
+//! Chain the options you need on [`ServerBuilder`], then finish with
+//! [`serve_framed`](ServerBuilder::serve_framed) (the framed-TCP
+//! binding) or [`serve_http`](ServerBuilder::serve_http) /
 //! [`serve_http_ctl`](ServerBuilder::serve_http_ctl) (HTTP/1.1 with
-//! keep-alive and streaming). The old constructors survive as thin
-//! deprecated shims over the same two funnels.
+//! keep-alive and streaming). Every finish returns the same running
+//! [`Server`].
 //!
 //! ```no_run
 //! use transport::ServerBuilder;
@@ -29,11 +27,12 @@ use crate::error::TransportResult;
 use crate::faulty::SharedInjector;
 use crate::http::request::HttpRequest;
 use crate::http::response::HttpResponse;
-use crate::http::server::{bind_http_inner, HttpServer, HttpServerConfig};
+use crate::http::server::{bind_http_inner, HttpServerConfig};
 use crate::http::streaming::{StreamFactory, StreamRequestHead, StreamSession};
 use crate::pool::BufferPool;
 use crate::reactor::overload::OverloadConfig;
-use crate::tcpserver::{bind_framed_inner, ReplyControl, TcpServer, TcpServerConfig};
+use crate::reactor::server::Server;
+use crate::tcpserver::{bind_framed_inner, ReplyControl, TcpServerConfig};
 
 /// A chainable server configuration, finished by a `serve_*` call.
 #[derive(Clone)]
@@ -92,7 +91,10 @@ impl ServerBuilder {
     }
 
     /// Canned payload answered to shed/rejected requests (framed servers
-    /// only; typically a pre-encoded SOAP Server fault).
+    /// only; typically a pre-encoded SOAP Server fault). It is the reply
+    /// to a request shed under [`OverloadConfig`] pressure and the
+    /// parting frame of a connection rejected at the cap; without one,
+    /// shed and rejected connections are simply closed.
     pub fn shed_payload(mut self, payload: Vec<u8>) -> ServerBuilder {
         self.shed_payload = Some(payload);
         self
@@ -106,7 +108,11 @@ impl ServerBuilder {
     }
 
     /// Share an explicit request/response buffer pool (HTTP servers
-    /// only).
+    /// only). Each connection takes a request-body buffer from `pool`
+    /// for its lifetime, cycled across its keep-alive requests, and
+    /// returns it on close; response bodies go back into `pool` once on
+    /// the wire, so handlers that take their bodies from it join the
+    /// same cycle.
     pub fn pool(mut self, pool: Arc<BufferPool>) -> ServerBuilder {
         self.pool = Some(pool);
         self
@@ -126,8 +132,12 @@ impl ServerBuilder {
 
     /// Finish as a framed-TCP server: `init` builds per-connection
     /// scratch, `handler` maps each request to a response with a
-    /// [`ReplyControl`] for deadline-aware reply capping.
-    pub fn serve_framed<S, I, H>(self, init: I, handler: H) -> TransportResult<TcpServer>
+    /// [`ReplyControl`] for deadline-aware reply capping. The response
+    /// buffer arrives cleared; each connection reuses one request and
+    /// one response buffer for its lifetime. The scratch never leaves the event-loop
+    /// worker that owns its connection, so it needs no `Send`/`Sync`;
+    /// only `init` is shared.
+    pub fn serve_framed<S, I, H>(self, init: I, handler: H) -> TransportResult<Server>
     where
         S: 'static,
         I: Fn() -> S + Send + Sync + 'static,
@@ -149,7 +159,7 @@ impl ServerBuilder {
     }
 
     /// Finish as an HTTP/1.1 server with a plain request handler.
-    pub fn serve_http<H>(self, handler: H) -> TransportResult<HttpServer>
+    pub fn serve_http<H>(self, handler: H) -> TransportResult<Server>
     where
         H: Fn(&HttpRequest) -> HttpResponse + Send + Sync + 'static,
     {
@@ -158,7 +168,7 @@ impl ServerBuilder {
 
     /// Finish as an HTTP/1.1 server whose handler also gets a
     /// [`ReplyControl`] for deadline-aware reply capping.
-    pub fn serve_http_ctl<H>(self, handler: H) -> TransportResult<HttpServer>
+    pub fn serve_http_ctl<H>(self, handler: H) -> TransportResult<Server>
     where
         H: Fn(&HttpRequest, &mut ReplyControl) -> HttpResponse + Send + Sync + 'static,
     {

@@ -3,25 +3,28 @@
 //! In the paper's separated configuration the client saves the payload as
 //! a netCDF file, and the server pulls it over HTTP from an Apache
 //! instance on the client's machine. This is that Apache stand-in: GET
-//! only, rooted in one directory, with path traversal rejected.
+//! only, rooted in one directory, with path traversal rejected. It is a
+//! handler on the reactor's HTTP driver, bound through
+//! [`ServerBuilder`].
 
 use std::net::SocketAddr;
 use std::path::{Component, Path, PathBuf};
 
+use crate::builder::ServerBuilder;
 use crate::error::TransportResult;
 use crate::http::response::HttpResponse;
-use crate::http::server::HttpServer;
+use crate::reactor::server::Server;
 
 /// A running static file server.
 pub struct FileServer {
-    inner: HttpServer,
+    inner: Server,
 }
 
 impl FileServer {
     /// Serve files under `root` on `addr` (port 0 for ephemeral).
     pub fn bind(addr: &str, root: impl Into<PathBuf>) -> TransportResult<FileServer> {
         let root: PathBuf = root.into();
-        let inner = HttpServer::bind(addr, move |req| {
+        let inner = ServerBuilder::bind(addr).serve_http(move |req| {
             if req.method != "GET" {
                 return HttpResponse::bad_request("only GET is supported");
             }

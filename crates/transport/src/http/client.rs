@@ -489,17 +489,18 @@ pub fn http_post(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::server::HttpServer;
+    use crate::ServerBuilder;
     use std::time::Duration;
 
     #[test]
     fn get_and_post_against_real_server() {
-        let server = HttpServer::bind("127.0.0.1:0", |req| match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/hello") => HttpResponse::ok("text/plain", b"world".to_vec()),
-            ("POST", "/echo") => HttpResponse::ok("application/octet-stream", req.body.clone()),
-            _ => HttpResponse::not_found(),
-        })
-        .unwrap();
+        let server = ServerBuilder::bind("127.0.0.1:0")
+            .serve_http(|req| match (req.method.as_str(), req.path.as_str()) {
+                ("GET", "/hello") => HttpResponse::ok("text/plain", b"world".to_vec()),
+                ("POST", "/echo") => HttpResponse::ok("application/octet-stream", req.body.clone()),
+                _ => HttpResponse::not_found(),
+            })
+            .unwrap();
         let addr = server.local_addr().to_string();
 
         assert_eq!(http_get(&addr, "/hello").unwrap(), b"world");

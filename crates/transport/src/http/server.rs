@@ -4,10 +4,10 @@
 //! pipelining: connections are parked on a fixed pool of event-loop
 //! workers ([`crate::reactor`]), each serving as many requests as the
 //! peer cares to send before `Connection: close` (from either side) or
-//! the idle budget ends it. The `bind_*` surface is unchanged from the
-//! one-thread-per-request era.
+//! the idle budget ends it. Bind one with
+//! [`ServerBuilder::serve_http`](crate::ServerBuilder::serve_http); it
+//! runs as a [`Server`].
 
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,10 +18,10 @@ use crate::metrics;
 use crate::pool::BufferPool;
 use crate::reactor::conn::HttpDriver;
 use crate::reactor::overload::{Overload, OverloadConfig};
-use crate::reactor::server::{EventServer, ReactorConfig, DEFAULT_DRAIN};
+use crate::reactor::server::{ReactorConfig, Server};
 use crate::tcpserver::ReplyControl;
 
-/// Per-connection limits for an [`HttpServer`].
+/// Per-connection limits for an HTTP [`Server`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HttpServerConfig {
     /// Budget for making read progress on a request (headers + body) —
@@ -53,113 +53,15 @@ pub fn metrics_response() -> HttpResponse {
     )
 }
 
-/// A running HTTP server with keep-alive connections.
-pub struct HttpServer {
-    inner: EventServer,
-}
-
-impl HttpServer {
-    /// Bind to `addr` (use port 0 for an ephemeral port) and start
-    /// serving with `handler`, with no per-connection time limits.
-    pub fn bind<H>(addr: &str, handler: H) -> TransportResult<HttpServer>
-    where
-        H: Fn(&HttpRequest) -> HttpResponse + Send + Sync + 'static,
-    {
-        HttpServer::bind_with(addr, HttpServerConfig::default(), handler)
-    }
-
-    /// [`bind`](HttpServer::bind) with explicit per-connection limits.
-    pub fn bind_with<H>(
-        addr: &str,
-        config: HttpServerConfig,
-        handler: H,
-    ) -> TransportResult<HttpServer>
-    where
-        H: Fn(&HttpRequest) -> HttpResponse + Send + Sync + 'static,
-    {
-        bind_http_inner(
-            addr,
-            config,
-            Arc::new(BufferPool::default()),
-            None,
-            move |request, _ctl| handler(request),
-        )
-    }
-
-    /// [`bind_with`](HttpServer::bind_with) sharing an explicit buffer
-    /// pool. Each connection takes a request-body buffer from `pool` for
-    /// its lifetime (cycled across its keep-alive requests) and returns
-    /// it on close; response bodies are recycled into `pool` once on the
-    /// wire. Handlers that want their response bodies to come from the
-    /// same cycle take buffers from the shared pool.
-    #[deprecated(since = "0.9.0", note = "use `ServerBuilder::bind(addr).pool(...).serve_http(...)`")]
-    pub fn bind_pooled<H>(
-        addr: &str,
-        config: HttpServerConfig,
-        pool: Arc<BufferPool>,
-        handler: H,
-    ) -> TransportResult<HttpServer>
-    where
-        H: Fn(&HttpRequest) -> HttpResponse + Send + Sync + 'static,
-    {
-        bind_http_inner(addr, config, pool, None, move |request, _ctl| {
-            handler(request)
-        })
-    }
-
-    /// [`bind_with`](HttpServer::bind_with) plus a shared pool and a
-    /// [`ReplyControl`] the handler may use to cap the response's write
-    /// budget to the caller's remaining deadline instead of the static
-    /// config.
-    #[deprecated(since = "0.9.0", note = "use `ServerBuilder::bind(addr).pool(...).serve_http_ctl(...)`")]
-    pub fn bind_pooled_ctl<H>(
-        addr: &str,
-        config: HttpServerConfig,
-        pool: Arc<BufferPool>,
-        handler: H,
-    ) -> TransportResult<HttpServer>
-    where
-        H: Fn(&HttpRequest, &mut ReplyControl) -> HttpResponse + Send + Sync + 'static,
-    {
-        bind_http_inner(addr, config, pool, None, handler)
-    }
-
-    /// The address the server is listening on.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Connections that ended with a transport error (malformed beyond
-    /// reply, stalled past the read budget, reset mid-response).
-    pub fn error_count(&self) -> u64 {
-        self.inner.error_count()
-    }
-
-    /// Stop accepting and drain: in-flight requests get up to a short
-    /// grace period to finish, idle keep-alive connections close
-    /// immediately.
-    pub fn shutdown(self) {
-        self.shutdown_within(DEFAULT_DRAIN);
-    }
-
-    /// [`shutdown`](HttpServer::shutdown) with an explicit drain
-    /// deadline. Connections still mid-request when it expires are
-    /// dropped and counted as
-    /// `bx_server_connection_errors_total{kind="shutdown_drop"}`.
-    pub fn shutdown_within(mut self, drain: Duration) {
-        self.inner.shutdown_within(drain);
-    }
-}
-
-/// The one true HTTP bind: every public constructor and the
-/// [`crate::ServerBuilder`] funnel through here.
+/// The one HTTP bind, behind
+/// [`ServerBuilder::serve_http_ctl`](crate::ServerBuilder::serve_http_ctl).
 pub(crate) fn bind_http_inner<H>(
     addr: &str,
     config: HttpServerConfig,
     pool: Arc<BufferPool>,
     stream_factory: Option<crate::http::streaming::StreamFactory>,
     handler: H,
-) -> TransportResult<HttpServer>
+) -> TransportResult<Server>
 where
     H: Fn(&HttpRequest, &mut ReplyControl) -> HttpResponse + Send + Sync + 'static,
 {
@@ -178,7 +80,7 @@ where
         None,
     ));
     let driver_overload = Arc::clone(&overload);
-    let inner = EventServer::bind(
+    Server::start(
         addr,
         ReactorConfig {
             read_timeout: config.read_timeout,
@@ -198,23 +100,22 @@ where
                 stream_factory.clone(),
             )) as Box<dyn crate::reactor::conn::ConnDriver>
         }),
-    )?;
-    Ok(HttpServer { inner })
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::client::{http_get, send_request};
+    use crate::ServerBuilder;
     use std::io::BufReader;
     use std::net::TcpStream;
 
     #[test]
     fn serves_concurrent_requests() {
-        let server = HttpServer::bind("127.0.0.1:0", |req| {
-            HttpResponse::ok("text/plain", req.path.as_bytes().to_vec())
-        })
-        .unwrap();
+        let server = ServerBuilder::bind("127.0.0.1:0")
+            .serve_http(|req| HttpResponse::ok("text/plain", req.path.as_bytes().to_vec()))
+            .unwrap();
         let addr = server.local_addr().to_string();
         crossbeam::thread::scope(|s| {
             let mut joins = Vec::new();
@@ -235,8 +136,9 @@ mod tests {
 
     #[test]
     fn malformed_request_gets_400() {
-        let server =
-            HttpServer::bind("127.0.0.1:0", |_req| HttpResponse::ok("text/plain", vec![])).unwrap();
+        let server = ServerBuilder::bind("127.0.0.1:0")
+            .serve_http(|_req| HttpResponse::ok("text/plain", vec![]))
+            .unwrap();
         let addr = server.local_addr();
         let mut stream = TcpStream::connect(addr).unwrap();
         use std::io::Write;
@@ -249,14 +151,16 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_unblocks() {
-        let server =
-            HttpServer::bind("127.0.0.1:0", |_req| HttpResponse::ok("text/plain", vec![])).unwrap();
+        let server = ServerBuilder::bind("127.0.0.1:0")
+            .serve_http(|_req| HttpResponse::ok("text/plain", vec![]))
+            .unwrap();
         let addr = server.local_addr().to_string();
         assert!(send_request(&addr, &HttpRequest::get("/")).is_ok());
         server.shutdown();
         // A second server can immediately rebind a fresh ephemeral port.
-        let server2 =
-            HttpServer::bind("127.0.0.1:0", |_req| HttpResponse::ok("text/plain", vec![])).unwrap();
+        let server2 = ServerBuilder::bind("127.0.0.1:0")
+            .serve_http(|_req| HttpResponse::ok("text/plain", vec![]))
+            .unwrap();
         drop(server2); // Drop also shuts down cleanly.
     }
 
@@ -264,9 +168,9 @@ mod tests {
     fn one_shot_clients_still_get_connection_close() {
         // The stock client helpers say `Connection: close`; the server
         // must honor it and say so in its own response header.
-        let server =
-            HttpServer::bind("127.0.0.1:0", |_req| HttpResponse::ok("text/plain", b"x".to_vec()))
-                .unwrap();
+        let server = ServerBuilder::bind("127.0.0.1:0")
+            .serve_http(|_req| HttpResponse::ok("text/plain", b"x".to_vec()))
+            .unwrap();
         let addr = server.local_addr().to_string();
         let resp = send_request(&addr, &HttpRequest::get("/")).unwrap();
         assert_eq!(resp.header("connection"), Some("close"));

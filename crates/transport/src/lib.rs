@@ -6,9 +6,13 @@
 //! * **Framed TCP** ([`framed`]) — the `BXSA/TCP` binding "just dumps the
 //!   serialization directly to a TCP connection" (§5.3); a 4-byte length
 //!   prefix delimits messages.
-//! * **HTTP/1.1** ([`http`]) — a from-scratch client and threaded server
-//!   sufficient for SOAP-over-HTTP POSTs and for the separated scheme's
-//!   file staging ([`fileserver`], the Apache stand-in).
+//! * **HTTP/1.1** ([`http`]) — a from-scratch client and an evented
+//!   keep-alive server sufficient for SOAP-over-HTTP POSTs and for the
+//!   separated scheme's file staging ([`fileserver`], the Apache
+//!   stand-in).
+//!
+//! Both servers are bound one way, through [`ServerBuilder`], and run as
+//! one type, [`Server`], on the epoll runtime in [`reactor`].
 //!
 //! Everything here moves real bytes over real (loopback) sockets; the
 //! simulated-time models live in the `netsim` crate instead.
@@ -51,9 +55,10 @@ pub use http::client::{
 };
 pub use http::request::HttpRequest;
 pub use http::response::HttpResponse;
-pub use http::server::{metrics_response, HttpServer, HttpServerConfig};
+pub use http::server::{metrics_response, HttpServerConfig};
 pub use http::streaming::{StreamFactory, StreamReply, StreamRequestHead, StreamSession};
 pub use pool::{BufferPool, Pool};
+pub use reactor::server::Server;
 pub use reactor::{Event, Events, Interest, OverloadConfig, Poller, Waker};
 pub use retry::{RetryPolicy, RetrySchedule};
-pub use tcpserver::{ReplyControl, TcpServer, TcpServerConfig};
+pub use tcpserver::{ReplyControl, TcpServerConfig};

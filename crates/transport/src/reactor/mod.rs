@@ -7,9 +7,10 @@
 //! * `conn` (crate-private) — resumable per-connection state machines
 //!   for framed-TCP and HTTP/1.1 (with keep-alive and pipelining),
 //!   owning all parse state and the pooled-buffer discipline.
-//! * `server` (crate-private) — the runtime: a blocking acceptor shard feeding N
+//! * `server` — the runtime: a blocking acceptor shard feeding N
 //!   event-loop workers over wakered inboxes, loop-maintained deadlines,
-//!   and bounded-drain shutdown.
+//!   and bounded-drain shutdown. Its running handle is
+//!   [`crate::Server`], the one type every `serve_*` returns.
 //! * `overload` (crate-private) — admission control and load shedding: the
 //!   connection cap the acceptor enforces (pause-accept or
 //!   accept-then-reject), the inflight/queue-delay signal drivers consult
@@ -17,8 +18,8 @@
 //!   kills slow-loris peers. Configured per server via
 //!   [`crate::OverloadConfig`].
 //!
-//! `TcpServer` and `HttpServer` are thin facades over this module; their
-//! `bind_*` APIs are unchanged from the thread-per-connection era.
+//! [`crate::ServerBuilder`] is the only way in: its `serve_*` finishes
+//! hand the framed-TCP or HTTP driver factory to `server`.
 
 pub mod poll;
 

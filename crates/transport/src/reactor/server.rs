@@ -54,7 +54,7 @@ const ACCEPT_BACKLOG: i32 = 4096;
 
 /// How long `shutdown()` lets in-flight connections finish before they
 /// are dropped (and counted as `shutdown_drop`).
-pub(crate) const DEFAULT_DRAIN: Duration = Duration::from_secs(1);
+const DEFAULT_DRAIN: Duration = Duration::from_secs(1);
 
 /// How the reactor serves one listener.
 pub(crate) struct ReactorConfig {
@@ -79,8 +79,11 @@ pub(crate) struct ReactorConfig {
 /// inside it) is created on its worker and never leaves.
 pub(crate) type DriverFactory = Arc<dyn Fn() -> Box<dyn ConnDriver> + Send + Sync>;
 
-/// A running evented server: acceptor + workers, shared stop/drain state.
-pub(crate) struct EventServer {
+/// A running server, framed TCP or HTTP: the acceptor, the event-loop
+/// workers, and their shared stop and drain state. Built by
+/// [`crate::ServerBuilder`]; dropping it shuts it down with the default
+/// drain.
+pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     errors: Arc<AtomicU64>,
@@ -117,14 +120,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl EventServer {
+impl Server {
     /// Bind `addr` and start the acceptor and workers. `factory` builds
     /// one [`ConnDriver`] per accepted connection, on the owning worker.
-    pub(crate) fn bind(
+    pub(crate) fn start(
         addr: &str,
         config: ReactorConfig,
         factory: DriverFactory,
-    ) -> TransportResult<EventServer> {
+    ) -> TransportResult<Server> {
         let listener = TcpListener::bind(addr)?;
         if raise_backlog(&listener, ACCEPT_BACKLOG).is_err() {
             // Surfaced once: a refused backlog otherwise masquerades as
@@ -241,7 +244,7 @@ impl EventServer {
             })
             .expect("spawn reactor accept thread");
 
-        Ok(EventServer {
+        Ok(Server {
             addr: local,
             stop,
             errors,
@@ -251,15 +254,32 @@ impl EventServer {
         })
     }
 
-    pub(crate) fn local_addr(&self) -> SocketAddr {
+    /// The bound address.
+    pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
-    pub(crate) fn error_count(&self) -> u64 {
+    /// Connections that ended with a transport error (truncated or
+    /// oversize frame, malformed request, mid-read stall, reset) since
+    /// the server started.
+    pub fn error_count(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn shutdown_within(&mut self, drain: Duration) {
+    /// Stop accepting and drain: in-flight messages get up to a short
+    /// grace period to finish, idle connections close immediately.
+    pub fn shutdown(self) {
+        self.shutdown_within(DEFAULT_DRAIN);
+    }
+
+    /// [`shutdown`](Server::shutdown) with an explicit drain deadline.
+    /// Connections still mid-message when it expires are dropped and
+    /// counted as `bx_server_connection_errors_total{kind="shutdown_drop"}`.
+    pub fn shutdown_within(mut self, drain: Duration) {
+        self.drain(drain);
+    }
+
+    fn drain(&mut self, drain: Duration) {
         // Publish the drain deadline before the stop flag: a worker that
         // observes `stop` always finds the deadline already set.
         {
@@ -286,9 +306,9 @@ impl EventServer {
     }
 }
 
-impl Drop for EventServer {
+impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown_within(DEFAULT_DRAIN);
+        self.drain(DEFAULT_DRAIN);
     }
 }
 

@@ -6,12 +6,12 @@
 //! has no per-request protocol overhead, which is part of why the paper's
 //! `SOAP over BXSA/TCP` wins on the LAN.
 //!
-//! Since the reactor port, connections are served by a fixed pool of
-//! event-loop workers ([`crate::reactor`]) instead of a thread per
-//! connection: the same `bind_*` surface, per-connection handler state,
-//! and buffer-reuse discipline, but concurrency is bounded by worker
-//! count, not thread count, so tens of thousands of idle-ish connections
-//! cost file descriptors rather than stacks.
+//! Bind one with [`ServerBuilder::serve_framed`](crate::ServerBuilder::serve_framed);
+//! it runs as a [`Server`]. Connections are served by a fixed pool of
+//! event-loop workers ([`crate::reactor`]) with per-connection handler
+//! state and reused buffers, so concurrency is bounded by worker count,
+//! not thread count, and tens of thousands of idle-ish connections cost
+//! file descriptors rather than stacks.
 //!
 //! Resilience: a connection that times out mid-read, trips the frame
 //! limit, or dies mid-message takes a typed error path — the connection
@@ -19,7 +19,6 @@
 //! `bx_server_connection_errors_total{transport="tcp"}`, and the
 //! listener stays alive for everyone else.
 
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,9 +27,9 @@ use crate::faulty::SharedInjector;
 use crate::metrics;
 use crate::reactor::conn::FramedDriver;
 use crate::reactor::overload::{Overload, OverloadConfig};
-use crate::reactor::server::{EventServer, ReactorConfig, DEFAULT_DRAIN};
+use crate::reactor::server::{ReactorConfig, Server};
 
-/// Per-connection service limits for a [`TcpServer`].
+/// Per-connection service limits for a framed-TCP [`Server`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcpServerConfig {
     /// Budget for making read progress on a message. A client that
@@ -71,188 +70,8 @@ impl ReplyControl {
     }
 }
 
-/// A running framed-TCP server.
-pub struct TcpServer {
-    inner: EventServer,
-}
-
-impl TcpServer {
-    /// Bind and serve: `handler` maps each request message to a response
-    /// message.
-    pub fn bind<H>(addr: &str, handler: H) -> TransportResult<TcpServer>
-    where
-        H: Fn(Vec<u8>) -> Vec<u8> + Send + Sync + 'static,
-    {
-        TcpServer::bind_with(addr, TcpServerConfig::default(), move |request, out| {
-            *out = handler(request.to_vec());
-        })
-    }
-
-    /// [`bind`](TcpServer::bind) with explicit per-connection limits and
-    /// caller-managed buffers: `handler` reads the request slice and
-    /// writes the response into `out` (handed over cleared).
-    pub fn bind_with<H>(
-        addr: &str,
-        config: TcpServerConfig,
-        handler: H,
-    ) -> TransportResult<TcpServer>
-    where
-        H: Fn(&[u8], &mut Vec<u8>) + Send + Sync + 'static,
-    {
-        bind_framed_inner(addr, config, None, None, || (), move |_: &mut (), request, out, _ctl| {
-            handler(request, out)
-        })
-    }
-
-    /// Bind and serve with caller-managed buffers: `handler` reads the
-    /// request slice and writes the response into `out` (handed over
-    /// cleared). Each connection cycles one request and one response
-    /// buffer for its whole lifetime, so steady-state service of
-    /// similarly-sized messages does no per-message allocation.
-    #[deprecated(since = "0.9.0", note = "use `TcpServer::bind_with` or `ServerBuilder::bind(addr).serve_framed(...)`")]
-    pub fn bind_buffered<H>(addr: &str, handler: H) -> TransportResult<TcpServer>
-    where
-        H: Fn(&[u8], &mut Vec<u8>) + Send + Sync + 'static,
-    {
-        TcpServer::bind_with(addr, TcpServerConfig::default(), handler)
-    }
-
-    /// [`bind_buffered`](TcpServer::bind_buffered) with explicit
-    /// per-connection limits.
-    #[deprecated(since = "0.9.0", note = "use `TcpServer::bind_with` or `ServerBuilder::bind(addr).serve_framed(...)`")]
-    pub fn bind_buffered_with<H>(
-        addr: &str,
-        config: TcpServerConfig,
-        handler: H,
-    ) -> TransportResult<TcpServer>
-    where
-        H: Fn(&[u8], &mut Vec<u8>) + Send + Sync + 'static,
-    {
-        bind_framed_inner(addr, config, None, None, || (), move |_: &mut (), request, out, _ctl| {
-            handler(request, out)
-        })
-    }
-
-    /// [`bind_buffered_with`](TcpServer::bind_buffered_with) plus
-    /// per-connection handler state: `init` runs once per accepted
-    /// connection, and the value it returns is threaded through every
-    /// message on that connection. This is where connection-scoped
-    /// scratch lives — decode documents refilled in place, session
-    /// counters — extending the buffer-reuse discipline from the two
-    /// payload buffers to whatever the handler needs to keep warm.
-    ///
-    /// The state never leaves the event-loop worker that owns its
-    /// connection, so it needs no `Send`/`Sync`; only the `init` factory
-    /// is shared.
-    #[deprecated(since = "0.9.0", note = "use `ServerBuilder::bind(addr).serve_framed(init, handler)`")]
-    pub fn bind_scoped_with<S, I, H>(
-        addr: &str,
-        config: TcpServerConfig,
-        init: I,
-        handler: H,
-    ) -> TransportResult<TcpServer>
-    where
-        S: 'static,
-        I: Fn() -> S + Send + Sync + 'static,
-        H: Fn(&mut S, &[u8], &mut Vec<u8>) + Send + Sync + 'static,
-    {
-        bind_framed_inner(addr, config, None, None, init, move |state, request, out, _ctl| {
-            handler(state, request, out)
-        })
-    }
-
-    /// [`bind_scoped_with`](TcpServer::bind_scoped_with) plus a
-    /// [`ReplyControl`] the handler may use to cap this reply's write
-    /// budget — the hook deadline-aware services use to bound the reply
-    /// write by the caller's remaining time instead of the static config.
-    #[deprecated(since = "0.9.0", note = "use `ServerBuilder::bind(addr).serve_framed(init, handler)`")]
-    pub fn bind_scoped_ctl_with<S, I, H>(
-        addr: &str,
-        config: TcpServerConfig,
-        init: I,
-        handler: H,
-    ) -> TransportResult<TcpServer>
-    where
-        S: 'static,
-        I: Fn() -> S + Send + Sync + 'static,
-        H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl) + Send + Sync + 'static,
-    {
-        bind_framed_inner(addr, config, None, None, init, handler)
-    }
-
-    /// [`bind_scoped_ctl_with`](TcpServer::bind_scoped_ctl_with) plus the
-    /// canned payload overload protection answers with: `shed_payload`
-    /// (typically an encoded SOAP Server fault carrying a
-    /// `retry-after-ms=` detail) is sent — length-prefixed — as the reply
-    /// to a request shed under [`OverloadConfig`] pressure, and as the
-    /// parting frame of a connection rejected at the cap in
-    /// `reject_when_full` mode. Without a payload (the other `bind_*`
-    /// variants), shed and rejected connections are simply closed.
-    #[deprecated(since = "0.9.0", note = "use `ServerBuilder::bind(addr).shed_payload(...).serve_framed(init, handler)`")]
-    pub fn bind_scoped_ctl_overload_with<S, I, H>(
-        addr: &str,
-        config: TcpServerConfig,
-        shed_payload: Option<Vec<u8>>,
-        init: I,
-        handler: H,
-    ) -> TransportResult<TcpServer>
-    where
-        S: 'static,
-        I: Fn() -> S + Send + Sync + 'static,
-        H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl) + Send + Sync + 'static,
-    {
-        bind_framed_inner(addr, config, shed_payload, None, init, handler)
-    }
-
-    /// [`bind_scoped_ctl_with`](TcpServer::bind_scoped_ctl_with) with
-    /// every *accepted* stream wrapped in a
-    /// [`crate::faulty::FaultingTransport`] drawing from `injector` —
-    /// byte-level fault injection on the server's own read *and write*
-    /// paths, so torture tests exercise partial-write handling under a
-    /// live accept loop, not just unit-level decode.
-    #[deprecated(since = "0.9.0", note = "use `ServerBuilder::bind(addr).faults(...).serve_framed(init, handler)`")]
-    pub fn bind_scoped_faulty_with<S, I, H>(
-        addr: &str,
-        config: TcpServerConfig,
-        injector: SharedInjector,
-        init: I,
-        handler: H,
-    ) -> TransportResult<TcpServer>
-    where
-        S: 'static,
-        I: Fn() -> S + Send + Sync + 'static,
-        H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl) + Send + Sync + 'static,
-    {
-        bind_framed_inner(addr, config, None, Some(injector), init, handler)
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Connections that ended with a transport error (truncated frame,
-    /// oversize frame, mid-read timeout, reset) since the server started.
-    pub fn error_count(&self) -> u64 {
-        self.inner.error_count()
-    }
-
-    /// Stop accepting and drain: in-flight messages get up to a short
-    /// grace period to finish, idle connections close immediately.
-    pub fn shutdown(self) {
-        self.shutdown_within(DEFAULT_DRAIN);
-    }
-
-    /// [`shutdown`](TcpServer::shutdown) with an explicit drain deadline.
-    /// Connections still mid-message when it expires are dropped and
-    /// counted as `bx_server_connection_errors_total{kind="shutdown_drop"}`.
-    pub fn shutdown_within(mut self, drain: Duration) {
-        self.inner.shutdown_within(drain);
-    }
-}
-
-/// The one true framed-TCP bind: every public constructor and the
-/// [`crate::ServerBuilder`] funnel through here.
+/// The one framed-TCP bind, behind
+/// [`ServerBuilder::serve_framed`](crate::ServerBuilder::serve_framed).
 pub(crate) fn bind_framed_inner<S, I, H>(
     addr: &str,
     config: TcpServerConfig,
@@ -260,7 +79,7 @@ pub(crate) fn bind_framed_inner<S, I, H>(
     injector: Option<SharedInjector>,
     init: I,
     handler: H,
-) -> TransportResult<TcpServer>
+) -> TransportResult<Server>
 where
     S: 'static,
     I: Fn() -> S + Send + Sync + 'static,
@@ -282,7 +101,7 @@ where
         shed_payload.map(Arc::<[u8]>::from),
     ));
     let driver_overload = Arc::clone(&overload);
-    let inner = EventServer::bind(
+    Server::start(
         addr,
         ReactorConfig {
             read_timeout: config.read_timeout,
@@ -300,8 +119,7 @@ where
                 Arc::clone(&driver_overload),
             )) as Box<dyn crate::reactor::conn::ConnDriver>
         }),
-    )?;
-    Ok(TcpServer { inner })
+    )
 }
 
 #[cfg(test)]
@@ -313,11 +131,15 @@ mod tests {
 
     #[test]
     fn echo_roundtrip_multiple_messages() {
-        let server = TcpServer::bind("127.0.0.1:0", |mut req| {
-            req.reverse();
-            req
-        })
-        .unwrap();
+        let server = crate::ServerBuilder::bind("127.0.0.1:0")
+            .serve_framed(
+                || (),
+                |_scratch, req, out, _ctl| {
+                    out.extend_from_slice(req);
+                    out.reverse();
+                },
+            )
+            .unwrap();
         let addr = server.local_addr().to_string();
         let mut client = FramedStream::connect(&addr).unwrap();
         // Multiple messages over one persistent connection.
@@ -383,7 +205,9 @@ mod tests {
 
     #[test]
     fn concurrent_clients() {
-        let server = TcpServer::bind("127.0.0.1:0", |req| req).unwrap();
+        let server = crate::ServerBuilder::bind("127.0.0.1:0")
+            .serve_framed(|| (), |_scratch, req, out, _ctl| out.extend_from_slice(req))
+            .unwrap();
         let addr = server.local_addr().to_string();
         crossbeam::thread::scope(|s| {
             let mut joins = Vec::new();
@@ -406,7 +230,9 @@ mod tests {
 
     #[test]
     fn large_payload_roundtrip() {
-        let server = TcpServer::bind("127.0.0.1:0", |req| req).unwrap();
+        let server = crate::ServerBuilder::bind("127.0.0.1:0")
+            .serve_framed(|| (), |_scratch, req, out, _ctl| out.extend_from_slice(req))
+            .unwrap();
         let addr = server.local_addr().to_string();
         let mut client = FramedStream::connect(&addr).unwrap();
         let payload: Vec<u8> = (0..2_000_000u32).map(|i| i as u8).collect();
@@ -417,7 +243,9 @@ mod tests {
 
     #[test]
     fn half_written_frame_is_counted_and_listener_survives() {
-        let server = TcpServer::bind("127.0.0.1:0", |req| req).unwrap();
+        let server = crate::ServerBuilder::bind("127.0.0.1:0")
+            .serve_framed(|| (), |_scratch, req, out, _ctl| out.extend_from_slice(req))
+            .unwrap();
         let addr = server.local_addr();
         // A client that declares 100 bytes, writes 3, and vanishes.
         {
@@ -472,11 +300,15 @@ mod tests {
     fn shutdown_drains_an_in_flight_message() {
         // A handler that parks for 300 ms: shutdown issued right after
         // the request must still deliver the reply (drain > nap).
-        let server = TcpServer::bind("127.0.0.1:0", |req| {
-            std::thread::sleep(Duration::from_millis(300));
-            req
-        })
-        .unwrap();
+        let server = crate::ServerBuilder::bind("127.0.0.1:0")
+            .serve_framed(
+                || (),
+                |_scratch, req, out, _ctl| {
+                    std::thread::sleep(Duration::from_millis(300));
+                    out.extend_from_slice(req);
+                },
+            )
+            .unwrap();
         let addr = server.local_addr().to_string();
         let mut client = FramedStream::connect(&addr).unwrap();
         client.send(b"draining").unwrap();

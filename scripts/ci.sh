@@ -113,15 +113,41 @@ cargo run --release -p bench --bin loadgen -- --overload-smoke
 # Evented means evented: connections are multiplexed onto the reactor's
 # fixed worker pool (spawned via thread::Builder at bind time), so no
 # per-connection thread::spawn may reappear on the serving path. Test
-# modules are exempt (clients and fixtures there spawn freely);
-# fileserver.rs predates the reactor and is out of scope.
+# modules are exempt (clients and fixtures there spawn freely).
 for f in crates/transport/src/tcpserver.rs crates/transport/src/http/server.rs \
+         crates/transport/src/fileserver.rs crates/transport/src/builder.rs \
          crates/transport/src/reactor/*.rs; do
     if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'thread::spawn'; then
         echo "reactor: $f spawns per-connection threads; use the event loop" >&2
         exit 1
     fi
 done
+
+# One way to bind: ServerBuilder::bind (builder.rs) is the only public
+# way to bind a transport server; FileServer::bind (fileserver.rs) is a
+# handler on the same HTTP driver. Every serve_* returns the one
+# transport::Server. No deprecated shim may come back in transport or
+# soap either: delete a superseded entry point instead. Test modules are
+# exempt.
+bind_hits=$(find crates/transport/src -name '*.rs' | sort | while read -r f; do
+    case "$f" in
+        crates/transport/src/builder.rs | crates/transport/src/fileserver.rs) continue ;;
+    esac
+    awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'pub fn bind' | sed "s|^|$f:|" || true
+done)
+if [ -n "$bind_hits" ]; then
+    echo "$bind_hits" >&2
+    echo "bind: public bind outside ServerBuilder; bind servers through ServerBuilder" >&2
+    exit 1
+fi
+deprecated_hits=$(find crates/transport/src crates/soap/src -name '*.rs' | sort | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n '#\[deprecated' | sed "s|^|$f:|" || true
+done)
+if [ -n "$deprecated_hits" ]; then
+    echo "$deprecated_hits" >&2
+    echo "deprecated: transport and soap keep no deprecated items; delete them" >&2
+    exit 1
+fi
 
 # One frame parser: the BXSA frame grammar (prefix byte, padded size
 # field) is parsed only in the frame core, crates/bxsa/src/frame.rs;

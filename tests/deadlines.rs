@@ -57,15 +57,17 @@ fn three_hop_chain_observes_the_client_budget_end_to_end() {
     // timeouts a generous 10 s — without deadline propagation the client
     // would sit out the full nap.
     let hits = Arc::new(AtomicU32::new(0));
-    let server = TcpSoapServer::bind_with(
+    let server = TcpSoapServer::bind_service_with(
         "127.0.0.1:0",
         TcpServerConfig {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
             ..TcpServerConfig::default()
         },
-        XmlEncoding::default(),
-        slow_registry(Duration::from_secs(2), Arc::clone(&hits)),
+        soap::SoapService::new(
+            XmlEncoding::default(),
+            slow_registry(Duration::from_secs(2), Arc::clone(&hits)),
+        ),
     )
     .unwrap();
 

@@ -12,14 +12,13 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
 
 use transport::{
-    HttpConnection, HttpRequest, HttpResponse, HttpServer, Timeouts,
+    HttpConnection, HttpRequest, HttpResponse, Server, ServerBuilder, Timeouts,
 };
 
-fn echo_path_server() -> HttpServer {
-    HttpServer::bind("127.0.0.1:0", |req| {
-        HttpResponse::ok("text/plain", req.path.as_bytes().to_vec())
-    })
-    .unwrap()
+fn echo_path_server() -> Server {
+    ServerBuilder::bind("127.0.0.1:0")
+        .serve_http(|req| HttpResponse::ok("text/plain", req.path.as_bytes().to_vec()))
+        .unwrap()
 }
 
 fn raw_get(path: &str, connection: Option<&str>) -> Vec<u8> {
@@ -219,10 +218,9 @@ fn stale_kept_socket_is_resent_once() {
 fn pooled_scratch_does_not_leak_request_bytes_between_keep_alive_requests() {
     // Regression: one connection's reused request-body buffer must never
     // show a later request stale bytes from an earlier (longer) one.
-    let server = HttpServer::bind("127.0.0.1:0", |req| {
-        HttpResponse::ok("application/octet-stream", req.body.clone())
-    })
-    .unwrap();
+    let server = ServerBuilder::bind("127.0.0.1:0")
+        .serve_http(|req| HttpResponse::ok("application/octet-stream", req.body.clone()))
+        .unwrap();
     let mut conn = HttpConnection::new(&server.local_addr().to_string());
     let long = vec![0xAA; 4096];
     assert_eq!(

@@ -205,29 +205,23 @@ fn tcp_only_deployment_exports_via_dump() {
 }
 
 /// The scrape endpoint is plumbing, not magic: it can be disabled (or
-/// moved) through [`transport::HttpServerConfig::metrics_path`], and a
-/// plain [`transport::HttpServer`] without the flag never answers it.
+/// moved) through [`transport::ServerBuilder::metrics_path`], and a
+/// plain HTTP [`transport::Server`] without the flag never answers it.
 #[test]
 fn metrics_path_is_opt_in_for_plain_http_servers() {
-    let server = transport::HttpServer::bind("127.0.0.1:0", |_req| {
-        transport::HttpResponse::ok("text/plain", b"app".to_vec())
-    })
-    .unwrap();
+    let server = transport::ServerBuilder::bind("127.0.0.1:0")
+        .serve_http(|_req| transport::HttpResponse::ok("text/plain", b"app".to_vec()))
+        .unwrap();
     let addr = server.local_addr().to_string();
     // No metrics_path configured: the application handler owns every
     // path, including /metrics.
     assert_eq!(transport::http_get(&addr, "/metrics").unwrap(), b"app");
     server.shutdown();
 
-    let server = transport::HttpServer::bind_with(
-        "127.0.0.1:0",
-        transport::HttpServerConfig {
-            metrics_path: Some("/internal/metrics"),
-            ..Default::default()
-        },
-        |_req| transport::HttpResponse::ok("text/plain", b"app".to_vec()),
-    )
-    .unwrap();
+    let server = transport::ServerBuilder::bind("127.0.0.1:0")
+        .metrics_path("/internal/metrics")
+        .serve_http(|_req| transport::HttpResponse::ok("text/plain", b"app".to_vec()))
+        .unwrap();
     let addr = server.local_addr().to_string();
     let scrape = String::from_utf8(transport::http_get(&addr, "/internal/metrics").unwrap())
         .unwrap();

@@ -15,12 +15,13 @@ use std::time::{Duration, Instant};
 
 use bxdm::{AtomicValue, Element};
 use soap::{
-    BxsaEncoding, FaultCode, ServiceRegistry, SoapEngine, SoapEnvelope, SoapError, TcpBinding,
-    TcpSoapServer,
+    BxsaEncoding, FaultCode, ServiceRegistry, SoapEngine, SoapEnvelope, SoapError, SoapService,
+    TcpBinding, TcpSoapServer,
 };
+use transport::faulty::{FaultInjector, FaultProfile};
 use transport::{
-    send_request, FramedStream, HttpRequest, HttpResponse, HttpServer, HttpServerConfig,
-    OverloadConfig, TcpServer, TcpServerConfig, TransportError,
+    send_request, FramedStream, HttpRequest, HttpResponse, OverloadConfig, ServerBuilder,
+    TcpServerConfig, TransportError,
 };
 
 /// Sum of every counter sample matching `name` and all `labels`
@@ -70,21 +71,16 @@ fn nap_request() -> SoapEnvelope {
 /// silent reset, never service.
 #[test]
 fn full_server_rejects_with_the_complete_503_contract() {
-    let server = HttpServer::bind_with(
-        "127.0.0.1:0",
-        HttpServerConfig {
-            read_timeout: Some(Duration::from_secs(5)),
-            write_timeout: Some(Duration::from_secs(5)),
-            overload: OverloadConfig {
-                max_connections: Some(2),
-                reject_when_full: true,
-                ..OverloadConfig::default()
-            },
-            ..HttpServerConfig::default()
-        },
-        |_req| HttpResponse::ok("text/plain", b"served".to_vec()),
-    )
-    .unwrap();
+    let server = ServerBuilder::bind("127.0.0.1:0")
+        .read_timeout(Duration::from_secs(5))
+        .write_timeout(Duration::from_secs(5))
+        .overload(OverloadConfig {
+            max_connections: Some(2),
+            reject_when_full: true,
+            ..OverloadConfig::default()
+        })
+        .serve_http(|_req| HttpResponse::ok("text/plain", b"served".to_vec()))
+        .unwrap();
     let addr = server.local_addr();
     let rejected_before =
         counter("bx_server_rejected_connections_total", &["transport=\"http\"", "reason=\"conn_cap\""]);
@@ -140,21 +136,16 @@ fn full_server_rejects_with_the_complete_503_contract() {
 /// frees.
 #[test]
 fn paused_acceptor_serves_the_queued_connection_when_a_slot_frees() {
-    let server = HttpServer::bind_with(
-        "127.0.0.1:0",
-        HttpServerConfig {
-            read_timeout: Some(Duration::from_secs(5)),
-            write_timeout: Some(Duration::from_secs(5)),
-            overload: OverloadConfig {
-                max_connections: Some(1),
-                reject_when_full: false,
-                ..OverloadConfig::default()
-            },
-            ..HttpServerConfig::default()
-        },
-        |_req| HttpResponse::ok("text/plain", b"served".to_vec()),
-    )
-    .unwrap();
+    let server = ServerBuilder::bind("127.0.0.1:0")
+        .read_timeout(Duration::from_secs(5))
+        .write_timeout(Duration::from_secs(5))
+        .overload(OverloadConfig {
+            max_connections: Some(1),
+            reject_when_full: false,
+            ..OverloadConfig::default()
+        })
+        .serve_http(|_req| HttpResponse::ok("text/plain", b"served".to_vec()))
+        .unwrap();
     let addr = server.local_addr();
 
     let mut holder = TcpStream::connect(addr).unwrap();
@@ -193,25 +184,20 @@ fn paused_acceptor_serves_the_queued_connection_when_a_slot_frees() {
 fn http_shed_skips_the_handler_and_carries_the_contract() {
     let handler_ran = Arc::new(AtomicBool::new(false));
     let witness = Arc::clone(&handler_ran);
-    let server = HttpServer::bind_with(
-        "127.0.0.1:0",
-        HttpServerConfig {
-            read_timeout: Some(Duration::from_secs(5)),
-            write_timeout: Some(Duration::from_secs(5)),
-            overload: OverloadConfig {
-                // Zero admitted requests: everything sheds, deterministically.
-                max_inflight: Some(0),
-                retry_after_hint: Duration::from_secs(2),
-                ..OverloadConfig::default()
-            },
-            ..HttpServerConfig::default()
-        },
-        move |_req| {
+    let server = ServerBuilder::bind("127.0.0.1:0")
+        .read_timeout(Duration::from_secs(5))
+        .write_timeout(Duration::from_secs(5))
+        .overload(OverloadConfig {
+            // Zero admitted requests: everything sheds, deterministically.
+            max_inflight: Some(0),
+            retry_after_hint: Duration::from_secs(2),
+            ..OverloadConfig::default()
+        })
+        .serve_http(move |_req| {
             witness.store(true, Ordering::SeqCst);
             HttpResponse::ok("text/plain", b"served".to_vec())
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
     let addr = server.local_addr().to_string();
     let shed_before = counter("bx_server_shed_total", &["transport=\"http\"", "reason=\"inflight\""]);
 
@@ -236,43 +222,72 @@ fn http_shed_skips_the_handler_and_carries_the_contract() {
 
 /// A shed framed-TCP request is answered in-band: a `Server` fault whose
 /// detail carries a machine-readable `retry-after-ms` hint, on a
-/// connection that stays open for the retry.
+/// connection that stays open for the retry. The fault-injection test
+/// hook, with a clean injector, must shed exactly like the real bind.
 #[test]
 fn framed_shed_answers_a_retryable_fault_and_keeps_the_connection() {
-    let server = TcpSoapServer::bind_with(
-        "127.0.0.1:0",
-        TcpServerConfig {
-            overload: OverloadConfig {
-                max_inflight: Some(0),
-                ..OverloadConfig::default()
-            },
-            ..TcpServerConfig::default()
+    let config = TcpServerConfig {
+        overload: OverloadConfig {
+            max_inflight: Some(0),
+            ..OverloadConfig::default()
         },
-        BxsaEncoding::default(),
-        nap_registry(Duration::ZERO),
-    )
-    .unwrap();
-    let addr = server.local_addr().to_string();
-    let shed_before = counter("bx_server_shed_total", &["transport=\"tcp\"", "reason=\"inflight\""]);
+        ..TcpServerConfig::default()
+    };
+    let servers = [
+        (
+            "bind_service_with",
+            TcpSoapServer::bind_service_with(
+                "127.0.0.1:0",
+                config,
+                SoapService::new(BxsaEncoding::default(), nap_registry(Duration::ZERO)),
+            )
+            .unwrap(),
+        ),
+        (
+            "bind_faulty",
+            TcpSoapServer::bind_faulty(
+                "127.0.0.1:0",
+                config,
+                FaultInjector::new(FaultProfile::clean(7)).shared(),
+                BxsaEncoding::default(),
+                nap_registry(Duration::ZERO),
+            )
+            .unwrap(),
+        ),
+    ];
+    for (bind, server) in servers {
+        let addr = server.local_addr().to_string();
+        let shed_before = counter(
+            "bx_server_shed_total",
+            &["transport=\"tcp\"", "reason=\"inflight\""],
+        );
 
-    let mut engine = SoapEngine::new(BxsaEncoding::default(), TcpBinding::new(&addr));
-    // Two calls: the second proves the connection survived the first shed.
-    for round in 0..2 {
-        match engine.call_with(nap_request(), &soap::CallOptions::new()) {
-            Err(SoapError::Fault(f)) => {
-                assert_eq!(f.code, FaultCode::Server, "round {round}");
-                let hint = f.retry_after().expect("shed fault must carry retry-after-ms");
-                assert!(hint >= Duration::from_millis(1), "round {round}: hint {hint:?}");
+        let mut engine = SoapEngine::new(BxsaEncoding::default(), TcpBinding::new(&addr));
+        // Two calls: the second proves the connection survived the first shed.
+        for round in 0..2 {
+            match engine.call_with(nap_request(), &soap::CallOptions::new()) {
+                Err(SoapError::Fault(f)) => {
+                    assert_eq!(f.code, FaultCode::Server, "{bind} round {round}");
+                    let hint = f
+                        .retry_after()
+                        .expect("shed fault must carry retry-after-ms");
+                    assert!(
+                        hint >= Duration::from_millis(1),
+                        "{bind} round {round}: hint {hint:?}"
+                    );
+                }
+                other => panic!("{bind} round {round}: expected a shed fault, got {other:?}"),
             }
-            other => panic!("round {round}: expected a shed fault, got {other:?}"),
         }
+        assert!(
+            counter(
+                "bx_server_shed_total",
+                &["transport=\"tcp\"", "reason=\"inflight\""]
+            ) >= shed_before + 2,
+            "{bind}: both sheds must be counted"
+        );
+        server.shutdown();
     }
-    assert!(
-        counter("bx_server_shed_total", &["transport=\"tcp\"", "reason=\"inflight\""])
-            >= shed_before + 2,
-        "both sheds must be counted"
-    );
-    server.shutdown();
 }
 
 /// The whole-message deadline cuts off a slow-loris peer that trickles
@@ -280,7 +295,7 @@ fn framed_shed_answers_a_retryable_fault_and_keeps_the_connection() {
 /// well-behaved client is served immediately afterwards.
 #[test]
 fn slow_loris_trickle_is_cut_by_the_message_deadline() {
-    let server = transport::ServerBuilder::bind("127.0.0.1:0")
+    let server = ServerBuilder::bind("127.0.0.1:0")
         // Generous progress budget: each trickled byte re-arms it, so
         // on its own it would never fire. Only the message deadline
         // can end this connection early.
@@ -347,13 +362,14 @@ fn slow_loris_trickle_is_cut_by_the_message_deadline() {
 #[test]
 fn handler_panics_are_counted_per_transport() {
     // HTTP: the panicking request is answered 500 and the counter moves.
-    let http = HttpServer::bind("127.0.0.1:0", |req: &HttpRequest| {
-        if req.path == "/boom" {
-            panic!("handler exploded");
-        }
-        HttpResponse::ok("text/plain", b"fine".to_vec())
-    })
-    .unwrap();
+    let http = ServerBuilder::bind("127.0.0.1:0")
+        .serve_http(|req: &HttpRequest| {
+            if req.path == "/boom" {
+                panic!("handler exploded");
+            }
+            HttpResponse::ok("text/plain", b"fine".to_vec())
+        })
+        .unwrap();
     let http_addr = http.local_addr().to_string();
     let http_before = counter("bx_server_handler_panics_total", &["transport=\"http\""]);
     let resp = send_request(&http_addr, &HttpRequest::get("/boom")).unwrap();
@@ -368,13 +384,14 @@ fn handler_panics_are_counted_per_transport() {
 
     // Framed TCP: the connection dies, the counter moves, the next
     // connection is served.
-    let tcp = TcpServer::bind("127.0.0.1:0", |req: Vec<u8>| {
-        if req == b"boom" {
-            panic!("handler exploded");
-        }
-        req
-    })
-    .unwrap();
+    let tcp = ServerBuilder::bind("127.0.0.1:0")
+        .serve_framed(|| (), |(), req: &[u8], out: &mut Vec<u8>, _ctl| {
+            if req == b"boom" {
+                panic!("handler exploded");
+            }
+            out.extend_from_slice(req);
+        })
+        .unwrap();
     let tcp_addr = tcp.local_addr().to_string();
     let tcp_before = counter("bx_server_handler_panics_total", &["transport=\"tcp\""]);
     let mut victim = FramedStream::connect(&tcp_addr).unwrap();
@@ -395,7 +412,7 @@ fn handler_panics_are_counted_per_transport() {
 /// began — and drops nothing.
 #[test]
 fn shutdown_answers_admitted_inflight_work_under_overload_config() {
-    let server = transport::ServerBuilder::bind("127.0.0.1:0")
+    let server = ServerBuilder::bind("127.0.0.1:0")
         .overload(OverloadConfig {
             max_connections: Some(8),
             reject_when_full: true,
@@ -435,7 +452,7 @@ fn shutdown_answers_admitted_inflight_work_under_overload_config() {
 /// is closed as idle, never double-counted as a shutdown drop.
 #[test]
 fn sheds_are_not_double_counted_as_shutdown_drops() {
-    let server = TcpSoapServer::bind_with(
+    let server = TcpSoapServer::bind_service_with(
         "127.0.0.1:0",
         TcpServerConfig {
             overload: OverloadConfig {
@@ -444,8 +461,7 @@ fn sheds_are_not_double_counted_as_shutdown_drops() {
             },
             ..TcpServerConfig::default()
         },
-        BxsaEncoding::default(),
-        nap_registry(Duration::from_millis(250)),
+        SoapService::new(BxsaEncoding::default(), nap_registry(Duration::from_millis(250))),
     )
     .unwrap();
     let addr = server.local_addr().to_string();
@@ -483,21 +499,22 @@ fn sheds_are_not_double_counted_as_shutdown_drops() {
 /// to a day, past dates as "retry now".
 #[test]
 fn http_date_retry_after_reaches_the_client_clamped() {
-    let server = HttpServer::bind("127.0.0.1:0", |req: &HttpRequest| {
-        let resp = HttpResponse {
-            status: 503,
-            reason: "Service Unavailable".into(),
-            headers: Vec::new(),
-            body: b"busy".to_vec(),
-        };
-        match req.path.as_str() {
-            // Far future: must clamp to the one-day cap.
-            "/future" => resp.with_header("Retry-After", "Fri, 01 Jan 2038 00:00:00 GMT"),
-            // Past: retry immediately.
-            _ => resp.with_header("Retry-After", "Sun, 06 Nov 1994 08:49:37 GMT"),
-        }
-    })
-    .unwrap();
+    let server = ServerBuilder::bind("127.0.0.1:0")
+        .serve_http(|req: &HttpRequest| {
+            let resp = HttpResponse {
+                status: 503,
+                reason: "Service Unavailable".into(),
+                headers: Vec::new(),
+                body: b"busy".to_vec(),
+            };
+            match req.path.as_str() {
+                // Far future: must clamp to the one-day cap.
+                "/future" => resp.with_header("Retry-After", "Fri, 01 Jan 2038 00:00:00 GMT"),
+                // Past: retry immediately.
+                _ => resp.with_header("Retry-After", "Sun, 06 Nov 1994 08:49:37 GMT"),
+            }
+        })
+        .unwrap();
     let addr = server.local_addr().to_string();
 
     let hint = |path: &str| -> Option<u64> {

@@ -146,15 +146,14 @@ fn live_servers_survive_mutated_corpus() {
     register_verify(&mut registry);
     let registry = Arc::new(registry);
 
-    let tcp = TcpSoapServer::bind_with(
+    let tcp = TcpSoapServer::bind_service_with(
         "127.0.0.1:0",
         TcpServerConfig {
             read_timeout: Some(Duration::from_secs(2)),
             write_timeout: Some(Duration::from_secs(2)),
             ..TcpServerConfig::default()
         },
-        BxsaEncoding::default(),
-        Arc::clone(&registry),
+        soap::SoapService::new(BxsaEncoding::default(), Arc::clone(&registry)),
     )
     .unwrap();
     let http = HttpSoapServer::bind(
@@ -316,7 +315,7 @@ fn retry_honors_503_with_retry_after_from_live_http_server() {
     register_verify(&mut registry);
     let service = soap::SoapService::new(XmlEncoding::default(), Arc::new(registry));
     let busy_until = AtomicU32::new(2);
-    let server = transport::HttpServer::bind("127.0.0.1:0", move |req| {
+    let server = transport::ServerBuilder::bind("127.0.0.1:0").serve_http(move |req| {
         if busy_until.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
         {
@@ -412,7 +411,7 @@ fn retry_after_hint_stretches_the_backoff_sleep() {
     register_verify(&mut registry);
     let service = soap::SoapService::new(XmlEncoding::default(), Arc::new(registry));
     let busy = AtomicU32::new(1);
-    let server = transport::HttpServer::bind("127.0.0.1:0", move |req| {
+    let server = transport::ServerBuilder::bind("127.0.0.1:0").serve_http(move |req| {
         if busy.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
         {
