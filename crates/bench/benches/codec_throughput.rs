@@ -11,7 +11,8 @@ use bench::workload::{netcdf_file, Workload};
 
 fn bench_codecs(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec_throughput");
-    for &model_size in &[1_000usize, 100_000] {
+    // 50 pairs is the perfbench small_rpc mean (the Fig. 4 regime).
+    for &model_size in &[50usize, 1_000, 100_000] {
         let w = Workload::prepare(model_size, 42);
         group.throughput(Throughput::Bytes(w.native_bytes() as u64));
 

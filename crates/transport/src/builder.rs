@@ -187,7 +187,8 @@ impl ServerBuilder {
 mod tests {
     use super::*;
     use crate::framed::FramedStream;
-    use crate::http::client::http_get;
+    use crate::http::client::{http_get, HttpConnection};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn builder_serves_framed_with_scratch() {
@@ -220,6 +221,46 @@ mod tests {
             .unwrap();
         let addr = server.local_addr().to_string();
         assert_eq!(http_get(&addr, "/x").unwrap(), b"/x");
+        server.shutdown();
+    }
+
+    /// Reply buffers keep cycling through the shared pool on a keep-alive
+    /// connection: after the first request, every handler that takes its
+    /// reply body from the pool gets one already big enough. (Parking the
+    /// empty buffer a finished write leaves behind used to fill the pool
+    /// after 32 requests; from then on every reply buffer was dropped.)
+    #[test]
+    fn keep_alive_handlers_keep_getting_pooled_reply_buffers() {
+        const REPLY: usize = 64 * 1024;
+        let pool = Arc::new(BufferPool::default());
+        let handler_pool = Arc::clone(&pool);
+        let short = Arc::new(AtomicUsize::new(0));
+        let short_in_handler = Arc::clone(&short);
+        let server = ServerBuilder::bind("127.0.0.1:0")
+            .pool(pool)
+            .serve_http(move |_req| {
+                let mut body = handler_pool.take();
+                if body.capacity() < REPLY {
+                    short_in_handler.fetch_add(1, Ordering::Relaxed);
+                }
+                body.clear();
+                body.resize(REPLY, b'x');
+                HttpResponse::ok("application/octet-stream", body)
+            })
+            .unwrap();
+        let mut conn = HttpConnection::new(&server.local_addr().to_string());
+        let request = HttpRequest::post("/", "text/plain", b"go".to_vec());
+        let mut response = HttpResponse::empty();
+        for _ in 0..100 {
+            conn.exchange_into(&request, &mut response).unwrap();
+            assert_eq!(response.body.len(), REPLY);
+        }
+        assert_eq!(conn.reuse_count(), 99, "one keep-alive connection");
+        assert_eq!(
+            short.load(Ordering::Relaxed),
+            1,
+            "only the first handler may start from an empty buffer"
+        );
         server.shutdown();
     }
 }

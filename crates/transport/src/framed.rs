@@ -22,6 +22,35 @@ pub const MAX_FRAME_LEN: usize = 256 << 20;
 /// most one chunk of memory before the truncated stream is detected.
 pub(crate) const RECV_CHUNK: usize = 1 << 20;
 
+/// Read exactly `len` bytes into `buf` with `read_exact`, in chunks.
+///
+/// The bytes a reused buffer already holds are overwritten in place, so
+/// only growth past its current length is zero-filled, and it grows at
+/// most [`RECV_CHUNK`] past the bytes actually received: a declared
+/// length far larger than the stream costs one chunk of allocation
+/// before the truncation error, not the declared amount. On error `buf`
+/// holds just the chunks read in full; on success exactly `len` bytes.
+pub(crate) fn read_len_into<E>(
+    len: usize,
+    buf: &mut Vec<u8>,
+    mut read_exact: impl FnMut(&mut [u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut filled = 0;
+    while filled < len {
+        let target = len.min(filled + RECV_CHUNK);
+        if buf.len() < target {
+            buf.resize(target, 0);
+        }
+        if let Err(e) = read_exact(&mut buf[filled..target]) {
+            buf.truncate(filled);
+            return Err(e);
+        }
+        filled = target;
+    }
+    buf.truncate(len);
+    Ok(())
+}
+
 /// A framed message stream over any `Read + Write` (usually a
 /// [`TcpStream`]).
 #[derive(Debug)]
@@ -194,10 +223,8 @@ impl<S: Read + Write> FramedStream<S> {
         Ok(true)
     }
 
-    /// Read a declared-length payload in bounded chunks: the buffer never
-    /// grows more than [`RECV_CHUNK`] past the bytes actually received, so
-    /// a declared length far larger than the stream costs one chunk of
-    /// allocation before the truncation error, not the declared amount.
+    /// Read a declared-length payload into `payload` with
+    /// [`read_len_into`].
     fn recv_payload(
         &mut self,
         started: Instant,
@@ -210,17 +237,7 @@ impl<S: Read + Write> FramedStream<S> {
                 declared: len as u64,
             });
         }
-        payload.clear();
-        while payload.len() < len {
-            let chunk = (len - payload.len()).min(RECV_CHUNK);
-            let filled = payload.len();
-            payload.resize(filled + chunk, 0);
-            if let Err(e) = self.read_exact_or_closed(started, &mut payload[filled..]) {
-                payload.truncate(filled);
-                return Err(e);
-            }
-        }
-        Ok(())
+        read_len_into(len, payload, |chunk| self.read_exact_or_closed(started, chunk))
     }
 
     fn read_exact_or_closed(&mut self, started: Instant, buf: &mut [u8]) -> TransportResult<()> {
@@ -235,7 +252,7 @@ impl<S: Read + Write> FramedStream<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Cursor;
 
@@ -352,6 +369,36 @@ mod tests {
             "allocation {} must stay chunk-bounded, not follow the declared 64 MiB",
             payload.capacity()
         );
+    }
+
+    /// Replies of every size through one reused buffer: large, tiny,
+    /// empty, half a chunk, large. The large ones span several
+    /// [`RECV_CHUNK`]s.
+    pub(crate) fn reply_sequence() -> Vec<Vec<u8>> {
+        let large: Vec<u8> = (0..3 * RECV_CHUNK as u32 + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut other_large = large.clone();
+        other_large.reverse();
+        vec![large, b"tiny".to_vec(), Vec::new(), vec![0x5a; RECV_CHUNK / 2], other_large]
+    }
+
+    /// The client-side twin of the reactor's no-stale-tail test: a
+    /// buffer reused across replies is overwritten in place, and each
+    /// read must still return exactly its own bytes.
+    #[test]
+    fn reused_buffer_reads_carry_no_stale_tail() {
+        let replies = reply_sequence();
+        let mut fs = FramedStream::new(Pipe::new());
+        for reply in &replies {
+            fs.send(reply).unwrap();
+        }
+        fs.inner.rewind();
+        let mut payload = Vec::new();
+        for reply in &replies {
+            fs.recv_into(&mut payload).unwrap();
+            assert!(payload == *reply, "{}-byte reply", reply.len());
+        }
     }
 
     #[test]

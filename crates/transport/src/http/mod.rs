@@ -143,24 +143,15 @@ pub(crate) fn read_body_into(
             declared: len as u64,
         });
     }
-    body.clear();
-    // Grow in bounded chunks, like the framed transport's payload read:
-    // the declared length is capped above, but memory is still only
-    // committed as bytes actually arrive, so a hostile Content-Length
-    // paired with a trickle (or nothing) never pins more than one chunk
-    // beyond what was received.
-    while body.len() < len {
-        let chunk = (len - body.len()).min(crate::framed::RECV_CHUNK);
-        let start = body.len();
-        body.resize(start + chunk, 0);
-        reader
-            .read_exact(&mut body[start..])
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => TransportError::ConnectionClosed,
-                _ => TransportError::Io(e),
-            })?;
-    }
-    Ok(())
+    // The declared length is capped above, but memory is still only
+    // committed as bytes arrive: a hostile Content-Length paired with a
+    // trickle costs at most one chunk beyond what was received.
+    crate::framed::read_len_into(len, body, |chunk| {
+        reader.read_exact(chunk).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => TransportError::ConnectionClosed,
+            _ => TransportError::Io(e),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -223,6 +214,34 @@ mod tests {
         read_body_into(&mut r, &headers, &mut body).unwrap();
         assert_eq!(body, b"hello");
         assert_eq!(body.as_ptr(), ptr, "capacity must be reused");
+    }
+
+    /// Content-Length and chunked bodies through one reused buffer, in
+    /// the framed transport's reply sequence: each read must return
+    /// exactly its own bytes, with no tail left from a longer one.
+    #[test]
+    fn reused_buffer_body_reads_carry_no_stale_tail() {
+        let replies = crate::framed::tests::reply_sequence();
+        let mut sized = Vec::new();
+        let mut chunked = Vec::new();
+        for reply in &replies {
+            sized.extend_from_slice(reply);
+            for part in reply.chunks(64 * 1024) {
+                chunked::write_chunk(&mut chunked, part);
+            }
+            chunked::write_final_chunk(&mut chunked);
+        }
+        let chunked_headers = vec![("Transfer-Encoding".to_owned(), "chunked".to_owned())];
+        let mut sized_reader = BufReader::new(&sized[..]);
+        let mut chunked_reader = BufReader::new(&chunked[..]);
+        let mut body = Vec::new();
+        for reply in &replies {
+            let headers = vec![("Content-Length".to_owned(), reply.len().to_string())];
+            read_body_into(&mut sized_reader, &headers, &mut body).unwrap();
+            assert!(body == *reply, "{}-byte Content-Length body", reply.len());
+            read_body_into(&mut chunked_reader, &chunked_headers, &mut body).unwrap();
+            assert!(body == *reply, "{}-byte chunked body", reply.len());
+        }
     }
 
     #[test]

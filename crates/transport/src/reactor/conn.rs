@@ -561,9 +561,9 @@ where
             self.keep_alive = false;
         }
         response.serialize_head(self.keep_alive, &mut self.head_out);
-        // The previous response's body goes back to the pool and the new
-        // one takes its place — same recycle point as the blocking server.
-        self.pool.put(std::mem::replace(&mut self.body_out, response.body));
+        // The new body takes the previous one's place; that one goes back
+        // to the pool, unless it already did once it was on the wire.
+        recycle(&self.pool, std::mem::replace(&mut self.body_out, response.body));
         self.phase = HttpPhase::Write { written: 0 };
     }
 
@@ -1023,7 +1023,7 @@ where
                         }
                     }
                     self.metrics.bytes_out.add(self.body_out.len() as u64);
-                    self.pool.put(std::mem::take(&mut self.body_out));
+                    recycle(&self.pool, std::mem::take(&mut self.body_out));
                     if self.holds_inflight {
                         self.metrics.requests_inflight.add(-1.0);
                         self.holds_inflight = false;
@@ -1063,11 +1063,21 @@ where
 impl<H> Drop for HttpDriver<H> {
     fn drop(&mut self) {
         // The connection's buffers rejoin the shared cycle.
-        self.pool.put(std::mem::take(&mut self.body));
-        self.pool.put(std::mem::take(&mut self.body_out));
+        recycle(&self.pool, std::mem::take(&mut self.body));
+        recycle(&self.pool, std::mem::take(&mut self.body_out));
         if self.holds_inflight {
             self.metrics.requests_inflight.add(-1.0);
         }
+    }
+}
+
+/// Return a buffer to the shared pool. One with no capacity is dropped
+/// instead: parked, it would fill a slot a real buffer needs, and once the
+/// pool is full of them every reply buffer is dropped and every handler
+/// allocates afresh.
+fn recycle(pool: &BufferPool, buf: Vec<u8>) {
+    if buf.capacity() > 0 {
+        pool.put(buf);
     }
 }
 

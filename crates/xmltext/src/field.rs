@@ -404,22 +404,16 @@ impl<'a> XmlFieldReader<'a> {
             return Ok(());
         }
         loop {
-            // Fast path: plain `<i>value</i>` items (the shape both our
-            // writers emit) parse straight from the input bytes, skipping
-            // the event machinery. Anything else — attributes, entities,
-            // self-closing items, the array's end tag — drops to the
-            // general loop below, which re-enters the fast path after.
-            while let Some(text) = self.lex.next_simple_item() {
-                let pos = self.lex.position();
-                let v = T::parse_text(text.trim()).ok_or_else(|| XmlError::Malformed {
-                    offset: pos,
-                    what: format!(
-                        "bad {} value in array {:?}",
-                        T::CODE.xsd_name(),
-                        head.local
-                    ),
-                })?;
-                out.push(v);
+            // Plain `<i>value</i>` items (the shape both our writers emit)
+            // go through the item loop the tree reader shares. Anything
+            // else — attributes, entities, self-closing items, the array's
+            // end tag — takes one step of the event path below first.
+            if self.lex.plain_items_into(out).is_some() {
+                return Err(self.malformed(format!(
+                    "bad {} value in array {:?}",
+                    T::CODE.xsd_name(),
+                    head.local
+                )));
             }
             match self.next()? {
                 XmlItem::Start(item) => {

@@ -11,6 +11,7 @@ use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::unescape;
+use crate::field::TypedText;
 
 /// One lexical event.
 ///
@@ -113,57 +114,63 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Fast path for typed array bodies: if the cursor sits on a plain
-    /// `<tag>text</tag>` item — no attributes, entities, nested markup,
-    /// or self-closing form — consume it and return the raw text. Any
-    /// other shape leaves the cursor untouched and returns `None`, so
-    /// callers fall back to the event machinery. Leading inter-item
-    /// whitespace is consumed only on a match.
-    pub(crate) fn next_simple_item(&mut self) -> Option<&'a str> {
+    /// The array item loop both XML readers share: parse consecutive
+    /// plain items at the cursor into `out` with `T`'s kernel, picked
+    /// once per run of items. Returns `None` when the next input is not a
+    /// plain item (cursor left on it, for the caller's event loop), or
+    /// the raw text of the first item the kernel declines (cursor past
+    /// it, for the caller to fail or parse leniently).
+    pub(crate) fn plain_items_into<T: TypedText>(&mut self, out: &mut Vec<T>) -> Option<&'a str> {
+        while let Some(text) = self.next_simple_item() {
+            // Writers emit no padding, so try the raw text first. No
+            // kernel accepts surrounding whitespace, so a raw parse that
+            // succeeds is the trimmed parse; only a failure pays for trim.
+            match T::parse_text(text).or_else(|| T::parse_text(text.trim())) {
+                Some(v) => out.push(v),
+                None => return Some(text),
+            }
+        }
+        None
+    }
+
+    /// One plain `<tag>text</tag>` item — no attributes, entities,
+    /// nested markup, or self-closing form — consumed from the raw bytes,
+    /// returning its text. Any other shape leaves the cursor untouched
+    /// and returns `None`; it must never take a spelling the event path
+    /// rejects. Leading inter-item whitespace is consumed only on a match.
+    fn next_simple_item(&mut self) -> Option<&'a str> {
         let b = self.input.as_bytes();
-        let mut i = self.pos;
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= b.len() || b[i] != b'<' {
+        let lt = self.pos + b[self.pos..].iter().position(|c| !c.is_ascii_whitespace())?;
+        if b[lt] != b'<' {
             return None;
         }
-        // Tag name: anything up to '>' that can't be an end tag, a
-        // declaration, an attribute list, or a self-closing tag.
-        let name_start = i + 1;
-        let mut j = name_start;
-        while j < b.len() && b[j] != b'>' {
-            match b[j] {
-                b'/' | b'!' | b'?' | b'=' | b'"' | b'\'' => return None,
-                c if c.is_ascii_whitespace() => return None,
-                _ => j += 1,
-            }
-        }
-        if j >= b.len() || j == name_start {
+        // Tag name: printable ASCII up to '>' that can't be an end tag, a
+        // declaration, an attribute list, a self-closing tag, or a name
+        // the event path cuts short (at '<') or trims differently at the
+        // end tag (Unicode whitespace).
+        let name_start = lt + 1;
+        let name_end = name_start
+            + b[name_start..].iter().position(|&c| {
+                !c.is_ascii_graphic()
+                    || matches!(c, b'>' | b'/' | b'!' | b'?' | b'=' | b'"' | b'\'' | b'<')
+            })?;
+        if name_end == name_start || b[name_end] != b'>' {
             return None;
         }
-        let name = &self.input[name_start..j];
-        // Text: up to '<', rejecting entities (they need unescaping).
-        let text_start = j + 1;
-        let mut k = text_start;
-        while k < b.len() && b[k] != b'<' {
-            if b[k] == b'&' {
-                return None;
-            }
-            k += 1;
-        }
+        let name = &b[name_start..name_end];
+        // Text: up to '<', declining entities (they need unescaping).
+        let text_start = name_end + 1;
+        let text_end = text_start + b[text_start..].iter().position(|&c| c == b'<' || c == b'&')?;
         // Matching end tag, byte for byte.
-        let rest = &b[k..];
-        if rest.len() < name.len() + 3
-            || rest[0] != b'<'
-            || rest[1] != b'/'
-            || &rest[2..2 + name.len()] != name.as_bytes()
-            || rest[2 + name.len()] != b'>'
+        let close = &b[text_end..];
+        if !(close.starts_with(b"</")
+            && close[2..].starts_with(name)
+            && close.get(2 + name.len()) == Some(&b'>'))
         {
             return None;
         }
-        self.pos = k + name.len() + 3;
-        Some(&self.input[text_start..k])
+        self.pos = text_end + name.len() + 3;
+        Some(&self.input[text_start..text_end])
     }
 
     /// Pull the next token (start tags arrive with all attributes

@@ -24,8 +24,8 @@ use bxdm::{ArrayValue, Attribute, AtomicValue, Content, Document, Element, Names
 use xbs::TypeCode;
 
 use crate::error::{XmlError, XmlResult};
+use crate::field::TypedText;
 use crate::lexer::{AttrEvent, Event, Lexer};
-use crate::num;
 
 /// Parsing options.
 #[derive(Debug, Clone)]
@@ -117,34 +117,33 @@ fn set_qname_lexical(name: &mut QName, raw: &str) {
     }
 }
 
+/// Run `$body` with `$v` bound to the packed `Vec` of whichever variant
+/// `$array` holds: one match, then code monomorphized per element type.
+macro_rules! with_items {
+    ($array:expr, $v:ident => $body:expr) => {
+        match $array {
+            ArrayValue::I8($v) => $body,
+            ArrayValue::U8($v) => $body,
+            ArrayValue::I16($v) => $body,
+            ArrayValue::U16($v) => $body,
+            ArrayValue::I32($v) => $body,
+            ArrayValue::U32($v) => $body,
+            ArrayValue::I64($v) => $body,
+            ArrayValue::U64($v) => $body,
+            ArrayValue::F32($v) => $body,
+            ArrayValue::F64($v) => $body,
+        }
+    };
+}
+
 /// Reuse `slot`'s payload `Vec` when it already holds arrays of `code`'s
 /// type (clearing it but keeping capacity); otherwise replace it with an
-/// empty array of that type. Returns `false` for non-array codes.
-fn clear_array_for(code: TypeCode, slot: &mut ArrayValue) -> bool {
-    macro_rules! reuse {
-        ($variant:ident) => {{
-            if let ArrayValue::$variant(v) = slot {
-                v.clear();
-            } else if let Some(fresh) = ArrayValue::empty_of(code) {
-                *slot = fresh;
-            } else {
-                unreachable!("numeric codes always have an array form");
-            }
-            true
-        }};
-    }
-    match code {
-        TypeCode::I8 => reuse!(I8),
-        TypeCode::U8 => reuse!(U8),
-        TypeCode::I16 => reuse!(I16),
-        TypeCode::U16 => reuse!(U16),
-        TypeCode::I32 => reuse!(I32),
-        TypeCode::U32 => reuse!(U32),
-        TypeCode::I64 => reuse!(I64),
-        TypeCode::U64 => reuse!(U64),
-        TypeCode::F32 => reuse!(F32),
-        TypeCode::F64 => reuse!(F64),
-        TypeCode::Str | TypeCode::Bool => false,
+/// empty array of that (numeric) type.
+fn clear_array_for(code: TypeCode, slot: &mut ArrayValue) {
+    if slot.type_code() == code {
+        with_items!(slot, v => v.clear());
+    } else {
+        *slot = ArrayValue::empty_of(code).expect("numeric codes always have an array form");
     }
 }
 
@@ -432,9 +431,7 @@ impl<'a> Reader<'a, '_> {
                         }
                     }
                 };
-                if !clear_array_for(code, array) {
-                    unreachable!("non-array codes rejected above");
-                }
+                clear_array_for(code, array);
                 if !self_closing {
                     self.stream_array_body(name, depth, array)?;
                 }
@@ -562,6 +559,14 @@ impl<'a> Reader<'a, '_> {
         array: &mut ArrayValue,
     ) -> XmlResult<()> {
         loop {
+            // Plain items go through the item loop the typed reader
+            // shares, with the lenient `push_lexical` for spellings the
+            // kernel declines. Anything the scanner declines takes one
+            // step of the event path below, which stays the reference.
+            if let Some(text) = with_items!(&mut *array, v => self.lexer.plain_items_into(v)) {
+                push_lexical(array, text)?;
+                continue;
+            }
             let offset = self.lexer.position();
             match self.lexer.next_event()? {
                 Event::EndTag { name } => {
@@ -575,7 +580,10 @@ impl<'a> Reader<'a, '_> {
                     if !self_closing {
                         self.stream_text_body(name, depth, &mut text)?;
                     }
-                    push_array_item(array, text.as_str())?;
+                    let t = text.as_str();
+                    if !with_items!(&mut *array, v => push_parsed(v, t)) {
+                        push_lexical(array, t)?;
+                    }
                 }
                 Event::Text(text) => {
                     if !text.trim().is_empty() {
@@ -698,44 +706,19 @@ impl<'a> Reader<'a, '_> {
     }
 }
 
-/// Append one array item given its lexical text.
-///
-/// Numeric variants go through the from-scratch kernels in [`crate::num`]
-/// first; anything the kernels decline (overflow, unusual spellings such
-/// as a `+` sign on an unsigned value) falls back to
+/// Append an item the [`TypedText`] kernel parses; `false` if it declines.
+fn push_parsed<T: TypedText>(out: &mut Vec<T>, text: &str) -> bool {
+    T::parse_text(text.trim()).map(|v| out.push(v)).is_some()
+}
+
+/// Append an item the kernels declined (overflow, unusual spellings such
+/// as a `+` sign on an unsigned value) through
 /// [`ArrayValue::push_lexical`], which also produces the canonical
 /// [`XmlError::BadTypedValue`] for genuinely bad items.
-fn push_array_item(array: &mut ArrayValue, text: &str) -> XmlResult<()> {
-    fn via<T>(parsed: Option<T>, out: &mut Vec<T>) -> bool {
-        match parsed {
-            Some(v) => {
-                out.push(v);
-                true
-            }
-            None => false,
-        }
-    }
-    let t = text.trim();
-    let fast = match array {
-        ArrayValue::I8(v) => via(num::parse_i64(t).and_then(|x| i8::try_from(x).ok()), v),
-        ArrayValue::U8(v) => via(num::parse_u64(t).and_then(|x| u8::try_from(x).ok()), v),
-        ArrayValue::I16(v) => via(num::parse_i64(t).and_then(|x| i16::try_from(x).ok()), v),
-        ArrayValue::U16(v) => via(num::parse_u64(t).and_then(|x| u16::try_from(x).ok()), v),
-        ArrayValue::I32(v) => via(num::parse_i64(t).and_then(|x| i32::try_from(x).ok()), v),
-        ArrayValue::U32(v) => via(num::parse_u64(t).and_then(|x| u32::try_from(x).ok()), v),
-        ArrayValue::I64(v) => via(num::parse_i64(t), v),
-        ArrayValue::U64(v) => via(num::parse_u64(t), v),
-        ArrayValue::F64(v) => via(num::parse_f64_lexical(t), v),
-        // f32 must round exactly once from the decimal string; routing it
-        // through the f64 kernel would double-round, so it stays on std.
-        ArrayValue::F32(_) => false,
-    };
-    if !fast {
-        array
-            .push_lexical(text)
-            .map_err(|e| XmlError::BadTypedValue { what: e.to_string() })?;
-    }
-    Ok(())
+fn push_lexical(array: &mut ArrayValue, text: &str) -> XmlResult<()> {
+    array
+        .push_lexical(text)
+        .map_err(|e| XmlError::BadTypedValue { what: e.to_string() })
 }
 
 #[cfg(test)]

@@ -27,6 +27,13 @@ for id in bxsa_decode bxsa_decode_into xml_decode xml_decode_into; do
         exit 1
     fi
 done
+# The small_rpc-sized XML decode rows (50 pairs, the workload's mean).
+for id in xml_decode/50 xml_decode_into/50; do
+    if ! grep -q "^BENCH {\"id\":\"codec_throughput/${id}\"" "$codec_log"; then
+        echo "bench: missing decode benchmark ${id}" >&2
+        exit 1
+    fi
+done
 rm -f "$codec_log"
 
 # Typed fast-path job (PR 8): the typed codec benches must exist and
@@ -159,6 +166,24 @@ for f in crates/bxsa/src/*.rs; do
         exit 1
     fi
 done
+
+# One XML array item loop: the byte scanner for plain `<x>text</x>` items
+# (Lexer::next_simple_item) is called only from the item loop both XML
+# readers share, Lexer::plain_items_into in crates/xmltext/src/lexer.rs,
+# so the tree and typed readers cannot grow scanners that accept
+# different bytes. Test modules are exempt.
+scan_calls=$(for f in crates/xmltext/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ":" $0}' "$f" \
+        | grep -E '\.next_simple_item\(' || true
+done)
+if [ "$(grep -c . <<<"$scan_calls")" -ne 1 ] \
+   || ! grep -q '^crates/xmltext/src/lexer.rs:' <<<"$scan_calls" \
+   || ! awk '/fn plain_items_into/{inside=1} inside && /\.next_simple_item\(/{found=1} inside && /^    }$/{exit} END{exit !found}' \
+        crates/xmltext/src/lexer.rs; then
+    echo "$scan_calls" >&2
+    echo "xmltext: next_simple_item must be called only from Lexer::plain_items_into" >&2
+    exit 1
+fi
 
 # Streaming job (PR 9): the end-to-end streamed lane stays live and
 # constant-memory. The e2e tests drive a >=8x-window payload

@@ -495,3 +495,50 @@ fn bxsa_rejects_content_with_no_xml_serialization() {
     assert_eq!(bxsa::bxsa_to_xml(&canonical).unwrap(), xml);
     assert_eq!(bxsa::xml_to_bxsa(&bxsa::bxsa_to_xml(&canonical).unwrap()).unwrap(), canonical);
 }
+
+/// Cross-reader audit reproducer: the byte scanner behind the XML array
+/// item loop took `<` as a tag-name character, so the typed reader read
+/// `[1, 2]` from markup `xmltext::parse` rejects ("expected a name").
+#[test]
+fn both_xml_readers_reject_lt_inside_an_item_name() {
+    let typed = "<v><a<b>1</a<b><a<b>2</a<b></v>";
+    let tree = r#"<v bx:arrayType="xsd:int"><a<b>1</a<b></v>"#;
+    for xml in [typed, tree] {
+        assert!(xmltext::parse(xml).is_err(), "tree reader accepted {xml}");
+        let mut r = xmltext::XmlFieldReader::new(xml);
+        let xmltext::XmlItem::Start(head) = r.next().unwrap() else {
+            panic!("{xml}: expected the array's start tag")
+        };
+        let mut out: Vec<i32> = Vec::new();
+        let read = r.array_into(&head, &mut out);
+        assert!(read.is_err(), "typed reader read {out:?} from {xml}");
+    }
+}
+
+/// Array items are the array's values, not bXDM elements (BXSA has no
+/// item frames), so items of an array at `max_depth - 1` sit at
+/// `max_depth` and read; markup nested inside them does not. The plain
+/// `</item>` spelling goes through the item scanner, `</item >` only
+/// through the event path: both must agree.
+#[test]
+fn xml_items_at_max_depth_read_the_same_with_and_without_the_scanner() {
+    let opts = xmltext::XmlReadOptions {
+        max_depth: 2,
+        ..Default::default()
+    };
+    let cases = [
+        (r#"<r><v bx:arrayType="xsd:int"><item>1</item><item>2</item></v></r>"#, true),
+        (r#"<r><v bx:arrayType="xsd:int"><item><b>1</b></item></v></r>"#, false),
+        (r#"<r><s><v bx:arrayType="xsd:int"><item>1</item></v></s></r>"#, false),
+    ];
+    for (plain, accepted) in cases {
+        let spaced = plain.replace("</item>", "</item >");
+        let fast = xmltext::parse_with(plain, &opts);
+        let slow = xmltext::parse_with(&spaced, &opts);
+        assert_eq!(fast.is_ok(), accepted, "{plain}: {fast:?}");
+        assert_eq!(slow.is_ok(), accepted, "{spaced}: {slow:?}");
+        if let (Ok(fast), Ok(slow)) = (fast, slow) {
+            assert_eq!(fast, slow);
+        }
+    }
+}
