@@ -9,7 +9,7 @@
 //! are "converted to full precision regardless of the original input").
 
 use bxdm::Document;
-use xmltext::{XmlReadOptions, XmlWriteOptions};
+use xmltext::XmlWriteOptions;
 
 use crate::decoder::decode;
 use crate::encoder::{encode_with, EncodeOptions};
@@ -24,10 +24,8 @@ pub fn bxsa_to_xml(bytes: &[u8]) -> BxsaResult<String> {
 
 /// Convert textual XML to a BXSA document.
 pub fn xml_to_bxsa(xml: &str) -> BxsaResult<Vec<u8>> {
-    let doc = xmltext::parse_with(xml, &XmlReadOptions::default()).map_err(|e| {
-        BxsaError::Structure {
-            what: format!("XML parse error during transcode: {e}"),
-        }
+    let doc = xmltext::parse(xml).map_err(|e| BxsaError::Structure {
+        what: format!("XML parse error during transcode: {e}"),
     })?;
     encode_with(&doc, &EncodeOptions::default())
 }

@@ -253,10 +253,14 @@ fn read_deadline_bxsa<'a>(
         }
     }
     r.close(head)?;
-    Ok(match (budget, hops) {
-        (Some(b), Some(h)) => Some(DeadlineHeader::new(b, h.min(u32::MAX as u64) as u32)),
-        _ => None,
-    })
+    Ok(deadline_of(budget, hops))
+}
+
+fn deadline_of(budget: Option<u64>, hops: Option<u64>) -> Option<DeadlineHeader> {
+    Some(DeadlineHeader::new(
+        budget?,
+        hops?.min(u32::MAX as u64) as u32,
+    ))
 }
 
 /// Walk a BXSA envelope whose single body entry is an `M`: `Header`
@@ -431,14 +435,62 @@ fn read_deadline_xml<'a>(
                 hops = u64::try_from(r.leaf_value::<i64>(&f)?).ok();
             }
             XmlItem::Start(f) => r.skip(&f)?,
-            XmlItem::End(l) if l == DEADLINE_HEADER_LOCAL => break,
-            _ => return Ok(None),
+            XmlItem::End(_) => return Ok(deadline_of(budget, hops)),
+            XmlItem::Eof => return Ok(None),
         }
     }
-    Ok(match (budget, hops) {
-        (Some(b), Some(h)) => Some(DeadlineHeader::new(b, h.min(u32::MAX as u64) as u32)),
-        _ => None,
-    })
+}
+
+/// Walk an XML envelope whose single body entry is an `M` — the textual
+/// twin of [`decode_bxsa_envelope`]. One root `Envelope` without
+/// foreign attributes; `Header` entries before `Body` go to `header`
+/// (which returns `false` to fall back); `Body` holds exactly the body
+/// entry, which fills `out`; then `Body`, `Envelope` and the document
+/// must close. Elements match by local name, as the tree path's
+/// `SoapEnvelope::take_from` does. `Ok(false)` means a shape the typed
+/// path doesn't own — decode it on the generic tree path.
+fn decode_xml_envelope<'a, M: FromBxsa>(
+    bytes: &'a [u8],
+    out: &mut M,
+    mut header: impl FnMut(&mut XmlFieldReader<'a>, &XmlHead<'a>) -> SoapResult<bool>,
+) -> SoapResult<bool> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| SoapError::Protocol("XML payload is not valid UTF-8".into()))?;
+    let mut r = XmlFieldReader::new(text);
+    match r.next()? {
+        XmlItem::Start(env)
+            if env.local == "Envelope" && env.extra_attrs == 0 && !env.self_closing => {}
+        _ => return Ok(false),
+    }
+    let mut matched = false;
+    loop {
+        match r.next()? {
+            XmlItem::Start(child) if !matched && child.local == "Header" => {
+                if !header(&mut r, &child)? {
+                    return Ok(false);
+                }
+            }
+            XmlItem::Start(child) if !matched && child.local == "Body" && !child.self_closing => {
+                match r.next()? {
+                    XmlItem::Start(first)
+                        if first.local == M::expected_local() && first.extra_attrs == 0 =>
+                    {
+                        out.decode_xml(&mut r, &first)?
+                    }
+                    _ => return Ok(false),
+                }
+                // Body closes right after its one entry.
+                if !matches!(r.next()?, XmlItem::End(_)) {
+                    return Ok(false);
+                }
+                matched = true;
+            }
+            XmlItem::End(_) if matched => break,
+            _ => return Ok(false),
+        }
+    }
+    r.finish()?;
+    Ok(true)
 }
 
 impl TypedEncoding for XmlEncoding {
@@ -486,37 +538,15 @@ impl TypedEncoding for XmlEncoding {
         bytes: &[u8],
         out: &mut M,
     ) -> SoapResult<TypedDecode> {
-        let text = std::str::from_utf8(bytes).map_err(|_| {
-            SoapError::Protocol("XML payload is not valid UTF-8".into())
+        let matched = decode_xml_envelope(bytes, out, |r, header| {
+            r.skip(header)?;
+            Ok(true)
         })?;
-        let mut r = XmlFieldReader::new(text);
-        let env = match r.next()? {
-            XmlItem::Start(h) if h.local == "Envelope" && h.extra_attrs == 0 => h,
-            _ => return Ok(TypedDecode::Fallback),
-        };
-        if env.self_closing {
-            return Ok(TypedDecode::Fallback);
-        }
-        loop {
-            match r.next()? {
-                XmlItem::Start(child) if child.local == "Header" => r.skip(&child)?,
-                XmlItem::Start(child) if child.local == "Body" => {
-                    if child.self_closing {
-                        return Ok(TypedDecode::Fallback);
-                    }
-                    match r.next()? {
-                        XmlItem::Start(first)
-                            if first.local == M::expected_local() && first.extra_attrs == 0 =>
-                        {
-                            out.decode_xml(&mut r, &first)?;
-                            return Ok(TypedDecode::Matched);
-                        }
-                        _ => return Ok(TypedDecode::Fallback),
-                    }
-                }
-                _ => return Ok(TypedDecode::Fallback),
-            }
-        }
+        Ok(if matched {
+            TypedDecode::Matched
+        } else {
+            TypedDecode::Fallback
+        })
     }
 
     fn decode_typed_request<M: FromBxsa>(
@@ -524,67 +554,40 @@ impl TypedEncoding for XmlEncoding {
         bytes: &[u8],
         out: &mut M,
     ) -> SoapResult<TypedRequest> {
-        let text = std::str::from_utf8(bytes).map_err(|_| {
-            SoapError::Protocol("XML payload is not valid UTF-8".into())
-        })?;
-        let mut r = XmlFieldReader::new(text);
-        let env = match r.next()? {
-            XmlItem::Start(h) if h.local == "Envelope" && h.extra_attrs == 0 => h,
-            _ => return Ok(TypedRequest::Fallback),
-        };
-        if env.self_closing {
-            return Ok(TypedRequest::Fallback);
-        }
         let mut deadline = None;
-        loop {
-            match r.next()? {
-                XmlItem::Start(child) if child.local == "Header" => {
-                    if child.self_closing {
-                        continue;
-                    }
-                    loop {
-                        match r.next()? {
-                            XmlItem::Start(h)
-                                if h.local == DEADLINE_HEADER_LOCAL && h.extra_attrs == 0 =>
-                            {
-                                match read_deadline_xml(&mut r, &h)? {
-                                    Some(d) => deadline = Some(d),
-                                    None => return Ok(TypedRequest::Fallback),
-                                }
-                            }
-                            XmlItem::Start(_) => return Ok(TypedRequest::Fallback),
-                            XmlItem::End("Header") => break,
-                            _ => return Ok(TypedRequest::Fallback),
-                        }
-                    }
-                }
-                XmlItem::Start(child) if child.local == "Body" => {
-                    if child.self_closing {
-                        return Ok(TypedRequest::Fallback);
-                    }
-                    match r.next()? {
-                        XmlItem::Start(first)
-                            if first.local == M::expected_local() && first.extra_attrs == 0 =>
-                        {
-                            out.decode_xml(&mut r, &first)?;
-                            return Ok(TypedRequest::Matched { deadline });
-                        }
-                        _ => return Ok(TypedRequest::Fallback),
-                    }
-                }
-                _ => return Ok(TypedRequest::Fallback),
+        let matched = decode_xml_envelope(bytes, out, |r, header| {
+            if header.self_closing {
+                return Ok(true);
             }
-        }
+            loop {
+                match r.next()? {
+                    // A foreign header may demand mustUnderstand
+                    // processing the typed path doesn't do.
+                    XmlItem::Start(h) if h.local == DEADLINE_HEADER_LOCAL && h.extra_attrs == 0 => {
+                        match read_deadline_xml(r, &h)? {
+                            Some(d) => deadline = Some(d),
+                            None => return Ok(false),
+                        }
+                    }
+                    XmlItem::End(_) => return Ok(true),
+                    _ => return Ok(false),
+                }
+            }
+        })?;
+        Ok(if matched {
+            TypedRequest::Matched { deadline }
+        } else {
+            TypedRequest::Fallback
+        })
     }
 
     fn peek_operation<'a>(&self, bytes: &'a [u8]) -> Option<&'a str> {
         let text = std::str::from_utf8(bytes).ok()?;
         let mut r = XmlFieldReader::new(text);
-        let env = match r.next().ok()? {
-            XmlItem::Start(h) if h.local == "Envelope" && !h.self_closing => h,
+        match r.next().ok()? {
+            XmlItem::Start(h) if h.local == "Envelope" && !h.self_closing => {}
             _ => return None,
-        };
-        let _ = env;
+        }
         loop {
             match r.next().ok()? {
                 XmlItem::Start(child) if child.local == "Body" => {

@@ -8,6 +8,8 @@
 //! every numeric leaf and packed-array type, strings, booleans — plus
 //! the deterministic edge cases that property generators hit rarely:
 //! empty arrays, NaN/±Inf floats, and maximum-length element names.
+//! Damaged XML envelopes check the other direction: the typed decode
+//! matches only bytes the tree decode accepts, with the same values.
 
 use std::sync::OnceLock;
 
@@ -17,8 +19,8 @@ use bxsa::estimate::{framed, plain_array_body_bound, plain_component_body_bound,
 use bxsa::{ElementHead, EncodeOptions, FieldReader, FrameWriter, TypedName};
 use proptest::prelude::*;
 use soap::{
-    BxsaEncoding, EncodingPolicy, FromBxsa, SoapEnvelope, SoapError, SoapResult, ToBxsa,
-    TypedDecode, TypedEncoding, TypedScratch, XmlEncoding,
+    BxsaEncoding, DeadlineHeader, EncodingPolicy, FromBxsa, SoapEnvelope, SoapError, SoapResult,
+    ToBxsa, TypedDecode, TypedEncoding, TypedRequest, TypedScratch, XmlEncoding,
 };
 use xbs::{ByteOrder, TypeCode};
 use xmltext::{XmlFieldReader, XmlFieldWriter, XmlHead, XmlItem};
@@ -588,6 +590,73 @@ fn assert_decodes_match(msg: &DynMsg) {
     assert_eq!(back.fingerprint(), expect.fingerprint(), "XML decode for {msg:?}");
 }
 
+/// Type names an annotation is rewritten to: every schema type, and one
+/// that names none.
+const TYPE_NAMES: [&str; 13] = [
+    "xsd:byte", "xsd:unsignedByte", "xsd:short", "xsd:unsignedShort", "xsd:int",
+    "xsd:unsignedInt", "xsd:long", "xsd:unsignedLong", "xsd:float", "xsd:double",
+    "xsd:string", "xsd:boolean", "xsd:bogus",
+];
+
+/// Every damaged copy of `xml`: cut after each `>`; each prefixed end
+/// tag with its prefix respelled; `<extra/>` and an XML declaration
+/// inserted after each `>`; each annotation renamed to each of
+/// [`TYPE_NAMES`].
+fn mutants(xml: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for (at, _) in xml.match_indices('>') {
+        let (head, tail) = xml.split_at(at + 1);
+        out.push(head.to_owned());
+        out.push(format!("{head}<extra/>{tail}"));
+        out.push(format!("{head}<?xml version=\"1.0\"?>{tail}"));
+    }
+    for (at, _) in xml.match_indices("</") {
+        let tag = &xml[at..at + xml[at..].find('>').unwrap()];
+        if let Some(colon) = tag.find(':') {
+            out.push(format!("{}</zz{}", &xml[..at], &xml[at + colon..]));
+        }
+    }
+    for (at, _) in xml.match_indices("=\"xsd:") {
+        let (head, tail) = xml.split_at(at + 2);
+        let tail = &tail[tail.find('"').unwrap()..];
+        out.extend(TYPE_NAMES.iter().map(|name| format!("{head}{name}{tail}")));
+    }
+    out
+}
+
+/// `back` came out of a typed decode that reported a match on `xml`:
+/// the tree decode must accept `xml` too, and its body entry must equal
+/// `back`'s tree form (compared as XML text, so NaNs compare equal).
+fn assert_tree_agrees(xml: &str, back: &DynMsg) {
+    let enc = XmlEncoding::default();
+    let doc = EncodingPolicy::decode(&enc, xml.as_bytes()).unwrap_or_else(|e| {
+        panic!("typed decode matched what the tree decode rejects ({e}): {xml}")
+    });
+    let envelope = SoapEnvelope::from_document(&doc).unwrap();
+    let text = |e: &Element| xmltext::to_string(&bxdm::Document::with_root(e.clone())).unwrap();
+    assert_eq!(text(&envelope.body[0]), text(&back.tree()), "values differ on {xml}");
+}
+
+/// Damage the tree-encoded XML envelope of `msg` every way
+/// [`mutants`] knows; whenever a typed decode still reports a match, the
+/// tree decode must agree.
+fn assert_typed_accepts_only_what_tree_accepts(msg: &DynMsg) {
+    let mut envelope = SoapEnvelope::with_body(msg.tree());
+    DeadlineHeader::new(250, 8).stamp(&mut envelope);
+    let enc = XmlEncoding::default();
+    let wire = EncodingPolicy::encode(&enc, &envelope.to_document()).unwrap();
+    let mut back = msg.clone();
+    for xml in mutants(std::str::from_utf8(&wire).unwrap()) {
+        if let Ok(TypedDecode::Matched) = enc.decode_typed_reply(xml.as_bytes(), &mut back) {
+            assert_tree_agrees(&xml, &back);
+        }
+        let request = enc.decode_typed_request(xml.as_bytes(), &mut back);
+        if let Ok(TypedRequest::Matched { .. }) = request {
+            assert_tree_agrees(&xml, &back);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -599,6 +668,15 @@ proptest! {
     #[test]
     fn typed_decode_recovers_tree_encoded_values(msg in arb_msg()) {
         assert_decodes_match(&msg);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn typed_decode_of_damaged_envelopes_matches_only_what_tree_decode_accepts(msg in arb_msg()) {
+        assert_typed_accepts_only_what_tree_accepts(&msg);
     }
 }
 

@@ -4,11 +4,10 @@
 //! caller whose message type is statically known can emit and consume
 //! the markup directly from typed fields. [`XmlFieldWriter`] produces
 //! output **byte-identical** to the tree writer's for the attribute-free
-//! element shapes typed messages take (same `xsi:type`/`bx:arrayType`
-//! annotations under the same [`XmlWriteOptions`]), and
-//! [`XmlFieldReader`] pulls typed values straight off the incremental
-//! lexer events ([`Lexer::next_event`]/[`Lexer::next_attr`]) without
-//! materializing attribute vectors or a tree — the decode side stays
+//! element shapes typed messages take: both run on the same emitter.
+//! [`XmlFieldReader`] pulls typed values off the same event machine the
+//! tree reader runs on, so it accepts no document `parse` rejects, and
+//! it materializes no attribute vectors or tree — the decode side stays
 //! allocation-free at steady state because numeric parsing borrows and
 //! array/string reads refill caller-owned buffers.
 
@@ -16,7 +15,7 @@ use xbs::TypeCode;
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::escape_text;
-use crate::lexer::{AttrEvent, Event, Lexer};
+use crate::markup::{local_of, Emitter, Kind, Markup, Step, TextAcc};
 use crate::num;
 use crate::writer::XmlWriteOptions;
 
@@ -37,40 +36,28 @@ pub trait TypedText: Copy {
     fn push_text(self, out: &mut String);
 
     /// Parse a (whitespace-trimmed) lexical form; `None` on any
-    /// mismatch, including range overflow.
+    /// mismatch, including range overflow. Accepts exactly what
+    /// `bxdm::AtomicValue::parse_as` accepts for [`Self::CODE`]: the
+    /// fast kernel first, std's parser for the spellings it declines.
     fn parse_text(t: &str) -> Option<Self>;
 }
 
-macro_rules! signed_typed_text {
-    ($($t:ty => $code:ident),* $(,)?) => {$(
+macro_rules! int_typed_text {
+    ($write:ident, $parse:ident, $wide:ty: $($t:ty => $code:ident),* $(,)?) => {$(
         impl TypedText for $t {
             const CODE: TypeCode = TypeCode::$code;
             fn push_text(self, out: &mut String) {
-                num::write_i64(self as i64, out);
+                num::$write(self as $wide, out);
             }
             fn parse_text(t: &str) -> Option<$t> {
-                num::parse_i64(t).and_then(|v| <$t>::try_from(v).ok())
+                num::$parse(t).and_then(|v| <$t>::try_from(v).ok()).or_else(|| t.parse().ok())
             }
         }
     )*};
 }
 
-macro_rules! unsigned_typed_text {
-    ($($t:ty => $code:ident),* $(,)?) => {$(
-        impl TypedText for $t {
-            const CODE: TypeCode = TypeCode::$code;
-            fn push_text(self, out: &mut String) {
-                num::write_u64(self as u64, out);
-            }
-            fn parse_text(t: &str) -> Option<$t> {
-                num::parse_u64(t).and_then(|v| <$t>::try_from(v).ok())
-            }
-        }
-    )*};
-}
-
-signed_typed_text! { i8 => I8, i16 => I16, i32 => I32, i64 => I64 }
-unsigned_typed_text! { u8 => U8, u16 => U16, u32 => U32, u64 => U64 }
+int_typed_text! { write_i64, parse_i64, i64: i8 => I8, i16 => I16, i32 => I32, i64 => I64 }
+int_typed_text! { write_u64, parse_u64, u64: u8 => U8, u16 => U16, u32 => U32, u64 => U64 }
 
 impl TypedText for f32 {
     const CODE: TypeCode = TypeCode::F32;
@@ -103,118 +90,86 @@ impl TypedText for f64 {
 /// [`XmlWriteOptions::emit_type_info`] is set, one
 /// [`XmlWriteOptions::item_tag`] child per array item.
 pub struct XmlFieldWriter<'o> {
-    out: &'o mut String,
-    opts: &'o XmlWriteOptions,
+    e: Emitter<'o>,
 }
 
 impl<'o> XmlFieldWriter<'o> {
     /// Write into `out` from its current end (callers clear it between
     /// messages to reuse capacity).
     pub fn new(out: &'o mut String, opts: &'o XmlWriteOptions) -> XmlFieldWriter<'o> {
-        XmlFieldWriter { out, opts }
+        XmlFieldWriter {
+            e: Emitter { out, opts },
+        }
     }
 
     /// The underlying buffer (tests).
     pub fn as_str(&self) -> &str {
-        self.out
-    }
-
-    fn open_tag(&mut self, name: &str, decls: &[(Option<&str>, &str)]) {
-        self.out.push('<');
-        self.out.push_str(name);
-        for (prefix, uri) in decls {
-            match prefix {
-                Some(p) => {
-                    self.out.push_str(" xmlns:");
-                    self.out.push_str(p);
-                }
-                None => self.out.push_str(" xmlns"),
-            }
-            self.out.push_str("=\"");
-            crate::escape::escape_attr(uri, self.out);
-            self.out.push('"');
-        }
-    }
-
-    fn close_tag(&mut self, name: &str) {
-        self.out.push_str("</");
-        self.out.push_str(name);
-        self.out.push('>');
-    }
-
-    fn type_attr(&mut self, attr: &str, code: TypeCode) {
-        if self.opts.emit_type_info {
-            self.out.push(' ');
-            self.out.push_str(attr);
-            self.out.push_str("=\"");
-            self.out.push_str(code.xsd_name());
-            self.out.push('"');
-        }
+        self.e.out
     }
 
     /// Open a component element (one with child elements). `name` is the
     /// lexical (possibly prefixed) form, e.g. `"d:Verify"`.
     pub fn begin_component(&mut self, name: &str, decls: &[(Option<&str>, &str)]) {
-        self.open_tag(name, decls);
-        self.out.push('>');
+        self.e.open_tag(name, decls.iter().copied());
+        self.e.out.push('>');
     }
 
     /// Close a component opened with
     /// [`begin_component`](XmlFieldWriter::begin_component).
     pub fn end_component(&mut self, name: &str) {
-        self.close_tag(name);
+        self.e.close_tag(name);
     }
 
     /// A childless component, in the tree writer's self-closed form.
     pub fn empty_component(&mut self, name: &str, decls: &[(Option<&str>, &str)]) {
-        self.open_tag(name, decls);
-        self.out.push_str("/>");
+        self.e.open_tag(name, decls.iter().copied());
+        self.e.out.push_str("/>");
+    }
+
+    fn leaf_with(
+        &mut self,
+        name: &str,
+        decls: &[(Option<&str>, &str)],
+        code: TypeCode,
+        text: impl FnOnce(&mut String),
+    ) {
+        self.e.open_tag(name, decls.iter().copied());
+        self.e.annotate("xsi:type", code);
+        self.e.out.push('>');
+        text(self.e.out);
+        self.e.close_tag(name);
     }
 
     /// A complete numeric leaf element.
     pub fn leaf<T: TypedText>(&mut self, name: &str, decls: &[(Option<&str>, &str)], value: T) {
-        self.open_tag(name, decls);
-        self.type_attr("xsi:type", T::CODE);
-        self.out.push('>');
-        value.push_text(self.out);
-        self.close_tag(name);
+        self.leaf_with(name, decls, T::CODE, |out| value.push_text(out));
     }
 
     /// A complete string leaf element (markup-escaped).
     pub fn leaf_str(&mut self, name: &str, decls: &[(Option<&str>, &str)], value: &str) {
-        self.open_tag(name, decls);
-        self.type_attr("xsi:type", TypeCode::Str);
-        self.out.push('>');
-        escape_text(value, self.out);
-        self.close_tag(name);
+        self.leaf_with(name, decls, TypeCode::Str, |out| escape_text(value, out));
     }
 
     /// A complete boolean leaf element.
     pub fn leaf_bool(&mut self, name: &str, decls: &[(Option<&str>, &str)], value: bool) {
-        self.open_tag(name, decls);
-        self.type_attr("xsi:type", TypeCode::Bool);
-        self.out.push('>');
-        self.out.push_str(if value { "true" } else { "false" });
-        self.close_tag(name);
+        self.leaf_with(name, decls, TypeCode::Bool, |out| {
+            out.push_str(if value { "true" } else { "false" })
+        });
     }
 
-    /// A complete array element: one item child per value, values
-    /// through the numeric kernels — the same loop the tree writer runs,
-    /// minus the tree.
-    pub fn array<T: TypedText>(&mut self, name: &str, decls: &[(Option<&str>, &str)], values: &[T]) {
-        self.open_tag(name, decls);
-        self.type_attr("bx:arrayType", T::CODE);
-        self.out.push('>');
-        for &v in values {
-            self.out.push('<');
-            self.out.push_str(&self.opts.item_tag);
-            self.out.push('>');
-            v.push_text(self.out);
-            self.out.push_str("</");
-            self.out.push_str(&self.opts.item_tag);
-            self.out.push('>');
-        }
-        self.close_tag(name);
+    /// A complete array element: one item child per value, through the
+    /// item loop the tree writer runs.
+    pub fn array<T: TypedText>(
+        &mut self,
+        name: &str,
+        decls: &[(Option<&str>, &str)],
+        values: &[T],
+    ) {
+        self.e.open_tag(name, decls.iter().copied());
+        self.e.annotate("bx:arrayType", T::CODE);
+        self.e.out.push('>');
+        self.e.items(values);
+        self.e.close_tag(name);
     }
 }
 
@@ -235,164 +190,153 @@ pub enum XmlItem<'a> {
 pub struct XmlHead<'a> {
     /// Full lexical name as written, e.g. `"d:Verify"`.
     pub name: &'a str,
-    /// Local part (after the `:`, if any).
+    /// Local part: after the first `:`, as `bxdm::QName::parse` splits it.
     pub local: &'a str,
     /// `<x/>`: the element is already closed; no content, no end tag.
     pub self_closing: bool,
-    /// Attributes other than namespace declarations and the writer's own
-    /// typing annotations (`xsi:type`, `bx:arrayType`). Schema-known
-    /// consumers treat a nonzero count as "not mine" and fall back to
-    /// the generic tree path (e.g. a `mustUnderstand` SOAP header).
+    /// Attributes other than namespace declarations and the type
+    /// annotation in effect (`xsi:type`, or `bx:arrayType` when no
+    /// `xsi:type` is present). Schema-known consumers treat a nonzero
+    /// count as "not mine" and fall back to the generic tree path (e.g.
+    /// a `mustUnderstand` SOAP header).
     pub extra_attrs: usize,
+    /// What the annotation makes of the element.
+    pub(crate) kind: Kind,
+    /// Elements open around this one.
+    pub(crate) level: usize,
 }
 
-fn local_of(name: &str) -> &str {
-    match name.rfind(':') {
-        Some(i) => &name[i + 1..],
-        None => name,
-    }
-}
-
-/// An allocation-free typed pull reader over the incremental lexer.
+/// An allocation-free typed pull reader.
 ///
-/// Typed readers match element *local* names and ignore the typing
-/// annotations a writer may or may not have emitted — the schema is
-/// known, the markup only has to agree with it. Any construct outside
-/// the typed subset (mixed content, CDATA, unexpected attributes) is an
-/// error at this layer; callers treat errors as "take the tree path".
+/// Callers match element *local* names — the schema is known, the
+/// markup only has to agree with it. The reader checks everything
+/// `parse` checks (end tags match on the full name, one root, typed
+/// values inside skipped elements), so a walk that reaches
+/// [`finish`](XmlFieldReader::finish) without an error read a document
+/// `parse` accepts. A typed read honours the element's annotation: one
+/// naming another type is an error, a missing one is accepted.
+/// Constructs outside the typed subset (mixed content, CDATA, markup
+/// inside an unannotated value) are errors at this layer. After an
+/// error the reader's state is unspecified: stop reading.
 pub struct XmlFieldReader<'a> {
-    lex: Lexer<'a>,
+    m: Markup<'a>,
+    /// An annotated head [`next`](XmlFieldReader::next) returned, whose
+    /// value read or skip is still due.
+    typed: Option<XmlHead<'a>>,
 }
 
 impl<'a> XmlFieldReader<'a> {
     /// Read `input` from the beginning.
     pub fn new(input: &'a str) -> XmlFieldReader<'a> {
-        XmlFieldReader { lex: Lexer::new(input) }
+        XmlFieldReader {
+            m: Markup::new(input),
+            typed: None,
+        }
     }
 
     fn malformed(&self, what: impl Into<String>) -> XmlError {
         XmlError::Malformed {
-            offset: self.lex.position(),
+            offset: self.m.position(),
             what: what.into(),
         }
     }
 
-    /// Pull the next structural item, skipping the XML declaration,
-    /// comments, processing instructions, and inter-element whitespace.
-    /// Non-whitespace text outside a leaf is an error (typed messages
-    /// have no mixed content).
+    /// Pull the next structural item, skipping comments, processing
+    /// instructions and inter-element whitespace. Non-whitespace text is
+    /// an error (typed messages have no mixed content), as is reading an
+    /// annotated element's content this way.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> XmlResult<XmlItem<'a>> {
+        if let Some(head) = self.typed {
+            let what = format!("typed element {:?} read as a component", head.local);
+            return Err(self.malformed(what));
+        }
         loop {
-            match self.lex.next_event()? {
-                Event::Decl | Event::Comment(_) | Event::Pi { .. } => continue,
-                Event::Text(t) => {
-                    if t.trim().is_empty() {
-                        continue;
+            match self.m.step()? {
+                Step::Open(name) => {
+                    let head = self.m.head(name, |_| {})?;
+                    if head.kind != Kind::Component {
+                        self.typed = Some(head);
                     }
-                    return Err(self.malformed("unexpected text in typed content"));
+                    return Ok(XmlItem::Start(head));
                 }
-                Event::CData(_) => {
-                    return Err(self.malformed("CDATA in typed content"));
+                Step::Close(name) => return Ok(XmlItem::End(local_of(name))),
+                Step::Text(t) if t.trim().is_empty() => {}
+                Step::Text(_) | Step::CData(_) => {
+                    return Err(self.malformed("character data in typed content"))
                 }
-                Event::StartTagOpen { name } => return Ok(XmlItem::Start(self.drain_attrs(name)?)),
-                Event::EndTag { name } => return Ok(XmlItem::End(local_of(name))),
-                Event::Eof => return Ok(XmlItem::Eof),
+                Step::Comment(_) | Step::Pi(..) => {}
+                Step::Eof => return Ok(XmlItem::Eof),
             }
         }
     }
 
-    fn drain_attrs(&mut self, name: &'a str) -> XmlResult<XmlHead<'a>> {
-        let mut extra_attrs = 0;
-        loop {
-            match self.lex.next_attr()? {
-                AttrEvent::Attr(n, _) => {
-                    let benign = n == "xmlns"
-                        || n.starts_with("xmlns:")
-                        || local_of(n) == "type"
-                        || local_of(n) == "arrayType"
-                        || local_of(n) == "length";
-                    if !benign {
-                        extra_attrs += 1;
-                    }
-                }
-                AttrEvent::TagEnd { self_closing } => {
-                    return Ok(XmlHead {
-                        name,
-                        local: local_of(name),
-                        self_closing,
-                        extra_attrs,
-                    })
-                }
-            }
+    /// Require the end of the document: the root element closed, and
+    /// nothing but comments, processing instructions and whitespace
+    /// after it.
+    pub fn finish(&mut self) -> XmlResult<()> {
+        match self.next()? {
+            XmlItem::Eof => Ok(()),
+            other => Err(self.malformed(format!("expected end of input, found {other:?}"))),
         }
     }
 
-    /// Read an opened leaf's text content and matching end tag, handing
-    /// the (untrimmed) text to `consume`. A self-closed leaf yields `""`.
-    fn leaf_text<R>(
-        &mut self,
-        head: &XmlHead<'a>,
-        consume: impl FnOnce(&str) -> XmlResult<R>,
-    ) -> XmlResult<R> {
-        if head.self_closing {
-            return consume("");
+    /// Check that `head` is the element to read now — the innermost open
+    /// one, or the annotated head `next` just returned — and that its
+    /// annotation, if it has one, is `want`.
+    fn claim(&mut self, head: &XmlHead<'a>, want: Option<Kind>) -> XmlResult<()> {
+        let current = match self.typed {
+            Some(typed) => typed == *head,
+            None => head.kind == Kind::Component,
+        } && self.m.depth() == head.level + usize::from(!head.self_closing);
+        if !current {
+            return Err(self.malformed(format!("{:?} is not the element being read", head.local)));
         }
-        match self.lex.next_event()? {
-            Event::Text(t) => {
-                let r = consume(&t)?;
-                match self.lex.next_event()? {
-                    Event::EndTag { name } if local_of(name) == head.local => Ok(r),
-                    _ => Err(self.malformed(format!("leaf {:?} not closed", head.local))),
-                }
-            }
-            Event::EndTag { name } if local_of(name) == head.local => consume(""),
-            _ => Err(self.malformed(format!("expected text content in {:?}", head.local))),
+        if head.kind != Kind::Component && want.is_some_and(|k| k != head.kind) {
+            return Err(self.malformed(format!("{:?} is annotated {:?}", head.local, head.kind)));
         }
+        self.typed = None;
+        Ok(())
+    }
+
+    /// Read an opened leaf's text content through its end tag.
+    fn leaf_text(&mut self, head: &XmlHead<'a>, code: TypeCode) -> XmlResult<TextAcc<'a>> {
+        self.claim(head, Some(Kind::Leaf(code)))?;
+        self.m.text_body(head)
     }
 
     /// Parse an opened leaf's numeric value (and consume its end tag).
     pub fn leaf_value<T: TypedText>(&mut self, head: &XmlHead<'a>) -> XmlResult<T> {
-        let local = head.local;
-        let pos = self.lex.position();
-        self.leaf_text(head, |t| {
-            // `ok_or_else`, not `ok_or`: the error string must only be
-            // built on failure, or every parsed value pays a format+alloc.
-            T::parse_text(t.trim()).ok_or_else(|| XmlError::Malformed {
-                offset: pos,
-                what: format!("bad {} value in {:?}", T::CODE.xsd_name(), local),
-            })
+        let text = self.leaf_text(head, T::CODE)?;
+        // `ok_or_else`, not `ok_or`: the error string must only be
+        // built on failure, or every parsed value pays a format+alloc.
+        T::parse_text(text.as_str().trim()).ok_or_else(|| {
+            let what = format!("bad {} value in {:?}", T::CODE.xsd_name(), head.local);
+            self.malformed(what)
         })
     }
 
     /// Read an opened string leaf into `out` (cleared, capacity kept) and
     /// consume its end tag. Strings are not trimmed — whitespace is data.
     pub fn leaf_str_into(&mut self, head: &XmlHead<'a>, out: &mut String) -> XmlResult<()> {
-        self.leaf_text(head, |t| {
-            out.clear();
-            out.push_str(t);
-            Ok(())
-        })
+        let text = self.leaf_text(head, TypeCode::Str)?;
+        out.clear();
+        out.push_str(text.as_str());
+        Ok(())
     }
 
     /// Parse an opened boolean leaf (and consume its end tag).
     pub fn leaf_bool(&mut self, head: &XmlHead<'a>) -> XmlResult<bool> {
-        let local = head.local;
-        let pos = self.lex.position();
-        self.leaf_text(head, |t| match t.trim() {
+        match self.leaf_text(head, TypeCode::Bool)?.as_str().trim() {
             "true" | "1" => Ok(true),
             "false" | "0" => Ok(false),
-            other => Err(XmlError::Malformed {
-                offset: pos,
-                what: format!("bad boolean {other:?} in {local:?}"),
-            }),
-        })
+            other => Err(self.malformed(format!("bad boolean {other:?} in {:?}", head.local))),
+        }
     }
 
     /// Refill `out` (cleared, capacity kept) from an opened array
     /// element's item children, consuming the array's end tag. Item tag
-    /// names are not checked — any single-text-child element sequence is
-    /// accepted, matching the tree reader's leniency about
+    /// names are not checked, matching the tree reader's leniency about
     /// [`XmlWriteOptions::item_tag`].
     pub fn array_into<T: TypedText>(
         &mut self,
@@ -400,63 +344,15 @@ impl<'a> XmlFieldReader<'a> {
         out: &mut Vec<T>,
     ) -> XmlResult<()> {
         out.clear();
-        if head.self_closing {
-            return Ok(());
-        }
-        loop {
-            // Plain `<i>value</i>` items (the shape both our writers emit)
-            // go through the item loop the tree reader shares. Anything
-            // else — attributes, entities, self-closing items, the array's
-            // end tag — takes one step of the event path below first.
-            if self.lex.plain_items_into(out).is_some() {
-                return Err(self.malformed(format!(
-                    "bad {} value in array {:?}",
-                    T::CODE.xsd_name(),
-                    head.local
-                )));
-            }
-            match self.next()? {
-                XmlItem::Start(item) => {
-                    let v = self.leaf_value::<T>(&item)?;
-                    out.push(v);
-                }
-                XmlItem::End(local) if local == head.local => return Ok(()),
-                other => {
-                    return Err(self.malformed(format!(
-                        "unexpected {other:?} inside array {:?}",
-                        head.local
-                    )))
-                }
-            }
-        }
+        self.claim(head, Some(Kind::Array(T::CODE)))?;
+        self.m.array_body(head, out)
     }
 
-    /// Skip an opened element and everything inside it.
+    /// Skip an opened element and everything inside it, checking it as
+    /// the tree reader would read it.
     pub fn skip(&mut self, head: &XmlHead<'a>) -> XmlResult<()> {
-        if head.self_closing {
-            return Ok(());
-        }
-        let mut depth = 1usize;
-        loop {
-            // Raw events, not `next()`: skipped subtrees may legitimately
-            // contain text and CDATA.
-            match self.lex.next_event()? {
-                Event::StartTagOpen { name } => {
-                    let head = self.drain_attrs(name)?;
-                    if !head.self_closing {
-                        depth += 1;
-                    }
-                }
-                Event::EndTag { .. } => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(());
-                    }
-                }
-                Event::Eof => return Err(self.malformed("input ended inside skipped element")),
-                _ => {}
-            }
-        }
+        self.claim(head, None)?;
+        self.m.skip(head)
     }
 }
 
@@ -566,27 +462,47 @@ mod tests {
 
     #[test]
     fn foreign_attributes_are_counted_and_skippable() {
-        let markup = r#"<h:stamp xmlns:h="u" soapenv:mustUnderstand="1"><x>1</x></h:stamp><after/>"#;
+        let markup =
+            r#"<r><h:stamp xmlns:h="u" soapenv:mustUnderstand="1"><x>1</x></h:stamp><after/></r>"#;
         let mut r = XmlFieldReader::new(markup);
+        let XmlItem::Start(_) = r.next().unwrap() else { panic!() };
         let XmlItem::Start(h) = r.next().unwrap() else { panic!() };
         assert_eq!(h.extra_attrs, 1);
         r.skip(&h).unwrap();
         let XmlItem::Start(after) = r.next().unwrap() else { panic!() };
         assert_eq!(after.local, "after");
         assert!(after.self_closing);
+        assert_eq!(r.next().unwrap(), XmlItem::End("r"));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn annotated_elements_are_read_as_values_not_walked() {
+        // `parse` reads the root as an int leaf whose text, "zz", is no
+        // int; walking into it with `next` would see only a component.
+        let xml = r#"<r xsi:type="xsd:int"><x>zz</x></r>"#;
+        assert!(crate::parse(xml).is_err());
+        for skip in [false, true] {
+            let mut r = XmlFieldReader::new(xml);
+            let XmlItem::Start(root) = r.next().unwrap() else { panic!() };
+            let read = if skip { r.skip(&root) } else { r.next().map(drop) };
+            assert!(read.is_err(), "skip: {skip}");
+        }
     }
 
     #[test]
     fn malformed_typed_content_errors_not_panics() {
-        for bad in [
-            "<a>text<b/></a>",                       // mixed content
-            r#"<v><item>notanumber</item></v>"#,     // bad numeric
-            r#"<n xsi:type="xsd:int">1e3</n>"#,      // non-integer int
-            "<a><b></a>",                            // mismatched nesting (skip)
+        // (input, read the root with `skip` instead of walking it)
+        for (bad, skip) in [
+            ("<a>text<b/></a>", false),                   // mixed content
+            (r#"<v><item>notanumber</item></v>"#, false), // bad numeric
+            (r#"<n xsi:type="xsd:int">1e3</n>"#, false),  // non-integer int
+            ("<a><b></a>", true),                         // mismatched nesting
         ] {
             let mut r = XmlFieldReader::new(bad);
             let first = r.next();
             let result: XmlResult<()> = first.and_then(|item| match item {
+                XmlItem::Start(h) if skip => r.skip(&h),
                 XmlItem::Start(h) if h.local == "v" => {
                     let mut out: Vec<f64> = Vec::new();
                     r.array_into(&h, &mut out)
@@ -601,11 +517,7 @@ mod tests {
                 },
                 _ => Ok(()),
             });
-            // "<a><b></a>" skip: lexer is name-agnostic on end tags, so
-            // the skip itself succeeds; the others must error.
-            if bad != "<a><b></a>" {
-                assert!(result.is_err(), "{bad:?} should error");
-            }
+            assert!(result.is_err(), "{bad:?} should error");
         }
     }
 }

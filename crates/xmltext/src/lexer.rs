@@ -1,11 +1,12 @@
 //! A pull tokenizer for XML 1.0.
 //!
-//! Produces a flat token stream; tree building and namespace handling
-//! live in [`crate::reader`]. The subset implemented is what SOAP
-//! toolkits of the paper's era actually exchanged: elements, attributes,
-//! character data, CDATA, comments, processing instructions and the XML
-//! declaration. DTDs with internal subsets are rejected (SOAP forbids
-//! DTDs anyway).
+//! Produces a flat event stream; the open-element stack, attribute
+//! classification and document rules live in the XML core
+//! (`markup.rs`), which both readers run on. The subset implemented is
+//! what SOAP toolkits of the paper's era actually exchanged: elements,
+//! attributes, character data, CDATA, comments, processing instructions
+//! and the XML declaration. DTDs with internal subsets are rejected
+//! (SOAP forbids DTDs anyway).
 
 use std::borrow::Cow;
 
@@ -13,46 +14,13 @@ use crate::error::{XmlError, XmlResult};
 use crate::escape::unescape;
 use crate::field::TypedText;
 
-/// One lexical event.
+/// One lexical event, pulled with [`Lexer::next_event`].
 ///
-/// Text and attribute values borrow from the input unless they contained
-/// entity references that had to be decoded, so tokenizing typical
-/// machine-generated markup allocates only for the attribute `Vec`.
-/// (The streaming reader avoids even that by pulling [`Event`]s and
-/// draining attributes one at a time with [`Lexer::next_attr`].)
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token<'a> {
-    /// `<?xml version="1.0"?>` — contents are not interpreted.
-    Decl,
-    /// An opening tag with its (name, unescaped value) attributes.
-    StartTag {
-        name: &'a str,
-        attrs: Vec<(&'a str, Cow<'a, str>)>,
-        self_closing: bool,
-    },
-    /// A closing tag.
-    EndTag { name: &'a str },
-    /// Character data with entities resolved. Adjacent CDATA is merged by
-    /// the reader, not the lexer.
-    Text(Cow<'a, str>),
-    /// A `<![CDATA[...]]>` section (verbatim).
-    CData(&'a str),
-    /// A comment (without the `<!--`/`-->` markers).
-    Comment(&'a str),
-    /// A processing instruction.
-    Pi { target: &'a str, data: &'a str },
-    /// End of input.
-    Eof,
-}
-
-/// One *incremental* lexical event, pulled with [`Lexer::next_event`].
-///
-/// Identical to [`Token`] except that a start tag stops after the tag
-/// name: the caller must then drain the attributes with
-/// [`Lexer::next_attr`] until it returns [`AttrEvent::TagEnd`] before
-/// pulling the next event. Splitting the tag this way lets the streaming
-/// reader consume attributes without ever materializing a `Vec` for
-/// them — the allocation-free half of the decode fast path.
+/// Text borrows from the input unless it contained entity references
+/// that had to be decoded. A start tag stops after the tag name: the
+/// caller must then drain the attributes with [`Lexer::next_attr`]
+/// until it returns [`AttrEvent::TagEnd`] before pulling the next event,
+/// so attributes are consumed without ever materializing a `Vec`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event<'a> {
     /// `<?xml version="1.0"?>` — contents are not interpreted.
@@ -115,11 +83,11 @@ impl<'a> Lexer<'a> {
     }
 
     /// The array item loop both XML readers share: parse consecutive
-    /// plain items at the cursor into `out` with `T`'s kernel, picked
+    /// plain items at the cursor into `out` with `T`'s parser, picked
     /// once per run of items. Returns `None` when the next input is not a
     /// plain item (cursor left on it, for the caller's event loop), or
-    /// the raw text of the first item the kernel declines (cursor past
-    /// it, for the caller to fail or parse leniently).
+    /// the raw text of the first item the parser declines (cursor past
+    /// it, for the caller to report).
     pub(crate) fn plain_items_into<T: TypedText>(&mut self, out: &mut Vec<T>) -> Option<&'a str> {
         while let Some(text) = self.next_simple_item() {
             // Writers emit no padding, so try the raw text first. No
@@ -171,35 +139,6 @@ impl<'a> Lexer<'a> {
         }
         self.pos = text_end + name.len() + 3;
         Some(&self.input[text_start..text_end])
-    }
-
-    /// Pull the next token (start tags arrive with all attributes
-    /// collected into a `Vec`).
-    pub fn next_token(&mut self) -> XmlResult<Token<'a>> {
-        Ok(match self.next_event()? {
-            Event::Decl => Token::Decl,
-            Event::StartTagOpen { name } => {
-                let mut attrs = Vec::new();
-                loop {
-                    match self.next_attr()? {
-                        AttrEvent::Attr(n, v) => attrs.push((n, v)),
-                        AttrEvent::TagEnd { self_closing } => {
-                            return Ok(Token::StartTag {
-                                name,
-                                attrs,
-                                self_closing,
-                            })
-                        }
-                    }
-                }
-            }
-            Event::EndTag { name } => Token::EndTag { name },
-            Event::Text(t) => Token::Text(t),
-            Event::CData(t) => Token::CData(t),
-            Event::Comment(c) => Token::Comment(c),
-            Event::Pi { target, data } => Token::Pi { target, data },
-            Event::Eof => Token::Eof,
-        })
     }
 
     /// Pull the next incremental event (see [`Event`] for the contract
@@ -327,16 +266,38 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_name(&mut self) -> XmlResult<&'a str> {
-        let rest = self.rest();
+        let name = self.name_at(self.pos);
+        if name.is_empty() {
+            return Err(self.malformed("expected a name"));
+        }
+        self.pos += name.len();
+        Ok(name)
+    }
+
+    /// The name lexed at byte offset `at` of the input (a start tag's
+    /// name, as `next_event` returned it).
+    pub(crate) fn name_at(&self, at: usize) -> &'a str {
+        let rest = &self.input[at..];
         let end = rest
             .find(|c: char| c.is_ascii_whitespace() || matches!(c, '>' | '/' | '=' | '<'))
             .unwrap_or(rest.len());
-        if end == 0 {
-            return Err(self.malformed("expected a name"));
-        }
-        let name = &rest[..end];
-        self.pos += end;
-        Ok(name)
+        &rest[..end]
+    }
+
+    /// Whether an end tag named `name` closes the start tag whose name
+    /// `next_event` returned at byte offset `at`. A start tag that opens
+    /// an element has whitespace or `>` right after its name (anything
+    /// else fails in `next_attr`) and an end tag's name contains neither,
+    /// so a byte comparison decides it.
+    pub(crate) fn closes(&self, at: usize, name: &str) -> bool {
+        let rest = &self.input.as_bytes()[at..];
+        rest.starts_with(name.as_bytes())
+            && rest.get(name.len()).is_some_and(|&b| b == b'>' || b.is_ascii_whitespace())
+    }
+
+    /// Byte offset of `s`, a slice this lexer returned, in the input.
+    pub(crate) fn offset_of(&self, s: &str) -> usize {
+        s.as_ptr() as usize - self.input.as_ptr() as usize
     }
 
     fn lex_attr_value(&mut self) -> XmlResult<Cow<'a, str>> {
@@ -369,13 +330,26 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn all_tokens(input: &str) -> Vec<Token<'_>> {
+    /// Every event of `input`, each start tag with its drained attribute
+    /// events (ending in the `TagEnd`).
+    fn all_events(input: &str) -> Vec<(Event<'_>, Vec<AttrEvent<'_>>)> {
         let mut lx = Lexer::new(input);
         let mut out = Vec::new();
         loop {
-            let t = lx.next_token().unwrap();
-            let done = t == Token::Eof;
-            out.push(t);
+            let event = lx.next_event().unwrap();
+            let mut attrs = Vec::new();
+            if let Event::StartTagOpen { .. } = event {
+                loop {
+                    let attr = lx.next_attr().unwrap();
+                    let end = matches!(attr, AttrEvent::TagEnd { .. });
+                    attrs.push(attr);
+                    if end {
+                        break;
+                    }
+                }
+            }
+            let done = event == Event::Eof;
+            out.push((event, attrs));
             if done {
                 break;
             }
@@ -383,92 +357,99 @@ mod tests {
         out
     }
 
+    fn open_tag(input: &str) -> XmlResult<()> {
+        let mut lx = Lexer::new(input);
+        if let Event::StartTagOpen { .. } = lx.next_event()? {
+            while !matches!(lx.next_attr()?, AttrEvent::TagEnd { .. }) {}
+        }
+        Ok(())
+    }
+
     #[test]
     fn simple_element() {
-        let toks = all_tokens("<a>hi</a>");
+        let events = all_events("<a>hi</a>");
         assert_eq!(
-            toks,
+            events,
             vec![
-                Token::StartTag {
-                    name: "a",
-                    attrs: vec![],
-                    self_closing: false
-                },
-                Token::Text("hi".into()),
-                Token::EndTag { name: "a" },
-                Token::Eof
+                (
+                    Event::StartTagOpen { name: "a" },
+                    vec![AttrEvent::TagEnd { self_closing: false }]
+                ),
+                (Event::Text("hi".into()), vec![]),
+                (Event::EndTag { name: "a" }, vec![]),
+                (Event::Eof, vec![]),
             ]
         );
     }
 
     #[test]
     fn attributes_and_self_closing() {
-        let toks = all_tokens(r#"<x a="1" b='two &amp; three'/>"#);
+        let events = all_events(r#"<x a="1" b='two &amp; three'/>"#);
         assert_eq!(
-            toks[0],
-            Token::StartTag {
-                name: "x",
-                attrs: vec![("a", "1".into()), ("b", "two & three".into())],
-                self_closing: true
-            }
+            events[0],
+            (
+                Event::StartTagOpen { name: "x" },
+                vec![
+                    AttrEvent::Attr("a", "1".into()),
+                    AttrEvent::Attr("b", "two & three".into()),
+                    AttrEvent::TagEnd { self_closing: true },
+                ]
+            )
         );
     }
 
     #[test]
     fn declaration_comment_pi_cdata() {
-        let toks = all_tokens("<?xml version=\"1.0\"?><!-- c --><?app do it?><![CDATA[<raw>]]>");
-        assert_eq!(toks[0], Token::Decl);
-        assert_eq!(toks[1], Token::Comment(" c "));
+        let events = all_events("<?xml version=\"1.0\"?><!-- c --><?app do it?><![CDATA[<raw>]]>");
+        assert_eq!(events[0].0, Event::Decl);
+        assert_eq!(events[1].0, Event::Comment(" c "));
         assert_eq!(
-            toks[2],
-            Token::Pi {
+            events[2].0,
+            Event::Pi {
                 target: "app",
                 data: "do it"
             }
         );
-        assert_eq!(toks[3], Token::CData("<raw>"));
+        assert_eq!(events[3].0, Event::CData("<raw>"));
     }
 
     #[test]
     fn whitespace_inside_tags() {
-        let toks = all_tokens("<a  x = \"1\"  ></a >");
+        let events = all_events("<a  x = \"1\"  ></a >");
         assert_eq!(
-            toks[0],
-            Token::StartTag {
-                name: "a",
-                attrs: vec![("x", "1".into())],
-                self_closing: false
-            }
+            events[0],
+            (
+                Event::StartTagOpen { name: "a" },
+                vec![
+                    AttrEvent::Attr("x", "1".into()),
+                    AttrEvent::TagEnd { self_closing: false },
+                ]
+            )
         );
-        assert_eq!(toks[1], Token::EndTag { name: "a" });
+        assert_eq!(events[1].0, Event::EndTag { name: "a" });
     }
 
     #[test]
     fn errors() {
-        assert!(Lexer::new("<a b=1>").next_token().is_err()); // unquoted
-        assert!(Lexer::new("<a b=\"x").next_token().is_err()); // unterminated value
-        assert!(Lexer::new("<!-- x -- y -->").next_token().is_err()); // -- in comment
-        assert!(Lexer::new("<!DOCTYPE html>").next_token().is_err()); // DTD
-        assert!(Lexer::new("<a b=\"<\"/>").next_token().is_err()); // < in attr
-        assert!(Lexer::new("</ >").next_token().is_err());
-        assert!(Lexer::new("<a").next_token().is_err());
+        assert!(open_tag("<a b=1>").is_err()); // unquoted
+        assert!(open_tag("<a b=\"x").is_err()); // unterminated value
+        assert!(open_tag("<!-- x -- y -->").is_err()); // -- in comment
+        assert!(open_tag("<!DOCTYPE html>").is_err()); // DTD
+        assert!(open_tag("<a b=\"<\"/>").is_err()); // < in attr
+        assert!(open_tag("</ >").is_err());
+        assert!(open_tag("<a").is_err());
     }
 
     #[test]
     fn prefixed_names_pass_through() {
-        let toks = all_tokens("<soap:Envelope xmlns:soap=\"u\"></soap:Envelope>");
-        match &toks[0] {
-            Token::StartTag { name, attrs, .. } => {
-                assert_eq!(*name, "soap:Envelope");
-                assert_eq!(attrs[0].0, "xmlns:soap");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let events = all_events("<soap:Envelope xmlns:soap=\"u\"></soap:Envelope>");
+        assert_eq!(events[0].0, Event::StartTagOpen { name: "soap:Envelope" });
+        assert_eq!(events[0].1[0], AttrEvent::Attr("xmlns:soap", "u".into()));
     }
 
     #[test]
     fn text_entities_decoded() {
-        let toks = all_tokens("<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>");
-        assert_eq!(toks[1], Token::Text("1 < 2 && 3 > 2".into()));
+        let events = all_events("<a>1 &lt; 2 &amp;&amp; 3 &gt; 2</a>");
+        assert_eq!(events[1].0, Event::Text("1 < 2 && 3 > 2".into()));
     }
 }

@@ -35,16 +35,16 @@ pub mod error;
 pub mod escape;
 pub mod field;
 pub mod lexer;
+mod markup;
 pub mod num;
 pub mod reader;
 pub mod writer;
 
 pub use error::{XmlError, XmlResult};
 pub use field::{TypedText, XmlFieldReader, XmlFieldWriter, XmlHead, XmlItem};
-pub use reader::{parse, parse_into, parse_into_with, parse_with, XmlReadOptions};
-pub use writer::{
-    element_to_string, to_string, to_string_with, write_element_into, write_into, XmlWriteOptions,
-};
+pub use markup::MAX_DEPTH;
+pub use reader::{parse, parse_into};
+pub use writer::{to_string, to_string_with, write_element_into, write_into, XmlWriteOptions};
 
 /// Prefix conventionally bound to the bXDM extension namespace (array
 /// typing attributes).

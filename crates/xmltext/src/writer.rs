@@ -1,24 +1,25 @@
 //! bXDM → textual XML 1.0.
 //!
 //! The writer is a [`bxdm::Visitor`]: the tree walk is shared with the
-//! BXSA encoder (paper §5.2), only the per-event output differs.
+//! BXSA encoder (paper §5.2), only the per-event output differs. The
+//! output itself goes through the emitter [`crate::XmlFieldWriter`] uses
+//! too, so both writers spell every construct the same way.
 
 use std::convert::Infallible;
 
-use bxdm::value::write_f32_lexical;
-use bxdm::{walk_document, walk_element, ArrayValue, AtomicValue, Content, Document, Element, Visitor};
+use bxdm::{walk_document, walk_element, ArrayValue, Content, Document, Element, Visitor};
 
-use crate::escape::{escape_attr, escape_text};
-use crate::num;
+use crate::escape::escape_text;
+use crate::markup::{with_numeric, Emitter};
 
 /// Serialization options.
 #[derive(Debug, Clone)]
 pub struct XmlWriteOptions {
     /// Emit the `<?xml version="1.0" encoding="UTF-8"?>` declaration.
     pub declaration: bool,
-    /// Emit `xsi:type` on leaf elements and `bx:arrayType`/`bx:length` on
-    /// array elements so a schema-less reader can rebuild the typed tree
-    /// (the paper's §4.2 requirement). Turn off to measure the bare
+    /// Emit `xsi:type` on leaf elements and `bx:arrayType` on array
+    /// elements so a schema-less reader can rebuild the typed tree (the
+    /// paper's §4.2 requirement). Turn off to measure the bare
     /// "namespace free, shortest tags" encoding of Table 1.
     pub emit_type_info: bool,
     /// Element name used for the per-item children of an array element.
@@ -60,159 +61,46 @@ pub fn write_into(
     out: &mut String,
 ) -> Result<(), Infallible> {
     out.clear();
-    let mut w = XmlWriter { out, opts };
     if opts.declaration {
-        w.out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
     }
-    walk_document(doc, &mut w)
+    walk_document(doc, &mut XmlWriter(Emitter { out, opts }))
 }
 
-/// Serialize a single element (used by SOAP fault paths and tests).
-pub fn element_to_string(element: &Element, opts: &XmlWriteOptions) -> String {
-    let mut out = String::with_capacity(128);
-    write_element_into(element, opts, &mut out);
-    out
-}
-
-/// [`element_to_string`] into a caller-provided buffer (cleared first,
-/// capacity kept) — the streaming path's per-part encoder: cycling one
-/// `String` through a stream of similarly-sized parts serializes each
-/// with no heap allocation.
+/// Serialize a single element into a caller-provided buffer (cleared
+/// first, capacity kept) — the streaming path's per-part encoder:
+/// cycling one `String` through a stream of similarly-sized parts
+/// serializes each with no heap allocation.
 pub fn write_element_into(element: &Element, opts: &XmlWriteOptions, out: &mut String) {
     out.clear();
-    let mut w = XmlWriter { out, opts };
-    let Ok(()) = walk_element(element, &mut w);
+    let Ok(()) = walk_element(element, &mut XmlWriter(Emitter { out, opts }));
 }
 
-struct XmlWriter<'o> {
-    out: &'o mut String,
-    opts: &'o XmlWriteOptions,
-}
-
-/// Append an atomic value's lexical form in text-node position (strings
-/// need markup escaping; numeric and boolean lexical forms never do, so
-/// they go straight through the fast kernels with no scratch buffer).
-fn push_atomic_text(value: &AtomicValue, out: &mut String) {
-    match value {
-        AtomicValue::I8(v) => num::write_i64(*v as i64, out),
-        AtomicValue::U8(v) => num::write_u64(*v as u64, out),
-        AtomicValue::I16(v) => num::write_i64(*v as i64, out),
-        AtomicValue::U16(v) => num::write_u64(*v as u64, out),
-        AtomicValue::I32(v) => num::write_i64(*v as i64, out),
-        AtomicValue::U32(v) => num::write_u64(*v as u64, out),
-        AtomicValue::I64(v) => num::write_i64(*v, out),
-        AtomicValue::U64(v) => num::write_u64(*v, out),
-        AtomicValue::F32(v) => write_f32_lexical(*v, out),
-        AtomicValue::F64(v) => num::write_f64(*v, out),
-        AtomicValue::Str(s) => escape_text(s, out),
-        AtomicValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-}
-
-/// Same as [`push_atomic_text`] but in attribute-value position.
-fn push_atomic_attr(value: &AtomicValue, out: &mut String) {
-    match value {
-        AtomicValue::Str(s) => escape_attr(s, out),
-        other => push_atomic_text(other, out),
-    }
-}
-
-impl XmlWriter<'_> {
-    fn open_tag(&mut self, e: &Element) {
-        self.out.push('<');
-        e.name.write_lexical(self.out);
-        for ns in &e.namespaces {
-            match &ns.prefix {
-                Some(p) => {
-                    self.out.push_str(" xmlns:");
-                    self.out.push_str(p);
-                }
-                None => self.out.push_str(" xmlns"),
-            }
-            self.out.push_str("=\"");
-            escape_attr(&ns.uri, self.out);
-            self.out.push('"');
-        }
-        for attr in &e.attributes {
-            self.out.push(' ');
-            attr.name.write_lexical(self.out);
-            self.out.push_str("=\"");
-            push_atomic_attr(&attr.value, self.out);
-            self.out.push('"');
-        }
-    }
-
-    /// Emit `<item>value</item>` children for one array's payload.
-    fn write_items<T: Copy>(&mut self, values: &[T], write: impl Fn(T, &mut String)) {
-        for &v in values {
-            self.out.push('<');
-            self.out.push_str(&self.opts.item_tag);
-            self.out.push('>');
-            write(v, self.out);
-            self.out.push_str("</");
-            self.out.push_str(&self.opts.item_tag);
-            self.out.push('>');
-        }
-    }
-
-    fn push_attr(&mut self, name: &str, value: &str) {
-        self.out.push(' ');
-        self.out.push_str(name);
-        self.out.push_str("=\"");
-        escape_attr(value, self.out);
-        self.out.push('"');
-    }
-
-    fn close_tag(&mut self, e: &Element) {
-        self.out.push_str("</");
-        e.name.write_lexical(self.out);
-        self.out.push('>');
-    }
-}
+struct XmlWriter<'o>(Emitter<'o>);
 
 impl Visitor for XmlWriter<'_> {
     type Error = Infallible;
 
     fn visit_element_start(&mut self, e: &Element) -> Result<(), Infallible> {
-        self.open_tag(e);
+        let w = &mut self.0;
+        w.open_tag(&e.name, e.namespaces.iter().map(|ns| (ns.prefix.as_deref(), ns.uri.as_str())));
+        for attr in &e.attributes {
+            w.attr(&attr.name, &attr.value);
+        }
         match &e.content {
-            Content::Children(children) => {
-                if children.is_empty() {
-                    self.out.push_str("/>");
-                } else {
-                    self.out.push('>');
-                }
-                // Children are emitted by the shared walk; the close tag
-                // happens in visit_element_end.
-            }
+            // Children are emitted by the shared walk; the close tag
+            // happens in visit_element_end.
+            Content::Children(children) if children.is_empty() => w.out.push_str("/>"),
+            Content::Children(_) => w.out.push('>'),
             Content::Leaf(value) => {
-                if self.opts.emit_type_info {
-                    self.push_attr("xsi:type", value.type_code().xsd_name());
-                }
-                self.out.push('>');
-                push_atomic_text(value, self.out);
+                w.annotate("xsi:type", value.type_code());
+                w.out.push('>');
+                w.value(value, escape_text);
             }
             Content::Array(array) => {
-                if self.opts.emit_type_info {
-                    self.push_attr("bx:arrayType", array.type_code().xsd_name());
-                }
-                self.out.push('>');
-                // One child element per item: the open/close tag pair per
-                // element is exactly the overhead Table 1 quantifies. The
-                // item values go straight through the numeric kernels —
-                // this loop is the measured cost of the XML encoding.
-                match array {
-                    ArrayValue::I8(vs) => self.write_items(vs, |v, o| num::write_i64(v as i64, o)),
-                    ArrayValue::U8(vs) => self.write_items(vs, |v, o| num::write_u64(v as u64, o)),
-                    ArrayValue::I16(vs) => self.write_items(vs, |v, o| num::write_i64(v as i64, o)),
-                    ArrayValue::U16(vs) => self.write_items(vs, |v, o| num::write_u64(v as u64, o)),
-                    ArrayValue::I32(vs) => self.write_items(vs, |v, o| num::write_i64(v as i64, o)),
-                    ArrayValue::U32(vs) => self.write_items(vs, |v, o| num::write_u64(v as u64, o)),
-                    ArrayValue::I64(vs) => self.write_items(vs, num::write_i64),
-                    ArrayValue::U64(vs) => self.write_items(vs, num::write_u64),
-                    ArrayValue::F32(vs) => self.write_items(vs, write_f32_lexical),
-                    ArrayValue::F64(vs) => self.write_items(vs, num::write_f64),
-                }
+                w.annotate("bx:arrayType", array.type_code());
+                w.out.push('>');
+                with_numeric!(ArrayValue, array, v => w.items(v));
             }
         }
         Ok(())
@@ -221,31 +109,32 @@ impl Visitor for XmlWriter<'_> {
     fn visit_element_end(&mut self, e: &Element) -> Result<(), Infallible> {
         match &e.content {
             Content::Children(children) if children.is_empty() => {} // self-closed
-            _ => self.close_tag(e),
+            _ => self.0.close_tag(&e.name),
         }
         Ok(())
     }
 
     fn visit_text(&mut self, text: &str) -> Result<(), Infallible> {
-        escape_text(text, self.out);
+        escape_text(text, self.0.out);
         Ok(())
     }
 
     fn visit_comment(&mut self, comment: &str) -> Result<(), Infallible> {
-        self.out.push_str("<!--");
-        self.out.push_str(comment);
-        self.out.push_str("-->");
+        self.0.out.push_str("<!--");
+        self.0.out.push_str(comment);
+        self.0.out.push_str("-->");
         Ok(())
     }
 
     fn visit_pi(&mut self, target: &str, data: &str) -> Result<(), Infallible> {
-        self.out.push_str("<?");
-        self.out.push_str(target);
+        let out = &mut *self.0.out;
+        out.push_str("<?");
+        out.push_str(target);
         if !data.is_empty() {
-            self.out.push(' ');
-            self.out.push_str(data);
+            out.push(' ');
+            out.push_str(data);
         }
-        self.out.push_str("?>");
+        out.push_str("?>");
         Ok(())
     }
 }
@@ -253,7 +142,7 @@ impl Visitor for XmlWriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bxdm::Node;
+    use bxdm::{AtomicValue, Node};
 
     fn doc(root: Element) -> Document {
         Document::with_root(root)
@@ -367,10 +256,11 @@ mod tests {
     }
 
     #[test]
-    fn element_to_string_matches_document_form() {
+    fn write_element_into_matches_document_form() {
         let e = Element::array("v", ArrayValue::I32(vec![7, 8]));
         let opts = XmlWriteOptions::default();
-        let alone = element_to_string(&e, &opts);
+        let mut alone = String::new();
+        write_element_into(&e, &opts, &mut alone);
         let in_doc = to_string_with(&doc(e), &opts).unwrap();
         assert_eq!(alone, in_doc);
     }

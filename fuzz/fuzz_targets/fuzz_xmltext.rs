@@ -6,6 +6,8 @@
 //!   both in outcome and in the resulting document.
 //! * A document that parses must serialize and re-parse to itself
 //!   (lexical round-trip through the writer).
+//! * A field-reader walk that reaches `finish` cleanly proves the
+//!   document well-formed: `parse` must accept it too.
 
 use libfuzzer_sys::fuzz_target;
 
@@ -27,14 +29,25 @@ fn drive_lexer(s: &str) {
     }
 }
 
-fn drive_field_reader(s: &str) {
+/// Walk the document with the typed reader, choosing per element, from
+/// its name, to skip it, read it as a string leaf or an `f64` array, or
+/// descend into it. `Ok` only when the walk reached `finish` cleanly.
+fn field_walk(s: &str) -> xmltext::XmlResult<()> {
     let mut fr = xmltext::XmlFieldReader::new(s);
+    let (mut text, mut values) = (String::new(), Vec::<f64>::new());
     for _ in 0..100_000 {
-        match fr.next() {
-            Ok(xmltext::XmlItem::Eof) | Err(_) => return,
-            Ok(_) => {}
+        match fr.next()? {
+            xmltext::XmlItem::Start(h) => match h.name.len() % 4 {
+                0 => fr.skip(&h)?,
+                1 => fr.leaf_str_into(&h, &mut text)?,
+                2 => fr.array_into(&h, &mut values)?,
+                _ => {}
+            },
+            xmltext::XmlItem::End(_) => {}
+            xmltext::XmlItem::Eof => return fr.finish(),
         }
     }
+    Err(xmltext::XmlError::Structure { what: "walk too long".into() })
 }
 
 fuzz_target!(|data: &[u8]| {
@@ -42,9 +55,12 @@ fuzz_target!(|data: &[u8]| {
         return;
     };
     drive_lexer(s);
-    drive_field_reader(s);
+    let walked = field_walk(s);
 
     let fresh = xmltext::parse(s);
+    if walked.is_ok() {
+        assert!(fresh.is_ok(), "field reader finished a document parse rejects: {fresh:?}");
+    }
 
     // Dirty-slot decode: reuse a document that already holds content.
     let mut slot = xmltext::parse("<a x='1'><b>text</b><c/></a>").unwrap();

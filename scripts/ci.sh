@@ -185,6 +185,19 @@ if [ "$(grep -c . <<<"$scan_calls")" -ne 1 ] \
     exit 1
 fi
 
+# One XML core: lexer events are read only by the XML core,
+# crates/xmltext/src/markup.rs, which owns the element stack, attribute
+# classification and document rules; the tree and typed readers and both
+# writers are layers over it, so no reader can accept bytes another
+# rejects. Test modules are exempt.
+for f in crates/xmltext/src/*.rs; do
+    case "$(basename "$f")" in lexer.rs | markup.rs) continue ;; esac
+    if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nE 'next_event\(|next_attr\(|Event::'; then
+        echo "xmltext: $f reads lexer events; go through the XML core in markup.rs" >&2
+        exit 1
+    fi
+done
+
 # Streaming job (PR 9): the end-to-end streamed lane stays live and
 # constant-memory. The e2e tests drive a >=8x-window payload
 # client -> transcoding intermediary -> server and back; the chunked

@@ -516,29 +516,170 @@ fn both_xml_readers_reject_lt_inside_an_item_name() {
 }
 
 /// Array items are the array's values, not bXDM elements (BXSA has no
-/// item frames), so items of an array at `max_depth - 1` sit at
-/// `max_depth` and read; markup nested inside them does not. The plain
+/// item frames), so items of an array at `MAX_DEPTH - 1` sit at
+/// `MAX_DEPTH` and read; markup nested inside them does not. The plain
 /// `</item>` spelling goes through the item scanner, `</item >` only
 /// through the event path: both must agree.
 #[test]
 fn xml_items_at_max_depth_read_the_same_with_and_without_the_scanner() {
-    let opts = xmltext::XmlReadOptions {
-        max_depth: 2,
-        ..Default::default()
+    let max = xmltext::MAX_DEPTH;
+    let wrap = |depth: usize, inner: &str| {
+        format!("{}{inner}{}", "<r>".repeat(depth), "</r>".repeat(depth))
     };
     let cases = [
-        (r#"<r><v bx:arrayType="xsd:int"><item>1</item><item>2</item></v></r>"#, true),
-        (r#"<r><v bx:arrayType="xsd:int"><item><b>1</b></item></v></r>"#, false),
-        (r#"<r><s><v bx:arrayType="xsd:int"><item>1</item></v></s></r>"#, false),
+        (wrap(max - 1, r#"<v bx:arrayType="xsd:int"><item>1</item><item>2</item></v>"#), true),
+        (wrap(max - 1, r#"<v bx:arrayType="xsd:int"><item><b>1</b></item></v>"#), false),
+        (wrap(max, r#"<v bx:arrayType="xsd:int"><item>1</item></v>"#), false),
     ];
     for (plain, accepted) in cases {
         let spaced = plain.replace("</item>", "</item >");
-        let fast = xmltext::parse_with(plain, &opts);
-        let slow = xmltext::parse_with(&spaced, &opts);
+        let fast = xmltext::parse(&plain);
+        let slow = xmltext::parse(&spaced);
         assert_eq!(fast.is_ok(), accepted, "{plain}: {fast:?}");
         assert_eq!(slow.is_ok(), accepted, "{spaced}: {slow:?}");
         if let (Ok(fast), Ok(slow)) = (fast, slow) {
             assert_eq!(fast, slow);
         }
     }
+}
+
+/// Decode `xml` as `M` on both typed XML entry points; neither may
+/// report a match.
+fn typed_xml_rejects<M: soap::FromBxsa>(xml: &str, label: &str) {
+    use soap::{TypedDecode, TypedEncoding, TypedRequest};
+    let enc = soap::XmlEncoding::default();
+    let mut out = M::default();
+    let reply = enc.decode_typed_reply(xml.as_bytes(), &mut out);
+    assert!(!matches!(reply, Ok(TypedDecode::Matched)), "reply decode matched {label}: {xml}");
+    let request = enc.decode_typed_request(xml.as_bytes(), &mut out);
+    assert!(
+        !matches!(request, Ok(TypedRequest::Matched { .. })),
+        "request decode matched {label}: {xml}"
+    );
+}
+
+/// The five envelope mutants of one typed-encoded message whose body
+/// entry closes with `op_close`: cut off after the entry, cut off with an
+/// open element after it, a second root, a renamed `Body` end tag and a
+/// declaration inside `Body`.
+fn envelope_mutants(full: &str, op_close: &str) -> Vec<(&'static str, String)> {
+    let cut = &full[..full.find(op_close).unwrap() + op_close.len()];
+    vec![
+        ("cut after the body entry", cut.to_owned()),
+        ("cut, then an open element", format!("{cut}<x>")),
+        ("a second root", format!("{full}<extra/>")),
+        ("a renamed Body end tag", full.replace("</soapenv:Body>", "</q:Body>")),
+        (
+            "a declaration inside Body",
+            full.replace("<soapenv:Body>", r#"<soapenv:Body><?xml version="1.0"?>"#),
+        ),
+    ]
+}
+
+/// Cross-reader audit reproducers: the typed XML decode returned
+/// `Matched` as soon as the body entry was read, so it never closed
+/// `Body` and `Envelope` or checked for the end of input, and it matched
+/// end tags by local name. A typed server ran its handler on requests
+/// the tree decode rejects.
+#[test]
+fn typed_xml_decode_rejects_envelopes_the_tree_decode_rejects() {
+    use soap::TypedEncoding;
+    fn check<M: soap::ToBxsa + soap::FromBxsa>(msg: &M, op_close: &str) {
+        let enc = soap::XmlEncoding::default();
+        let mut wire = Vec::new();
+        enc.encode_typed(msg, None, &mut soap::TypedScratch::default(), &mut wire).unwrap();
+        let full = String::from_utf8(wire).unwrap();
+        let mut back = M::default();
+        assert_eq!(
+            enc.decode_typed_reply(full.as_bytes(), &mut back).unwrap(),
+            soap::TypedDecode::Matched,
+            "the unmutated envelope must match: {full}"
+        );
+        for (label, xml) in envelope_mutants(&full, op_close) {
+            assert!(EncodingPolicy::decode(&enc, xml.as_bytes()).is_err(), "tree accepted {label}");
+            typed_xml_rejects::<M>(&xml, label);
+        }
+    }
+    let request = bxsoap::VerifyRequest {
+        index: vec![0, 1, 2],
+        values: vec![180.5, 207.25, 330.0],
+    };
+    check(&request, "</d:Verify>");
+    check(&bxsoap::VerifyResponse { ok: true, count: 3 }, "</VerifyResponse>");
+}
+
+/// The typed reader's end tags matched their start tags by local name
+/// only, it yielded `Eof` after a second root element, and a typed read
+/// ignored an annotation naming another type. `parse` rejects the
+/// first four inputs and reads the last as a string leaf.
+#[test]
+fn typed_xml_reader_matches_full_names_and_annotations() {
+    use xmltext::{XmlFieldReader, XmlItem};
+    fn first(r: &mut XmlFieldReader<'static>, xml: &str) -> xmltext::XmlHead<'static> {
+        match r.next() {
+            Ok(XmlItem::Start(head)) => head,
+            other => panic!("{xml}: expected a start tag, got {other:?}"),
+        }
+    }
+    fn walk(xml: &'static str) -> xmltext::XmlResult<()> {
+        let mut r = XmlFieldReader::new(xml);
+        while r.next()? != XmlItem::Eof {}
+        Ok(())
+    }
+
+    let leaf = "<a:v>1</b:v>";
+    let mut r = XmlFieldReader::new(leaf);
+    let head = first(&mut r, leaf);
+    assert!(r.leaf_value::<i64>(&head).is_err(), "leaf_value read {leaf}");
+
+    let array = "<p:v><item>1</item></q:v>";
+    let mut r = XmlFieldReader::new(array);
+    let head = first(&mut r, array);
+    let mut items: Vec<i32> = Vec::new();
+    assert!(r.array_into(&head, &mut items).is_err(), "array_into read {items:?} from {array}");
+
+    let nested = "<r><x>1</x></q>";
+    let read_nested = || -> xmltext::XmlResult<()> {
+        let mut r = XmlFieldReader::new(nested);
+        first(&mut r, nested);
+        let x = first(&mut r, nested);
+        r.leaf_value::<i64>(&x)?;
+        while r.next()? != XmlItem::Eof {}
+        Ok(())
+    };
+    assert!(read_nested().is_err(), "read {nested} through to Eof");
+
+    let two_roots = "<r/><r2/>";
+    assert!(walk(two_roots).is_err(), "next() walked {two_roots} to Eof");
+    let mut r = XmlFieldReader::new(two_roots);
+    first(&mut r, two_roots);
+    assert!(r.finish().is_err(), "finish accepted {two_roots}");
+
+    for xml in [leaf, array, nested, two_roots] {
+        assert!(xmltext::parse(xml).is_err(), "parse accepted {xml}");
+    }
+
+    let string = r#"<p:tag xsi:type="xsd:string">5</p:tag>"#;
+    let mut r = XmlFieldReader::new(string);
+    let head = first(&mut r, string);
+    assert!(r.leaf_value::<i64>(&head).is_err(), "read {string} as an integer");
+    let tree = xmltext::parse(string).unwrap();
+    assert_eq!(tree.root().unwrap().leaf_value(), Some(&AtomicValue::Str("5".into())));
+}
+
+/// The typed XML decode took an element's local name after the last
+/// colon, the tree path (`QName::parse`) takes it after the first. So an
+/// `Envelope` named `soapenv:x:Envelope` matched on the typed path while
+/// the tree path's envelope check (`SoapEnvelope::take_from`) rejects it.
+#[test]
+fn typed_xml_decode_takes_local_names_after_the_first_colon() {
+    use soap::TypedEncoding;
+    let enc = soap::XmlEncoding::default();
+    let mut wire = Vec::new();
+    let msg = bxsoap::VerifyResponse { ok: true, count: 3 };
+    enc.encode_typed(&msg, None, &mut soap::TypedScratch::default(), &mut wire).unwrap();
+    let xml = String::from_utf8(wire).unwrap().replace("soapenv:Envelope", "soapenv:x:Envelope");
+    let mut doc = EncodingPolicy::decode(&enc, xml.as_bytes()).unwrap();
+    assert!(SoapEnvelope::take_from(&mut doc).is_err(), "tree path accepted {xml}");
+    typed_xml_rejects::<bxsoap::VerifyResponse>(&xml, "a two-colon Envelope name");
 }
