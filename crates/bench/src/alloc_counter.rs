@@ -17,6 +17,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The system allocator, plus a per-thread opt-in allocation counter.
 pub struct CountingAlloc;
@@ -28,7 +29,12 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static SHARED: Cell<bool> = const { Cell::new(false) };
 }
+
+/// Totals of the threads armed with [`arm_shared`].
+static SHARED_COUNT: AtomicU64 = AtomicU64::new(0);
+static SHARED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Count one allocation event of `size` bytes (a realloc counts its
 /// whole new size).
@@ -38,6 +44,12 @@ fn bump(size: usize) {
         if armed.get() {
             COUNT.with(|c| c.set(c.get() + 1));
             BYTES.with(|b| b.set(b.get() + size as u64));
+        }
+    });
+    SHARED.with(|shared| {
+        if shared.get() {
+            SHARED_COUNT.fetch_add(1, Ordering::Relaxed);
+            SHARED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
         }
     });
 }
@@ -91,6 +103,22 @@ pub fn measure_allocs<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
         bytes: BYTES.with(|b| b.get()),
     };
     (result, allocs)
+}
+
+/// Count every allocation this thread makes from now on into process-wide
+/// totals, read with [`take_shared`] from any thread — the way to gate
+/// code that runs on a thread the test does not drive, such as a server
+/// worker.
+pub fn arm_shared() {
+    SHARED.with(|shared| shared.set(true));
+}
+
+/// What the [`arm_shared`] threads allocated since the last call.
+pub fn take_shared() -> Allocs {
+    Allocs {
+        events: SHARED_COUNT.swap(0, Ordering::Relaxed),
+        bytes: SHARED_BYTES.swap(0, Ordering::Relaxed),
+    }
 }
 
 #[cfg(test)]
@@ -199,6 +227,122 @@ mod tests {
             allocs.bytes < BULK_CALL_BYTE_BUDGET,
             "call_with allocated {allocs:?} in steady state"
         );
+    }
+
+    /// A warm 100k-pair tree Verify through the live `HttpSoapServer`:
+    /// the request body lands in the connection's high-water buffer and
+    /// the reply is written from its reply buffer, so the worker's whole
+    /// request — read, head parse, decode, handler, encode, write —
+    /// allocates far less than the payload, and so does the client.
+    #[test]
+    fn bulk_http_server_call_does_not_copy_the_payload() {
+        use soap::{BxsaEncoding, CallOptions, HttpBinding, HttpSoapServer, SoapEngine};
+        use std::sync::Arc;
+
+        let (index, values) = bxsoap::lead_dataset(100_000, 42);
+        let mut inner = soap::ServiceRegistry::new();
+        bxsoap::register_verify(&mut inner);
+        let mut registry = soap::ServiceRegistry::new();
+        // The handler runs on the connection's worker: arm it there.
+        registry.register("Verify", move |request| {
+            arm_shared();
+            Ok(inner.dispatch(request))
+        });
+        let service = soap::SoapService::new(BxsaEncoding::default(), Arc::new(registry));
+        let server = HttpSoapServer::bind_service_with(
+            "127.0.0.1:0",
+            "/soap",
+            transport::HttpServerConfig::default(),
+            service,
+        )
+        .unwrap();
+        let binding = HttpBinding::new(&server.local_addr().to_string(), "/soap");
+        let mut engine = SoapEngine::new(BxsaEncoding::default(), binding);
+        let options = CallOptions::new();
+        for _ in 0..3 {
+            let request = bxsoap::verify_request_envelope(&index, &values);
+            engine.call_with(request, &options).unwrap();
+        }
+        let request = bxsoap::verify_request_envelope(&index, &values);
+        take_shared();
+        let (reply, client) = measure_allocs(|| engine.call_with(request, &options));
+        let server_side = take_shared();
+        assert_eq!(
+            reply.unwrap().body_element().unwrap().child_value("ok"),
+            Some(&bxdm::AtomicValue::Bool(true))
+        );
+        assert!(server_side.events > 0, "the worker's handler allocates: it was armed");
+        assert!(
+            server_side.bytes < BULK_CALL_BYTE_BUDGET,
+            "the HTTP server allocated {server_side:?} for a warm bulk call"
+        );
+        assert!(
+            client.bytes < BULK_CALL_BYTE_BUDGET,
+            "call_with over HTTP allocated {client:?} in steady state"
+        );
+        server.shutdown();
+    }
+
+    /// What one warm small `call_with` allocates on the client thread.
+    fn warm_small_call_allocs<E, B>(encoding: E, binding: B) -> u64
+    where
+        E: soap::EncodingPolicy,
+        B: soap::BindingPolicy,
+    {
+        let (index, values) = bxsoap::lead_dataset(50, 7);
+        let mut engine = soap::SoapEngine::new(encoding, binding);
+        let options = soap::CallOptions::new();
+        for _ in 0..3 {
+            let request = bxsoap::verify_request_envelope(&index, &values);
+            engine.call_with(request, &options).unwrap();
+        }
+        let request = bxsoap::verify_request_envelope(&index, &values);
+        let (reply, n) = measure(|| engine.call_with(request, &options));
+        reply.unwrap();
+        n
+    }
+
+    /// The HTTP leg's per-exchange fixed costs are gone from the client:
+    /// a warm small Verify over `HttpBinding` allocates no more than the
+    /// same call over `TcpBinding` (the request head is written from a
+    /// reused buffer, the response head parsed into reused strings).
+    #[test]
+    fn warm_http_call_allocates_no_more_than_tcp() {
+        use soap::{
+            BxsaEncoding, HttpBinding, HttpSoapServer, TcpBinding, TcpSoapServer, XmlEncoding,
+        };
+
+        xmltext::num::warm_up();
+        let registry = || {
+            let mut registry = soap::ServiceRegistry::new();
+            bxsoap::register_verify(&mut registry);
+            std::sync::Arc::new(registry)
+        };
+        fn both<E>(encoding: E, registry: std::sync::Arc<soap::ServiceRegistry>)
+        where
+            E: soap::StreamEncoding + Clone + Send + Sync + 'static,
+        {
+            let tcp = TcpSoapServer::bind("127.0.0.1:0", encoding.clone(), registry.clone()).unwrap();
+            let http =
+                HttpSoapServer::bind("127.0.0.1:0", "/soap", encoding.clone(), registry).unwrap();
+            let over_tcp = warm_small_call_allocs(
+                encoding.clone(),
+                TcpBinding::new(&tcp.local_addr().to_string()),
+            );
+            let over_http = warm_small_call_allocs(
+                encoding.clone(),
+                HttpBinding::new(&http.local_addr().to_string(), "/soap"),
+            );
+            assert!(
+                over_http <= over_tcp,
+                "{}: a warm call allocated {over_http}x over HTTP, {over_tcp}x over TCP",
+                encoding.name()
+            );
+            tcp.shutdown();
+            http.shutdown();
+        }
+        both(XmlEncoding::default(), registry());
+        both(BxsaEncoding::default(), registry());
     }
 
     /// The PR's acceptance invariant: after warmup, encoding the paper's

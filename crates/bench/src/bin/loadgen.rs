@@ -42,7 +42,8 @@ use std::time::{Duration, Instant};
 
 use obs::Histogram;
 use transport::{
-    Events, HttpRequest, HttpResponse, Interest, OverloadConfig, Poller, ServerBuilder,
+    Events, HttpRequest, HttpResponse, Interest, OverloadConfig, Poller, Reply, ReplyControl,
+    RequestHead, ServerBuilder,
 };
 
 /// Table 1 payload grid: 12 B per array value at model sizes
@@ -67,12 +68,15 @@ fn main() {
 /// Child-process entry: bind the requested server flavor on an ephemeral
 /// port, print `ADDR <addr>` for the parent, then park until killed.
 fn serve(mode: &str) {
-    let echo = |req: &HttpRequest| HttpResponse::ok("application/octet-stream", req.body.clone());
+    fn echo(_: &mut (), _: &RequestHead<'_>, body: &[u8], reply: &mut Reply, _: &mut ReplyControl) {
+        reply.header("Content-Type", "application/octet-stream");
+        reply.body.extend_from_slice(body);
+    }
     let server = match mode {
         "http-evented" => ServerBuilder::bind("127.0.0.1:0")
             .read_timeout(Duration::from_secs(60))
             .write_timeout(Duration::from_secs(60))
-            .serve_http(echo),
+            .serve_http(|| (), echo),
         // Admission-capped echo: 128 connections (BX_SERVER_MAX_CONNS
         // overrides), accept-then-reject, a whole-message deadline that
         // kills slow-loris trickles, and a tight write budget that kills
@@ -87,7 +91,7 @@ fn serve(mode: &str) {
                 message_deadline: Some(Duration::from_millis(500)),
                 ..OverloadConfig::default()
             })
-            .serve_http(echo),
+            .serve_http(|| (), echo),
         // Slow echo (20 ms nap per request) with request-level shedding:
         // the inflight bound and queue-delay signal turn the excess away
         // as 503s before any handler work.
@@ -100,10 +104,13 @@ fn serve(mode: &str) {
                 shed_queue_delay: Some(Duration::from_millis(100)),
                 ..OverloadConfig::default()
             })
-            .serve_http(move |req| {
-                std::thread::sleep(Duration::from_millis(20));
-                echo(req)
-            }),
+            .serve_http(
+                || (),
+                |state, head, body, reply, ctl| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    echo(state, head, body, reply, ctl)
+                },
+            ),
         other => panic!("unknown serve mode {other:?}"),
     }
     .unwrap_or_else(|e| panic!("bind {mode}: {e}"));

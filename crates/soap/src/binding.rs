@@ -132,16 +132,22 @@ impl HttpBinding {
         self.conn.reuse_count()
     }
 
-    /// Rebuild the reusable request's headers for one exchange.
+    /// Point the reusable request's headers at this exchange's content
+    /// type and SOAPAction. They are rebuilt only when either changed, so
+    /// a steady caller allocates nothing here.
     fn set_headers(&mut self, content_type: &str) {
-        self.request.headers.clear();
-        self.request
-            .headers
-            .push(("Content-Type".into(), content_type.into()));
+        let headers = &self.request.headers;
+        let current = headers.len() == 1 + usize::from(self.soap_action.is_some())
+            && headers[0].1 == content_type
+            && headers.get(1).map(|(_, v)| v) == self.soap_action.as_ref();
+        if current {
+            return;
+        }
+        let headers = &mut self.request.headers;
+        headers.clear();
+        headers.push(("Content-Type".into(), content_type.into()));
         if let Some(action) = &self.soap_action {
-            self.request
-                .headers
-                .push(("SOAPAction".into(), action.clone()));
+            headers.push(("SOAPAction".into(), action.clone()));
         }
     }
 
@@ -550,10 +556,14 @@ mod tests {
     #[test]
     fn http_binding_roundtrip_against_real_server() {
         let server = transport::ServerBuilder::bind("127.0.0.1:0")
-            .serve_http(|req| {
-                assert_eq!(req.method, "POST");
-                transport::HttpResponse::ok("text/xml", req.body.clone())
-            })
+            .serve_http(
+                || (),
+                |(), head, body, reply, _ctl| {
+                    assert_eq!(head.method, "POST");
+                    assert_eq!(head.header("soapaction"), Some("\"op\""));
+                    reply.body.extend_from_slice(body);
+                },
+            )
             .unwrap();
         let mut binding = HttpBinding::new(&server.local_addr().to_string(), "/soap");
         binding.soap_action = Some("\"op\"".into());
@@ -565,7 +575,10 @@ mod tests {
     #[test]
     fn http_binding_reuses_its_connection() {
         let server = transport::ServerBuilder::bind("127.0.0.1:0")
-            .serve_http(|req| transport::HttpResponse::ok("text/xml", req.body.clone()))
+            .serve_http(
+                || (),
+                |(), _head, body, reply, _ctl| reply.body.extend_from_slice(body),
+            )
             .unwrap();
         let mut binding = HttpBinding::new(&server.local_addr().to_string(), "/soap");
         for i in 0..5u8 {

@@ -95,7 +95,8 @@ impl Intermediary {
     /// TCP windows. Buffered (non-chunked) requests take the classic
     /// decode/re-encode path. Each streamed exchange dials its own
     /// upstream connection (concurrent streams must not serialize);
-    /// buffered exchanges share one keep-alive upstream connection.
+    /// buffered exchanges ride one keep-alive upstream connection per
+    /// downstream connection.
     pub fn bind_http_streaming<InE, UpE>(
         addr: &str,
         path: &str,
@@ -118,12 +119,6 @@ impl Intermediary {
         let stream_target = Arc::clone(&target);
         let stream_path = path.to_owned();
         let buffered_path = path.to_owned();
-        // Buffered fallback reuses the classic relay loop over a shared
-        // keep-alive upstream HTTP connection.
-        let buffered_upstream = Arc::new(Mutex::new((
-            (),
-            HttpBinding::new(upstream_addr, upstream_path),
-        )));
         let buffered_target = Arc::clone(&target);
 
         let inner = transport::ServerBuilder::bind(addr)
@@ -133,31 +128,34 @@ impl Intermediary {
                 }
                 Some(Box::new(RelaySession::new(Arc::clone(&stream_target))))
             })
-            .serve_http(move |request| {
-                if request.method != "POST" || request.path != buffered_path {
-                    return HttpResponse::not_found();
-                }
-                let t = &buffered_target;
-                let result = {
-                    let mut guard = buffered_upstream.lock();
-                    let ((), binding) = &mut *guard;
-                    relay_buffered(&t.in_enc, &t.up_enc, binding, &request.body)
-                };
-                let content_type = t.in_enc.content_type();
-                match result {
-                    Ok(bytes) => HttpResponse::ok(content_type, bytes),
-                    Err(e) => {
-                        let fault = fault_envelope(SoapFault::new(
-                            FaultCode::Server,
-                            &format!("intermediary relay failed: {e}"),
-                        ));
-                        HttpResponse::server_error(
-                            t.in_enc.encode(&fault.into_document()).unwrap_or_default(),
-                        )
-                        .with_header("Content-Type", content_type)
+            // Buffered requests take the classic relay loop; each
+            // downstream connection keeps its own keep-alive upstream
+            // binding, so relays on different connections never wait on
+            // each other.
+            .serve_http(
+                move || HttpBinding::new(&target.upstream_addr, &target.upstream_path),
+                move |binding, head, body, reply, _ctl| {
+                    if head.method != "POST" || head.path != buffered_path {
+                        reply.respond(HttpResponse::not_found());
+                        return;
                     }
-                }
-            })?;
+                    let t = &buffered_target;
+                    let content_type = t.in_enc.content_type();
+                    match relay_buffered(&t.in_enc, &t.up_enc, binding, body) {
+                        Ok(bytes) => reply.body = bytes,
+                        Err(e) => {
+                            let fault = fault_envelope(SoapFault::new(
+                                FaultCode::Server,
+                                &format!("intermediary relay failed: {e}"),
+                            ));
+                            reply.set_status(500, "Internal Server Error");
+                            reply.body =
+                                t.in_enc.encode(&fault.into_document()).unwrap_or_default();
+                        }
+                    }
+                    reply.header("Content-Type", content_type);
+                },
+            )?;
         Ok(Intermediary { inner })
     }
 

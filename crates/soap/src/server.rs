@@ -206,16 +206,8 @@ impl HttpSoapServer {
         E: StreamEncoding + Send + Sync + 'static,
     {
         let content_type = service.encoding().content_type();
-        // HTTP connections are one-shot, so reuse must span connections:
-        // one shared pool carries body buffers (request reads, response
-        // encodes, recycled by the transport after each reply) and a
-        // second carries decode scratch documents between handler runs.
-        let pool = Arc::new(transport::BufferPool::default());
-        let handler_pool = Arc::clone(&pool);
-        let scratch_pool: Arc<transport::Pool<DecodeScratch>> =
-            Arc::new(transport::Pool::default());
         let service = Arc::new(service);
-        let mut builder = builder_for_http(addr, &config).pool(pool);
+        let mut builder = builder_for_http(addr, &config);
         if service.has_streaming() {
             let stream_service = Arc::clone(&service);
             let stream_path = path.to_owned();
@@ -231,34 +223,33 @@ impl HttpSoapServer {
             });
         }
         let path = path.to_owned();
-        let inner = builder.serve_http_ctl(move |request, ctl| {
-            if request.method != "POST" || request.path != path {
-                return transport::HttpResponse::not_found();
-            }
-            let mut body = handler_pool.take();
-            let mut scratch = scratch_pool.take();
-            let outcome = service.handle_bytes_deadline(&mut scratch, &request.body, &mut body);
-            scratch_pool.put(scratch);
-            // The caller's remaining deadline bounds the response write.
-            if let Some(budget) = outcome.reply_budget {
-                ctl.cap_write(budget);
-            }
-            // SOAP 1.1 over HTTP: faults ride in 500 responses; an
-            // expired-on-arrival rejection additionally gets the hint as
-            // a real Retry-After header (the in-band fault detail carries
-            // it for raw TCP, where no such header exists).
-            if outcome.is_fault {
-                let response = transport::HttpResponse::server_error(body)
-                    .with_header("Content-Type", content_type);
-                match outcome.retry_after {
-                    Some(hint) => response
-                        .with_header("Retry-After", &hint.as_secs().max(1).to_string()),
-                    None => response,
+        // Each keep-alive connection keeps its decode document, request
+        // body and reply buffers across requests, as on framed TCP.
+        let inner = builder.serve_http(
+            DecodeScratch::default,
+            move |scratch, head, body, reply, ctl| {
+                if head.method != "POST" || head.path != path {
+                    reply.respond(transport::HttpResponse::not_found());
+                    return;
                 }
-            } else {
-                transport::HttpResponse::ok(content_type, body)
-            }
-        })?;
+                let outcome = service.handle_bytes_deadline(scratch, body, &mut reply.body);
+                // The caller's remaining deadline bounds the response write.
+                if let Some(budget) = outcome.reply_budget {
+                    ctl.cap_write(budget);
+                }
+                // SOAP 1.1 over HTTP: faults ride in 500 responses; an
+                // expired-on-arrival rejection additionally gets the hint as
+                // a real Retry-After header (the in-band fault detail carries
+                // it for raw TCP, where no such header exists).
+                if outcome.is_fault {
+                    reply.set_status(500, "Internal Server Error");
+                }
+                reply.header("Content-Type", content_type);
+                if let Some(hint) = outcome.retry_after {
+                    reply.header("Retry-After", &hint.as_secs().max(1).to_string());
+                }
+            },
+        )?;
         Ok(HttpSoapServer { inner })
     }
 

@@ -277,8 +277,8 @@ pub fn fault_for_error(err: SoapError) -> SoapFault {
 
 /// Reusable server-side decode state: the request document each message
 /// is decoded into, refilled in place by
-/// [`EncodingPolicy::decode_into`]. Keep one per connection (or pool
-/// them across one-shot connections) and steady-state dispatch of
+/// [`EncodingPolicy::decode_into`]. Keep one per connection (both
+/// servers build one per connection) and steady-state dispatch of
 /// similarly-shaped requests does no decode-side allocation.
 #[derive(Default)]
 pub struct DecodeScratch {

@@ -2,22 +2,34 @@
 //!
 //! Chain the options you need on [`ServerBuilder`], then finish with
 //! [`serve_framed`](ServerBuilder::serve_framed) (the framed-TCP
-//! binding) or [`serve_http`](ServerBuilder::serve_http) /
-//! [`serve_http_ctl`](ServerBuilder::serve_http_ctl) (HTTP/1.1 with
-//! keep-alive and streaming). Every finish returns the same running
-//! [`Server`].
+//! binding) or [`serve_http`](ServerBuilder::serve_http) (HTTP/1.1 with
+//! keep-alive and streaming). Both finishers take the same handler
+//! shape: `init` builds per-connection scratch, and the handler gets
+//! that scratch, the request borrowed from the connection's buffers, a
+//! reply buffer the connection reuses, and a [`ReplyControl`]. Every
+//! finish returns the same running [`Server`].
 //!
 //! ```no_run
 //! use transport::ServerBuilder;
 //!
-//! let server = ServerBuilder::bind("127.0.0.1:0")
+//! let framed = ServerBuilder::bind("127.0.0.1:0")
 //!     .read_timeout(std::time::Duration::from_secs(5))
 //!     .serve_framed(
 //!         || Vec::<u8>::new(), // per-connection scratch
 //!         |_scratch, request, out, _ctl| out.extend_from_slice(request),
 //!     )
 //!     .unwrap();
-//! # drop(server);
+//! let http = ServerBuilder::bind("127.0.0.1:0")
+//!     .serve_http(
+//!         || (),
+//!         |_scratch, head, body, reply, _ctl| {
+//!             reply.header("Content-Type", "text/plain");
+//!             reply.body.extend_from_slice(head.path.as_bytes());
+//!             reply.body.extend_from_slice(body);
+//!         },
+//!     )
+//!     .unwrap();
+//! # drop((framed, http));
 //! ```
 
 use std::sync::Arc;
@@ -25,11 +37,8 @@ use std::time::Duration;
 
 use crate::error::TransportResult;
 use crate::faulty::SharedInjector;
-use crate::http::request::HttpRequest;
-use crate::http::response::HttpResponse;
-use crate::http::server::{bind_http_inner, HttpServerConfig};
-use crate::http::streaming::{StreamFactory, StreamRequestHead, StreamSession};
-use crate::pool::BufferPool;
+use crate::http::server::{bind_http_inner, HttpServerConfig, Reply, RequestHead};
+use crate::http::streaming::{StreamFactory, StreamSession};
 use crate::reactor::overload::OverloadConfig;
 use crate::reactor::server::Server;
 use crate::tcpserver::{bind_framed_inner, ReplyControl, TcpServerConfig};
@@ -44,7 +53,6 @@ pub struct ServerBuilder {
     metrics_path: Option<&'static str>,
     shed_payload: Option<Vec<u8>>,
     injector: Option<SharedInjector>,
-    pool: Option<Arc<BufferPool>>,
     stream_factory: Option<StreamFactory>,
 }
 
@@ -59,7 +67,6 @@ impl ServerBuilder {
             metrics_path: None,
             shed_payload: None,
             injector: None,
-            pool: None,
             stream_factory: None,
         }
     }
@@ -107,24 +114,13 @@ impl ServerBuilder {
         self
     }
 
-    /// Share an explicit request/response buffer pool (HTTP servers
-    /// only). Each connection takes a request-body buffer from `pool`
-    /// for its lifetime, cycled across its keep-alive requests, and
-    /// returns it on close; response bodies go back into `pool` once on
-    /// the wire, so handlers that take their bodies from it join the
-    /// same cycle.
-    pub fn pool(mut self, pool: Arc<BufferPool>) -> ServerBuilder {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Serve chunked requests through streaming sessions: `factory` is
     /// consulted per chunked request head; a `Some` session receives one
     /// part per chunk and streams its reply (HTTP servers only — see
     /// [`crate::http::streaming`]).
     pub fn stream_factory<F>(mut self, factory: F) -> ServerBuilder
     where
-        F: Fn(&StreamRequestHead<'_>) -> Option<Box<dyn StreamSession>> + Send + Sync + 'static,
+        F: Fn(&RequestHead<'_>) -> Option<Box<dyn StreamSession>> + Send + Sync + 'static,
     {
         self.stream_factory = Some(Arc::new(factory));
         self
@@ -158,19 +154,22 @@ impl ServerBuilder {
         )
     }
 
-    /// Finish as an HTTP/1.1 server with a plain request handler.
-    pub fn serve_http<H>(self, handler: H) -> TransportResult<Server>
+    /// Finish as an HTTP/1.1 server, with the handler shape of
+    /// [`serve_framed`](ServerBuilder::serve_framed): `init` builds
+    /// per-connection scratch, and `handler` gets it with the request
+    /// head and body borrowed from the connection's buffers, the
+    /// connection's [`Reply`] (reset to an empty `200 OK`) and a
+    /// [`ReplyControl`]. Chunked requests de-chunk into the same body
+    /// buffer unless a [`stream_factory`](ServerBuilder::stream_factory)
+    /// takes them.
+    pub fn serve_http<S, I, H>(self, init: I, handler: H) -> TransportResult<Server>
     where
-        H: Fn(&HttpRequest) -> HttpResponse + Send + Sync + 'static,
-    {
-        self.serve_http_ctl(move |request, _ctl| handler(request))
-    }
-
-    /// Finish as an HTTP/1.1 server whose handler also gets a
-    /// [`ReplyControl`] for deadline-aware reply capping.
-    pub fn serve_http_ctl<H>(self, handler: H) -> TransportResult<Server>
-    where
-        H: Fn(&HttpRequest, &mut ReplyControl) -> HttpResponse + Send + Sync + 'static,
+        S: 'static,
+        I: Fn() -> S + Send + Sync + 'static,
+        H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl)
+            + Send
+            + Sync
+            + 'static,
     {
         let config = HttpServerConfig {
             read_timeout: self.read_timeout,
@@ -178,8 +177,7 @@ impl ServerBuilder {
             metrics_path: self.metrics_path,
             overload: self.overload,
         };
-        let pool = self.pool.unwrap_or_default();
-        bind_http_inner(&self.addr, config, pool, self.stream_factory, handler)
+        bind_http_inner(&self.addr, config, self.stream_factory, init, handler)
     }
 }
 
@@ -187,7 +185,9 @@ impl ServerBuilder {
 mod tests {
     use super::*;
     use crate::framed::FramedStream;
-    use crate::http::client::{http_get, HttpConnection};
+    use crate::http::client::HttpConnection;
+    use crate::http::request::HttpRequest;
+    use crate::http::response::HttpResponse;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -214,39 +214,49 @@ mod tests {
     }
 
     #[test]
-    fn builder_serves_http() {
+    fn builder_serves_http_with_scratch() {
         let server = ServerBuilder::bind("127.0.0.1:0")
-            .pool(Arc::new(BufferPool::default()))
-            .serve_http(|req| HttpResponse::ok("text/plain", req.path.as_bytes().to_vec()))
+            .serve_http(
+                || 0u64,
+                |count, head, body, reply, _ctl| {
+                    *count += 1;
+                    reply.body.extend_from_slice(head.path.as_bytes());
+                    reply.body.extend_from_slice(body);
+                    reply
+                        .body
+                        .extend_from_slice(format!(" #{count}").as_bytes());
+                },
+            )
             .unwrap();
-        let addr = server.local_addr().to_string();
-        assert_eq!(http_get(&addr, "/x").unwrap(), b"/x");
+        let mut conn = HttpConnection::new(&server.local_addr().to_string());
+        let request = HttpRequest::post("/x", "text/plain", b"-go".to_vec());
+        assert_eq!(conn.exchange(&request).unwrap().body, b"/x-go #1");
+        assert_eq!(
+            conn.exchange(&request).unwrap().body,
+            b"/x-go #2",
+            "scratch persists per connection"
+        );
         server.shutdown();
     }
 
-    /// Reply buffers keep cycling through the shared pool on a keep-alive
-    /// connection: after the first request, every handler that takes its
-    /// reply body from the pool gets one already big enough. (Parking the
-    /// empty buffer a finished write leaves behind used to fill the pool
-    /// after 32 requests; from then on every reply buffer was dropped.)
+    /// The reply buffer belongs to the connection: after the first
+    /// request, every handler on a keep-alive connection finds one
+    /// already big enough.
     #[test]
-    fn keep_alive_handlers_keep_getting_pooled_reply_buffers() {
+    fn keep_alive_handlers_keep_their_reply_buffer() {
         const REPLY: usize = 64 * 1024;
-        let pool = Arc::new(BufferPool::default());
-        let handler_pool = Arc::clone(&pool);
         let short = Arc::new(AtomicUsize::new(0));
         let short_in_handler = Arc::clone(&short);
         let server = ServerBuilder::bind("127.0.0.1:0")
-            .pool(pool)
-            .serve_http(move |_req| {
-                let mut body = handler_pool.take();
-                if body.capacity() < REPLY {
-                    short_in_handler.fetch_add(1, Ordering::Relaxed);
-                }
-                body.clear();
-                body.resize(REPLY, b'x');
-                HttpResponse::ok("application/octet-stream", body)
-            })
+            .serve_http(
+                || (),
+                move |_, _head, _body, reply, _ctl| {
+                    if reply.body.capacity() < REPLY {
+                        short_in_handler.fetch_add(1, Ordering::Relaxed);
+                    }
+                    reply.body.resize(REPLY, b'x');
+                },
+            )
             .unwrap();
         let mut conn = HttpConnection::new(&server.local_addr().to_string());
         let request = HttpRequest::post("/", "text/plain", b"go".to_vec());

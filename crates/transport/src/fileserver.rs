@@ -24,18 +24,21 @@ impl FileServer {
     /// Serve files under `root` on `addr` (port 0 for ephemeral).
     pub fn bind(addr: &str, root: impl Into<PathBuf>) -> TransportResult<FileServer> {
         let root: PathBuf = root.into();
-        let inner = ServerBuilder::bind(addr).serve_http(move |req| {
-            if req.method != "GET" {
-                return HttpResponse::bad_request("only GET is supported");
-            }
-            match sanitize(&root, &req.path) {
-                Some(path) => match std::fs::read(&path) {
-                    Ok(bytes) => HttpResponse::ok("application/octet-stream", bytes),
-                    Err(_) => HttpResponse::not_found(),
-                },
-                None => HttpResponse::bad_request("invalid path"),
-            }
-        })?;
+        let inner = ServerBuilder::bind(addr).serve_http(
+            || (),
+            move |(), head, _body, reply, _ctl| {
+                let response = if head.method != "GET" {
+                    HttpResponse::bad_request("only GET is supported")
+                } else {
+                    match sanitize(&root, head.path).map(std::fs::read) {
+                        Some(Ok(bytes)) => HttpResponse::ok("application/octet-stream", bytes),
+                        Some(Err(_)) => HttpResponse::not_found(),
+                        None => HttpResponse::bad_request("invalid path"),
+                    }
+                };
+                reply.respond(response);
+            },
+        )?;
         Ok(FileServer { inner })
     }
 

@@ -3,7 +3,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::deadline::Timeouts;
 use crate::error::{TransportError, TransportResult};
@@ -27,11 +27,19 @@ use crate::http::response::HttpResponse;
 /// resent once on a fresh connection. Errors after the first response
 /// byte, and timeouts, are never resent here: whether the exchange is
 /// replayable at all is the retry layer's call, not the socket cache's.
+///
+/// A warm exchange allocates nothing: the request head is written from a
+/// reused buffer, the response head is parsed into the response's reused
+/// strings, and socket timeouts are set only when they change.
 #[derive(Debug)]
 pub struct HttpConnection {
     addr: String,
     timeouts: Timeouts,
     stream: Option<BufReader<TcpStream>>,
+    /// The (read, write) timeouts set on the kept socket.
+    applied: (Option<Duration>, Option<Duration>),
+    /// Reused request-head buffer.
+    head: Vec<u8>,
     reuses: u64,
     phase: StreamPhase,
 }
@@ -62,6 +70,8 @@ impl HttpConnection {
             addr: addr.to_owned(),
             timeouts: Timeouts::none(),
             stream: None,
+            applied: (None, None),
+            head: Vec::new(),
             reuses: 0,
             phase: StreamPhase::Idle,
         }
@@ -130,10 +140,11 @@ impl HttpConnection {
         let mut resent = false;
         loop {
             let reused = self.stream.is_some();
-            let reader = self.connected(timeouts)?;
-            match try_exchange(reader, request, body, timeouts, response) {
+            self.connected(timeouts)?;
+            let reader = self.stream.as_mut().expect("just connected");
+            match try_exchange(reader, request, body, timeouts, response, &mut self.head) {
                 Ok(()) => {
-                    if crate::http::response_keeps_alive(&response.headers) {
+                    if crate::http::response_keeps_alive(crate::http::pairs(&response.headers)) {
                         if reused {
                             self.reuses += 1;
                         }
@@ -160,18 +171,22 @@ impl HttpConnection {
         }
     }
 
-    /// The kept socket, or a fresh connection; per-call budgets are
-    /// (re)applied either way.
+    /// The kept socket, or a fresh connection, carrying the per-call
+    /// budgets; a kept socket's timeouts are set only when they change.
     fn connected(&mut self, timeouts: &Timeouts) -> TransportResult<&mut BufReader<TcpStream>> {
-        if self.stream.is_none() {
+        let fresh = self.stream.is_none();
+        if fresh {
             let stream = connect_stream(&self.addr, timeouts.connect)?;
             stream.set_nodelay(true)?;
             self.stream = Some(BufReader::new(stream));
         }
         let reader = self.stream.as_mut().expect("just connected");
-        let socket = reader.get_ref();
-        socket.set_read_timeout(timeouts.read)?;
-        socket.set_write_timeout(timeouts.write)?;
+        if fresh || self.applied != (timeouts.read, timeouts.write) {
+            let socket = reader.get_ref();
+            socket.set_read_timeout(timeouts.read)?;
+            socket.set_write_timeout(timeouts.write)?;
+            self.applied = (timeouts.read, timeouts.write);
+        }
         Ok(reader)
     }
 
@@ -296,8 +311,8 @@ impl HttpConnection {
             self.disconnect();
             return Err(e);
         }
-        let keep = crate::http::response_keeps_alive(&response.headers);
-        if crate::http::body_is_chunked(&response.headers) {
+        let keep = crate::http::response_keeps_alive(crate::http::pairs(&response.headers));
+        if crate::http::body_is_chunked(crate::http::pairs(&response.headers)) {
             self.phase = StreamPhase::Receiving {
                 dec: ChunkDecoder::new(),
                 keep,
@@ -353,16 +368,18 @@ impl HttpConnection {
     }
 }
 
-/// One wire attempt on an established connection.
+/// One wire attempt on an established connection, building the request
+/// head in `head`.
 fn try_exchange(
     reader: &mut BufReader<TcpStream>,
     request: &HttpRequest,
     body: &[u8],
     timeouts: &Timeouts,
     response: &mut HttpResponse,
+    head: &mut Vec<u8>,
 ) -> Result<(), Attempt> {
     let started = Instant::now();
-    if let Err(e) = request.write_with_body(&mut reader.get_ref(), body, true) {
+    if let Err(e) = request.write_with_body(&mut reader.get_ref(), body, true, head) {
         return Err(match e {
             TransportError::Io(io) if TransportError::io_is_timeout(&io) => {
                 Attempt::Fatal(TransportError::TimedOut {
@@ -495,11 +512,14 @@ mod tests {
     #[test]
     fn get_and_post_against_real_server() {
         let server = ServerBuilder::bind("127.0.0.1:0")
-            .serve_http(|req| match (req.method.as_str(), req.path.as_str()) {
-                ("GET", "/hello") => HttpResponse::ok("text/plain", b"world".to_vec()),
-                ("POST", "/echo") => HttpResponse::ok("application/octet-stream", req.body.clone()),
-                _ => HttpResponse::not_found(),
-            })
+            .serve_http(
+                || (),
+                |(), head, body, reply, _ctl| match (head.method, head.path) {
+                    ("GET", "/hello") => reply.body.extend_from_slice(b"world"),
+                    ("POST", "/echo") => reply.body.extend_from_slice(body),
+                    _ => reply.respond(HttpResponse::not_found()),
+                },
+            )
             .unwrap();
         let addr = server.local_addr().to_string();
 

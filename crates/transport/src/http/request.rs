@@ -3,7 +3,9 @@
 use std::io::{BufRead, IoSlice, Write};
 
 use crate::error::{TransportError, TransportResult};
-use crate::http::{find_header, read_body_into, read_head, CRLF};
+use crate::http::{
+    find_header, pairs, push_framing, push_headers, read_body_into, read_headers_into, read_line,
+};
 use crate::iovec::write_all_vectored;
 
 /// An HTTP/1.1 request.
@@ -48,7 +50,7 @@ impl HttpRequest {
 
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        find_header(&self.headers, name)
+        find_header(pairs(&self.headers), name)
     }
 
     /// Serialize onto a stream for a one-shot exchange
@@ -63,24 +65,23 @@ impl HttpRequest {
     /// caller-set `Connection`/`Content-Length` headers are dropped so
     /// exactly one of each goes out, and truthfully.
     pub fn write_to_with(&self, out: &mut impl Write, keep_alive: bool) -> TransportResult<()> {
-        self.write_with_body(out, &self.body, keep_alive)
+        self.write_with_body(out, &self.body, keep_alive, &mut Vec::new())
     }
 
     /// [`write_to_with`](HttpRequest::write_to_with) with the body passed
-    /// separately (the `body` field is ignored): head and body go out in
-    /// one vectored write loop, so a caller holding the payload elsewhere
-    /// sends it without first copying it into the request.
+    /// separately (the `body` field is ignored) and the head built in the
+    /// caller's reused `head` buffer: head and body go out in one
+    /// vectored write loop, so a caller holding the payload elsewhere
+    /// sends it without copying it or allocating.
     pub(crate) fn write_with_body(
         &self,
         out: &mut impl Write,
         body: &[u8],
         keep_alive: bool,
+        head: &mut Vec<u8>,
     ) -> TransportResult<()> {
-        let head = self.head(Some(body.len()), keep_alive);
-        write_all_vectored(
-            out,
-            &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body)],
-        )?;
+        self.write_head(Some(body.len()), keep_alive, head);
+        write_all_vectored(out, &mut [IoSlice::new(head), IoSlice::new(body)])?;
         out.flush()?;
         Ok(())
     }
@@ -94,66 +95,34 @@ impl HttpRequest {
         out: &mut impl Write,
         keep_alive: bool,
     ) -> TransportResult<()> {
-        out.write_all(self.head(None, keep_alive).as_bytes())?;
+        let mut head = Vec::new();
+        self.write_head(None, keep_alive, &mut head);
+        out.write_all(&head)?;
         out.flush()?;
         Ok(())
     }
 
-    /// The request line and headers, framed by `Content-Length:
-    /// <content_length>` or, for `None`, `Transfer-Encoding: chunked`.
-    /// Caller-set framing and `Connection` headers are replaced.
-    fn head(&self, content_length: Option<usize>, keep_alive: bool) -> String {
-        let mut head = String::with_capacity(128);
-        head.push_str(&self.method);
-        head.push(' ');
-        head.push_str(&self.path);
-        head.push_str(" HTTP/1.1");
-        head.push_str(CRLF);
-        for (name, value) in &self.headers {
-            if name.eq_ignore_ascii_case("connection")
-                || name.eq_ignore_ascii_case("content-length")
-                || (content_length.is_none() && name.eq_ignore_ascii_case("transfer-encoding"))
-            {
-                continue;
-            }
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str(CRLF);
-        }
-        match content_length {
-            Some(len) => head.push_str(&format!("Content-Length: {len}{CRLF}")),
-            None => {
-                head.push_str("Transfer-Encoding: chunked");
-                head.push_str(CRLF);
-            }
-        }
-        head.push_str(if keep_alive {
-            "Connection: keep-alive"
-        } else {
-            "Connection: close"
-        });
-        head.push_str(CRLF);
-        head.push_str(CRLF);
-        head
+    /// The request line and headers into `head` (contents replaced),
+    /// framed by `Content-Length: <content_length>` or, for `None`,
+    /// `Transfer-Encoding: chunked`. Caller-set framing and `Connection`
+    /// headers are replaced.
+    fn write_head(&self, content_length: Option<usize>, keep_alive: bool, head: &mut Vec<u8>) {
+        head.clear();
+        head.extend_from_slice(self.method.as_bytes());
+        head.push(b' ');
+        head.extend_from_slice(self.path.as_bytes());
+        head.extend_from_slice(b" HTTP/1.1\r\n");
+        push_headers(head, &self.headers, content_length.is_none());
+        push_framing(head, content_length, keep_alive);
     }
 
     /// Parse a request from a buffered stream.
     pub fn read_from(reader: &mut impl BufRead) -> TransportResult<HttpRequest> {
-        HttpRequest::read_from_with_body(reader, Vec::new())
-    }
-
-    /// [`read_from`](HttpRequest::read_from), adopting `body` as the body
-    /// buffer (contents replaced, capacity kept) — the server side of the
-    /// pooled-body discipline.
-    pub fn read_from_with_body(
-        reader: &mut impl BufRead,
-        mut body: Vec<u8>,
-    ) -> TransportResult<HttpRequest> {
-        let (first, headers) = read_head(reader)?;
+        let mut line = Vec::new();
+        let first = read_line(reader, &mut line)?;
         let mut parts = first.split_ascii_whitespace();
         let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(m), Some(p), Some(v)) => (m, p, v),
+            (Some(m), Some(p), Some(v)) => (m.to_owned(), p.to_owned(), v),
             _ => {
                 return Err(TransportError::BadHttp {
                     what: format!("bad request line {first:?}"),
@@ -165,10 +134,13 @@ impl HttpRequest {
                 what: format!("unsupported version {version:?}"),
             });
         }
+        let mut headers = Vec::new();
+        read_headers_into(reader, &mut headers, &mut line)?;
+        let mut body = Vec::new();
         read_body_into(reader, &headers, &mut body)?;
         Ok(HttpRequest {
-            method: method.to_owned(),
-            path: path.to_owned(),
+            method,
+            path,
             headers,
             body,
         })

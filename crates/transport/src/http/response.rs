@@ -3,7 +3,10 @@
 use std::io::{BufRead, Write};
 
 use crate::error::{TransportError, TransportResult};
-use crate::http::{find_header, read_body_into, read_head, CRLF};
+use crate::http::{
+    find_header, pairs, push_framing, push_headers, push_status_line, read_body_into,
+    read_headers_into, read_line,
+};
 
 /// An HTTP/1.1 response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +98,7 @@ impl HttpResponse {
 
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        find_header(&self.headers, name)
+        find_header(pairs(&self.headers), name)
     }
 
     /// `true` for 2xx statuses.
@@ -131,7 +134,7 @@ impl HttpResponse {
         use std::io::IoSlice;
 
         let mut head = Vec::with_capacity(128);
-        self.serialize_head(keep_alive, &mut head);
+        self.write_head(Some(self.body.len()), keep_alive, &mut head);
         let mut bufs = [IoSlice::new(&head), IoSlice::new(&self.body)];
         crate::iovec::write_all_vectored(out, &mut bufs)?;
         out.flush()?;
@@ -139,57 +142,24 @@ impl HttpResponse {
     }
 
     /// Build the wire head (status line through blank line) into a
-    /// reusable buffer, adding `Content-Length` and exactly one
-    /// `Connection:` header reflecting `keep_alive`. Caller-set
-    /// `Connection`/`Content-Length` headers are dropped: the message on
-    /// the wire must describe what the connection will actually do.
-    pub(crate) fn serialize_head(&self, keep_alive: bool, head: &mut Vec<u8>) {
-        use std::io::Write as _;
-
+    /// reusable buffer. `Some(len)` frames the reply with
+    /// `Content-Length: len`; `None` frames it with
+    /// `Transfer-Encoding: chunked`, and the caller streams chunks followed
+    /// by the zero-chunk terminator. Exactly one `Connection:` header
+    /// reflects `keep_alive`; caller-set `Connection`, `Content-Length`
+    /// (and, for chunked replies, `Transfer-Encoding`) headers are
+    /// dropped: the message on the wire must describe what the connection
+    /// will actually do.
+    pub(crate) fn write_head(
+        &self,
+        content_length: Option<usize>,
+        keep_alive: bool,
+        head: &mut Vec<u8>,
+    ) {
         head.clear();
-        let _ = write!(head, "HTTP/1.1 {} {}{CRLF}", self.status, self.reason);
-        for (name, value) in &self.headers {
-            if name.eq_ignore_ascii_case("connection")
-                || name.eq_ignore_ascii_case("content-length")
-            {
-                continue;
-            }
-            let _ = write!(head, "{name}: {value}{CRLF}");
-        }
-        let _ = write!(head, "Content-Length: {}{CRLF}", self.body.len());
-        let disposition: &[u8] = if keep_alive {
-            b"Connection: keep-alive\r\n\r\n"
-        } else {
-            b"Connection: close\r\n\r\n"
-        };
-        head.extend_from_slice(disposition);
-    }
-
-    /// Build the wire head for a **chunked** reply into a reusable
-    /// buffer: `Transfer-Encoding: chunked` replaces `Content-Length`,
-    /// the body field is ignored, and the caller streams chunks followed
-    /// by the zero-chunk terminator.
-    pub(crate) fn serialize_chunked_head(&self, keep_alive: bool, head: &mut Vec<u8>) {
-        use std::io::Write as _;
-
-        head.clear();
-        let _ = write!(head, "HTTP/1.1 {} {}{CRLF}", self.status, self.reason);
-        for (name, value) in &self.headers {
-            if name.eq_ignore_ascii_case("connection")
-                || name.eq_ignore_ascii_case("content-length")
-                || name.eq_ignore_ascii_case("transfer-encoding")
-            {
-                continue;
-            }
-            let _ = write!(head, "{name}: {value}{CRLF}");
-        }
-        head.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
-        let disposition: &[u8] = if keep_alive {
-            b"Connection: keep-alive\r\n\r\n"
-        } else {
-            b"Connection: close\r\n\r\n"
-        };
-        head.extend_from_slice(disposition);
+        push_status_line(head, self.status, &self.reason);
+        push_headers(head, &self.headers, content_length.is_none());
+        push_framing(head, content_length, keep_alive);
     }
 
     /// An empty placeholder (status 0, no headers, no body) — the
@@ -212,9 +182,9 @@ impl HttpResponse {
     }
 
     /// [`read_from`](HttpResponse::read_from) into an existing value,
-    /// reusing its body buffer's capacity — the client side of the
-    /// pooled-body discipline. On error, `into` holds unspecified but
-    /// valid contents.
+    /// reusing its storage: the body buffer's capacity and the header
+    /// strings are kept, so a client reading similar responses allocates
+    /// nothing. On error, `into` holds unspecified but valid contents.
     pub fn read_from_into(
         reader: &mut impl BufRead,
         into: &mut HttpResponse,
@@ -223,15 +193,16 @@ impl HttpResponse {
         read_body_into(reader, &into.headers, &mut into.body)
     }
 
-    /// Parse only the status line and headers into an existing value,
-    /// leaving the body buffer untouched — the streaming client reads the
-    /// head first to learn whether the reply body is chunked, then pulls
-    /// parts (or the buffered body) separately.
+    /// Parse only the status line and headers into an existing value —
+    /// the streaming client reads the head first to learn whether the
+    /// reply body is chunked, then pulls parts (or the buffered body)
+    /// separately. The body buffer serves as line scratch, so its
+    /// contents are unspecified afterwards (its capacity is kept).
     pub fn read_head_into(
         reader: &mut impl BufRead,
         into: &mut HttpResponse,
     ) -> TransportResult<()> {
-        let (first, headers) = read_head(reader)?;
+        let first = read_line(reader, &mut into.body)?;
         let mut parts = first.splitn(3, ' ');
         let (version, status, reason) = match (parts.next(), parts.next(), parts.next()) {
             (Some(v), Some(s), reason) => (v, s, reason.unwrap_or("")),
@@ -249,12 +220,10 @@ impl HttpResponse {
         let status: u16 = status.parse().map_err(|_| TransportError::BadHttp {
             what: format!("bad status code {status:?}"),
         })?;
-        into.status = status;
         into.reason.clear();
         into.reason.push_str(reason);
-        into.headers.clear();
-        into.headers.extend(headers);
-        Ok(())
+        into.status = status;
+        read_headers_into(reader, &mut into.headers, &mut into.body)
     }
 }
 

@@ -19,24 +19,7 @@ use std::sync::Arc;
 
 use crate::error::TransportResult;
 use crate::http::response::HttpResponse;
-
-/// The head of a chunked request, offered to the [`StreamFactory`]
-/// before any body bytes exist.
-pub struct StreamRequestHead<'a> {
-    /// Request method (`POST` for SOAP calls).
-    pub method: &'a str,
-    /// Request target.
-    pub path: &'a str,
-    /// Headers in arrival order.
-    pub headers: &'a [(String, String)],
-}
-
-impl StreamRequestHead<'_> {
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        crate::http::find_header(self.headers, name)
-    }
-}
+use crate::http::server::RequestHead;
 
 /// What a [`StreamSession`] answers with once the request terminator has
 /// been consumed.
@@ -70,6 +53,7 @@ pub trait StreamSession {
     fn next_part(&mut self, out: &mut Vec<u8>) -> TransportResult<bool>;
 }
 
-/// Per-request decision hook: `None` falls back to buffered service.
+/// Per-request decision hook, offered the head of each chunked request
+/// before any body bytes exist: `None` falls back to buffered service.
 pub type StreamFactory =
-    Arc<dyn Fn(&StreamRequestHead<'_>) -> Option<Box<dyn StreamSession>> + Send + Sync>;
+    Arc<dyn Fn(&RequestHead<'_>) -> Option<Box<dyn StreamSession>> + Send + Sync>;

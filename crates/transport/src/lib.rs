@@ -34,7 +34,6 @@ pub mod framed;
 pub mod http;
 pub mod iovec;
 pub mod metrics;
-pub mod pool;
 pub mod reactor;
 pub mod retry;
 pub mod tcpserver;
@@ -45,9 +44,7 @@ pub use breaker::{
 pub use builder::ServerBuilder;
 pub use deadline::{Deadline, Timeouts};
 pub use error::{TransportError, TransportResult, HTTP_STATUS_BODY_PREFIX};
-pub use faulty::{
-    FaultAction, FaultInjector, FaultProfile, FaultingTransport, SharedInjector,
-};
+pub use faulty::{FaultAction, FaultInjector, FaultProfile, FaultingTransport, SharedInjector};
 pub use fileserver::FileServer;
 pub use framed::{FramedStream, MAX_FRAME_LEN};
 pub use http::client::{
@@ -55,9 +52,8 @@ pub use http::client::{
 };
 pub use http::request::HttpRequest;
 pub use http::response::HttpResponse;
-pub use http::server::{metrics_response, HttpServerConfig};
-pub use http::streaming::{StreamFactory, StreamReply, StreamRequestHead, StreamSession};
-pub use pool::{BufferPool, Pool};
+pub use http::server::{metrics_response, HttpServerConfig, Reply, RequestHead};
+pub use http::streaming::{StreamFactory, StreamReply, StreamSession};
 pub use reactor::server::Server;
 pub use reactor::{Event, Events, Interest, OverloadConfig, Poller, Waker};
 pub use retry::{RetryPolicy, RetrySchedule};

@@ -1,6 +1,6 @@
 //! Transport-layer instrumentation, registered in [`obs::global`].
 //!
-//! The steady-state hot path (pool take/put, per-message byte counts,
+//! The steady-state hot path (per-message byte counts,
 //! handler latency) touches only `static` atomics: registration happens
 //! once behind a [`Once`], after which every update is a relaxed
 //! fetch-add — no locks, no allocation, so the bench crate's
@@ -216,36 +216,6 @@ pub fn error_kind(e: &TransportError) -> &'static str {
         TransportError::BadHttp { .. } => "bad_http",
         TransportError::HttpStatus { .. } => "http_status",
     }
-}
-
-/// Buffer-pool free-list hits (`bx_pool_hits_total`).
-pub fn pool_hits() -> &'static Counter {
-    static HITS: Counter = Counter::new();
-    static REGISTER: Once = Once::new();
-    REGISTER.call_once(|| {
-        obs::global().register_counter(
-            "bx_pool_hits_total",
-            "Pool takes satisfied from the free list.",
-            &[],
-            &HITS,
-        );
-    });
-    &HITS
-}
-
-/// Buffer-pool free-list misses (`bx_pool_misses_total`).
-pub fn pool_misses() -> &'static Counter {
-    static MISSES: Counter = Counter::new();
-    static REGISTER: Once = Once::new();
-    REGISTER.call_once(|| {
-        obs::global().register_counter(
-            "bx_pool_misses_total",
-            "Pool takes that had to build a fresh value.",
-            &[],
-            &MISSES,
-        );
-    });
-    &MISSES
 }
 
 /// Count of recovered lock poisonings

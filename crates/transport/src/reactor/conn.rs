@@ -20,11 +20,10 @@ use crate::error::{TransportError, TransportResult};
 use crate::faulty::FaultingTransport;
 use crate::framed::{MAX_FRAME_LEN, RECV_CHUNK};
 use crate::http::chunked::{self, ChunkDecoder, ChunkEvent};
-use crate::http::request::HttpRequest;
 use crate::http::response::HttpResponse;
-use crate::http::streaming::{StreamFactory, StreamReply, StreamRequestHead, StreamSession};
+use crate::http::server::{BodyKind, ParsedHead, Reply, RequestHead};
+use crate::http::streaming::{StreamFactory, StreamReply, StreamSession};
 use crate::metrics::ServerMetrics;
-use crate::pool::BufferPool;
 use crate::tcpserver::ReplyControl;
 
 /// The socket as the driver sees it: plain, or wrapped in the
@@ -186,6 +185,84 @@ fn read_some(io: &mut ConnIo, buf: &mut [u8], filled: &mut usize) -> TransportRe
     }
 }
 
+/// Write `first` then `second`, resuming at byte `*written` of the
+/// pair: `Ok(true)` once both are on the wire, `Ok(false)` when the
+/// socket would block.
+fn write_pair(
+    io: &mut ConnIo,
+    first: &[u8],
+    second: &[u8],
+    written: &mut usize,
+) -> TransportResult<bool> {
+    while *written < first.len() + second.len() {
+        let bufs = if *written < first.len() {
+            [IoSlice::new(&first[*written..]), IoSlice::new(second)]
+        } else {
+            [
+                IoSlice::new(&second[*written - first.len()..]),
+                IoSlice::new(&[]),
+            ]
+        };
+        match io.write_vectored(&bufs) {
+            Ok(0) => {
+                return Err(TransportError::Io(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "socket accepted no bytes",
+                )))
+            }
+            Ok(n) => *written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) => return Err(TransportError::Io(e)),
+        }
+    }
+    Ok(true)
+}
+
+/// A request payload in a buffer kept at its high-water length: the
+/// payload is the first `len` bytes, and bytes past it, left over from a
+/// longer earlier payload, are never zeroed again. Socket reads grow the
+/// buffer at most [`RECV_CHUNK`] past the bytes received, so a hostile
+/// declared length costs memory only as bytes arrive. Both drivers read
+/// their request bodies through it.
+#[derive(Default)]
+struct MessageBuf {
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl MessageBuf {
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Append `data`, overwriting stale bytes before growing.
+    fn extend(&mut self, data: &[u8]) {
+        let fits = (self.buf.len() - self.len).min(data.len());
+        self.buf[self.len..self.len + fits].copy_from_slice(&data[..fits]);
+        self.buf.extend_from_slice(&data[fits..]);
+        self.len += data.len();
+    }
+
+    /// Read from the socket toward a `total`-byte payload: `Ok(true)` made
+    /// progress, `Ok(false)` would block.
+    fn read_toward(&mut self, io: &mut ConnIo, total: usize) -> TransportResult<bool> {
+        let target = total.min(self.len + RECV_CHUNK);
+        if self.buf.len() < target {
+            self.buf.resize(target, 0);
+        }
+        read_some(io, &mut self.buf[..target], &mut self.len)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Framed TCP
 // ---------------------------------------------------------------------
@@ -193,9 +270,8 @@ fn read_some(io: &mut ConnIo, buf: &mut [u8], filled: &mut usize) -> TransportRe
 enum FramedPhase {
     /// Reading the 4-byte length prefix (`filled` bytes so far).
     Prefix { filled: usize },
-    /// Reading `expected` payload bytes into `request[..expected]`
-    /// (`filled` bytes so far).
-    Payload { expected: usize, filled: usize },
+    /// Reading an `expected`-byte payload into `request`.
+    Payload { expected: usize },
     /// Writing prefix + response (`written` of `4 + response.len()`).
     Write { written: usize },
 }
@@ -212,10 +288,7 @@ pub(crate) struct FramedDriver<S, H> {
     overload: Arc<Overload>,
     phase: FramedPhase,
     prefix: [u8; 4],
-    /// Payload buffer, kept at its high-water length so a request never
-    /// pays to zero bytes an earlier request already initialized; the
-    /// current request is the `expected`-byte prefix.
-    request: Vec<u8>,
+    request: MessageBuf,
     response: Vec<u8>,
     out_prefix: [u8; 4],
     ctl: ReplyControl,
@@ -242,7 +315,7 @@ where
             overload,
             phase: FramedPhase::Prefix { filled: 0 },
             prefix: [0; 4],
-            request: Vec::new(),
+            request: MessageBuf::default(),
             response: Vec::new(),
             out_prefix: [0; 4],
             ctl: ReplyControl::default(),
@@ -271,8 +344,8 @@ where
         }
     }
 
-    fn dispatch(&mut self, len: usize) -> TransportResult<()> {
-        self.metrics.bytes_in.add(len as u64);
+    fn dispatch(&mut self) -> TransportResult<()> {
+        self.metrics.bytes_in.add(self.request.len() as u64);
         self.metrics.requests.inc();
         self.metrics.requests_inflight.add(1.0);
         self.holds_inflight = true;
@@ -280,7 +353,7 @@ where
         self.ctl.reset();
         let started = Instant::now();
         let (state, handler) = (&mut self.state, &self.handler);
-        let (request, response, ctl) = (&self.request[..len], &mut self.response, &mut self.ctl);
+        let (request, response, ctl) = (self.request.bytes(), &mut self.response, &mut self.ctl);
         if let Err(e) = run_handler(|| handler(state, request, response, ctl)) {
             crate::metrics::count_handler_panic("tcp");
             return Err(e);
@@ -333,26 +406,14 @@ where
                             declared: expected as u64,
                         });
                     }
-                    self.phase = FramedPhase::Payload {
-                        expected,
-                        filled: 0,
-                    };
+                    self.request.clear();
+                    self.phase = FramedPhase::Payload { expected };
                 }
-                FramedPhase::Payload { expected, filled } => {
+                FramedPhase::Payload { expected } => {
                     let expected = *expected;
-                    // Chunk-bounded growth, resumable across WouldBlock:
-                    // the buffer only grows (zero-filled) up to one chunk
-                    // past the bytes received, and is never shrunk, so
-                    // only bytes no earlier request reached are zeroed.
-                    while *filled < expected {
-                        let target = expected.min(*filled + RECV_CHUNK);
-                        if self.request.len() < target {
-                            self.request.resize(target, 0);
-                        }
-                        match read_some(io, &mut self.request[..target], filled) {
-                            Ok(true) => {}
-                            Ok(false) => return Ok(Step::read()),
-                            Err(e) => return Err(e),
+                    while self.request.len() < expected {
+                        if !self.request.read_toward(io, expected)? {
+                            return Ok(Step::read());
                         }
                     }
                     // The payload is complete but not yet decoded — the
@@ -360,37 +421,12 @@ where
                     match self.maybe_shed(ctx) {
                         Some(Some(step)) => return Ok(step),
                         Some(None) => {}
-                        None => self.dispatch(expected)?,
+                        None => self.dispatch()?,
                     }
                 }
                 FramedPhase::Write { written } => {
-                    let total = 4 + self.response.len();
-                    while *written < total {
-                        let bufs = if *written < 4 {
-                            [
-                                IoSlice::new(&self.out_prefix[*written..]),
-                                IoSlice::new(&self.response),
-                            ]
-                        } else {
-                            [
-                                IoSlice::new(&self.response[*written - 4..]),
-                                IoSlice::new(&[]),
-                            ]
-                        };
-                        match io.write_vectored(&bufs) {
-                            Ok(0) => {
-                                return Err(TransportError::Io(std::io::Error::new(
-                                    std::io::ErrorKind::WriteZero,
-                                    "socket accepted no bytes",
-                                )))
-                            }
-                            Ok(n) => *written += n,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                return Ok(Step::write(self.ctl.write_budget()));
-                            }
-                            Err(e) => return Err(TransportError::Io(e)),
-                        }
+                    if !write_pair(io, &self.out_prefix, &self.response, written)? {
+                        return Ok(Step::write(self.ctl.write_budget()));
                     }
                     self.metrics.bytes_out.add(self.response.len() as u64);
                     if self.holds_inflight {
@@ -426,7 +462,7 @@ where
 /// that trickles an endless head can't grow the buffer unboundedly.
 const MAX_HEAD_LEN: usize = 64 * 1024;
 
-/// Per-read append granularity for the head buffer.
+/// Free space the input buffer offers each socket read.
 const HEAD_READ_CHUNK: usize = 8 * 1024;
 
 /// Cap on one streamed part (one chunk) — a hostile peer declaring a
@@ -439,62 +475,96 @@ const MAX_STREAM_PART: usize = 4 * 1024 * 1024;
 /// bound that keeps a streamed reply O(window) regardless of reply size.
 const STREAM_WRITE_WINDOW: usize = 64 * 1024;
 
+/// Connection input not yet consumed, `buf[start..end]`, in a buffer
+/// kept at its high-water length so a read never zero-fills bytes an
+/// earlier read already initialized.
+#[derive(Default)]
+struct InputBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl InputBuf {
+    fn data(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.end {
+            self.clear();
+        }
+    }
+
+    fn clear(&mut self) {
+        (self.start, self.end) = (0, 0);
+    }
+
+    /// Append socket bytes, first moving unconsumed bytes to the front
+    /// when the free tail is short. `Ok(true)` = progress.
+    fn fill(&mut self, io: &mut ConnIo) -> TransportResult<bool> {
+        if self.buf.len() - self.end < HEAD_READ_CHUNK {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            if self.buf.len() - self.end < HEAD_READ_CHUNK {
+                self.buf.resize(self.end + HEAD_READ_CHUNK, 0);
+            }
+        }
+        read_some(io, &mut self.buf, &mut self.end)
+    }
+}
+
 enum HttpPhase {
     /// Accumulating head bytes until the blank line.
     Head,
-    /// Reading `remaining` body bytes for the parsed request.
-    Body { remaining: usize },
+    /// Reading the parsed request's `len`-byte body.
+    Body { len: usize },
     /// Reading a chunked request body. `streaming` feeds each completed
     /// chunk to the stream session as one part; otherwise the body is
     /// de-chunked into the ordinary request buffer for buffered dispatch.
     ChunkedBody { streaming: bool },
-    /// Writing `head_out` + `body_out` (`written` bytes done).
+    /// Writing `head_out` + the reply body (`written` bytes done).
     Write { written: usize },
     /// Writing a streamed (chunked) reply: flush `head_out` + the staged
-    /// chunk batch in `body_out`, refill from the session when drained,
-    /// finish once `source_done` and everything is on the wire.
+    /// chunk batch in the reply body, refill from the session when
+    /// drained, finish once `source_done` and everything is on the wire.
     StreamWrite { written: usize, source_done: bool },
-}
-
-/// A request head parsed off the connection buffer, waiting for its body.
-struct PendingRequest {
-    method: String,
-    path: String,
-    headers: Vec<(String, String)>,
-    keep_alive: bool,
-}
-
-/// How a request head declares its body.
-enum BodyKind {
-    Length(usize),
-    Chunked,
 }
 
 /// The HTTP/1.1 state machine with keep-alive and pipelining.
 ///
-/// Requests are parsed straight out of a connection read buffer, so a
-/// pipelined batch is served back-to-back without extra socket reads;
+/// Requests are parsed straight out of the connection's input buffer, so
+/// a pipelined batch is served back-to-back without extra socket reads;
 /// while a response write is backpressured the machine stops consuming
 /// input (no unbounded buffering of a client that won't read). The
 /// `Connection:` disposition follows RFC 7230 §6: 1.1 defaults to
 /// keep-alive, 1.0 to close, any `close` token (including conflicting
-/// duplicate headers) closes conservatively.
-pub(crate) struct HttpDriver<H> {
+/// duplicate headers) closes conservatively. Every buffer — input, head,
+/// body, reply — belongs to the connection and keeps its capacity across
+/// requests.
+pub(crate) struct HttpDriver<S, H> {
+    state: S,
     handler: Arc<H>,
     metrics: &'static ServerMetrics,
     metrics_path: Option<&'static str>,
-    pool: Arc<BufferPool>,
     overload: Arc<Overload>,
     phase: HttpPhase,
-    read_buf: Vec<u8>,
-    pending: Option<PendingRequest>,
-    body: Vec<u8>,
+    input: InputBuf,
+    /// How much of `input` the head-end search has covered.
+    head_scanned: usize,
+    head: ParsedHead,
+    body: MessageBuf,
+    reply: Reply,
     head_out: Vec<u8>,
-    body_out: Vec<u8>,
+    /// One part of a streamed reply, pulled from the session.
+    part: Vec<u8>,
     /// Disposition of the response currently being written.
     keep_alive: bool,
-    /// The oversize-request path counts `frame_too_large` once per
-    /// rejection, like the blocking server did.
     ctl: ReplyControl,
     /// One unit of the inflight gauge held by a dispatched request whose
     /// response hasn't fully gone out (released in `Drop` if the
@@ -508,31 +578,32 @@ pub(crate) struct HttpDriver<H> {
     chunk_dec: ChunkDecoder,
 }
 
-impl<H> HttpDriver<H>
+impl<S, H> HttpDriver<S, H>
 where
-    H: Fn(&HttpRequest, &mut ReplyControl) -> HttpResponse,
+    H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl),
 {
     pub(crate) fn new(
+        state: S,
         handler: Arc<H>,
         metrics: &'static ServerMetrics,
         metrics_path: Option<&'static str>,
-        pool: Arc<BufferPool>,
         overload: Arc<Overload>,
         stream_factory: Option<StreamFactory>,
     ) -> Self {
-        let body = pool.take();
         HttpDriver {
+            state,
             handler,
             metrics,
             metrics_path,
-            pool,
             overload,
             phase: HttpPhase::Head,
-            read_buf: Vec::new(),
-            pending: None,
-            body,
+            input: InputBuf::default(),
+            head_scanned: 0,
+            head: ParsedHead::default(),
+            body: MessageBuf::default(),
+            reply: Reply::default(),
             head_out: Vec::new(),
-            body_out: Vec::new(),
+            part: Vec::new(),
             keep_alive: false,
             ctl: ReplyControl::default(),
             holds_inflight: false,
@@ -542,77 +613,70 @@ where
         }
     }
 
-    /// Append socket bytes to the head buffer. `Ok(true)` = progress.
-    fn fill_head_buf(&mut self, io: &mut ConnIo) -> TransportResult<bool> {
-        let have = self.read_buf.len();
-        self.read_buf.resize(have + HEAD_READ_CHUNK, 0);
-        let mut filled = have;
-        let outcome = read_some(io, &mut self.read_buf, &mut filled);
-        self.read_buf.truncate(filled);
-        outcome
-    }
-
-    /// Queue `response` for writing and flip to the write phase.
-    fn stage_response(&mut self, response: HttpResponse) {
-        // A handler that explicitly says `Connection: close` wins over
-        // the negotiated disposition; the serialized header always states
-        // what the server will actually do.
-        if crate::http::wants_close(&response.headers) {
+    /// Queue the reply for writing and flip to the write phase. A handler
+    /// that explicitly says `Connection: close` wins over the negotiated
+    /// disposition; the serialized header always states what the server
+    /// will actually do.
+    fn stage_reply(&mut self) {
+        if self.reply.wants_close() {
             self.keep_alive = false;
         }
-        response.serialize_head(self.keep_alive, &mut self.head_out);
-        // The new body takes the previous one's place; that one goes back
-        // to the pool, unless it already did once it was on the wire.
-        recycle(&self.pool, std::mem::replace(&mut self.body_out, response.body));
+        self.reply.write_head(self.keep_alive, &mut self.head_out);
         self.phase = HttpPhase::Write { written: 0 };
     }
 
-    /// Parse one request head out of `read_buf` if the blank line has
+    /// Queue a whole `response` (the server's own answers: errors, sheds,
+    /// scrapes).
+    fn stage_response(&mut self, response: HttpResponse) {
+        self.reply.respond(response);
+        self.stage_reply();
+    }
+
+    /// Answer `503` and close if the overload signal says to shed the
+    /// request whose head just arrived.
+    fn shed(&mut self, ctx: &DriveCtx) -> bool {
+        let inflight_with_me = self.metrics.requests_inflight.get() as i64 + 1;
+        let Some(reason) = self.overload.should_shed(inflight_with_me, ctx.batch_age()) else {
+            return false;
+        };
+        crate::metrics::count_shed("http", reason);
+        self.keep_alive = false;
+        self.stage_response(HttpResponse::service_unavailable(
+            self.overload.retry_after_hint,
+        ));
+        true
+    }
+
+    /// Parse one request head out of the input if the blank line has
     /// arrived. `Ok(true)` = a request is pending (or a parse-error,
     /// reject, or shed response was staged); `Ok(false)` = need more
     /// bytes.
     fn try_parse_head(&mut self, ctx: &DriveCtx) -> TransportResult<bool> {
-        let Some(head_end) = find_head_end(&self.read_buf) else {
-            if self.read_buf.len() > MAX_HEAD_LEN {
-                // Reply like the blocking server replied to any malformed
-                // request, then close.
+        let Some(head_end) = find_head_end(self.input.data(), &mut self.head_scanned) else {
+            let oversized = self.input.data().len() > MAX_HEAD_LEN;
+            if oversized {
+                // Reply like any other malformed request, then close.
                 self.keep_alive = false;
                 self.stage_response(HttpResponse::bad_request("request head too large"));
             }
-            return Ok(self.read_buf.len() > MAX_HEAD_LEN);
+            return Ok(oversized);
         };
-        let parsed = parse_request_head(&self.read_buf[..head_end]);
-        self.read_buf.drain(..head_end + 4);
+        let parsed = self.head.parse(&self.input.data()[..head_end]);
+        self.input.consume(head_end + 4);
         match parsed {
-            Ok((pending, BodyKind::Chunked)) => {
+            Ok(BodyKind::Chunked) => {
                 // Shed chunked requests at head-parse time like
                 // length-delimited ones.
-                let inflight_with_me = self.metrics.requests_inflight.get() as i64 + 1;
-                if let Some(reason) = self
-                    .overload
-                    .should_shed(inflight_with_me, ctx.batch_age())
-                {
-                    crate::metrics::count_shed("http", reason);
-                    self.keep_alive = false;
-                    self.stage_response(HttpResponse::service_unavailable(
-                        self.overload.retry_after_hint,
-                    ));
+                if self.shed(ctx) {
                     return Ok(true);
                 }
-                self.keep_alive = pending.keep_alive;
+                self.keep_alive = self.head.keep_alive;
                 self.chunk_dec.reset();
                 self.body.clear();
-                let streaming = if let Some(factory) = &self.stream_factory {
-                    let head = StreamRequestHead {
-                        method: &pending.method,
-                        path: &pending.path,
-                        headers: &pending.headers,
-                    };
-                    self.session = factory(&head);
-                    self.session.is_some()
-                } else {
-                    false
-                };
+                if let Some(factory) = &self.stream_factory {
+                    self.session = factory(&self.head.view());
+                }
+                let streaming = self.session.is_some();
                 if streaming {
                     // A streamed request is dispatched now — the session
                     // is its handler — and inflight until the reply's
@@ -621,14 +685,12 @@ where
                     self.metrics.requests_inflight.add(1.0);
                     self.holds_inflight = true;
                     self.ctl.reset();
-                } else {
-                    self.pending = Some(pending);
                 }
                 self.phase = HttpPhase::ChunkedBody { streaming };
                 Ok(true)
             }
-            Ok((pending, BodyKind::Length(body_len))) => {
-                if body_len > MAX_FRAME_LEN {
+            Ok(BodyKind::Length(len)) => {
+                if len > MAX_FRAME_LEN {
                     // 413 at header-parse time: the body is never read (it
                     // may never even be sent), the error is counted, and
                     // the connection closes — a peer that declared gigabytes
@@ -636,7 +698,7 @@ where
                     crate::metrics::count_server_error(
                         "http",
                         crate::metrics::error_kind(&TransportError::FrameTooLarge {
-                            declared: body_len as u64,
+                            declared: len as u64,
                         }),
                     );
                     self.keep_alive = false;
@@ -648,28 +710,12 @@ where
                 // so any body bytes in flight die with the connection.
                 // Metrics scrapes are exempt: observability must survive
                 // the very overload it is diagnosing.
-                let is_metrics_scrape =
-                    self.metrics_path == Some(pending.path.as_str()) && pending.method == "GET";
-                if !is_metrics_scrape {
-                    let inflight_with_me = self.metrics.requests_inflight.get() as i64 + 1;
-                    if let Some(reason) = self
-                        .overload
-                        .should_shed(inflight_with_me, ctx.batch_age())
-                    {
-                        crate::metrics::count_shed("http", reason);
-                        self.keep_alive = false;
-                        self.stage_response(HttpResponse::service_unavailable(
-                            self.overload.retry_after_hint,
-                        ));
-                        return Ok(true);
-                    }
+                if !self.is_metrics_scrape() && self.shed(ctx) {
+                    return Ok(true);
                 }
-                self.keep_alive = pending.keep_alive;
-                self.pending = Some(pending);
+                self.keep_alive = self.head.keep_alive;
                 self.body.clear();
-                self.phase = HttpPhase::Body {
-                    remaining: body_len,
-                };
+                self.phase = HttpPhase::Body { len };
                 Ok(true)
             }
             Err(e) => {
@@ -680,46 +726,38 @@ where
         }
     }
 
+    fn is_metrics_scrape(&self) -> bool {
+        let head = self.head.view();
+        self.metrics_path == Some(head.path) && head.method == "GET"
+    }
+
     fn dispatch(&mut self) {
-        let pending = self.pending.take().expect("body phase implies a parsed head");
         self.metrics.bytes_in.add(self.body.len() as u64);
         self.metrics.requests.inc();
         self.metrics.requests_inflight.add(1.0);
         self.holds_inflight = true;
-        let mut request = HttpRequest {
-            method: pending.method,
-            path: pending.path,
-            headers: pending.headers,
-            body: std::mem::take(&mut self.body),
-        };
         self.ctl.reset();
-        let response = if self.metrics_path == Some(request.path.as_str())
-            && request.method == "GET"
-        {
-            crate::http::server::metrics_response()
+        self.reply.reset();
+        if self.is_metrics_scrape() {
+            self.reply.respond(crate::http::server::metrics_response());
         } else {
             let started = Instant::now();
-            let handler = Arc::clone(&self.handler);
-            let ctl = &mut self.ctl;
-            let mut out = None;
-            let result = run_handler(|| out = Some(handler(&request, ctl)));
+            let (state, handler, head) = (&mut self.state, &self.handler, self.head.view());
+            let (body, reply, ctl) = (self.body.bytes(), &mut self.reply, &mut self.ctl);
+            let result = run_handler(|| handler(state, &head, body, reply, ctl));
             let elapsed = started.elapsed();
             self.metrics.handler_latency.observe_duration(elapsed);
             self.overload.observe_handler_latency(elapsed);
-            match (result, out) {
-                (Ok(()), Some(response)) => response,
+            if result.is_err() {
                 // A panicked handler still owes the peer an answer; the
                 // connection closes right after it.
-                _ => {
-                    crate::metrics::count_handler_panic("http");
-                    self.keep_alive = false;
-                    HttpResponse::server_error(b"handler failed".to_vec())
-                }
+                crate::metrics::count_handler_panic("http");
+                self.keep_alive = false;
+                self.reply
+                    .respond(HttpResponse::server_error(b"handler failed".to_vec()));
             }
-        };
-        // The request body buffer returns to this connection's cycle.
-        self.body = std::mem::take(&mut request.body);
-        self.stage_response(response);
+        }
+        self.stage_reply();
     }
 
     /// Pump a chunked request body: decode whatever is buffered, refill
@@ -737,13 +775,13 @@ where
             let mut consumed = 0;
             let mut ended = false;
             let mut part_err = None;
-            while consumed < self.read_buf.len() {
-                let (n, event) = match self.chunk_dec.advance(&self.read_buf[consumed..]) {
+            while consumed < self.input.data().len() {
+                let (n, event) = match self.chunk_dec.advance(&self.input.data()[consumed..]) {
                     Ok(step) => step,
                     Err(e) => {
                         // Malformed chunked framing: answer like any
                         // other parse error, then close.
-                        self.read_buf.clear();
+                        self.input.clear();
                         self.keep_alive = false;
                         self.stage_response(HttpResponse::bad_request(&e.to_string()));
                         return Ok(None);
@@ -761,17 +799,17 @@ where
                                     declared: (self.body.len() + payload.len()) as u64,
                                 }),
                             );
-                            self.read_buf.clear();
+                            self.input.clear();
                             self.keep_alive = false;
                             self.stage_response(HttpResponse::payload_too_large());
                             return Ok(None);
                         }
-                        self.body.extend_from_slice(payload);
+                        self.body.extend(payload);
                         if streaming && chunk_done {
                             self.metrics.bytes_in.add(self.body.len() as u64);
                             let session =
                                 self.session.as_mut().expect("streaming implies a session");
-                            if let Err(e) = session.on_part(&self.body) {
+                            if let Err(e) = session.on_part(self.body.bytes()) {
                                 part_err = Some(e);
                             }
                             self.body.clear();
@@ -786,9 +824,9 @@ where
                     }
                 }
             }
-            self.read_buf.drain(..consumed);
+            self.input.consume(consumed);
             if let Some(e) = part_err {
-                self.read_buf.clear();
+                self.input.clear();
                 self.keep_alive = false;
                 self.stage_response(HttpResponse::bad_request(&e.to_string()));
                 return Ok(None);
@@ -797,10 +835,8 @@ where
                 self.finish_chunked(ctx);
                 return Ok(None);
             }
-            match self.fill_head_buf(io) {
-                Ok(true) => {}
-                Ok(false) => return Ok(Some(Step::read())),
-                Err(e) => Err(e)?,
+            if !self.input.fill(io)? {
+                return Ok(Some(Step::read()));
             }
         }
     }
@@ -811,22 +847,21 @@ where
         if ctx.draining {
             self.keep_alive = false;
         }
-        if self.session.is_none() {
+        let Some(session) = self.session.as_mut() else {
             self.dispatch();
             return;
-        }
-        let session = self.session.as_mut().expect("checked above");
+        };
         match session.finish() {
             Ok(StreamReply::Buffered(response)) => {
                 self.session = None;
                 self.stage_response(response);
             }
             Ok(StreamReply::Streamed(response)) => {
-                if crate::http::wants_close(&response.headers) {
+                if crate::http::wants_close(crate::http::pairs(&response.headers)) {
                     self.keep_alive = false;
                 }
-                response.serialize_chunked_head(self.keep_alive, &mut self.head_out);
-                self.body_out.clear();
+                response.write_head(None, self.keep_alive, &mut self.head_out);
+                self.reply.body.clear();
                 self.phase = HttpPhase::StreamWrite {
                     written: 0,
                     source_done: false,
@@ -839,11 +874,36 @@ where
             }
         }
     }
+
+    /// A reply is on the wire: release the inflight unit and decide
+    /// whether the connection goes on (`None`) or what to tell the loop.
+    fn reply_done(&mut self, ctx: &DriveCtx, served: &mut usize) -> Option<Step> {
+        if self.holds_inflight {
+            self.metrics.requests_inflight.add(-1.0);
+            self.holds_inflight = false;
+        }
+        if !self.keep_alive || ctx.draining {
+            return Some(Step::close());
+        }
+        self.phase = HttpPhase::Head;
+        *served += 1;
+        if self.input.is_empty() {
+            // Nothing buffered: wait for readiness instead of a read that
+            // would almost always block — a caller waiting on this reply
+            // cannot have sent its next request yet, and the
+            // level-triggered loop reports anything that did arrive.
+            return Some(Step::read());
+        }
+        // Pipelined requests beyond the quota sit in the user-space input
+        // buffer where epoll can't see them: ask the loop for a re-drive
+        // instead of readiness.
+        (*served >= MAX_DISPATCHES_PER_DRIVE).then(Step::again)
+    }
 }
 
-impl<H> ConnDriver for HttpDriver<H>
+impl<S, H> ConnDriver for HttpDriver<S, H>
 where
-    H: Fn(&HttpRequest, &mut ReplyControl) -> HttpResponse,
+    H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl),
 {
     fn drive(&mut self, io: &mut ConnIo, ctx: &DriveCtx) -> TransportResult<Step> {
         let mut served = 0usize;
@@ -853,8 +913,8 @@ where
                     if self.try_parse_head(ctx)? {
                         continue;
                     }
-                    let at_boundary = self.read_buf.is_empty();
-                    match self.fill_head_buf(io) {
+                    let at_boundary = self.input.is_empty();
+                    match self.input.fill(io) {
                         Ok(true) => {}
                         Ok(false) => return Ok(Step::read()),
                         Err(TransportError::ConnectionClosed) if at_boundary => {
@@ -866,27 +926,17 @@ where
                         Err(e) => return Err(e),
                     }
                 }
-                HttpPhase::Body { remaining } => {
+                HttpPhase::Body { len } => {
                     // Buffered bytes first (pipelined clients send the
                     // body right behind the head), then the socket,
                     // chunk-bounded like the framed payload read.
-                    let from_buf = (*remaining).min(self.read_buf.len());
-                    if from_buf > 0 {
-                        self.body.extend_from_slice(&self.read_buf[..from_buf]);
-                        self.read_buf.drain(..from_buf);
-                        *remaining -= from_buf;
-                    }
-                    while *remaining > 0 {
-                        let have = self.body.len();
-                        let target = have + (*remaining).min(RECV_CHUNK);
-                        self.body.resize(target, 0);
-                        let mut filled = have;
-                        let progressed = read_some(io, &mut self.body[..target], &mut filled);
-                        self.body.truncate(filled);
-                        match progressed {
-                            Ok(true) => *remaining -= filled - have,
-                            Ok(false) => return Ok(Step::read()),
-                            Err(e) => return Err(e),
+                    let len = *len;
+                    let buffered = (len - self.body.len()).min(self.input.data().len());
+                    self.body.extend(&self.input.data()[..buffered]);
+                    self.input.consume(buffered);
+                    while self.body.len() < len {
+                        if !self.body.read_toward(io, len)? {
+                            return Ok(Step::read());
                         }
                     }
                     if ctx.draining {
@@ -906,143 +956,52 @@ where
                     written,
                     source_done,
                 } => {
-                    let mut written = *written;
-                    let mut source_done = *source_done;
-                    if written >= self.head_out.len() + self.body_out.len() && !source_done {
+                    if *written >= self.head_out.len() + self.reply.body.len() && !*source_done {
                         // Previous batch fully on the wire: stage the next
                         // one, pulling parts only up to the write window —
                         // the backpressure bound.
                         self.head_out.clear();
-                        self.body_out.clear();
-                        written = 0;
-                        while self.body_out.len() < STREAM_WRITE_WINDOW {
-                            self.body.clear();
-                            let session =
-                                self.session.as_mut().expect("stream write implies a session");
+                        self.reply.body.clear();
+                        *written = 0;
+                        while self.reply.body.len() < STREAM_WRITE_WINDOW {
+                            self.part.clear();
+                            let session = self
+                                .session
+                                .as_mut()
+                                .expect("stream write implies a session");
                             // An error here is fatal for the connection:
                             // the chunked head already went out, so the
                             // only honest signal is a truncated stream.
-                            if !session.next_part(&mut self.body)? {
-                                chunked::write_final_chunk(&mut self.body_out);
-                                source_done = true;
+                            if !session.next_part(&mut self.part)? {
+                                chunked::write_final_chunk(&mut self.reply.body);
+                                *source_done = true;
                                 break;
                             }
-                            if !self.body.is_empty() {
-                                chunked::write_chunk(&mut self.body_out, &self.body);
+                            if !self.part.is_empty() {
+                                chunked::write_chunk(&mut self.reply.body, &self.part);
                             }
                         }
                     }
-                    let total = self.head_out.len() + self.body_out.len();
-                    while written < total {
-                        let head_len = self.head_out.len();
-                        let bufs = if written < head_len {
-                            [
-                                IoSlice::new(&self.head_out[written..]),
-                                IoSlice::new(&self.body_out),
-                            ]
-                        } else {
-                            [
-                                IoSlice::new(&self.body_out[written - head_len..]),
-                                IoSlice::new(&[]),
-                            ]
-                        };
-                        match io.write_vectored(&bufs) {
-                            Ok(0) => {
-                                return Err(TransportError::Io(std::io::Error::new(
-                                    std::io::ErrorKind::WriteZero,
-                                    "socket accepted no bytes",
-                                )))
-                            }
-                            Ok(n) => written += n,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                self.phase = HttpPhase::StreamWrite {
-                                    written,
-                                    source_done,
-                                };
-                                return Ok(Step::write(self.ctl.write_budget()));
-                            }
-                            Err(e) => return Err(TransportError::Io(e)),
-                        }
+                    let source_done = *source_done;
+                    if !write_pair(io, &self.head_out, &self.reply.body, written)? {
+                        return Ok(Step::write(self.ctl.write_budget()));
                     }
-                    self.metrics.bytes_out.add(self.body_out.len() as u64);
+                    self.metrics.bytes_out.add(self.reply.body.len() as u64);
                     if source_done {
                         self.session = None;
-                        self.body_out.clear();
-                        if self.holds_inflight {
-                            self.metrics.requests_inflight.add(-1.0);
-                            self.holds_inflight = false;
+                        self.reply.body.clear();
+                        if let Some(step) = self.reply_done(ctx, &mut served) {
+                            return Ok(step);
                         }
-                        if !self.keep_alive || ctx.draining {
-                            return Ok(Step::close());
-                        }
-                        self.phase = HttpPhase::Head;
-                        served += 1;
-                        if served >= MAX_DISPATCHES_PER_DRIVE {
-                            return Ok(if self.read_buf.is_empty() {
-                                Step::read()
-                            } else {
-                                Step::again()
-                            });
-                        }
-                    } else {
-                        self.phase = HttpPhase::StreamWrite {
-                            written,
-                            source_done,
-                        };
                     }
                 }
                 HttpPhase::Write { written } => {
-                    let total = self.head_out.len() + self.body_out.len();
-                    while *written < total {
-                        let head_len = self.head_out.len();
-                        let bufs = if *written < head_len {
-                            [
-                                IoSlice::new(&self.head_out[*written..]),
-                                IoSlice::new(&self.body_out),
-                            ]
-                        } else {
-                            [
-                                IoSlice::new(&self.body_out[*written - head_len..]),
-                                IoSlice::new(&[]),
-                            ]
-                        };
-                        match io.write_vectored(&bufs) {
-                            Ok(0) => {
-                                return Err(TransportError::Io(std::io::Error::new(
-                                    std::io::ErrorKind::WriteZero,
-                                    "socket accepted no bytes",
-                                )))
-                            }
-                            Ok(n) => *written += n,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                return Ok(Step::write(self.ctl.write_budget()));
-                            }
-                            Err(e) => return Err(TransportError::Io(e)),
-                        }
+                    if !write_pair(io, &self.head_out, &self.reply.body, written)? {
+                        return Ok(Step::write(self.ctl.write_budget()));
                     }
-                    self.metrics.bytes_out.add(self.body_out.len() as u64);
-                    recycle(&self.pool, std::mem::take(&mut self.body_out));
-                    if self.holds_inflight {
-                        self.metrics.requests_inflight.add(-1.0);
-                        self.holds_inflight = false;
-                    }
-                    if !self.keep_alive || ctx.draining {
-                        return Ok(Step::close());
-                    }
-                    self.phase = HttpPhase::Head;
-                    served += 1;
-                    if served >= MAX_DISPATCHES_PER_DRIVE {
-                        // Pipelined requests beyond the quota sit in the
-                        // user-space read buffer where epoll can't see
-                        // them: ask the loop for a re-drive instead of
-                        // readiness. An empty buffer can wait for epoll.
-                        return Ok(if self.read_buf.is_empty() {
-                            Step::read()
-                        } else {
-                            Step::again()
-                        });
+                    self.metrics.bytes_out.add(self.reply.body.len() as u64);
+                    if let Some(step) = self.reply_done(ctx, &mut served) {
+                        return Ok(step);
                     }
                 }
             }
@@ -1051,7 +1010,7 @@ where
 
     fn in_flight(&self) -> bool {
         match self.phase {
-            HttpPhase::Head => !self.read_buf.is_empty(),
+            HttpPhase::Head => !self.input.is_empty(),
             HttpPhase::Body { .. }
             | HttpPhase::ChunkedBody { .. }
             | HttpPhase::Write { .. }
@@ -1060,148 +1019,139 @@ where
     }
 }
 
-impl<H> Drop for HttpDriver<H> {
+impl<S, H> Drop for HttpDriver<S, H> {
     fn drop(&mut self) {
-        // The connection's buffers rejoin the shared cycle.
-        recycle(&self.pool, std::mem::take(&mut self.body));
-        recycle(&self.pool, std::mem::take(&mut self.body_out));
         if self.holds_inflight {
             self.metrics.requests_inflight.add(-1.0);
         }
     }
 }
 
-/// Return a buffer to the shared pool. One with no capacity is dropped
-/// instead: parked, it would fill a slot a real buffer needs, and once the
-/// pool is full of them every reply buffer is dropped and every handler
-/// allocates afresh.
-fn recycle(pool: &BufferPool, buf: Vec<u8>) {
-    if buf.capacity() > 0 {
-        pool.put(buf);
-    }
-}
-
-/// Find the `\r\n\r\n` terminating a request head; returns its offset.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// Parse a request head (request line + headers, no trailing blank line)
-/// into a [`PendingRequest`] plus how the body is delimited.
-fn parse_request_head(head: &[u8]) -> TransportResult<(PendingRequest, BodyKind)> {
-    let head = std::str::from_utf8(head).map_err(|_| TransportError::BadHttp {
-        what: "request head is not UTF-8".into(),
-    })?;
-    let mut lines = head.split("\r\n");
-    let first = lines.next().unwrap_or("");
-    let mut parts = first.split_ascii_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m, p, v),
-        _ => {
-            return Err(TransportError::BadHttp {
-                what: format!("bad request line {first:?}"),
-            })
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(TransportError::BadHttp {
-            what: format!("unsupported version {version:?}"),
-        });
-    }
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| TransportError::BadHttp {
-            what: format!("header line without a colon: {line:?}"),
-        })?;
-        headers.push((name.trim().to_owned(), value.trim().to_owned()));
-        if headers.len() > 256 {
-            return Err(TransportError::BadHttp {
-                what: "too many headers".into(),
-            });
-        }
-    }
-    let body = if crate::http::body_is_chunked(&headers) {
-        BodyKind::Chunked
-    } else {
-        match crate::http::find_header(&headers, "Content-Length") {
-            Some(v) => BodyKind::Length(v.parse::<usize>().map_err(|_| {
-                TransportError::BadHttp {
-                    what: format!("bad Content-Length {v:?}"),
-                }
-            })?),
-            None => BodyKind::Length(0),
-        }
-    };
-    let keep_alive = crate::http::keep_alive_disposition(version == "HTTP/1.1", &headers);
-    Ok((
-        PendingRequest {
-            method: method.to_owned(),
-            path: path.to_owned(),
-            headers,
-            keep_alive,
-        },
-        body,
-    ))
+/// Find the `\r\n\r\n` ending a request head in `buf`, resuming where
+/// the last search ended: `scanned` is how much of `buf` earlier calls
+/// covered (a terminator may straddle that point, so the search backs
+/// up three bytes). A head trickled in one byte per read therefore costs
+/// linear, not quadratic, work. `scanned` resets to 0 on a find, for the
+/// next head.
+fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let from = scanned.saturating_sub(3);
+    let found = buf[from..]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|i| from + i);
+    *scanned = if found.is_some() { 0 } else { buf.len() };
+    found
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(head: &[u8]) -> TransportResult<(ParsedHead, BodyKind)> {
+        let mut parsed = ParsedHead::default();
+        let body = parsed.parse(head)?;
+        Ok((parsed, body))
+    }
+
     #[test]
     fn head_end_detection() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nbody"), Some(14));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
-        assert_eq!(find_head_end(b""), None);
+        assert_eq!(
+            find_head_end(b"GET / HTTP/1.1\r\n\r\nbody", &mut 0),
+            Some(14)
+        );
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n", &mut 0), None);
+        assert_eq!(find_head_end(b"", &mut 0), None);
+    }
+
+    /// A 64 KiB head fed one byte per read: every prefix is searched as
+    /// it grows, and the terminator is found across the split. Resuming
+    /// the search keeps the whole trickle linear — restarting at byte 0
+    /// would cost ~2·10⁹ window compares and take seconds.
+    #[test]
+    fn trickled_head_end_search_is_linear() {
+        let mut head = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(MAX_HEAD_LEN - 4, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        let started = Instant::now();
+        let mut scanned = 0;
+        for n in 1..head.len() {
+            assert_eq!(find_head_end(&head[..n], &mut scanned), None);
+            assert_eq!(scanned, n, "the next search resumes at the end");
+        }
+        assert_eq!(find_head_end(&head, &mut scanned), Some(head.len() - 4));
+        assert_eq!(scanned, 0, "reset for the next head");
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "trickled head search took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
     fn request_head_parses_and_negotiates() {
-        let (req, body) =
-            parse_request_head(b"POST /soap HTTP/1.1\r\nContent-Length: 12\r\nHost: x").unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/soap");
+        let (req, body) = parse(b"POST /soap HTTP/1.1\r\nContent-Length: 12\r\nHost: x").unwrap();
+        assert_eq!(req.view().method, "POST");
+        assert_eq!(req.view().path, "/soap");
+        assert_eq!(req.view().header("host"), Some("x"));
         assert!(matches!(body, BodyKind::Length(12)));
         assert!(req.keep_alive, "1.1 defaults to keep-alive");
 
-        let (_, body) = parse_request_head(
-            b"POST /soap HTTP/1.1\r\nTransfer-Encoding: chunked\r\nHost: x",
-        )
-        .unwrap();
+        let (_, body) =
+            parse(b"POST /soap HTTP/1.1\r\nTransfer-Encoding: chunked\r\nHost: x").unwrap();
         assert!(matches!(body, BodyKind::Chunked));
 
-        let (req, _) = parse_request_head(b"GET / HTTP/1.0\r\nHost: x").unwrap();
+        let (req, _) = parse(b"GET / HTTP/1.0\r\nHost: x").unwrap();
         assert!(!req.keep_alive, "1.0 defaults to close");
 
-        let (req, _) =
-            parse_request_head(b"GET / HTTP/1.0\r\nConnection: keep-alive").unwrap();
+        let (req, _) = parse(b"GET / HTTP/1.0\r\nConnection: keep-alive").unwrap();
         assert!(req.keep_alive, "1.0 opts in explicitly");
 
-        let (req, _) = parse_request_head(b"GET / HTTP/1.1\r\nConnection: close").unwrap();
+        let (req, _) = parse(b"GET / HTTP/1.1\r\nConnection: close").unwrap();
         assert!(!req.keep_alive);
     }
 
     #[test]
     fn conflicting_connection_headers_close_conservatively() {
-        let (req, _) = parse_request_head(
-            b"GET / HTTP/1.1\r\nConnection: keep-alive\r\nConnection: close",
-        )
-        .unwrap();
-        assert!(!req.keep_alive, "any close token wins");
         let (req, _) =
-            parse_request_head(b"GET / HTTP/1.1\r\nConnection: keep-alive, close").unwrap();
+            parse(b"GET / HTTP/1.1\r\nConnection: keep-alive\r\nConnection: close").unwrap();
+        assert!(!req.keep_alive, "any close token wins");
+        let (req, _) = parse(b"GET / HTTP/1.1\r\nConnection: keep-alive, close").unwrap();
         assert!(!req.keep_alive, "close in a token list wins");
     }
 
     #[test]
     fn malformed_heads_are_rejected() {
-        assert!(parse_request_head(b"NONSENSE").is_err());
-        assert!(parse_request_head(b"GET / SPDY/3").is_err());
-        assert!(parse_request_head(b"GET / HTTP/1.1\r\nNoColon").is_err());
-        assert!(parse_request_head(b"POST / HTTP/1.1\r\nContent-Length: many").is_err());
-        assert!(parse_request_head(&[0xff, 0xfe, 0x20, 0x20]).is_err());
+        assert!(parse(b"NONSENSE").is_err());
+        assert!(parse(b"GET / SPDY/3").is_err());
+        assert!(parse(b"GET / HTTP/1.1\r\nNoColon").is_err());
+        assert!(parse(b"POST / HTTP/1.1\r\nContent-Length: many").is_err());
+        assert!(parse(&[0xff, 0xfe, 0x20, 0x20]).is_err());
+    }
+
+    /// One head storage reused for a second, shorter request sees only
+    /// the second request's headers.
+    #[test]
+    fn reused_head_storage_holds_only_the_latest_head() {
+        let mut head = ParsedHead::default();
+        head.parse(b"POST /a HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3")
+            .unwrap();
+        head.parse(b"GET /b HTTP/1.1\r\nD: 4").unwrap();
+        let view = head.view();
+        assert_eq!((view.method, view.path), ("GET", "/b"));
+        assert_eq!(view.headers().collect::<Vec<_>>(), [("D", "4")]);
+        assert_eq!(view.header("a"), None);
+    }
+
+    #[test]
+    fn message_buf_keeps_its_high_water_length() {
+        let mut buf = MessageBuf::default();
+        buf.extend(b"a long first payload");
+        buf.clear();
+        buf.extend(b"tiny");
+        assert_eq!(buf.bytes(), b"tiny");
+        buf.extend(b" and then a longer second part");
+        assert_eq!(buf.bytes(), b"tiny and then a longer second part");
+        buf.clear();
+        assert_eq!(buf.bytes(), b"");
     }
 }

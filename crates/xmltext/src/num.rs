@@ -7,11 +7,11 @@
 //!
 //! * [`write_u64`] / [`write_i64`] — branch-light integer itoa using a
 //!   two-digits-at-a-time lookup table.
-//! * [`write_f64`] — a Grisu2 shortest-round-trip binary-to-decimal
-//!   conversion. Every emitted string is verified to parse back to the
-//!   identical bits before being committed; the rare case Grisu2 cannot
-//!   settle falls back to the standard formatter, so round-trip fidelity
-//!   (the paper's "transcodability" requirement) is unconditional.
+//! * [`write_f64`] — shortest-round-trip binary-to-decimal conversion:
+//!   an exact short-decimal path for values with few fractional digits
+//!   and the standard formatter's exact digits for the rest, so both
+//!   round-trip fidelity (the paper's "transcodability" requirement) and
+//!   shortness are unconditional.
 //! * [`parse_u64`] / [`parse_i64`] — digit parsing that consumes eight
 //!   ASCII digits per step with SWAR arithmetic instead of one per
 //!   branchy loop iteration.
@@ -20,7 +20,7 @@
 //!   the power of ten is exactly representable), deferring to the
 //!   standard library outside that window.
 //!
-//! The Grisu2 cached powers of ten are computed exactly at first use
+//! The Eisel–Lemire powers of five are computed exactly at first use
 //! with a tiny big-integer (no baked-in table of magic constants), then
 //! cached in a `OnceLock` — after warmup the kernels allocate nothing.
 
@@ -30,30 +30,6 @@ use std::sync::OnceLock;
 const POW10_F64: [f64; 23] = [
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-];
-
-/// Powers of ten that fit in a `u64`.
-const POW10_U64: [u64; 20] = [
-    1,
-    10,
-    100,
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-    1_000_000_000,
-    10_000_000_000,
-    100_000_000_000,
-    1_000_000_000_000,
-    10_000_000_000_000,
-    100_000_000_000_000,
-    1_000_000_000_000_000,
-    10_000_000_000_000_000,
-    100_000_000_000_000_000,
-    1_000_000_000_000_000_000,
-    10_000_000_000_000_000_000,
 ];
 
 /// All two-digit decimal pairs, "00" through "99".
@@ -345,8 +321,8 @@ const EL_MAX_EXP10: i32 = 308;
 /// stored `(hi, lo)`. Negative powers are rounded *up* (their binary
 /// expansion is infinite; the ceiling keeps the stored value ≥ the true
 /// one, which the product-precision check accounts for), positive powers
-/// are rounded down. Like the Grisu2 cache, the table is computed from
-/// the exact bigint once per process instead of baked in as constants.
+/// are rounded down. The table is computed from the exact bigint once
+/// per process instead of baked in as constants.
 fn el_powers() -> &'static [(u64, u64)] {
     static POWERS: OnceLock<Vec<(u64, u64)>> = OnceLock::new();
     POWERS.get_or_init(|| {
@@ -531,46 +507,11 @@ pub fn parse_f64_lexical(t: &str) -> Option<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Float formatting (Grisu2)
+// Big-integer helpers for the power table
 // ---------------------------------------------------------------------------
 
-/// A floating-point number as an unpacked `f * 2^e` pair.
-#[derive(Debug, Clone, Copy)]
-struct Fp {
-    f: u64,
-    e: i32,
-}
-
-impl Fp {
-    /// Shift the significand so its top bit is set.
-    #[inline]
-    fn normalize(self) -> Fp {
-        let s = self.f.leading_zeros() as i32;
-        Fp {
-            f: self.f << s,
-            e: self.e - s,
-        }
-    }
-
-    /// Rounded 64x64 -> top-64 multiply.
-    #[inline]
-    fn mul(self, o: Fp) -> Fp {
-        let p = (self.f as u128) * (o.f as u128);
-        let mut h = (p >> 64) as u64;
-        if p as u64 & (1 << 63) != 0 {
-            h += 1;
-        }
-        Fp {
-            f: h,
-            e: self.e + o.e + 64,
-        }
-    }
-}
-
-// --- exact cached powers of ten, computed once at first use -----------------
-
 /// Little-endian multi-limb unsigned integer helpers (only what the
-/// cached-power computation needs; runs once per process).
+/// power-table computation needs; runs once per process).
 mod bigint {
     /// `big *= m` in place.
     pub fn mul_small(big: &mut Vec<u64>, m: u64) {
@@ -635,270 +576,9 @@ mod bigint {
     }
 }
 
-/// Top 64 bits of a big integer, rounded to nearest: `big ≈ f * 2^e`.
-fn big_top64(big: &[u64]) -> (u64, i32) {
-    let bits = bigint::bit_len(big);
-    if bits <= 64 {
-        let v = big[0];
-        let shift = 64 - bits;
-        return (v << shift, -(shift as i32));
-    }
-    let shift = bits - 64;
-    let mut f: u64 = 0;
-    for i in 0..64 {
-        if bigint::bit(big, shift + i) {
-            f |= 1 << i;
-        }
-    }
-    let mut e = shift as i32;
-    if bigint::bit(big, shift - 1) {
-        // Round up (half-up keeps the error within the half-ulp Grisu2
-        // accounts for).
-        let (nf, overflow) = f.overflowing_add(1);
-        if overflow {
-            f = 1 << 63;
-            e += 1;
-        } else {
-            f = nf;
-        }
-    }
-    (f, e)
-}
-
-/// `floor(2^n / d)` with a round-to-nearest flag, for `d` sized so the
-/// quotient fits a `u64` with its top bit set.
-fn div_pow2(n: u32, d: &[u64]) -> (u64, bool) {
-    let mut rem = vec![0u64; d.len() + 1];
-    let mut q: u64 = 0;
-    for pos in (0..=n).rev() {
-        bigint::shl1(&mut rem);
-        if pos == n {
-            rem[0] |= 1;
-        }
-        let bit = if bigint::ge(&rem, d) {
-            bigint::sub(&mut rem, d);
-            1
-        } else {
-            0
-        };
-        q = (q << 1) | bit;
-    }
-    bigint::shl1(&mut rem);
-    (q, bigint::ge(&rem, d))
-}
-
-/// Exact normalized binary representation of `10^k`.
-fn compute_power10(k: i32) -> Fp {
-    if k >= 0 {
-        // 10^k = 5^k * 2^k.
-        let mut big = vec![1u64];
-        for _ in 0..k {
-            bigint::mul_small(&mut big, 5);
-        }
-        let (f, e) = big_top64(&big);
-        Fp { f, e: e + k }
-    } else {
-        // 10^k = 2^(b+63) / 5^m / 2^(b+63+m), with b the bit length of
-        // 5^m chosen so the quotient lands in [2^63, 2^64).
-        let m = -k;
-        let mut big = vec![1u64];
-        for _ in 0..m {
-            bigint::mul_small(&mut big, 5);
-        }
-        let b = bigint::bit_len(&big);
-        let (q, round_up) = div_pow2(b + 63, &big);
-        let mut f = q;
-        let mut e = -((b + 63) as i32) - m;
-        if round_up {
-            let (nf, overflow) = f.overflowing_add(1);
-            if overflow {
-                f = 1 << 63;
-                e += 1;
-            } else {
-                f = nf;
-            }
-        }
-        Fp { f, e }
-    }
-}
-
-/// Decimal exponent of the first cached power and the spacing between
-/// entries. Entry `i` is `10^(CACHE_FIRST + i * CACHE_STEP)`.
-const CACHE_FIRST: i32 = -348;
-const CACHE_STEP: i32 = 8;
-const CACHE_LEN: usize = 87;
-
-fn cached_powers() -> &'static [Fp; CACHE_LEN] {
-    static POWERS: OnceLock<[Fp; CACHE_LEN]> = OnceLock::new();
-    POWERS.get_or_init(|| {
-        let mut table = [Fp { f: 0, e: 0 }; CACHE_LEN];
-        for (i, slot) in table.iter_mut().enumerate() {
-            *slot = compute_power10(CACHE_FIRST + i as i32 * CACHE_STEP);
-        }
-        table
-    })
-}
-
-/// Pick the cached power of ten that scales a binary exponent `e` into
-/// Grisu2's digit-generation window; returns the power and the initial
-/// decimal exponent bookkeeping value.
-#[inline]
-fn cached_power_for(e: i32) -> (Fp, i32) {
-    // ceil((alpha - e - 64) * log10(2)) mapped onto the table's stride.
-    let dk = (-61 - e) as f64 * 0.301_029_995_663_981_14 + 347.0;
-    let mut k = dk as i32;
-    if dk - k as f64 > 0.0 {
-        k += 1;
-    }
-    let index = ((k >> 3) + 1) as usize;
-    let dec_exp = CACHE_FIRST + index as i32 * CACHE_STEP;
-    (cached_powers()[index], -dec_exp)
-}
-
-/// Number of decimal digits in a `u32` (1..=10).
-#[inline]
-fn decimal_len_u32(v: u32) -> i32 {
-    let mut n = 1;
-    let mut t = v;
-    while t >= 10 {
-        t /= 10;
-        n += 1;
-    }
-    n
-}
-
-/// Nudge the last generated digit toward the scaled target `w`.
-#[inline]
-fn grisu_round(buf: &mut [u8], len: usize, delta: u128, mut rest: u128, ten_kappa: u128, wp_w: u128) {
-    if len == 0 {
-        return;
-    }
-    while buf[len - 1] > b'0'
-        && rest < wp_w
-        && delta - rest >= ten_kappa
-        && (rest + ten_kappa < wp_w || wp_w - rest > rest + ten_kappa - wp_w)
-    {
-        buf[len - 1] -= 1;
-        rest += ten_kappa;
-    }
-}
-
-/// Generate the shortest digit string for the scaled interval
-/// `[w - delta, w]`; returns digit count, adding the implied decimal
-/// exponent into `k`. `None` means the safe-guards tripped and the
-/// caller should use the fallback formatter.
-fn digit_gen(w: Fp, mp: Fp, mut delta: u64, buf: &mut [u8; 20], k: &mut i32) -> Option<usize> {
-    let shift = -mp.e;
-    if !(32..=60).contains(&shift) {
-        return None;
-    }
-    let one_f = 1u64 << shift;
-    let wp_w = mp.f - w.f;
-    let mut p1 = (mp.f >> shift) as u32;
-    let mut p2 = mp.f & (one_f - 1);
-    let mut kappa = decimal_len_u32(p1);
-    let mut len = 0usize;
-
-    // Integral digits of the scaled value.
-    while kappa > 0 {
-        let pow = POW10_U64[(kappa - 1) as usize] as u32;
-        let d = p1 / pow;
-        p1 %= pow;
-        if d != 0 || len != 0 {
-            if len >= buf.len() {
-                return None;
-            }
-            buf[len] = b'0' + d as u8;
-            len += 1;
-        }
-        kappa -= 1;
-        let rest = ((p1 as u64) << shift) + p2;
-        if rest <= delta {
-            *k += kappa;
-            let ten_kappa = (POW10_U64[kappa as usize] as u128) << shift;
-            grisu_round(buf, len, delta as u128, rest as u128, ten_kappa, wp_w as u128);
-            return Some(len);
-        }
-    }
-
-    // Fractional digits: multiply the remainder up one decimal place at
-    // a time until it fits the interval.
-    loop {
-        p2 = p2.checked_mul(10)?;
-        delta = delta.saturating_mul(10);
-        let d = (p2 >> shift) as u8;
-        if d != 0 || len != 0 {
-            if len >= buf.len() {
-                return None;
-            }
-            buf[len] = b'0' + d;
-            len += 1;
-        }
-        p2 &= one_f - 1;
-        kappa -= 1;
-        if p2 < delta {
-            *k += kappa;
-            let scale = *POW10_U64.get((-kappa) as usize)? as u128;
-            grisu_round(
-                buf,
-                len,
-                delta as u128,
-                p2 as u128,
-                one_f as u128,
-                wp_w as u128 * scale,
-            );
-            return Some(len);
-        }
-    }
-}
-
-/// Grisu2: shortest-ish digits and decimal exponent for a positive,
-/// finite, non-zero `v`, such that `value = digits * 10^k`.
-fn grisu2(v: f64, digits: &mut [u8; 20]) -> Option<(usize, i32)> {
-    let bits = v.to_bits();
-    let frac = bits & ((1u64 << 52) - 1);
-    let biased = (bits >> 52) & 0x7ff;
-    let (wf, we) = if biased == 0 {
-        (frac, -1074i32)
-    } else {
-        (frac | (1 << 52), biased as i32 - 1075)
-    };
-
-    // Normalized boundaries of v's rounding interval.
-    let plus = Fp {
-        f: (wf << 1) + 1,
-        e: we - 1,
-    }
-    .normalize();
-    let minus_raw = if wf == (1 << 52) && biased > 1 {
-        // Power of two: the interval below is half as wide.
-        Fp {
-            f: (wf << 2) - 1,
-            e: we - 2,
-        }
-    } else {
-        Fp {
-            f: (wf << 1) - 1,
-            e: we - 1,
-        }
-    };
-    let minus = Fp {
-        f: minus_raw.f << (minus_raw.e - plus.e),
-        e: plus.e,
-    };
-    let w = Fp { f: wf, e: we }.normalize();
-
-    let (c, mut k) = cached_power_for(plus.e);
-    let w_scaled = w.mul(c);
-    let mut wp = plus.mul(c);
-    let mut wm = minus.mul(c);
-    // Shrink the interval by one unit each side to absorb the cached
-    // power's rounding error.
-    wm.f += 1;
-    wp.f -= 1;
-    let delta = wp.f - wm.f;
-    digit_gen(w_scaled, wp, delta, digits, &mut k).map(|len| (len, k))
-}
+// ---------------------------------------------------------------------------
+// Float formatting
+// ---------------------------------------------------------------------------
 
 /// Render `digits * 10^k` into `out`, choosing fixed or scientific
 /// notation; returns the byte length.
@@ -967,11 +647,91 @@ fn render_decimal(digits: &[u8], k: i32, out: &mut [u8; 40]) -> usize {
     n
 }
 
+/// The exact short-decimal path for `1 <= v < 1e15`: the fewest
+/// fractional digits `k` for which `m = round(v * 10^k)` divides back to
+/// exactly `v`. `m` (below 2^52) and `10^k` are exact doubles and the
+/// division is correctly rounded, so `m / 10^k == v` proves the decimal
+/// `m * 10^-k` parses back to `v`; ascending `k` makes it the shortest
+/// (and `m` never ends in a zero when `k > 0`). Returns `(m, k)`.
+#[inline]
+fn short_decimal(v: f64) -> Option<(u64, usize)> {
+    const LIMIT: f64 = (1u64 << 52) as f64;
+    if !(1.0..1e15).contains(&v) {
+        return None;
+    }
+    for (k, &scale) in POW10_F64.iter().enumerate() {
+        let x = v * scale;
+        if x >= LIMIT {
+            return None;
+        }
+        // Nearest integer by adding and removing 2^52 (whose ulp is 1):
+        // plain SSE2 arithmetic where `f64::round` is a libm call. Ties go
+        // to even, which cannot matter: a tie is half a unit from both
+        // neighbours, too far for either to divide back to `v`.
+        let m = (x + LIMIT) - LIMIT;
+        if m / scale == v {
+            return Some((m as u64, k));
+        }
+    }
+    None
+}
+
+/// The shortest round-trip digits of a positive finite `v` from the
+/// standard library's exact formatter, as `(len, k)` with
+/// `value = digits * 10^k` — the slow path behind [`write_f64`].
+fn exact_digits(v: f64, digits: &mut [u8; 20]) -> (usize, i32) {
+    use std::fmt::Write as _;
+    /// `{:e}` output on the stack: at most 17 digits, a point and an
+    /// exponent of up to four characters.
+    struct Stack {
+        buf: [u8; 32],
+        len: usize,
+    }
+    impl std::fmt::Write for Stack {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            let end = self.len + s.len();
+            self.buf
+                .get_mut(self.len..end)
+                .ok_or(std::fmt::Error)?
+                .copy_from_slice(s.as_bytes());
+            self.len = end;
+            Ok(())
+        }
+    }
+    let mut text = Stack {
+        buf: [0; 32],
+        len: 0,
+    };
+    write!(text, "{v:e}").expect("a finite f64 in scientific form fits 32 bytes");
+    let text = &text.buf[..text.len];
+    let e_at = text
+        .iter()
+        .position(|&b| b == b'e')
+        .expect("{:e} has an exponent");
+    let mut len = 0;
+    for &b in text[..e_at].iter().filter(|b| b.is_ascii_digit()) {
+        digits[len] = b;
+        len += 1;
+    }
+    let exp = std::str::from_utf8(&text[e_at + 1..])
+        .ok()
+        .and_then(|e| e.parse::<i32>().ok())
+        .expect("{:e} exponent is an integer");
+    (len, exp - (len as i32 - 1))
+}
+
 /// Append the shortest-round-trip decimal form of `v` to `out`, using
 /// the XSD spellings `INF`/`-INF`/`NaN` for non-finite values (the same
 /// contract as `bxdm::value::write_f64_lexical`, several times faster).
+///
+/// The digits are always the shortest that parse back to `v`, and the
+/// closest to `v` among those — the digits of the standard library's
+/// `{}` output. Two paths produce them: the exact short-decimal path for
+/// `1 <= |v| < 1e15` with few fractional digits, and the standard
+/// library's exact formatter for everything else. The notation is
+/// fixed-point for decimal exponents from -3 through 17 and scientific
+/// outside.
 pub fn write_f64(v: f64, out: &mut String) {
-    use std::fmt::Write as _;
     if v.is_nan() {
         out.push_str("NaN");
         return;
@@ -985,30 +745,47 @@ pub fn write_f64(v: f64, out: &mut String) {
         return;
     }
     let abs = v.abs();
+    if v.is_sign_negative() {
+        out.push('-');
+    }
+    if let Some((m, k)) = short_decimal(abs) {
+        // Fixed-point `int.frac` with exactly `k` fractional digits —
+        // what `render_decimal` writes for these digits — built right to
+        // left in one pass over `m`.
+        let mut text = [0u8; 24];
+        let mut at = text.len();
+        let mut rest = m;
+        for _ in 0..k {
+            at -= 1;
+            text[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        if k > 0 {
+            at -= 1;
+            text[at] = b'.';
+        }
+        loop {
+            at -= 1;
+            text[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&text[at..]).expect("ASCII digits"));
+        return;
+    }
     let mut digits = [0u8; 20];
     let mut text = [0u8; 40];
-    if let Some((len, k)) = grisu2(abs, &mut digits) {
-        let n = render_decimal(&digits[..len], k, &mut text);
-        let s = std::str::from_utf8(&text[..n]).unwrap();
-        // Commit only output proven to parse back bit-identically; this
-        // turns Grisu2's "almost always shortest and correct" into an
-        // unconditional guarantee.
-        if parse_f64(s) == Some(abs) {
-            if v.is_sign_negative() {
-                out.push('-');
-            }
-            out.push_str(s);
-            return;
-        }
-    }
-    let _ = write!(out, "{v}");
+    let (len, k) = exact_digits(abs, &mut digits);
+    let n = render_decimal(&digits[..len], k, &mut text);
+    out.push_str(std::str::from_utf8(&text[..n]).expect("rendered digits are ASCII"));
 }
 
-/// Pre-compute the cached powers tables (Grisu2 formatting and the
-/// Eisel–Lemire parse table) so later calls never allocate. Idempotent;
-/// buffer-pooling callers invoke this once at startup.
+/// Pre-compute the Eisel–Lemire parse table so later calls never
+/// allocate. Idempotent; callers that count allocations invoke this once
+/// at startup.
 pub fn warm_up() {
-    let _ = cached_powers();
     let _ = el_powers();
 }
 
@@ -1108,6 +885,95 @@ mod tests {
         assert_eq!(fmt(f64::NAN), "NaN");
     }
 
+    /// Values on which Grisu2, the writer's earlier algorithm, returns 17
+    /// digits although fewer round-trip: the writer must emit the shortest
+    /// digits.
+    #[test]
+    fn f64_format_is_shortest_where_grisu2_is_not() {
+        assert_eq!(fmt(26016497.6568), "26016497.6568");
+        assert_eq!(fmt(1681.74855642), "1681.74855642");
+        assert_eq!(fmt(51.8183753265), "51.8183753265");
+        assert_eq!(fmt(-51.8183753265), "-51.8183753265");
+    }
+
+    /// `s` as `(significant digits, point)` with `value = 0.digits * 10^point`,
+    /// leading and trailing zeros stripped — the notation-free digits of
+    /// a decimal spelling.
+    fn digits_of(s: &str) -> (String, i32) {
+        let s = s.trim_start_matches('-');
+        let (mantissa, exp) = match s.split_once(['e', 'E']) {
+            Some((m, e)) => (m, e.parse::<i32>().unwrap()),
+            None => (s, 0),
+        };
+        let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+        let all = format!("{int}{frac}");
+        let lead = all.len() - all.trim_start_matches('0').len();
+        let digits = all[lead..].trim_end_matches('0').to_owned();
+        (digits, int.len() as i32 - lead as i32 + exp)
+    }
+
+    /// Seeded differential against the standard library: the writer's
+    /// digits equal the digits of std's shortest output, inside the
+    /// short-decimal range and outside it. `F64_DIFF_SAMPLES` scales the
+    /// per-class sample count (default 20,000).
+    #[test]
+    fn f64_digits_match_std_shortest() {
+        let per_class: u64 = std::env::var("F64_DIFF_SAMPLES")
+            .ok()
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(20_000);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut checked = [0u64; 4];
+        let mut paths = [0u64; 2];
+        for _ in 0..per_class {
+            // Short decimals: up to 15 significant digits, up to 12 of them
+            // fractional — LEAD-like data, mostly in the short-decimal range.
+            let frac = (next() % 13) as u32;
+            let sig = 10u64.pow(1 + (next() % 15) as u32);
+            let text = format!("{}e-{frac}", next() % sig);
+            let short: f64 = text.parse().unwrap();
+            // Any finite bit pattern.
+            let bits = f64::from_bits(next());
+            // Uniform in [1, 1e15): rarely short, so the exact path decides.
+            let wide = 1.0 + (next() >> 11) as f64 / (1u64 << 53) as f64 * 1e15;
+            // Short decimals below one: outside the short-decimal range.
+            let small: f64 = format!("{}e-{}", next() % 1_000_000, 7 + next() % 12)
+                .parse()
+                .unwrap();
+            for (class, v) in [short, bits, wide, small].into_iter().enumerate() {
+                if !v.is_finite() || v == 0.0 {
+                    continue;
+                }
+                let written = fmt(v);
+                assert_eq!(digits_of(&written), digits_of(&format!("{v:e}")), "{v:e} wrote {written:?}");
+                // ...in the writer's notation, spelled from std's digits.
+                let mut digits = [0u8; 20];
+                let mut text = [0u8; 40];
+                let (len, k) = exact_digits(v.abs(), &mut digits);
+                let n = render_decimal(&digits[..len], k, &mut text);
+                let sign = if v < 0.0 { "-" } else { "" };
+                let expected = format!("{sign}{}", std::str::from_utf8(&text[..n]).unwrap());
+                assert_eq!(written, expected, "{v:e}");
+                checked[class] += 1;
+                let path = usize::from(short_decimal(v.abs()).is_none());
+                paths[path] += 1;
+            }
+        }
+        assert!(checked.iter().all(|&n| n > per_class / 2), "{checked:?}");
+        eprintln!(
+            "checked per class {checked:?}; short-decimal {}, exact {}",
+            paths[0], paths[1]
+        );
+    }
+
     #[test]
     fn f64_format_roundtrips_edge_values() {
         for v in [
@@ -1173,20 +1039,6 @@ mod tests {
         assert_eq!(parse_f64_lexical("-INF"), Some(f64::NEG_INFINITY));
         assert!(parse_f64_lexical("NaN").unwrap().is_nan());
         assert_eq!(parse_f64_lexical("2.5"), Some(2.5));
-    }
-
-    #[test]
-    fn cached_powers_are_accurate() {
-        warm_up();
-        for i in 0..CACHE_LEN {
-            let k = CACHE_FIRST + i as i32 * CACHE_STEP;
-            let p = cached_powers()[i];
-            assert!(p.f >= 1 << 63, "10^{k} not normalized");
-            // ln(f * 2^e) should equal k * ln(10) to high precision.
-            let lhs = (p.f as f64).ln() + p.e as f64 * std::f64::consts::LN_2;
-            let rhs = k as f64 * std::f64::consts::LN_10;
-            assert!((lhs - rhs).abs() < 1e-9, "10^{k}: {lhs} vs {rhs}");
-        }
     }
 
     #[test]

@@ -48,10 +48,6 @@ fuzz_target!(|data: &[u8]| {
     // Request head (+ body) parsing over an in-memory reader.
     let mut r = data;
     let _ = transport::http::request::HttpRequest::read_from(&mut r);
-    let mut r = data;
-    let mut pooled = Vec::with_capacity(64);
-    pooled.extend_from_slice(b"stale body from the previous request");
-    let _ = transport::http::request::HttpRequest::read_from_with_body(&mut r, pooled);
 
     // Chunked decoding must be split-invariant.
     let whole = decode_chunked(data, data.len().max(1));

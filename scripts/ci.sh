@@ -11,8 +11,10 @@ cargo test -q --workspace
 # `steady_state_decode_is_allocation_free` fails this step — and the
 # build — if a change reintroduces per-message decode allocation.
 # The same step runs the byte gates: a warm 100k-pair tree Verify must
-# allocate under 64 KiB per call, server-side and through call_with, so
-# no layer may copy the bulk payload again.
+# allocate under 64 KiB per call, server-side, through call_with, and
+# on both sides of the live HTTP server, so no layer may copy the bulk
+# payload again; and a warm small Verify over HTTP may allocate no more
+# than over TCP, so the HTTP leg keeps no per-exchange fixed costs.
 cargo test -q -p bench --features alloc-counter --lib
 
 # Decode benches: run the codec-throughput ablation and require that the
@@ -153,6 +155,27 @@ done)
 if [ -n "$deprecated_hits" ]; then
     echo "$deprecated_hits" >&2
     echo "deprecated: transport and soap keep no deprecated items; delete them" >&2
+    exit 1
+fi
+
+# One handler shape: ServerBuilder (builder.rs) finishes a server with
+# exactly two serve_* calls, serve_framed and serve_http, and both hand
+# the handler per-connection scratch, a borrowed request and a reused
+# reply. Per-connection buffers replaced the cross-connection pools, so
+# no pool may come back in transport or soap either. Test modules are
+# exempt from both gates.
+serve_fns=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/transport/src/builder.rs \
+    | grep -oE 'pub fn serve_[a-z_]+' | sort | tr '\n' ' ')
+if [ "$serve_fns" != "pub fn serve_framed pub fn serve_http " ]; then
+    echo "builder: ServerBuilder finishers are [$serve_fns]; keep exactly serve_framed and serve_http" >&2
+    exit 1
+fi
+pool_hits=$(find crates/transport/src crates/soap/src -name '*.rs' | sort | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nE 'Pool<|BufferPool|Mutex<Vec\b' | sed "s|^|$f:|" || true
+done)
+if [ -n "$pool_hits" ]; then
+    echo "$pool_hits" >&2
+    echo "pool: transport and soap keep buffers per connection; no shared pools" >&2
     exit 1
 fi
 

@@ -17,7 +17,10 @@ use transport::{
 
 fn echo_path_server() -> Server {
     ServerBuilder::bind("127.0.0.1:0")
-        .serve_http(|req| HttpResponse::ok("text/plain", req.path.as_bytes().to_vec()))
+        .serve_http(
+            || (),
+            |(), head, _body, reply, _ctl| reply.body.extend_from_slice(head.path.as_bytes()),
+        )
         .unwrap()
 }
 
@@ -219,7 +222,10 @@ fn pooled_scratch_does_not_leak_request_bytes_between_keep_alive_requests() {
     // Regression: one connection's reused request-body buffer must never
     // show a later request stale bytes from an earlier (longer) one.
     let server = ServerBuilder::bind("127.0.0.1:0")
-        .serve_http(|req| HttpResponse::ok("application/octet-stream", req.body.clone()))
+        .serve_http(
+            || (),
+            |(), _head, body, reply, _ctl| reply.body.extend_from_slice(body),
+        )
         .unwrap();
     let mut conn = HttpConnection::new(&server.local_addr().to_string());
     let long = vec![0xAA; 4096];

@@ -210,7 +210,10 @@ fn tcp_only_deployment_exports_via_dump() {
 #[test]
 fn metrics_path_is_opt_in_for_plain_http_servers() {
     let server = transport::ServerBuilder::bind("127.0.0.1:0")
-        .serve_http(|_req| transport::HttpResponse::ok("text/plain", b"app".to_vec()))
+        .serve_http(
+            || (),
+            |(), _head, _body, reply, _ctl| reply.body.extend_from_slice(b"app"),
+        )
         .unwrap();
     let addr = server.local_addr().to_string();
     // No metrics_path configured: the application handler owns every
@@ -220,7 +223,10 @@ fn metrics_path_is_opt_in_for_plain_http_servers() {
 
     let server = transport::ServerBuilder::bind("127.0.0.1:0")
         .metrics_path("/internal/metrics")
-        .serve_http(|_req| transport::HttpResponse::ok("text/plain", b"app".to_vec()))
+        .serve_http(
+            || (),
+            |(), _head, _body, reply, _ctl| reply.body.extend_from_slice(b"app"),
+        )
         .unwrap();
     let addr = server.local_addr().to_string();
     let scrape = String::from_utf8(transport::http_get(&addr, "/internal/metrics").unwrap())

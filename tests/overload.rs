@@ -79,7 +79,10 @@ fn full_server_rejects_with_the_complete_503_contract() {
             reject_when_full: true,
             ..OverloadConfig::default()
         })
-        .serve_http(|_req| HttpResponse::ok("text/plain", b"served".to_vec()))
+        .serve_http(
+            || (),
+            |(), _head, _body, reply, _ctl| reply.body.extend_from_slice(b"served"),
+        )
         .unwrap();
     let addr = server.local_addr();
     let rejected_before =
@@ -144,7 +147,10 @@ fn paused_acceptor_serves_the_queued_connection_when_a_slot_frees() {
             reject_when_full: false,
             ..OverloadConfig::default()
         })
-        .serve_http(|_req| HttpResponse::ok("text/plain", b"served".to_vec()))
+        .serve_http(
+            || (),
+            |(), _head, _body, reply, _ctl| reply.body.extend_from_slice(b"served"),
+        )
         .unwrap();
     let addr = server.local_addr();
 
@@ -193,10 +199,13 @@ fn http_shed_skips_the_handler_and_carries_the_contract() {
             retry_after_hint: Duration::from_secs(2),
             ..OverloadConfig::default()
         })
-        .serve_http(move |_req| {
-            witness.store(true, Ordering::SeqCst);
-            HttpResponse::ok("text/plain", b"served".to_vec())
-        })
+        .serve_http(
+            || (),
+            move |(), _head, _body, reply, _ctl| {
+                witness.store(true, Ordering::SeqCst);
+                reply.body.extend_from_slice(b"served");
+            },
+        )
         .unwrap();
     let addr = server.local_addr().to_string();
     let shed_before = counter("bx_server_shed_total", &["transport=\"http\"", "reason=\"inflight\""]);
@@ -363,12 +372,15 @@ fn slow_loris_trickle_is_cut_by_the_message_deadline() {
 fn handler_panics_are_counted_per_transport() {
     // HTTP: the panicking request is answered 500 and the counter moves.
     let http = ServerBuilder::bind("127.0.0.1:0")
-        .serve_http(|req: &HttpRequest| {
-            if req.path == "/boom" {
-                panic!("handler exploded");
-            }
-            HttpResponse::ok("text/plain", b"fine".to_vec())
-        })
+        .serve_http(
+            || (),
+            |(), head, _body, reply, _ctl| {
+                if head.path == "/boom" {
+                    panic!("handler exploded");
+                }
+                reply.body.extend_from_slice(b"fine");
+            },
+        )
         .unwrap();
     let http_addr = http.local_addr().to_string();
     let http_before = counter("bx_server_handler_panics_total", &["transport=\"http\""]);
@@ -500,20 +512,23 @@ fn sheds_are_not_double_counted_as_shutdown_drops() {
 #[test]
 fn http_date_retry_after_reaches_the_client_clamped() {
     let server = ServerBuilder::bind("127.0.0.1:0")
-        .serve_http(|req: &HttpRequest| {
-            let resp = HttpResponse {
-                status: 503,
-                reason: "Service Unavailable".into(),
-                headers: Vec::new(),
-                body: b"busy".to_vec(),
-            };
-            match req.path.as_str() {
-                // Far future: must clamp to the one-day cap.
-                "/future" => resp.with_header("Retry-After", "Fri, 01 Jan 2038 00:00:00 GMT"),
-                // Past: retry immediately.
-                _ => resp.with_header("Retry-After", "Sun, 06 Nov 1994 08:49:37 GMT"),
-            }
-        })
+        .serve_http(
+            || (),
+            |(), head, _body, reply, _ctl| {
+                let resp = HttpResponse {
+                    status: 503,
+                    reason: "Service Unavailable".into(),
+                    headers: Vec::new(),
+                    body: b"busy".to_vec(),
+                };
+                reply.respond(match head.path {
+                    // Far future: must clamp to the one-day cap.
+                    "/future" => resp.with_header("Retry-After", "Fri, 01 Jan 2038 00:00:00 GMT"),
+                    // Past: retry immediately.
+                    _ => resp.with_header("Retry-After", "Sun, 06 Nov 1994 08:49:37 GMT"),
+                });
+            },
+        )
         .unwrap();
     let addr = server.local_addr().to_string();
 

@@ -315,25 +315,31 @@ fn retry_honors_503_with_retry_after_from_live_http_server() {
     register_verify(&mut registry);
     let service = soap::SoapService::new(XmlEncoding::default(), Arc::new(registry));
     let busy_until = AtomicU32::new(2);
-    let server = transport::ServerBuilder::bind("127.0.0.1:0").serve_http(move |req| {
-        if busy_until.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            return transport::HttpResponse {
-                status: 503,
-                reason: "Service Unavailable".into(),
-                headers: vec![("Retry-After".into(), "0".into())],
-                body: b"draining".to_vec(),
-            };
-        }
-        let (body, is_fault) = service.handle_bytes(&req.body);
-        if is_fault {
-            transport::HttpResponse::server_error(body)
-        } else {
-            transport::HttpResponse::ok("text/xml", body)
-        }
-    })
-    .unwrap();
+    let server = transport::ServerBuilder::bind("127.0.0.1:0")
+        .serve_http(
+            || (),
+            move |(), _head, body, reply, _ctl| {
+                if busy_until
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+                {
+                    reply.respond(transport::HttpResponse {
+                        status: 503,
+                        reason: "Service Unavailable".into(),
+                        headers: vec![("Retry-After".into(), "0".into())],
+                        body: b"draining".to_vec(),
+                    });
+                    return;
+                }
+                let (body, is_fault) = service.handle_bytes(body);
+                reply.respond(if is_fault {
+                    transport::HttpResponse::server_error(body)
+                } else {
+                    transport::HttpResponse::ok("text/xml", body)
+                });
+            },
+        )
+        .unwrap();
 
     let mut engine = SoapEngine::new(
         XmlEncoding::default(),
@@ -411,25 +417,31 @@ fn retry_after_hint_stretches_the_backoff_sleep() {
     register_verify(&mut registry);
     let service = soap::SoapService::new(XmlEncoding::default(), Arc::new(registry));
     let busy = AtomicU32::new(1);
-    let server = transport::ServerBuilder::bind("127.0.0.1:0").serve_http(move |req| {
-        if busy.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            return transport::HttpResponse {
-                status: 503,
-                reason: "Service Unavailable".into(),
-                headers: vec![("Retry-After".into(), "1".into())],
-                body: b"throttled".to_vec(),
-            };
-        }
-        let (body, is_fault) = service.handle_bytes(&req.body);
-        if is_fault {
-            transport::HttpResponse::server_error(body)
-        } else {
-            transport::HttpResponse::ok("text/xml", body)
-        }
-    })
-    .unwrap();
+    let server = transport::ServerBuilder::bind("127.0.0.1:0")
+        .serve_http(
+            || (),
+            move |(), _head, body, reply, _ctl| {
+                if busy
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+                {
+                    reply.respond(transport::HttpResponse {
+                        status: 503,
+                        reason: "Service Unavailable".into(),
+                        headers: vec![("Retry-After".into(), "1".into())],
+                        body: b"throttled".to_vec(),
+                    });
+                    return;
+                }
+                let (body, is_fault) = service.handle_bytes(body);
+                reply.respond(if is_fault {
+                    transport::HttpResponse::server_error(body)
+                } else {
+                    transport::HttpResponse::ok("text/xml", body)
+                });
+            },
+        )
+        .unwrap();
 
     // Tiny backoff, roomy cap: any wait ≥ 1 s can only come from the
     // server's hint, not from the jitter schedule.
