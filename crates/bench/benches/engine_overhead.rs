@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use soap::{
-    binding::LoopbackBinding, BxsaEncoding, EncodingPolicy, ServiceRegistry, SoapEngine,
-    SoapService,
+    binding::LoopbackBinding, BxsaEncoding, DecodeScratch, EncodingPolicy, ServiceRegistry,
+    SoapEngine, SoapService,
 };
 
 fn registry() -> Arc<ServiceRegistry> {
@@ -40,11 +40,13 @@ fn bench_engine_overhead(c: &mut Criterion) {
                 let encoding = BxsaEncoding::default();
                 // Clone per iteration to mirror the engine path's
                 // by-value envelope handoff exactly.
+                let mut scratch = DecodeScratch::default();
+                let mut reply = Vec::new();
                 b.iter(|| {
                     let bytes = encoding
                         .encode(&request.clone().to_document())
                         .expect("encode");
-                    let (reply, _fault) = service.handle_bytes(&bytes);
+                    service.handle(&mut scratch, &bytes, &mut reply);
                     encoding.decode(&reply).expect("decode")
                 })
             },
@@ -56,9 +58,14 @@ fn bench_engine_overhead(c: &mut Criterion) {
             &request,
             |b, request| {
                 let service = SoapService::new(BxsaEncoding::default(), registry());
+                let mut scratch = DecodeScratch::default();
                 let mut engine = SoapEngine::new(
                     BxsaEncoding::default(),
-                    LoopbackBinding::new(move |bytes: &[u8]| service.handle_bytes(bytes).0),
+                    LoopbackBinding::new(move |bytes: &[u8]| {
+                        let mut reply = Vec::new();
+                        service.handle(&mut scratch, bytes, &mut reply);
+                        reply
+                    }),
                 );
                 b.iter(|| engine.call_with(request.clone(), &soap::CallOptions::new()).expect("call"))
             },

@@ -173,11 +173,11 @@ mod tests {
         let mut scratch = soap::DecodeScratch::default();
         let mut out = Vec::new();
         for _ in 0..3 {
-            assert!(!service.handle_bytes_scratch(&mut scratch, &request, &mut out));
+            assert!(!service.handle(&mut scratch, &request, &mut out).is_fault);
         }
-        let (is_fault, allocs) =
-            measure_allocs(|| service.handle_bytes_scratch(&mut scratch, &request, &mut out));
-        assert!(!is_fault);
+        let (outcome, allocs) =
+            measure_allocs(|| service.handle(&mut scratch, &request, &mut out));
+        assert!(!outcome.is_fault);
         assert!(
             allocs.bytes < BULK_CALL_BYTE_BUDGET,
             "{} tree service call allocated {allocs:?} in steady state",
@@ -207,7 +207,7 @@ mod tests {
             BxsaEncoding::default(),
             LoopbackBinding::new(move |request: &[u8]| {
                 let mut reply = Vec::new();
-                service.handle_bytes_scratch(&mut scratch, request, &mut reply);
+                service.handle(&mut scratch, request, &mut reply);
                 reply
             }),
         );

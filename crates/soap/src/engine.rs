@@ -1114,7 +1114,12 @@ mod tests {
                 resp.tag = req.tag + 1;
                 Ok(())
             });
-            move |bytes: &[u8]| service.handle_bytes(bytes).0
+            let mut scratch = crate::service::DecodeScratch::default();
+            move |bytes: &[u8]| {
+                let mut reply = Vec::new();
+                service.handle(&mut scratch, bytes, &mut reply);
+                reply
+            }
         }
 
         #[test]

@@ -6,7 +6,7 @@ use bxdm::{AtomicValue, Content, Document, Element, Node};
 use transport::Deadline;
 
 use crate::error::{SoapError, SoapResult};
-use crate::fault::SoapFault;
+use crate::fault::{FaultCode, SoapFault};
 
 /// SOAP 1.1 envelope namespace (the paper's era).
 pub const SOAP_ENV_URI: &str = "http://schemas.xmlsoap.org/soap/envelope/";
@@ -206,6 +206,11 @@ pub const DEADLINE_HEADER_LOCAL: &str = "Deadline";
 /// Default hop allowance stamped by a client that doesn't choose one.
 pub const DEFAULT_HOPS: u32 = 8;
 
+/// The retry hint a node attaches when it rejects a request whose
+/// `bx:Deadline` budget was already spent on arrival: the fixed backoff
+/// suggested to a caller whose own clock has clearly run out.
+pub const EXPIRED_RETRY_AFTER: Duration = Duration::from_secs(1);
+
 /// The `bx:Deadline` header block: gRPC-style end-to-end deadline
 /// propagation for SOAP.
 ///
@@ -255,6 +260,42 @@ impl DeadlineHeader {
     /// Already spent on arrival?
     pub fn expired(&self) -> bool {
         self.budget_millis == 0
+    }
+
+    /// The one `bx:Deadline` arrival gate every receiving node runs. A
+    /// budget already spent is refused with the deadline-expired fault
+    /// and its retry hint, before any work (the caller is gone, so the
+    /// work would be waste). Otherwise the budget restarts as this
+    /// node's local clock.
+    pub(crate) fn admit(&self) -> Result<Admitted, Refusal> {
+        if self.expired() {
+            return Err(Refusal {
+                fault: SoapFault::deadline_expired(EXPIRED_RETRY_AFTER),
+                retry_after: Some(EXPIRED_RETRY_AFTER),
+            });
+        }
+        Ok(Admitted {
+            header: *self,
+            local: self.start(),
+        })
+    }
+
+    /// The relay form of [`admit`](DeadlineHeader::admit): a header with
+    /// no hops left cannot be forwarded, and that is the sender's
+    /// mistake (likely a routing loop), so it is refused with a
+    /// `Client` fault.
+    pub(crate) fn admit_relay(&self) -> Result<Admitted, Refusal> {
+        let admitted = self.admit()?;
+        if self.hops == 0 {
+            return Err(Refusal {
+                fault: SoapFault::new(
+                    FaultCode::Client,
+                    "bx:Deadline hop count exhausted at intermediary",
+                ),
+                retry_after: None,
+            });
+        }
+        Ok(admitted)
     }
 
     /// Restart the budget as a local clock: the receiver's view of "how
@@ -347,6 +388,42 @@ impl DeadlineHeader {
             entries.push(Node::Element(self.to_element()));
         }
     }
+}
+
+/// A request the `bx:Deadline` arrival gate admitted: the header as it
+/// arrived and the local clock its budget restarted.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Admitted {
+    header: DeadlineHeader,
+    local: Deadline,
+}
+
+impl Admitted {
+    /// How long this node may work on the request.
+    pub(crate) fn local(&self) -> Deadline {
+        self.local
+    }
+
+    /// What is left of the budget now: the cap on writing the reply
+    /// (zero once the work spent it all).
+    pub(crate) fn remaining(&self) -> Duration {
+        let local = self.local;
+        local.budget().unwrap_or_default().saturating_sub(local.elapsed())
+    }
+
+    /// The header a relay forwards: the time spent here off the budget,
+    /// one hop consumed.
+    pub(crate) fn forward(&self) -> DeadlineHeader {
+        self.header.decremented(self.local.elapsed())
+    }
+}
+
+/// A request the `bx:Deadline` arrival gate refused: the fault to answer
+/// with, and the retry hint HTTP also sends as `Retry-After`.
+#[derive(Debug, Clone)]
+pub(crate) struct Refusal {
+    pub(crate) fault: SoapFault,
+    pub(crate) retry_after: Option<Duration>,
 }
 
 /// A non-negative integer leaf by local name, tolerating `Str`-typed

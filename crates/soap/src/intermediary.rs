@@ -37,8 +37,8 @@ use crate::envelope::{DeadlineHeader, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::fault::{FaultCode, SoapFault};
 use crate::metrics;
-use crate::service::{fault_envelope, fault_for_error, EXPIRED_RETRY_AFTER};
-use crate::streaming::{wire_err, PartScratch, StreamEncoding, MAX_PART_LEN};
+use crate::service::{encode_reply, fault_envelope, fault_for_error, HandleOutcome};
+use crate::streaming::{buffered_reply, wire_err, PartScratch, StreamEncoding, MAX_PART_LEN};
 
 /// A running relay node, listening on framed TCP or HTTP.
 pub struct Intermediary {
@@ -63,22 +63,13 @@ impl Intermediary {
         UpE: EncodingPolicy + Send + Sync + 'static,
         UpB: BindingPolicy + Send + 'static,
     {
-        let upstream = Arc::new(Mutex::new((up_encoding, up_binding)));
+        let upstream = Mutex::new((up_encoding, up_binding));
         let inner = transport::ServerBuilder::bind(addr).serve_framed(
             || (),
-            move |_scratch, request, out, _ctl| {
-                *out = match relay(&in_encoding, &upstream, request) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        let fault = fault_envelope(SoapFault::new(
-                            FaultCode::Server,
-                            &format!("intermediary relay failed: {e}"),
-                        ));
-                        in_encoding
-                            .encode(&fault.into_document())
-                            .unwrap_or_default()
-                    }
-                };
+            move |_scratch, request, out, ctl| {
+                let mut guard = upstream.lock();
+                let (up_encoding, up_binding) = &mut *guard;
+                relay(&in_encoding, up_encoding, up_binding, request, out).cap_write(ctl);
             },
         )?;
         Ok(Intermediary { inner })
@@ -134,26 +125,17 @@ impl Intermediary {
             // each other.
             .serve_http(
                 move || HttpBinding::new(&target.upstream_addr, &target.upstream_path),
-                move |binding, head, body, reply, _ctl| {
+                move |binding, head, body, reply, ctl| {
                     if head.method != "POST" || head.path != buffered_path {
                         reply.respond(HttpResponse::not_found());
                         return;
                     }
                     let t = &buffered_target;
-                    let content_type = t.in_enc.content_type();
-                    match relay_buffered(&t.in_enc, &t.up_enc, binding, body) {
-                        Ok(bytes) => reply.body = bytes,
-                        Err(e) => {
-                            let fault = fault_envelope(SoapFault::new(
-                                FaultCode::Server,
-                                &format!("intermediary relay failed: {e}"),
-                            ));
-                            reply.set_status(500, "Internal Server Error");
-                            reply.body =
-                                t.in_enc.encode(&fault.into_document()).unwrap_or_default();
-                        }
-                    }
-                    reply.header("Content-Type", content_type);
+                    relay(&t.in_enc, &t.up_enc, binding, body, &mut reply.body).write_http(
+                        t.in_enc.content_type(),
+                        reply,
+                        Some(ctl),
+                    );
                 },
             )?;
         Ok(Intermediary { inner })
@@ -170,107 +152,57 @@ impl Intermediary {
     }
 }
 
+/// The one relay step behind the framed-TCP and buffered-HTTP relays:
+/// decode on the down-link encoding (intermediaries are SOAP nodes, not
+/// byte pipes), pass the `bx:Deadline` through the relay gate, forward on
+/// the up-link policies, and encode the answer — the upstream's reply or
+/// fault, or this hop's own fault — into `out` in the down-link
+/// encoding. Never fails; the outcome says what went on the wire.
 fn relay<InE, UpE, UpB>(
     in_encoding: &InE,
-    upstream: &Mutex<(UpE, UpB)>,
+    up_encoding: &UpE,
+    up_binding: &mut UpB,
     request: &[u8],
-) -> SoapResult<Vec<u8>>
+    out: &mut Vec<u8>,
+) -> HandleOutcome
 where
     InE: EncodingPolicy,
     UpE: EncodingPolicy,
     UpB: BindingPolicy,
 {
-    // Decode on the down-link encoding...
-    let mut doc = in_encoding.decode(request)?;
-    // (Validate it is an envelope — intermediaries are SOAP nodes, not
-    // byte pipes.)
-    let mut envelope = SoapEnvelope::take_from(&mut doc)?;
-
-    // A `bx:Deadline` header makes this hop budget- and hop-aware: an
-    // already-spent budget is refused without touching the upstream, an
-    // exhausted hop count is the *sender's* mistake (likely a routing
-    // loop), and otherwise the remaining budget becomes this hop's local
-    // clock, clamping the up-link exchange.
-    let budget = match DeadlineHeader::from_envelope(&envelope)? {
-        Some(h) if h.expired() => {
-            let fault = fault_envelope(SoapFault::deadline_expired(EXPIRED_RETRY_AFTER));
-            return in_encoding.encode(&fault.into_document());
-        }
-        Some(h) if h.hops == 0 => {
-            let fault = fault_envelope(SoapFault::new(
-                FaultCode::Client,
-                "bx:Deadline hop count exhausted at intermediary",
-            ));
-            return in_encoding.encode(&fault.into_document());
-        }
-        Some(h) => Some((h, h.start())),
-        None => None,
-    };
-
-    // ...re-encode and forward on the up-link policies...
-    let response_doc = {
-        let mut guard = upstream.lock();
-        let (up_encoding, up_binding) = &mut *guard;
-        if let Some((header, local)) = &budget {
-            // Forward what is left of the budget (transit and transcode
-            // time already spent here comes off the top) with one hop
-            // consumed, and cap the upstream socket work the same way.
-            header.decremented(local.elapsed()).stamp(&mut envelope);
-            up_binding.set_call_deadline(Some(*local));
-        }
-        let payload = up_encoding.encode(&envelope.into_document())?;
-        let exchanged = up_binding.exchange(&payload, up_encoding.content_type());
-        if budget.is_some() {
-            up_binding.set_call_deadline(None);
-        }
-        up_encoding.decode(&exchanged?)?
-    };
-
-    // ...and relay the response back in the down-link encoding.
-    in_encoding.encode(&response_doc)
-}
-
-/// The buffered-HTTP variant of [`relay`]: same envelope/deadline
-/// discipline, but the upstream is an [`HttpBinding`] owned by the
-/// caller (the encodings live outside the mutex here).
-fn relay_buffered<InE, UpE>(
-    in_encoding: &InE,
-    up_encoding: &UpE,
-    up_binding: &mut HttpBinding,
-    request: &[u8],
-) -> SoapResult<Vec<u8>>
-where
-    InE: EncodingPolicy,
-    UpE: EncodingPolicy,
-{
-    let mut doc = in_encoding.decode(request)?;
-    let mut envelope = SoapEnvelope::take_from(&mut doc)?;
-    let budget = match DeadlineHeader::from_envelope(&envelope)? {
-        Some(h) if h.expired() => {
-            let fault = fault_envelope(SoapFault::deadline_expired(EXPIRED_RETRY_AFTER));
-            return in_encoding.encode(&fault.into_document());
-        }
-        Some(h) if h.hops == 0 => {
-            let fault = fault_envelope(SoapFault::new(
-                FaultCode::Client,
-                "bx:Deadline hop count exhausted at intermediary",
-            ));
-            return in_encoding.encode(&fault.into_document());
-        }
-        Some(h) => Some((h, h.start())),
-        None => None,
-    };
-    if let Some((header, local)) = &budget {
-        header.decremented(local.elapsed()).stamp(&mut envelope);
-        up_binding.set_call_deadline(Some(*local));
-    }
-    let payload = up_encoding.encode(&envelope.into_document())?;
-    let exchanged = up_binding.exchange(&payload, up_encoding.content_type());
-    if budget.is_some() {
-        up_binding.set_call_deadline(None);
-    }
-    let response_doc = up_encoding.decode(&exchanged?)?;
-    in_encoding.encode(&response_doc)
+    let mut outcome = HandleOutcome::default();
+    let relayed = (|| -> SoapResult<SoapEnvelope> {
+        let mut doc = in_encoding.decode(request)?;
+        let mut envelope = SoapEnvelope::take_from(&mut doc)?;
+        let arrived = DeadlineHeader::from_envelope(&envelope)?.map(|h| h.admit_relay());
+        outcome.serve_within(arrived, |admitted| {
+            if let Some(admitted) = admitted {
+                // Forward what is left of the budget (transit and
+                // transcode time already spent here comes off the top)
+                // with one hop consumed, and cap the upstream socket
+                // work the same way.
+                admitted.forward().stamp(&mut envelope);
+                up_binding.set_call_deadline(Some(admitted.local()));
+            }
+            let exchanged = up_encoding
+                .encode(&envelope.into_document())
+                .and_then(|payload| up_binding.exchange(&payload, up_encoding.content_type()));
+            if admitted.is_some() {
+                up_binding.set_call_deadline(None);
+            }
+            SoapEnvelope::take_from(&mut up_encoding.decode(&exchanged?)?)
+        })?
+    })();
+    // The gate's refusals keep their own fault; anything else that went
+    // wrong on this hop is the service's problem.
+    let response = relayed.unwrap_or_else(|e| {
+        fault_envelope(match e {
+            SoapError::Fault(fault) => fault,
+            e => SoapFault::new(FaultCode::Server, &format!("intermediary relay failed: {e}")),
+        })
+    });
+    outcome.is_fault = encode_reply(in_encoding, response, out);
+    outcome
 }
 
 /// What a streamed relay forwards to.
@@ -297,6 +229,8 @@ enum RelayState {
 struct RelaySession<InE, UpE> {
     target: Arc<RelayTarget<InE, UpE>>,
     state: RelayState,
+    /// What the buffered reply, if any, puts on the wire.
+    outcome: HandleOutcome,
     /// The upstream connection, dialed when the manifest arrives.
     conn: Option<HttpConnection>,
     /// Same encoding on both hops: payload parts cross untouched (BXSA
@@ -324,6 +258,7 @@ where
         RelaySession {
             target,
             state: RelayState::AwaitManifest,
+            outcome: HandleOutcome::default(),
             conn: None,
             verbatim,
             scratch: PartScratch::default(),
@@ -339,16 +274,7 @@ where
     fn fault(&mut self, fault: SoapFault) {
         self.conn = None;
         let mut out = Vec::new();
-        let envelope = fault_envelope(fault);
-        if self
-            .target
-            .in_enc
-            .encode_into(&envelope.into_document(), &mut out)
-            .is_err()
-        {
-            out.clear();
-            out.extend_from_slice(b"fault encoding failed");
-        }
+        self.outcome.is_fault = encode_reply(&self.target.in_enc, fault_envelope(fault), &mut out);
         self.state = RelayState::Faulted(out);
     }
 
@@ -359,26 +285,15 @@ where
             let t = &self.target;
             t.in_enc.decode_into(part, &mut self.doc)?;
             let mut envelope = SoapEnvelope::take_from(&mut self.doc)?;
-            let budget = match DeadlineHeader::from_envelope(&envelope)? {
-                Some(h) if h.expired() => {
-                    return Err(SoapError::Fault(SoapFault::deadline_expired(
-                        EXPIRED_RETRY_AFTER,
-                    )))
+            let arrived = DeadlineHeader::from_envelope(&envelope)?.map(|h| h.admit_relay());
+            let timeouts = self.outcome.serve_within(arrived, |admitted| match admitted {
+                Some(admitted) => {
+                    admitted.forward().stamp(&mut envelope);
+                    Timeouts::none().clamped_to(&admitted.local())
                 }
-                Some(h) if h.hops == 0 => {
-                    return Err(SoapError::Fault(SoapFault::new(
-                        FaultCode::Client,
-                        "bx:Deadline hop count exhausted at intermediary",
-                    )))
-                }
-                Some(h) => Some((h, h.start())),
-                None => None,
-            };
-            let mut timeouts = Timeouts::none();
-            if let Some((header, local)) = &budget {
-                header.decremented(local.elapsed()).stamp(&mut envelope);
-                timeouts = timeouts.clamped_to(local).map_err(SoapError::Transport)?;
-            }
+                None => Ok(Timeouts::none()),
+            })?;
+            let timeouts = timeouts.map_err(SoapError::Transport)?;
             let mut conn = HttpConnection::new(&t.upstream_addr);
             let head = HttpRequest::post(&t.upstream_path, t.up_enc.content_type(), Vec::new());
             conn.stream_begin_with(&head, &timeouts)
@@ -456,13 +371,13 @@ where
                     let t = &self.target;
                     if !streamed {
                         // Buffered upstream reply (typically a fault):
-                        // transcode the whole body and mirror the status.
+                        // transcode the whole envelope; its status follows
+                        // from what it is, as on every other path.
                         t.up_enc.decode_into(&response.body, &mut self.doc)?;
+                        let reply = SoapEnvelope::take_from(&mut self.doc)?;
                         let mut out = Vec::new();
-                        t.in_enc.encode_into(&self.doc, &mut out)?;
-                        let mut reply = HttpResponse::ok(content_type, out);
-                        reply.status = response.status;
-                        return Ok(WireReply::Buffered(reply));
+                        self.outcome.is_fault = encode_reply(&t.in_enc, reply, &mut out);
+                        return Ok(buffered_reply(&self.outcome, content_type, out));
                     }
                     // Streamed reply: its first part is the manifest —
                     // transcode it now, while a clean fault downstream is
@@ -498,9 +413,10 @@ where
                     }
                 }
             }
-            RelayState::Faulted(bytes) => Ok(WireReply::Buffered(
-                HttpResponse::server_error(std::mem::take(bytes))
-                    .with_header("Content-Type", content_type),
+            RelayState::Faulted(bytes) => Ok(buffered_reply(
+                &self.outcome,
+                content_type,
+                std::mem::take(bytes),
             )),
         }
     }

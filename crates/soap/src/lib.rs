@@ -60,8 +60,8 @@ pub use binding::{BindingPolicy, FaultingBinding, HttpBinding, LoopbackBinding, 
 pub use encoding::{BxsaEncoding, EncodingPolicy, XmlEncoding};
 pub use engine::{CallOptions, NoSecurity, SecurityPolicy, SoapEngine};
 pub use envelope::{
-    DeadlineHeader, SoapEnvelope, DEADLINE_HEADER_LOCAL, DEFAULT_HOPS, SOAP_ENV_PREFIX,
-    SOAP_ENV_URI,
+    DeadlineHeader, SoapEnvelope, DEADLINE_HEADER_LOCAL, DEFAULT_HOPS, EXPIRED_RETRY_AFTER,
+    SOAP_ENV_PREFIX, SOAP_ENV_URI,
 };
 pub use error::{SoapError, SoapResult};
 pub use fault::{FaultCode, SoapFault};
@@ -69,7 +69,7 @@ pub use intermediary::Intermediary;
 pub use server::{HttpSoapServer, TcpSoapServer};
 pub use service::{
     fault_for_error, DecodeScratch, HandleOutcome, OperationDefaults, ServiceHandler,
-    ServiceMetadata, ServiceRegistry, SoapService, EXPIRED_RETRY_AFTER,
+    ServiceMetadata, ServiceRegistry, SoapService,
 };
 pub use streaming::{PartScratch, StreamEncoding, StreamOp, MAX_PART_LEN};
 pub use typed::{

@@ -10,12 +10,74 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use transport::{HttpServerConfig, TcpServerConfig};
+use transport::{HttpResponse, HttpServerConfig, Reply, ReplyControl, TcpServerConfig};
 
 use crate::encoding::EncodingPolicy;
 use crate::error::SoapResult;
-use crate::service::{DecodeScratch, ServiceRegistry, SoapService};
+use crate::service::{DecodeScratch, HandleOutcome, ServiceRegistry, SoapService};
 use crate::streaming::{ServiceStreamSession, StreamEncoding};
+
+/// An HTTP reply a [`HandleOutcome`] is written onto: a buffered
+/// handler's reused [`Reply`], or the [`HttpResponse`] a streamed
+/// session answers with.
+pub(crate) trait HttpReplyHead {
+    fn status_line(&mut self, status: u16, reason: &str);
+    fn add_header(&mut self, name: &str, value: &str);
+}
+
+impl HttpReplyHead for Reply {
+    fn status_line(&mut self, status: u16, reason: &str) {
+        self.set_status(status, reason);
+    }
+    fn add_header(&mut self, name: &str, value: &str) {
+        self.header(name, value);
+    }
+}
+
+impl HttpReplyHead for HttpResponse {
+    fn status_line(&mut self, status: u16, reason: &str) {
+        self.status = status;
+        self.reason = reason.to_owned();
+    }
+    fn add_header(&mut self, name: &str, value: &str) {
+        self.headers.push((name.to_owned(), value.to_owned()));
+    }
+}
+
+impl HandleOutcome {
+    /// Cap the reply write to what is left of the caller's budget — the
+    /// framed-TCP half of the outcome-to-wire mapping (faults travel
+    /// in-band there: the envelope itself says so).
+    pub(crate) fn cap_write(&self, ctl: &mut ReplyControl) {
+        if let Some(budget) = self.reply_budget {
+            ctl.cap_write(budget);
+        }
+    }
+
+    /// The one outcome-to-HTTP mapping every SOAP node answers through.
+    /// SOAP 1.1 over HTTP (§6.2): faults ride in 500 responses. A
+    /// refusal's retry hint becomes a real `Retry-After` header (the
+    /// in-band fault detail carries it for raw TCP, where no such header
+    /// exists), and the caller's remaining budget caps the write where
+    /// the transport offers a cap.
+    pub(crate) fn write_http(
+        &self,
+        content_type: &str,
+        reply: &mut impl HttpReplyHead,
+        ctl: Option<&mut ReplyControl>,
+    ) {
+        if self.is_fault {
+            reply.status_line(500, "Internal Server Error");
+        }
+        reply.add_header("Content-Type", content_type);
+        if let Some(hint) = self.retry_after {
+            reply.add_header("Retry-After", &hint.as_secs().max(1).to_string());
+        }
+        if let Some(ctl) = ctl {
+            self.cap_write(ctl);
+        }
+    }
+}
 
 /// Seed a [`transport::ServerBuilder`] from a framed-TCP config.
 fn builder_for(addr: &str, config: &TcpServerConfig) -> transport::ServerBuilder {
@@ -114,20 +176,14 @@ impl TcpSoapServer {
             ))
             .into_document(),
         )?;
-        // Faults travel in-band on raw TCP: the envelope itself says so.
         // The scoped handler keeps each connection's request/response
         // buffers AND its decode document alive across messages, so
         // steady-state service does no per-message payload or decode
-        // allocation. Requests carrying a bx:Deadline are honored:
-        // expired ones fault without dispatch, and the reply write is
-        // capped to what's left of the caller's budget.
+        // allocation.
         let inner = builder
             .shed_payload(shed_payload)
             .serve_framed(DecodeScratch::default, move |scratch, request, out, ctl| {
-                let outcome = service.handle_bytes_deadline(scratch, request, out);
-                if let Some(budget) = outcome.reply_budget {
-                    ctl.cap_write(budget);
-                }
+                service.handle(scratch, request, out).cap_write(ctl);
             })?;
         Ok(TcpSoapServer { inner })
     }
@@ -232,22 +288,9 @@ impl HttpSoapServer {
                     reply.respond(transport::HttpResponse::not_found());
                     return;
                 }
-                let outcome = service.handle_bytes_deadline(scratch, body, &mut reply.body);
-                // The caller's remaining deadline bounds the response write.
-                if let Some(budget) = outcome.reply_budget {
-                    ctl.cap_write(budget);
-                }
-                // SOAP 1.1 over HTTP: faults ride in 500 responses; an
-                // expired-on-arrival rejection additionally gets the hint as
-                // a real Retry-After header (the in-band fault detail carries
-                // it for raw TCP, where no such header exists).
-                if outcome.is_fault {
-                    reply.set_status(500, "Internal Server Error");
-                }
-                reply.header("Content-Type", content_type);
-                if let Some(hint) = outcome.retry_after {
-                    reply.header("Retry-After", &hint.as_secs().max(1).to_string());
-                }
+                service
+                    .handle(scratch, body, &mut reply.body)
+                    .write_http(content_type, reply, Some(ctl));
             },
         )?;
         Ok(HttpSoapServer { inner })

@@ -12,15 +12,10 @@ use transport::{Deadline, RetryPolicy};
 use crate::anyengine::WireEncoding;
 use crate::encoding::EncodingPolicy;
 use crate::engine::CallOptions;
-use crate::envelope::{must_understand, DeadlineHeader, SoapEnvelope};
+use crate::envelope::{must_understand, Admitted, DeadlineHeader, Refusal, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::fault::{FaultCode, SoapFault};
 use crate::typed::{FromBxsa, ToBxsa, TypedEncoding, TypedRequest, TypedScratch};
-
-/// The retry hint a node attaches when it rejects a request whose
-/// `bx:Deadline` budget was already spent on arrival: the fixed backoff
-/// suggested to a caller whose own clock has clearly run out.
-pub const EXPIRED_RETRY_AFTER: Duration = Duration::from_secs(1);
 
 /// A service operation: request envelope in, response envelope out.
 pub type ServiceHandler =
@@ -304,28 +299,20 @@ impl DecodeScratch {
     }
 }
 
-/// What a typed operation closure decided about one request.
-enum TypedServe {
-    /// The request matched the typed shape and a response (or fault) was
-    /// encoded into the output buffer; the flag is "response is a fault".
-    Handled(bool),
-    /// The request doesn't fit the typed fast path (foreign headers,
-    /// wrong operation shape) — run the generic tree pipeline instead.
-    Fallback,
-}
-
-/// A type-erased typed-operation servicer: request bytes + optional
-/// deadline outcome in, response bytes out.
-type TypedOp = dyn Fn(&[u8], Option<&mut HandleOutcome>, &mut Vec<u8>) -> TypedServe + Send + Sync;
+/// A type-erased typed-operation servicer: request bytes in, response
+/// bytes and outcome out. `false` means the request doesn't fit the
+/// typed fast path (foreign headers, wrong operation shape) and the
+/// generic tree pipeline must run instead.
+type TypedOp = dyn Fn(&[u8], &mut HandleOutcome, &mut Vec<u8>) -> bool + Send + Sync;
 
 /// A type-erased operation peek: wire bytes in, borrowed operation name
 /// out (`None` when the bytes don't parse far enough to name one).
 type TypedPeek = dyn for<'a> Fn(&'a [u8]) -> Option<&'a str> + Send + Sync;
 
-/// Encode a tree response, never failing (errors degrade to a plain-text
-/// payload rather than a server panic). Returns whether the response is
-/// a fault.
-fn encode_tree_response<E: EncodingPolicy>(
+/// Encode a response or fault envelope, never failing (errors degrade to
+/// a plain-text payload rather than a server panic). Returns whether the
+/// response is a fault. Every SOAP node answers through this.
+pub(crate) fn encode_reply<E: EncodingPolicy>(
     encoding: &E,
     response: SoapEnvelope,
     out: &mut Vec<u8>,
@@ -401,22 +388,15 @@ impl<E: EncodingPolicy> SoapService<E> {
     }
 
     /// Serve `request` through the typed fast path if a typed operation
-    /// matches. `Some(is_fault)` means the response was written to
-    /// `out`; `None` means "take the generic pipeline".
-    fn try_typed(
-        &self,
-        request: &[u8],
-        outcome: Option<&mut HandleOutcome>,
-        out: &mut Vec<u8>,
-    ) -> Option<bool> {
-        if self.typed_ops.is_empty() {
-            return None;
-        }
-        let op = (self.typed_peek.as_ref()?)(request)?;
-        let serve = self.typed_ops.get(op)?;
-        match serve(request, outcome, out) {
-            TypedServe::Handled(is_fault) => Some(is_fault),
-            TypedServe::Fallback => None,
+    /// matches. `true` means the response was written to `out`; `false`
+    /// means "take the generic pipeline".
+    fn try_typed(&self, request: &[u8], outcome: &mut HandleOutcome, out: &mut Vec<u8>) -> bool {
+        let Some(peek) = self.typed_peek.as_ref() else {
+            return false;
+        };
+        match peek(request).and_then(|op| self.typed_ops.get(op)) {
+            Some(serve) => serve(request, outcome, out),
+            None => false,
         }
     }
 
@@ -425,103 +405,40 @@ impl<E: EncodingPolicy> SoapService<E> {
         &self.encoding
     }
 
-    /// Process one encoded request into an encoded response, plus a flag
-    /// for whether the response is a fault (HTTP bindings map faults to
-    /// status 500).
-    pub fn handle_bytes(&self, request: &[u8]) -> (Vec<u8>, bool) {
-        let mut out = Vec::new();
-        let is_fault = self.handle_bytes_into(request, &mut out);
-        (out, is_fault)
-    }
-
-    /// [`handle_bytes`](SoapService::handle_bytes) into a reusable
-    /// response buffer (replaced, capacity kept) — the allocation-free
-    /// encode path for server bindings cycling one buffer per
-    /// connection.
-    pub fn handle_bytes_into(&self, request: &[u8], out: &mut Vec<u8>) -> bool {
-        self.handle_bytes_scratch(&mut DecodeScratch::default(), request, out)
-    }
-
-    /// [`handle_bytes_into`](SoapService::handle_bytes_into) with
-    /// caller-owned decode scratch — the fully reusing path: the request
-    /// is decoded into `scratch`'s document in place, so a server
-    /// keeping one scratch per connection serves same-shape request
-    /// streams without decode-side allocation either.
-    pub fn handle_bytes_scratch(
-        &self,
-        scratch: &mut DecodeScratch,
-        request: &[u8],
-        out: &mut Vec<u8>,
-    ) -> bool {
-        if let Some(is_fault) = self.try_typed(request, None, out) {
-            return is_fault;
-        }
-        let response = scratch
-            .lend(&self.encoding, request, |envelope| {
-                Ok(self.registry.dispatch(envelope))
-            })
-            .unwrap_or_else(|e| fault_envelope(fault_for_error(e)));
-        encode_tree_response(&self.encoding, response, out)
-    }
-
-    /// [`handle_bytes_scratch`](SoapService::handle_bytes_scratch) with
-    /// `bx:Deadline` honoring — the entry point the deadline-aware
-    /// servers use:
+    /// Process one encoded request into an encoded response in `out`
+    /// (replaced, capacity kept) — the one receive path both servers
+    /// run. "Receiving the message is just the reverse procedure" (paper
+    /// §5.1): decode → envelope → dispatch → envelope → encode. It never
+    /// fails: every error becomes an encoded fault envelope.
     ///
-    /// * a request whose budget is already spent is rejected with a
-    ///   `Server` fault carrying a retry hint, **without dispatching**
-    ///   (the caller is gone; running the handler would be pure waste);
-    /// * otherwise the budget restarts as a local clock, and the time
-    ///   left after the handler ran comes back as
-    ///   [`HandleOutcome::reply_budget`] so the transport can cap the
-    ///   reply write to the caller's remaining patience.
-    pub fn handle_bytes_deadline(
+    /// The request is decoded into `scratch`'s document in place, so a
+    /// server keeping one scratch per connection serves same-shape
+    /// request streams without decode-side allocation. A `bx:Deadline`
+    /// header passes the one arrival gate every SOAP node runs: a spent
+    /// budget is refused without dispatching, and otherwise the
+    /// time left after the handler ran comes back as
+    /// [`HandleOutcome::reply_budget`] to cap the reply write.
+    pub fn handle(
         &self,
         scratch: &mut DecodeScratch,
         request: &[u8],
         out: &mut Vec<u8>,
     ) -> HandleOutcome {
         let mut outcome = HandleOutcome::default();
-        if let Some(is_fault) = self.try_typed(request, Some(&mut outcome), out) {
-            outcome.is_fault = is_fault;
+        if self.try_typed(request, &mut outcome, out) {
             return outcome;
         }
         let response = scratch
             .lend(&self.encoding, request, |envelope| {
-                self.dispatch_deadline(envelope, &mut outcome)
+                // A malformed deadline header errors out of `?` into a
+                // Client fault — a budget we failed to read must not be
+                // silently waived.
+                let arrived = DeadlineHeader::from_envelope(envelope)?.map(|h| h.admit());
+                outcome.serve_within(arrived, |_| self.registry.dispatch(envelope))
             })
             .unwrap_or_else(|e| fault_envelope(fault_for_error(e)));
-        outcome.is_fault = encode_tree_response(&self.encoding, response, out);
+        outcome.is_fault = encode_reply(&self.encoding, response, out);
         outcome
-    }
-
-    fn dispatch_deadline(
-        &self,
-        envelope: &SoapEnvelope,
-        outcome: &mut HandleOutcome,
-    ) -> SoapResult<SoapEnvelope> {
-        // A malformed deadline header errors out of `?` into a Client
-        // fault — a budget we failed to read must not be silently waived.
-        let Some(header) = DeadlineHeader::from_envelope(envelope)? else {
-            return Ok(self.registry.dispatch(envelope));
-        };
-        if header.expired() {
-            outcome.retry_after = Some(EXPIRED_RETRY_AFTER);
-            return Ok(fault_envelope(SoapFault::deadline_expired(
-                EXPIRED_RETRY_AFTER,
-            )));
-        }
-        // Relative-budget scheme: the stamped milliseconds restart as a
-        // local clock; whatever the handler leaves bounds the reply.
-        let local = header.start();
-        let response = self.registry.dispatch(envelope);
-        outcome.reply_budget = Some(
-            local
-                .budget()
-                .unwrap_or_default()
-                .saturating_sub(local.elapsed()),
-        );
-        Ok(response)
     }
 }
 
@@ -534,10 +451,10 @@ impl<E: TypedEncoding + Clone + Send + Sync + 'static> SoapService<E> {
     /// pipeline (and from there to a handler registered under the same
     /// name, or a Client fault if none exists).
     ///
-    /// `bx:Deadline` is honored with the same semantics as
-    /// [`handle_bytes_deadline`](SoapService::handle_bytes_deadline):
-    /// expired-on-arrival requests are rejected without running the
-    /// handler, and the remaining budget caps the reply write.
+    /// `bx:Deadline` passes the same arrival gate as on
+    /// [`handle`](SoapService::handle): expired-on-arrival requests are
+    /// rejected without running the handler, and the remaining budget
+    /// caps the reply write.
     pub fn register_typed<Req, Resp, F>(&mut self, name: &str, handler: F)
     where
         Req: FromBxsa + Send + 'static,
@@ -556,10 +473,7 @@ impl<E: TypedEncoding + Clone + Send + Sync + 'static> SoapService<E> {
         // fresh scratch rather than waiting on the lock.
         let scratch: parking_lot::Mutex<(Req, Resp, TypedScratch)> =
             parking_lot::Mutex::new((Req::default(), Resp::default(), TypedScratch::default()));
-        let op = move |request: &[u8],
-                       outcome: Option<&mut HandleOutcome>,
-                       out: &mut Vec<u8>|
-              -> TypedServe {
+        let op = move |request: &[u8], outcome: &mut HandleOutcome, out: &mut Vec<u8>| -> bool {
             let mut fresh;
             let mut guard;
             let (req, resp, ts) = match scratch.try_lock() {
@@ -572,62 +486,33 @@ impl<E: TypedEncoding + Clone + Send + Sync + 'static> SoapService<E> {
                     &mut fresh
                 }
             };
-            let deadline = match enc.decode_typed_request(request, req) {
-                Ok(TypedRequest::Matched { deadline }) => deadline,
-                Ok(TypedRequest::Fallback) => return TypedServe::Fallback,
-                // The operation matched but its payload didn't decode:
-                // that's the sender's bad message, not a shape mismatch
-                // — answer the Client fault here (a typed-only operation
-                // has no tree handler to fall back to, and "unknown
-                // operation" would mislead).
-                Err(e) => {
-                    let is_fault =
-                        encode_tree_response(&enc, fault_envelope(fault_for_error(e)), out);
-                    return TypedServe::Handled(is_fault);
-                }
+            // The operation matched but its payload didn't decode: that's
+            // the sender's bad message, not a shape mismatch — answer the
+            // Client fault here (a typed-only operation has no tree
+            // handler to fall back to, and "unknown operation" would
+            // mislead).
+            let served = match enc.decode_typed_request(request, req) {
+                Ok(TypedRequest::Matched { deadline }) => outcome
+                    .serve_within(deadline.map(|h| h.admit()), |_| {
+                        handler(req, resp).and_then(|()| enc.encode_typed(&*resp, None, ts, out))
+                    })
+                    .and_then(|served| served),
+                Ok(TypedRequest::Fallback) => return false,
+                Err(e) => Err(e),
             };
-            let serve = |req: &Req, resp: &mut Resp, ts: &mut TypedScratch, out: &mut Vec<u8>| {
-                let served = handler(req, resp)
-                    .and_then(|()| enc.encode_typed(&*resp, None, ts, out));
-                match served {
-                    Ok(()) => false,
-                    Err(e) => encode_tree_response(&enc, fault_envelope(fault_for_error(e)), out),
-                }
+            outcome.is_fault = match served {
+                Ok(()) => false,
+                Err(e) => encode_reply(&enc, fault_envelope(fault_for_error(e)), out),
             };
-            let is_fault = match (deadline, outcome) {
-                // Deadline semantics match the generic entry points: the
-                // deadline-blind `handle_bytes` path (outcome `None`)
-                // ignores the header entirely.
-                (Some(header), Some(oc)) => {
-                    if header.expired() {
-                        oc.retry_after = Some(EXPIRED_RETRY_AFTER);
-                        encode_tree_response(
-                            &enc,
-                            fault_envelope(SoapFault::deadline_expired(EXPIRED_RETRY_AFTER)),
-                            out,
-                        )
-                    } else {
-                        let local = header.start();
-                        let is_fault = serve(req, resp, ts, out);
-                        oc.reply_budget = Some(
-                            local
-                                .budget()
-                                .unwrap_or_default()
-                                .saturating_sub(local.elapsed()),
-                        );
-                        is_fault
-                    }
-                }
-                _ => serve(req, resp, ts, out),
-            };
-            TypedServe::Handled(is_fault)
+            true
         };
         self.typed_ops.insert(name.to_owned(), Box::new(op));
     }
 }
 
-/// What [`SoapService::handle_bytes_deadline`] decided, beyond the
-/// response bytes themselves.
+/// What [`SoapService::handle`] (or a relay) decided, beyond the
+/// response bytes themselves: everything a transport needs to put the
+/// answer on the wire.
 #[derive(Debug, Default)]
 pub struct HandleOutcome {
     /// The response is a fault (HTTP bindings map this to status 500).
@@ -640,6 +525,27 @@ pub struct HandleOutcome {
     /// Retry hint for expired-on-arrival rejections, for transports with
     /// an out-of-band place to put it (HTTP `Retry-After`).
     pub retry_after: Option<Duration>,
+}
+
+impl HandleOutcome {
+    /// Run `serve` behind a request's `bx:Deadline` arrival decision
+    /// (`None` when the request carried no header), recording what the
+    /// transport needs: a refusal's retry hint, or the reply budget left
+    /// once `serve` returns. A refusal comes back as its fault, and
+    /// `serve` never runs.
+    pub(crate) fn serve_within<R>(
+        &mut self,
+        arrived: Option<Result<Admitted, Refusal>>,
+        serve: impl FnOnce(Option<&Admitted>) -> R,
+    ) -> SoapResult<R> {
+        let admitted = arrived.transpose().map_err(|refusal| {
+            self.retry_after = refusal.retry_after;
+            SoapError::Fault(refusal.fault)
+        })?;
+        let served = serve(admitted.as_ref());
+        self.reply_budget = admitted.map(|a| a.remaining());
+        Ok(served)
+    }
 }
 
 #[cfg(test)]
@@ -669,6 +575,14 @@ mod tests {
 
     fn env(op: &str) -> SoapEnvelope {
         SoapEnvelope::with_body(Element::component(op))
+    }
+
+    /// One request through [`SoapService::handle`] on fresh scratch:
+    /// the reply bytes and whether they are a fault.
+    fn handle_once<E: EncodingPolicy>(service: &SoapService<E>, request: &[u8]) -> (Vec<u8>, bool) {
+        let mut out = Vec::new();
+        let outcome = service.handle(&mut DecodeScratch::default(), request, &mut out);
+        (out, outcome.is_fault)
     }
 
     #[test]
@@ -724,7 +638,7 @@ mod tests {
         let req_bytes = XmlEncoding::default()
             .encode(&env("Echo").into_document())
             .unwrap();
-        let (resp_bytes, is_fault) = service.handle_bytes(&req_bytes);
+        let (resp_bytes, is_fault) = handle_once(&service, &req_bytes);
         assert!(!is_fault);
         let doc = XmlEncoding::default().decode(&resp_bytes).unwrap();
         let resp = SoapEnvelope::from_document(&doc).unwrap();
@@ -734,7 +648,7 @@ mod tests {
     #[test]
     fn service_turns_garbage_into_fault_bytes() {
         let service = SoapService::new(XmlEncoding::default(), echo_registry());
-        let (resp_bytes, is_fault) = service.handle_bytes(b"<<<not xml");
+        let (resp_bytes, is_fault) = handle_once(&service, b"<<<not xml");
         assert!(is_fault);
         let doc = XmlEncoding::default().decode(&resp_bytes).unwrap();
         assert!(SoapEnvelope::from_document(&doc).unwrap().is_fault());
@@ -824,6 +738,7 @@ mod tests {
     mod typed_dispatch {
         use super::*;
         use crate::encoding::BxsaEncoding;
+        use crate::envelope::EXPIRED_RETRY_AFTER;
         use crate::typed::probe::{probe, tree_envelope, Probe};
         use crate::typed::{TypedDecode, TypedEncoding, TypedScratch};
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -855,7 +770,7 @@ mod tests {
         fn typed_operation_is_served_end_to_end() {
             let service = typed_service();
             let request = typed_request(&probe(4), None);
-            let (reply, is_fault) = service.handle_bytes(&request);
+            let (reply, is_fault) = handle_once(&service, &request);
             assert!(!is_fault);
             let mut back = Probe::default();
             let decode = BxsaEncoding::default()
@@ -879,7 +794,7 @@ mod tests {
             let request = BxsaEncoding::default()
                 .encode(&envelope.into_document())
                 .unwrap();
-            let (reply, is_fault) = service.handle_bytes(&request);
+            let (reply, is_fault) = handle_once(&service, &request);
             assert!(is_fault);
             let doc = BxsaEncoding::default().decode(&reply).unwrap();
             let fault = SoapEnvelope::from_document(&doc)
@@ -901,7 +816,7 @@ mod tests {
             let request = BxsaEncoding::default()
                 .encode(&envelope.into_document())
                 .unwrap();
-            let (reply, is_fault) = service.handle_bytes(&request);
+            let (reply, is_fault) = handle_once(&service, &request);
             assert!(is_fault);
             let doc = BxsaEncoding::default().decode(&reply).unwrap();
             let fault = SoapEnvelope::from_document(&doc)
@@ -922,8 +837,7 @@ mod tests {
             });
             let request = typed_request(&probe(1), Some(DeadlineHeader::new(0, 8)));
             let mut out = Vec::new();
-            let outcome =
-                service.handle_bytes_deadline(&mut DecodeScratch::default(), &request, &mut out);
+            let outcome = service.handle(&mut DecodeScratch::default(), &request, &mut out);
             assert!(outcome.is_fault);
             assert_eq!(outcome.retry_after, Some(EXPIRED_RETRY_AFTER));
             assert!(!RAN.load(Ordering::SeqCst), "expired requests must not dispatch");
@@ -934,8 +848,7 @@ mod tests {
             let service = typed_service();
             let request = typed_request(&probe(3), Some(DeadlineHeader::new(5_000, 8)));
             let mut out = Vec::new();
-            let outcome =
-                service.handle_bytes_deadline(&mut DecodeScratch::default(), &request, &mut out);
+            let outcome = service.handle(&mut DecodeScratch::default(), &request, &mut out);
             assert!(!outcome.is_fault);
             let budget = outcome.reply_budget.expect("deadline ⇒ reply budget");
             assert!(budget > Duration::from_secs(4), "budget {budget:?}");

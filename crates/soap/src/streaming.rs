@@ -30,15 +30,15 @@
 use std::sync::Arc;
 
 use bxdm::{Document, Element, Node};
-use transport::{StreamReply as WireReply, TransportError};
+use transport::{HttpResponse, StreamReply as WireReply, TransportError};
 
 use crate::binding::HttpBinding;
 use crate::encoding::{BxsaEncoding, EncodingPolicy, XmlEncoding};
 use crate::envelope::{DeadlineHeader, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
-use crate::fault::SoapFault;
+use crate::fault::{FaultCode, SoapFault};
 use crate::metrics;
-use crate::service::{fault_envelope, fault_for_error, SoapService, EXPIRED_RETRY_AFTER};
+use crate::service::{encode_reply, fault_envelope, fault_for_error, HandleOutcome, SoapService};
 
 /// Hard cap on one encoded part, mirrored from the transport's
 /// per-chunk cap: the streaming window both sides size their buffers
@@ -299,6 +299,25 @@ pub(crate) fn wire_err(e: SoapError) -> TransportError {
     }
 }
 
+/// A streamed exchange's buffered answer: `body` (a fault, or a relayed
+/// buffered reply) put on the wire through the one outcome-to-HTTP
+/// mapping, [`HandleOutcome::write_http`]. The streaming session API has
+/// no write cap, so none is applied.
+pub(crate) fn buffered_reply(
+    outcome: &HandleOutcome,
+    content_type: &str,
+    body: Vec<u8>,
+) -> WireReply {
+    let mut reply = HttpResponse {
+        status: 200,
+        reason: "OK".into(),
+        headers: Vec::new(),
+        body,
+    };
+    outcome.write_http(content_type, &mut reply, None);
+    WireReply::Buffered(reply)
+}
+
 /// Where one server-side streamed exchange stands.
 enum SessionState {
     /// Nothing received yet; the first part must be the manifest.
@@ -317,6 +336,8 @@ enum SessionState {
 pub(crate) struct ServiceStreamSession<E: EncodingPolicy> {
     service: Arc<SoapService<E>>,
     state: SessionState,
+    /// What the buffered fault reply, if any, puts on the wire.
+    outcome: HandleOutcome,
     scratch: PartScratch,
     /// Manifest decode target (reused if keep-alive ever reuses us —
     /// it doesn't today, but the discipline is free).
@@ -333,6 +354,7 @@ impl<E: EncodingPolicy> ServiceStreamSession<E> {
         ServiceStreamSession {
             service,
             state: SessionState::AwaitManifest,
+            outcome: HandleOutcome::default(),
             scratch: PartScratch::default(),
             doc: Document::new(),
             reply_manifest: Vec::new(),
@@ -341,19 +363,10 @@ impl<E: EncodingPolicy> ServiceStreamSession<E> {
         }
     }
 
-    /// Pre-encode the fault this exchange will answer with.
-    fn fault(&mut self, fault: SoapFault) {
+    /// Pre-encode the fault envelope this exchange will answer with.
+    fn fault(&mut self, envelope: SoapEnvelope) {
         let mut out = Vec::new();
-        let envelope = fault_envelope(fault);
-        if self
-            .service
-            .encoding()
-            .encode_into(&envelope.into_document(), &mut out)
-            .is_err()
-        {
-            out.clear();
-            out.extend_from_slice(b"fault encoding failed");
-        }
+        self.outcome.is_fault = encode_reply(self.service.encoding(), envelope, &mut out);
         self.state = SessionState::Faulted(out);
     }
 
@@ -363,13 +376,8 @@ impl<E: EncodingPolicy> ServiceStreamSession<E> {
             let envelope = SoapEnvelope::take_from(&mut self.doc)?;
             // Honor the caller's deadline at the gate: a budget already
             // spent on arrival is refused before any part is processed.
-            if let Some(h) = DeadlineHeader::from_envelope(&envelope)? {
-                if h.expired() {
-                    return Err(SoapError::Fault(SoapFault::deadline_expired(
-                        EXPIRED_RETRY_AFTER,
-                    )));
-                }
-            }
+            let arrived = DeadlineHeader::from_envelope(&envelope)?.map(|h| h.admit());
+            self.outcome.serve_within(arrived, |_| ())?;
             let op_name = envelope
                 .operation()
                 .ok_or_else(|| SoapError::Protocol("streamed manifest has an empty body".into()))?;
@@ -383,7 +391,7 @@ impl<E: EncodingPolicy> ServiceStreamSession<E> {
         })();
         match dispatched {
             Ok(op) => self.state = SessionState::Streaming(op),
-            Err(e) => self.fault(fault_for_error(e)),
+            Err(e) => self.fault(fault_envelope(fault_for_error(e))),
         }
     }
 }
@@ -407,7 +415,7 @@ impl<E: StreamEncoding + Send + Sync + 'static> transport::StreamSession
                     .decode_part(part, &mut self.scratch)
                     .and_then(|elem| op.on_part(elem));
                 if let Err(e) = fed {
-                    self.fault(fault_for_error(e));
+                    self.fault(fault_envelope(fault_for_error(e)));
                 }
             }
             // Already doomed: drain the remaining parts quietly; the
@@ -421,49 +429,33 @@ impl<E: StreamEncoding + Send + Sync + 'static> transport::StreamSession
         let content_type = self.service.encoding().content_type();
         match &mut self.state {
             SessionState::AwaitManifest => {
-                self.fault(SoapFault::new(
-                    crate::fault::FaultCode::Client,
+                self.fault(fault_envelope(SoapFault::new(
+                    FaultCode::Client,
                     "streamed request ended before its manifest",
-                ));
+                )));
                 self.finish()
             }
-            SessionState::Streaming(op) => {
-                match op.finish() {
-                    Ok(envelope) if envelope.is_fault() => {
-                        let mut out = Vec::new();
-                        let is_err = self
-                            .service
-                            .encoding()
-                            .encode_into(&envelope.into_document(), &mut out);
-                        if is_err.is_err() {
-                            out.clear();
-                        }
-                        Ok(WireReply::Buffered(
-                            transport::HttpResponse::server_error(out)
-                                .with_header("Content-Type", content_type),
-                        ))
-                    }
-                    Ok(envelope) => {
-                        self.service
-                            .encoding()
-                            .encode_into(&envelope.into_document(), &mut self.reply_manifest)
-                            .map_err(wire_err)?;
-                        self.manifest_sent = false;
-                        Ok(WireReply::Streamed(transport::HttpResponse::ok(
-                            content_type,
-                            Vec::new(),
-                        )))
-                    }
-                    Err(e) => {
-                        self.fault(fault_for_error(e));
-                        self.finish()
-                    }
+            SessionState::Streaming(op) => match op.finish() {
+                Ok(envelope) if envelope.is_fault() => {
+                    self.fault(envelope);
+                    self.finish()
                 }
+                Ok(envelope) => {
+                    self.service
+                        .encoding()
+                        .encode_into(&envelope.into_document(), &mut self.reply_manifest)
+                        .map_err(wire_err)?;
+                    self.manifest_sent = false;
+                    Ok(WireReply::Streamed(HttpResponse::ok(content_type, Vec::new())))
+                }
+                Err(e) => {
+                    self.fault(fault_envelope(fault_for_error(e)));
+                    self.finish()
+                }
+            },
+            SessionState::Faulted(bytes) => {
+                Ok(buffered_reply(&self.outcome, content_type, std::mem::take(bytes)))
             }
-            SessionState::Faulted(bytes) => Ok(WireReply::Buffered(
-                transport::HttpResponse::server_error(std::mem::take(bytes))
-                    .with_header("Content-Type", content_type),
-            )),
         }
     }
 

@@ -221,6 +221,42 @@ for f in crates/xmltext/src/*.rs; do
     fi
 done
 
+# One receive path: every SOAP node answers a `bx:Deadline` through one
+# arrival gate, DeadlineHeader::admit in crates/soap/src/envelope.rs
+# (admit_relay adds the hop check on top of it), so endpoints, typed
+# operations, streamed manifests and relays cannot drift apart again.
+# Outside that function, non-test soap code may not test `.expired()`
+# or build a `deadline_expired(` fault. And SoapService::handle is the
+# service's one byte entry point: no non-test code in the workspace may
+# name the deleted handle_bytes* forks. Test modules are exempt.
+read -r gate_from gate_to < <(awk '/fn admit\(/{from=FNR} from && !to && /^    }$/{to=FNR} END{print from+0, to+0}' \
+    crates/soap/src/envelope.rs)
+gate_hits=$(for f in crates/soap/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ":" $0}' "$f" \
+        | grep -E '\.expired\(\)|deadline_expired\(' | grep -v 'pub fn deadline_expired(' || true
+done)
+stray_gates=$(while IFS=: read -r file line _; do
+    [ -z "$file" ] && continue
+    if [ "$file" != crates/soap/src/envelope.rs ] || [ "$line" -lt "$gate_from" ] \
+       || [ "$line" -gt "$gate_to" ]; then
+        echo "$file:$line"
+    fi
+done <<<"$gate_hits")
+if [ "$gate_from" -eq 0 ] || [ -n "$stray_gates" ] \
+   || ! grep -q '\.expired()' <<<"$gate_hits" || ! grep -q 'deadline_expired(' <<<"$gate_hits"; then
+    echo "$stray_gates" >&2
+    echo "soap: the bx:Deadline arrival decision belongs in DeadlineHeader::admit (envelope.rs) alone" >&2
+    exit 1
+fi
+entry_hits=$(git ls-files '*.rs' | grep -vE '(^|/)tests/' | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -n 'handle_bytes' | sed "s|^|$f:|" || true
+done)
+if [ -n "$entry_hits" ]; then
+    echo "$entry_hits" >&2
+    echo "soap: SoapService::handle is the one byte entry point; handle_bytes* is gone" >&2
+    exit 1
+fi
+
 # Streaming job (PR 9): the end-to-end streamed lane stays live and
 # constant-memory. The e2e tests drive a >=8x-window payload
 # client -> transcoding intermediary -> server and back; the chunked

@@ -519,27 +519,27 @@ mod tests {
         let expired = wire(expired_env);
 
         let serve_bulk = |scratch: &mut DecodeScratch, out: &mut Vec<u8>| {
-            assert!(!service.handle_bytes_scratch(scratch, &bulk, out));
+            assert!(!service.handle(scratch, &bulk, out).is_fault);
             assert_eq!(verified(&reply(out)), (true, 100_000));
         };
         serve_bulk(&mut scratch, &mut out);
 
-        assert!(!service.handle_bytes_scratch(&mut scratch, &small, &mut out));
+        assert!(!service.handle(&mut scratch, &small, &mut out).is_fault);
         assert_eq!(verified(&reply(&out)), (false, 10));
         serve_bulk(&mut scratch, &mut out);
 
-        assert!(service.handle_bytes_scratch(&mut scratch, &unknown, &mut out));
+        assert!(service.handle(&mut scratch, &unknown, &mut out).is_fault);
         let fault = reply(&out).as_fault().expect("unknown operation faults");
         assert_eq!(fault.code, FaultCode::Client);
         assert!(fault.string.contains("Nope"), "{}", fault.string);
         serve_bulk(&mut scratch, &mut out);
 
-        assert!(service.handle_bytes_scratch(&mut scratch, &mystery, &mut out));
+        assert!(service.handle(&mut scratch, &mystery, &mut out).is_fault);
         let fault = reply(&out).as_fault().expect("mustUnderstand faults");
         assert_eq!(fault.code, FaultCode::MustUnderstand);
         serve_bulk(&mut scratch, &mut out);
 
-        let outcome = service.handle_bytes_deadline(&mut scratch, &expired, &mut out);
+        let outcome = service.handle(&mut scratch, &expired, &mut out);
         assert!(outcome.is_fault);
         assert_eq!(outcome.retry_after, Some(soap::EXPIRED_RETRY_AFTER));
         let fault = reply(&out).as_fault().expect("expired deadline faults");
@@ -588,7 +588,10 @@ mod tests {
             &mut request,
         )
         .unwrap();
-        let (reply, is_fault) = service.handle_bytes(&request);
+        let mut reply = Vec::new();
+        let is_fault = service
+            .handle(&mut soap::DecodeScratch::default(), &request, &mut reply)
+            .is_fault;
         assert!(!is_fault);
         let mut response = VerifyResponse::default();
         assert_eq!(
@@ -614,7 +617,10 @@ mod tests {
             &mut request,
         )
         .unwrap();
-        let (reply, is_fault) = service.handle_bytes(&request);
+        let mut reply = Vec::new();
+        let is_fault = service
+            .handle(&mut soap::DecodeScratch::default(), &request, &mut reply)
+            .is_fault;
         assert!(!is_fault);
         enc.decode_typed_reply(&reply, &mut response).unwrap();
         assert!(!response.ok);

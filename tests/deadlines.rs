@@ -13,10 +13,11 @@ use std::time::{Duration, Instant};
 use bxdm::{AtomicValue, Element};
 use soap::{
     BreakerConfig, BreakerHandle, BreakerState, BxsaEncoding, CallOptions, DeadlineHeader,
-    EncodingPolicy, HttpBinding, HttpSoapServer, Intermediary, ServiceRegistry, SoapEngine,
-    SoapEnvelope, SoapError, TcpBinding, TcpSoapServer, XmlEncoding, EXPIRED_RETRY_AFTER,
+    EncodingPolicy, FaultCode, HttpBinding, HttpSoapServer, Intermediary, ServiceRegistry,
+    SoapEngine, SoapEnvelope, SoapError, SoapFault, SoapResult, SoapService, StreamOp,
+    TcpBinding, TcpSoapServer, XmlEncoding, EXPIRED_RETRY_AFTER,
 };
-use transport::{TcpServerConfig, Timeouts};
+use transport::{HttpConnection, HttpRequest, HttpResponse, TcpServerConfig, Timeouts};
 
 /// A service whose single operation parks the worker for `nap`, counting
 /// executions — ground truth for both "did the handler run at all" and
@@ -49,6 +50,62 @@ fn echo_deadline_registry() -> Arc<ServiceRegistry> {
 
 fn slow_request() -> SoapEnvelope {
     SoapEnvelope::with_body(Element::component("Slow"))
+}
+
+/// A `Slow` request stamped with a hand-made `bx:Deadline`.
+fn stamped(budget_millis: u64, hops: u32) -> SoapEnvelope {
+    let mut request = slow_request();
+    DeadlineHeader::new(budget_millis, hops).stamp(&mut request);
+    request
+}
+
+const XML: &str = "text/xml; charset=utf-8";
+
+/// POST one envelope as a plain (buffered) XML request.
+fn post_xml(addr: &str, envelope: &SoapEnvelope) -> HttpResponse {
+    let body = XmlEncoding::default().encode(&envelope.to_document()).unwrap();
+    transport::send_request(addr, &HttpRequest::post("/soap", XML, body)).unwrap()
+}
+
+/// Send one envelope as a streamed XML request: the envelope is the
+/// manifest, with no payload parts after it.
+fn stream_xml(addr: &str, envelope: &SoapEnvelope) -> HttpResponse {
+    let manifest = XmlEncoding::default().encode(&envelope.to_document()).unwrap();
+    let mut conn = HttpConnection::new(addr);
+    conn.stream_begin(&HttpRequest::post("/soap", XML, Vec::new()))
+        .unwrap();
+    conn.stream_send_part(&manifest).unwrap();
+    conn.stream_finish_send().unwrap();
+    let mut response = HttpResponse::empty();
+    let streamed = conn.stream_read_head(&mut response).unwrap();
+    assert!(!streamed, "a refused request is answered buffered");
+    response
+}
+
+/// The SOAP fault an HTTP response body carries.
+fn fault_of(response: &HttpResponse) -> SoapFault {
+    let doc = XmlEncoding::default().decode(&response.body).unwrap();
+    SoapEnvelope::from_document(&doc)
+        .unwrap()
+        .as_fault()
+        .expect("response body is a fault")
+}
+
+/// An XML HTTP endpoint serving `registry`, and an XML-to-XML
+/// `bind_http_streaming` relay in front of it.
+fn http_endpoint_and_relay(registry: Arc<ServiceRegistry>) -> (HttpSoapServer, Intermediary) {
+    let server =
+        HttpSoapServer::bind("127.0.0.1:0", "/soap", XmlEncoding::default(), registry).unwrap();
+    let relay = Intermediary::bind_http_streaming(
+        "127.0.0.1:0",
+        "/soap",
+        XmlEncoding::default(),
+        XmlEncoding::default(),
+        &server.local_addr().to_string(),
+        "/soap",
+    )
+    .unwrap();
+    (server, relay)
 }
 
 #[test]
@@ -249,6 +306,151 @@ fn intermediary_decrements_hops_and_forwards_remaining_budget() {
         }
         other => panic!("expected deadline-expired fault, got {other:?}"),
     }
+
+    relay.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn buffered_http_relay_answers_faults_with_500_like_the_endpoint() {
+    let hits = Arc::new(AtomicU32::new(0));
+    let (server, relay) =
+        http_endpoint_and_relay(slow_registry(Duration::ZERO, Arc::clone(&hits)));
+    let server_addr = server.local_addr().to_string();
+    let relay_addr = relay.local_addr().to_string();
+
+    // Expired on arrival: the same 500 and Retry-After from both nodes.
+    for addr in [&server_addr, &relay_addr] {
+        let resp = post_xml(addr, &stamped(0, 4));
+        assert_eq!(resp.status, 500, "expired at {addr}");
+        assert_eq!(resp.header("Retry-After"), Some("1"), "expired at {addr}");
+        assert_eq!(fault_of(&resp).retry_after(), Some(EXPIRED_RETRY_AFTER));
+    }
+    assert_eq!(hits.load(Ordering::SeqCst), 0, "expired requests must not dispatch");
+
+    // Hops exhausted: the endpoint serves it (hops bound forwarding,
+    // not service); the relay refuses to forward it.
+    let resp = post_xml(&server_addr, &stamped(5_000, 0));
+    assert_eq!(resp.status, 200);
+    assert_eq!(hits.load(Ordering::SeqCst), 1, "the endpoint dispatches hops = 0");
+    let resp = post_xml(&relay_addr, &stamped(5_000, 0));
+    assert_eq!(resp.status, 500);
+    assert_eq!(resp.header("Retry-After"), None);
+    let fault = fault_of(&resp);
+    assert_eq!(fault.code, FaultCode::Client);
+    assert!(fault.string.contains("hop"), "{}", fault.string);
+    assert_eq!(hits.load(Ordering::SeqCst), 1, "the relay must not forward hops = 0");
+
+    // An upstream fault keeps its 500 across the relay.
+    let unknown = SoapEnvelope::with_body(Element::component("Nope"));
+    for addr in [&server_addr, &relay_addr] {
+        let resp = post_xml(addr, &unknown);
+        assert_eq!(resp.status, 500, "unknown operation at {addr}");
+        assert_eq!(fault_of(&resp).code, FaultCode::Client);
+    }
+
+    relay.shutdown();
+    server.shutdown();
+}
+
+/// Streaming op that counts how many exchanges it was started for.
+struct CountingOp(Arc<AtomicU32>);
+
+impl StreamOp for CountingOp {
+    fn start(&mut self, _manifest: &SoapEnvelope) -> SoapResult<()> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn on_part(&mut self, _part: &Element) -> SoapResult<()> {
+        Ok(())
+    }
+
+    fn finish(&mut self) -> SoapResult<SoapEnvelope> {
+        Ok(SoapEnvelope::with_body(Element::component("SlowResponse")))
+    }
+
+    fn next_part(&mut self, _slot: &mut Element) -> SoapResult<bool> {
+        Ok(false)
+    }
+}
+
+#[test]
+fn streamed_requests_pass_the_same_arrival_gate() {
+    let starts = Arc::new(AtomicU32::new(0));
+    let mut service = SoapService::new(XmlEncoding::default(), Arc::new(ServiceRegistry::new()));
+    let op_starts = Arc::clone(&starts);
+    service.register_streaming("Slow", move || Box::new(CountingOp(Arc::clone(&op_starts))));
+    let server = HttpSoapServer::bind_service_with(
+        "127.0.0.1:0",
+        "/soap",
+        transport::HttpServerConfig::default(),
+        service,
+    )
+    .unwrap();
+    let relay = Intermediary::bind_http_streaming(
+        "127.0.0.1:0",
+        "/soap",
+        XmlEncoding::default(),
+        XmlEncoding::default(),
+        &server.local_addr().to_string(),
+        "/soap",
+    )
+    .unwrap();
+    let server_addr = server.local_addr().to_string();
+    let relay_addr = relay.local_addr().to_string();
+
+    // A manifest that arrives expired: 500 with the retry hint as a
+    // real header, at the endpoint and at the relay alike.
+    for addr in [&server_addr, &relay_addr] {
+        let resp = stream_xml(addr, &stamped(0, 4));
+        assert_eq!(resp.status, 500, "expired manifest at {addr}");
+        assert_eq!(resp.header("Retry-After"), Some("1"), "expired manifest at {addr}");
+        assert_eq!(fault_of(&resp).retry_after(), Some(EXPIRED_RETRY_AFTER));
+    }
+    assert_eq!(starts.load(Ordering::SeqCst), 0, "expired manifests must not dispatch");
+
+    // A manifest with no hops left is refused at the relay and never
+    // reaches the upstream operation.
+    let resp = stream_xml(&relay_addr, &stamped(5_000, 0));
+    assert_eq!(resp.status, 500);
+    let fault = fault_of(&resp);
+    assert_eq!(fault.code, FaultCode::Client);
+    assert!(fault.string.contains("hop"), "{}", fault.string);
+    assert_eq!(starts.load(Ordering::SeqCst), 0, "the relay must not forward hops = 0");
+
+    relay.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn tcp_relay_refuses_exhausted_hops_without_reaching_upstream() {
+    let hits = Arc::new(AtomicU32::new(0));
+    let server = TcpSoapServer::bind(
+        "127.0.0.1:0",
+        XmlEncoding::default(),
+        slow_registry(Duration::ZERO, Arc::clone(&hits)),
+    )
+    .unwrap();
+    let relay = Intermediary::bind_tcp(
+        "127.0.0.1:0",
+        BxsaEncoding::default(),
+        XmlEncoding::default(),
+        TcpBinding::new(&server.local_addr().to_string()),
+    )
+    .unwrap();
+    let mut engine = SoapEngine::new(
+        BxsaEncoding::default(),
+        TcpBinding::new(&relay.local_addr().to_string()),
+    );
+    match engine.call_with(stamped(5_000, 0), &CallOptions::new()) {
+        Err(SoapError::Fault(f)) => {
+            assert_eq!(f.code, FaultCode::Client);
+            assert!(f.string.contains("hop"), "{}", f.string);
+        }
+        other => panic!("expected hop-exhaustion fault, got {other:?}"),
+    }
+    assert_eq!(hits.load(Ordering::SeqCst), 0, "the relay must not forward hops = 0");
 
     relay.shutdown();
     server.shutdown();

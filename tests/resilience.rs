@@ -317,8 +317,8 @@ fn retry_honors_503_with_retry_after_from_live_http_server() {
     let busy_until = AtomicU32::new(2);
     let server = transport::ServerBuilder::bind("127.0.0.1:0")
         .serve_http(
-            || (),
-            move |(), _head, body, reply, _ctl| {
+            soap::DecodeScratch::default,
+            move |scratch, _head, body, reply, _ctl| {
                 if busy_until
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                     .is_ok()
@@ -331,11 +331,12 @@ fn retry_honors_503_with_retry_after_from_live_http_server() {
                     });
                     return;
                 }
-                let (body, is_fault) = service.handle_bytes(body);
+                let mut out = Vec::new();
+                let is_fault = service.handle(scratch, body, &mut out).is_fault;
                 reply.respond(if is_fault {
-                    transport::HttpResponse::server_error(body)
+                    transport::HttpResponse::server_error(out)
                 } else {
-                    transport::HttpResponse::ok("text/xml", body)
+                    transport::HttpResponse::ok("text/xml", out)
                 });
             },
         )
@@ -419,8 +420,8 @@ fn retry_after_hint_stretches_the_backoff_sleep() {
     let busy = AtomicU32::new(1);
     let server = transport::ServerBuilder::bind("127.0.0.1:0")
         .serve_http(
-            || (),
-            move |(), _head, body, reply, _ctl| {
+            soap::DecodeScratch::default,
+            move |scratch, _head, body, reply, _ctl| {
                 if busy
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                     .is_ok()
@@ -433,11 +434,12 @@ fn retry_after_hint_stretches_the_backoff_sleep() {
                     });
                     return;
                 }
-                let (body, is_fault) = service.handle_bytes(body);
+                let mut out = Vec::new();
+                let is_fault = service.handle(scratch, body, &mut out).is_fault;
                 reply.respond(if is_fault {
-                    transport::HttpResponse::server_error(body)
+                    transport::HttpResponse::server_error(out)
                 } else {
-                    transport::HttpResponse::ok("text/xml", body)
+                    transport::HttpResponse::ok("text/xml", out)
                 });
             },
         )

@@ -108,8 +108,9 @@ proptest! {
         let mut registry = soap::ServiceRegistry::new();
         bxsoap::register_verify(&mut registry);
         let service = soap::SoapService::new(soap::BxsaEncoding::default(), Arc::new(registry));
-        let (reply, is_fault) = service.handle_bytes(&bytes);
-        prop_assert!(is_fault);
+        let mut reply = Vec::new();
+        let outcome = service.handle(&mut soap::DecodeScratch::default(), &bytes, &mut reply);
+        prop_assert!(outcome.is_fault);
         prop_assert!(!reply.is_empty());
     }
 }
