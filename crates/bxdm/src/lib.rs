@@ -34,6 +34,8 @@
 //! assert_eq!(doc.find_child("values").unwrap().as_f64_array().unwrap(), &[1.0, 2.5, -3.0]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod name;
 pub mod namespace;

@@ -2,14 +2,16 @@
 //! the shared `frame::Out` frame writer. Open frames live on the
 //! recursion stack and namespace references resolve through a
 //! [`ScopeChain`] on that stack, so encoding allocates nothing beyond the
-//! output buffer.
+//! output buffer. The same walk serves [`encode_into_with`], which copies
+//! every array, and [`encode_parts_into`], which may leave large arrays
+//! in the document for a gather write.
 
 use bxdm::{ArrayValue, Content, Document, Element, Node, ScopeChain};
 use xbs::{ByteOrder, XbsWriter};
 
 use crate::error::BxsaResult;
 use crate::estimate::{body_bound, document_body_bound, element_body_bound};
-use crate::frame::{FrameType, Out};
+use crate::frame::{FrameType, Out, Refs, MAX_REFS};
 
 /// Encoding options.
 #[derive(Debug, Clone, Default)]
@@ -51,15 +53,60 @@ pub fn encode_into(doc: &Document, buf: &mut Vec<u8>) -> BxsaResult<()> {
 
 /// Encode a document into a caller-provided buffer with explicit options.
 pub fn encode_into_with(doc: &Document, opts: &EncodeOptions, buf: &mut Vec<u8>) -> BxsaResult<()> {
-    encode_frame(opts, buf, |out| {
-        let frame = out.open(FrameType::Document, document_body_bound(&doc.children));
-        out.0.put_vls(doc.children.len() as u64);
-        for child in &doc.children {
-            write_node(out, child, None)?;
-        }
-        out.close(frame);
-        Ok(())
-    })
+    encode_frame(opts, buf, |out| write_document(out, doc, None))
+}
+
+/// [`encode_into_with`] for a gather write: large arrays stay in `doc`
+/// instead of being copied into `buf`.
+///
+/// `buf` (cleared, capacity kept) receives the bytes around the arrays
+/// left in place, and `parts` the slices to send, in order: pieces of
+/// `buf` and, between them, the arrays' payload bytes borrowed from
+/// `doc`. Returns how many leading slots of `parts` that filled; their
+/// concatenation is exactly what [`encode_into_with`] writes.
+///
+/// An array stays in place when its payload is at least 4 KiB, the byte
+/// order is the machine's own (only then are its memory bytes its wire
+/// bytes) and no checksum is asked for (the checksum covers every
+/// byte); at most [`MAX_REFS`] arrays, and at most
+/// `(parts.len() - 1) / 2`, stay in place, and later ones are copied.
+///
+/// # Panics
+/// Panics if `parts` is empty.
+pub fn encode_parts_into<'d>(
+    doc: &'d Document,
+    opts: &EncodeOptions,
+    buf: &'d mut Vec<u8>,
+    parts: &mut [&'d [u8]],
+) -> BxsaResult<usize> {
+    assert!(
+        !parts.is_empty(),
+        "encode_parts_into needs a slot for the head"
+    );
+    let cap = if opts.checksum {
+        0
+    } else {
+        MAX_REFS.min((parts.len() - 1) / 2)
+    };
+    let mut refs = Refs::new(cap);
+    encode_frame(opts, buf, |out| write_document(out, doc, Some(&mut refs)))?;
+    let head: &'d [u8] = buf;
+    Ok(refs.interleave(head, parts))
+}
+
+/// The document frame: child count, then each child.
+fn write_document<'d>(
+    out: &mut Out,
+    doc: &'d Document,
+    mut refs: Option<&mut Refs<'d>>,
+) -> BxsaResult<()> {
+    let frame = out.open(FrameType::Document, document_body_bound(&doc.children));
+    out.0.put_vls(doc.children.len() as u64);
+    for child in &doc.children {
+        write_node(out, child, None, refs.as_deref_mut())?;
+    }
+    out.close(frame);
+    Ok(())
 }
 
 /// Encode a single element as a standalone frame sequence (no document
@@ -77,7 +124,7 @@ pub fn encode_element_into(
     opts: &EncodeOptions,
     buf: &mut Vec<u8>,
 ) -> BxsaResult<()> {
-    encode_frame(opts, buf, |out| write_element(out, element, None))
+    encode_frame(opts, buf, |out| write_element(out, element, None, None))
 }
 
 /// Write one top-level frame with `write` into `buf` (cleared, capacity
@@ -100,9 +147,14 @@ fn encode_frame(
     result
 }
 
-fn write_node(out: &mut Out, node: &Node, parent: Option<&ScopeChain<'_>>) -> BxsaResult<()> {
+fn write_node<'d>(
+    out: &mut Out,
+    node: &'d Node,
+    parent: Option<&ScopeChain<'_>>,
+    refs: Option<&mut Refs<'d>>,
+) -> BxsaResult<()> {
     let (kind, first, second) = match node {
-        Node::Element(e) => return write_element(out, e, parent),
+        Node::Element(e) => return write_element(out, e, parent, refs),
         Node::Text(t) => (FrameType::CharData, t, None),
         Node::Comment(c) => {
             crate::wellformed::check_comment(c)?;
@@ -122,7 +174,12 @@ fn write_node(out: &mut Out, node: &Node, parent: Option<&ScopeChain<'_>>) -> Bx
     Ok(())
 }
 
-fn write_element(out: &mut Out, e: &Element, parent: Option<&ScopeChain<'_>>) -> BxsaResult<()> {
+fn write_element<'d>(
+    out: &mut Out,
+    e: &'d Element,
+    parent: Option<&ScopeChain<'_>>,
+    mut refs: Option<&mut Refs<'d>>,
+) -> BxsaResult<()> {
     let kind = match &e.content {
         Content::Children(_) => FrameType::Component,
         Content::Leaf(_) => FrameType::Leaf,
@@ -159,28 +216,28 @@ fn write_element(out: &mut Out, e: &Element, parent: Option<&ScopeChain<'_>>) ->
         Content::Children(children) => {
             out.0.put_vls(children.len() as u64);
             for child in children {
-                write_node(out, child, Some(&chain))?;
+                write_node(out, child, Some(&chain), refs.as_deref_mut())?;
             }
         }
         Content::Leaf(value) => out.value(value.into()),
-        Content::Array(array) => write_array(out, array),
+        Content::Array(array) => write_array(out, array, refs),
     }
     out.close(frame);
     Ok(())
 }
 
-fn write_array(out: &mut Out, array: &ArrayValue) {
+fn write_array<'d>(out: &mut Out, array: &'d ArrayValue, refs: Option<&mut Refs<'d>>) {
     match array {
-        ArrayValue::I8(v) => out.array(v),
-        ArrayValue::U8(v) => out.array(v),
-        ArrayValue::I16(v) => out.array(v),
-        ArrayValue::U16(v) => out.array(v),
-        ArrayValue::I32(v) => out.array(v),
-        ArrayValue::U32(v) => out.array(v),
-        ArrayValue::I64(v) => out.array(v),
-        ArrayValue::U64(v) => out.array(v),
-        ArrayValue::F32(v) => out.array(v),
-        ArrayValue::F64(v) => out.array(v),
+        ArrayValue::I8(v) => out.array(v, refs),
+        ArrayValue::U8(v) => out.array(v, refs),
+        ArrayValue::I16(v) => out.array(v, refs),
+        ArrayValue::U16(v) => out.array(v, refs),
+        ArrayValue::I32(v) => out.array(v, refs),
+        ArrayValue::U32(v) => out.array(v, refs),
+        ArrayValue::I64(v) => out.array(v, refs),
+        ArrayValue::U64(v) => out.array(v, refs),
+        ArrayValue::F32(v) => out.array(v, refs),
+        ArrayValue::F64(v) => out.array(v, refs),
     }
 }
 
@@ -281,6 +338,169 @@ mod tests {
         let mut buf = vec![1, 2, 3];
         assert!(encode_into(&doc, &mut buf).is_err());
         assert!(buf.is_empty());
+    }
+
+    /// Encode `doc` both ways and check the gathered parts concatenate
+    /// to the flat bytes; returns how many arrays stayed in place.
+    fn gathered_matches_flat(doc: &Document, opts: &EncodeOptions, slots: usize) -> usize {
+        let mut flat = vec![0xee; 3];
+        encode_into_with(doc, opts, &mut flat).unwrap();
+        let mut head = vec![0xdd; 5];
+        let mut parts = vec![&[][..]; slots];
+        let n = encode_parts_into(doc, opts, &mut head, &mut parts).unwrap();
+        assert!(n >= 1 && n <= slots);
+        assert_eq!(
+            parts[..n].concat(),
+            flat,
+            "gathered parts differ from the flat encode"
+        );
+        n / 2
+    }
+
+    #[test]
+    fn arrays_past_the_cap_are_copied() {
+        let mut root = Element::component("r");
+        for i in 0..MAX_REFS + 6 {
+            root.push_child(Element::array("a", ArrayValue::I32(vec![i as i32; 1025])));
+        }
+        root.push_child(Element::leaf("end", AtomicValue::Bool(true)));
+        let doc = Document::with_root(root);
+        let native = EncodeOptions {
+            byte_order: ByteOrder::native(),
+            ..Default::default()
+        };
+        assert_eq!(
+            gathered_matches_flat(&doc, &native, 2 * MAX_REFS + 1),
+            MAX_REFS
+        );
+        assert_eq!(gathered_matches_flat(&doc, &native, 4 * MAX_REFS), MAX_REFS);
+        assert_eq!(gathered_matches_flat(&doc, &native, 7), 3);
+        assert_eq!(gathered_matches_flat(&doc, &native, 1), 0);
+    }
+
+    #[test]
+    fn referenced_parts_borrow_the_document_arrays() {
+        let doc = Document::with_root(
+            Element::component("r")
+                .with_child(Element::array("small", ArrayValue::F64(vec![1.0; 511])))
+                .with_child(Element::array("big", ArrayValue::F64(vec![2.0; 512])))
+                .with_child(Element::array("bytes", ArrayValue::U8(vec![3; 4097]))),
+        );
+        let opts = EncodeOptions {
+            byte_order: ByteOrder::native(),
+            ..Default::default()
+        };
+        let mut head = Vec::new();
+        let mut parts = [&[][..]; 8];
+        let n = encode_parts_into(&doc, &opts, &mut head, &mut parts).unwrap();
+        // head, big, head, bytes; nothing follows the last payload.
+        assert_eq!(n, 4);
+        let root = doc.root().unwrap();
+        let big = root.find_child("big").unwrap().as_f64_array().unwrap();
+        assert_eq!(parts[1].as_ptr(), big.as_ptr().cast::<u8>());
+        assert_eq!(parts[1].len(), 512 * 8);
+        let Content::Array(ArrayValue::U8(bytes)) = &root.find_child("bytes").unwrap().content
+        else {
+            panic!("bytes is a u8 array");
+        };
+        assert_eq!(parts[3].as_ptr(), bytes.as_ptr());
+        assert!(
+            head.len() < 511 * 8 + 64,
+            "the small array is copied, the big ones are not"
+        );
+    }
+
+    mod gather {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Counts around the 4 KiB threshold for each element width, odd
+        /// ones included, so later frames land misaligned.
+        fn count_for(width: usize, pick: usize) -> usize {
+            let at = crate::frame::MIN_REF_BYTES / width;
+            [0, 1, 3, at - 1, at, at + 1, 2 * at + 3][pick]
+        }
+
+        fn array_value(kind: u8, pick: usize, seed: u64) -> ArrayValue {
+            let n = |width| count_for(width, pick);
+            let mix = |i: usize| {
+                seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(i as u64)
+            };
+            match kind {
+                0 => ArrayValue::I8((0..n(1)).map(|i| mix(i) as i8).collect()),
+                1 => ArrayValue::U8((0..n(1)).map(|i| mix(i) as u8).collect()),
+                2 => ArrayValue::I16((0..n(2)).map(|i| mix(i) as i16).collect()),
+                3 => ArrayValue::U16((0..n(2)).map(|i| mix(i) as u16).collect()),
+                4 => ArrayValue::I32((0..n(4)).map(|i| mix(i) as i32).collect()),
+                5 => ArrayValue::U32((0..n(4)).map(|i| mix(i) as u32).collect()),
+                6 => ArrayValue::I64((0..n(8)).map(|i| mix(i) as i64).collect()),
+                7 => ArrayValue::U64((0..n(8)).map(mix).collect()),
+                8 => ArrayValue::F32((0..n(4)).map(|i| mix(i) as f32).collect()),
+                _ => ArrayValue::F64((0..n(8)).map(|i| f64::from_bits(mix(i))).collect()),
+            }
+        }
+
+        fn arb_element() -> impl Strategy<Value = Element> {
+            let leaf_like = prop_oneof![
+                3 => (0u8..10, 0usize..7, any::<u64>())
+                    .prop_map(|(kind, pick, seed)| Element::array("a", array_value(kind, pick, seed))),
+                1 => any::<i16>().prop_map(|v| Element::leaf("n", AtomicValue::I16(v))),
+                1 => "[a-z]{0,9}".prop_map(|t| Element::leaf("s", AtomicValue::Str(t))),
+            ];
+            leaf_like.prop_recursive(3, 24, 4, |inner| {
+                (
+                    proptest::collection::vec(
+                        prop_oneof![
+                            4 => inner.prop_map(Node::Element),
+                            1 => "[a-z ]{1,7}".prop_map(Node::Text),
+                        ],
+                        0..6,
+                    ),
+                    any::<bool>(),
+                )
+                    .prop_map(|(children, with_ns)| {
+                        let mut e = if with_ns {
+                            Element::component("p:c").with_namespace("p", "urn:p")
+                        } else {
+                            Element::component("c")
+                        };
+                        for c in children {
+                            e.push_node(c);
+                        }
+                        e
+                    })
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            #[test]
+            fn gathered_parts_equal_the_flat_encode(
+                roots in proptest::collection::vec(arb_element(), 1..3),
+                native in any::<bool>(),
+                checksum in any::<bool>(),
+                slots in prop_oneof![Just(1usize), Just(2), Just(3), Just(6), Just(2 * MAX_REFS + 1)],
+            ) {
+                let mut doc = Document::new();
+                for root in roots {
+                    doc.children.push(Node::Element(root));
+                }
+                let native_order = ByteOrder::native();
+                let foreign = match native_order {
+                    ByteOrder::Little => ByteOrder::Big,
+                    ByteOrder::Big => ByteOrder::Little,
+                };
+                let opts = EncodeOptions {
+                    byte_order: if native { native_order } else { foreign },
+                    checksum,
+                };
+                let refs = gathered_matches_flat(&doc, &opts, slots);
+                if !native || checksum || slots < 3 {
+                    prop_assert_eq!(refs, 0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,17 @@ use crate::wellformed::{check_comment, check_name, check_pi};
 /// decoder against stack exhaustion on adversarial input.
 pub const MAX_DEPTH: usize = 256;
 
+/// The most arrays one gathering encode
+/// ([`encode_parts_into`](crate::encode_parts_into)) leaves in the
+/// document; later ones are copied. A gather write then takes at most
+/// `2 * MAX_REFS + 1` slices, well under any `IOV_MAX`.
+pub const MAX_REFS: usize = 64;
+
+/// The smallest array payload a gathering encode leaves in place. A
+/// smaller array costs less to copy than a slice of its own in the
+/// gather write.
+pub(crate) const MIN_REF_BYTES: usize = 4096;
+
 /// The kinds of frames a BXSA document is built from.
 ///
 /// The paper deliberately makes the frame granularity *coarser* than the
@@ -545,12 +556,54 @@ pub(crate) fn read_array_into(
     Ok(())
 }
 
-/// A frame opened by [`Out::open`]: its start and reserved size-field
-/// length, for the backpatch in [`Out::close`].
+/// A frame opened by [`Out::open`]: its stream offset, and the buffer
+/// position and length of its reserved size field, for the backpatch in
+/// [`Out::close`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Open {
     start: usize,
+    field_at: usize,
     field_len: usize,
+}
+
+/// The arrays a gathering encode left in the document, in wire order:
+/// each belongs after the buffer's bytes up to its `at`.
+pub(crate) struct Refs<'d> {
+    at: [usize; MAX_REFS],
+    bytes: [&'d [u8]; MAX_REFS],
+    len: usize,
+    cap: usize,
+}
+
+impl<'d> Refs<'d> {
+    /// Room for `cap` references (at most [`MAX_REFS`]).
+    pub fn new(cap: usize) -> Refs<'d> {
+        Refs {
+            at: [0; MAX_REFS],
+            bytes: [&[]; MAX_REFS],
+            len: 0,
+            cap: cap.min(MAX_REFS),
+        }
+    }
+
+    /// Fill `parts` with `head` cut at each reference, the referenced
+    /// bytes between the pieces, and return how many slots that took
+    /// (an empty last piece is left out).
+    pub fn interleave(&self, head: &'d [u8], parts: &mut [&'d [u8]]) -> usize {
+        let mut from = 0;
+        let mut n = 0;
+        for (&at, &bytes) in self.at[..self.len].iter().zip(&self.bytes[..self.len]) {
+            parts[n] = &head[from..at];
+            parts[n + 1] = bytes;
+            n += 2;
+            from = at;
+        }
+        if from < head.len() || n == 0 {
+            parts[n] = &head[from..];
+            n += 1;
+        }
+        n
+    }
 }
 
 /// The frame-writing core under the tree encoder and
@@ -565,15 +618,20 @@ impl Out {
         let start = self.0.offset();
         self.0.put_raw_u8(prefix_byte(self.0.order(), kind));
         let field_len = size_field_len(body_bound);
-        self.0.reserve(field_len);
-        Open { start, field_len }
+        let field_at = self.0.reserve(field_len);
+        Open {
+            start,
+            field_at,
+            field_len,
+        }
     }
 
-    /// Backpatch the size field with the frame's actual total size.
+    /// Backpatch the size field with the frame's actual total size
+    /// (deferred array payloads included).
     pub fn close(&mut self, open: Open) {
         let total = (self.0.offset() - open.start) as u64;
         self.0
-            .patch_vls_padded(open.start + 1, total, open.field_len);
+            .patch_vls_padded(open.field_at, total, open.field_len);
     }
 
     /// One symbol-table entry; a `None` prefix (default namespace) is an
@@ -641,9 +699,24 @@ impl Out {
     }
 
     /// A packed array: element type code, VLS count, aligned payload.
-    pub fn array<T: Primitive>(&mut self, values: &[T]) {
+    ///
+    /// With `refs`, the payload is left in `values` and recorded there
+    /// instead of copied when the stream is in native byte order, the
+    /// payload is at least [`MIN_REF_BYTES`] and `refs` has room;
+    /// otherwise it is copied as without.
+    pub fn array<'v, T: Primitive>(&mut self, values: &'v [T], refs: Option<&mut Refs<'v>>) {
         self.0.put_raw_u8(T::TYPE_CODE as u8);
         self.0.put_vls(values.len() as u64);
+        if let Some(refs) = refs {
+            if refs.len < refs.cap && std::mem::size_of_val(values) >= MIN_REF_BYTES {
+                if let Some(bytes) = self.0.defer_packed(values) {
+                    refs.at[refs.len] = self.0.as_bytes().len();
+                    refs.bytes[refs.len] = bytes;
+                    refs.len += 1;
+                    return;
+                }
+            }
+        }
         self.0.put_packed(values);
     }
 

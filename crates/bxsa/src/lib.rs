@@ -43,6 +43,8 @@
 //! assert_eq!(back, doc);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod crc32c;
 pub mod decoder;
 pub mod encoder;
@@ -58,11 +60,11 @@ mod wellformed;
 
 pub use decoder::{decode, decode_element, decode_element_at, decode_element_into, decode_into};
 pub use encoder::{
-    encode, encode_element, encode_element_into, encode_into, encode_into_with, encode_with,
-    EncodeOptions,
+    encode, encode_element, encode_element_into, encode_into, encode_into_with, encode_parts_into,
+    encode_with, EncodeOptions,
 };
 pub use error::{BxsaError, BxsaResult};
-pub use frame::{FrameType, MAX_DEPTH};
+pub use frame::{FrameType, MAX_DEPTH, MAX_REFS};
 pub use pull::{ArrayHandle, ElementStart, LeafValue, PullEvent, PullReader};
 pub use scan::FrameScanner;
 pub use stream::{FrameAssembler, FrameSink, DEFAULT_WINDOW};

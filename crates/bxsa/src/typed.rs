@@ -296,7 +296,7 @@ impl FrameWriter {
     ) -> BxsaResult<()> {
         let bound = estimate::plain_array_body_bound(name.local, decls, T::TYPE_CODE, values.len());
         self.element(FrameType::Array, name, decls, bound, |out| {
-            out.array(values)
+            out.array(values, None)
         })
     }
 

@@ -57,6 +57,24 @@ pub trait BindingPolicy {
         self.receive_response_into(out)
     }
 
+    /// [`exchange_into`](BindingPolicy::exchange_into) with the request
+    /// payload given as `parts` concatenated — the engine's gather path
+    /// (see [`crate::EncodingPolicy::encode_parts_into`]). Default: one
+    /// part goes straight to `exchange_into`; several are concatenated
+    /// into a fresh buffer first, so a binding without a gather write
+    /// stays correct.
+    fn exchange_parts_into(
+        &mut self,
+        parts: &[&[u8]],
+        content_type: &str,
+        out: &mut Vec<u8>,
+    ) -> SoapResult<()> {
+        match parts {
+            [payload] => self.exchange_into(payload, content_type, out),
+            _ => self.exchange_into(&parts.concat(), content_type, out),
+        }
+    }
+
     /// One-way send (no response expected).
     fn send_one_way(&mut self, payload: &[u8], content_type: &str) -> SoapResult<()> {
         self.send_request(payload, content_type)
@@ -235,8 +253,11 @@ impl Clone for HttpBinding {
     }
 }
 
-impl BindingPolicy for HttpBinding {
-    fn send_request(&mut self, payload: &[u8], content_type: &str) -> SoapResult<()> {
+impl HttpBinding {
+    /// One HTTP exchange whose body is `parts` concatenated, written in
+    /// one gather write after the head; the response waits in
+    /// `self.response` for `receive_response_into`.
+    fn send_parts(&mut self, parts: &[&[u8]], content_type: &str) -> SoapResult<()> {
         self.pending = false;
         self.set_headers(content_type);
         // One HTTP exchange = write + read on the cached connection
@@ -248,7 +269,7 @@ impl BindingPolicy for HttpBinding {
             None => self.timeouts,
         };
         self.conn
-            .exchange_with_into(&self.request, payload, &timeouts, &mut self.response)?;
+            .exchange_with_into(&self.request, parts, &timeouts, &mut self.response)?;
         // SOAP-over-HTTP delivers faults in 500 responses with a SOAP
         // body; anything else non-2xx is a transport-level error carrying
         // the status, a body prefix, and any Retry-After.
@@ -257,6 +278,22 @@ impl BindingPolicy for HttpBinding {
         }
         self.pending = true;
         Ok(())
+    }
+}
+
+impl BindingPolicy for HttpBinding {
+    fn send_request(&mut self, payload: &[u8], content_type: &str) -> SoapResult<()> {
+        self.send_parts(&[payload], content_type)
+    }
+
+    fn exchange_parts_into(
+        &mut self,
+        parts: &[&[u8]],
+        content_type: &str,
+        out: &mut Vec<u8>,
+    ) -> SoapResult<()> {
+        self.send_parts(parts, content_type)?;
+        self.receive_response_into(out)
     }
 
     fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
@@ -345,6 +382,16 @@ impl TcpBinding {
         }
         Ok(self.stream.as_mut().expect("just ensured"))
     }
+
+    /// Send one frame whose payload is `parts` concatenated, prefix and
+    /// parts in one gather write.
+    fn send_parts(&mut self, parts: &[&[u8]]) -> SoapResult<()> {
+        let result = self.stream()?.send_parts(parts);
+        if result.is_err() {
+            self.stream = None; // force reconnect next time
+        }
+        result.map_err(Into::into)
+    }
 }
 
 impl BindingPolicy for TcpBinding {
@@ -352,11 +399,17 @@ impl BindingPolicy for TcpBinding {
         // Raw TCP carries no metadata; the content type is implicit in
         // the endpoint contract (the generic engine guarantees both ends
         // agree at compile time).
-        let result = self.stream()?.send(payload);
-        if result.is_err() {
-            self.stream = None; // force reconnect next time
-        }
-        result.map_err(Into::into)
+        self.send_parts(&[payload])
+    }
+
+    fn exchange_parts_into(
+        &mut self,
+        parts: &[&[u8]],
+        _content_type: &str,
+        out: &mut Vec<u8>,
+    ) -> SoapResult<()> {
+        self.send_parts(parts)?;
+        self.receive_response_into(out)
     }
 
     fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
@@ -380,6 +433,9 @@ where
 {
     handler: F,
     pending: Option<Vec<u8>>,
+    /// Reused buffer a request given in several parts is joined in,
+    /// since the handler takes one slice.
+    flat: Vec<u8>,
 }
 
 impl<F> LoopbackBinding<F>
@@ -391,6 +447,7 @@ where
         LoopbackBinding {
             handler,
             pending: None,
+            flat: Vec::new(),
         }
     }
 }
@@ -402,6 +459,26 @@ where
     fn send_request(&mut self, payload: &[u8], _content_type: &str) -> SoapResult<()> {
         self.pending = Some((self.handler)(payload));
         Ok(())
+    }
+
+    fn exchange_parts_into(
+        &mut self,
+        parts: &[&[u8]],
+        _content_type: &str,
+        out: &mut Vec<u8>,
+    ) -> SoapResult<()> {
+        let payload = match parts {
+            [payload] => payload,
+            _ => {
+                self.flat.clear();
+                for part in parts {
+                    self.flat.extend_from_slice(part);
+                }
+                &self.flat[..]
+            }
+        };
+        self.pending = Some((self.handler)(payload));
+        self.receive_response_into(out)
     }
 
     fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
@@ -458,10 +535,10 @@ impl<B: BindingPolicy> FaultingBinding<B> {
             _ => Ok(()),
         }
     }
-}
 
-impl<B: BindingPolicy> BindingPolicy for FaultingBinding<B> {
-    fn send_request(&mut self, payload: &[u8], content_type: &str) -> SoapResult<()> {
+    /// Send `message` to the inner binding after the injector had its
+    /// say: a refused connect, or a drop, stall or mutation of the bytes.
+    fn send_message(&mut self, mut message: Vec<u8>, content_type: &str) -> SoapResult<()> {
         // Connect-level refusals happen before any bytes leave the
         // client, so they are the retry-safe failure class.
         if !self.injector.lock().connect_allowed() {
@@ -473,10 +550,26 @@ impl<B: BindingPolicy> BindingPolicy for FaultingBinding<B> {
                 ),
             }));
         }
-        let mut message = payload.to_vec();
         let action = self.injector.lock().mutate_message(&mut message);
         self.surface(action)?;
         self.inner.send_request(&message, content_type)
+    }
+}
+
+impl<B: BindingPolicy> BindingPolicy for FaultingBinding<B> {
+    fn send_request(&mut self, payload: &[u8], content_type: &str) -> SoapResult<()> {
+        self.send_message(payload.to_vec(), content_type)
+    }
+
+    /// The parts are joined into the one copy the injector mutates.
+    fn exchange_parts_into(
+        &mut self,
+        parts: &[&[u8]],
+        content_type: &str,
+        out: &mut Vec<u8>,
+    ) -> SoapResult<()> {
+        self.send_message(parts.concat(), content_type)?;
+        self.receive_response_into(out)
     }
 
     fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
@@ -514,6 +607,52 @@ mod tests {
         assert_eq!(out, b"ping!");
     }
 
+    /// Implements only the required methods, so every default applies.
+    struct Minimal {
+        sent: Vec<Vec<u8>>,
+    }
+
+    impl BindingPolicy for Minimal {
+        fn send_request(&mut self, payload: &[u8], _: &str) -> SoapResult<()> {
+            self.sent.push(payload.to_vec());
+            Ok(())
+        }
+
+        fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
+            out.clear();
+            out.extend_from_slice(b"ok");
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn parts_reach_bindings_without_a_gather_write_joined() {
+        let mut out = Vec::new();
+        let mut minimal = Minimal { sent: Vec::new() };
+        minimal
+            .exchange_parts_into(&[b"ab", b"", b"cde"], "t", &mut out)
+            .unwrap();
+        minimal
+            .exchange_parts_into(&[b"one"], "t", &mut out)
+            .unwrap();
+        assert_eq!(minimal.sent, [b"abcde".to_vec(), b"one".to_vec()]);
+        assert_eq!(out, b"ok");
+
+        let mut loopback = LoopbackBinding::new(|req: &[u8]| req.iter().rev().copied().collect());
+        loopback
+            .exchange_parts_into(&[b"12", b"345"], "t", &mut out)
+            .unwrap();
+        assert_eq!(out, b"54321");
+        loopback
+            .exchange_parts_into(&[b"x"], "t", &mut out)
+            .unwrap();
+        assert_eq!(out, b"x");
+        loopback
+            .exchange_parts_into(&[b"", b"yz"], "t", &mut out)
+            .unwrap();
+        assert_eq!(out, b"zy");
+    }
+
     #[test]
     fn receive_before_send_is_protocol_error() {
         let mut b = LoopbackBinding::new(|_: &[u8]| vec![]);
@@ -542,6 +681,12 @@ mod tests {
         // Connection reuse: second exchange on the same stream.
         let out = binding.exchange(b"12345", "application/bxsa").unwrap();
         assert_eq!(out, b"54321");
+        // A gathered request is one frame of the parts' total length.
+        let mut out = Vec::new();
+        binding
+            .exchange_parts_into(&[b"ab", b"", b"cd"], "application/bxsa", &mut out)
+            .unwrap();
+        assert_eq!(out, b"dcba");
         drop(binding);
         server.shutdown();
     }
@@ -569,6 +714,11 @@ mod tests {
         binding.soap_action = Some("\"op\"".into());
         let out = binding.exchange(b"<x/>", "text/xml").unwrap();
         assert_eq!(out, b"<x/>");
+        let mut out = Vec::new();
+        binding
+            .exchange_parts_into(&[b"<y>", b"", b"</y>"], "text/xml", &mut out)
+            .unwrap();
+        assert_eq!(out, b"<y></y>");
         server.shutdown();
     }
 

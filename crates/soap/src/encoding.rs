@@ -35,6 +35,24 @@ pub trait EncodingPolicy {
     /// messages is allocation-free at steady state. On error the
     /// document holds unspecified but valid contents.
     fn decode_into(&self, bytes: &[u8], doc: &mut Document) -> SoapResult<()>;
+    /// Serialize a document for a gather write: `out` (contents replaced,
+    /// capacity kept) receives the encoded bytes except any the policy
+    /// leaves in `doc`, and `parts` the slices to send, in order —
+    /// pieces of `out` and bytes borrowed from `doc`. Returns how many
+    /// leading slots of `parts` are filled; their concatenation is
+    /// exactly what [`encode_into`](EncodingPolicy::encode_into) writes.
+    /// `parts` needs at least one slot. Default: `encode_into`, sent as
+    /// one part.
+    fn encode_parts_into<'a>(
+        &self,
+        doc: &'a Document,
+        out: &'a mut Vec<u8>,
+        parts: &mut [&'a [u8]],
+    ) -> SoapResult<usize> {
+        self.encode_into(doc, out)?;
+        parts[0] = out;
+        Ok(1)
+    }
     /// Serialize a document into fresh storage. Default: delegates to
     /// [`encode_into`](EncodingPolicy::encode_into).
     fn encode(&self, doc: &Document) -> SoapResult<Vec<u8>> {
@@ -128,6 +146,18 @@ impl EncodingPolicy for BxsaEncoding {
         Ok(bxsa::encode_into_with(doc, &self.options, out)?)
     }
 
+    /// Large packed arrays stay in `doc` and go out by reference when the
+    /// byte order is the machine's own and no checksum is asked for
+    /// (see [`bxsa::encode_parts_into`]).
+    fn encode_parts_into<'a>(
+        &self,
+        doc: &'a Document,
+        out: &'a mut Vec<u8>,
+        parts: &mut [&'a [u8]],
+    ) -> SoapResult<usize> {
+        Ok(bxsa::encode_parts_into(doc, &self.options, out, parts)?)
+    }
+
     fn decode_into(&self, bytes: &[u8], doc: &mut Document) -> SoapResult<()> {
         Ok(bxsa::decode_into(bytes, doc)?)
     }
@@ -198,6 +228,50 @@ mod tests {
         let bin = BxsaEncoding::default();
         bin.encode_into(&doc, &mut buf).unwrap();
         assert_eq!(buf, bin.encode(&doc).unwrap());
+    }
+
+    /// Filled part count, after checking the parts concatenate to
+    /// exactly what `encode_into` writes.
+    fn parts_of(enc: &impl EncodingPolicy, doc: &Document) -> usize {
+        let mut flat = Vec::new();
+        enc.encode_into(doc, &mut flat).unwrap();
+        let mut head = vec![0xff; 8];
+        let mut parts = [&[][..]; 5];
+        let n = enc.encode_parts_into(doc, &mut head, &mut parts).unwrap();
+        assert_eq!(parts[..n].concat(), flat, "{}", enc.name());
+        n
+    }
+
+    #[test]
+    fn only_native_unchecksummed_bxsa_gathers() {
+        let doc = SoapEnvelope::with_body(
+            Element::component("m:Data")
+                .with_namespace("m", "http://example.org")
+                .with_child(Element::array(
+                    "m:values",
+                    ArrayValue::F64((0..2000).map(|i| i as f64 * 0.25).collect()),
+                ))
+                .with_child(Element::array("m:tail", ArrayValue::I32(vec![1, 2, 3]))),
+        )
+        .to_document();
+        assert_eq!(parts_of(&XmlEncoding::default(), &doc), 1);
+        assert_eq!(parts_of(&BxsaEncoding::native_order(), &doc), 3);
+        assert_eq!(
+            parts_of(&BxsaEncoding::native_order().with_checksum(), &doc),
+            1
+        );
+        let foreign = match xbs::ByteOrder::native() {
+            xbs::ByteOrder::Little => xbs::ByteOrder::Big,
+            xbs::ByteOrder::Big => xbs::ByteOrder::Little,
+        };
+        let foreign = BxsaEncoding {
+            options: bxsa::EncodeOptions {
+                byte_order: foreign,
+                ..Default::default()
+            },
+        };
+        assert_eq!(parts_of(&foreign, &doc), 1);
+        assert_eq!(parts_of(&BxsaEncoding::native_order(), &sample_doc()), 1);
     }
 
     #[test]

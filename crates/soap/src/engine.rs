@@ -14,6 +14,62 @@ use crate::metrics;
 use crate::service::ServiceMetadata;
 use crate::typed::{FromBxsa, ToBxsa, TypedDecode, TypedEncoding, TypedScratch};
 
+/// Slots one attempt's gather write may fill: pieces of the encode
+/// buffer around at most [`bxsa::MAX_REFS`] arrays left in the request.
+const MAX_PARTS: usize = 2 * bxsa::MAX_REFS + 1;
+
+/// What a call sends, stamped and encoded afresh for each attempt.
+trait Outgoing<E> {
+    /// Stamp `header`, if any, then encode into `out` and `parts` as
+    /// [`EncodingPolicy::encode_parts_into`] does; returns the number of
+    /// filled slots.
+    fn encode<'a>(
+        &'a mut self,
+        enc: &E,
+        header: Option<&DeadlineHeader>,
+        out: &'a mut Vec<u8>,
+        parts: &mut [&'a [u8]],
+    ) -> SoapResult<usize>;
+}
+
+/// A tree request: the stamp lands in the document in place, and large
+/// arrays go out from the document itself.
+impl<E: EncodingPolicy> Outgoing<E> for Document {
+    fn encode<'a>(
+        &'a mut self,
+        enc: &E,
+        header: Option<&DeadlineHeader>,
+        out: &'a mut Vec<u8>,
+        parts: &mut [&'a [u8]],
+    ) -> SoapResult<usize> {
+        if let Some(h) = header {
+            h.stamp_document(self);
+        }
+        enc.encode_parts_into(self, out, parts)
+    }
+}
+
+/// A typed request and the frame-writer scratch it encodes with; it
+/// goes out as one part.
+struct TypedOutgoing<'r, Req> {
+    request: &'r Req,
+    scratch: &'r mut TypedScratch,
+}
+
+impl<E: TypedEncoding, Req: ToBxsa> Outgoing<E> for TypedOutgoing<'_, Req> {
+    fn encode<'a>(
+        &'a mut self,
+        enc: &E,
+        header: Option<&DeadlineHeader>,
+        out: &'a mut Vec<u8>,
+        parts: &mut [&'a [u8]],
+    ) -> SoapResult<usize> {
+        enc.encode_typed(self.request, header, self.scratch, out)?;
+        parts[0] = out;
+        Ok(1)
+    }
+}
+
 /// Per-call knobs for [`SoapEngine::call_with`] — the one place where
 /// idempotency, deadline, retry, and circuit-breaker decisions meet.
 ///
@@ -150,6 +206,8 @@ pub struct SoapEngine<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy = N
     last_attempts: u32,
     /// Request-serialization scratch, reused across calls so a client
     /// issuing many similarly-sized requests serializes allocation-free.
+    /// A tree call gathers large arrays from its request document, so
+    /// this holds only the bytes around them.
     encode_buf: Vec<u8>,
     /// Response-byte scratch: the binding lands each reply's payload
     /// here, reusing the buffer's capacity call over call.
@@ -296,30 +354,24 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
         // Built once: the entries move into the document, and a retry
         // only re-stamps its deadline header in place.
         let mut request = self.security.apply(request)?.into_document();
-        self.run_exchange(
-            &options,
-            |enc, header, out| {
-                if let Some(h) = header {
-                    h.stamp_document(&mut request);
-                }
-                enc.encode_into(&request, out)
-            },
-            |me| me.finish_call(),
-        )
+        self.run_exchange(&options, &mut request, |me| me.finish_call())
     }
 
     /// The exchange loop shared by the tree and typed call paths: encode
     /// (re-stamping the remaining deadline budget per attempt), admit via
     /// the breaker, exchange, classify failures, back off and retry —
     /// then hand the successful response bytes to `finish`.
+    ///
+    /// Every attempt encodes afresh: the gathered parts borrow the
+    /// request, which a deadline re-stamps between attempts, and a
+    /// gathering re-encode of a bulk request writes only frame heads.
     fn run_exchange<R>(
         &mut self,
         options: &CallOptions,
-        mut encode: impl FnMut(&E, Option<&DeadlineHeader>, &mut Vec<u8>) -> SoapResult<()>,
+        outgoing: &mut impl Outgoing<E>,
         finish: impl FnOnce(&mut Self) -> SoapResult<R>,
     ) -> SoapResult<R> {
-        // `Deadline::none()` is unbounded: treat it as no deadline so the
-        // single-encode fast path below still applies.
+        // `Deadline::none()` is unbounded: treat it as no deadline.
         let deadline = options.deadline.filter(|d| d.budget().is_some());
         let breaker = options.breaker.as_ref().or(self.breaker.as_ref()).cloned();
         let retry = if options.idempotent {
@@ -327,11 +379,6 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
         } else {
             None
         };
-        if deadline.is_none() {
-            // No deadline: the bytes are identical across attempts, so
-            // serialize exactly once, outside the loop.
-            encode(&self.encoding, None, &mut self.encode_buf)?;
-        }
         self.binding.set_call_deadline(deadline);
         self.last_attempts = 0;
         let m = metrics::engine();
@@ -340,19 +387,26 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
         let mut schedule = retry.as_ref().map(|p| p.schedule());
         let result = 'call: loop {
             let error = 'attempt: {
+                let mut header = None;
                 if let Some(d) = &deadline {
-                    // Gate the attempt on budget left, and re-stamp/
-                    // re-encode so the wire header carries the
-                    // *remaining* budget.
+                    // Gate the attempt on budget left, and re-stamp so
+                    // the wire header carries the *remaining* budget.
                     if let Err(e) = d.remaining() {
                         m.deadline_expired.inc();
                         break 'call Err(SoapError::Transport(e));
                     }
-                    let header = DeadlineHeader::from_deadline(d);
-                    if let Err(e) = encode(&self.encoding, header.as_ref(), &mut self.encode_buf) {
-                        break 'call Err(e);
-                    }
+                    header = DeadlineHeader::from_deadline(d);
                 }
+                let mut parts = [&[][..]; MAX_PARTS];
+                let filled = match outgoing.encode(
+                    &self.encoding,
+                    header.as_ref(),
+                    &mut self.encode_buf,
+                    &mut parts,
+                ) {
+                    Ok(n) => n,
+                    Err(e) => break 'call Err(e),
+                };
                 if let Some(b) = &breaker {
                     if let Permit::Rejected { retry_after } = b.preflight() {
                         // A rejection is an ordinary retry-safe failure:
@@ -369,8 +423,8 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
                 }
                 self.last_attempts += 1;
                 m.attempts.inc();
-                match self.binding.exchange_into(
-                    &self.encode_buf,
+                match self.binding.exchange_parts_into(
+                    &parts[..filled],
                     self.encoding.content_type(),
                     &mut self.response_buf,
                 ) {
@@ -502,11 +556,12 @@ impl<E: TypedEncoding, B: BindingPolicy> SoapEngine<E, B, NoSecurity> {
     ) -> SoapResult<()> {
         let options = self.resolve_options(Some(request.element_name().local), options);
         let mut scratch = std::mem::take(&mut self.typed_scratch);
-        let result = self.run_exchange(
-            &options,
-            |enc, header, out| enc.encode_typed(request, header, &mut scratch, out),
-            |me| me.finish_typed_call(response),
-        );
+        let mut outgoing = TypedOutgoing {
+            request,
+            scratch: &mut scratch,
+        };
+        let result =
+            self.run_exchange(&options, &mut outgoing, |me| me.finish_typed_call(response));
         self.typed_scratch = scratch;
         result
     }
@@ -929,6 +984,108 @@ mod tests {
     fn retried_deadline_attempts_match_stamp_then_build_on_both_encodings() {
         retried_deadline_attempts_match_stamp_then_build::<BxsaEncoding>();
         retried_deadline_attempts_match_stamp_then_build::<XmlEncoding>();
+    }
+
+    /// Records where each gathered attempt's parts live and how long
+    /// they are, then answers with a canned reply.
+    struct PartsRecorder {
+        parts: Vec<(*const u8, usize)>,
+        sent: Vec<u8>,
+        reply: Vec<u8>,
+    }
+
+    impl BindingPolicy for PartsRecorder {
+        fn send_request(&mut self, _: &[u8], _: &str) -> SoapResult<()> {
+            unreachable!("the engine sends through exchange_parts_into")
+        }
+
+        fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
+            out.clone_from(&self.reply);
+            Ok(())
+        }
+
+        fn exchange_parts_into(
+            &mut self,
+            parts: &[&[u8]],
+            _: &str,
+            out: &mut Vec<u8>,
+        ) -> SoapResult<()> {
+            self.parts.clear();
+            self.parts
+                .extend(parts.iter().map(|p| (p.as_ptr(), p.len())));
+            self.sent = parts.concat();
+            self.receive_response_into(out)
+        }
+    }
+
+    /// A 100k-pair tree call puts its two arrays on the wire straight
+    /// from the request document: the binding sees slices at the very
+    /// addresses the caller's vectors had, the engine's encode buffer
+    /// holds only frame heads, and the gathered bytes are the flat
+    /// encoding of the request (deadline stamp included).
+    #[test]
+    fn bulk_call_with_sends_arrays_from_the_request_document() {
+        use crate::envelope::DeadlineHeader;
+
+        let enc = BxsaEncoding::native_order();
+        let reply = SoapEnvelope::with_body(
+            Element::component("m:VerifyResponse")
+                .with_namespace("m", "http://example.org/m")
+                .with_child(Element::leaf("m:ok", AtomicValue::Bool(true))),
+        );
+        let reply = enc.encode(&reply.into_document()).unwrap();
+        let mut engine = SoapEngine::new(
+            enc.clone(),
+            PartsRecorder {
+                parts: Vec::new(),
+                sent: Vec::new(),
+                reply,
+            },
+        );
+        for options in [
+            CallOptions::new(),
+            CallOptions::new().within(Duration::from_secs(600)),
+        ] {
+            let index: Vec<i32> = (0..100_000).collect();
+            let values: Vec<f64> = (0..100_000).map(|i| f64::from(i) * 0.5).collect();
+            let (index_at, values_at) = (index.as_ptr().cast::<u8>(), values.as_ptr().cast::<u8>());
+            let request = SoapEnvelope::with_body(
+                Element::component("m:Verify")
+                    .with_namespace("m", "http://example.org/m")
+                    .with_child(Element::array("m:index", ArrayValue::I32(index)))
+                    .with_child(Element::array("m:values", ArrayValue::F64(values))),
+            );
+            let mut expect = request.clone().into_document();
+            let reply = engine.call_with(request, &options).unwrap();
+            assert_eq!(
+                reply.body_element().unwrap().child_value("ok"),
+                Some(&AtomicValue::Bool(true))
+            );
+            let seen = &engine.binding.parts;
+            assert!(
+                seen.contains(&(index_at, 400_000)),
+                "index not sent in place: {seen:?}"
+            );
+            assert!(
+                seen.contains(&(values_at, 800_000)),
+                "values not sent in place: {seen:?}"
+            );
+            assert!(
+                engine.encode_buf.capacity() < 1024,
+                "the encode buffer grew to {} bytes",
+                engine.encode_buf.capacity()
+            );
+            if let Some(d) = &options.deadline {
+                // The stamp carries the budget left at send time; read
+                // it back from the wire to rebuild the flat encoding.
+                let sent = SoapEnvelope::from_document(&enc.decode(&engine.binding.sent).unwrap())
+                    .unwrap();
+                let stamped = DeadlineHeader::from_envelope(&sent).unwrap().unwrap();
+                assert!(stamped.budget_millis <= d.budget().unwrap().as_millis() as u64);
+                stamped.stamp_document(&mut expect);
+            }
+            assert_eq!(engine.binding.sent, enc.encode(&expect).unwrap());
+        }
     }
 
     #[test]

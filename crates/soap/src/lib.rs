@@ -41,6 +41,8 @@
 //! assert!(response.body_element().is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod anyengine;
 pub mod binding;
 pub mod encoding;

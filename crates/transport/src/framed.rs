@@ -4,13 +4,13 @@
 //! length prefix is the entire protocol — "the TCP binding will just dump
 //! the serialization directly to a TCP connection" (paper §5.3).
 
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::deadline::Timeouts;
 use crate::error::{TransportError, TransportResult};
-use crate::iovec::write_all_vectored;
+use crate::iovec::write_all_parts;
 
 /// Upper bound on a single frame (256 MiB) — large enough for the paper's
 /// 64 MB experiments with headroom, small enough to stop a hostile length
@@ -163,15 +163,22 @@ impl<S: Read + Write> FramedStream<S> {
     /// message costs one syscall and the payload buffer is never copied
     /// into a frame-assembly buffer.
     pub fn send(&mut self, payload: &[u8]) -> TransportResult<()> {
-        if payload.len() > MAX_FRAME_LEN {
+        self.send_parts(&[payload])
+    }
+
+    /// Send one message whose payload is `parts` concatenated: the
+    /// length prefix and every part go out in one gather write, so a
+    /// payload spread over several buffers is never assembled first.
+    pub fn send_parts(&mut self, parts: &[&[u8]]) -> TransportResult<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > MAX_FRAME_LEN {
             return Err(TransportError::FrameTooLarge {
-                declared: payload.len() as u64,
+                declared: len as u64,
             });
         }
         let started = Instant::now();
-        let prefix = (payload.len() as u32).to_be_bytes();
-        let mut bufs = [IoSlice::new(&prefix), IoSlice::new(payload)];
-        write_all_vectored(&mut self.inner, &mut bufs)
+        let prefix = (len as u32).to_be_bytes();
+        write_all_parts(&mut self.inner, &prefix, parts)
             .and_then(|()| self.inner.flush())
             .map_err(|e| Self::io_err(e, started, self.write_budget))
     }

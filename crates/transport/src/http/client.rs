@@ -116,19 +116,21 @@ impl HttpConnection {
         response: &mut HttpResponse,
     ) -> TransportResult<()> {
         let timeouts = self.timeouts;
-        self.exchange_with_into(request, &request.body, &timeouts, response)
+        self.exchange_with_into(request, &[&request.body], &timeouts, response)
     }
 
     /// [`exchange_into`](HttpConnection::exchange_into) with the body
-    /// borrowed from the caller (`request.body` is ignored) and per-call
+    /// borrowed from the caller as `body` concatenated (`request.body`
+    /// is ignored; `Content-Length` is the parts' total) and per-call
     /// budgets — the hook deadline-aware callers use to clamp each
-    /// exchange to the remaining end-to-end budget. The head and `body`
-    /// go out in one vectored write, so the payload is never copied
-    /// into the request.
+    /// exchange to the remaining end-to-end budget. The head and the
+    /// body parts go out in one gather write, so the payload is never
+    /// copied into the request; a resend after a stale kept socket
+    /// writes the same parts.
     pub fn exchange_with_into(
         &mut self,
         request: &HttpRequest,
-        body: &[u8],
+        body: &[&[u8]],
         timeouts: &Timeouts,
         response: &mut HttpResponse,
     ) -> TransportResult<()> {
@@ -373,7 +375,7 @@ impl HttpConnection {
 fn try_exchange(
     reader: &mut BufReader<TcpStream>,
     request: &HttpRequest,
-    body: &[u8],
+    body: &[&[u8]],
     timeouts: &Timeouts,
     response: &mut HttpResponse,
     head: &mut Vec<u8>,

@@ -1,12 +1,12 @@
 //! HTTP requests.
 
-use std::io::{BufRead, IoSlice, Write};
+use std::io::{BufRead, Write};
 
 use crate::error::{TransportError, TransportResult};
 use crate::http::{
     find_header, pairs, push_framing, push_headers, read_body_into, read_headers_into, read_line,
 };
-use crate::iovec::write_all_vectored;
+use crate::iovec::write_all_parts;
 
 /// An HTTP/1.1 request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,23 +65,25 @@ impl HttpRequest {
     /// caller-set `Connection`/`Content-Length` headers are dropped so
     /// exactly one of each goes out, and truthfully.
     pub fn write_to_with(&self, out: &mut impl Write, keep_alive: bool) -> TransportResult<()> {
-        self.write_with_body(out, &self.body, keep_alive, &mut Vec::new())
+        self.write_with_body(out, &[&self.body], keep_alive, &mut Vec::new())
     }
 
     /// [`write_to_with`](HttpRequest::write_to_with) with the body passed
-    /// separately (the `body` field is ignored) and the head built in the
-    /// caller's reused `head` buffer: head and body go out in one
-    /// vectored write loop, so a caller holding the payload elsewhere
-    /// sends it without copying it or allocating.
+    /// separately as `body` concatenated (the `body` field is ignored)
+    /// and the head built in the caller's reused `head` buffer: head and
+    /// body parts go out in one gather write, so a caller holding the
+    /// payload elsewhere, even in pieces, sends it without copying it or
+    /// allocating.
     pub(crate) fn write_with_body(
         &self,
         out: &mut impl Write,
-        body: &[u8],
+        body: &[&[u8]],
         keep_alive: bool,
         head: &mut Vec<u8>,
     ) -> TransportResult<()> {
-        self.write_head(Some(body.len()), keep_alive, head);
-        write_all_vectored(out, &mut [IoSlice::new(head), IoSlice::new(body)])?;
+        let len = body.iter().map(|p| p.len()).sum();
+        self.write_head(Some(len), keep_alive, head);
+        write_all_parts(out, head, body)?;
         out.flush()?;
         Ok(())
     }

@@ -1,4 +1,4 @@
-//! Vectored-write helper shared by the framed and HTTP writers.
+//! Vectored-write helpers shared by the framed and HTTP writers.
 
 use std::io::{Error, ErrorKind, IoSlice, Result, Write};
 
@@ -28,6 +28,30 @@ pub fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> R
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
+    }
+    Ok(())
+}
+
+/// Most slices [`write_all_parts`] hands to one vectored write.
+const GATHER_BATCH: usize = 64;
+
+/// Write `head` and then each of `parts`, gathering them into vectored
+/// writes of up to 64 slices each: a message whose body lies in several
+/// buffers (a frame prefix or HTTP head, then encoded heads and payload
+/// arrays left in place) goes out without being concatenated first.
+pub(crate) fn write_all_parts(w: &mut impl Write, head: &[u8], parts: &[&[u8]]) -> Result<()> {
+    let mut bufs = [IoSlice::new(&[]); GATHER_BATCH];
+    bufs[0] = IoSlice::new(head);
+    let first = parts.len().min(GATHER_BATCH - 1);
+    for (slot, part) in bufs[1..].iter_mut().zip(&parts[..first]) {
+        *slot = IoSlice::new(part);
+    }
+    write_all_vectored(w, &mut bufs[..first + 1])?;
+    for batch in parts[first..].chunks(GATHER_BATCH) {
+        for (slot, part) in bufs.iter_mut().zip(batch) {
+            *slot = IoSlice::new(part);
+        }
+        write_all_vectored(w, &mut bufs[..batch.len()])?;
     }
     Ok(())
 }
@@ -65,6 +89,20 @@ mod tests {
         let mut bufs = [IoSlice::new(head), IoSlice::new(body)];
         write_all_vectored(&mut w, &mut bufs).unwrap();
         assert_eq!(w.out, b"0123456789abcdefg");
+    }
+
+    #[test]
+    fn parts_past_one_batch_go_out_in_order() {
+        let mut w = Dribble {
+            out: Vec::new(),
+            cap: 5,
+        };
+        let owned: Vec<Vec<u8>> = (0..150u8).map(|i| vec![i; usize::from(i % 3)]).collect();
+        let parts: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+        write_all_parts(&mut w, b"head", &parts).unwrap();
+        let mut expect = b"head".to_vec();
+        expect.extend(owned.concat());
+        assert_eq!(w.out, expect);
     }
 
     #[test]

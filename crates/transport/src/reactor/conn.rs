@@ -91,8 +91,8 @@ pub(crate) enum Wants {
     /// Done (clean close) — deregister and drop the connection.
     Close,
     /// Drive me again this loop iteration even without socket readiness:
-    /// the driver hit its per-drive dispatch quota with more pipelined
-    /// requests already buffered in user space, where epoll cannot see
+    /// the HTTP driver hit its per-drive dispatch quota with more
+    /// pipelined requests already buffered in user space, where epoll cannot see
     /// them. The worker re-drives these after serving every other ready
     /// connection — the fairness bound on pipelining depth.
     Again,
@@ -138,16 +138,19 @@ impl Step {
     }
 }
 
-/// Requests one `drive` call may serve before yielding the worker to
-/// other connections. A peer that pipelines deeper than this still gets
-/// every request answered — in slices, interleaved with everyone else's
-/// traffic — instead of monopolizing its worker for the whole batch.
+/// Requests one HTTP `drive` call may serve from its input buffer before
+/// yielding the worker to other connections. A peer that pipelines
+/// deeper than this still gets every request answered — in slices,
+/// interleaved with everyone else's traffic — instead of monopolizing
+/// its worker for the whole batch. (The framed driver never buffers
+/// past the frame it is reading, so it yields after every reply.)
 const MAX_DISPATCHES_PER_DRIVE: usize = 16;
 
 /// A per-connection protocol state machine.
 pub(crate) trait ConnDriver {
-    /// Advance the state machine until the socket would block (or the
-    /// dispatch quota yields). `ctx` carries the drain flag and the age
+    /// Advance the state machine until the socket would block, a reply
+    /// has gone out with nothing buffered behind it, or the HTTP
+    /// dispatch quota yields. `ctx` carries the drain flag and the age
     /// of the event batch being served — the queue-delay half of the
     /// shed signal.
     fn drive(&mut self, io: &mut ConnIo, ctx: &DriveCtx) -> TransportResult<Step>;
@@ -385,7 +388,6 @@ where
     H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl),
 {
     fn drive(&mut self, io: &mut ConnIo, ctx: &DriveCtx) -> TransportResult<Step> {
-        let mut served = 0usize;
         loop {
             match &mut self.phase {
                 FramedPhase::Prefix { filled } => {
@@ -437,13 +439,13 @@ where
                         return Ok(Step::close());
                     }
                     self.phase = FramedPhase::Prefix { filled: 0 };
-                    served += 1;
-                    if served >= MAX_DISPATCHES_PER_DRIVE {
-                        // Yield the worker; any further pipelined frames
-                        // sit in the kernel buffer, which level-triggered
-                        // epoll keeps reporting as readable.
-                        return Ok(Step::read());
-                    }
+                    // Wait for readiness instead of a read that would
+                    // almost always block: a caller waiting on this reply
+                    // cannot have sent its next request yet. Pipelined
+                    // frames sit in the kernel buffer (reads never run
+                    // past the current frame), which level-triggered
+                    // epoll keeps reporting as readable.
+                    return Ok(Step::read());
                 }
             }
         }

@@ -70,6 +70,19 @@ impl_primitive! {
     f64 => TypeCode::F64,
 }
 
+/// The bytes of `values` in memory, which are their wire bytes in the
+/// machine's native byte order.
+#[inline]
+pub(crate) fn bytes_of<T: Primitive>(values: &[T]) -> &[u8] {
+    // SAFETY: `T` is one of the sealed plain numeric types above: no
+    // padding, every byte initialized. A `u8` view needs alignment 1,
+    // covers exactly `size_of_val(values)` bytes of the same allocation,
+    // and borrows `values` for its whole lifetime.
+    unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +125,20 @@ mod tests {
         assert_eq!(<u16 as Primitive>::WIDTH, 2);
         assert_eq!(<f32 as Primitive>::WIDTH, 4);
         assert_eq!(<f64 as Primitive>::WIDTH, 8);
+    }
+
+    #[test]
+    fn byte_view_is_native_order_wire_bytes() {
+        let values = [0x0102_0304u32, 0xa0b0_c0d0, 7];
+        let native = ByteOrder::native();
+        let mut expect = Vec::new();
+        for v in values {
+            let mut b = [0u8; 4];
+            v.write_bytes(native, &mut b);
+            expect.extend_from_slice(&b);
+        }
+        assert_eq!(bytes_of(&values), &expect[..]);
+        assert!(bytes_of::<f64>(&[]).is_empty());
     }
 
     #[test]

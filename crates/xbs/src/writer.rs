@@ -10,10 +10,17 @@ use crate::vls;
 /// pads with zero bytes so that every fixed-width number lands on a
 /// multiple of its own size, enabling the zero-copy reads on the other
 /// side (see [`crate::reader::XbsReader`]).
+///
+/// A packed run can also be *deferred* ([`defer_packed`](XbsWriter::defer_packed)):
+/// the writer counts its bytes without copying them, and the caller puts
+/// them on the wire itself between the buffer's bytes. Offsets are then
+/// offsets in that gathered stream, so alignment and sizes stay exact.
 #[derive(Debug, Clone)]
 pub struct XbsWriter {
     buf: Vec<u8>,
     order: ByteOrder,
+    /// Bytes of deferred runs: part of the stream, not of `buf`.
+    deferred: usize,
 }
 
 impl XbsWriter {
@@ -22,6 +29,7 @@ impl XbsWriter {
         XbsWriter {
             buf: Vec::new(),
             order,
+            deferred: 0,
         }
     }
 
@@ -30,6 +38,7 @@ impl XbsWriter {
         XbsWriter {
             buf: Vec::with_capacity(capacity),
             order,
+            deferred: 0,
         }
     }
 
@@ -43,7 +52,11 @@ impl XbsWriter {
     /// SOAP engine's per-connection pools are built on.
     pub fn from_buf(mut buf: Vec<u8>, order: ByteOrder) -> XbsWriter {
         buf.clear();
-        XbsWriter { buf, order }
+        XbsWriter {
+            buf,
+            order,
+            deferred: 0,
+        }
     }
 
     /// Take the encoded bytes out of the writer, leaving it empty but
@@ -51,6 +64,7 @@ impl XbsWriter {
     /// itself survives and can keep encoding into a fresh buffer).
     #[inline]
     pub fn take_buf(&mut self) -> Vec<u8> {
+        self.deferred = 0;
         std::mem::take(&mut self.buf)
     }
 
@@ -58,6 +72,7 @@ impl XbsWriter {
     #[inline]
     pub fn clear(&mut self) {
         self.buf.clear();
+        self.deferred = 0;
     }
 
     /// Byte order this writer encodes numbers in.
@@ -66,25 +81,27 @@ impl XbsWriter {
         self.order
     }
 
-    /// Current length of the stream (also the offset of the next write).
+    /// Current length of the stream, deferred runs included (also the
+    /// offset of the next write).
     #[inline]
     pub fn offset(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.deferred
     }
 
     /// `true` if nothing has been written yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.offset() == 0
     }
 
-    /// Consume the writer and return the encoded bytes.
+    /// Consume the writer and return the encoded bytes (deferred runs
+    /// are not in them).
     #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Borrow the bytes written so far.
+    /// Borrow the bytes written so far (deferred runs are not in them).
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
@@ -94,11 +111,11 @@ impl XbsWriter {
     /// `align`. Returns the number of padding bytes inserted.
     #[inline]
     pub fn align(&mut self, align: usize) -> usize {
-        let target = crate::align_up(self.buf.len(), align);
-        let pad = target - self.buf.len();
+        let offset = self.offset();
+        let pad = crate::align_up(offset, align) - offset;
         // `resize` with 0 is cheap and keeps padding deterministic; the
         // reader verifies the padding is zero to detect desynchronization.
-        self.buf.resize(target, 0);
+        self.buf.resize(self.buf.len() + pad, 0);
         pad
     }
 
@@ -142,23 +159,39 @@ impl XbsWriter {
     /// header written before calling this).
     pub fn put_packed<T: Primitive>(&mut self, values: &[T]) {
         self.align(T::WIDTH);
-        let start = self.buf.len();
-        self.buf.resize(start + values.len() * T::WIDTH, 0);
         if self.order.is_native() {
-            // Hot path for scientific payloads: one bulk copy, no
-            // per-element swabbing. Safe because T is a sealed plain-old
-            // numeric type with no padding.
-            let dst = &mut self.buf[start..];
-            // Build the byte view via to_ne_bytes per chunk to stay in
-            // safe code; LLVM turns this loop into a memcpy.
-            for (chunk, v) in dst.chunks_exact_mut(T::WIDTH).zip(values) {
-                v.write_bytes(self.order, chunk);
-            }
+            // Hot path for scientific payloads: the in-memory bytes are
+            // the wire bytes, so one bulk copy with no zero-fill first.
+            self.buf.extend_from_slice(crate::prim::bytes_of(values));
         } else {
+            let start = self.buf.len();
+            self.buf.resize(start + values.len() * T::WIDTH, 0);
             for (chunk, v) in self.buf[start..].chunks_exact_mut(T::WIDTH).zip(values) {
                 v.write_bytes(self.order, chunk);
             }
         }
+    }
+
+    /// Defer an aligned packed run of values: write its padding and
+    /// count its bytes, but leave them where they are. The caller puts
+    /// the returned bytes on the wire right after [`as_bytes`] as it
+    /// stands on return, ahead of anything written next; the gathered
+    /// stream then equals what [`put_packed`] would have written.
+    ///
+    /// Only the machine's own byte order keeps a run's memory bytes
+    /// equal to its wire bytes, so on any other order this writes
+    /// nothing and returns `None`.
+    ///
+    /// [`as_bytes`]: XbsWriter::as_bytes
+    /// [`put_packed`]: XbsWriter::put_packed
+    pub fn defer_packed<'v, T: Primitive>(&mut self, values: &'v [T]) -> Option<&'v [u8]> {
+        if !self.order.is_native() {
+            return None;
+        }
+        self.align(T::WIDTH);
+        let bytes = crate::prim::bytes_of(values);
+        self.deferred += bytes.len();
+        Some(bytes)
     }
 
     /// Append a counted, aligned packed array: VLS element count followed
@@ -168,7 +201,9 @@ impl XbsWriter {
         self.put_packed(values);
     }
 
-    /// Reserve `n` zero bytes for later backpatching; returns their offset.
+    /// Reserve `n` zero bytes for later backpatching; returns their
+    /// position in [`as_bytes`](XbsWriter::as_bytes), which is their
+    /// stream offset less any deferred bytes before them.
     ///
     /// BXSA writes each frame in a single pass: the frame-size field is
     /// reserved here and patched once the body length is known, so nothing
@@ -313,6 +348,64 @@ mod tests {
         assert!(w.is_empty());
         w.put_u8(2);
         assert_eq!(w.as_bytes(), [2]);
+    }
+
+    #[test]
+    fn deferred_runs_gather_to_the_copied_stream() {
+        let ints = [1i32, -2, 3];
+        let floats = [0.5f64, 1.5];
+        let native = ByteOrder::native();
+        let mut copied = XbsWriter::new(native);
+        copied.put_u8(9);
+        copied.put_packed(&ints);
+        copied.put_u8(7);
+        copied.put_packed(&floats);
+        copied.put_u16(5);
+
+        let mut w = XbsWriter::new(native);
+        w.put_u8(9);
+        let first = w.defer_packed(&ints).unwrap();
+        let at_first = w.as_bytes().len();
+        w.put_u8(7);
+        let second = w.defer_packed(&floats).unwrap();
+        let at_second = w.as_bytes().len();
+        w.put_u16(5);
+        assert_eq!(w.offset(), copied.offset());
+        let head = w.as_bytes();
+        let gathered = [
+            &head[..at_first],
+            first,
+            &head[at_first..at_second],
+            second,
+            &head[at_second..],
+        ]
+        .concat();
+        assert_eq!(gathered, copied.as_bytes());
+    }
+
+    #[test]
+    fn deferring_needs_the_native_order() {
+        let foreign = match ByteOrder::native() {
+            ByteOrder::Little => ByteOrder::Big,
+            ByteOrder::Big => ByteOrder::Little,
+        };
+        let mut w = XbsWriter::new(foreign);
+        w.put_u8(1);
+        assert_eq!(w.defer_packed(&[1u32, 2]), None);
+        assert_eq!(w.offset(), 1);
+    }
+
+    #[test]
+    fn clearing_forgets_deferred_runs() {
+        let mut w = XbsWriter::new(ByteOrder::native());
+        w.defer_packed(&[1u64, 2]).unwrap();
+        assert_eq!(w.offset(), 16);
+        assert!(!w.is_empty());
+        w.clear();
+        assert!(w.is_empty());
+        w.defer_packed(&[3u16]).unwrap();
+        assert!(w.take_buf().is_empty());
+        assert_eq!(w.offset(), 0);
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! assert_eq!(back, doc);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod escape;
 pub mod field;

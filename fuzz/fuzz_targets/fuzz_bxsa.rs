@@ -9,6 +9,11 @@
 //!   to itself (idempotence — the wrong-value detector).
 //! * The pull reader accepts the input, driven to completion with every
 //!   array read, exactly when the tree decoder does.
+//! * A decoded document, and the same document with every array grown
+//!   past the 4 KiB mark where a gathering encode leaves arrays in place,
+//!   encodes to the same bytes gathered (`encode_parts_into`, the parts
+//!   concatenated) as flat, in both byte orders, with and without a
+//!   checksum, and with too few part slots for every array.
 
 use libfuzzer_sys::fuzz_target;
 
@@ -76,6 +81,68 @@ fn drive_assembler(data: &[u8]) {
     while let Ok(Some(_)) = asm.next_frame() {}
 }
 
+/// Repeat a non-empty array's values until its payload reaches 4 KiB.
+fn grow<T: Copy>(v: &mut Vec<T>) {
+    if v.is_empty() {
+        return;
+    }
+    while std::mem::size_of_val(v.as_slice()) < 4096 {
+        v.extend_from_within(..);
+    }
+}
+
+/// Grow every array under `node` past the gather threshold.
+fn inflate(node: &mut bxdm::Node) {
+    let bxdm::Node::Element(e) = node else {
+        return;
+    };
+    match &mut e.content {
+        bxdm::Content::Children(children) => children.iter_mut().for_each(inflate),
+        bxdm::Content::Leaf(_) => {}
+        bxdm::Content::Array(a) => match a {
+            bxdm::ArrayValue::I8(v) => grow(v),
+            bxdm::ArrayValue::U8(v) => grow(v),
+            bxdm::ArrayValue::I16(v) => grow(v),
+            bxdm::ArrayValue::U16(v) => grow(v),
+            bxdm::ArrayValue::I32(v) => grow(v),
+            bxdm::ArrayValue::U32(v) => grow(v),
+            bxdm::ArrayValue::I64(v) => grow(v),
+            bxdm::ArrayValue::U64(v) => grow(v),
+            bxdm::ArrayValue::F32(v) => grow(v),
+            bxdm::ArrayValue::F64(v) => grow(v),
+        },
+    }
+}
+
+/// Gathered parts, concatenated, equal the flat encode byte for byte.
+fn gathered_equals_flat(doc: &bxdm::Document) {
+    let native = xbs::ByteOrder::native();
+    let foreign = match native {
+        xbs::ByteOrder::Little => xbs::ByteOrder::Big,
+        xbs::ByteOrder::Big => xbs::ByteOrder::Little,
+    };
+    for byte_order in [native, foreign] {
+        for checksum in [false, true] {
+            let opts = bxsa::EncodeOptions {
+                byte_order,
+                checksum,
+            };
+            let flat = bxsa::encode_with(doc, &opts).expect("decoded document must re-encode");
+            for slots in [1, 4, 2 * bxsa::MAX_REFS + 1] {
+                let mut head = Vec::new();
+                let mut parts = vec![&[][..]; slots];
+                let n = bxsa::encode_parts_into(doc, &opts, &mut head, &mut parts)
+                    .expect("gathering encode must accept what the flat one does");
+                assert_eq!(
+                    parts[..n].concat(),
+                    flat,
+                    "gathered parts differ from the flat encode"
+                );
+            }
+        }
+    }
+}
+
 fuzz_target!(|data: &[u8]| {
     let fresh = bxsa::decode(data);
 
@@ -114,6 +181,10 @@ fuzz_target!(|data: &[u8]| {
             let re2 = bxsa::encode(&back).expect("round-tripped document must re-encode");
             assert_eq!(re2, re, "re-encode round trip changed the document");
             drive_pull(data).expect("pull reader rejected tree-decodable input");
+            gathered_equals_flat(doc);
+            let mut grown = doc.clone();
+            grown.children.iter_mut().for_each(inflate);
+            gathered_equals_flat(&grown);
         }
         Err(e) => {
             assert!(

@@ -257,6 +257,35 @@ if [ -n "$entry_hits" ]; then
     exit 1
 fi
 
+# Unsafe stays confined. Outside test code, `unsafe` appears in three
+# places only: xbs's native-order reader copy and its byte view of packed
+# arrays (crates/xbs/src/reader.rs, prim.rs), the epoll FFI
+# (crates/transport/src/reactor/poll.rs), and the counting allocator
+# (crates/bench/src/alloc_counter.rs); bxsa, soap, xmltext and bxdm also
+# say #![forbid(unsafe_code)]. Comments are skipped. The shims stand in
+# for external crates and are outside the gate; test modules and tests/
+# directories are exempt.
+unsafe_hits=$(git ls-files 'crates/*.rs' 'src/*.rs' 'examples/*.rs' | grep -vE '(^|/)tests/' \
+    | while read -r f; do
+    case "$f" in
+        crates/xbs/src/reader.rs | crates/xbs/src/prim.rs \
+        | crates/transport/src/reactor/poll.rs | crates/bench/src/alloc_counter.rs) continue ;;
+    esac
+    awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print}' "$f" | grep -nwE 'unsafe' \
+        | sed "s|^|$f:|" || true
+done)
+if [ -n "$unsafe_hits" ]; then
+    echo "$unsafe_hits" >&2
+    echo "unsafe: only xbs's reader copy and byte view, the epoll FFI and the counting allocator may use unsafe" >&2
+    exit 1
+fi
+for c in bxsa soap xmltext bxdm; do
+    if ! grep -qx '#!\[forbid(unsafe_code)\]' "crates/$c/src/lib.rs"; then
+        echo "unsafe: crates/$c/src/lib.rs must keep #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
+
 # Streaming job (PR 9): the end-to-end streamed lane stays live and
 # constant-memory. The e2e tests drive a >=8x-window payload
 # client -> transcoding intermediary -> server and back; the chunked
