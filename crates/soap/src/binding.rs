@@ -14,6 +14,8 @@ use transport::{
 
 use crate::error::{SoapError, SoapResult};
 use crate::fault::SoapFault;
+use crate::metrics;
+use crate::streaming::MAX_PART_LEN;
 
 /// Client-side transport binding.
 ///
@@ -169,13 +171,15 @@ impl HttpBinding {
         }
     }
 
-    // --- streaming half (used by `SoapEngine::call_streaming`) ---
+    // --- streaming half: the one streamed client, used by
+    // `SoapEngine::call_streaming` and by the streaming relay's up-link ---
     //
     // The same reusable request scaffold and cached connection, but the
     // body goes out as chunked transfer-encoding: one chunk per message
     // part, written as the caller produces them. Only the head write may
     // transparently reconnect; once the first part is on the wire the
     // exchange is not replayable and any failure poisons the socket.
+    // This half counts the client side of the stream metrics.
 
     /// Open a streamed request: send the chunked head. `deadline`, when
     /// set, narrows every phase budget of the whole exchange.
@@ -190,49 +194,59 @@ impl HttpBinding {
             Some(d) => self.timeouts.clamped_to(d).map_err(SoapError::Transport)?,
             None => self.timeouts,
         };
-        Ok(self.conn.stream_begin_with(&self.request, &timeouts)?)
+        self.conn.stream_begin_with(&self.request, &timeouts)?;
+        metrics::stream().streams.inc();
+        Ok(())
     }
 
-    /// Send one message part as one chunk (empty parts are skipped — an
-    /// empty chunk would terminate the body).
+    /// Send one message part as one chunk. A part over the
+    /// [`MAX_PART_LEN`] window is refused before anything is written.
     pub(crate) fn stream_send_part(&mut self, part: &[u8]) -> SoapResult<()> {
-        Ok(self.conn.stream_send_part(part)?)
+        if part.len() > MAX_PART_LEN {
+            return Err(SoapError::Protocol(format!(
+                "encoded part is {} bytes, over the {MAX_PART_LEN} byte streaming window",
+                part.len(),
+            )));
+        }
+        self.conn.stream_send_part(part)?;
+        metrics::count_part(&metrics::stream().parts_out, part);
+        Ok(())
     }
 
-    /// Terminate the request body and flush.
-    pub(crate) fn stream_finish_send(&mut self) -> SoapResult<()> {
-        Ok(self.conn.stream_finish_send()?)
-    }
-
-    /// Read the response head. `Ok(true)`: the reply is itself streamed —
-    /// pull its parts with
+    /// Terminate the request body and land the reply's manifest in `out`
+    /// (replaced, capacity kept). `Ok(true)`: the reply is streamed and
+    /// its parts follow through
     /// [`stream_next_part_into`](HttpBinding::stream_next_part_into).
-    /// `Ok(false)`: the reply was buffered and its complete body is held
-    /// by the binding (take it with
-    /// [`take_response_body`](HttpBinding::take_response_body)); SOAP
-    /// faults ride in buffered 500s exactly like the non-streamed path.
-    pub(crate) fn stream_read_head(&mut self) -> SoapResult<bool> {
+    /// `Ok(false)`: the reply was buffered and `out` holds its whole body;
+    /// SOAP faults ride in buffered 500s exactly like the non-streamed
+    /// path.
+    pub(crate) fn stream_reply_manifest(&mut self, out: &mut Vec<u8>) -> SoapResult<bool> {
+        self.conn.stream_finish_send()?;
         let streamed = self.conn.stream_read_head(&mut self.response)?;
         if !self.response.is_success() && self.response.status != 500 {
             return Err(SoapError::Transport(self.response.status_error()));
         }
-        Ok(streamed)
+        if !streamed {
+            std::mem::swap(out, &mut self.response.body);
+            return Ok(false);
+        }
+        if !self.stream_next_part_into(out)? {
+            return Err(SoapError::Protocol(
+                "streamed reply ended before its manifest".into(),
+            ));
+        }
+        Ok(true)
     }
 
     /// Pull the next reply part into `out` (replaced, capacity kept).
     /// `Ok(false)`: the terminator arrived — the reply is complete and
     /// the connection stays reusable.
     pub(crate) fn stream_next_part_into(&mut self, out: &mut Vec<u8>) -> SoapResult<bool> {
-        Ok(self
-            .conn
-            .stream_next_part_into(out, crate::streaming::MAX_PART_LEN)?)
-    }
-
-    /// Swap out the buffered response body after
-    /// [`stream_read_head`](HttpBinding::stream_read_head) returned
-    /// `false`.
-    pub(crate) fn take_response_body(&mut self, out: &mut Vec<u8>) {
-        std::mem::swap(out, &mut self.response.body);
+        if !self.conn.stream_next_part_into(out, MAX_PART_LEN)? {
+            return Ok(false);
+        }
+        metrics::count_part(&metrics::stream().parts_in, out);
+        Ok(true)
     }
 }
 

@@ -638,7 +638,6 @@ impl<E: crate::streaming::StreamEncoding> SoapEngine<E, crate::binding::HttpBind
         m.calls.inc();
         m.attempts.inc();
         self.last_attempts = 1;
-        metrics::stream().streams.inc();
         let mut manifest = manifest;
         if let Some(d) = &deadline {
             if let Err(e) = d.remaining() {
@@ -654,28 +653,15 @@ impl<E: crate::streaming::StreamEncoding> SoapEngine<E, crate::binding::HttpBind
         self.binding
             .stream_begin(self.encoding.content_type(), deadline.as_ref())?;
         self.binding.stream_send_part(&self.encode_buf)?;
-        metrics::stream().parts_out.inc();
         let mut sender = crate::streaming::PartSender::new(
             &self.encoding,
             &mut self.binding,
             &mut self.encode_buf,
         );
         produce(&mut sender)?;
-        self.binding.stream_finish_send()?;
-        let streamed = self.binding.stream_read_head()?;
-        if streamed {
-            // A streamed reply's first part is its manifest.
-            if !self.binding.stream_next_part_into(&mut self.response_buf)? {
-                return Err(SoapError::Protocol(
-                    "streamed reply ended before its manifest".into(),
-                ));
-            }
-            metrics::stream().parts_in.inc();
-        } else {
-            // Buffered reply: the whole body is already here (faults
-            // take this shape, but a part-less success may too).
-            self.binding.take_response_body(&mut self.response_buf);
-        }
+        // A buffered reply (faults take this shape, but a part-less
+        // success may too) is complete once its manifest has landed.
+        let streamed = self.binding.stream_reply_manifest(&mut self.response_buf)?;
         self.encoding
             .decode_into(&self.response_buf, &mut self.decode_buf)?;
         let envelope = SoapEnvelope::take_from(&mut self.decode_buf)?;

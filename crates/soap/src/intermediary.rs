@@ -14,31 +14,32 @@
 //! nothing is lost in the re-encode.
 //!
 //! [`bind_http_streaming`](Intermediary::bind_http_streaming) extends
-//! the relay to streamed messages: each part is forwarded (or
-//! transcoded) the moment its chunk completes, so the relay holds one
-//! part — never the message — and a gigabyte payload crosses the hop in
-//! O(window) memory. When both hops speak the same encoding, payload
-//! parts are forwarded *verbatim*: BXSA element frames self-describe
-//! their byte order, so the middle hop never even decodes them.
+//! the relay to streamed messages with the same generic pieces the
+//! endpoint uses: the relay is one hop plugged into the endpoint's own
+//! streamed-exchange session (manifest, arrival gate, buffered faults),
+//! and its up-link is an [`HttpBinding`], whose stream half is the same
+//! streamed client `SoapEngine::call_streaming` drives. Each part is
+//! forwarded (or transcoded) the moment its chunk completes, so the
+//! relay holds one part — never the message — and a gigabyte payload
+//! crosses the hop in O(window) memory. When both hops speak the same
+//! encoding, payload parts are forwarded *verbatim*: BXSA element frames
+//! self-describe their byte order, so the middle hop never even decodes
+//! them.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 
 use bxdm::Document;
 use parking_lot::Mutex;
-use transport::{
-    HttpConnection, HttpRequest, HttpResponse, StreamReply as WireReply, Timeouts,
-    TransportResult,
-};
+use transport::HttpResponse;
 
 use crate::binding::{BindingPolicy, HttpBinding};
 use crate::encoding::EncodingPolicy;
-use crate::envelope::{DeadlineHeader, SoapEnvelope};
+use crate::envelope::{Admitted, DeadlineHeader, Refusal, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::fault::{FaultCode, SoapFault};
-use crate::metrics;
-use crate::service::{encode_reply, fault_envelope, fault_for_error, HandleOutcome};
-use crate::streaming::{buffered_reply, wire_err, PartScratch, StreamEncoding, MAX_PART_LEN};
+use crate::service::{encode_reply, fault_envelope, HandleOutcome};
+use crate::streaming::{Hop, PartScratch, Session, StreamEncoding};
 
 /// A running relay node, listening on framed TCP or HTTP.
 pub struct Intermediary {
@@ -117,7 +118,7 @@ impl Intermediary {
                 if head.method != "POST" || head.path != stream_path {
                     return None;
                 }
-                Some(Box::new(RelaySession::new(Arc::clone(&stream_target))))
+                Some(Box::new(Session::new(Relay::new(Arc::clone(&stream_target)))))
             })
             // Buffered requests take the classic relay loop; each
             // downstream connection keeps its own keep-alive upstream
@@ -213,238 +214,139 @@ struct RelayTarget<InE, UpE> {
     upstream_path: String,
 }
 
-/// Where one streamed relay exchange stands.
-enum RelayState {
-    /// Nothing received: the first part must be the manifest.
-    AwaitManifest,
-    /// Manifest forwarded; parts are proxying through.
-    Proxying,
-    /// The request phase failed: the encoded (down-link) fault waits for
-    /// the sender's terminator; further parts are drained silently.
-    Faulted(Vec<u8>),
+/// Trouble on the up-link is this hop's doing, not the sender's: the
+/// sender gets a Server fault.
+fn upstream_failed(e: SoapError) -> SoapError {
+    SoapError::Fault(SoapFault::new(
+        FaultCode::Server,
+        &format!("intermediary relay failed: {e}"),
+    ))
 }
 
-/// One streamed exchange through the relay: an own upstream connection,
-/// parts forwarded as chunks complete, the reply pulled part by part.
-struct RelaySession<InE, UpE> {
+/// The relay hop of a streamed exchange: an own upstream [`HttpBinding`]
+/// per exchange, parts forwarded as their chunks complete, the reply
+/// pulled part by part.
+struct Relay<InE, UpE> {
     target: Arc<RelayTarget<InE, UpE>>,
-    state: RelayState,
-    /// What the buffered reply, if any, puts on the wire.
-    outcome: HandleOutcome,
-    /// The upstream connection, dialed when the manifest arrives.
-    conn: Option<HttpConnection>,
+    /// The up-link, dialed when the manifest is admitted.
+    up: Option<HttpBinding>,
     /// Same encoding on both hops: payload parts cross untouched (BXSA
     /// frames self-describe byte order, so bytes are portable as-is).
     verbatim: bool,
     /// Per-part transcode scratch (decode target).
     scratch: PartScratch,
-    /// Manifest (whole-envelope) decode target.
+    /// Reply manifest transcode target.
     doc: Document,
     /// Encode landing zone: outgoing manifest, transcoded parts,
     /// upstream reply parts.
     buf: Vec<u8>,
-    /// Transcoded reply manifest, emitted as the first reply part.
-    reply_manifest: Vec<u8>,
-    manifest_sent: bool,
 }
 
-impl<InE, UpE> RelaySession<InE, UpE>
+impl<InE: StreamEncoding, UpE: StreamEncoding> Relay<InE, UpE> {
+    fn new(target: Arc<RelayTarget<InE, UpE>>) -> Relay<InE, UpE> {
+        Relay {
+            verbatim: target.in_enc.name() == target.up_enc.name(),
+            target,
+            up: None,
+            scratch: PartScratch::default(),
+            doc: Document::new(),
+            buf: Vec::new(),
+        }
+    }
+
+    /// Land the upstream reply's manifest, transcoded into `manifest`,
+    /// or its whole buffered envelope.
+    fn land(&mut self, manifest: &mut Vec<u8>) -> SoapResult<Option<SoapEnvelope>> {
+        let t = &self.target;
+        let up = self.up.as_mut().expect("an open relay has an upstream");
+        if !up.stream_reply_manifest(&mut self.buf)? {
+            // Buffered upstream reply (typically a fault): relay the whole
+            // envelope; its status follows from what it is.
+            t.up_enc.decode_into(&self.buf, &mut self.doc)?;
+            return Ok(Some(SoapEnvelope::take_from(&mut self.doc)?));
+        }
+        // Transcode the reply manifest now, while a clean fault
+        // downstream is still possible.
+        if self.verbatim {
+            std::mem::swap(manifest, &mut self.buf);
+        } else {
+            t.up_enc.decode_into(&self.buf, &mut self.doc)?;
+            t.in_enc.encode_into(&self.doc, manifest)?;
+        }
+        Ok(None)
+    }
+}
+
+impl<InE, UpE> Hop for Relay<InE, UpE>
 where
     InE: StreamEncoding,
     UpE: StreamEncoding,
 {
-    fn new(target: Arc<RelayTarget<InE, UpE>>) -> RelaySession<InE, UpE> {
-        let verbatim = target.in_enc.name() == target.up_enc.name();
-        RelaySession {
-            target,
-            state: RelayState::AwaitManifest,
-            outcome: HandleOutcome::default(),
-            conn: None,
-            verbatim,
-            scratch: PartScratch::default(),
-            doc: Document::new(),
-            buf: Vec::new(),
-            reply_manifest: Vec::new(),
-            manifest_sent: false,
-        }
+    type Down = InE;
+
+    fn down(&self) -> &InE {
+        &self.target.in_enc
     }
 
-    /// Doom the exchange: pre-encode the down-link fault and drop any
-    /// upstream connection (it cannot be cleanly reused mid-stream).
-    fn fault(&mut self, fault: SoapFault) {
-        self.conn = None;
-        let mut out = Vec::new();
-        self.outcome.is_fault = encode_reply(&self.target.in_enc, fault_envelope(fault), &mut out);
-        self.state = RelayState::Faulted(out);
+    fn admit(header: &DeadlineHeader) -> Result<Admitted, Refusal> {
+        header.admit_relay()
     }
 
-    /// Decode the manifest, apply the hop/deadline discipline, dial the
-    /// upstream, and forward the (re-stamped, re-encoded) manifest.
-    fn handle_manifest(&mut self, part: &[u8]) {
-        let opened = (|| -> SoapResult<HttpConnection> {
-            let t = &self.target;
-            t.in_enc.decode_into(part, &mut self.doc)?;
-            let mut envelope = SoapEnvelope::take_from(&mut self.doc)?;
-            let arrived = DeadlineHeader::from_envelope(&envelope)?.map(|h| h.admit_relay());
-            let timeouts = self.outcome.serve_within(arrived, |admitted| match admitted {
-                Some(admitted) => {
-                    admitted.forward().stamp(&mut envelope);
-                    Timeouts::none().clamped_to(&admitted.local())
-                }
-                None => Ok(Timeouts::none()),
-            })?;
-            let timeouts = timeouts.map_err(SoapError::Transport)?;
-            let mut conn = HttpConnection::new(&t.upstream_addr);
-            let head = HttpRequest::post(&t.upstream_path, t.up_enc.content_type(), Vec::new());
-            conn.stream_begin_with(&head, &timeouts)
-                .map_err(SoapError::Transport)?;
-            t.up_enc
-                .encode_into(&envelope.into_document(), &mut self.buf)?;
-            conn.stream_send_part(&self.buf)
-                .map_err(SoapError::Transport)?;
-            Ok(conn)
-        })();
-        match opened {
-            Ok(conn) => {
-                self.conn = Some(conn);
-                self.state = RelayState::Proxying;
-            }
-            Err(e) => self.fault(fault_for_error(e)),
-        }
+    /// Dial the upstream and forward the manifest, re-stamped with what
+    /// is left of the budget (and one hop consumed) and re-encoded.
+    fn open(&mut self, mut manifest: SoapEnvelope, admitted: Option<&Admitted>) -> SoapResult<()> {
+        let t = &self.target;
+        let deadline = admitted.map(|a| {
+            a.forward().stamp(&mut manifest);
+            a.local()
+        });
+        t.up_enc.encode_into(&manifest.into_document(), &mut self.buf)?;
+        let mut up = HttpBinding::new(&t.upstream_addr, &t.upstream_path);
+        up.stream_begin(t.up_enc.content_type(), deadline.as_ref())
+            .and_then(|()| up.stream_send_part(&self.buf))
+            .map_err(upstream_failed)?;
+        self.up = Some(up);
+        Ok(())
     }
 
     /// Forward one payload part upstream, transcoding unless the hops
     /// share an encoding.
-    fn forward_part(&mut self, part: &[u8]) -> SoapResult<()> {
+    fn on_part(&mut self, part: &[u8]) -> SoapResult<()> {
         let t = &self.target;
-        let conn = self.conn.as_mut().expect("proxying state has a connection");
+        let up = self.up.as_mut().expect("an open relay has an upstream");
         if self.verbatim {
-            return conn.stream_send_part(part).map_err(SoapError::Transport);
+            return up.stream_send_part(part).map_err(upstream_failed);
         }
         let elem = t.in_enc.decode_part(part, &mut self.scratch)?;
         t.up_enc.encode_part_into(elem, &mut self.buf)?;
-        conn.stream_send_part(&self.buf).map_err(SoapError::Transport)
-    }
-}
-
-impl<InE, UpE> transport::StreamSession for RelaySession<InE, UpE>
-where
-    InE: StreamEncoding + Send + Sync + 'static,
-    UpE: StreamEncoding + Send + Sync + 'static,
-{
-    fn on_part(&mut self, part: &[u8]) -> TransportResult<()> {
-        match &mut self.state {
-            RelayState::AwaitManifest => {
-                metrics::stream().streams.inc();
-                self.handle_manifest(part);
-            }
-            RelayState::Proxying => {
-                if let Err(e) = self.forward_part(part) {
-                    // Our reply head is not out yet, so the sender can
-                    // still get a clean in-band fault once it finishes.
-                    self.fault(fault_for_error(e));
-                }
-            }
-            RelayState::Faulted(_) => {}
-        }
-        Ok(())
+        up.stream_send_part(&self.buf).map_err(upstream_failed)
     }
 
-    fn finish(&mut self) -> TransportResult<WireReply> {
-        let content_type = self.target.in_enc.content_type();
-        match &mut self.state {
-            RelayState::AwaitManifest => {
-                self.fault(SoapFault::new(
-                    FaultCode::Client,
-                    "streamed request ended before its manifest",
-                ));
-                self.finish()
-            }
-            RelayState::Proxying => {
-                let relayed = (|| -> SoapResult<WireReply> {
-                    let conn = self.conn.as_mut().expect("proxying has a connection");
-                    conn.stream_finish_send().map_err(SoapError::Transport)?;
-                    let mut response = HttpResponse::ok(content_type, Vec::new());
-                    let streamed = conn
-                        .stream_read_head(&mut response)
-                        .map_err(SoapError::Transport)?;
-                    let t = &self.target;
-                    if !streamed {
-                        // Buffered upstream reply (typically a fault):
-                        // transcode the whole envelope; its status follows
-                        // from what it is, as on every other path.
-                        t.up_enc.decode_into(&response.body, &mut self.doc)?;
-                        let reply = SoapEnvelope::take_from(&mut self.doc)?;
-                        let mut out = Vec::new();
-                        self.outcome.is_fault = encode_reply(&t.in_enc, reply, &mut out);
-                        return Ok(buffered_reply(&self.outcome, content_type, out));
-                    }
-                    // Streamed reply: its first part is the manifest —
-                    // transcode it now, while a clean fault downstream is
-                    // still possible, and hold it as our first part.
-                    if !conn
-                        .stream_next_part_into(&mut self.buf, MAX_PART_LEN)
-                        .map_err(SoapError::Transport)?
-                    {
-                        return Err(SoapError::Protocol(
-                            "upstream streamed reply ended before its manifest".into(),
-                        ));
-                    }
-                    if self.verbatim {
-                        std::mem::swap(&mut self.reply_manifest, &mut self.buf);
-                    } else {
-                        t.up_enc.decode_into(&self.buf, &mut self.doc)?;
-                        t.in_enc.encode_into(&self.doc, &mut self.reply_manifest)?;
-                    }
-                    self.manifest_sent = false;
-                    Ok(WireReply::Streamed(HttpResponse::ok(
-                        content_type,
-                        Vec::new(),
-                    )))
-                })();
-                match relayed {
-                    Ok(reply) => Ok(reply),
-                    Err(e) => {
-                        self.fault(fault_for_error(SoapError::Fault(SoapFault::new(
-                            FaultCode::Server,
-                            &format!("intermediary relay failed: {e}"),
-                        ))));
-                        self.finish()
-                    }
-                }
-            }
-            RelayState::Faulted(bytes) => Ok(buffered_reply(
-                &self.outcome,
-                content_type,
-                std::mem::take(bytes),
-            )),
-        }
+    fn finish(&mut self, manifest: &mut Vec<u8>) -> SoapResult<Option<SoapEnvelope>> {
+        self.land(manifest).map_err(upstream_failed)
     }
 
-    fn next_part(&mut self, out: &mut Vec<u8>) -> TransportResult<bool> {
-        if !self.manifest_sent {
-            self.manifest_sent = true;
-            std::mem::swap(out, &mut self.reply_manifest);
-            return Ok(true);
-        }
-        let Some(conn) = self.conn.as_mut() else {
+    fn next_part(&mut self, out: &mut Vec<u8>) -> SoapResult<bool> {
+        let t = &self.target;
+        let Some(up) = self.up.as_mut() else {
             return Ok(false);
         };
         if self.verbatim {
             // One pull, zero transcodes: upstream chunk bytes become the
             // downstream chunk directly.
-            return conn.stream_next_part_into(out, MAX_PART_LEN);
+            return up.stream_next_part_into(out);
         }
-        if !conn.stream_next_part_into(&mut self.buf, MAX_PART_LEN)? {
+        if !up.stream_next_part_into(&mut self.buf)? {
             return Ok(false);
         }
-        let t = &self.target;
-        let elem = t
-            .up_enc
-            .decode_part(&self.buf, &mut self.scratch)
-            .map_err(wire_err)?;
-        t.in_enc.encode_part_into(elem, out).map_err(wire_err)?;
+        let elem = t.up_enc.decode_part(&self.buf, &mut self.scratch)?;
+        t.in_enc.encode_part_into(elem, out)?;
         Ok(true)
+    }
+
+    /// Drop the upstream: a half-sent exchange cannot be reused.
+    fn abandon(&mut self) {
+        self.up = None;
     }
 }
 

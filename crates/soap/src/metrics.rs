@@ -90,9 +90,12 @@ pub fn engine() -> &'static EngineMetrics {
 }
 
 /// Counters for the streaming pipeline (client and server sides share
-/// them — a relay contributes on both).
+/// them — a relay contributes on both). The server side is counted in
+/// the one streamed-exchange session, the client side in
+/// `HttpBinding`'s stream half.
 pub struct StreamMetrics {
-    /// `bx_stream_exchanges_total` — streamed exchanges started.
+    /// `bx_stream_exchanges_total` — streamed exchanges started, counted
+    /// at each end of each leg.
     pub streams: Counter,
     /// `bx_stream_parts_in_total` — message parts received (manifest
     /// included).
@@ -150,4 +153,11 @@ pub fn stream() -> &'static StreamMetrics {
         );
     });
     &METRICS
+}
+
+/// Count one streamed part a node moved through `counter` (`parts_in`
+/// or `parts_out`) and feed its size to `part_bytes_max`.
+pub(crate) fn count_part(counter: &Counter, part: &[u8]) {
+    counter.inc();
+    stream().part_bytes_max.record_max(part.len() as f64);
 }

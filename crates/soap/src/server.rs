@@ -15,7 +15,7 @@ use transport::{HttpResponse, HttpServerConfig, Reply, ReplyControl, TcpServerCo
 use crate::encoding::EncodingPolicy;
 use crate::error::SoapResult;
 use crate::service::{DecodeScratch, HandleOutcome, ServiceRegistry, SoapService};
-use crate::streaming::{ServiceStreamSession, StreamEncoding};
+use crate::streaming::{Endpoint, Session, StreamEncoding};
 
 /// An HTTP reply a [`HandleOutcome`] is written onto: a buffered
 /// handler's reused [`Reply`], or the [`HttpResponse`] a streamed
@@ -273,9 +273,9 @@ impl HttpSoapServer {
                 if head.method != "POST" || head.path != stream_path {
                     return None;
                 }
-                Some(Box::new(ServiceStreamSession::new(Arc::clone(
+                Some(Box::new(Session::new(Endpoint::new(Arc::clone(
                     &stream_service,
-                ))))
+                )))))
             });
         }
         let path = path.to_owned();

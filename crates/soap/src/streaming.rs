@@ -34,7 +34,7 @@ use transport::{HttpResponse, StreamReply as WireReply, TransportError};
 
 use crate::binding::HttpBinding;
 use crate::encoding::{BxsaEncoding, EncodingPolicy, XmlEncoding};
-use crate::envelope::{DeadlineHeader, SoapEnvelope};
+use crate::envelope::{Admitted, DeadlineHeader, Refusal, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::fault::{FaultCode, SoapFault};
 use crate::metrics;
@@ -193,17 +193,7 @@ impl<'a, E: StreamEncoding> PartSender<'a, E> {
     /// bigger payloads into more parts, not bigger ones.
     pub fn send(&mut self, part: &Element) -> SoapResult<()> {
         self.encoding.encode_part_into(part, self.buf)?;
-        if self.buf.len() > MAX_PART_LEN {
-            return Err(SoapError::Protocol(format!(
-                "encoded part is {} bytes, over the {} byte streaming window",
-                self.buf.len(),
-                MAX_PART_LEN,
-            )));
-        }
-        let m = metrics::stream();
-        m.part_bytes_max.record_max(self.buf.len() as f64);
         self.binding.stream_send_part(self.buf)?;
-        m.parts_out.inc();
         self.parts += 1;
         Ok(())
     }
@@ -276,9 +266,6 @@ impl<'a, E: StreamEncoding> StreamingReply<'a, E> {
             self.done = true;
             return Ok(None);
         }
-        let m = metrics::stream();
-        m.parts_in.inc();
-        m.part_bytes_max.record_max(self.buf.len() as f64);
         self.parts += 1;
         let elem = self.encoding.decode_part(self.buf, self.scratch)?;
         Ok(Some(elem))
@@ -293,7 +280,7 @@ impl<'a, E: StreamEncoding> StreamingReply<'a, E> {
 /// Map a session-level SOAP failure onto the wire error that truncates
 /// the connection (used only where a clean in-band fault is no longer
 /// possible, i.e. after the reply head went out).
-pub(crate) fn wire_err(e: SoapError) -> TransportError {
+fn wire_err(e: SoapError) -> TransportError {
     TransportError::BadHttp {
         what: format!("streaming session failed: {e}"),
     }
@@ -303,7 +290,7 @@ pub(crate) fn wire_err(e: SoapError) -> TransportError {
 /// buffered reply) put on the wire through the one outcome-to-HTTP
 /// mapping, [`HandleOutcome::write_http`]. The streaming session API has
 /// no write cap, so none is applied.
-pub(crate) fn buffered_reply(
+fn buffered_reply(
     outcome: &HandleOutcome,
     content_type: &str,
     body: Vec<u8>,
@@ -318,165 +305,230 @@ pub(crate) fn buffered_reply(
     WireReply::Buffered(reply)
 }
 
-/// Where one server-side streamed exchange stands.
-enum SessionState {
-    /// Nothing received yet; the first part must be the manifest.
-    AwaitManifest,
-    /// Manifest dispatched; parts are flowing into the operation.
-    Streaming(Box<dyn StreamOp>),
-    /// Something failed during the request phase; the encoded fault
-    /// response waits for `finish` (later parts are drained silently —
-    /// the sender cannot stop mid-chunk anyway).
-    Faulted(Vec<u8>),
+/// The node-specific half of a streamed exchange, plugged into the one
+/// server-side [`Session`]: the endpoint dispatches to a registered
+/// [`StreamOp`]; the relay forwards upstream (see `crate::intermediary`).
+pub(crate) trait Hop {
+    /// The down-link encoding: what the sender speaks and is answered in.
+    type Down: StreamEncoding;
+
+    fn down(&self) -> &Self::Down;
+
+    /// This node's `bx:Deadline` arrival gate.
+    fn admit(header: &DeadlineHeader) -> Result<Admitted, Refusal>;
+
+    /// The manifest passed the gate: start the exchange.
+    fn open(&mut self, manifest: SoapEnvelope, admitted: Option<&Admitted>) -> SoapResult<()>;
+
+    /// One request payload part, as it came off the wire.
+    fn on_part(&mut self, part: &[u8]) -> SoapResult<()>;
+
+    /// All request parts are in. `Ok(None)`: the reply is streamed and
+    /// its encoded manifest is in `manifest`. `Ok(Some(envelope))`: answer
+    /// buffered with `envelope` (a fault, or a part-less relayed reply).
+    fn finish(&mut self, manifest: &mut Vec<u8>) -> SoapResult<Option<SoapEnvelope>>;
+
+    /// Encode the next reply payload part into `out`; `Ok(false)` ends
+    /// the reply.
+    fn next_part(&mut self, out: &mut Vec<u8>) -> SoapResult<bool>;
+
+    /// The exchange is answered buffered: release whatever is open.
+    fn abandon(&mut self) {}
 }
 
-/// The transport-facing session that adapts a [`SoapService`]'s
-/// registered [`StreamOp`]s to [`transport::StreamSession`]: decodes
-/// parts, routes by the manifest's operation name, encodes reply parts.
-pub(crate) struct ServiceStreamSession<E: EncodingPolicy> {
-    service: Arc<SoapService<E>>,
-    state: SessionState,
-    /// What the buffered fault reply, if any, puts on the wire.
+/// Where one server-side streamed exchange stands.
+enum State {
+    /// Nothing received yet; the first part must be the manifest.
+    AwaitManifest,
+    /// Manifest admitted; parts are flowing into the hop.
+    Open,
+    /// The encoded buffered answer (a fault, mostly) waits for `finish`;
+    /// later parts are drained silently — the sender cannot stop
+    /// mid-chunk anyway.
+    Answered(Vec<u8>),
+}
+
+/// The one [`transport::StreamSession`] of every SOAP node: the first
+/// part is the manifest and passes the hop's arrival gate, a failure
+/// drains the rest and answers one buffered fault, and a streamed reply
+/// sends its manifest before its parts. The server side of the stream
+/// metrics is counted here.
+pub(crate) struct Session<H: Hop> {
+    hop: H,
+    state: State,
+    /// What the buffered answer, if any, puts on the wire.
     outcome: HandleOutcome,
-    scratch: PartScratch,
-    /// Manifest decode target (reused if keep-alive ever reuses us —
-    /// it doesn't today, but the discipline is free).
+    /// Manifest decode target.
     doc: Document,
     /// Encoded reply manifest, emitted as the first reply part.
     reply_manifest: Vec<u8>,
     manifest_sent: bool,
-    /// Reusable reply-part slot handed to the operation.
-    part_slot: Element,
 }
 
-impl<E: EncodingPolicy> ServiceStreamSession<E> {
-    pub(crate) fn new(service: Arc<SoapService<E>>) -> ServiceStreamSession<E> {
-        ServiceStreamSession {
-            service,
-            state: SessionState::AwaitManifest,
+impl<H: Hop> Session<H> {
+    pub(crate) fn new(hop: H) -> Session<H> {
+        Session {
+            hop,
+            state: State::AwaitManifest,
             outcome: HandleOutcome::default(),
-            scratch: PartScratch::default(),
             doc: Document::new(),
             reply_manifest: Vec::new(),
             manifest_sent: false,
-            part_slot: Element::component("part"),
         }
     }
 
-    /// Pre-encode the fault envelope this exchange will answer with.
-    fn fault(&mut self, envelope: SoapEnvelope) {
+    /// Decode the manifest, pass it through the gate and open the hop.
+    fn open(&mut self, manifest: &[u8]) -> SoapResult<()> {
+        self.hop.down().decode_into(manifest, &mut self.doc)?;
+        let envelope = SoapEnvelope::take_from(&mut self.doc)?;
+        let arrived = DeadlineHeader::from_envelope(&envelope)?.map(|h| H::admit(&h));
+        let hop = &mut self.hop;
+        self.outcome
+            .serve_within(arrived, |admitted| hop.open(envelope, admitted))??;
+        self.state = State::Open;
+        Ok(())
+    }
+
+    /// Answer buffered with `envelope`.
+    fn answer(&mut self, envelope: SoapEnvelope) {
+        self.hop.abandon();
         let mut out = Vec::new();
-        self.outcome.is_fault = encode_reply(self.service.encoding(), envelope, &mut out);
-        self.state = SessionState::Faulted(out);
+        self.outcome.is_fault = encode_reply(self.hop.down(), envelope, &mut out);
+        self.state = State::Answered(out);
     }
 
-    fn handle_manifest(&mut self, part: &[u8]) {
-        let dispatched = (|| -> SoapResult<Box<dyn StreamOp>> {
-            self.service.encoding().decode_into(part, &mut self.doc)?;
-            let envelope = SoapEnvelope::take_from(&mut self.doc)?;
-            // Honor the caller's deadline at the gate: a budget already
-            // spent on arrival is refused before any part is processed.
-            let arrived = DeadlineHeader::from_envelope(&envelope)?.map(|h| h.admit());
-            self.outcome.serve_within(arrived, |_| ())?;
-            let op_name = envelope
-                .operation()
-                .ok_or_else(|| SoapError::Protocol("streamed manifest has an empty body".into()))?;
-            let mut op = self.service.new_stream_op(op_name).ok_or_else(|| {
-                SoapError::Protocol(format!(
-                    "operation {op_name:?} is not registered for streaming"
-                ))
-            })?;
-            op.start(&envelope)?;
-            Ok(op)
-        })();
-        match dispatched {
-            Ok(op) => self.state = SessionState::Streaming(op),
-            Err(e) => self.fault(fault_envelope(fault_for_error(e))),
-        }
+    fn fail(&mut self, e: SoapError) {
+        self.answer(fault_envelope(fault_for_error(e)));
     }
 }
 
-impl<E: StreamEncoding + Send + Sync + 'static> transport::StreamSession
-    for ServiceStreamSession<E>
-{
+impl<H: Hop> transport::StreamSession for Session<H> {
     fn on_part(&mut self, part: &[u8]) -> transport::TransportResult<()> {
         let m = metrics::stream();
-        m.parts_in.inc();
-        m.part_bytes_max.record_max(part.len() as f64);
-        match &mut self.state {
-            SessionState::AwaitManifest => {
+        metrics::count_part(&m.parts_in, part);
+        let fed = match self.state {
+            State::AwaitManifest => {
                 m.streams.inc();
-                self.handle_manifest(part);
+                self.open(part)
             }
-            SessionState::Streaming(op) => {
-                let fed = self
-                    .service
-                    .encoding()
-                    .decode_part(part, &mut self.scratch)
-                    .and_then(|elem| op.on_part(elem));
-                if let Err(e) = fed {
-                    self.fault(fault_envelope(fault_for_error(e)));
-                }
-            }
-            // Already doomed: drain the remaining parts quietly; the
-            // fault goes out once the sender's terminator arrives.
-            SessionState::Faulted(_) => {}
+            State::Open => self.hop.on_part(part),
+            State::Answered(_) => Ok(()),
+        };
+        if let Err(e) = fed {
+            self.fail(e);
         }
         Ok(())
     }
 
     fn finish(&mut self) -> transport::TransportResult<WireReply> {
-        let content_type = self.service.encoding().content_type();
-        match &mut self.state {
-            SessionState::AwaitManifest => {
-                self.fault(fault_envelope(SoapFault::new(
-                    FaultCode::Client,
-                    "streamed request ended before its manifest",
-                )));
-                self.finish()
-            }
-            SessionState::Streaming(op) => match op.finish() {
-                Ok(envelope) if envelope.is_fault() => {
-                    self.fault(envelope);
-                    self.finish()
+        let content_type = self.hop.down().content_type();
+        match self.state {
+            State::AwaitManifest => self.fail(SoapError::Fault(SoapFault::new(
+                FaultCode::Client,
+                "streamed request ended before its manifest",
+            ))),
+            State::Open => match self.hop.finish(&mut self.reply_manifest) {
+                Ok(None) => {
+                    let head = HttpResponse::ok(content_type, Vec::new());
+                    return Ok(WireReply::Streamed(head));
                 }
-                Ok(envelope) => {
-                    self.service
-                        .encoding()
-                        .encode_into(&envelope.into_document(), &mut self.reply_manifest)
-                        .map_err(wire_err)?;
-                    self.manifest_sent = false;
-                    Ok(WireReply::Streamed(HttpResponse::ok(content_type, Vec::new())))
-                }
-                Err(e) => {
-                    self.fault(fault_envelope(fault_for_error(e)));
-                    self.finish()
-                }
+                Ok(Some(envelope)) => self.answer(envelope),
+                Err(e) => self.fail(e),
             },
-            SessionState::Faulted(bytes) => {
-                Ok(buffered_reply(&self.outcome, content_type, std::mem::take(bytes)))
-            }
+            State::Answered(_) => {}
         }
+        let State::Answered(body) = &mut self.state else {
+            unreachable!("every other state was answered above");
+        };
+        Ok(buffered_reply(&self.outcome, content_type, std::mem::take(body)))
     }
 
     fn next_part(&mut self, out: &mut Vec<u8>) -> transport::TransportResult<bool> {
-        if !self.manifest_sent {
+        let more = if self.manifest_sent {
+            self.hop.next_part(out).map_err(wire_err)?
+        } else {
             self.manifest_sent = true;
             std::mem::swap(out, &mut self.reply_manifest);
-            metrics::stream().parts_out.inc();
-            return Ok(true);
-        }
-        let SessionState::Streaming(op) = &mut self.state else {
-            return Ok(false);
+            true
         };
-        if !op.next_part(&mut self.part_slot).map_err(wire_err)? {
-            return Ok(false);
+        if more {
+            metrics::count_part(&metrics::stream().parts_out, out);
         }
+        Ok(more)
+    }
+}
+
+/// The endpoint hop: routes the manifest to the service's registered
+/// [`StreamOp`], decodes request parts into it, encodes its reply parts.
+pub(crate) struct Endpoint<E: EncodingPolicy> {
+    service: Arc<SoapService<E>>,
+    op: Option<Box<dyn StreamOp>>,
+    scratch: PartScratch,
+    /// Reusable reply-part slot handed to the operation.
+    slot: Element,
+}
+
+impl<E: EncodingPolicy> Endpoint<E> {
+    pub(crate) fn new(service: Arc<SoapService<E>>) -> Endpoint<E> {
+        Endpoint {
+            service,
+            op: None,
+            scratch: PartScratch::default(),
+            slot: Element::component("part"),
+        }
+    }
+}
+
+impl<E: StreamEncoding> Hop for Endpoint<E> {
+    type Down = E;
+
+    fn down(&self) -> &E {
+        self.service.encoding()
+    }
+
+    fn admit(header: &DeadlineHeader) -> Result<Admitted, Refusal> {
+        header.admit()
+    }
+
+    fn open(&mut self, manifest: SoapEnvelope, _: Option<&Admitted>) -> SoapResult<()> {
+        let op_name = manifest
+            .operation()
+            .ok_or_else(|| SoapError::Protocol("streamed manifest has an empty body".into()))?;
+        let mut op = self.service.new_stream_op(op_name).ok_or_else(|| {
+            SoapError::Protocol(format!("operation {op_name:?} is not registered for streaming"))
+        })?;
+        op.start(&manifest)?;
+        self.op = Some(op);
+        Ok(())
+    }
+
+    fn on_part(&mut self, part: &[u8]) -> SoapResult<()> {
+        let op = self.op.as_mut().expect("an open endpoint has an operation");
+        op.on_part(self.service.encoding().decode_part(part, &mut self.scratch)?)
+    }
+
+    fn finish(&mut self, manifest: &mut Vec<u8>) -> SoapResult<Option<SoapEnvelope>> {
+        let op = self.op.as_mut().expect("an open endpoint has an operation");
+        let envelope = op.finish()?;
+        if envelope.is_fault() {
+            return Ok(Some(envelope));
+        }
+        // The service's own reply failing to encode is a Server fault.
         self.service
             .encoding()
-            .encode_part_into(&self.part_slot, out)
-            .map_err(wire_err)?;
-        metrics::stream().parts_out.inc();
+            .encode_into(&envelope.into_document(), manifest)
+            .map_err(|e| SoapError::Fault(SoapFault::new(FaultCode::Server, &e.to_string())))?;
+        Ok(None)
+    }
+
+    fn next_part(&mut self, out: &mut Vec<u8>) -> SoapResult<bool> {
+        let Some(op) = self.op.as_mut() else {
+            return Ok(false);
+        };
+        if !op.next_part(&mut self.slot)? {
+            return Ok(false);
+        }
+        self.service.encoding().encode_part_into(&self.slot, out)?;
         Ok(true)
     }
 }

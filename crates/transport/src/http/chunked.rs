@@ -350,37 +350,8 @@ pub fn read_chunked_body_into(
 ) -> TransportResult<()> {
     out.clear();
     let mut dec = ChunkDecoder::new();
-    loop {
-        let buf = r.fill_buf().map_err(read_io)?;
-        if buf.is_empty() {
-            return Err(TransportError::ConnectionClosed);
-        }
-        let mut pos = 0;
-        let mut done = false;
-        while pos < buf.len() {
-            let (n, event) = dec.advance(&buf[pos..])?;
-            pos += n;
-            match event {
-                ChunkEvent::NeedMore => break,
-                ChunkEvent::Data { payload, .. } => {
-                    if out.len() + payload.len() > max {
-                        return Err(TransportError::FrameTooLarge {
-                            declared: (out.len() + payload.len()) as u64,
-                        });
-                    }
-                    out.extend_from_slice(payload);
-                }
-                ChunkEvent::End => {
-                    done = true;
-                    break;
-                }
-            }
-        }
-        r.consume(pos);
-        if done {
-            return Ok(());
-        }
-    }
+    while append_one_chunk(r, &mut dec, out, max)? {}
+    Ok(())
 }
 
 /// Blocking helper: read exactly one chunk (one streamed part) from `r`
@@ -393,6 +364,18 @@ pub fn read_one_chunk_into(
     max: usize,
 ) -> TransportResult<bool> {
     out.clear();
+    append_one_chunk(r, dec, out, max)
+}
+
+/// The one blocking chunk loop: append the next chunk's payload to
+/// `out`, refusing to let `out` grow past `max`. Returns `false` once
+/// the terminator (and any trailers) is consumed instead.
+fn append_one_chunk(
+    r: &mut impl BufRead,
+    dec: &mut ChunkDecoder,
+    out: &mut Vec<u8>,
+    max: usize,
+) -> TransportResult<bool> {
     loop {
         let buf = r.fill_buf().map_err(read_io)?;
         if buf.is_empty() {

@@ -257,6 +257,53 @@ if [ -n "$entry_hits" ]; then
     exit 1
 fi
 
+# One streamed exchange: the endpoint and the relay are two hops plugged
+# into the one server-side session, streaming::Session in
+# crates/soap/src/streaming.rs, so non-test soap code has exactly one
+# `impl ... StreamSession for`. The stream metrics' part counters move in
+# exactly two places: that impl (the server side) and HttpBinding's
+# stream half, from `fn stream_begin` to the end of its impl block in
+# crates/soap/src/binding.rs (the client side, shared by call_streaming
+# and the relay's up-link). Comments are skipped; test modules are exempt.
+session_impls=$(for f in crates/soap/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print}' "$f" | tr '\n' ' ' \
+        | grep -oE 'impl\b[^{};]*\bStreamSession\s+for\s+[A-Za-z_]+' | sed "s|^|$f: |" || true
+done)
+if [ "$(grep -c . <<<"$session_impls")" -ne 1 ] \
+   || ! grep -q '^crates/soap/src/streaming.rs: ' <<<"$session_impls"; then
+    echo "$session_impls" >&2
+    echo "soap: one StreamSession impl (streaming.rs) serves every node; plug a Hop into it" >&2
+    exit 1
+fi
+session_range=$(awk '!from && /^impl.*[^A-Za-z0-9_]StreamSession([^A-Za-z0-9_]|$)/{from=FNR} from && !to && /^}$/{to=FNR} END{print from+0, to+0}' \
+    crates/soap/src/streaming.rs)
+binding_range=$(awk '/fn stream_begin\(/{from=FNR} from && !to && /^}$/{to=FNR} END{print from+0, to+0}' \
+    crates/soap/src/binding.rs)
+count_hits=$(for f in crates/soap/src/*.rs; do
+    [ "$f" = crates/soap/src/metrics.rs ] && continue
+    awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ":" $0}' "$f" \
+        | grep -E '\bparts_(in|out)\b' || true
+done)
+stray_counts=$(while IFS=: read -r file line _; do
+    [ -z "$file" ] && continue
+    case "$file" in
+        crates/soap/src/streaming.rs) read -r from to <<<"$session_range" ;;
+        crates/soap/src/binding.rs) read -r from to <<<"$binding_range" ;;
+        *) from=1 to=0 ;;
+    esac
+    if [ "$line" -lt "$from" ] || [ "$line" -gt "$to" ]; then
+        echo "$file:$line"
+    fi
+done <<<"$count_hits")
+missing_sites=$(for site in streaming.rs:parts_in streaming.rs:parts_out binding.rs:parts_in binding.rs:parts_out; do
+    grep -q "^crates/soap/src/${site%%:*}:.*\b${site##*:}\b" <<<"$count_hits" || echo "$site"
+done)
+if [ -n "$stray_counts" ] || [ -n "$missing_sites" ]; then
+    printf '%s\n' $stray_counts $missing_sites >&2
+    echo "soap: count streamed parts only in streaming::Session and HttpBinding's stream half" >&2
+    exit 1
+fi
+
 # Unsafe stays confined. Outside test code, `unsafe` appears in three
 # places only: xbs's native-order reader copy and its byte view of packed
 # arrays (crates/xbs/src/reader.rs, prim.rs), the epoll FFI

@@ -4,14 +4,15 @@
 //! or a poisoned listener.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bxdm::{ArrayValue, AtomicValue, Element};
 use soap::{
-    BxsaEncoding, CallOptions, EncodingPolicy, HttpBinding, HttpSoapServer, ServiceRegistry, SoapEngine,
-    SoapEnvelope, SoapError, SoapResult, SoapService, StreamEncoding, StreamOp,
+    BxsaEncoding, CallOptions, EncodingPolicy, FaultCode, HttpBinding, HttpSoapServer,
+    Intermediary, ServiceRegistry, SoapEngine, SoapEnvelope, SoapError, SoapResult, SoapService,
+    StreamEncoding, StreamOp,
 };
 
 /// Minimal streaming op: sum every f64 batch, answer with the total.
@@ -58,7 +59,11 @@ fn serve() -> HttpSoapServer {
 }
 
 fn connect(server: &HttpSoapServer) -> TcpStream {
-    let sock = TcpStream::connect(server.local_addr()).unwrap();
+    connect_to(server.local_addr())
+}
+
+fn connect_to(addr: SocketAddr) -> TcpStream {
+    let sock = TcpStream::connect(addr).unwrap();
     sock.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
     sock
 }
@@ -109,27 +114,49 @@ fn status_line(response: &[u8]) -> String {
     text.lines().next().unwrap_or_default().to_owned()
 }
 
+/// The fault code of a buffered SOAP answer read off the wire.
+fn fault_code(response: &[u8]) -> Option<FaultCode> {
+    let at = response.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let doc = BxsaEncoding::default().decode(&response[at + 4..]).ok()?;
+    Some(SoapEnvelope::from_document(&doc).ok()?.as_fault()?.code)
+}
+
 #[test]
 fn terminator_only_request_faults_and_keeps_the_connection() {
     let server = serve();
-    let mut sock = connect(&server);
+    // A streaming relay runs the endpoint's own session, so it must
+    // answer the degenerate framing exactly as the endpoint does.
+    let relay = Intermediary::bind_http_streaming(
+        "127.0.0.1:0",
+        "/soap",
+        BxsaEncoding::default(),
+        BxsaEncoding::default(),
+        &server.local_addr().to_string(),
+        "/soap",
+    )
+    .unwrap();
+    for addr in [server.local_addr(), relay.local_addr()] {
+        let mut sock = connect_to(addr);
 
-    // A chunked body that is *only* the zero-length terminator: no
-    // manifest ever arrives, so the answer is an in-band SOAP fault.
-    sock.write_all(CHUNKED_HEAD.as_bytes()).unwrap();
-    sock.write_all(b"0\r\n\r\n").unwrap();
-    let first = read_available(&mut sock);
-    assert_eq!(status_line(&first), "HTTP/1.1 500 Internal Server Error");
+        // A chunked body that is *only* the zero-length terminator: no
+        // manifest ever arrives, so the answer is an in-band SOAP fault.
+        sock.write_all(CHUNKED_HEAD.as_bytes()).unwrap();
+        sock.write_all(b"0\r\n\r\n").unwrap();
+        let first = read_available(&mut sock);
+        assert_eq!(status_line(&first), "HTTP/1.1 500 Internal Server Error", "at {addr}");
+        assert_eq!(fault_code(&first), Some(FaultCode::Client), "at {addr}");
 
-    // The connection survived the degenerate exchange: a well-formed
-    // streamed call on the very same socket succeeds.
-    sock.write_all(CHUNKED_HEAD.as_bytes()).unwrap();
-    sock.write_all(&manifest_chunk()).unwrap();
-    sock.write_all(&batch_chunk(&[1.0, 2.0, 3.0])).unwrap();
-    sock.write_all(b"0\r\n\r\n").unwrap();
-    let second = read_available(&mut sock);
-    assert_eq!(status_line(&second), "HTTP/1.1 200 OK");
+        // The connection survived the degenerate exchange: a well-formed
+        // streamed call on the very same socket succeeds.
+        sock.write_all(CHUNKED_HEAD.as_bytes()).unwrap();
+        sock.write_all(&manifest_chunk()).unwrap();
+        sock.write_all(&batch_chunk(&[1.0, 2.0, 3.0])).unwrap();
+        sock.write_all(b"0\r\n\r\n").unwrap();
+        let second = read_available(&mut sock);
+        assert_eq!(status_line(&second), "HTTP/1.1 200 OK", "at {addr}");
+    }
 
+    relay.shutdown();
     server.shutdown();
 }
 

@@ -362,3 +362,87 @@ fn relay_with_dead_upstream_faults_streamed_calls() {
     }
     relay.shutdown();
 }
+
+/// A transcoded part that outgrows the streaming window is this hop's
+/// doing: the relay refuses it before writing it upstream and answers
+/// the sender with a Server fault naming the window.
+#[test]
+fn relay_refuses_a_transcoded_part_over_the_window() {
+    let server = serve(XmlEncoding::default());
+    let relay = Intermediary::bind_http_streaming(
+        "127.0.0.1:0",
+        "/soap",
+        BxsaEncoding::default(),
+        XmlEncoding::default(),
+        &server.local_addr().to_string(),
+        "/soap",
+    )
+    .unwrap();
+    // Long decimals: about 8 bytes per value in BXSA, over 20 in XML.
+    let values: Vec<f64> = (0..400_000).map(|i| f64::from(i) + 1.0 / 3.0).collect();
+    let part = Element::array("batch", ArrayValue::F64(values));
+    let (mut bxsa, mut xml) = (Vec::new(), Vec::new());
+    soap::StreamEncoding::encode_part_into(&BxsaEncoding::default(), &part, &mut bxsa).unwrap();
+    soap::StreamEncoding::encode_part_into(&XmlEncoding::default(), &part, &mut xml).unwrap();
+    assert!(bxsa.len() < soap::MAX_PART_LEN && xml.len() > soap::MAX_PART_LEN);
+
+    let mut engine = engine_for(&relay.local_addr().to_string());
+    let result = engine.call_streaming(
+        SoapEnvelope::with_body(Element::component("Sum")),
+        &CallOptions::new(),
+        |tx| tx.send(&part),
+    );
+    match result {
+        Err(SoapError::Fault(f)) => {
+            assert_eq!(f.code, FaultCode::Server);
+            assert!(f.string.contains("streaming window"), "fault: {}", f.string);
+        }
+        other => panic!("expected a Server fault, got {:?}", other.map(|_| ())),
+    }
+    relay.shutdown();
+    server.shutdown();
+}
+
+/// A reply manifest the service cannot encode (here an undeclared
+/// prefix) is the service's failure: the sender gets a buffered Server
+/// fault, and the connection stays usable.
+#[test]
+fn unencodable_reply_manifest_faults_in_band() {
+    struct BadReplyOp;
+    impl StreamOp for BadReplyOp {
+        fn start(&mut self, _manifest: &SoapEnvelope) -> SoapResult<()> {
+            Ok(())
+        }
+        fn on_part(&mut self, _part: &Element) -> SoapResult<()> {
+            Ok(())
+        }
+        fn finish(&mut self) -> SoapResult<SoapEnvelope> {
+            Ok(SoapEnvelope::with_body(Element::component("m:BadResponse")))
+        }
+        fn next_part(&mut self, _slot: &mut Element) -> SoapResult<bool> {
+            Ok(false)
+        }
+    }
+    let mut service = streaming_service(BxsaEncoding::default());
+    service.register_streaming("Bad", || Box::new(BadReplyOp));
+    let server = HttpSoapServer::bind_service_with(
+        "127.0.0.1:0",
+        "/soap",
+        transport::HttpServerConfig::default(),
+        service,
+    )
+    .unwrap();
+    let mut engine = engine_for(&server.local_addr().to_string());
+    let result = engine.call_streaming(
+        SoapEnvelope::with_body(Element::component("Bad")),
+        &CallOptions::new(),
+        |_tx| Ok(()),
+    );
+    match result {
+        Err(SoapError::Fault(f)) => assert_eq!(f.code, FaultCode::Server),
+        other => panic!("expected a Server fault, got {:?}", other.map(|_| ())),
+    }
+    let (sum, parts) = upload_sum(&mut engine);
+    assert_eq!((sum, parts), (expected_sum(), PARTS as i32));
+    server.shutdown();
+}
