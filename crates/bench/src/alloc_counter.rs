@@ -192,6 +192,43 @@ mod tests {
         tree_service_call_stays_under_budget(soap::XmlEncoding::default());
     }
 
+    /// A warm 100k-pair BXSA Verify through `SoapService::handle` with
+    /// `register_verify` takes the view path: the peek, the in-place
+    /// read of both arrays, the handler and the typed reply encode
+    /// allocate nothing at all. The request sits at an 8-aligned address,
+    /// as in a connection's receive buffer, so neither array is copied.
+    #[test]
+    fn bulk_view_verify_is_allocation_free() {
+        use soap::EncodingPolicy;
+
+        let (index, values) = bxsoap::lead_dataset(100_000, 42);
+        let encoding = soap::BxsaEncoding::native_order();
+        let encoded = encoding
+            .encode(&bxsoap::verify_request_envelope(&index, &values).into_document())
+            .unwrap();
+        let mut buf = Vec::with_capacity(encoded.len() + 8);
+        let pad = (8 - buf.as_ptr() as usize % 8) % 8;
+        buf.resize(pad, 0);
+        buf.extend_from_slice(&encoded);
+        let request = &buf[pad..];
+        let service = verify_service(encoding.clone());
+        let mut scratch = soap::DecodeScratch::default();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            assert!(!service.handle(&mut scratch, request, &mut out).is_fault);
+        }
+        let (outcome, n) = measure(|| service.handle(&mut scratch, request, &mut out));
+        assert!(!outcome.is_fault);
+        assert_eq!(n, 0, "a warm bulk view Verify allocated {n}x");
+        let reply = soap::SoapEnvelope::from_document(&encoding.decode(&out).unwrap()).unwrap();
+        let body = reply.body_element().unwrap();
+        assert_eq!(body.child_value("ok"), Some(&bxdm::AtomicValue::Bool(true)));
+        assert_eq!(
+            body.child_value("count"),
+            Some(&bxdm::AtomicValue::I64(100_000))
+        );
+    }
+
     /// A warm engine's `call_with` moves the caller's 100k-pair envelope
     /// into the document it encodes, and the loopback server lends the
     /// decoded request to its handler: client and server together

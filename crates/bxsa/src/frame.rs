@@ -249,6 +249,7 @@ impl Name<'_> {
 /// element-header fields, typed values and the packed-array head. Every
 /// [`open`](Cursor::open) must be matched by one
 /// [`close`](Cursor::close) or [`skip`](Cursor::skip).
+#[derive(Clone)]
 pub(crate) struct Cursor<'a> {
     pub r: XbsReader<'a>,
     depth: usize,

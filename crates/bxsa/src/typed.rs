@@ -13,7 +13,8 @@
 //!   and a tree encode of its bXDM equivalent produce identical bytes.
 //! * [`FieldReader`] pulls element headers and typed values straight off
 //!   the frame stream with no per-element allocation at all: strings are
-//!   borrowed, arrays refill caller-owned buffers, and
+//!   borrowed, arrays refill caller-owned buffers or are read in place
+//!   ([`FieldReader::read_array_view`]), and
 //!   [`FieldReader::finish`] checks the document end and the checksum
 //!   trailer.
 //!
@@ -57,6 +58,8 @@
 //! assert_eq!(out, values);
 //! r.close(&set).unwrap();
 //! ```
+
+use std::borrow::Cow;
 
 use bxdm::namespace::NsRef;
 use xbs::{ByteOrder, Primitive, TypeCode, XbsWriter};
@@ -386,6 +389,7 @@ pub struct ElementHead<'a> {
 /// the caller's control flow as [`ElementHead`] values, so a schema-known
 /// decode performs no heap allocation at all beyond the arrays it
 /// refills in place.
+#[derive(Clone)]
 pub struct FieldReader<'a> {
     c: Cursor<'a>,
     doc: Frame,
@@ -503,6 +507,26 @@ impl<'a> FieldReader<'a> {
         let len = self.c.array_of::<T>()?;
         self.c.r.read_packed_into(len, out)?;
         self.close(head)
+    }
+
+    /// Read an opened array frame in place (and close the frame): the
+    /// values are borrowed from the input when its byte order is the
+    /// machine's and the payload sits at an address aligned for `T`,
+    /// and copied out otherwise. Either way the frame gets exactly the
+    /// checks [`read_array_into`](FieldReader::read_array_into) makes,
+    /// and the same input gives the same values or the same error.
+    pub fn read_array_view<T: Primitive>(
+        &mut self,
+        head: &ElementHead<'a>,
+    ) -> BxsaResult<Cow<'a, [T]>> {
+        expect_kind(head, FrameType::Array)?;
+        let len = self.c.array_of::<T>()?;
+        let values = match self.c.r.read_packed_zero_copy(len)? {
+            Some(view) => Cow::Borrowed(view),
+            None => Cow::Owned(self.c.r.read_packed(len)?),
+        };
+        self.close(head)?;
+        Ok(values)
     }
 }
 
@@ -661,6 +685,147 @@ mod tests {
                 r.close(&set)
             });
         }
+    }
+
+    /// Read the `values` array of a document encoded by
+    /// [`view_agrees_with_copy`] through the view (also reporting
+    /// whether it borrowed) or through the copying read, then close and
+    /// finish the document, checksum included.
+    fn read_values<T: Primitive>(bytes: &[u8], view: bool) -> BxsaResult<(Vec<T>, bool)> {
+        let mut r = FieldReader::new(bytes)?;
+        let root = r.open()?;
+        let arr = r.open()?;
+        let read = if view {
+            let values = r.read_array_view::<T>(&arr)?;
+            let borrowed = matches!(values, Cow::Borrowed(_));
+            (values.into_owned(), borrowed)
+        } else {
+            let mut out = Vec::new();
+            r.read_array_into(&arr, &mut out)?;
+            (out, false)
+        };
+        r.close(&root)?;
+        r.finish()?;
+        Ok(read)
+    }
+
+    /// The values' bytes, so NaN payloads compare bit for bit.
+    fn bits<T: Primitive>(values: &[T]) -> Vec<u8> {
+        let mut out = vec![0; values.len() * T::WIDTH];
+        for (v, slot) in values.iter().zip(out.chunks_exact_mut(T::WIDTH)) {
+            v.write_bytes(ByteOrder::Little, slot);
+        }
+        out
+    }
+
+    /// Encode `values` as the one array of a document, optionally flip
+    /// one byte, place the document `shift` bytes past an 8-aligned
+    /// address, and read the array both ways: the view and the copying
+    /// read accept the same inputs with the same values or the same
+    /// error, and the view borrows exactly when the order is native and
+    /// the payload is aligned.
+    fn view_agrees_with_copy<T: Primitive>(
+        array: ArrayValue,
+        len: usize,
+        big: bool,
+        shift: usize,
+        checksum: bool,
+        flip: Option<(usize, u8)>,
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        let byte_order = if big {
+            ByteOrder::Big
+        } else {
+            ByteOrder::Little
+        };
+        let doc = Document::with_root(
+            Element::component("r").with_child(Element::array("values", array)),
+        );
+        let opts = crate::EncodeOptions {
+            byte_order,
+            checksum,
+        };
+        let mut bytes = crate::encode_with(&doc, &opts).unwrap();
+        if let Some((at, mask)) = flip {
+            let i = at % bytes.len();
+            bytes[i] ^= mask;
+        }
+        let mut buf = Vec::with_capacity(bytes.len() + 16);
+        let pad = (8 - buf.as_ptr() as usize % 8) % 8 + shift;
+        buf.resize(pad, 0);
+        buf.extend_from_slice(&bytes);
+        let placed = &buf[pad..];
+        let copied = read_values::<T>(placed, false);
+        let viewed = read_values::<T>(placed, true);
+        if let (Ok((_, borrowed)), None) = (&viewed, flip) {
+            let in_place = byte_order.is_native() && (shift.is_multiple_of(T::WIDTH) || len == 0);
+            proptest::prop_assert_eq!(
+                *borrowed,
+                in_place,
+                "shift {} order {:?}",
+                shift,
+                byte_order
+            );
+        }
+        proptest::prop_assert_eq!(viewed.map(|(v, _)| bits(&v)), copied.map(|(v, _)| bits(&v)));
+        Ok(())
+    }
+
+    macro_rules! view_matches_copy {
+        ($($test:ident: $t:ty => $variant:ident),+ $(,)?) => {
+            proptest::proptest! {
+                $(
+                    #[test]
+                    fn $test(
+                        values in proptest::collection::vec(proptest::prelude::any::<$t>(), 0..40),
+                        big in proptest::prelude::any::<bool>(),
+                        shift in 0usize..8,
+                        checksum in proptest::prelude::any::<bool>(),
+                        flip in proptest::option::of((
+                            proptest::prelude::any::<usize>(),
+                            1u8..=255,
+                        )),
+                    ) {
+                        let len = values.len();
+                        view_agrees_with_copy::<$t>(
+                            ArrayValue::$variant(values), len, big, shift, checksum, flip,
+                        )?;
+                    }
+                )+
+            }
+        };
+    }
+
+    view_matches_copy! {
+        view_matches_copy_i8: i8 => I8,
+        view_matches_copy_u8: u8 => U8,
+        view_matches_copy_i16: i16 => I16,
+        view_matches_copy_u16: u16 => U16,
+        view_matches_copy_i32: i32 => I32,
+        view_matches_copy_u32: u32 => U32,
+        view_matches_copy_i64: i64 => I64,
+        view_matches_copy_u64: u64 => U64,
+        view_matches_copy_f32: f32 => F32,
+        view_matches_copy_f64: f64 => F64,
+    }
+
+    #[test]
+    fn view_refuses_a_mistyped_array_like_the_copy() {
+        let bytes = crate::encode(&tree_doc(&[1.0, 2.0], 2)).unwrap();
+        let mut r = FieldReader::new(&bytes).unwrap();
+        let _set = r.open().unwrap();
+        let arr = r.open().unwrap();
+        let mut ints = Vec::new();
+        assert_eq!(
+            r.clone().read_array_view::<i32>(&arr).unwrap_err(),
+            r.clone().read_array_into::<i32>(&arr, &mut ints).unwrap_err()
+        );
+        // A leaf is no array.
+        r.skip(&arr).unwrap();
+        let leaf = r.open().unwrap();
+        assert!(matches!(
+            r.read_array_view::<i64>(&leaf),
+            Err(BxsaError::Structure { .. })
+        ));
     }
 
     #[test]

@@ -53,6 +53,13 @@ pub trait EncodingPolicy {
         parts[0] = out;
         Ok(1)
     }
+    /// This policy as the BXSA policy, when it is one: a service reads
+    /// BXSA requests for the registry's views in place
+    /// ([`crate::ServiceRegistry::register_view`]) and answers them in
+    /// these options. Default: `None`, so views never run.
+    fn as_bxsa(&self) -> Option<&BxsaEncoding> {
+        None
+    }
     /// Serialize a document into fresh storage. Default: delegates to
     /// [`encode_into`](EncodingPolicy::encode_into).
     fn encode(&self, doc: &Document) -> SoapResult<Vec<u8>> {
@@ -160,6 +167,10 @@ impl EncodingPolicy for BxsaEncoding {
 
     fn decode_into(&self, bytes: &[u8], doc: &mut Document) -> SoapResult<()> {
         Ok(bxsa::decode_into(bytes, doc)?)
+    }
+
+    fn as_bxsa(&self) -> Option<&BxsaEncoding> {
+        Some(self)
     }
 }
 

@@ -38,7 +38,7 @@ use crate::encoding::EncodingPolicy;
 use crate::envelope::{Admitted, DeadlineHeader, Refusal, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::fault::{FaultCode, SoapFault};
-use crate::service::{encode_reply, fault_envelope, HandleOutcome};
+use crate::service::{encode_reply, fault_envelope, fault_for_error, HandleOutcome};
 use crate::streaming::{Hop, PartScratch, Session, StreamEncoding};
 
 /// A running relay node, listening on framed TCP or HTTP.
@@ -191,17 +191,15 @@ where
             if admitted.is_some() {
                 up_binding.set_call_deadline(None);
             }
-            SoapEnvelope::take_from(&mut up_encoding.decode(&exchanged?)?)
+            exchanged
+                .and_then(|reply| SoapEnvelope::take_from(&mut up_encoding.decode(&reply)?))
+                .map_err(upstream_failed)
         })?
     })();
-    // The gate's refusals keep their own fault; anything else that went
-    // wrong on this hop is the service's problem.
-    let response = relayed.unwrap_or_else(|e| {
-        fault_envelope(match e {
-            SoapError::Fault(fault) => fault,
-            e => SoapFault::new(FaultCode::Server, &format!("intermediary relay failed: {e}")),
-        })
-    });
+    // A down-link request this hop cannot read is the sender's fault, as
+    // at an endpoint; the gate's refusals keep their own fault, and the
+    // up-link's trouble is already this hop's Server fault.
+    let response = relayed.unwrap_or_else(|e| fault_envelope(fault_for_error(e)));
     outcome.is_fault = encode_reply(in_encoding, response, out);
     outcome
 }

@@ -75,7 +75,8 @@ pub use service::{
 };
 pub use streaming::{PartScratch, StreamEncoding, StreamOp, MAX_PART_LEN};
 pub use typed::{
-    FromBxsa, ToBxsa, TypedDecode, TypedEncoding, TypedRequest, TypedScratch, ENVELOPE_DECLS,
+    BxsaView, FromBxsa, ToBxsa, TypedDecode, TypedEncoding, TypedRequest, TypedScratch,
+    ENVELOPE_DECLS,
 };
 
 // Re-exported so `soap` users reach the resilience vocabulary without a

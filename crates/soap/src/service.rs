@@ -10,12 +10,15 @@ use bxdm::Document;
 use transport::{Deadline, RetryPolicy};
 
 use crate::anyengine::WireEncoding;
-use crate::encoding::EncodingPolicy;
+use crate::encoding::{BxsaEncoding, EncodingPolicy};
 use crate::engine::CallOptions;
 use crate::envelope::{must_understand, Admitted, DeadlineHeader, Refusal, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::fault::{FaultCode, SoapFault};
-use crate::typed::{FromBxsa, ToBxsa, TypedEncoding, TypedRequest, TypedScratch};
+use crate::typed::{
+    decode_view_request, peek_bxsa_operation, BxsaView, FromBxsa, ToBxsa, TypedEncoding,
+    TypedRequest, TypedScratch,
+};
 
 /// A service operation: request envelope in, response envelope out.
 pub type ServiceHandler =
@@ -140,6 +143,7 @@ impl ServiceMetadata {
 #[derive(Default)]
 pub struct ServiceRegistry {
     handlers: HashMap<String, Box<ServiceHandler>>,
+    views: HashMap<String, Box<ViewOp>>,
     understood_headers: Vec<String>,
     metadata: ServiceMetadata,
 }
@@ -165,6 +169,45 @@ impl ServiceRegistry {
         F: Fn(&SoapEnvelope) -> SoapResult<SoapEnvelope> + Send + Sync + 'static,
     {
         self.handlers.insert(name.to_owned(), Box::new(handler));
+    }
+
+    /// Register a view handler for an operation that also has a tree
+    /// handler ([`register`](ServiceRegistry::register)): a BXSA request
+    /// named `name` whose envelope matches `V`'s shape is read in place —
+    /// its arrays borrowed from the bytes the transport received — and
+    /// answered straight from a reusable `Resp`, with no element tree
+    /// either direction. It passes the same `bx:Deadline` arrival gate
+    /// as the tree path.
+    ///
+    /// Everything else takes the tree handler: XML requests, foreign or
+    /// `mustUnderstand` headers, other shapes, and every request the
+    /// view cannot read, so each error is answered by the tree path. A
+    /// handler error answers as it would from the tree handler: its own
+    /// fault, or a Server fault.
+    pub fn register_view<V, Resp, F>(&mut self, name: &str, handler: F)
+    where
+        V: BxsaView,
+        Resp: ToBxsa + Default + Send + 'static,
+        F: for<'a> Fn(&V::View<'a>, &mut Resp) -> SoapResult<()> + Send + Sync + 'static,
+    {
+        let scratch = parking_lot::Mutex::new((Resp::default(), TypedScratch::default()));
+        let op = move |enc: &BxsaEncoding,
+                       request: &[u8],
+                       outcome: &mut HandleOutcome,
+                       out: &mut Vec<u8>|
+              -> bool {
+            let Ok(Some((deadline, view))) = decode_view_request::<V>(request) else {
+                return false;
+            };
+            with_scratch(&scratch, |(resp, ts)| {
+                let handle = |resp: &mut Resp| {
+                    handler(&view, resp).map_err(|e| SoapError::Fault(handler_fault(e)))
+                };
+                answer_typed(enc, Ok(deadline), handle, resp, ts, outcome, out);
+            });
+            true
+        };
+        self.views.insert(name.to_owned(), Box::new(op));
     }
 
     /// Declare a header (by local name) as understood, for
@@ -235,11 +278,16 @@ impl ServiceRegistry {
                     .with_detail(&format!("known operations: {:?}", self.operations())),
             );
         };
-        match handler(request) {
-            Ok(response) => response,
-            Err(SoapError::Fault(f)) => fault_envelope(f),
-            Err(other) => fault_envelope(SoapFault::server(other)),
-        }
+        handler(request).unwrap_or_else(|e| fault_envelope(handler_fault(e)))
+    }
+}
+
+/// The fault a handler's error answers with: the fault it carries, or a
+/// Server fault for anything else.
+fn handler_fault(err: SoapError) -> SoapFault {
+    match err {
+        SoapError::Fault(f) => f,
+        other => SoapFault::server(other),
     }
 }
 
@@ -305,9 +353,50 @@ impl DecodeScratch {
 /// generic tree pipeline must run instead.
 type TypedOp = dyn Fn(&[u8], &mut HandleOutcome, &mut Vec<u8>) -> bool + Send + Sync;
 
+/// A type-erased view operation: the service's BXSA policy and the
+/// request bytes in, response bytes and outcome out. `false` means the
+/// request doesn't fit the view, and the tree pipeline runs instead.
+type ViewOp = dyn Fn(&BxsaEncoding, &[u8], &mut HandleOutcome, &mut Vec<u8>) -> bool + Send + Sync;
+
 /// A type-erased operation peek: wire bytes in, borrowed operation name
 /// out (`None` when the bytes don't parse far enough to name one).
 type TypedPeek = dyn for<'a> Fn(&'a [u8]) -> Option<&'a str> + Send + Sync;
+
+/// Run `f` on an operation's shared scratch, or on fresh scratch when
+/// another request holds it: concurrent requests for one operation
+/// never wait on each other.
+fn with_scratch<S: Default, R>(shared: &parking_lot::Mutex<S>, f: impl FnOnce(&mut S) -> R) -> R {
+    match shared.try_lock() {
+        Some(mut guard) => f(&mut guard),
+        None => f(&mut S::default()),
+    }
+}
+
+/// Answer a request the typed or view path read (`request` is its
+/// `bx:Deadline` header, or the error reading it): `handle` fills `resp`
+/// behind the arrival gate, and `resp` is encoded straight to `out`; any
+/// error is encoded as its fault instead.
+fn answer_typed<E: TypedEncoding, Resp: ToBxsa>(
+    enc: &E,
+    request: SoapResult<Option<DeadlineHeader>>,
+    handle: impl FnOnce(&mut Resp) -> SoapResult<()>,
+    resp: &mut Resp,
+    ts: &mut TypedScratch,
+    outcome: &mut HandleOutcome,
+    out: &mut Vec<u8>,
+) {
+    let served = request.and_then(|deadline| {
+        outcome
+            .serve_within(deadline.map(|h| h.admit()), |_| {
+                handle(resp).and_then(|()| enc.encode_typed(&*resp, None, ts, out))
+            })
+            .and_then(|served| served)
+    });
+    outcome.is_fault = match served {
+        Ok(()) => false,
+        Err(e) => encode_reply(enc, fault_envelope(fault_for_error(e)), out),
+    };
+}
 
 /// Encode a response or fault envelope, never failing (errors degrade to
 /// a plain-text payload rather than a server panic). Returns whether the
@@ -339,7 +428,9 @@ pub(crate) fn encode_reply<E: EncodingPolicy>(
 /// typed fast path: requests whose envelope matches the expected typed
 /// shape are decoded field-by-field straight into a reusable request
 /// struct and the response is encoded straight from the response struct
-/// — no element tree on either side. Requests that don't fit (foreign
+/// — no element tree on either side. On a BXSA service, the registry's
+/// views ([`ServiceRegistry::register_view`]) ride the same pre-dispatch
+/// and read their requests in place. Requests that don't fit (foreign
 /// headers, faults, unexpected shapes) silently fall back to the tree
 /// pipeline above, so the fast path is purely an optimization.
 pub struct SoapService<E: EncodingPolicy> {
@@ -353,11 +444,15 @@ pub struct SoapService<E: EncodingPolicy> {
 impl<E: EncodingPolicy> SoapService<E> {
     /// Assemble a service.
     pub fn new(encoding: E, registry: Arc<ServiceRegistry>) -> SoapService<E> {
+        // Views read BXSA requests only; they are found by the typed
+        // pre-dispatch's peek.
+        let typed_peek = (encoding.as_bxsa().is_some() && !registry.views.is_empty())
+            .then(|| Box::new(peek_bxsa_operation) as Box<TypedPeek>);
         SoapService {
             encoding,
             registry,
             typed_ops: HashMap::new(),
-            typed_peek: None,
+            typed_peek,
             stream_ops: HashMap::new(),
         }
     }
@@ -388,15 +483,18 @@ impl<E: EncodingPolicy> SoapService<E> {
     }
 
     /// Serve `request` through the typed fast path if a typed operation
-    /// matches. `true` means the response was written to `out`; `false`
-    /// means "take the generic pipeline".
+    /// or, on BXSA, a registry view matches. `true` means the response
+    /// was written to `out`; `false` means "take the generic pipeline".
     fn try_typed(&self, request: &[u8], outcome: &mut HandleOutcome, out: &mut Vec<u8>) -> bool {
-        let Some(peek) = self.typed_peek.as_ref() else {
+        let Some(op) = self.typed_peek.as_ref().and_then(|peek| peek(request)) else {
             return false;
         };
-        match peek(request).and_then(|op| self.typed_ops.get(op)) {
-            Some(serve) => serve(request, outcome, out),
-            None => false,
+        if let Some(serve) = self.typed_ops.get(op) {
+            return serve(request, outcome, out);
+        }
+        match (self.encoding.as_bxsa(), self.registry.views.get(op)) {
+            (Some(bxsa), Some(serve)) => serve(bxsa, request, outcome, out),
+            _ => false,
         }
     }
 
@@ -474,37 +572,28 @@ impl<E: TypedEncoding + Clone + Send + Sync + 'static> SoapService<E> {
         let scratch: parking_lot::Mutex<(Req, Resp, TypedScratch)> =
             parking_lot::Mutex::new((Req::default(), Resp::default(), TypedScratch::default()));
         let op = move |request: &[u8], outcome: &mut HandleOutcome, out: &mut Vec<u8>| -> bool {
-            let mut fresh;
-            let mut guard;
-            let (req, resp, ts) = match scratch.try_lock() {
-                Some(g) => {
-                    guard = g;
-                    &mut *guard
-                }
-                None => {
-                    fresh = (Req::default(), Resp::default(), TypedScratch::default());
-                    &mut fresh
-                }
-            };
-            // The operation matched but its payload didn't decode: that's
-            // the sender's bad message, not a shape mismatch — answer the
-            // Client fault here (a typed-only operation has no tree
-            // handler to fall back to, and "unknown operation" would
-            // mislead).
-            let served = match enc.decode_typed_request(request, req) {
-                Ok(TypedRequest::Matched { deadline }) => outcome
-                    .serve_within(deadline.map(|h| h.admit()), |_| {
-                        handler(req, resp).and_then(|()| enc.encode_typed(&*resp, None, ts, out))
-                    })
-                    .and_then(|served| served),
-                Ok(TypedRequest::Fallback) => return false,
-                Err(e) => Err(e),
-            };
-            outcome.is_fault = match served {
-                Ok(()) => false,
-                Err(e) => encode_reply(&enc, fault_envelope(fault_for_error(e)), out),
-            };
-            true
+            with_scratch(&scratch, |(req, resp, ts)| {
+                // The operation matched but its payload didn't decode:
+                // that's the sender's bad message, not a shape mismatch —
+                // answer the Client fault here (a typed-only operation has
+                // no tree handler to fall back to, and "unknown operation"
+                // would mislead).
+                let deadline = match enc.decode_typed_request(request, req) {
+                    Ok(TypedRequest::Matched { deadline }) => Ok(deadline),
+                    Ok(TypedRequest::Fallback) => return false,
+                    Err(e) => Err(e),
+                };
+                answer_typed(
+                    &enc,
+                    deadline,
+                    |resp| handler(req, resp),
+                    resp,
+                    ts,
+                    outcome,
+                    out,
+                );
+                true
+            })
         };
         self.typed_ops.insert(name.to_owned(), Box::new(op));
     }

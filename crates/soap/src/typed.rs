@@ -92,6 +92,36 @@ pub trait FromBxsa: Default {
         -> SoapResult<()>;
 }
 
+/// A request read in place: a BXSA body entry decoded into a view whose
+/// fields borrow from the request bytes — packed arrays through
+/// [`FieldReader::read_array_view`] — so a handler registered with
+/// [`crate::ServiceRegistry::register_view`] reads them where the
+/// transport received them.
+///
+/// The implementing type only names the view; the `'static` instance of
+/// the view struct itself is the usual choice
+/// (`impl BxsaView for MyView<'static> { type View<'a> = MyView<'a>; … }`).
+///
+/// # Contract
+///
+/// As [`FromBxsa`]'s BXSA half: skip unknown children, error when a
+/// required field is absent or mistyped, leave the reader at the end of
+/// the element. A view never answers an error itself: any error sends
+/// the request to the operation's tree handler, so a view must read the
+/// same values that handler reads — where the handler takes the first
+/// child of a name, so does the view.
+pub trait BxsaView: 'static {
+    /// The request as read from one message's bytes.
+    type View<'a>;
+    /// The local name this view answers to as a body entry.
+    fn expected_local() -> &'static str;
+    /// Read the body entry opened as `head`.
+    fn decode_view<'a>(
+        r: &mut FieldReader<'a>,
+        head: &ElementHead<'a>,
+    ) -> SoapResult<Self::View<'a>>;
+}
+
 /// Reusable scratch state for typed encodes (the BXSA frame writer's
 /// scope tables and reallocation guard). One per engine / per service
 /// worker; reuse is what keeps the steady state allocation-free.
@@ -263,16 +293,18 @@ fn deadline_of(budget: Option<u64>, hops: Option<u64>) -> Option<DeadlineHeader>
     ))
 }
 
-/// Walk a BXSA envelope whose single body entry is an `M`: `Header`
-/// entries go to `header` (which returns `false` to fall back), the body
-/// entry fills `out`, and then `Body`, `Envelope` and the document must
-/// close cleanly, checksum trailer included. `Ok(false)` means the
-/// message has a shape the typed path doesn't own (a second body, a late
-/// header, anything else) — decode it on the generic tree path.
-fn decode_bxsa_envelope<'a, M: FromBxsa>(
+/// Walk a BXSA envelope whose single body entry is named `local`:
+/// `Header` entries go to `header` (which returns `false` to fall back),
+/// the body entry to `body`, and then `Body`, `Envelope` and the
+/// document must close cleanly, checksum trailer included. `Ok(false)`
+/// means the message has a shape the typed path doesn't own (a second
+/// body, a late header, anything else) — decode it on the generic tree
+/// path.
+fn decode_bxsa_envelope<'a>(
     bytes: &'a [u8],
-    out: &mut M,
+    local: &str,
     mut header: impl FnMut(&mut FieldReader<'a>, &ElementHead<'a>) -> SoapResult<bool>,
+    mut body: impl FnMut(&mut FieldReader<'a>, &ElementHead<'a>) -> SoapResult<()>,
 ) -> SoapResult<bool> {
     let mut r = FieldReader::new(bytes)?;
     if r.top_count() != 1 {
@@ -293,13 +325,10 @@ fn decode_bxsa_envelope<'a, M: FromBxsa>(
             }
             (FrameType::Component, "Body") if !matched && child.child_count == 1 => {
                 let first = r.open()?;
-                if !first.kind.is_element()
-                    || first.local != M::expected_local()
-                    || first.attr_count != 0
-                {
+                if !first.kind.is_element() || first.local != local || first.attr_count != 0 {
                     return Ok(false);
                 }
-                out.decode_bxsa(&mut r, &first)?;
+                body(&mut r, &first)?;
                 r.close(&child)?;
                 matched = true;
             }
@@ -312,6 +341,48 @@ fn decode_bxsa_envelope<'a, M: FromBxsa>(
     r.close(&env)?;
     r.finish()?;
     Ok(true)
+}
+
+/// A request's `Header` walk: every entry must be an attribute-free
+/// `bx:Deadline`, read into `deadline`. Anything else is `Ok(false)`: a
+/// foreign header may demand mustUnderstand processing the typed path
+/// doesn't do, and a malformed deadline gets its fault on the tree path.
+fn read_request_header_bxsa<'a>(
+    r: &mut FieldReader<'a>,
+    header: &ElementHead<'a>,
+    deadline: &mut Option<DeadlineHeader>,
+) -> SoapResult<bool> {
+    for _ in 0..header.child_count {
+        let h = r.open()?;
+        if h.kind != FrameType::Component || h.local != DEADLINE_HEADER_LOCAL || h.attr_count != 0 {
+            return Ok(false);
+        }
+        match read_deadline_bxsa(r, &h)? {
+            Some(d) => *deadline = Some(d),
+            None => return Ok(false),
+        }
+    }
+    r.close(header)?;
+    Ok(true)
+}
+
+/// Read a BXSA request whose single body entry is a `V`, in place: the
+/// view borrows from `bytes`, and any `bx:Deadline` header comes with
+/// it. `Ok(None)` means a shape the view doesn't own.
+pub(crate) fn decode_view_request<'a, V: BxsaView>(
+    bytes: &'a [u8],
+) -> SoapResult<Option<(Option<DeadlineHeader>, V::View<'a>)>> {
+    let (mut deadline, mut view) = (None, None);
+    let matched = decode_bxsa_envelope(
+        bytes,
+        V::expected_local(),
+        |r, header| read_request_header_bxsa(r, header, &mut deadline),
+        |r, head| {
+            view = Some(V::decode_view(r, head)?);
+            Ok(())
+        },
+    )?;
+    Ok(view.filter(|_| matched).map(|view| (deadline, view)))
 }
 
 impl TypedEncoding for BxsaEncoding {
@@ -351,10 +422,15 @@ impl TypedEncoding for BxsaEncoding {
         bytes: &[u8],
         out: &mut M,
     ) -> SoapResult<TypedDecode> {
-        let matched = decode_bxsa_envelope(bytes, out, |r, header| {
-            r.skip(header)?;
-            Ok(true)
-        })?;
+        let matched = decode_bxsa_envelope(
+            bytes,
+            M::expected_local(),
+            |r, header| {
+                r.skip(header)?;
+                Ok(true)
+            },
+            |r, head| out.decode_bxsa(r, head),
+        )?;
         Ok(if matched {
             TypedDecode::Matched
         } else {
@@ -368,25 +444,12 @@ impl TypedEncoding for BxsaEncoding {
         out: &mut M,
     ) -> SoapResult<TypedRequest> {
         let mut deadline = None;
-        let matched = decode_bxsa_envelope(bytes, out, |r, header| {
-            for _ in 0..header.child_count {
-                let h = r.open()?;
-                // A foreign header may demand mustUnderstand processing
-                // the typed path doesn't do.
-                if h.kind != FrameType::Component
-                    || h.local != DEADLINE_HEADER_LOCAL
-                    || h.attr_count != 0
-                {
-                    return Ok(false);
-                }
-                match read_deadline_bxsa(r, &h)? {
-                    Some(d) => deadline = Some(d),
-                    None => return Ok(false),
-                }
-            }
-            r.close(header)?;
-            Ok(true)
-        })?;
+        let matched = decode_bxsa_envelope(
+            bytes,
+            M::expected_local(),
+            |r, header| read_request_header_bxsa(r, header, &mut deadline),
+            |r, head| out.decode_bxsa(r, head),
+        )?;
         Ok(if matched {
             TypedRequest::Matched { deadline }
         } else {
@@ -395,24 +458,30 @@ impl TypedEncoding for BxsaEncoding {
     }
 
     fn peek_operation<'a>(&self, bytes: &'a [u8]) -> Option<&'a str> {
-        let mut r = FieldReader::new(bytes).ok()?;
-        let env = r.open().ok()?;
-        if env.kind != FrameType::Component || env.local != "Envelope" {
-            return None;
-        }
-        for _ in 0..env.child_count {
-            let child = r.open().ok()?;
-            if child.kind == FrameType::Component && child.local == "Body" {
-                if child.child_count == 0 {
-                    return None;
-                }
-                let first = r.open().ok()?;
-                return first.kind.is_element().then_some(first.local);
-            }
-            r.skip(&child).ok()?;
-        }
-        None
+        peek_bxsa_operation(bytes)
     }
+}
+
+/// [`TypedEncoding::peek_operation`] for BXSA, which needs no policy
+/// options: the local name of the first body entry.
+pub(crate) fn peek_bxsa_operation(bytes: &[u8]) -> Option<&str> {
+    let mut r = FieldReader::new(bytes).ok()?;
+    let env = r.open().ok()?;
+    if env.kind != FrameType::Component || env.local != "Envelope" {
+        return None;
+    }
+    for _ in 0..env.child_count {
+        let child = r.open().ok()?;
+        if child.kind == FrameType::Component && child.local == "Body" {
+            if child.child_count == 0 {
+                return None;
+            }
+            let first = r.open().ok()?;
+            return first.kind.is_element().then_some(first.local);
+        }
+        r.skip(&child).ok()?;
+    }
+    None
 }
 
 /// Read a `bx:Deadline` element's fields from XML. `Ok(None)` = present

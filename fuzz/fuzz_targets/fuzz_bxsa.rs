@@ -14,6 +14,10 @@
 //!   encodes to the same bytes gathered (`encode_parts_into`, the parts
 //!   concatenated) as flat, in both byte orders, with and without a
 //!   checksum, and with too few part slots for every array.
+//! * The field reader's in-place array read (`read_array_view`) and its
+//!   copying read (`read_array_into`) accept the same array frames with
+//!   the same values or the same error, for every primitive type, with
+//!   the input at an aligned and at an odd address.
 
 use libfuzzer_sys::fuzz_target;
 
@@ -44,6 +48,96 @@ fn drive_field_reader(data: &[u8]) {
                 }
             }
             Err(_) => return,
+        }
+    }
+}
+
+/// The values' bytes, so NaN payloads compare bit for bit.
+fn bits<T: xbs::Primitive>(values: &[T]) -> Vec<u8> {
+    let mut out = vec![0; values.len() * T::WIDTH];
+    for (v, slot) in values.iter().zip(out.chunks_exact_mut(T::WIDTH)) {
+        v.write_bytes(xbs::ByteOrder::Little, slot);
+    }
+    out
+}
+
+/// Read the array frame `head` as a `T` both ways, from copies of `r`;
+/// they must agree. Returns the reader past the frame when it read.
+fn view_vs_copy<'a, T: xbs::Primitive>(
+    r: &bxsa::FieldReader<'a>,
+    head: &bxsa::ElementHead<'a>,
+) -> Option<bxsa::FieldReader<'a>> {
+    let (mut viewed, mut copied) = (r.clone(), r.clone());
+    let view = viewed.read_array_view::<T>(head);
+    let mut out = Vec::new();
+    let copy = copied.read_array_into::<T>(head, &mut out).map(|()| out);
+    match (view, copy) {
+        (Ok(view), Ok(copy)) => {
+            assert_eq!(
+                bits(&view),
+                bits(&copy),
+                "the view read other values than the copy"
+            );
+            assert_eq!(viewed.position(), copied.position());
+            Some(viewed)
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!(a, b, "the view and the copy refused differently");
+            None
+        }
+        (view, copy) => panic!("the view and the copy disagree: {view:?} vs {copy:?}"),
+    }
+}
+
+/// Walk one frame and everything in it, checking every array frame
+/// with [`view_vs_copy`] under each primitive type.
+fn walk_views(r: &mut bxsa::FieldReader<'_>) -> Result<(), bxsa::BxsaError> {
+    let head = r.open()?;
+    match head.kind {
+        bxsa::FrameType::Component => {
+            for _ in 0..head.child_count {
+                walk_views(r)?;
+            }
+            r.close(&head)
+        }
+        bxsa::FrameType::Array => {
+            let read = [
+                view_vs_copy::<i8>(r, &head),
+                view_vs_copy::<u8>(r, &head),
+                view_vs_copy::<i16>(r, &head),
+                view_vs_copy::<u16>(r, &head),
+                view_vs_copy::<i32>(r, &head),
+                view_vs_copy::<u32>(r, &head),
+                view_vs_copy::<i64>(r, &head),
+                view_vs_copy::<u64>(r, &head),
+                view_vs_copy::<f32>(r, &head),
+                view_vs_copy::<f64>(r, &head),
+            ];
+            match read.into_iter().flatten().next() {
+                Some(past) => *r = past,
+                None => r.skip(&head)?,
+            }
+            Ok(())
+        }
+        _ => r.skip(&head),
+    }
+}
+
+/// [`walk_views`] over the whole document, at an 8-aligned and at an
+/// odd address.
+fn drive_views(data: &[u8]) {
+    for shift in [0, 1] {
+        let mut buf = Vec::with_capacity(data.len() + 16);
+        let start = (8 - buf.as_ptr() as usize % 8) % 8 + shift;
+        buf.resize(start, 0);
+        buf.extend_from_slice(data);
+        let Ok(mut r) = bxsa::FieldReader::new(&buf[start..]) else {
+            return;
+        };
+        for _ in 0..r.top_count().min(1_000) {
+            if walk_views(&mut r).is_err() {
+                break;
+            }
         }
     }
 }
@@ -195,6 +289,7 @@ fuzz_target!(|data: &[u8]| {
     }
 
     drive_field_reader(data);
+    drive_views(data);
     drive_scanner(data);
     drive_assembler(data);
 });

@@ -15,6 +15,9 @@ cargo test -q --workspace
 # on both sides of the live HTTP server, so no layer may copy the bulk
 # payload again; and a warm small Verify over HTTP may allocate no more
 # than over TCP, so the HTTP leg keeps no per-exchange fixed costs.
+# `bulk_view_verify_is_allocation_free` holds the view path to zero: a
+# warm 100k-pair BXSA Verify through SoapService::handle with
+# register_verify reads both arrays in place and allocates nothing.
 cargo test -q -p bench --features alloc-counter --lib
 
 # Decode benches: run the codec-throughput ablation and require that the

@@ -18,6 +18,8 @@
 //! See `examples/quickstart.rs` for the five-minute tour and DESIGN.md for
 //! the experiment map.
 
+use std::borrow::Cow;
+
 pub use bxdm;
 pub use bxsa;
 pub use gridftp;
@@ -85,8 +87,18 @@ pub fn verify_dataset(index: &[i32], values: &[f64]) -> bool {
 
 /// Register the LEAD `Verify` operation on a service registry. Shared by
 /// the examples, the integration tests and the benchmark harnesses.
+///
+/// Two handlers answer it alike. On a BXSA service, a request in
+/// `Verify`'s own shape is read in place as a [`VerifyView`], its arrays
+/// borrowed from the bytes the transport received. The tree handler
+/// serves XML and everything the view does not read.
 pub fn register_verify(registry: &mut soap::ServiceRegistry) {
     use bxdm::{AtomicValue, Element};
+    registry.register_view::<VerifyView<'static>, VerifyResponse, _>("Verify", |req, resp| {
+        resp.ok = verify_dataset(&req.index, &req.values);
+        resp.count = req.values.len() as i64;
+        Ok(())
+    });
     registry.register("Verify", |req| {
         let body = req
             .body_element()
@@ -125,6 +137,48 @@ pub struct VerifyRequest {
     pub index: Vec<i32>,
     /// The readings themselves.
     pub values: Vec<f64>,
+}
+
+/// The `Verify` request read in place (see [`register_verify`]): each
+/// array is borrowed from the request bytes when their byte order is the
+/// machine's and the payload is aligned, and copied otherwise.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VerifyView<'a> {
+    /// Position of each reading in the model grid.
+    pub index: Cow<'a, [i32]>,
+    /// The readings themselves.
+    pub values: Cow<'a, [f64]>,
+}
+
+impl soap::BxsaView for VerifyView<'static> {
+    type View<'a> = VerifyView<'a>;
+
+    fn expected_local() -> &'static str {
+        "Verify"
+    }
+
+    /// The first `index` and `values` children, as the tree handler's
+    /// `find_child` takes them.
+    fn decode_view<'a>(
+        r: &mut bxsa::FieldReader<'a>,
+        head: &bxsa::ElementHead<'a>,
+    ) -> soap::SoapResult<VerifyView<'a>> {
+        let (mut index, mut values) = (None, None);
+        for _ in 0..head.child_count {
+            let f = r.open()?;
+            match f.local {
+                "index" if index.is_none() => index = Some(r.read_array_view(&f)?),
+                "values" if values.is_none() => values = Some(r.read_array_view(&f)?),
+                _ => r.skip(&f)?,
+            }
+        }
+        r.close(head)?;
+        require_arrays(index.is_some(), values.is_some())?;
+        Ok(VerifyView {
+            index: index.unwrap_or_default(),
+            values: values.unwrap_or_default(),
+        })
+    }
 }
 
 /// The `Verify` reply as a typed struct; mirrors the tree response

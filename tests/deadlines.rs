@@ -353,6 +353,24 @@ fn buffered_http_relay_answers_faults_with_500_like_the_endpoint() {
     server.shutdown();
 }
 
+#[test]
+fn buffered_http_relay_calls_an_unreadable_request_a_client_fault_like_the_endpoint() {
+    let hits = Arc::new(AtomicU32::new(0));
+    let (server, relay) =
+        http_endpoint_and_relay(slow_registry(Duration::ZERO, Arc::clone(&hits)));
+    // The sender's bytes are at fault, not the relay: a Client fault
+    // tells a retrying client not to resend them unchanged.
+    for addr in [server.local_addr().to_string(), relay.local_addr().to_string()] {
+        let request = HttpRequest::post("/soap", XML, b"<not soap".to_vec());
+        let resp = transport::send_request(&addr, &request).unwrap();
+        assert_eq!(resp.status, 500, "unreadable request at {addr}");
+        assert_eq!(fault_of(&resp).code, FaultCode::Client, "unreadable request at {addr}");
+    }
+    assert_eq!(hits.load(Ordering::SeqCst), 0);
+    relay.shutdown();
+    server.shutdown();
+}
+
 /// Streaming op that counts how many exchanges it was started for.
 struct CountingOp(Arc<AtomicU32>);
 
