@@ -187,7 +187,6 @@ mod tests {
 
     #[test]
     fn bulk_tree_service_call_does_not_copy_the_payload() {
-        xmltext::num::warm_up();
         tree_service_call_stays_under_budget(soap::BxsaEncoding::default());
         tree_service_call_stays_under_budget(soap::XmlEncoding::default());
     }
@@ -349,7 +348,6 @@ mod tests {
             BxsaEncoding, HttpBinding, HttpSoapServer, TcpBinding, TcpSoapServer, XmlEncoding,
         };
 
-        xmltext::num::warm_up();
         let registry = || {
             let mut registry = soap::ServiceRegistry::new();
             bxsoap::register_verify(&mut registry);
@@ -390,7 +388,6 @@ mod tests {
     fn steady_state_encode_is_allocation_free() {
         let (index, values) = bxsoap::lead_dataset(1000, 42);
         let doc = bxsoap::verify_request_envelope(&index, &values).to_document();
-        xmltext::num::warm_up();
 
         // BXSA binary encode into a reused byte buffer.
         let mut buf = Vec::new();
@@ -422,7 +419,6 @@ mod tests {
     fn steady_state_decode_is_allocation_free() {
         let (index, values) = bxsoap::lead_dataset(1000, 42);
         let doc = bxsoap::verify_request_envelope(&index, &values).to_document();
-        xmltext::num::warm_up();
 
         // BXSA pull-decode into a reused document.
         let bytes = bxsa::encode(&doc).unwrap();
@@ -458,7 +454,6 @@ mod tests {
 
         let (index, values) = bxsoap::lead_dataset(1000, 42);
         let request = bxsoap::VerifyRequest { index, values };
-        xmltext::num::warm_up();
 
         let bxsa_enc = BxsaEncoding::default();
         let xml_enc = XmlEncoding::default();

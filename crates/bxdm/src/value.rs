@@ -218,6 +218,7 @@ pub fn write_f32_lexical(v: f32, out: &mut String) {
 }
 
 /// Parse XSD `double` lexical form.
+#[inline]
 pub fn parse_f64_lexical(t: &str) -> Option<f64> {
     match t {
         "INF" | "+INF" => Some(f64::INFINITY),
@@ -228,6 +229,7 @@ pub fn parse_f64_lexical(t: &str) -> Option<f64> {
 }
 
 /// Parse XSD `float` lexical form.
+#[inline]
 pub fn parse_f32_lexical(t: &str) -> Option<f32> {
     match t {
         "INF" | "+INF" => Some(f32::INFINITY),

@@ -67,7 +67,7 @@ use xbs::{ByteOrder, Primitive, TypeCode, XbsWriter};
 use crate::error::{BxsaError, BxsaResult};
 use crate::estimate::{self, framed};
 use crate::frame::{Cursor, Frame, FrameType, Open, Out, CHECKSUM_FRAME_LEN};
-use crate::pull::LeafValue;
+use crate::pull::{LeafValue, PullEvent};
 
 /// A namespace declaration as typed schemas carry them: `(prefix, uri)`,
 /// `None` prefix for the default namespace. `'static` because typed
@@ -488,11 +488,24 @@ impl<'a> FieldReader<'a> {
         }
     }
 
-    fn read_leaf(&mut self, head: &ElementHead<'a>) -> BxsaResult<LeafValue<'a>> {
+    /// Read an opened leaf's value whatever its type, a string borrowed
+    /// from the input (and close the frame).
+    pub fn read_leaf(&mut self, head: &ElementHead<'a>) -> BxsaResult<LeafValue<'a>> {
         expect_kind(head, FrameType::Leaf)?;
         let value = self.c.value()?;
         self.close(head)?;
         Ok(value)
+    }
+
+    /// Read an opened character-data frame's text, borrowed from the
+    /// input (and close the frame).
+    pub fn read_char_data(&mut self, head: &ElementHead<'a>) -> BxsaResult<&'a str> {
+        expect_kind(head, FrameType::CharData)?;
+        let PullEvent::Text(text) = self.c.text(FrameType::CharData)? else {
+            unreachable!("a character-data frame reads as text");
+        };
+        self.close(head)?;
+        Ok(text)
     }
 
     /// Refill `out` (cleared, capacity kept) from an opened array frame

@@ -3,6 +3,7 @@
 use std::time::Duration;
 
 use bxdm::{AtomicValue, Content, Document, Element, Node};
+use bxsa::LeafValue;
 use transport::Deadline;
 
 use crate::error::{SoapError, SoapResult};
@@ -329,8 +330,13 @@ impl DeadlineHeader {
             ))
     }
 
-    /// Parse a header element (lenient: local names only, numeric leaves
-    /// accepted as any integer type or as text).
+    /// Parse a header element. Names match by local name, and each of
+    /// `budgetMillis` and `hops` is the first child of that name: a leaf
+    /// holding a non-negative integer of any width, or text that reads,
+    /// trimmed, as a decimal `u64` — a string leaf, or an element
+    /// holding only character data (XML without type annotations).
+    /// Floats, booleans, arrays and nested elements are refused. The
+    /// typed readers accept exactly this language.
     pub fn from_element(header: &Element) -> SoapResult<DeadlineHeader> {
         let budget_millis = leaf_u64(header, "budgetMillis").ok_or_else(|| {
             SoapError::Protocol("bx:Deadline header lacks a budgetMillis value".into())
@@ -426,19 +432,38 @@ pub(crate) struct Refusal {
     pub(crate) retry_after: Option<Duration>,
 }
 
-/// A non-negative integer leaf by local name, tolerating `Str`-typed
-/// values (an encoding that dropped type info) via text parsing.
+/// The `bx:Deadline` number language, one field's value: a
+/// non-negative integer of any width, or text that reads, trimmed, as a
+/// decimal `u64` (`str::parse`). Floats, booleans and anything else are
+/// refused. The tree read ([`DeadlineHeader::from_element`]) and the
+/// typed readers both decide through this function.
+pub(crate) fn deadline_number(value: LeafValue<'_>) -> Option<u64> {
+    match value {
+        LeafValue::I8(v) => u64::try_from(v).ok(),
+        LeafValue::I16(v) => u64::try_from(v).ok(),
+        LeafValue::I32(v) => u64::try_from(v).ok(),
+        LeafValue::I64(v) => u64::try_from(v).ok(),
+        LeafValue::U8(v) => Some(v.into()),
+        LeafValue::U16(v) => Some(v.into()),
+        LeafValue::U32(v) => Some(v.into()),
+        LeafValue::U64(v) => Some(v),
+        LeafValue::Str(text) => text.trim().parse().ok(),
+        LeafValue::F32(_) | LeafValue::F64(_) | LeafValue::Bool(_) => None,
+    }
+}
+
+/// The first child named `local`, read by [`deadline_number`]: a leaf's
+/// value, or the text of an element whose children are character data
+/// (comments and processing instructions aside).
 fn leaf_u64(parent: &Element, local: &str) -> Option<u64> {
     let child = parent.find_child(local)?;
-    if let Some(v) = child.leaf_value() {
-        if let Some(n) = v.as_i64() {
-            return u64::try_from(n).ok();
+    match &child.content {
+        Content::Leaf(v) => deadline_number(v.into()),
+        Content::Children(nodes) if !nodes.iter().any(|n| matches!(n, Node::Element(_))) => {
+            deadline_number(LeafValue::Str(&child.text_content()))
         }
-        if let Some(s) = v.as_str() {
-            return s.trim().parse().ok();
-        }
+        _ => None,
     }
-    child.text_content().trim().parse().ok()
 }
 
 /// `true` if a header entry is flagged `soapenv:mustUnderstand="1"`.

@@ -182,8 +182,8 @@ impl ServiceRegistry {
     /// Everything else takes the tree handler: XML requests, foreign or
     /// `mustUnderstand` headers, other shapes, and every request the
     /// view cannot read, so each error is answered by the tree path. A
-    /// handler error answers as it would from the tree handler: its own
-    /// fault, or a Server fault.
+    /// handler error answers as it would from the tree handler, through
+    /// [`fault_for_error`].
     pub fn register_view<V, Resp, F>(&mut self, name: &str, handler: F)
     where
         V: BxsaView,
@@ -200,9 +200,7 @@ impl ServiceRegistry {
                 return false;
             };
             with_scratch(&scratch, |(resp, ts)| {
-                let handle = |resp: &mut Resp| {
-                    handler(&view, resp).map_err(|e| SoapError::Fault(handler_fault(e)))
-                };
+                let handle = |resp: &mut Resp| handler(&view, resp);
                 answer_typed(enc, Ok(deadline), handle, resp, ts, outcome, out);
             });
             true
@@ -253,7 +251,7 @@ impl ServiceRegistry {
     /// All failure modes are mapped onto SOAP faults:
     /// * un-understood `mustUnderstand` headers → `MustUnderstand`;
     /// * unknown operation → `Client`;
-    /// * handler errors → the fault they carry, or `Server`.
+    /// * handler errors → their class under [`fault_for_error`].
     pub fn dispatch(&self, request: &SoapEnvelope) -> SoapEnvelope {
         // mustUnderstand processing (SOAP 1.1 §4.2.3).
         for header in &request.headers {
@@ -278,16 +276,7 @@ impl ServiceRegistry {
                     .with_detail(&format!("known operations: {:?}", self.operations())),
             );
         };
-        handler(request).unwrap_or_else(|e| fault_envelope(handler_fault(e)))
-    }
-}
-
-/// The fault a handler's error answers with: the fault it carries, or a
-/// Server fault for anything else.
-fn handler_fault(err: SoapError) -> SoapFault {
-    match err {
-        SoapError::Fault(f) => f,
-        other => SoapFault::server(other),
+        handler(request).unwrap_or_else(|e| fault_envelope(fault_for_error(e)))
     }
 }
 
@@ -302,7 +291,8 @@ pub fn fault_envelope(fault: SoapFault) -> SoapEnvelope {
 /// should not be resent without change"); failures *of the service* —
 /// transport trouble behind the server, internal errors — are `Server`
 /// faults (the same message may later succeed). A carried [`SoapFault`]
-/// keeps its own code.
+/// keeps its own code. Every handler kind (tree, view, typed, streamed)
+/// and every decode path maps its errors through this one function.
 pub fn fault_for_error(err: SoapError) -> SoapFault {
     match err {
         SoapError::Fault(f) => f,
@@ -374,8 +364,10 @@ fn with_scratch<S: Default, R>(shared: &parking_lot::Mutex<S>, f: impl FnOnce(&m
 
 /// Answer a request the typed or view path read (`request` is its
 /// `bx:Deadline` header, or the error reading it): `handle` fills `resp`
-/// behind the arrival gate, and `resp` is encoded straight to `out`; any
-/// error is encoded as its fault instead.
+/// behind the arrival gate, and `resp` is encoded straight to `out`. An
+/// error reading or handling the request is encoded as its
+/// [`fault_for_error`] fault; a reply that fails to encode, as
+/// [`unencodable_reply`]'s Server fault.
 fn answer_typed<E: TypedEncoding, Resp: ToBxsa>(
     enc: &E,
     request: SoapResult<Option<DeadlineHeader>>,
@@ -385,35 +377,51 @@ fn answer_typed<E: TypedEncoding, Resp: ToBxsa>(
     outcome: &mut HandleOutcome,
     out: &mut Vec<u8>,
 ) {
-    let served = request.and_then(|deadline| {
+    let served = request.map_err(fault_for_error).and_then(|deadline| {
         outcome
             .serve_within(deadline.map(|h| h.admit()), |_| {
-                handle(resp).and_then(|()| enc.encode_typed(&*resp, None, ts, out))
+                handle(resp).map_err(fault_for_error)?;
+                enc.encode_typed(&*resp, None, ts, out)
+                    .map_err(unencodable_reply)
             })
-            .and_then(|served| served)
+            .map_err(fault_for_error)?
     });
     outcome.is_fault = match served {
         Ok(()) => false,
-        Err(e) => encode_reply(enc, fault_envelope(fault_for_error(e)), out),
+        Err(fault) => encode_reply(enc, fault_envelope(fault), out),
     };
 }
 
-/// Encode a response or fault envelope, never failing (errors degrade to
-/// a plain-text payload rather than a server panic). Returns whether the
-/// response is a fault. Every SOAP node answers through this.
+/// The fault a node answers when its own reply cannot be encoded: the
+/// service failed, not the sender's message, so it is a Server fault.
+pub(crate) fn unencodable_reply(err: SoapError) -> SoapFault {
+    SoapFault::new(
+        FaultCode::Server,
+        &format!("reply could not be encoded: {err}"),
+    )
+}
+
+/// Encode a response or fault envelope into `out`, never failing, and
+/// return whether the answer is a fault. Every SOAP node answers through
+/// this. A response that fails to encode is answered with the encoded
+/// [`unencodable_reply`] fault instead; only a fault envelope that
+/// itself fails to encode degrades to a plain-text payload, rather than
+/// a server panic.
 pub(crate) fn encode_reply<E: EncodingPolicy>(
     encoding: &E,
     response: SoapEnvelope,
     out: &mut Vec<u8>,
 ) -> bool {
     let is_fault = response.is_fault();
-    if let Err(e) = encoding.encode_into(&response.into_document(), out) {
-        // Encoding a fault envelope cannot realistically fail, but
-        // never panic in the server path.
-        out.clear();
-        out.extend_from_slice(format!("encoding failure: {e}").as_bytes());
+    match encoding.encode_into(&response.into_document(), out) {
+        Ok(()) => is_fault,
+        Err(e) if !is_fault => encode_reply(encoding, fault_envelope(unencodable_reply(e)), out),
+        Err(e) => {
+            out.clear();
+            out.extend_from_slice(format!("encoding failure: {e}").as_bytes());
+            true
+        }
     }
-    is_fault
 }
 
 /// A byte-level SOAP service: a registry plus an encoding policy.

@@ -38,7 +38,9 @@ use crate::envelope::{Admitted, DeadlineHeader, Refusal, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::fault::{FaultCode, SoapFault};
 use crate::metrics;
-use crate::service::{encode_reply, fault_envelope, fault_for_error, HandleOutcome, SoapService};
+use crate::service::{
+    encode_reply, fault_envelope, fault_for_error, unencodable_reply, HandleOutcome, SoapService,
+};
 
 /// Hard cap on one encoded part, mirrored from the transport's
 /// per-chunk cap: the streaming window both sides size their buffers
@@ -513,11 +515,10 @@ impl<E: StreamEncoding> Hop for Endpoint<E> {
         if envelope.is_fault() {
             return Ok(Some(envelope));
         }
-        // The service's own reply failing to encode is a Server fault.
         self.service
             .encoding()
             .encode_into(&envelope.into_document(), manifest)
-            .map_err(|e| SoapError::Fault(SoapFault::new(FaultCode::Server, &e.to_string())))?;
+            .map_err(|e| SoapError::Fault(unencodable_reply(e)))?;
         Ok(None)
     }
 

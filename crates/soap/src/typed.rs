@@ -28,12 +28,17 @@
 //! generic tree path, which owns all the edge-case semantics.
 
 use bxsa::estimate::{framed, plain_component_body_bound, plain_leaf_body_bound};
-use bxsa::{ElementHead, FieldReader, FrameType, FrameWriter, TypedDecl, TypedName};
+use std::borrow::Cow;
+
+use bxdm::AtomicValue;
+use bxsa::{ElementHead, FieldReader, FrameType, FrameWriter, LeafValue, TypedDecl, TypedName};
 use xbs::{ByteOrder, TypeCode};
 use xmltext::{XmlFieldReader, XmlFieldWriter, XmlHead, XmlItem};
 
 use crate::encoding::{BxsaEncoding, EncodingPolicy, XmlEncoding};
-use crate::envelope::{DeadlineHeader, DEADLINE_HEADER_LOCAL, SOAP_ENV_PREFIX, SOAP_ENV_URI};
+use crate::envelope::{
+    deadline_number, DeadlineHeader, DEADLINE_HEADER_LOCAL, SOAP_ENV_PREFIX, SOAP_ENV_URI,
+};
 use crate::error::{SoapError, SoapResult};
 
 /// The namespace declarations every envelope root carries, in the exact
@@ -261,29 +266,67 @@ fn write_bxsa_envelope<M: ToBxsa>(
     Ok(())
 }
 
-/// Read a `bx:Deadline` component's fields. `Ok(None)` means the header
-/// is present but malformed — the caller falls back to the generic path,
-/// which turns that into the proper Client fault.
+/// Read a `bx:Deadline` component's fields in the language the tree
+/// read, [`DeadlineHeader::from_element`], accepts: the first
+/// `budgetMillis` and the first `hops`, each read by [`deadline_number`].
+/// `Ok(None)` means the tree read refuses the header — the caller falls
+/// back to the generic path, which answers it with the proper fault.
 fn read_deadline_bxsa<'a>(
     r: &mut FieldReader<'a>,
     head: &ElementHead<'a>,
 ) -> SoapResult<Option<DeadlineHeader>> {
-    let mut budget = None;
-    let mut hops = None;
+    let (mut budget, mut hops) = (None, None);
     for _ in 0..head.child_count {
         let f = r.open()?;
-        match (f.kind, f.local) {
-            (FrameType::Leaf, "budgetMillis") => {
-                budget = u64::try_from(r.read_value::<i64>(&f)?).ok();
+        let slot = match f.local {
+            "budgetMillis" if budget.is_none() => &mut budget,
+            "hops" if hops.is_none() => &mut hops,
+            _ => {
+                r.skip(&f)?;
+                continue;
             }
-            (FrameType::Leaf, "hops") => {
-                hops = u64::try_from(r.read_value::<i64>(&f)?).ok();
-            }
-            _ => r.skip(&f)?,
-        }
+        };
+        *slot = Some(read_deadline_number_bxsa(r, &f)?);
     }
     r.close(head)?;
-    Ok(deadline_of(budget, hops))
+    Ok(deadline_of(budget.flatten(), hops.flatten()))
+}
+
+/// One `bx:Deadline` field from the element `f` opens: a leaf's value,
+/// or the text of a component holding only character data (comments
+/// and processing instructions aside), read by [`deadline_number`].
+fn read_deadline_number_bxsa<'a>(
+    r: &mut FieldReader<'a>,
+    f: &ElementHead<'a>,
+) -> SoapResult<Option<u64>> {
+    match f.kind {
+        FrameType::Leaf => Ok(deadline_number(r.read_leaf(f)?)),
+        FrameType::Component => {
+            let mut text = Cow::Borrowed("");
+            let mut text_only = true;
+            for _ in 0..f.child_count {
+                let c = r.open()?;
+                if c.kind == FrameType::CharData {
+                    let piece = r.read_char_data(&c)?;
+                    text = match text {
+                        Cow::Borrowed("") => Cow::Borrowed(piece),
+                        joined => Cow::Owned(joined.into_owned() + piece),
+                    };
+                } else {
+                    text_only &= !c.kind.is_element();
+                    r.skip(&c)?;
+                }
+            }
+            r.close(f)?;
+            Ok(text_only
+                .then(|| deadline_number(LeafValue::Str(&text)))
+                .flatten())
+        }
+        _ => {
+            r.skip(f)?;
+            Ok(None)
+        }
+    }
 }
 
 fn deadline_of(budget: Option<u64>, hops: Option<u64>) -> Option<DeadlineHeader> {
@@ -294,9 +337,10 @@ fn deadline_of(budget: Option<u64>, hops: Option<u64>) -> Option<DeadlineHeader>
 }
 
 /// Walk a BXSA envelope whose single body entry is named `local`:
-/// `Header` entries go to `header` (which returns `false` to fall back),
-/// the body entry to `body`, and then `Body`, `Envelope` and the
-/// document must close cleanly, checksum trailer included. `Ok(false)`
+/// `Header` entries go to `header` (which returns `false`, or an error,
+/// to fall back: a header the typed path cannot read is answered on the
+/// tree path), the body entry to `body`, and then `Body`, `Envelope` and
+/// the document must close cleanly, checksum trailer included. `Ok(false)`
 /// means the message has a shape the typed path doesn't own (a second
 /// body, a late header, anything else) — decode it on the generic tree
 /// path.
@@ -319,7 +363,7 @@ fn decode_bxsa_envelope<'a>(
         let child = r.open()?;
         match (child.kind, child.local) {
             (FrameType::Component, "Header") if !matched => {
-                if !header(&mut r, &child)? {
+                if !header(&mut r, &child).unwrap_or(false) {
                     return Ok(false);
                 }
             }
@@ -344,9 +388,10 @@ fn decode_bxsa_envelope<'a>(
 }
 
 /// A request's `Header` walk: every entry must be an attribute-free
-/// `bx:Deadline`, read into `deadline`. Anything else is `Ok(false)`: a
-/// foreign header may demand mustUnderstand processing the typed path
-/// doesn't do, and a malformed deadline gets its fault on the tree path.
+/// `bx:Deadline`, and the first is read into `deadline`, as the tree
+/// path reads the first. Anything else is `Ok(false)`: a foreign header
+/// may demand mustUnderstand processing the typed path doesn't do, and a
+/// malformed deadline gets its answer on the tree path.
 fn read_request_header_bxsa<'a>(
     r: &mut FieldReader<'a>,
     header: &ElementHead<'a>,
@@ -356,6 +401,10 @@ fn read_request_header_bxsa<'a>(
         let h = r.open()?;
         if h.kind != FrameType::Component || h.local != DEADLINE_HEADER_LOCAL || h.attr_count != 0 {
             return Ok(false);
+        }
+        if deadline.is_some() {
+            r.skip(&h)?;
+            continue;
         }
         match read_deadline_bxsa(r, &h)? {
             Some(d) => *deadline = Some(d),
@@ -484,8 +533,11 @@ pub(crate) fn peek_bxsa_operation(bytes: &[u8]) -> Option<&str> {
     None
 }
 
-/// Read a `bx:Deadline` element's fields from XML. `Ok(None)` = present
-/// but malformed → generic-path fallback (proper fault there).
+/// Read a `bx:Deadline` element's fields from XML, in the language of
+/// [`read_deadline_bxsa`]: the first `budgetMillis` and `hops`, a leaf's
+/// value under its annotation (as the tree reader types it) or an
+/// unannotated element's text. `Ok(None)` = the tree read refuses it →
+/// generic-path fallback (proper fault there).
 fn read_deadline_xml<'a>(
     r: &mut XmlFieldReader<'a>,
     head: &XmlHead<'a>,
@@ -493,31 +545,39 @@ fn read_deadline_xml<'a>(
     if head.self_closing {
         return Ok(None);
     }
-    let mut budget = None;
-    let mut hops = None;
+    let (mut budget, mut hops) = (None, None);
     loop {
-        match r.next()? {
-            XmlItem::Start(f) if f.local == "budgetMillis" => {
-                budget = u64::try_from(r.leaf_value::<i64>(&f)?).ok();
-            }
-            XmlItem::Start(f) if f.local == "hops" => {
-                hops = u64::try_from(r.leaf_value::<i64>(&f)?).ok();
-            }
-            XmlItem::Start(f) => r.skip(&f)?,
-            XmlItem::End(_) => return Ok(deadline_of(budget, hops)),
+        let f = match r.next()? {
+            XmlItem::Start(f) => f,
+            XmlItem::End(_) => return Ok(deadline_of(budget.flatten(), hops.flatten())),
             XmlItem::Eof => return Ok(None),
-        }
+        };
+        let slot = match f.local {
+            "budgetMillis" if budget.is_none() => &mut budget,
+            "hops" if hops.is_none() => &mut hops,
+            _ => {
+                r.skip(&f)?;
+                continue;
+            }
+        };
+        let (code, text) = r.leaf_text_any(&f)?;
+        *slot = Some(match code {
+            None | Some(TypeCode::Str) => deadline_number(LeafValue::Str(&text)),
+            Some(code) => AtomicValue::parse_as(code, &text)
+                .ok()
+                .and_then(|v| deadline_number((&v).into())),
+        });
     }
 }
 
 /// Walk an XML envelope whose single body entry is an `M` — the textual
 /// twin of [`decode_bxsa_envelope`]. One root `Envelope` without
 /// foreign attributes; `Header` entries before `Body` go to `header`
-/// (which returns `false` to fall back); `Body` holds exactly the body
-/// entry, which fills `out`; then `Body`, `Envelope` and the document
-/// must close. Elements match by local name, as the tree path's
-/// `SoapEnvelope::take_from` does. `Ok(false)` means a shape the typed
-/// path doesn't own — decode it on the generic tree path.
+/// (which returns `false`, or an error, to fall back); `Body` holds
+/// exactly the body entry, which fills `out`; then `Body`, `Envelope`
+/// and the document must close. Elements match by local name, as the
+/// tree path's `SoapEnvelope::take_from` does. `Ok(false)` means a shape
+/// the typed path doesn't own — decode it on the generic tree path.
 fn decode_xml_envelope<'a, M: FromBxsa>(
     bytes: &'a [u8],
     out: &mut M,
@@ -535,7 +595,7 @@ fn decode_xml_envelope<'a, M: FromBxsa>(
     loop {
         match r.next()? {
             XmlItem::Start(child) if !matched && child.local == "Header" => {
-                if !header(&mut r, &child)? {
+                if !header(&mut r, &child).unwrap_or(false) {
                     return Ok(false);
                 }
             }
@@ -633,6 +693,11 @@ impl TypedEncoding for XmlEncoding {
                     // A foreign header may demand mustUnderstand
                     // processing the typed path doesn't do.
                     XmlItem::Start(h) if h.local == DEADLINE_HEADER_LOCAL && h.extra_attrs == 0 => {
+                        // The first `bx:Deadline` counts, as on the tree path.
+                        if deadline.is_some() {
+                            r.skip(&h)?;
+                            continue;
+                        }
                         match read_deadline_xml(r, &h)? {
                             Some(d) => deadline = Some(d),
                             None => return Ok(false),

@@ -11,6 +11,8 @@
 //! allocation-free at steady state because numeric parsing borrows and
 //! array/string reads refill caller-owned buffers.
 
+use std::borrow::Cow;
+
 use xbs::TypeCode;
 
 use crate::error::{XmlError, XmlResult};
@@ -20,7 +22,7 @@ use crate::num;
 use crate::writer::XmlWriteOptions;
 
 /// A numeric type with an XML Schema lexical form, as typed fields use
-/// it: written in place with the [`crate::num`] kernels, parsed without
+/// it: written in place with the [`crate::num`] writers, parsed without
 /// scratch allocation.
 ///
 /// Implemented for the ten fixed-width numeric types of the bXDM model
@@ -36,28 +38,28 @@ pub trait TypedText: Copy {
     fn push_text(self, out: &mut String);
 
     /// Parse a (whitespace-trimmed) lexical form; `None` on any
-    /// mismatch, including range overflow. Accepts exactly what
-    /// `bxdm::AtomicValue::parse_as` accepts for [`Self::CODE`]: the
-    /// fast kernel first, std's parser for the spellings it declines.
+    /// mismatch, including range overflow. Calls the parser
+    /// `bxdm::AtomicValue::parse_as` calls for [`Self::CODE`], so the
+    /// typed and tree XML readers accept one number language.
     fn parse_text(t: &str) -> Option<Self>;
 }
 
 macro_rules! int_typed_text {
-    ($write:ident, $parse:ident, $wide:ty: $($t:ty => $code:ident),* $(,)?) => {$(
+    ($write:ident, $wide:ty: $($t:ty => $code:ident),* $(,)?) => {$(
         impl TypedText for $t {
             const CODE: TypeCode = TypeCode::$code;
             fn push_text(self, out: &mut String) {
                 num::$write(self as $wide, out);
             }
             fn parse_text(t: &str) -> Option<$t> {
-                num::$parse(t).and_then(|v| <$t>::try_from(v).ok()).or_else(|| t.parse().ok())
+                t.parse().ok()
             }
         }
     )*};
 }
 
-int_typed_text! { write_i64, parse_i64, i64: i8 => I8, i16 => I16, i32 => I32, i64 => I64 }
-int_typed_text! { write_u64, parse_u64, u64: u8 => U8, u16 => U16, u32 => U32, u64 => U64 }
+int_typed_text! { write_i64, i64: i8 => I8, i16 => I16, i32 => I32, i64 => I64 }
+int_typed_text! { write_u64, u64: u8 => U8, u16 => U16, u32 => U32, u64 => U64 }
 
 impl TypedText for f32 {
     const CODE: TypeCode = TypeCode::F32;
@@ -65,10 +67,7 @@ impl TypedText for f32 {
         bxdm::value::write_f32_lexical(self, out);
     }
     fn parse_text(t: &str) -> Option<f32> {
-        // Mirrors the tree reader: f32 must not round-trip through the
-        // f64 kernel (double rounding); std's parser accepts the
-        // INF/-INF/NaN lexical forms case-insensitively.
-        t.parse::<f32>().ok()
+        bxdm::value::parse_f32_lexical(t)
     }
 }
 
@@ -78,7 +77,7 @@ impl TypedText for f64 {
         num::write_f64(self, out);
     }
     fn parse_text(t: &str) -> Option<f64> {
-        num::parse_f64_lexical(t)
+        bxdm::value::parse_f64_lexical(t)
     }
 }
 
@@ -316,6 +315,26 @@ impl<'a> XmlFieldReader<'a> {
         })
     }
 
+    /// Read an opened leaf whatever its annotation, or an unannotated
+    /// element holding only character data, through its end tag: the
+    /// annotated type (`None` when unannotated) and the text, untrimmed
+    /// and not yet checked against the type. An array annotation, or
+    /// markup inside an unannotated element, is an error.
+    pub fn leaf_text_any(
+        &mut self,
+        head: &XmlHead<'a>,
+    ) -> XmlResult<(Option<TypeCode>, Cow<'a, str>)> {
+        let code = match head.kind {
+            Kind::Leaf(code) => Some(code),
+            Kind::Component => None,
+            Kind::Array(_) => {
+                return Err(self.malformed(format!("{:?} is annotated as an array", head.local)))
+            }
+        };
+        self.claim(head, None)?;
+        Ok((code, self.m.text_body(head)?.into_cow()))
+    }
+
     /// Read an opened string leaf into `out` (cleared, capacity kept) and
     /// consume its end tag. Strings are not trimmed — whitespace is data.
     pub fn leaf_str_into(&mut self, head: &XmlHead<'a>, out: &mut String) -> XmlResult<()> {
@@ -519,5 +538,97 @@ mod tests {
             });
             assert!(result.is_err(), "{bad:?} should error");
         }
+    }
+
+    /// One number language: for every numeric type, `parse_text` on the
+    /// trimmed text (as both readers call it) and `AtomicValue::parse_as`
+    /// give the same value or both reject, over signs, leading zeros,
+    /// float forms, special values, malformed and out-of-range spellings.
+    #[test]
+    fn parse_text_accepts_exactly_what_parse_as_accepts() {
+        const SPELLINGS: &[&str] = &[
+            // Signs, zeros and the edges of the narrow types.
+            "0",
+            "5",
+            "+5",
+            "-0",
+            "-5",
+            "127",
+            "128",
+            "-128",
+            "-129",
+            "255",
+            "256",
+            "-32769",
+            "65536",
+            "4294967296",
+            "007",
+            "-007",
+            " 42 ",
+            // Float forms.
+            "1.",
+            ".5",
+            "-.5",
+            "1.5",
+            "1E+03",
+            "1e3",
+            "1e-3",
+            "1e309",
+            "3.4028236e38",
+            // Special values.
+            "inf",
+            "INF",
+            "+INF",
+            "-INF",
+            "-inf",
+            "NaN",
+            "nan",
+            "infinity",
+            "Infinity",
+            "-infinity",
+            // Malformed.
+            "0x10",
+            "1e",
+            "",
+            "+",
+            "-",
+            "1_000",
+            "1 000",
+            // The edges of the 64-bit types.
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "18446744073709551616",
+        ];
+        let mut accepted = [0usize; 10];
+        macro_rules! agree {
+            ($($t:ty => $v:ident),* $(,)?) => {$(
+                for &s in SPELLINGS {
+                    let typed = <$t>::parse_text(s.trim());
+                    let tree = match AtomicValue::parse_as(<$t>::CODE, s) {
+                        Ok(AtomicValue::$v(v)) => Some(v),
+                        Ok(other) => panic!("parse_as gave {other:?} for {s:?}"),
+                        Err(_) => None,
+                    };
+                    // `{:?}` tells -0.0 from 0.0 and matches NaN with NaN.
+                    assert_eq!(
+                        format!("{typed:?}"),
+                        format!("{tree:?}"),
+                        "{} spelling {s:?}",
+                        stringify!($t)
+                    );
+                    accepted[<$t>::CODE as usize - 1] += usize::from(typed.is_some());
+                }
+            )*};
+        }
+        agree!(
+            i8 => I8, u8 => U8, i16 => I16, u16 => U16, i32 => I32,
+            u32 => U32, i64 => I64, u64 => U64, f32 => F32, f64 => F64,
+        );
+        assert!(
+            accepted.iter().all(|&n| n > 0 && n < SPELLINGS.len()),
+            "every type accepts some spellings and rejects others: {accepted:?}"
+        );
     }
 }

@@ -91,8 +91,9 @@ impl<'a> Lexer<'a> {
     pub(crate) fn plain_items_into<T: TypedText>(&mut self, out: &mut Vec<T>) -> Option<&'a str> {
         while let Some(text) = self.next_simple_item() {
             // Writers emit no padding, so try the raw text first. No
-            // kernel accepts surrounding whitespace, so a raw parse that
-            // succeeds is the trimmed parse; only a failure pays for trim.
+            // number parser accepts surrounding whitespace, so a raw
+            // parse that succeeds is the trimmed parse; only a failure
+            // pays for trim.
             match T::parse_text(text).or_else(|| T::parse_text(text.trim())) {
                 Some(v) => out.push(v),
                 None => return Some(text),

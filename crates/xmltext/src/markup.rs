@@ -121,6 +121,14 @@ impl<'a> TextAcc<'a> {
             TextAcc::Joined(s) => s,
         }
     }
+
+    pub(crate) fn into_cow(self) -> Cow<'a, str> {
+        match self {
+            TextAcc::Empty => Cow::Borrowed(""),
+            TextAcc::Single(s) => s,
+            TextAcc::Joined(s) => Cow::Owned(s),
+        }
+    }
 }
 
 /// The local part of a lexical name: after the first `:`, as
@@ -533,7 +541,7 @@ impl Emitter<'_> {
     }
 
     /// An atomic value's lexical form: numbers through the
-    /// [`crate::num`] kernels, strings through `escape`.
+    /// [`crate::num`] writers, strings through `escape`.
     pub(crate) fn value(&mut self, value: &AtomicValue, escape: fn(&str, &mut String)) {
         with_numeric!(AtomicValue, value, v => v.push_text(self.out),
             AtomicValue::Str(s) => escape(s, self.out),

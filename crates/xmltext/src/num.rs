@@ -1,9 +1,8 @@
-//! Fast numeric text kernels for the XML hot path.
+//! Numeric text writers for the XML hot path.
 //!
 //! The paper's central measurement (§6, Table 2) is that SOAP spends its
 //! time converting doubles to and from ASCII, not in XML structure. The
-//! seed codebase leaned on `format!` and `str::parse` for that inner
-//! loop; this module replaces both with from-scratch kernels:
+//! writing half of that conversion is done here, faster than `write!`:
 //!
 //! * [`write_u64`] / [`write_i64`] — branch-light integer itoa using a
 //!   two-digits-at-a-time lookup table.
@@ -12,19 +11,11 @@
 //!   and the standard formatter's exact digits for the rest, so both
 //!   round-trip fidelity (the paper's "transcodability" requirement) and
 //!   shortness are unconditional.
-//! * [`parse_u64`] / [`parse_i64`] — digit parsing that consumes eight
-//!   ASCII digits per step with SWAR arithmetic instead of one per
-//!   branchy loop iteration.
-//! * [`parse_f64`] — decimal-to-binary conversion with the Clinger fast
-//!   path (exact double arithmetic when the mantissa fits in 53 bits and
-//!   the power of ten is exactly representable), deferring to the
-//!   standard library outside that window.
 //!
-//! The Eisel–Lemire powers of five are computed exactly at first use
-//! with a tiny big-integer (no baked-in table of magic constants), then
-//! cached in a `OnceLock` — after warmup the kernels allocate nothing.
-
-use std::sync::OnceLock;
+//! Parsing is the standard library's: the XML readers parse numbers with
+//! the same functions `bxdm::AtomicValue::parse_as` calls (`str::parse`
+//! for integers, `bxdm::value::parse_f64_lexical` for doubles), so the
+//! typed and tree readers accept one number language.
 
 /// Powers of ten exactly representable in an `f64` (up to `1e22`).
 const POW10_F64: [f64; 23] = [
@@ -77,504 +68,6 @@ pub fn write_i64(v: i64, out: &mut String) {
     write_u64(v.unsigned_abs(), out);
 }
 
-// ---------------------------------------------------------------------------
-// Integer parsing (SWAR)
-// ---------------------------------------------------------------------------
-
-/// `true` if all eight bytes of the little-endian word are ASCII digits.
-#[inline]
-fn is_8_digits(chunk: u64) -> bool {
-    // Per byte: adding 0x46 carries into bit 7 only for bytes > 0x39, and
-    // subtracting 0x30 borrows bit 7 only for bytes < 0x30.
-    let over = chunk.wrapping_add(0x4646_4646_4646_4646);
-    let under = chunk.wrapping_sub(0x3030_3030_3030_3030);
-    (over | under) & 0x8080_8080_8080_8080 == 0
-}
-
-/// Combine eight ASCII digits (little-endian word, most significant digit
-/// in the lowest byte) into their numeric value without per-digit loops.
-#[inline]
-fn fold_8_digits(chunk: u64) -> u64 {
-    let digits = chunk.wrapping_sub(0x3030_3030_3030_3030);
-    // Pairwise combine: each byte pair a,b becomes 10a+b in the second
-    // byte, then pairs of pairs, then the two four-digit halves.
-    let pairs = digits.wrapping_mul(10).wrapping_add(digits >> 8);
-    const MASK: u64 = 0x0000_00ff_0000_00ff;
-    let quads = (pairs & MASK).wrapping_mul(100 + ((1_000_000u64) << 32));
-    let halves = ((pairs >> 16) & MASK).wrapping_mul(1 + ((10_000u64) << 32));
-    (quads.wrapping_add(halves) >> 32) as u32 as u64
-}
-
-/// Parse a run of ASCII digits at the front of `bytes`, eating eight at a
-/// time. Returns the accumulated value and the number of bytes consumed,
-/// or `None` if the run overflows a `u64`.
-#[inline]
-fn eat_digits(bytes: &[u8], mut acc: u64) -> Option<(u64, usize)> {
-    let mut i = 0;
-    while bytes.len() - i >= 8 {
-        let chunk = u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
-        if !is_8_digits(chunk) {
-            break;
-        }
-        acc = acc
-            .checked_mul(100_000_000)?
-            .checked_add(fold_8_digits(chunk))?;
-        i += 8;
-    }
-    while i < bytes.len() && bytes[i].is_ascii_digit() {
-        acc = acc
-            .checked_mul(10)?
-            .checked_add((bytes[i] - b'0') as u64)?;
-        i += 1;
-    }
-    Some((acc, i))
-}
-
-/// Parse an unsigned decimal integer; the whole string must be digits.
-#[inline]
-pub fn parse_u64(s: &str) -> Option<u64> {
-    let b = s.as_bytes();
-    if b.is_empty() {
-        return None;
-    }
-    let (v, used) = eat_digits(b, 0)?;
-    if used == b.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-/// Parse a signed decimal integer with optional `+`/`-` sign.
-#[inline]
-pub fn parse_i64(s: &str) -> Option<i64> {
-    let b = s.as_bytes();
-    let (neg, rest) = match b.first()? {
-        b'-' => (true, &b[1..]),
-        b'+' => (false, &b[1..]),
-        _ => (false, b),
-    };
-    if rest.is_empty() {
-        return None;
-    }
-    let (mag, used) = eat_digits(rest, 0)?;
-    if used != rest.len() {
-        return None;
-    }
-    if neg {
-        if mag > i64::MIN.unsigned_abs() {
-            return None;
-        }
-        Some((mag as i64).wrapping_neg())
-    } else {
-        i64::try_from(mag).ok()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Float parsing
-// ---------------------------------------------------------------------------
-
-/// Parse a plain decimal float (`[+-]?digits[.digits][eE[+-]digits]`).
-///
-/// Correctly-rounded everywhere, never slower than `str::parse`:
-/// the Clinger fast path handles small exact cases (mantissa below 2^53,
-/// decimal exponent within ±22: one float multiply), the Eisel–Lemire
-/// wide window covers everything up to 19 significant digits — including
-/// the 17-digit shortest-round-trip forms [`write_f64`] emits — and only
-/// the rare ambiguous remainder (rounding ties under digit truncation)
-/// is delegated to `str::parse`. The result always matches the standard
-/// library bit for bit. Returns `None` for any other syntax (including
-/// `INF`/`NaN` spellings — see [`parse_f64_lexical`]).
-pub fn parse_f64(s: &str) -> Option<f64> {
-    let b = s.as_bytes();
-    let (neg, mut i) = match b.first()? {
-        b'-' => (true, 1),
-        b'+' => (false, 1),
-        _ => (false, 0),
-    };
-
-    let mut mantissa: u64 = 0;
-    let mut ndigits = 0usize;
-    let mut truncated = false;
-    let mut exp10: i32 = 0;
-
-    // Integer part.
-    let int_start = i;
-    while i < b.len() && b[i].is_ascii_digit() {
-        let d = b[i] - b'0';
-        if mantissa == 0 && d == 0 {
-            // Leading zeros carry no significance.
-        } else if ndigits < 19 {
-            if ndigits == 0 && b.len() - i >= 8 {
-                // Bulk path for long digit runs.
-                if let Some((v, used)) = eat_digits(&b[i..], 0) {
-                    if used <= 19 {
-                        mantissa = v;
-                        ndigits = used;
-                        i += used;
-                        continue;
-                    }
-                }
-            }
-            mantissa = mantissa * 10 + d as u64;
-            ndigits += 1;
-        } else {
-            // Digits beyond the 19 we keep shift the exponent; a dropped
-            // non-zero digit means the fast path would mis-round.
-            exp10 += 1;
-            truncated |= d != 0;
-        }
-        i += 1;
-    }
-    let had_int_digits = i > int_start;
-
-    // Fraction part.
-    let mut had_frac_digits = false;
-    if i < b.len() && b[i] == b'.' {
-        i += 1;
-        while i < b.len() && b[i].is_ascii_digit() {
-            let d = b[i] - b'0';
-            had_frac_digits = true;
-            if mantissa == 0 && d == 0 {
-                exp10 -= 1;
-            } else if ndigits < 19 {
-                mantissa = mantissa * 10 + d as u64;
-                ndigits += 1;
-                exp10 -= 1;
-            } else {
-                truncated |= d != 0;
-            }
-            i += 1;
-        }
-    }
-    if !had_int_digits && !had_frac_digits {
-        return None;
-    }
-
-    // Exponent part.
-    if i < b.len() && (b[i] | 0x20) == b'e' {
-        i += 1;
-        let (eneg, mut j) = match b.get(i)? {
-            b'-' => (true, i + 1),
-            b'+' => (false, i + 1),
-            _ => (false, i),
-        };
-        if j >= b.len() || !b[j].is_ascii_digit() {
-            return None;
-        }
-        let mut e: i32 = 0;
-        while j < b.len() && b[j].is_ascii_digit() {
-            e = (e.saturating_mul(10)).saturating_add((b[j] - b'0') as i32);
-            j += 1;
-        }
-        exp10 = exp10.saturating_add(if eneg { -e } else { e });
-        i = j;
-    }
-    if i != b.len() {
-        return None;
-    }
-
-    if !truncated && mantissa < (1u64 << 53) && (-22..=22).contains(&exp10) {
-        let mut v = mantissa as f64;
-        v = if exp10 < 0 {
-            v / POW10_F64[(-exp10) as usize]
-        } else {
-            v * POW10_F64[exp10 as usize]
-        };
-        return Some(if neg { -v } else { v });
-    }
-    // Wide window: the Eisel–Lemire 128-bit product is correctly rounded
-    // for any mantissa that fit in the 19 digits we kept. A truncated
-    // mantissa brackets the true value between w and w+1; when both
-    // bounds round to the same float that float is exact, otherwise the
-    // (rare) ambiguous case falls through.
-    if !truncated {
-        if let Some(v) = eisel_lemire(mantissa, exp10) {
-            return Some(if neg { -v } else { v });
-        }
-    } else if let (Some(lo), Some(hi)) =
-        (eisel_lemire(mantissa, exp10), eisel_lemire(mantissa + 1, exp10))
-    {
-        if lo.to_bits() == hi.to_bits() {
-            return Some(if neg { -lo } else { lo });
-        }
-    }
-    // Ambiguous remainder (half-ulp ties under truncation, products too
-    // close to a rounding boundary for 128 bits): the standard parser is
-    // correctly rounded everywhere.
-    s.parse().ok()
-}
-
-// ---------------------------------------------------------------------------
-// Eisel–Lemire wide-window binary conversion
-// ---------------------------------------------------------------------------
-
-/// Decimal exponent range covered by the 128-bit powers-of-five table:
-/// below `EL_MIN_EXP10` every ≤ 2^64 mantissa rounds to zero, above
-/// `EL_MAX_EXP10` every non-zero one overflows to infinity.
-const EL_MIN_EXP10: i32 = -342;
-const EL_MAX_EXP10: i32 = 308;
-
-/// Truncated 128-bit significands of `5^q` for `q` in
-/// [`EL_MIN_EXP10`, `EL_MAX_EXP10`], normalized so bit 127 is set and
-/// stored `(hi, lo)`. Negative powers are rounded *up* (their binary
-/// expansion is infinite; the ceiling keeps the stored value ≥ the true
-/// one, which the product-precision check accounts for), positive powers
-/// are rounded down. The table is computed from the exact bigint once
-/// per process instead of baked in as constants.
-fn el_powers() -> &'static [(u64, u64)] {
-    static POWERS: OnceLock<Vec<(u64, u64)>> = OnceLock::new();
-    POWERS.get_or_init(|| {
-        let len = (EL_MAX_EXP10 - EL_MIN_EXP10 + 1) as usize;
-        let mut table = vec![(0u64, 0u64); len];
-        // Negative powers: ceil(2^(b+127) / 5^m) has exactly 128 bits
-        // when b is the bit length of 5^m.
-        for q in EL_MIN_EXP10..0 {
-            let five_m = bigint_pow5((-q) as u32);
-            let b = bigint::bit_len(&five_m);
-            let v = div_pow2_128(b + 127, &five_m) + 1;
-            table[(q - EL_MIN_EXP10) as usize] = ((v >> 64) as u64, v as u64);
-        }
-        // Non-negative powers: top 128 bits of the exact 5^q, built
-        // incrementally.
-        let mut big = vec![1u64];
-        for q in 0..=EL_MAX_EXP10 {
-            if q > 0 {
-                bigint::mul_small(&mut big, 5);
-            }
-            let v = big_top128(&big);
-            table[(q - EL_MIN_EXP10) as usize] = ((v >> 64) as u64, v as u64);
-        }
-        table
-    })
-}
-
-/// `5^m` as an exact bigint.
-fn bigint_pow5(m: u32) -> Vec<u64> {
-    let mut big = vec![1u64];
-    for _ in 0..m {
-        bigint::mul_small(&mut big, 5);
-    }
-    big
-}
-
-/// Top 128 bits of a big integer, truncated, left-normalized.
-fn big_top128(big: &[u64]) -> u128 {
-    let bits = bigint::bit_len(big);
-    let mut v: u128 = 0;
-    if bits <= 128 {
-        for i in 0..bits {
-            if bigint::bit(big, i) {
-                v |= 1 << i;
-            }
-        }
-        v << (128 - bits)
-    } else {
-        let shift = bits - 128;
-        for i in 0..128 {
-            if bigint::bit(big, shift + i) {
-                v |= 1 << i;
-            }
-        }
-        v
-    }
-}
-
-/// `floor(2^n / d)` where `n` is sized so the quotient has ≤ 128 bits.
-fn div_pow2_128(n: u32, d: &[u64]) -> u128 {
-    let mut rem = vec![0u64; d.len() + 1];
-    let mut q: u128 = 0;
-    for pos in (0..=n).rev() {
-        bigint::shl1(&mut rem);
-        if pos == n {
-            rem[0] |= 1;
-        }
-        let bit = if bigint::ge(&rem, d) {
-            bigint::sub(&mut rem, d);
-            1
-        } else {
-            0
-        };
-        q = (q << 1) | bit;
-    }
-    q
-}
-
-/// Binary exponent of the normalized 128-bit approximation of `10^q`
-/// (the classic `(217706 * q) >> 16 + 63` linear fit, exact over the
-/// table's range).
-#[inline]
-fn el_power2(q: i32) -> i32 {
-    (q.wrapping_mul(152_170 + 65_536) >> 16) + 63
-}
-
-/// 64×64 → 128 multiply split into `(hi, lo)`.
-#[inline]
-fn umul128(a: u64, b: u64) -> (u64, u64) {
-    let p = (a as u128) * (b as u128);
-    ((p >> 64) as u64, p as u64)
-}
-
-/// Eisel–Lemire: convert an exact decimal `w × 10^q` (`w` the full
-/// mantissa, up to 19 digits) to the nearest `f64`, or `None` when the
-/// 128-bit product cannot prove the rounding direction. Returns the
-/// magnitude only; the caller applies the sign (so `-0.0` works out).
-///
-/// Normal/subnormal/overflow/underflow handling follows the reference
-/// algorithm ("Number Parsing at a Gigabyte per Second", Lemire 2021):
-/// one (rarely two) 64×64 multiplies against the 128-bit power-of-five
-/// table, a 9-bit precision check, and an explicit round-to-even fixup
-/// on exact halfway products.
-fn eisel_lemire(w: u64, q: i32) -> Option<f64> {
-    if w == 0 || q < EL_MIN_EXP10 {
-        // Even 2^64 × 10^-343 is below half the smallest subnormal.
-        return Some(0.0);
-    }
-    if q > EL_MAX_EXP10 {
-        return Some(f64::INFINITY);
-    }
-    let lz = w.leading_zeros();
-    let w_norm = w << lz;
-
-    // Product of the normalized mantissa with the 128-bit power. The
-    // precision check needs 52 mantissa bits + 3 (hidden bit, rounding
-    // bit, table-truncation error margin); if the top multiply's low 9
-    // bits are all ones the result may be off, so refine with the low
-    // table word before giving up.
-    let (p_hi, p_lo) = el_powers()[(q - EL_MIN_EXP10) as usize];
-    let (mut hi, mut lo) = umul128(w_norm, p_hi);
-    if hi & 0x1FF == 0x1FF {
-        let (second_hi, _) = umul128(w_norm, p_lo);
-        lo = lo.wrapping_add(second_hi);
-        if second_hi > lo {
-            hi += 1;
-        }
-    }
-    if lo == u64::MAX && !(-27..=55).contains(&q) {
-        // A saturated low word means the truncated table's error could
-        // still flip the rounding; only exponents whose 5^q fits the
-        // 128-bit entry exactly are immune.
-        return None;
-    }
-
-    let upperbit = (hi >> 63) as i32;
-    let mut mantissa = hi >> (upperbit + 64 - 52 - 3);
-    let mut power2 = el_power2(q) + upperbit - lz as i32 + 1023;
-    if power2 <= 0 {
-        // Subnormal (or complete underflow) territory.
-        if -power2 + 1 >= 64 {
-            return Some(0.0);
-        }
-        mantissa >>= -power2 + 1;
-        mantissa += mantissa & 1;
-        mantissa >>= 1;
-        let e = u64::from(mantissa >= (1u64 << 52));
-        return Some(f64::from_bits((e << 52) | (mantissa & !(1u64 << 52))));
-    }
-    // An exact halfway product must round to even, not up; the window
-    // where `w × 5^q` can be a power of two is q ∈ [-4, 23].
-    if lo <= 1
-        && (-4..=23).contains(&q)
-        && mantissa & 3 == 1
-        && (mantissa << (upperbit + 64 - 52 - 3)) == hi
-    {
-        mantissa &= !1u64;
-    }
-    mantissa += mantissa & 1;
-    mantissa >>= 1;
-    if mantissa >= (2u64 << 52) {
-        mantissa = 1u64 << 52;
-        power2 += 1;
-    }
-    if power2 >= 0x7FF {
-        return Some(f64::INFINITY);
-    }
-    Some(f64::from_bits(
-        ((power2 as u64) << 52) | (mantissa & !(1u64 << 52)),
-    ))
-}
-
-/// XSD `double` lexical parsing: `INF`/`+INF`/`-INF`/`NaN` plus decimal
-/// forms, with the kernel fast path first. Accepts exactly the inputs
-/// `bxdm::value::parse_f64_lexical` accepts.
-#[inline]
-pub fn parse_f64_lexical(t: &str) -> Option<f64> {
-    if let Some(v) = parse_f64(t) {
-        return Some(v);
-    }
-    bxdm::value::parse_f64_lexical(t)
-}
-
-// ---------------------------------------------------------------------------
-// Big-integer helpers for the power table
-// ---------------------------------------------------------------------------
-
-/// Little-endian multi-limb unsigned integer helpers (only what the
-/// power-table computation needs; runs once per process).
-mod bigint {
-    /// `big *= m` in place.
-    pub fn mul_small(big: &mut Vec<u64>, m: u64) {
-        let mut carry: u128 = 0;
-        for limb in big.iter_mut() {
-            let p = (*limb as u128) * (m as u128) + carry;
-            *limb = p as u64;
-            carry = p >> 64;
-        }
-        if carry != 0 {
-            big.push(carry as u64);
-        }
-    }
-
-    /// Number of significant bits.
-    pub fn bit_len(big: &[u64]) -> u32 {
-        let top = *big.last().expect("empty bigint");
-        (big.len() as u32 - 1) * 64 + (64 - top.leading_zeros())
-    }
-
-    /// Bit `i` (little-endian numbering).
-    pub fn bit(big: &[u64], i: u32) -> bool {
-        let limb = (i / 64) as usize;
-        limb < big.len() && (big[limb] >> (i % 64)) & 1 == 1
-    }
-
-    /// `a >= b` for equal-purpose comparisons (treats missing limbs as 0).
-    pub fn ge(a: &[u64], b: &[u64]) -> bool {
-        let n = a.len().max(b.len());
-        for i in (0..n).rev() {
-            let x = a.get(i).copied().unwrap_or(0);
-            let y = b.get(i).copied().unwrap_or(0);
-            if x != y {
-                return x > y;
-            }
-        }
-        true
-    }
-
-    /// `a -= b` in place; caller guarantees `a >= b`.
-    pub fn sub(a: &mut [u64], b: &[u64]) {
-        let mut borrow = 0u64;
-        for (i, limb) in a.iter_mut().enumerate() {
-            let y = b.get(i).copied().unwrap_or(0);
-            let (d1, b1) = limb.overflowing_sub(y);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *limb = d2;
-            borrow = (b1 | b2) as u64;
-        }
-        debug_assert_eq!(borrow, 0, "bigint subtraction underflow");
-    }
-
-    /// `a <<= 1` in place (fixed width; caller sizes `a` generously).
-    pub fn shl1(a: &mut [u64]) {
-        let mut carry = 0u64;
-        for limb in a.iter_mut() {
-            let next_carry = *limb >> 63;
-            *limb = (*limb << 1) | carry;
-            carry = next_carry;
-        }
-        debug_assert_eq!(carry, 0, "bigint shift overflow");
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Float formatting
@@ -782,13 +275,6 @@ pub fn write_f64(v: f64, out: &mut String) {
     out.push_str(std::str::from_utf8(&text[..n]).expect("rendered digits are ASCII"));
 }
 
-/// Pre-compute the Eisel–Lemire parse table so later calls never
-/// allocate. Idempotent; callers that count allocations invoke this once
-/// at startup.
-pub fn warm_up() {
-    let _ = el_powers();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,47 +312,6 @@ mod tests {
             write_i64(v, &mut s);
             assert_eq!(s, v.to_string());
         }
-    }
-
-    #[test]
-    fn swar_digit_helpers() {
-        assert!(is_8_digits(u64::from_le_bytes(*b"12345678")));
-        assert!(!is_8_digits(u64::from_le_bytes(*b"1234567a")));
-        assert!(!is_8_digits(u64::from_le_bytes(*b"1234 678")));
-        assert_eq!(fold_8_digits(u64::from_le_bytes(*b"12345678")), 12_345_678);
-        assert_eq!(fold_8_digits(u64::from_le_bytes(*b"00000000")), 0);
-        assert_eq!(fold_8_digits(u64::from_le_bytes(*b"99999999")), 99_999_999);
-    }
-
-    #[test]
-    fn parse_integers_match_std() {
-        for s in [
-            "0",
-            "7",
-            "42",
-            "12345678",
-            "123456789012345",
-            "18446744073709551615",
-        ] {
-            assert_eq!(parse_u64(s), s.parse::<u64>().ok(), "u64 {s}");
-        }
-        assert_eq!(parse_u64("18446744073709551616"), None); // overflow
-        assert_eq!(parse_u64(""), None);
-        assert_eq!(parse_u64("12a"), None);
-        assert_eq!(parse_u64("-1"), None);
-
-        for s in [
-            "0",
-            "-1",
-            "+5",
-            "9223372036854775807",
-            "-9223372036854775808",
-        ] {
-            assert_eq!(parse_i64(s), s.parse::<i64>().ok(), "i64 {s}");
-        }
-        assert_eq!(parse_i64("9223372036854775808"), None);
-        assert_eq!(parse_i64("-9223372036854775809"), None);
-        assert_eq!(parse_i64("-"), None);
     }
 
     #[test]
@@ -1001,150 +446,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f64_parse_matches_std() {
-        for s in [
-            "0",
-            "-0",
-            "1.5",
-            "3.25e-8",
-            "1e300",
-            "-1e-300",
-            "0.000001",
-            "9007199254740993",
-            "1.7976931348623157e308",
-            "5e-324",
-            "123456789012345678901234567890",
-            "0.00000000000000000000000000001",
-            "+1.25",
-            "1e999",
-            "-1e999",
-            "1e-999",
-        ] {
-            assert_eq!(
-                parse_f64(s).map(f64::to_bits),
-                s.parse::<f64>().ok().map(f64::to_bits),
-                "parse {s}"
-            );
-        }
-        for s in ["", ".", "e5", "1e", "1e+", "1.5x", "--1", "1..2", "INF", "NaN"] {
-            assert_eq!(parse_f64(s), None, "reject {s:?}");
-        }
-    }
-
-    #[test]
-    fn lexical_wrapper_handles_xsd_specials() {
-        assert_eq!(parse_f64_lexical("INF"), Some(f64::INFINITY));
-        assert_eq!(parse_f64_lexical("+INF"), Some(f64::INFINITY));
-        assert_eq!(parse_f64_lexical("-INF"), Some(f64::NEG_INFINITY));
-        assert!(parse_f64_lexical("NaN").unwrap().is_nan());
-        assert_eq!(parse_f64_lexical("2.5"), Some(2.5));
-    }
-
-    #[test]
-    fn el_powers_are_accurate() {
-        warm_up();
-        let table = el_powers();
-        assert_eq!(table.len(), (EL_MAX_EXP10 - EL_MIN_EXP10 + 1) as usize);
-        for (i, &(hi, lo)) in table.iter().enumerate() {
-            let q = EL_MIN_EXP10 + i as i32;
-            assert!(hi >= 1 << 63, "5^{q} table entry not normalized");
-            // The 128-bit significand times 2^el_power2(q) must approximate
-            // 10^q: compare logs to high precision.
-            let sig = (hi as f64) * 2f64.powi(64) + lo as f64;
-            let lhs = sig.ln() + (el_power2(q) - 63 - 127) as f64 * std::f64::consts::LN_2;
-            let rhs = q as f64 * std::f64::consts::LN_10;
-            assert!((lhs - rhs).abs() < 1e-9, "10^{q}: {lhs} vs {rhs}");
-        }
-    }
-
-    #[test]
-    fn el_clinger_boundary_cases() {
-        // Strings straddling the Clinger fast-path window (|exp10| ≤ 22,
-        // mantissa < 2^53): one step inside, on, and outside each edge, plus
-        // mantissas at and just past 2^53 that force the wide-window path.
-        for s in [
-            "1e22",
-            "1e23",
-            "1e-22",
-            "1e-23",
-            "9007199254740991e22",  // 2^53 - 1, fast-path mantissa limit
-            "9007199254740992e22",  // 2^53, first EL-only mantissa
-            "9007199254740993e-23", // odd 54-bit mantissa, negative edge
-            "8e22",
-            "8.1e-23",
-            "4503599627370496e24",
-            "18014398509481984e-24",
-            // Known hard cases for float parsers (halfway values).
-            "2.2250738585072011e-308", // near smallest normal
-            "2.2250738585072014e-308",
-            "7.2057594037927933e16", // halfway between two floats
-            "5.0e-324",
-            "4.9e-324",
-            "2.47032822920623272e-324", // below half the smallest subnormal
-        ] {
-            assert_eq!(
-                parse_f64(s).map(f64::to_bits),
-                s.parse::<f64>().ok().map(f64::to_bits),
-                "boundary {s}"
-            );
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         #[test]
-        fn prop_el_random_bit_patterns(bits in any::<u64>()) {
-            // Reinterpret raw bits: exercises the full exponent range,
-            // subnormals, and both signs. Shortest form plus the 17-digit
-            // scientific form (maximum digits write_f64 ever emits).
-            let v = f64::from_bits(bits);
-            if v.is_finite() {
-                for s in [format!("{v}"), format!("{v:.16e}")] {
-                    prop_assert_eq!(
-                        parse_f64(&s).map(f64::to_bits),
-                        s.parse::<f64>().ok().map(f64::to_bits),
-                        "bits {bits:#018x} as {}", s
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn prop_el_subnormals(mantissa in 1u64..(1 << 52), neg in any::<bool>()) {
-            // Exponent field zero: every value is subnormal. The EL power2
-            // underflows and the shift-based subnormal branch must round
-            // exactly as std does.
-            let bits = mantissa | if neg { 1 << 63 } else { 0 };
-            let v = f64::from_bits(bits);
-            let s = format!("{v:e}");
-            prop_assert_eq!(
-                parse_f64(&s).map(f64::to_bits),
-                Some(bits),
-                "subnormal {}", s
-            );
-        }
-
-        #[test]
-        fn prop_el_clinger_window_edges(
-            m in 0u64..=(1 << 54),
-            e in -25i32..=25,
-        ) {
-            // Mantissa/exponent pairs clustered around the fast-path
-            // cutoffs (2^53 and ±22): both paths must agree with std.
-            let s = format!("{m}e{e}");
-            prop_assert_eq!(
-                parse_f64(&s).map(f64::to_bits),
-                s.parse::<f64>().ok().map(f64::to_bits),
-                "window {}", s
-            );
-        }
-
-        #[test]
         fn prop_f64_format_roundtrips(v in any::<f64>()) {
             let s = fmt(v);
-            let back = parse_f64_lexical(&s).unwrap();
+            let back = bxdm::value::parse_f64_lexical(&s).unwrap();
             prop_assert_eq!(back.to_bits(), v.to_bits());
         }
 
@@ -1156,30 +464,10 @@ mod tests {
         }
 
         #[test]
-        fn prop_parse_agrees_with_std(v in any::<f64>()) {
-            // Std's shortest form and std's debug form both reparse
-            // identically through the kernel (finite values; the kernel
-            // leaves inf/nan spellings to the XSD lexical wrapper).
-            if v.is_finite() {
-                let shortest = format!("{v}");
-                prop_assert_eq!(
-                    parse_f64(&shortest).map(f64::to_bits),
-                    shortest.parse::<f64>().ok().map(f64::to_bits)
-                );
-                let sci = format!("{v:e}");
-                prop_assert_eq!(
-                    parse_f64(&sci).map(f64::to_bits),
-                    sci.parse::<f64>().ok().map(f64::to_bits)
-                );
-            }
-        }
-
-        #[test]
         fn prop_itoa_roundtrips(v in any::<i64>()) {
             let mut s = String::new();
             write_i64(v, &mut s);
             prop_assert_eq!(s.parse::<i64>().ok(), Some(v));
-            prop_assert_eq!(parse_i64(&s), Some(v));
         }
     }
 }

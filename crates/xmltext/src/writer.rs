@@ -54,7 +54,7 @@ pub fn to_string_with(doc: &Document, opts: &XmlWriteOptions) -> Result<String, 
 /// The buffer is cleared first but keeps its capacity, so cycling one
 /// `String` through repeated calls reaches a steady state with no heap
 /// allocation at all (the per-value numeric formatting goes through the
-/// [`crate::num`] kernels, which write in place).
+/// [`crate::num`] writers, which write in place).
 pub fn write_into(
     doc: &Document,
     opts: &XmlWriteOptions,

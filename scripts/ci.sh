@@ -224,6 +224,26 @@ for f in crates/xmltext/src/*.rs; do
     fi
 done
 
+# One number language: XML numbers parse through std, with the functions
+# bxdm::AtomicValue::parse_as calls, so the typed and tree readers cannot
+# accept different numbers. crates/xmltext/src/num.rs keeps the writers
+# only: its non-test code defines no `fn parse_`, and with no parse table
+# left to fill, no non-test workspace code calls `warm_up(`. Comments are
+# skipped; test modules and tests/ directories are exempt.
+num_hits=$({
+    awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ":" $0}' \
+        crates/xmltext/src/num.rs | grep -E '\bfn parse_' || true
+    git ls-files '*.rs' | grep -vE '(^|/)tests/' | while read -r f; do
+        awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ":" $0}' "$f" \
+            | grep -E '\bwarm_up\(' || true
+    done
+})
+if [ -n "$num_hits" ]; then
+    echo "$num_hits" >&2
+    echo "xmltext: numbers parse through std; num.rs keeps writers only, and nothing warms a parse table" >&2
+    exit 1
+fi
+
 # One receive path: every SOAP node answers a `bx:Deadline` through one
 # arrival gate, DeadlineHeader::admit in crates/soap/src/envelope.rs
 # (admit_relay adds the hop check on top of it), so endpoints, typed
