@@ -538,4 +538,26 @@ mod tests {
             assert_eq!(decode(&bytes).unwrap(), doc);
         }
     }
+
+    #[test]
+    fn decode_element_into_refills_in_place() {
+        let part = |i: usize| {
+            Element::component("p:part")
+                .with_namespace("p", "http://example.org/parts")
+                .with_child(Element::leaf("p:seq", AtomicValue::I64(i as i64)))
+                .with_child(Element::array(
+                    "p:data",
+                    ArrayValue::F64((0..16).map(|j| (i * 16 + j) as f64).collect()),
+                ))
+        };
+        let mut node = Node::Text(String::new());
+        for i in 0..4 {
+            let bytes = encode_element(&part(i), &EncodeOptions::default()).unwrap();
+            decode_element_into(&bytes, &mut node).unwrap();
+            match &node {
+                Node::Element(e) => assert_eq!(*e, part(i)),
+                other => panic!("expected element, got {other:?}"),
+            }
+        }
+    }
 }

@@ -130,11 +130,10 @@ pub(crate) struct Frame {
 }
 
 /// Parse the prefix and size field of the frame at `buf[start]`. The end
-/// is overflow-checked and never before the body, but not checked
-/// against `buf`: the streaming assembler sizes frames it has not yet
-/// received. A buffer ending inside the size field is an
-/// `UnexpectedEof` error.
-pub(crate) fn frame_at(buf: &[u8], start: usize) -> BxsaResult<Frame> {
+/// is overflow-checked, never before the body and never past the end of
+/// `buf`; a buffer ending inside the size field is an `UnexpectedEof`
+/// error.
+pub(crate) fn frame_in(buf: &[u8], start: usize) -> BxsaResult<Frame> {
     let byte = *buf.get(start).ok_or(XbsError::UnexpectedEof {
         offset: start,
         needed: 1,
@@ -149,6 +148,11 @@ pub(crate) fn frame_at(buf: &[u8], start: usize) -> BxsaResult<Frame> {
         .ok_or_else(|| BxsaError::Structure {
             what: format!("frame at offset {start} declares impossible size {size}"),
         })?;
+    if end > buf.len() {
+        return Err(BxsaError::Structure {
+            what: format!("frame at offset {start} declares size {size} past buffer end"),
+        });
+    }
     Ok(Frame {
         kind,
         order,
@@ -156,20 +160,6 @@ pub(crate) fn frame_at(buf: &[u8], start: usize) -> BxsaResult<Frame> {
         body,
         end,
     })
-}
-
-/// [`frame_at`] for a frame that must lie inside `buf`.
-pub(crate) fn frame_in(buf: &[u8], start: usize) -> BxsaResult<Frame> {
-    let frame = frame_at(buf, start)?;
-    if frame.end > buf.len() {
-        return Err(BxsaError::Structure {
-            what: format!(
-                "frame at offset {start} declares size {} past buffer end",
-                frame.end - start
-            ),
-        });
-    }
-    Ok(frame)
 }
 
 /// `true` when the byte at `at` is a checksum frame's prefix.
@@ -239,7 +229,22 @@ impl Name<'_> {
         let decl = lookup(r).ok_or(BxsaError::BadNamespaceRef { offset: self.at })?;
         Ok(decl.prefix.as_deref())
     }
+
+    /// Check that the reference would resolve, given the namespace-table
+    /// sizes of the open elements, outermost first (`ScopeChain`'s rule:
+    /// scope depth 0 is the innermost element).
+    fn check(&self, open: &[u32]) -> BxsaResult<()> {
+        let Some(r) = self.ns else { return Ok(()) };
+        match open.len().checked_sub(r.scope_depth as usize + 1) {
+            Some(scope) if r.index < open[scope] => Ok(()),
+            _ => Err(BxsaError::BadNamespaceRef { offset: self.at }),
+        }
+    }
 }
+
+/// The namespace-table size of each open element, by depth: what a reader
+/// that keeps no tables needs to check that name references resolve.
+pub(crate) type Scopes = [u32; MAX_DEPTH];
 
 /// The frame-reading core: one cursor under the tree decoder, the pull
 /// reader, the typed field reader and the scanner.
@@ -405,17 +410,29 @@ impl<'a> Cursor<'a> {
         Ok(self.r.read_count(1)?)
     }
 
-    /// A whole element header with every field checked but no namespace
-    /// reference resolved (resolving needs a scope stack): the local name
-    /// and the attribute count.
-    pub fn plain_header(&mut self) -> BxsaResult<(&'a str, usize)> {
-        for _ in 0..self.decls()? {
+    /// A whole element header with every field checked: the local name
+    /// and the attribute count. With `scopes`, this element's table size
+    /// is recorded there and every name reference must resolve as the
+    /// tree decoder resolves it; without, references go unresolved (the
+    /// scanner reads frames out of context).
+    pub fn header(&mut self, scopes: Option<&mut Scopes>) -> BxsaResult<(&'a str, usize)> {
+        let decls = self.decls()?;
+        for _ in 0..decls {
             self.decl()?;
         }
-        let local = self.name()?.local;
+        let depth = self.depth;
+        let open = scopes.map(|scopes| {
+            scopes[depth - 1] = u32::try_from(decls).unwrap_or(u32::MAX);
+            &scopes[..depth]
+        });
+        let check = |name: Name<'a>| match open {
+            Some(open) => name.check(open).map(|()| name.local),
+            None => Ok(name.local),
+        };
+        let local = check(self.name()?)?;
         let attrs = self.attrs()?;
         for _ in 0..attrs {
-            self.name()?;
+            check(self.name()?)?;
             self.value()?;
         }
         Ok((local, attrs))
@@ -489,6 +506,14 @@ impl<'a> Cursor<'a> {
         let len = self.r.read_count(width)?;
         self.r.align(width)?;
         Ok((code, len))
+    }
+
+    /// Read past a packed array: its head, then its payload, unread.
+    pub fn skip_array(&mut self) -> BxsaResult<()> {
+        let (code, len) = self.array_head()?;
+        let width = code.width().expect("array heads are fixed-width");
+        self.r.read_bytes(len * width)?;
+        Ok(())
     }
 
     /// [`array_head`](Cursor::array_head) of an array whose element type

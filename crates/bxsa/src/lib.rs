@@ -24,10 +24,12 @@
 //! strings (§4.1).
 //!
 //! The tree codec ([`decode`], [`encode`]), the [`pull`] reader, the
-//! [`typed`] field reader and writer, the [`scan`]ner and the [`stream`]
-//! assembler all parse and write frames through one core in [`frame`],
-//! so every reader checks the same things and accepts the same bytes;
-//! frame nesting is capped at [`MAX_DEPTH`] on every path.
+//! [`typed`] field reader and writer and the [`scan`]ner all parse and
+//! write frames through one core in [`frame`], so every reader checks
+//! the same things and accepts the same bytes; frame nesting is capped
+//! at [`MAX_DEPTH`] on every path. A streamed message needs no framing
+//! of its own: each part is one standalone element frame, which carries
+//! its size, and decodes with [`decode_element_into`].
 //!
 //! ```
 //! use bxdm::{Document, Element, AtomicValue, ArrayValue};
@@ -53,7 +55,6 @@ pub mod estimate;
 pub mod frame;
 pub mod pull;
 pub mod scan;
-pub mod stream;
 pub mod transcode;
 pub mod typed;
 mod wellformed;
@@ -67,7 +68,6 @@ pub use error::{BxsaError, BxsaResult};
 pub use frame::{FrameType, MAX_DEPTH, MAX_REFS};
 pub use pull::{ArrayHandle, ElementStart, LeafValue, PullEvent, PullReader};
 pub use scan::FrameScanner;
-pub use stream::{FrameAssembler, FrameSink, DEFAULT_WINDOW};
 pub use transcode::{bxsa_to_xml, xml_to_bxsa};
 pub use typed::{ElementHead, FieldReader, FrameWriter, TypedDecl, TypedName};
 

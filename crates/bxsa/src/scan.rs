@@ -108,7 +108,7 @@ fn array_payload<'a, T: Primitive>(
             what: format!("{:?} is not an array frame", frame.kind),
         });
     }
-    c.plain_header()?;
+    c.header(None)?;
     let len = c.array_of::<T>()?;
     Ok((c, len))
 }

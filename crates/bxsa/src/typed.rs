@@ -19,10 +19,11 @@
 //!   trailer.
 //!
 //! Both are thin layers over the crate's one frame core, so every field
-//! they write or read gets the same checks as on the tree path. The
-//! reader's one leniency: namespace references are checked but not
-//! resolved, because resolving them needs a scope stack and so
-//! allocates; typed readers match local names.
+//! they write or read gets the same checks as on the tree path, and so
+//! does every frame the reader skips. Namespace references must resolve
+//! as on the tree path, but the reader keeps only the size of each open
+//! element's namespace table, not the declarations: typed readers match
+//! local names.
 //!
 //! Typed elements carry no attributes — the model's typing attributes
 //! (`xsi:type`, `bx:arrayType`) exist only in the *textual* encoding;
@@ -66,8 +67,9 @@ use xbs::{ByteOrder, Primitive, TypeCode, XbsWriter};
 
 use crate::error::{BxsaError, BxsaResult};
 use crate::estimate::{self, framed};
-use crate::frame::{Cursor, Frame, FrameType, Open, Out, CHECKSUM_FRAME_LEN};
+use crate::frame::{Cursor, Frame, FrameType, Open, Out, Scopes, CHECKSUM_FRAME_LEN};
 use crate::pull::{LeafValue, PullEvent};
+use crate::MAX_DEPTH;
 
 /// A namespace declaration as typed schemas carry them: `(prefix, uri)`,
 /// `None` prefix for the default namespace. `'static` because typed
@@ -361,14 +363,12 @@ impl FrameWriter {
 /// One parsed element frame header: what [`FieldReader::open`] saw.
 ///
 /// Carries the frame's extent so [`FieldReader::close`] can verify the
-/// declared size and [`FieldReader::skip`] can jump past unknown content
-/// in O(1) — the paper's accelerated sequential access, applied
-/// field-wise.
+/// declared size.
 #[derive(Debug, Clone, Copy)]
 pub struct ElementHead<'a> {
-    /// Local name (namespace references are not resolved — typed readers
-    /// match local names, like the envelope layer's lenient tree
-    /// consumers). Empty for non-element frames (text, comment, PI).
+    /// Local name (typed readers match local names, like the envelope
+    /// layer's tree consumers). Empty for non-element frames (text,
+    /// comment, PI).
     pub local: &'a str,
     /// The frame type: `Component`, `Leaf`, `Array`, or a text-like.
     pub kind: FrameType,
@@ -385,15 +385,16 @@ pub struct ElementHead<'a> {
 ///
 /// Unlike [`crate::pull::PullReader`] — which materializes namespace
 /// contexts, attribute vectors, and an event stack per message — this
-/// reader holds only the frame core's cursor: open/close state lives in
-/// the caller's control flow as [`ElementHead`] values, so a schema-known
-/// decode performs no heap allocation at all beyond the arrays it
-/// refills in place.
+/// reader holds only the frame core's cursor and the namespace-table size
+/// of each open element: open/close state lives in the caller's control
+/// flow as [`ElementHead`] values, so a schema-known decode performs no
+/// heap allocation at all beyond the arrays it refills in place.
 #[derive(Clone)]
 pub struct FieldReader<'a> {
     c: Cursor<'a>,
     doc: Frame,
     top_count: usize,
+    scopes: Scopes,
 }
 
 impl<'a> FieldReader<'a> {
@@ -402,7 +403,12 @@ impl<'a> FieldReader<'a> {
     pub fn new(bytes: &'a [u8]) -> BxsaResult<FieldReader<'a>> {
         let mut c = Cursor::new(bytes);
         let (doc, top_count) = c.document()?;
-        Ok(FieldReader { c, doc, top_count })
+        Ok(FieldReader {
+            c,
+            doc,
+            top_count,
+            scopes: [0; MAX_DEPTH],
+        })
     }
 
     /// Declared number of top-level frames (a SOAP message has one).
@@ -438,7 +444,7 @@ impl<'a> FieldReader<'a> {
             frame,
         };
         if frame.kind.is_element() {
-            (head.local, head.attr_count) = self.c.plain_header()?;
+            (head.local, head.attr_count) = self.c.header(Some(&mut self.scopes))?;
             if frame.kind == FrameType::Component {
                 head.child_count = self.c.children()?;
             }
@@ -451,9 +457,28 @@ impl<'a> FieldReader<'a> {
         self.c.close(&head.frame)
     }
 
-    /// Jump past an opened frame without parsing its content.
+    /// Read past an opened frame's content, building nothing, with every
+    /// check the tree decoder makes: names, values, text, nested frames,
+    /// [`MAX_DEPTH`] and each frame's declared end. A typed read that
+    /// skips what it does not need accepts exactly what the tree decoder
+    /// accepts.
     pub fn skip(&mut self, head: &ElementHead<'a>) -> BxsaResult<()> {
-        self.c.skip(&head.frame)
+        match head.kind {
+            FrameType::Leaf => {
+                self.c.value()?;
+            }
+            FrameType::Array => self.c.skip_array()?,
+            FrameType::Component => {
+                for _ in 0..head.child_count {
+                    let child = self.open()?;
+                    self.skip(&child)?;
+                }
+            }
+            text => {
+                self.c.text(text)?;
+            }
+        }
+        self.close(head)
     }
 
     /// After the last top-level frame: the document frame must end here,
@@ -819,6 +844,50 @@ mod tests {
         view_matches_copy_u64: u64 => U64,
         view_matches_copy_f32: f32 => F32,
         view_matches_copy_f64: f64 => F64,
+    }
+
+    /// Walk every top-level frame with `skip` alone, then `finish`.
+    fn skim(bytes: &[u8]) -> BxsaResult<()> {
+        let mut r = FieldReader::new(bytes)?;
+        for _ in 0..r.top_count() {
+            let head = r.open()?;
+            r.skip(&head)?;
+        }
+        r.finish()
+    }
+
+    #[test]
+    fn skipping_accepts_exactly_what_the_tree_decoder_accepts() {
+        let mut mid = Element::component("b:mid")
+            .with_namespace("b", "http://b")
+            .with_child(Element::leaf("a:flag", AtomicValue::Bool(true)))
+            .with_child(Element::array("b:v", ArrayValue::F64(vec![1.0, -2.5])))
+            .with_text("note")
+            .with_comment("c");
+        mid.push_node(bxdm::Node::Pi {
+            target: "pi".into(),
+            data: "d".into(),
+        });
+        let doc = Document::with_root(
+            Element::component("a:r")
+                .with_namespace("a", "http://a")
+                .with_attr("a:id", "7")
+                .with_child(mid)
+                .with_child(Element::leaf("s", AtomicValue::Str("x".into()))),
+        );
+        let bytes = crate::encode(&doc).unwrap();
+        skim(&bytes).unwrap();
+        for at in 0..bytes.len() {
+            for mask in [0x01, 0x02, 0x80] {
+                let mut damaged = bytes.clone();
+                damaged[at] ^= mask;
+                assert_eq!(
+                    skim(&damaged).is_ok(),
+                    crate::decode(&damaged).is_ok(),
+                    "byte {at} ^ {mask:#04x}"
+                );
+            }
+        }
     }
 
     #[test]

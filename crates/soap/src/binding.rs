@@ -10,12 +10,12 @@
 use transport::faulty::FaultAction;
 use transport::{
     Deadline, FramedStream, HttpConnection, HttpResponse, SharedInjector, Timeouts, TransportError,
+    MAX_PART_LEN,
 };
 
 use crate::error::{SoapError, SoapResult};
 use crate::fault::SoapFault;
 use crate::metrics;
-use crate::streaming::MAX_PART_LEN;
 
 /// Client-side transport binding.
 ///

@@ -73,7 +73,10 @@ pub use service::{
     fault_for_error, DecodeScratch, HandleOutcome, OperationDefaults, ServiceHandler,
     ServiceMetadata, ServiceRegistry, SoapService,
 };
-pub use streaming::{PartScratch, StreamEncoding, StreamOp, MAX_PART_LEN};
+pub use streaming::{PartScratch, StreamEncoding, StreamOp};
+/// The one cap on a streamed part, owned by the transport that enforces
+/// it per chunk; every streamed send and receive in this crate checks it.
+pub use transport::MAX_PART_LEN;
 pub use typed::{
     BxsaView, FromBxsa, ToBxsa, TypedDecode, TypedEncoding, TypedRequest, TypedScratch,
     ENVELOPE_DECLS,

@@ -18,7 +18,7 @@
 //! completes and releases the buffer for the next one. Steady-state
 //! memory is O(window) — one part — independent of the payload size,
 //! which is what lets a gigabyte message cross a node that never holds
-//! more than [`MAX_PART_LEN`] of it.
+//! more than [`MAX_PART_LEN`](crate::MAX_PART_LEN) of it.
 //!
 //! [`StreamEncoding`] extends [`EncodingPolicy`] with the per-part
 //! codec; both stock encodings implement it, so the streaming path is
@@ -41,12 +41,6 @@ use crate::metrics;
 use crate::service::{
     encode_reply, fault_envelope, fault_for_error, unencodable_reply, HandleOutcome, SoapService,
 };
-
-/// Hard cap on one encoded part, mirrored from the transport's
-/// per-chunk cap: the streaming window both sides size their buffers
-/// to. A payload bigger than this must be split into more parts, not a
-/// bigger one.
-pub const MAX_PART_LEN: usize = 4 * 1024 * 1024;
 
 /// Reusable per-part decode state: the node/document slot each part is
 /// decoded into, refilled in place so a stream of similarly-shaped
@@ -191,8 +185,8 @@ impl<'a, E: StreamEncoding> PartSender<'a, E> {
     }
 
     /// Encode and transmit one payload part (one chunk on the wire).
-    /// The encoded form must fit the [`MAX_PART_LEN`] window — split
-    /// bigger payloads into more parts, not bigger ones.
+    /// The encoded form must fit the [`MAX_PART_LEN`](crate::MAX_PART_LEN)
+    /// window — split bigger payloads into more parts, not bigger ones.
     pub fn send(&mut self, part: &Element) -> SoapResult<()> {
         self.encoding.encode_part_into(part, self.buf)?;
         self.binding.stream_send_part(self.buf)?;

@@ -387,11 +387,12 @@ fn decode_bxsa_envelope<'a>(
     Ok(true)
 }
 
-/// A request's `Header` walk: every entry must be an attribute-free
-/// `bx:Deadline`, and the first is read into `deadline`, as the tree
-/// path reads the first. Anything else is `Ok(false)`: a foreign header
-/// may demand mustUnderstand processing the typed path doesn't do, and a
-/// malformed deadline gets its answer on the tree path.
+/// A request's `Header` walk: the first `bx:Deadline` is read into
+/// `deadline`, as the tree path reads the first, and any other element
+/// without attributes is read past, as the tree path ignores it. Anything
+/// else is `Ok(false)`: a header with attributes may demand
+/// mustUnderstand processing the typed path doesn't do, and a malformed
+/// deadline gets its answer on the tree path.
 fn read_request_header_bxsa<'a>(
     r: &mut FieldReader<'a>,
     header: &ElementHead<'a>,
@@ -399,6 +400,10 @@ fn read_request_header_bxsa<'a>(
 ) -> SoapResult<bool> {
     for _ in 0..header.child_count {
         let h = r.open()?;
+        if h.kind.is_element() && h.attr_count == 0 && h.local != DEADLINE_HEADER_LOCAL {
+            r.skip(&h)?;
+            continue;
+        }
         if h.kind != FrameType::Component || h.local != DEADLINE_HEADER_LOCAL || h.attr_count != 0 {
             return Ok(false);
         }
@@ -690,8 +695,12 @@ impl TypedEncoding for XmlEncoding {
             }
             loop {
                 match r.next()? {
-                    // A foreign header may demand mustUnderstand
-                    // processing the typed path doesn't do.
+                    // The tree path ignores a foreign header without
+                    // attributes; one with attributes may demand
+                    // mustUnderstand processing the typed path doesn't do.
+                    XmlItem::Start(h) if h.local != DEADLINE_HEADER_LOCAL && h.extra_attrs == 0 => {
+                        r.skip(&h)?
+                    }
                     XmlItem::Start(h) if h.local == DEADLINE_HEADER_LOCAL && h.extra_attrs == 0 => {
                         // The first `bx:Deadline` counts, as on the tree path.
                         if deadline.is_some() {
@@ -1052,18 +1061,20 @@ mod tests {
                 .with_namespace("wsse", "http://example.org/wsse")
                 .with_attr("soapenv:mustUnderstand", "1"),
         );
+        // A foreign header without attributes is read past, as the tree
+        // path ignores it.
         let plain = tree_envelope(&p, None).with_header(Element::leaf(
             "MessageID",
             AtomicValue::Str("urn:uuid:1".into()),
         ));
         let mut back = Probe::default();
-        for env in [flagged, plain] {
+        for (env, expect) in [
+            (flagged, TypedRequest::Fallback),
+            (plain, TypedRequest::Matched { deadline: None }),
+        ] {
             for_each_encoding(|enc| {
                 let bytes = enc.tree_encode(&env.to_document()).unwrap();
-                assert_eq!(
-                    enc.request(&bytes, &mut back).unwrap(),
-                    TypedRequest::Fallback
-                );
+                assert_eq!(enc.request(&bytes, &mut back).unwrap(), expect);
             });
         }
     }

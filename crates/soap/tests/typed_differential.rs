@@ -8,8 +8,10 @@
 //! every numeric leaf and packed-array type, strings, booleans — plus
 //! the deterministic edge cases that property generators hit rarely:
 //! empty arrays, NaN/±Inf floats, and maximum-length element names.
-//! Damaged XML envelopes check the other direction: the typed decode
-//! matches only bytes the tree decode accepts, with the same values.
+//! Damaged envelopes check the other direction: the typed decode matches
+//! only bytes the tree decode accepts, with the same values — XML
+//! envelopes damaged at their markup, and BXSA envelopes, carrying an
+//! unknown child the typed decode skips, damaged at every byte.
 
 use std::sync::OnceLock;
 
@@ -26,6 +28,9 @@ use xbs::{ByteOrder, TypeCode};
 use xmltext::{XmlFieldReader, XmlFieldWriter, XmlHead, XmlItem};
 
 const MSG_NS: &str = "http://example.org/differential";
+/// The local name of the unknown child the damaged-BXSA oracle adds to a
+/// message; no field is named so, and the typed decode skips it.
+const UNKNOWN: &str = "unknown";
 const MSG_DECLS: [(Option<&str>, &str); 1] = [(Some("t"), MSG_NS)];
 
 /// The name pool fields draw from. Entry 0 is the longest name the test
@@ -436,12 +441,19 @@ impl FromBxsa for DynMsg {
         r: &mut FieldReader<'a>,
         head: &ElementHead<'a>,
     ) -> SoapResult<()> {
-        if head.child_count != self.fields.len() {
-            return Err(SoapError::Protocol("child count mismatch".into()));
-        }
-        for (_, _, val) in &mut self.fields {
+        let mismatch = || SoapError::Protocol("child count mismatch".into());
+        let mut fields = self.fields.iter_mut();
+        for _ in 0..head.child_count {
             let f = r.open()?;
+            if f.local == UNKNOWN {
+                r.skip(&f)?;
+                continue;
+            }
+            let (_, _, val) = fields.next().ok_or_else(mismatch)?;
             val.decode_bxsa(r, &f)?;
+        }
+        if fields.next().is_some() {
+            return Err(mismatch());
         }
         Ok(r.close(head)?)
     }
@@ -657,6 +669,80 @@ fn assert_typed_accepts_only_what_tree_accepts(msg: &DynMsg) {
     }
 }
 
+/// `msg`'s body entry with an unknown child ahead of its fields: a
+/// component holding a boolean leaf, a text node and a copy of every
+/// field, all of which a typed decode skips.
+fn with_unknown_child(msg: &DynMsg) -> Element {
+    let mut unknown = Element::component(format!("t:{UNKNOWN}"))
+        .with_child(Element::leaf("t:flag", AtomicValue::Bool(true)))
+        .with_text("note");
+    for (_, qname, val) in &msg.fields {
+        unknown.push_child(val.tree_element(qname));
+    }
+    let mut root = Element::component("t:Msg")
+        .with_namespace("t", MSG_NS)
+        .with_child(unknown);
+    for (_, qname, val) in &msg.fields {
+        root.push_child(val.tree_element(qname));
+    }
+    root
+}
+
+/// `back` came out of a typed decode that reported a match on the BXSA
+/// `bytes`: the tree decode must accept them too, and the body entry's
+/// fields, the unknown child aside, must hold `back`'s values.
+fn assert_bxsa_tree_agrees(bytes: &[u8], back: &DynMsg, damage: impl Fn() -> String) {
+    let doc = bxsa::decode(bytes).unwrap_or_else(|e| {
+        panic!(
+            "typed decode matched what the tree decode rejects ({e}): {}",
+            damage()
+        )
+    });
+    let envelope = SoapEnvelope::from_document(&doc).unwrap();
+    let got: Vec<String> = envelope.body[0]
+        .child_elements()
+        .filter(|e| e.name.local() != UNKNOWN)
+        .map(|e| format!("{:?}", e.content))
+        .collect();
+    let want: Vec<String> = back
+        .fields
+        .iter()
+        .map(|(_, qname, val)| format!("{:?}", val.tree_element(qname).content))
+        .collect();
+    assert_eq!(got, want, "values differ: {}", damage());
+}
+
+/// Damage the tree-encoded BXSA envelope of `msg`, with an unknown child
+/// added, at every byte; whenever a typed decode still reports a match,
+/// the tree decode must agree.
+fn assert_typed_accepts_only_what_tree_accepts_bxsa(msg: &DynMsg) {
+    let mut envelope = SoapEnvelope::with_body(with_unknown_child(msg));
+    DeadlineHeader::new(250, 8).stamp(&mut envelope);
+    for options in bxsa_options() {
+        let enc = BxsaEncoding { options };
+        let wire = EncodingPolicy::encode(&enc, &envelope.to_document()).unwrap();
+        let mut back = msg.clone();
+        assert_eq!(
+            enc.decode_typed_reply(&wire, &mut back).unwrap(),
+            TypedDecode::Matched
+        );
+        for at in 0..wire.len() {
+            for mask in [0x01u8, 0x02, 0x80] {
+                let mut damaged = wire.clone();
+                damaged[at] ^= mask;
+                let damage = || format!("{:?}, byte {at} ^ {mask:#04x} of {msg:?}", enc.options);
+                if let Ok(TypedDecode::Matched) = enc.decode_typed_reply(&damaged, &mut back) {
+                    assert_bxsa_tree_agrees(&damaged, &back, damage);
+                }
+                let request = enc.decode_typed_request(&damaged, &mut back);
+                if let Ok(TypedRequest::Matched { .. }) = request {
+                    assert_bxsa_tree_agrees(&damaged, &back, damage);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -677,6 +763,16 @@ proptest! {
     #[test]
     fn typed_decode_of_damaged_envelopes_matches_only_what_tree_decode_accepts(msg in arb_msg()) {
         assert_typed_accepts_only_what_tree_accepts(&msg);
+    }
+}
+
+proptest! {
+    // Every byte of three encodings, three ways each: fewer messages.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn typed_decode_of_damaged_bxsa_matches_only_what_tree_decode_accepts(msg in arb_msg()) {
+        assert_typed_accepts_only_what_tree_accepts_bxsa(&msg);
     }
 }
 

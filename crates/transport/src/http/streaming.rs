@@ -21,6 +21,13 @@ use crate::error::TransportResult;
 use crate::http::response::HttpResponse;
 use crate::http::server::RequestHead;
 
+/// The most bytes one streamed part (one chunk) may carry, on every node:
+/// the server refuses a longer request chunk with `413` before its part
+/// buffer grows to match, and a streaming client refuses to send or
+/// receive a longer part. A payload bigger than this is split into more
+/// parts, not a bigger one.
+pub const MAX_PART_LEN: usize = 4 * 1024 * 1024;
+
 /// What a [`StreamSession`] answers with once the request terminator has
 /// been consumed.
 pub enum StreamReply {

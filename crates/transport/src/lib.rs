@@ -53,7 +53,7 @@ pub use http::client::{
 pub use http::request::HttpRequest;
 pub use http::response::HttpResponse;
 pub use http::server::{metrics_response, HttpServerConfig, Reply, RequestHead};
-pub use http::streaming::{StreamFactory, StreamReply, StreamSession};
+pub use http::streaming::{StreamFactory, StreamReply, StreamSession, MAX_PART_LEN};
 pub use reactor::server::Server;
 pub use reactor::{Event, Events, Interest, OverloadConfig, Poller, Waker};
 pub use retry::{RetryPolicy, RetrySchedule};

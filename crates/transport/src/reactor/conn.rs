@@ -22,7 +22,7 @@ use crate::framed::{MAX_FRAME_LEN, RECV_CHUNK};
 use crate::http::chunked::{self, ChunkDecoder, ChunkEvent};
 use crate::http::response::HttpResponse;
 use crate::http::server::{BodyKind, ParsedHead, Reply, RequestHead};
-use crate::http::streaming::{StreamFactory, StreamReply, StreamSession};
+use crate::http::streaming::{StreamFactory, StreamReply, StreamSession, MAX_PART_LEN};
 use crate::metrics::ServerMetrics;
 use crate::tcpserver::ReplyControl;
 
@@ -467,10 +467,6 @@ const MAX_HEAD_LEN: usize = 64 * 1024;
 /// Free space the input buffer offers each socket read.
 const HEAD_READ_CHUNK: usize = 8 * 1024;
 
-/// Cap on one streamed part (one chunk) — a hostile peer declaring a
-/// giant chunk is refused before the part buffer grows to match.
-const MAX_STREAM_PART: usize = 4 * 1024 * 1024;
-
 /// How far ahead of the socket the streaming reply path will pull parts:
 /// once at least this many staged bytes are waiting to be written, no
 /// more parts are pulled until the peer drains them — the backpressure
@@ -793,7 +789,7 @@ where
                 match event {
                     ChunkEvent::NeedMore => break,
                     ChunkEvent::Data { payload, chunk_done } => {
-                        let cap = if streaming { MAX_STREAM_PART } else { MAX_FRAME_LEN };
+                        let cap = if streaming { MAX_PART_LEN } else { MAX_FRAME_LEN };
                         if self.body.len() + payload.len() > cap {
                             crate::metrics::count_server_error(
                                 "http",

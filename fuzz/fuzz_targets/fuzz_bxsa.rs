@@ -1,7 +1,7 @@
 //! Fuzz every BXSA reader against the same untrusted bytes: the tree
 //! decoder (fresh and dirty-slot), the pull reader, the allocation-free
 //! field reader, the skip scanner with its array-payload reader, and the
-//! streaming frame assembler.
+//! standalone-element decoder each streamed part goes through.
 //!
 //! Oracles beyond "don't panic":
 //! * Fresh decode and dirty-slot `decode_into` must agree byte for byte.
@@ -9,6 +9,8 @@
 //!   to itself (idempotence — the wrong-value detector).
 //! * The pull reader accepts the input, driven to completion with every
 //!   array read, exactly when the tree decoder does.
+//! * The field reader accepts the input, every top-level frame skipped
+//!   and the document finished, exactly when the tree decoder does.
 //! * A decoded document, and the same document with every array grown
 //!   past the 4 KiB mark where a gathering encode leaves arrays in place,
 //!   encodes to the same bytes gathered (`encode_parts_into`, the parts
@@ -36,20 +38,14 @@ fn drive_pull(data: &[u8]) -> Result<usize, bxsa::BxsaError> {
     Ok(events)
 }
 
-fn drive_field_reader(data: &[u8]) {
-    let Ok(mut fr) = bxsa::FieldReader::new(data) else {
-        return;
-    };
-    for _ in 0..100_000 {
-        match fr.open() {
-            Ok(head) => {
-                if fr.skip(&head).is_err() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
+/// Walk every top-level frame with `skip` alone, then `finish`.
+fn drive_field_reader(data: &[u8]) -> Result<(), bxsa::BxsaError> {
+    let mut fr = bxsa::FieldReader::new(data)?;
+    for _ in 0..fr.top_count() {
+        let head = fr.open()?;
+        fr.skip(&head)?;
     }
+    fr.finish()
 }
 
 /// The values' bytes, so NaN payloads compare bit for bit.
@@ -157,24 +153,6 @@ fn drive_scanner(data: &[u8]) {
     }
 }
 
-fn drive_assembler(data: &[u8]) {
-    let mut asm = bxsa::FrameAssembler::new(bxsa::DEFAULT_WINDOW);
-    for piece in data.chunks(7) {
-        asm.feed(piece);
-        loop {
-            match asm.next_frame() {
-                Ok(Some(frame)) => {
-                    let _ = bxsa::decode_element(frame);
-                }
-                Ok(None) => break,
-                Err(_) => return,
-            }
-        }
-    }
-    asm.finish();
-    while let Ok(Some(_)) = asm.next_frame() {}
-}
-
 /// Repeat a non-empty array's values until its payload reaches 4 KiB.
 fn grow<T: Copy>(v: &mut Vec<T>) {
     if v.is_empty() {
@@ -275,6 +253,7 @@ fuzz_target!(|data: &[u8]| {
             let re2 = bxsa::encode(&back).expect("round-tripped document must re-encode");
             assert_eq!(re2, re, "re-encode round trip changed the document");
             drive_pull(data).expect("pull reader rejected tree-decodable input");
+            drive_field_reader(data).expect("field reader rejected tree-decodable input");
             gathered_equals_flat(doc);
             let mut grown = doc.clone();
             grown.children.iter_mut().for_each(inflate);
@@ -285,11 +264,14 @@ fuzz_target!(|data: &[u8]| {
                 drive_pull(data).is_err(),
                 "pull reader accepted input the tree decoder rejected: {e}"
             );
+            assert!(
+                drive_field_reader(data).is_err(),
+                "field reader accepted input the tree decoder rejected: {e}"
+            );
         }
     }
 
-    drive_field_reader(data);
     drive_views(data);
     drive_scanner(data);
-    drive_assembler(data);
+    let _ = bxsa::decode_element(data);
 });

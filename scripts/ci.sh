@@ -327,6 +327,29 @@ if [ -n "$stray_counts" ] || [ -n "$missing_sites" ]; then
     exit 1
 fi
 
+# One part framing, one part cap: a streamed message is one standalone
+# BXSA element frame per HTTP chunk, and each frame carries its own size,
+# so no non-test workspace code names the second part framing that was
+# deleted (FrameAssembler, FrameSink, DEFAULT_WINDOW). The cap on a part
+# is one decision: non-test code in crates/soap/src and
+# crates/transport/src defines `const MAX_PART_LEN` exactly once, in
+# transport, and names no MAX_STREAM_PART. Comments are skipped; test
+# modules and tests/ directories are exempt.
+framing_hits=$(git ls-files '*.rs' | grep -vE '(^|/)tests/' | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ":" $0}' "$f" \
+        | grep -E '\b(FrameAssembler|FrameSink|DEFAULT_WINDOW)\b' || true
+done)
+cap_hits=$(find crates/soap/src crates/transport/src -name '*.rs' | sort | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ":" $0}' "$f" \
+        | grep -E '\bconst\s+MAX_PART_LEN\b|\bMAX_STREAM_PART\b' || true
+done)
+if [ -n "$framing_hits" ] || [ "$(grep -c . <<<"$cap_hits")" -ne 1 ] \
+   || ! grep -qE '^crates/transport/src/[^:]+:[0-9]+:.*\bconst\s+MAX_PART_LEN\b' <<<"$cap_hits"; then
+    printf '%s\n' "$framing_hits" "$cap_hits" >&2
+    echo "streaming: one part framing (an element frame per chunk) and one part cap (transport::MAX_PART_LEN)" >&2
+    exit 1
+fi
+
 # Unsafe stays confined. Outside test code, `unsafe` appears in three
 # places only: xbs's native-order reader copy and its byte view of packed
 # arrays (crates/xbs/src/reader.rs, prim.rs), the epoll FFI

@@ -218,6 +218,9 @@ impl soap::ToBxsa for VerifyRequest {
     }
 }
 
+/// Both encodings read the first `index` and `values` children, as the
+/// tree handler's `find_child` takes them, and check the rest as they
+/// skip it.
 impl soap::FromBxsa for VerifyRequest {
     fn expected_local() -> &'static str {
         "Verify"
@@ -234,11 +237,11 @@ impl soap::FromBxsa for VerifyRequest {
         for _ in 0..head.child_count {
             let f = r.open()?;
             match f.local {
-                "index" => {
+                "index" if !saw_index => {
                     r.read_array_into(&f, &mut self.index)?;
                     saw_index = true;
                 }
-                "values" => {
+                "values" if !saw_values => {
                     r.read_array_into(&f, &mut self.values)?;
                     saw_values = true;
                 }
@@ -260,11 +263,11 @@ impl soap::FromBxsa for VerifyRequest {
         if !head.self_closing {
             loop {
                 match r.next()? {
-                    xmltext::XmlItem::Start(f) if f.local == "index" => {
+                    xmltext::XmlItem::Start(f) if f.local == "index" && !saw_index => {
                         r.array_into(&f, &mut self.index)?;
                         saw_index = true;
                     }
-                    xmltext::XmlItem::Start(f) if f.local == "values" => {
+                    xmltext::XmlItem::Start(f) if f.local == "values" && !saw_values => {
                         r.array_into(&f, &mut self.values)?;
                         saw_values = true;
                     }

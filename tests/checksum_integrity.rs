@@ -1,13 +1,13 @@
 //! Frame-integrity acceptance tests: a bit-flipped checksummed BXSA
 //! message must be rejected with a typed error — never decoded to wrong
-//! values — on the tree decoder, the pull decoder, the streaming
-//! assembler, and a streamed part, while checksum-off output stays
-//! byte-identical to what un-checksummed peers expect.
+//! values — on the tree decoder, the pull decoder and a streamed part,
+//! while checksum-off output stays byte-identical to what
+//! un-checksummed peers expect.
 
 use bxdm::{ArrayValue, AtomicValue, Document, Element};
 use bxsa::{
     decode, decode_element, encode, encode_element, encode_with, BxsaError, EncodeOptions,
-    FrameAssembler, FrameSink, PullReader, DEFAULT_WINDOW,
+    PullReader,
 };
 use soap::encoding::BxsaEncoding;
 use soap::streaming::{PartScratch, StreamEncoding};
@@ -204,63 +204,6 @@ fn frame_writer_checksum_matches_tree_encoder() {
 }
 
 #[test]
-fn assembler_absorbs_checksums_and_rejects_corruption() {
-    let parts: Vec<Element> = (0..5).map(sample_part).collect();
-    let mut wire = Vec::new();
-    let mut sink = FrameSink::new(checksum_opts(ByteOrder::Little), DEFAULT_WINDOW, |f| {
-        wire.extend_from_slice(f);
-        Ok(())
-    });
-    for p in &parts {
-        sink.push(p).unwrap();
-    }
-
-    // Clean stream: the assembler verifies and absorbs every checksum
-    // frame, surfacing exactly the element frames, across awkward splits.
-    for step in [1usize, 7, 64, 4096] {
-        let mut asm = FrameAssembler::new(DEFAULT_WINDOW);
-        let mut got = Vec::new();
-        let mut fed = 0;
-        while fed < wire.len() {
-            let end = (fed + step).min(wire.len());
-            asm.feed(&wire[fed..end]);
-            fed = end;
-            while let Some(frame) = asm.next_frame().unwrap() {
-                got.push(decode_element(frame).unwrap());
-            }
-        }
-        asm.finish();
-        assert!(asm.next_frame().unwrap().is_none());
-        assert_eq!(got, parts, "step {step}");
-    }
-
-    // Corrupt one payload byte inside the first frame: the assembler
-    // must report a checksum error no later than the call after that
-    // frame surfaced — the error can never be silently skipped.
-    let mut corrupt = wire.clone();
-    corrupt[20] ^= 0x40;
-    let mut asm = FrameAssembler::new(DEFAULT_WINDOW);
-    asm.feed(&corrupt);
-    asm.finish();
-    let mut saw_error = false;
-    for _ in 0..20 {
-        match asm.next_frame() {
-            Ok(Some(_)) => {}
-            Ok(None) => break,
-            Err(e) => {
-                assert!(
-                    matches!(e, BxsaError::ChecksumMismatch { .. }),
-                    "expected ChecksumMismatch, got {e:?}"
-                );
-                saw_error = true;
-                break;
-            }
-        }
-    }
-    assert!(saw_error, "assembler passed a corrupted checksummed frame");
-}
-
-#[test]
 fn streamed_part_with_checksum_roundtrips_and_rejects_flips() {
     // The soap streaming path: parts encoded by a checksum-enabled
     // policy verify on decode_part, and a bit flip in transit becomes a
@@ -298,12 +241,10 @@ fn checksum_frame_misuse_is_rejected() {
     let checked = encode_with(&doc, &checksum_opts(ByteOrder::Little)).unwrap();
     let trailer = &checked[plain.len()..];
 
-    // A bare checksum frame with nothing to cover.
+    // A bare checksum frame with nothing to cover, as a document or as a
+    // streamed part.
     assert!(decode(trailer).is_err());
-    let mut asm = FrameAssembler::new(DEFAULT_WINDOW);
-    asm.feed(trailer);
-    asm.finish();
-    assert!(asm.next_frame().is_err());
+    assert!(decode_element(trailer).is_err());
 
     // Two checksum frames: the second has only a checksum frame before
     // it, which is not a coverable frame sequence start.

@@ -1,11 +1,12 @@
 //! Chunked transfer-encoding edge cases against a live streaming
 //! server, driven over raw sockets: hostile or degenerate framing must
 //! produce clean faults or clean disconnects — never a hang, a crash,
-//! or a poisoned listener.
+//! or a poisoned listener — and one part cap, `MAX_PART_LEN`, holds at
+//! the server.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bxdm::{ArrayValue, AtomicValue, Element};
@@ -286,5 +287,85 @@ fn keep_alive_spans_streamed_and_buffered_exchanges() {
     assert_eq!(response.status, 500, "no buffered ops: in-band fault");
     assert!(conn.reuse_count() >= 2);
 
+    server.shutdown();
+}
+
+/// A transport-level stream session that records the length of every
+/// part it receives and answers `200 OK` at the terminator.
+struct PartLengths(Arc<Mutex<Vec<usize>>>);
+
+impl transport::StreamSession for PartLengths {
+    fn on_part(&mut self, part: &[u8]) -> transport::TransportResult<()> {
+        self.0.lock().unwrap().push(part.len());
+        Ok(())
+    }
+
+    fn finish(&mut self) -> transport::TransportResult<transport::StreamReply> {
+        Ok(transport::StreamReply::Buffered(
+            transport::HttpResponse::ok("text/plain", b"done".to_vec()),
+        ))
+    }
+
+    fn next_part(&mut self, _out: &mut Vec<u8>) -> transport::TransportResult<bool> {
+        Ok(false)
+    }
+}
+
+/// Read until the peer closes the connection or goes quiet for the
+/// socket's read timeout; the bytes read, and whether it closed.
+fn read_until_close(sock: &mut TcpStream) -> (Vec<u8>, bool) {
+    let mut buf = Vec::new();
+    let mut scratch = [0u8; 4096];
+    loop {
+        match sock.read(&mut scratch) {
+            Ok(0) => return (buf, true),
+            Ok(n) => buf.extend_from_slice(&scratch[..n]),
+            Err(_) => return (buf, false),
+        }
+    }
+}
+
+/// The server's per-chunk cap is `transport::MAX_PART_LEN`, the cap the
+/// streaming client checks: a chunk of exactly that many bytes reaches
+/// the session, and one byte more is refused with `413` before the
+/// session sees it, and the connection closes.
+#[test]
+fn the_part_cap_admits_max_part_len_and_refuses_one_byte_more() {
+    assert_eq!(transport::MAX_PART_LEN, soap::MAX_PART_LEN);
+    let lens = Arc::new(Mutex::new(Vec::new()));
+    let record = Arc::clone(&lens);
+    let server = transport::ServerBuilder::bind("127.0.0.1:0")
+        .stream_factory(move |_| {
+            Some(Box::new(PartLengths(Arc::clone(&record))) as Box<dyn transport::StreamSession>)
+        })
+        .serve_http(|| (), |_, _, _, _, _| {})
+        .unwrap();
+    // One chunk of `len` bytes; with `last`, the terminator follows and
+    // the client asks the server to close once it has answered.
+    let send = |len: usize, last: bool| {
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let close = if last { "Connection: close\r\n" } else { "" };
+        let head =
+            format!("POST /p HTTP/1.1\r\nHost: t\r\n{close}Transfer-Encoding: chunked\r\n\r\n");
+        sock.write_all(head.as_bytes()).unwrap();
+        sock.write_all(format!("{len:x}\r\n").as_bytes()).unwrap();
+        sock.write_all(&vec![0x5a; len]).unwrap();
+        if last {
+            sock.write_all(b"\r\n0\r\n\r\n").unwrap();
+        }
+        read_until_close(&mut sock)
+    };
+
+    let (accepted, _) = send(transport::MAX_PART_LEN, true);
+    assert_eq!(status_line(&accepted), "HTTP/1.1 200 OK");
+    assert_eq!(*lens.lock().unwrap(), [transport::MAX_PART_LEN]);
+
+    // Nothing follows the over-long payload, so the server has read every
+    // byte sent when it refuses the chunk and closes.
+    let (refused, closed) = send(transport::MAX_PART_LEN + 1, false);
+    assert_eq!(status_line(&refused), "HTTP/1.1 413 Payload Too Large");
+    assert!(closed, "the connection must close after a refused part");
+    assert_eq!(*lens.lock().unwrap(), [transport::MAX_PART_LEN]);
     server.shutdown();
 }

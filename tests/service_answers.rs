@@ -2,8 +2,10 @@
 //! service built from the tree handler and its view (`register_verify`)
 //! and one built from the typed handler alone (`register_verify_typed`)
 //! give the same fault class for the same malformed request, read one
-//! `bx:Deadline` number language, and answer a reply they cannot encode
-//! with an encoded Server fault, on both wire encodings.
+//! `bx:Deadline` number language, take the first of repeated arrays,
+//! read past a foreign header, check what they skip as the tree decoder
+//! does, and answer a reply they cannot encode with an encoded Server
+//! fault, on both wire encodings.
 
 use std::sync::Arc;
 
@@ -22,10 +24,16 @@ type Answer = Result<bool, (FaultCode, String)>;
 
 /// Serve `request` once and read the reply back with the tree decoder.
 fn answer<E: EncodingPolicy>(service: &SoapService<E>, request: &SoapEnvelope) -> Answer {
+    let bytes = service.encoding().encode(&request.to_document()).unwrap();
+    answer_bytes(service, &bytes)
+}
+
+/// Serve the encoded request `bytes` once and read the reply back with
+/// the tree decoder.
+fn answer_bytes<E: EncodingPolicy>(service: &SoapService<E>, bytes: &[u8]) -> Answer {
     let enc = service.encoding();
-    let bytes = enc.encode(&request.to_document()).unwrap();
     let mut out = Vec::new();
-    let outcome = service.handle(&mut DecodeScratch::default(), &bytes, &mut out);
+    let outcome = service.handle(&mut DecodeScratch::default(), bytes, &mut out);
     let doc = enc
         .decode(&out)
         .expect("every answer is an encoded envelope");
@@ -301,4 +309,112 @@ fn a_reply_that_cannot_be_encoded_is_an_encoded_server_fault() {
             other => panic!("{cell}: expected an encoded Server fault, got {other:?}"),
         }
     }
+}
+
+/// A `Verify` service over `enc` with `register_verify`'s tree handler
+/// alone: the reference every other handler kind must answer like.
+fn tree_only<E>(enc: E) -> SoapService<E>
+where
+    E: TypedEncoding + Clone + Send + Sync + 'static,
+{
+    let mut inner = ServiceRegistry::new();
+    bxsoap::register_verify(&mut inner);
+    let mut registry = ServiceRegistry::new();
+    registry.register("Verify", move |req| Ok(inner.dispatch(req)));
+    SoapService::new(enc, Arc::new(registry))
+}
+
+/// A `Verify` whose body entry holds `children`.
+fn verify_with(children: Vec<Element>) -> SoapEnvelope {
+    let body = children.into_iter().fold(
+        Element::component("d:Verify").with_namespace("d", LEAD_NS),
+        Element::with_child,
+    );
+    SoapEnvelope::with_body(body)
+}
+
+/// A skipped leaf is checked as the tree decoder reads it. The unknown
+/// `d:flag` leaf of this BXSA `Verify` holds boolean byte 0x02: the tree
+/// decoder rejects the message, so the view and the typed handler, which
+/// skip the leaf, must answer the tree's Client fault, not serve it.
+#[test]
+fn a_skipped_leaf_with_a_bad_boolean_byte_is_the_tree_fault_everywhere() {
+    let (index, values) = lead_dataset(4, 3);
+    let flagged = |flag: bool| {
+        let request = verify_with(vec![
+            Element::leaf("d:flag", AtomicValue::Bool(flag)),
+            Element::array("d:index", ArrayValue::I32(index.clone())),
+            Element::array("d:values", ArrayValue::F64(values.clone())),
+        ]);
+        BxsaEncoding::default()
+            .encode(&request.to_document())
+            .unwrap()
+    };
+    // The boolean byte is the one byte where the two encodings differ.
+    let mut request = flagged(true);
+    let at = request
+        .iter()
+        .zip(flagged(false))
+        .position(|(a, b)| *a != b)
+        .unwrap();
+    request[at] = 0x02;
+
+    let expected = answer_bytes(&tree_only(BxsaEncoding::default()), &request);
+    match &expected {
+        Err((FaultCode::Client, string)) => {
+            assert!(string.contains("boolean byte 0x02"), "{string}")
+        }
+        other => panic!("tree-only: expected a Client fault, got {other:?}"),
+    }
+    for (cell, service) in services(BxsaEncoding::default()) {
+        assert_eq!(answer_bytes(&service, &request), expected, "{cell} bxsa");
+    }
+}
+
+/// Every cell's answer equals the tree-only service's on the same
+/// encoding, for `request` on both encodings.
+fn assert_answers_like_the_tree(label: &str, request: &SoapEnvelope, served: bool) {
+    let reference = [
+        answer(&tree_only(BxsaEncoding::default()), request),
+        answer(&tree_only(XmlEncoding::default()), request),
+    ];
+    for expected in &reference {
+        assert_eq!(
+            expected,
+            &Ok(served),
+            "{label}: tree-only answered {expected:?}"
+        );
+    }
+    for (cell, got) in answers(request) {
+        assert_eq!(got, Ok(served), "{label}: {cell}");
+    }
+}
+
+/// Repeated arrays: the tree handler's `find_child` takes the first
+/// `index` and the first `values`, so every handler kind reads the valid
+/// first pair and ignores the later `index=[7]` and the NaN reading.
+#[test]
+fn every_handler_kind_reads_the_first_of_repeated_arrays() {
+    let (index, values) = lead_dataset(4, 3);
+    let mut nan = values.clone();
+    nan[1] = f64::NAN;
+    let request = verify_with(vec![
+        Element::array("d:index", ArrayValue::I32(index)),
+        Element::array("d:values", ArrayValue::F64(values)),
+        Element::array("d:index", ArrayValue::I32(vec![7])),
+        Element::array("d:values", ArrayValue::F64(nan)),
+    ]);
+    assert_answers_like_the_tree("duplicate arrays", &request, true);
+}
+
+/// A foreign header without attributes, here `x:Trace`, demands nothing
+/// of the receiver: the tree path ignores it, and so does every other
+/// handler kind, on both encodings.
+#[test]
+fn every_handler_kind_reads_past_a_foreign_header_without_attributes() {
+    let mut request = small_verify();
+    request.headers = vec![Element::component("x:Trace")
+        .with_namespace("x", "urn:example:trace")
+        .with_child(Element::leaf("x:id", AtomicValue::Str("t-1".into())))];
+    assert_answers_like_the_tree("x:Trace header", &request, true);
 }

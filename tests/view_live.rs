@@ -271,6 +271,43 @@ fn request_shapes() -> Vec<(&'static str, SoapEnvelope)> {
     ]
 }
 
+/// A valid `Verify` whose unknown `d:flag` leaf holds boolean byte 0x02,
+/// which the tree decoder rejects, encoded with `enc`; a checksum
+/// trailer is recomputed to cover the damaged byte.
+fn bad_boolean_request(enc: &BxsaEncoding) -> Vec<u8> {
+    let (index, values) = lead_dataset(1000, 9);
+    let flagged = |flag: bool| {
+        let request = verify_with(vec![
+            Element::leaf("d:flag", AtomicValue::Bool(flag)),
+            Element::array("d:index", ArrayValue::I32(index.clone())),
+            Element::array("d:values", ArrayValue::F64(values.clone())),
+        ]);
+        enc.encode(&request.into_document()).unwrap()
+    };
+    // The boolean byte is the first byte where the two encodings differ.
+    let mut bytes = flagged(true);
+    let at = bytes
+        .iter()
+        .zip(flagged(false))
+        .position(|(a, b)| *a != b)
+        .unwrap();
+    bytes[at] = 0x02;
+    if enc.options.checksum {
+        // The trailer's last four bytes: the CRC32C of everything before
+        // the trailer, in the message's byte order.
+        let covered = bytes.len() - 7;
+        let crc = bxsa::crc32c::crc32c(&bytes[..covered]);
+        let crc = match enc.options.byte_order {
+            ByteOrder::Little => crc.to_le_bytes(),
+            ByteOrder::Big => crc.to_be_bytes(),
+        };
+        bytes[covered + 3..].copy_from_slice(&crc);
+    }
+    let err = bxsa::decode(&bytes).unwrap_err();
+    assert!(err.to_string().contains("boolean byte 0x02"), "{err}");
+    bytes
+}
+
 #[test]
 fn view_and_tree_paths_answer_byte_identically() {
     let encodings = [
@@ -294,6 +331,7 @@ fn view_and_tree_paths_answer_byte_identically() {
         corrupt[middle] ^= 0x40;
         requests.push(("corrupted payload".into(), corrupt));
         requests.push(("truncated".into(), valid[..valid.len() - 9].to_vec()));
+        requests.push(("skipped bad boolean".into(), bad_boolean_request(&enc)));
         requests.push(("empty bytes".into(), Vec::new()));
         let xml = XmlEncoding::default()
             .encode(&verify_request_envelope(&[0], &[250.0]).into_document())
