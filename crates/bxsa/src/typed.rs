@@ -533,6 +533,12 @@ impl<'a> FieldReader<'a> {
         Ok(text)
     }
 
+    /// Is the opened frame `head` an array of `T`? Reads nothing: the
+    /// frame is still to be read or [`skip`](FieldReader::skip)ped.
+    pub fn is_array_of<T: Primitive>(&self, head: &ElementHead<'a>) -> bool {
+        head.kind == FrameType::Array && self.c.clone().array_of::<T>().is_ok()
+    }
+
     /// Refill `out` (cleared, capacity kept) from an opened array frame
     /// (and close the frame). Steady-state decode of same-shape messages
     /// allocates nothing once `out` has grown to the working set.

@@ -8,14 +8,11 @@
 //! one `match` at the call boundary, statically-dispatched engines
 //! inside.
 
-use std::sync::Arc;
-
 use crate::binding::{HttpBinding, TcpBinding};
 use crate::encoding::{BxsaEncoding, XmlEncoding};
 use crate::engine::{CallOptions, SoapEngine};
 use crate::envelope::SoapEnvelope;
 use crate::error::{SoapError, SoapResult};
-use crate::service::ServiceMetadata;
 use crate::typed::{FromBxsa, ToBxsa};
 
 /// A wire configuration: which encoding and which transport.
@@ -124,25 +121,6 @@ impl AnyEngine {
         }
     }
 
-    /// [`connect`](AnyEngine::connect), but let the service's published
-    /// metadata pick the encoding: if `operation` declares a
-    /// [`preferred_encoding`](crate::OperationDefaults::preferred_encoding),
-    /// it overrides `config.encoding` (the transport is the caller's
-    /// business either way). The metadata is installed on the engine, so
-    /// per-operation deadline/retry defaults apply to its calls too.
-    pub fn connect_for_operation(
-        metadata: Arc<ServiceMetadata>,
-        operation: &str,
-        mut config: WireConfig,
-        address: &str,
-        path: &str,
-    ) -> AnyEngine {
-        if let Some(preferred) = metadata.preferred_encoding(operation) {
-            config.encoding = preferred;
-        }
-        AnyEngine::connect(config, address, path).with_metadata(metadata)
-    }
-
     /// Request/response exchange with per-call options (dispatches to
     /// the inner engine's [`SoapEngine::call_with`]).
     pub fn call_with(
@@ -173,18 +151,6 @@ impl AnyEngine {
             AnyEngine::BxsaHttp(e) => e.call_typed(request, options),
             AnyEngine::BxsaTcp(e) => e.call_typed(request, options),
         }
-    }
-
-    /// Install per-operation service metadata on the inner engine
-    /// (chainable) — see [`SoapEngine::with_metadata`].
-    pub fn with_metadata(mut self, metadata: Arc<ServiceMetadata>) -> AnyEngine {
-        match &mut self {
-            AnyEngine::XmlHttp(e) => e.set_metadata(Some(Arc::clone(&metadata))),
-            AnyEngine::XmlTcp(e) => e.set_metadata(Some(Arc::clone(&metadata))),
-            AnyEngine::BxsaHttp(e) => e.set_metadata(Some(Arc::clone(&metadata))),
-            AnyEngine::BxsaTcp(e) => e.set_metadata(Some(Arc::clone(&metadata))),
-        }
-        self
     }
 
     /// One-way send.

@@ -1,6 +1,5 @@
 //! The generic SOAP engine (paper §5, §5.1).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bxdm::Document;
@@ -11,7 +10,6 @@ use crate::encoding::EncodingPolicy;
 use crate::envelope::{DeadlineHeader, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::metrics;
-use crate::service::ServiceMetadata;
 use crate::typed::{FromBxsa, ToBxsa, TypedDecode, TypedEncoding, TypedScratch};
 
 /// Slots one attempt's gather write may fill: pieces of the encode
@@ -70,12 +68,14 @@ impl<E: TypedEncoding, Req: ToBxsa> Outgoing<E> for TypedOutgoing<'_, Req> {
     }
 }
 
-/// Per-call knobs for [`SoapEngine::call_with`] — the one place where
-/// idempotency, deadline, retry, and circuit-breaker decisions meet.
+/// Per-call knobs for [`SoapEngine::call_with`]: whether the request
+/// may be replayed, and by when the whole call must finish. Retry policy
+/// and circuit breaker belong to the engine
+/// ([`with_retry`](SoapEngine::with_retry),
+/// [`with_breaker`](SoapEngine::with_breaker)).
 ///
-/// The default (`CallOptions::new()`) is idempotent, with no deadline
-/// and the engine's installed retry policy and breaker. Each knob
-/// overrides one dimension:
+/// `CallOptions::new()` and `CallOptions::default()` are the same value:
+/// idempotent, with no deadline.
 ///
 /// ```
 /// use soap::CallOptions;
@@ -86,32 +86,24 @@ impl<E: TypedEncoding, Req: ToBxsa> Outgoing<E> for TypedOutgoing<'_, Req> {
 ///     .non_idempotent();
 /// assert!(!opts.idempotent);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CallOptions {
     /// May the exchange be replayed on retry-safe failures? `false`
-    /// suppresses all retries regardless of installed policy. Note
-    /// `Default` derives `false`; use [`CallOptions::new`] for the
-    /// idempotent default.
+    /// suppresses all retries regardless of the engine's policy.
     pub idempotent: bool,
     /// End-to-end budget for the whole call (all attempts and backoff
     /// delays included). When set, the engine stamps a `bx:Deadline`
     /// header with the *remaining* budget on every attempt and narrows
     /// the binding's socket timeouts to what is left.
     pub deadline: Option<Deadline>,
-    /// Retry policy for this call only, overriding the engine's.
-    pub retry_override: Option<RetryPolicy>,
-    /// Circuit breaker for this call only, overriding the engine's.
-    pub breaker: Option<BreakerHandle>,
 }
 
 impl CallOptions {
-    /// The defaults: idempotent, no deadline, engine-level retry/breaker.
+    /// The defaults: idempotent, no deadline.
     pub fn new() -> CallOptions {
         CallOptions {
             idempotent: true,
             deadline: None,
-            retry_override: None,
-            breaker: None,
         }
     }
 
@@ -133,17 +125,11 @@ impl CallOptions {
     pub fn within(self, budget: Duration) -> CallOptions {
         self.with_deadline(Deadline::within(budget))
     }
+}
 
-    /// Use this retry policy instead of the engine's (chainable).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> CallOptions {
-        self.retry_override = Some(policy);
-        self
-    }
-
-    /// Use this circuit breaker instead of the engine's (chainable).
-    pub fn with_breaker(mut self, breaker: BreakerHandle) -> CallOptions {
-        self.breaker = Some(breaker);
-        self
+impl Default for CallOptions {
+    fn default() -> CallOptions {
+        CallOptions::new()
     }
 }
 
@@ -200,7 +186,7 @@ pub struct SoapEngine<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy = N
     /// cannot have processed the request (`None` = fail fast).
     retry: Option<RetryPolicy>,
     /// Shared circuit breaker consulted before every connect attempt
-    /// (`None` = always try). Per-call [`CallOptions::breaker`] wins.
+    /// (`None` = always try).
     breaker: Option<BreakerHandle>,
     /// Exchanges attempted by the most recent call.
     last_attempts: u32,
@@ -222,10 +208,6 @@ pub struct SoapEngine<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy = N
     /// Per-part decode scratch for streamed replies
     /// ([`call_streaming`](SoapEngine::call_streaming)).
     part_scratch: crate::streaming::PartScratch,
-    /// Per-operation call defaults, consulted whenever a call's operation
-    /// name is known (always, for typed calls; the first body entry's
-    /// local name otherwise). Explicit [`CallOptions`] fields win.
-    metadata: Option<Arc<ServiceMetadata>>,
 }
 
 impl<E: EncodingPolicy, B: BindingPolicy> SoapEngine<E, B> {
@@ -251,7 +233,6 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
             decode_buf: Document::new(),
             typed_scratch: TypedScratch::default(),
             part_scratch: Default::default(),
-            metadata: None,
         }
     }
 
@@ -268,30 +249,6 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
     pub fn with_breaker(mut self, breaker: BreakerHandle) -> SoapEngine<E, B, S> {
         self.breaker = Some(breaker);
         self
-    }
-
-    /// Consult a service's per-operation metadata for call defaults
-    /// (chainable). For every call whose operation name is known, the
-    /// registered [`crate::service::OperationDefaults`] fill in whatever
-    /// the explicit [`CallOptions`] left unset — deadline, retry policy,
-    /// idempotency. Typically the `Arc` handed out by
-    /// [`crate::ServiceRegistry::shared_metadata`].
-    pub fn with_metadata(mut self, metadata: Arc<ServiceMetadata>) -> SoapEngine<E, B, S> {
-        self.metadata = Some(metadata);
-        self
-    }
-
-    /// Install or remove the per-operation metadata in place.
-    pub fn set_metadata(&mut self, metadata: Option<Arc<ServiceMetadata>>) {
-        self.metadata = metadata;
-    }
-
-    /// Merge per-operation defaults under the caller's explicit options.
-    fn resolve_options(&self, operation: Option<&str>, explicit: &CallOptions) -> CallOptions {
-        match (&self.metadata, operation) {
-            (Some(meta), Some(op)) => meta.resolve(op, explicit),
-            _ => explicit.clone(),
-        }
     }
 
     /// Exchanges attempted by the most recent call (1 = no retries).
@@ -315,9 +272,9 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
     /// A SOAP fault in the response surfaces as [`SoapError::Fault`],
     /// keeping the happy path a plain envelope.
     ///
-    /// **Retries.** With a [`RetryPolicy`] installed (engine-level via
-    /// [`with_retry`](SoapEngine::with_retry), or per-call via
-    /// [`CallOptions::with_retry`]), failed exchanges are replayed — but
+    /// **Retries.** With a [`RetryPolicy`] installed
+    /// ([`with_retry`](SoapEngine::with_retry)), failed exchanges are
+    /// replayed — but
     /// **only** when `options.idempotent` holds *and* the failure class
     /// proves the server cannot have processed the request (connect
     /// refused; 503 with the server declining up front — see
@@ -350,11 +307,10 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
         request: SoapEnvelope,
         options: &CallOptions,
     ) -> SoapResult<SoapEnvelope> {
-        let options = self.resolve_options(request.operation(), options);
         // Built once: the entries move into the document, and a retry
         // only re-stamps its deadline header in place.
         let mut request = self.security.apply(request)?.into_document();
-        self.run_exchange(&options, &mut request, |me| me.finish_call())
+        self.run_exchange(options, &mut request, |me| me.finish_call())
     }
 
     /// The exchange loop shared by the tree and typed call paths: encode
@@ -373,9 +329,9 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
     ) -> SoapResult<R> {
         // `Deadline::none()` is unbounded: treat it as no deadline.
         let deadline = options.deadline.filter(|d| d.budget().is_some());
-        let breaker = options.breaker.as_ref().or(self.breaker.as_ref()).cloned();
+        let breaker = self.breaker.clone();
         let retry = if options.idempotent {
-            options.retry_override.as_ref().or(self.retry.as_ref()).cloned()
+            self.retry.clone()
         } else {
             None
         };
@@ -529,9 +485,9 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
 impl<E: TypedEncoding, B: BindingPolicy> SoapEngine<E, B, NoSecurity> {
     /// [`call_with`](SoapEngine::call_with) without the tree: `request`
     /// serializes straight to wire bytes via [`ToBxsa`] and the reply
-    /// decodes straight into a `Resp` via [`FromBxsa`]. Retry, deadline,
-    /// breaker, and per-operation metadata semantics are identical —
-    /// both paths share one exchange loop.
+    /// decodes straight into a `Resp` via [`FromBxsa`]. Retry, deadline
+    /// and breaker semantics are identical: both paths share one
+    /// exchange loop.
     ///
     /// Replies that don't match `Resp`'s shape fall back to the generic
     /// tree decoder, so faults still surface as [`SoapError::Fault`].
@@ -554,14 +510,13 @@ impl<E: TypedEncoding, B: BindingPolicy> SoapEngine<E, B, NoSecurity> {
         response: &mut Resp,
         options: &CallOptions,
     ) -> SoapResult<()> {
-        let options = self.resolve_options(Some(request.element_name().local), options);
         let mut scratch = std::mem::take(&mut self.typed_scratch);
         let mut outgoing = TypedOutgoing {
             request,
             scratch: &mut scratch,
         };
         let result =
-            self.run_exchange(&options, &mut outgoing, |me| me.finish_typed_call(response));
+            self.run_exchange(options, &mut outgoing, |me| me.finish_typed_call(response));
         self.typed_scratch = scratch;
         result
     }
@@ -614,12 +569,11 @@ impl<E: crate::streaming::StreamEncoding> SoapEngine<E, crate::binding::HttpBind
     ///
     /// **No retries, ever.** Once the first part is on the wire the
     /// request is not replayable from memory (the parts are gone — that
-    /// is the point), so failures surface immediately; the installed
-    /// retry policy and any [`CallOptions::retry_override`] are ignored.
-    /// A [`CallOptions::deadline`] still stamps the manifest and narrows
-    /// every socket budget of the exchange. Per-operation metadata still
-    /// resolves (for the deadline); breakers are not consulted (the
-    /// exchange cannot be declined-and-replayed).
+    /// is the point), so failures surface immediately; the engine's retry
+    /// policy is ignored. A [`CallOptions::deadline`] still stamps the
+    /// manifest and narrows every socket budget of the exchange. The
+    /// engine's breaker is not consulted (the exchange cannot be
+    /// declined-and-replayed).
     ///
     /// [`PartSender`]: crate::streaming::PartSender
     /// [`StreamingReply`]: crate::streaming::StreamingReply
@@ -632,7 +586,6 @@ impl<E: crate::streaming::StreamEncoding> SoapEngine<E, crate::binding::HttpBind
     where
         F: FnOnce(&mut crate::streaming::PartSender<'_, E>) -> SoapResult<()>,
     {
-        let options = self.resolve_options(manifest.operation(), options);
         let deadline = options.deadline.filter(|d| d.budget().is_some());
         let m = metrics::engine();
         m.calls.inc();
@@ -1190,28 +1143,11 @@ mod tests {
     }
 
     #[test]
-    fn per_call_options_override_engine_policies() {
-        use crate::binding::FaultingBinding;
-        use transport::faulty::{FaultInjector, FaultProfile};
-        use transport::RetryPolicy;
-
-        let injector = FaultInjector::new(FaultProfile::flaky_connect(3, 1.0)).shared();
-        let mut engine = SoapEngine::new(
-            XmlEncoding::default(),
-            FaultingBinding::new(
-                LoopbackBinding::new(sum_service(XmlEncoding::default())),
-                injector,
-            ),
-        )
-        .with_retry(RetryPolicy::no_delay(10));
-        // Per-call override narrows the engine's 10 attempts to 3.
-        let opts = CallOptions::new().with_retry(RetryPolicy::no_delay(3));
-        assert!(engine.call_with(sum_request(), &opts).is_err());
-        assert_eq!(engine.last_call_attempts(), 3);
-        // Non-idempotent wins over any retry configuration.
-        let opts = opts.non_idempotent();
-        assert!(engine.call_with(sum_request(), &opts).is_err());
-        assert_eq!(engine.last_call_attempts(), 1);
+    fn default_options_are_the_new_options() {
+        let (new, default) = (CallOptions::new(), CallOptions::default());
+        assert!(default.idempotent, "a defaulted call keeps its retries");
+        assert_eq!(default.idempotent, new.idempotent);
+        assert!(default.deadline.is_none() && new.deadline.is_none());
     }
 
     #[test]
@@ -1243,7 +1179,7 @@ mod tests {
 
     mod typed_calls {
         use super::*;
-        use crate::service::{OperationDefaults, ServiceMetadata, ServiceRegistry, SoapService};
+        use crate::service::{ServiceRegistry, SoapService};
         use crate::typed::probe::{probe, Probe};
         use crate::typed::{TypedEncoding, TypedRequest};
         use std::sync::Mutex;
@@ -1298,11 +1234,7 @@ mod tests {
         }
 
         #[test]
-        fn registered_metadata_stamps_a_deadline_on_bare_typed_calls() {
-            let meta = Arc::new(ServiceMetadata::new().with_operation(
-                "Probe",
-                OperationDefaults::new().with_deadline(Duration::from_secs(30)),
-            ));
+        fn a_deadline_is_stamped_on_typed_calls() {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let tap = Arc::clone(&seen);
             let mut respond = probe_loopback(BxsaEncoding::default());
@@ -1312,11 +1244,9 @@ mod tests {
                     tap.lock().unwrap().push(bytes.to_vec());
                     respond(bytes)
                 }),
-            )
-            .with_metadata(meta);
-            // No explicit options — yet the wire request must carry the
-            // operation's registered deadline.
-            let resp: Probe = engine.call_typed(&probe(2), &CallOptions::new()).unwrap();
+            );
+            let opts = CallOptions::new().within(Duration::from_secs(30));
+            let resp: Probe = engine.call_typed(&probe(2), &opts).unwrap();
             assert_eq!(resp.tag, 43);
             let request = seen.lock().unwrap().pop().unwrap();
             let mut decoy = Probe::default();
@@ -1326,7 +1256,7 @@ mod tests {
             {
                 TypedRequest::Matched { deadline: Some(h) } => assert!(
                     h.budget_millis > 25_000,
-                    "registered 30 s budget, stamped {} ms",
+                    "30 s budget, stamped {} ms",
                     h.budget_millis
                 ),
                 other => panic!("expected a stamped deadline, got {other:?}"),
@@ -1334,11 +1264,7 @@ mod tests {
         }
 
         #[test]
-        fn registered_metadata_applies_to_generic_calls_too() {
-            let meta = Arc::new(ServiceMetadata::new().with_operation(
-                "Sum",
-                OperationDefaults::new().with_deadline(Duration::from_secs(30)),
-            ));
+        fn a_deadline_is_stamped_on_tree_calls_too() {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let tap = Arc::clone(&seen);
             let mut respond = sum_service(XmlEncoding::default());
@@ -1348,15 +1274,15 @@ mod tests {
                     tap.lock().unwrap().push(bytes.to_vec());
                     respond(bytes)
                 }),
-            )
-            .with_metadata(meta);
-            engine.call_with(sum_request(), &CallOptions::new()).unwrap();
+            );
+            let opts = CallOptions::new().within(Duration::from_secs(30));
+            engine.call_with(sum_request(), &opts).unwrap();
             let request = seen.lock().unwrap().pop().unwrap();
             let doc = XmlEncoding::default().decode(&request).unwrap();
             let envelope = SoapEnvelope::from_document(&doc).unwrap();
             let header = DeadlineHeader::from_envelope(&envelope)
                 .unwrap()
-                .expect("metadata deadline must be stamped on the tree path");
+                .expect("the deadline must be stamped on the tree path");
             assert!(header.budget_millis > 25_000);
         }
     }

@@ -1,17 +1,12 @@
-//! Service-side message processing: registry, dispatch, faults, and
-//! per-operation metadata (default deadline / retry policy / idempotency
-//! / preferred encoding, resolved under explicit [`CallOptions`]).
+//! Service-side message processing: registry, dispatch, and faults.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bxdm::Document;
-use transport::{Deadline, RetryPolicy};
 
-use crate::anyengine::WireEncoding;
 use crate::encoding::{BxsaEncoding, EncodingPolicy};
-use crate::engine::CallOptions;
 use crate::envelope::{must_understand, Admitted, DeadlineHeader, Refusal, SoapEnvelope};
 use crate::error::{SoapError, SoapResult};
 use crate::fault::{FaultCode, SoapFault};
@@ -24,120 +19,6 @@ use crate::typed::{
 pub type ServiceHandler =
     dyn Fn(&SoapEnvelope) -> SoapResult<SoapEnvelope> + Send + Sync + 'static;
 
-/// Per-operation call defaults, published by a service alongside its
-/// handlers — the "service metadata" a client consults so that calling a
-/// named operation with plain `CallOptions::new()` still gets the
-/// deadline, retry policy, idempotency class, and wire encoding the
-/// operation was designed for. Every field is optional; unset fields
-/// defer to the caller's own settings.
-#[derive(Debug, Clone, Default)]
-pub struct OperationDefaults {
-    /// Default end-to-end budget for one call of this operation.
-    pub deadline: Option<Duration>,
-    /// Default retry policy for this operation.
-    pub retry: Option<RetryPolicy>,
-    /// Whether the operation may be replayed on retry-safe failures.
-    /// `Some(false)` marks a non-idempotent operation: it *vetoes*
-    /// retries even for callers who didn't think to turn them off.
-    pub idempotent: Option<bool>,
-    /// The encoding this operation is happiest with (e.g. BXSA for
-    /// array-heavy scientific payloads, XML for interop endpoints).
-    pub preferred_encoding: Option<WireEncoding>,
-}
-
-impl OperationDefaults {
-    /// No defaults — every field defers to the caller.
-    pub fn new() -> OperationDefaults {
-        OperationDefaults::default()
-    }
-
-    /// Default end-to-end budget (chainable).
-    pub fn with_deadline(mut self, budget: Duration) -> OperationDefaults {
-        self.deadline = Some(budget);
-        self
-    }
-
-    /// Default retry policy (chainable).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> OperationDefaults {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Declare the idempotency class (chainable). `false` vetoes
-    /// retries for every caller of this operation.
-    pub fn idempotent(mut self, yes: bool) -> OperationDefaults {
-        self.idempotent = Some(yes);
-        self
-    }
-
-    /// Declare the preferred wire encoding (chainable).
-    pub fn prefer_encoding(mut self, encoding: WireEncoding) -> OperationDefaults {
-        self.preferred_encoding = Some(encoding);
-        self
-    }
-}
-
-/// The operation-name → [`OperationDefaults`] map a service publishes.
-///
-/// Clients install a (shared) copy on their engine
-/// ([`crate::SoapEngine::with_metadata`]); the engine then resolves each
-/// call's effective options via [`ServiceMetadata::resolve`].
-#[derive(Debug, Clone, Default)]
-pub struct ServiceMetadata {
-    ops: HashMap<String, OperationDefaults>,
-}
-
-impl ServiceMetadata {
-    /// An empty metadata table.
-    pub fn new() -> ServiceMetadata {
-        ServiceMetadata::default()
-    }
-
-    /// Add defaults for an operation (chainable).
-    pub fn with_operation(mut self, name: &str, defaults: OperationDefaults) -> ServiceMetadata {
-        self.set(name, defaults);
-        self
-    }
-
-    /// Add or replace defaults for an operation.
-    pub fn set(&mut self, name: &str, defaults: OperationDefaults) {
-        self.ops.insert(name.to_owned(), defaults);
-    }
-
-    /// The defaults registered for `op`, if any.
-    pub fn get(&self, op: &str) -> Option<&OperationDefaults> {
-        self.ops.get(op)
-    }
-
-    /// The wire encoding `op` prefers, if declared.
-    pub fn preferred_encoding(&self, op: &str) -> Option<WireEncoding> {
-        self.ops.get(op).and_then(|d| d.preferred_encoding)
-    }
-
-    /// Merge `op`'s registered defaults *under* the caller's explicit
-    /// options: an explicit deadline or retry override wins outright; a
-    /// missing one falls back to the operation's default. Idempotency
-    /// composes as a conjunction — either side saying "not safe to
-    /// replay" suppresses retries (a caller can always be *more*
-    /// conservative than the metadata, never less).
-    pub fn resolve(&self, op: &str, explicit: &CallOptions) -> CallOptions {
-        let Some(d) = self.ops.get(op) else {
-            return explicit.clone();
-        };
-        CallOptions {
-            idempotent: explicit.idempotent && d.idempotent.unwrap_or(true),
-            deadline: explicit
-                .deadline
-                .or_else(|| d.deadline.map(Deadline::within)),
-            retry_override: explicit
-                .retry_override
-                .clone()
-                .or_else(|| d.retry.clone()),
-            breaker: explicit.breaker.clone(),
-        }
-    }
-}
-
 /// Maps operation names (the local name of the first body entry) to
 /// handlers, and records which header types the service understands.
 #[derive(Default)]
@@ -145,7 +26,6 @@ pub struct ServiceRegistry {
     handlers: HashMap<String, Box<ServiceHandler>>,
     views: HashMap<String, Box<ViewOp>>,
     understood_headers: Vec<String>,
-    metadata: ServiceMetadata,
 }
 
 impl ServiceRegistry {
@@ -213,30 +93,6 @@ impl ServiceRegistry {
     pub fn with_understood_header(mut self, local: &str) -> ServiceRegistry {
         self.understood_headers.push(local.to_owned());
         self
-    }
-
-    /// Publish call defaults for an operation (chainable). Purely
-    /// declarative: the server never reads them; clients fetch them via
-    /// [`shared_metadata`](ServiceRegistry::shared_metadata) and install
-    /// them on their engine.
-    pub fn with_operation_defaults(
-        mut self,
-        name: &str,
-        defaults: OperationDefaults,
-    ) -> ServiceRegistry {
-        self.metadata.set(name, defaults);
-        self
-    }
-
-    /// The per-operation call defaults this registry publishes.
-    pub fn metadata(&self) -> &ServiceMetadata {
-        &self.metadata
-    }
-
-    /// A shareable snapshot of the metadata, ready for
-    /// [`crate::SoapEngine::with_metadata`].
-    pub fn shared_metadata(&self) -> Arc<ServiceMetadata> {
-        Arc::new(self.metadata.clone())
     }
 
     /// Registered operation names (sorted, for diagnostics).
@@ -794,42 +650,6 @@ mod tests {
         let resp = reg.dispatch(&req);
         let echoed = resp.body_element().unwrap().find_child("Echo").unwrap();
         assert_eq!(echoed.child_value("n"), Some(&AtomicValue::F64(2.5)));
-    }
-
-    #[test]
-    fn metadata_defaults_resolve_under_explicit_options() {
-        let registry = ServiceRegistry::new().with_operation_defaults(
-            "Slow",
-            OperationDefaults::new()
-                .with_deadline(Duration::from_millis(250))
-                .with_retry(RetryPolicy::new(5))
-                .idempotent(false)
-                .prefer_encoding(WireEncoding::Bxsa),
-        );
-        let meta = registry.shared_metadata();
-
-        // A bare call inherits every registered default.
-        let resolved = meta.resolve("Slow", &CallOptions::new());
-        assert!(!resolved.idempotent, "Some(false) must veto retries");
-        let budget = resolved.deadline.unwrap().budget().unwrap();
-        assert!(budget <= Duration::from_millis(250));
-        assert_eq!(resolved.retry_override.unwrap().max_attempts, 5);
-        assert_eq!(meta.preferred_encoding("Slow"), Some(WireEncoding::Bxsa));
-
-        // Explicit settings win over the defaults.
-        let explicit = CallOptions::new()
-            .within(Duration::from_secs(9))
-            .with_retry(RetryPolicy::new(2));
-        let resolved = meta.resolve("Slow", &explicit);
-        assert!(resolved.deadline.unwrap().budget().unwrap() > Duration::from_secs(8));
-        assert_eq!(resolved.retry_override.unwrap().max_attempts, 2);
-
-        // Unregistered operations pass the explicit options through.
-        let resolved = meta.resolve("Unknown", &CallOptions::new());
-        assert!(resolved.idempotent);
-        assert!(resolved.deadline.is_none());
-        assert!(resolved.retry_override.is_none());
-        assert_eq!(meta.preferred_encoding("Unknown"), None);
     }
 
     mod typed_dispatch {

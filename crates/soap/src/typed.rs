@@ -65,7 +65,7 @@ pub const ENVELOPE_DECLS: [TypedDecl; 4] = [
 /// writer's reallocation guard asserts against.
 pub trait ToBxsa {
     /// The body element's name; its local part is the operation name used
-    /// for service dispatch and per-operation metadata lookup.
+    /// for service dispatch.
     fn element_name(&self) -> TypedName;
     /// Upper bound on the element's BXSA frame *body* (composed from
     /// `bxsa::estimate::plain_*` helpers).
@@ -204,8 +204,8 @@ pub trait TypedEncoding: EncodingPolicy {
     ) -> SoapResult<TypedRequest>;
 
     /// Cheaply extract the operation name (local name of the first body
-    /// entry) without decoding the message, for dispatch and metadata
-    /// lookup. `None` when the bytes don't look like an envelope.
+    /// entry) without decoding the message, for dispatch. `None` when the
+    /// bytes don't look like an envelope.
     fn peek_operation<'a>(&self, bytes: &'a [u8]) -> Option<&'a str>;
 }
 

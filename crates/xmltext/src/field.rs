@@ -205,6 +205,14 @@ pub struct XmlHead<'a> {
     pub(crate) level: usize,
 }
 
+impl XmlHead<'_> {
+    /// Is this element annotated as an array of `T`? An unannotated
+    /// element is not: the tree reader keeps it as a component.
+    pub fn is_array_of<T: TypedText>(&self) -> bool {
+        self.kind == Kind::Array(T::CODE)
+    }
+}
+
 /// An allocation-free typed pull reader.
 ///
 /// Callers match element *local* names — the schema is known, the

@@ -350,6 +350,27 @@ if [ -n "$framing_hits" ] || [ "$(grep -c . <<<"$cap_hits")" -ne 1 ] \
     exit 1
 fi
 
+# One source for each call setting: the engine holds the retry policy
+# and the breaker, CallOptions holds idempotency and the deadline, and
+# WireConfig (or a WSDL port) names the wire. No non-test code in
+# crates/*/src, src/ or examples/ names the per-operation metadata layer
+# or the per-call overrides that were deleted, and CallOptions has the
+# fields idempotent and deadline only. Comments are skipped; test
+# modules and tests/ directories are exempt.
+setting_hits=$(git ls-files 'crates/*/src/*.rs' 'src/*.rs' 'examples/*.rs' | grep -vE '(^|/)tests/' \
+    | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ":" $0}' "$f" \
+        | grep -E '\b(OperationDefaults|ServiceMetadata|with_metadata|set_metadata|shared_metadata|with_operation_defaults|connect_for_operation|verify_operation_defaults|retry_override|resolve_options)\b' || true
+done)
+call_fields=$(awk '/^pub struct CallOptions \{/{inside=1; next} inside && /^\}/{exit}
+    inside {sub(/\/\/.*/, "")} inside && /^ *pub [a-z_]+:/{sub(/^ *pub /, ""); sub(/:.*/, ""); print}' \
+    crates/soap/src/engine.rs | tr '\n' ' ')
+if [ -n "$setting_hits" ] || [ "$call_fields" != "idempotent deadline " ]; then
+    printf '%s\n' "$setting_hits" "CallOptions fields: $call_fields" >&2
+    echo "soap: retry and breaker come from the engine, idempotency and deadline from CallOptions" >&2
+    exit 1
+fi
+
 # Unsafe stays confined. Outside test code, `unsafe` appears in three
 # places only: xbs's native-order reader copy and its byte view of packed
 # arrays (crates/xbs/src/reader.rs, prim.rs), the epoll FFI
@@ -425,6 +446,11 @@ if ! tail -n 1 <<<"$bench_smoke" \
     echo "perfbench: bulk_upload smoke run did not report \"correct\": true" >&2
     exit 1
 fi
+
+# The benchmark's traced build and the harness's own correctness tests:
+# the traced binary (--trace 1, the per-layer split) is otherwise never
+# compiled here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --features trace
 
 cargo clippy --workspace --all-targets -- -D warnings
 

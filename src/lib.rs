@@ -220,7 +220,8 @@ impl soap::ToBxsa for VerifyRequest {
 
 /// Both encodings read the first `index` and `values` children, as the
 /// tree handler's `find_child` takes them, and check the rest as they
-/// skip it.
+/// skip it. A first child that is not an array of the right type counts
+/// as missing, as the tree handler's `as_*_array` finds nothing there.
 impl soap::FromBxsa for VerifyRequest {
     fn expected_local() -> &'static str {
         "Verify"
@@ -231,25 +232,23 @@ impl soap::FromBxsa for VerifyRequest {
         r: &mut bxsa::FieldReader<'a>,
         head: &bxsa::ElementHead<'a>,
     ) -> soap::SoapResult<()> {
-        let (mut saw_index, mut saw_values) = (false, false);
+        let (mut index, mut values) = (None, None);
         self.index.clear();
         self.values.clear();
         for _ in 0..head.child_count {
             let f = r.open()?;
             match f.local {
-                "index" if !saw_index => {
-                    r.read_array_into(&f, &mut self.index)?;
-                    saw_index = true;
+                "index" if index.is_none() => {
+                    index = Some(first_array_bxsa(r, &f, &mut self.index)?)
                 }
-                "values" if !saw_values => {
-                    r.read_array_into(&f, &mut self.values)?;
-                    saw_values = true;
+                "values" if values.is_none() => {
+                    values = Some(first_array_bxsa(r, &f, &mut self.values)?)
                 }
                 _ => r.skip(&f)?,
             }
         }
         r.close(head)?;
-        require_arrays(saw_index, saw_values)
+        require_arrays(index == Some(true), values == Some(true))
     }
 
     fn decode_xml<'a>(
@@ -257,19 +256,17 @@ impl soap::FromBxsa for VerifyRequest {
         r: &mut xmltext::XmlFieldReader<'a>,
         head: &xmltext::XmlHead<'a>,
     ) -> soap::SoapResult<()> {
-        let (mut saw_index, mut saw_values) = (false, false);
+        let (mut index, mut values) = (None, None);
         self.index.clear();
         self.values.clear();
         if !head.self_closing {
             loop {
                 match r.next()? {
-                    xmltext::XmlItem::Start(f) if f.local == "index" && !saw_index => {
-                        r.array_into(&f, &mut self.index)?;
-                        saw_index = true;
+                    xmltext::XmlItem::Start(f) if f.local == "index" && index.is_none() => {
+                        index = Some(first_array_xml(r, &f, &mut self.index)?)
                     }
-                    xmltext::XmlItem::Start(f) if f.local == "values" && !saw_values => {
-                        r.array_into(&f, &mut self.values)?;
-                        saw_values = true;
+                    xmltext::XmlItem::Start(f) if f.local == "values" && values.is_none() => {
+                        values = Some(first_array_xml(r, &f, &mut self.values)?)
                     }
                     xmltext::XmlItem::Start(f) => r.skip(&f)?,
                     xmltext::XmlItem::End(l) if l == head.local => break,
@@ -281,8 +278,39 @@ impl soap::FromBxsa for VerifyRequest {
                 }
             }
         }
-        require_arrays(saw_index, saw_values)
+        require_arrays(index == Some(true), values == Some(true))
     }
+}
+
+/// Read the opened `head` into `out` when it is an array of `T`, and read
+/// past it otherwise; returns whether it was read.
+fn first_array_bxsa<'a, T: xbs::Primitive>(
+    r: &mut bxsa::FieldReader<'a>,
+    head: &bxsa::ElementHead<'a>,
+    out: &mut Vec<T>,
+) -> soap::SoapResult<bool> {
+    let read = r.is_array_of::<T>(head);
+    if read {
+        r.read_array_into(head, out)?;
+    } else {
+        r.skip(head)?;
+    }
+    Ok(read)
+}
+
+/// [`first_array_bxsa`] on the XML wire.
+fn first_array_xml<'a, T: xmltext::TypedText>(
+    r: &mut xmltext::XmlFieldReader<'a>,
+    head: &xmltext::XmlHead<'a>,
+    out: &mut Vec<T>,
+) -> soap::SoapResult<bool> {
+    let read = head.is_array_of::<T>();
+    if read {
+        r.array_into(head, out)?;
+    } else {
+        r.skip(head)?;
+    }
+    Ok(read)
 }
 
 /// Both dataset arrays are required — same contract the tree handler
@@ -389,18 +417,6 @@ where
         resp.count = req.values.len() as i64;
         Ok(())
     });
-}
-
-/// The call defaults the LEAD service publishes for `Verify`: a 30 s
-/// end-to-end budget, three attempts, and the binary encoding the
-/// payload shape favors. Clients that install this metadata get those
-/// settings on every bare `Verify` call.
-pub fn verify_operation_defaults() -> soap::OperationDefaults {
-    soap::OperationDefaults::new()
-        .with_deadline(std::time::Duration::from_secs(30))
-        .with_retry(soap::RetryPolicy::new(3))
-        .idempotent(true)
-        .prefer_encoding(soap::WireEncoding::Bxsa)
 }
 
 #[cfg(test)]

@@ -79,26 +79,53 @@ fn small_verify() -> SoapEnvelope {
     verify_request_envelope(&index, &values)
 }
 
-/// A `Verify` with no `index` array is the sender's mistake, so every
-/// handler kind answers it with one Client fault: the view declines it
-/// to the tree handler, whose error maps as the typed decode's does.
+/// A `Verify` with no `index` array, or whose first `index` or `values`
+/// is not an array of the right type, is the sender's mistake, so every
+/// handler kind answers it with one Client fault and one string: the
+/// view declines it to the tree handler, whose error maps as the typed
+/// decode's does.
 #[test]
 fn a_request_missing_its_index_array_is_one_client_fault_everywhere() {
-    let request = SoapEnvelope::with_body(
-        Element::component("d:Verify")
-            .with_namespace("d", LEAD_NS)
-            .with_child(Element::array("d:values", ArrayValue::F64(vec![200.0]))),
-    );
-    let all = answers(&request);
-    for (cell, got) in &all {
-        match got {
-            Err((FaultCode::Client, string)) => {
-                assert!(string.contains("missing index array"), "{cell}: {string}")
+    let index = || Element::array("d:index", ArrayValue::I32(vec![0]));
+    let values = || Element::array("d:values", ArrayValue::F64(vec![200.0]));
+    // A first `index` or `values` that is not an array of the right type
+    // is as missing as an absent one.
+    let cases = [
+        ("no index", vec![values()], "missing index array"),
+        (
+            "i32 values",
+            vec![index(), Element::array("d:values", ArrayValue::I32(vec![200]))],
+            "missing values array",
+        ),
+        (
+            "f64 index",
+            vec![Element::array("d:index", ArrayValue::F64(vec![0.0])), values()],
+            "missing index array",
+        ),
+        (
+            "values leaf",
+            vec![index(), Element::leaf("d:values", AtomicValue::F64(200.0))],
+            "missing values array",
+        ),
+    ];
+    for (case, children, missing) in cases {
+        let request = SoapEnvelope::with_body(
+            children.into_iter().fold(
+                Element::component("d:Verify").with_namespace("d", LEAD_NS),
+                Element::with_child,
+            ),
+        );
+        let all = answers(&request);
+        for (cell, got) in &all {
+            match got {
+                Err((FaultCode::Client, string)) => {
+                    assert!(string.contains(missing), "{case}, {cell}: {string}")
+                }
+                other => panic!("{case}, {cell}: expected a Client fault, got {other:?}"),
             }
-            other => panic!("{cell}: expected a Client fault, got {other:?}"),
         }
+        assert!(all.windows(2).all(|w| w[0].1 == w[1].1), "{case}: {all:#?}");
     }
-    assert!(all.windows(2).all(|w| w[0].1 == w[1].1), "{all:#?}");
 }
 
 fn budget(value: AtomicValue) -> Element {

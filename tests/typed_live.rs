@@ -1,39 +1,28 @@
-//! Live-server acceptance for the typed fast path and per-operation
-//! service metadata: typed operations served end-to-end over real
-//! sockets on both transports, and `ServiceRegistry` defaults observably
-//! steering bare calls — preferred encoding at connect time, deadline at
-//! dispatch time, retry policy at failure time.
+//! Live-server acceptance for the typed fast path: typed operations
+//! served end to end over real sockets on both transports, each reached
+//! through the runtime-selected engine `AnyEngine::connect` builds from
+//! a `WireConfig` (the wire a WSDL port names).
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use bxdm::Element;
 use bxsoap::{VerifyRequest, VerifyResponse};
 use soap::{
-    AnyEngine, BxsaEncoding, CallOptions, HttpSoapServer, OperationDefaults, ServiceRegistry,
-    SoapEngine, SoapEnvelope, SoapService, TcpBinding, TcpSoapServer, WireConfig, WireEncoding,
-    WireTransport, XmlEncoding,
+    AnyEngine, BxsaEncoding, CallOptions, HttpSoapServer, ServiceRegistry, SoapService,
+    TcpSoapServer, WireConfig, WireEncoding, WireTransport, XmlEncoding,
 };
-use transport::{HttpServerConfig, RetryPolicy, TcpServerConfig};
+use transport::{HttpServerConfig, TcpServerConfig};
 
 fn verify_dataset() -> VerifyRequest {
     let (index, values) = bxsoap::lead_dataset(512, 7);
     VerifyRequest { index, values }
 }
 
-/// Typed operations answer on a live TCP listener, and
-/// [`AnyEngine::connect_for_operation`] lets the service's published
-/// metadata pick the wire: the caller asks for XML, the registered
-/// preference says BXSA, BXSA wins.
+/// Typed operations answer on a live TCP listener, reached with the
+/// binary encoding the caller's wire configuration prefers.
 #[test]
 fn typed_verify_round_trips_over_live_tcp_with_preferred_encoding() {
     let mut registry = ServiceRegistry::new();
     bxsoap::register_verify(&mut registry);
-    let registry = registry
-        .with_operation_defaults("Verify", bxsoap::verify_operation_defaults());
-    let metadata = registry.shared_metadata();
-
     let mut service = SoapService::new(BxsaEncoding::default(), Arc::new(registry));
     bxsoap::register_verify_typed(&mut service);
     let server =
@@ -41,14 +30,12 @@ fn typed_verify_round_trips_over_live_tcp_with_preferred_encoding() {
             .unwrap();
     let addr = server.local_addr().to_string();
 
-    // Ask for XML; the operation's registered preference (BXSA) wins.
-    let asked = WireConfig {
-        encoding: WireEncoding::Xml,
+    let config = WireConfig {
+        encoding: WireEncoding::Bxsa,
         transport: WireTransport::Tcp,
     };
-    let mut engine = AnyEngine::connect_for_operation(metadata, "Verify", asked, &addr, "");
-    assert_eq!(engine.config().encoding, WireEncoding::Bxsa);
-    assert_eq!(engine.config().transport, WireTransport::Tcp);
+    let mut engine = AnyEngine::connect(config, &addr, "");
+    assert_eq!(engine.config(), config);
 
     let request = verify_dataset();
     let response: VerifyResponse = engine.call_typed(&request, &CallOptions::new()).unwrap();
@@ -99,90 +86,4 @@ fn typed_verify_round_trips_over_live_http_xml() {
     assert_eq!(reply.operation(), Some("VerifyResponse"));
 
     server.shutdown();
-}
-
-/// A registered deadline default binds bare calls: the zero-budget
-/// default expires before the handler can run, while an explicit
-/// per-call deadline overrides the default and succeeds.
-#[test]
-fn registered_deadline_default_gates_bare_calls() {
-    let hits = Arc::new(AtomicU32::new(0));
-    let handler_hits = Arc::clone(&hits);
-    let registry = ServiceRegistry::new()
-        .with_operation("Expired", move |_req| {
-            handler_hits.fetch_add(1, Ordering::SeqCst);
-            Ok(SoapEnvelope::with_body(Element::component(
-                "ExpiredResponse",
-            )))
-        })
-        .with_operation_defaults(
-            "Expired",
-            OperationDefaults::new().with_deadline(Duration::ZERO),
-        );
-    let metadata = registry.shared_metadata();
-
-    let server =
-        TcpSoapServer::bind("127.0.0.1:0", BxsaEncoding::default(), Arc::new(registry)).unwrap();
-    let addr = server.local_addr().to_string();
-    let config = WireConfig {
-        encoding: WireEncoding::Bxsa,
-        transport: WireTransport::Tcp,
-    };
-    let mut engine = AnyEngine::connect_for_operation(metadata, "Expired", config, &addr, "");
-
-    // Bare call: the registered zero deadline applies and expires before
-    // anything reaches the server.
-    let request = SoapEnvelope::with_body(Element::component("Expired"));
-    let err = engine.call_with(request.clone(), &soap::CallOptions::new()).unwrap_err();
-    // The expired budget surfaces as a transport deadline error
-    // ("timed out ... (budget 0.000s)").
-    let msg = err.to_string().to_lowercase();
-    assert!(
-        msg.contains("deadline") || msg.contains("budget"),
-        "expected a deadline error, got: {err}"
-    );
-    assert_eq!(hits.load(Ordering::SeqCst), 0, "handler must not have run");
-
-    // Explicit options beat the default: the same call with a real
-    // budget lands.
-    let reply = engine
-        .call_with(request, &CallOptions::new().within(Duration::from_secs(30)))
-        .unwrap();
-    assert_eq!(reply.operation(), Some("ExpiredResponse"));
-    assert_eq!(hits.load(Ordering::SeqCst), 1);
-
-    server.shutdown();
-}
-
-/// A registered retry default binds bare calls: against a refusing
-/// endpoint, a metadata-carrying engine retries the registered number of
-/// times while a plain engine gives up after one attempt.
-#[test]
-fn registered_retry_default_drives_bare_call_attempts() {
-    let registry = ServiceRegistry::new().with_operation_defaults(
-        "Flaky",
-        OperationDefaults::new().with_retry(RetryPolicy::no_delay(3)),
-    );
-    let metadata = registry.shared_metadata();
-
-    // A port with nothing behind it: bind a listener, learn the address,
-    // drop it. Every connect is then refused, which is retry-safe.
-    let addr = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().to_string()
-    };
-
-    let request = SoapEnvelope::with_body(Element::component("Flaky"));
-    let mut with_defaults =
-        SoapEngine::new(BxsaEncoding::default(), TcpBinding::new(&addr)).with_metadata(metadata);
-    assert!(with_defaults.call_with(request.clone(), &soap::CallOptions::new()).is_err());
-    assert_eq!(
-        with_defaults.last_call_attempts(),
-        3,
-        "registered retry policy must drive the bare call's attempts"
-    );
-
-    let mut plain = SoapEngine::new(BxsaEncoding::default(), TcpBinding::new(&addr));
-    assert!(plain.call_with(request, &soap::CallOptions::new()).is_err());
-    assert_eq!(plain.last_call_attempts(), 1, "no policy, no retries");
 }
