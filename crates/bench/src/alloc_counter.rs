@@ -114,11 +114,20 @@ pub fn arm_shared() {
 }
 
 /// What the [`arm_shared`] threads allocated since the last call.
+///
+/// The totals are process-wide: two tests that read them must not run at
+/// the same time (hold [`shared_counts`]).
 pub fn take_shared() -> Allocs {
     Allocs {
         events: SHARED_COUNT.swap(0, Ordering::Relaxed),
         bytes: SHARED_BYTES.swap(0, Ordering::Relaxed),
     }
+}
+
+/// Serializes the tests that read the [`take_shared`] totals.
+pub fn shared_counts() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]
@@ -272,6 +281,7 @@ mod tests {
     /// allocates far less than the payload, and so does the client.
     #[test]
     fn bulk_http_server_call_does_not_copy_the_payload() {
+        let _shared = shared_counts();
         use soap::{BxsaEncoding, CallOptions, HttpBinding, HttpSoapServer, SoapEngine};
         use std::sync::Arc;
 
@@ -494,6 +504,98 @@ mod tests {
         assert_eq!(result.unwrap(), TypedDecode::Matched);
         assert_eq!(n, 0, "typed XML decode allocated {n}x in steady state");
         assert_eq!(reused.index, request.index);
+    }
+
+    /// A warm 100k-pair typed reply on a live framed-TCP server goes out
+    /// gathered — both arrays straight from the response struct to the
+    /// socket — and the server's whole request (read, typed decode,
+    /// handler, both encode passes, the writes) allocates nothing.
+    #[test]
+    fn gathered_typed_reply_is_allocation_free() {
+        let _shared = shared_counts();
+        use soap::BindingPolicy as _;
+        use soap::{BxsaEncoding, TcpSoapServer, TypedEncoding, TypedScratch};
+
+        const PAIRS: usize = 100_000;
+        let (index, values) = bxsoap::lead_dataset(PAIRS, 42);
+        let encoding = BxsaEncoding::native_order();
+        let mut service = soap::SoapService::new(
+            encoding.clone(),
+            std::sync::Arc::new(soap::ServiceRegistry::new()),
+        );
+        // Ask with a VerifyResponse naming a count, answer with that many
+        // pairs as a Verify body; the handler runs on the worker: arm it.
+        service.register_typed::<bxsoap::VerifyResponse, bxsoap::VerifyRequest, _>(
+            "VerifyResponse",
+            move |req, resp| {
+                arm_shared();
+                let n = req.count as usize;
+                resp.index.clear();
+                resp.index.extend_from_slice(&index[..n]);
+                resp.values.clear();
+                resp.values.extend_from_slice(&values[..n]);
+                Ok(())
+            },
+        );
+        let server = TcpSoapServer::bind_service_with(
+            "127.0.0.1:0",
+            transport::TcpServerConfig::default(),
+            service,
+        )
+        .unwrap();
+        let ask = bxsoap::VerifyResponse {
+            ok: true,
+            count: PAIRS as i64,
+        };
+        let mut request = Vec::new();
+        encoding
+            .encode_typed(&ask, None, &mut TypedScratch::default(), &mut request)
+            .unwrap();
+        let metrics = transport::metrics::tcp_server();
+        // The reply leaves while the handler runs; the worker counts it
+        // once the handler returns, which ends a measurement.
+        let counted = |n: u64| {
+            let until = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while metrics.gathered_replies.get() < n {
+                assert!(std::time::Instant::now() < until, "the replies were gathered");
+                std::thread::yield_now();
+            }
+        };
+        let mut binding = soap::TcpBinding::new(&server.local_addr().to_string());
+        let mut reply = Vec::new();
+        let warm = metrics.gathered_replies.get() + 3;
+        for _ in 0..3 {
+            binding
+                .exchange_into(&request, "application/bxsa", &mut reply)
+                .unwrap();
+        }
+        counted(warm);
+        // A round whose reply the socket did not take whole copies the
+        // rest into a spill buffer that may still have to grow: that is
+        // the kernel's socket sizing, not the gather. Measure again then.
+        for _ in 0..10 {
+            let (gathered, spilled) = (
+                metrics.gathered_replies.get(),
+                metrics.gather_spilled_bytes.get(),
+            );
+            take_shared();
+            binding
+                .exchange_into(&request, "application/bxsa", &mut reply)
+                .unwrap();
+            counted(gathered + 1);
+            let server_side = take_shared();
+            assert!(reply.len() > PAIRS * 12, "the whole reply arrived");
+            if metrics.gather_spilled_bytes.get() != spilled {
+                continue;
+            }
+            assert_eq!(
+                server_side.events, 0,
+                "a warm gathered typed reply allocated {server_side:?} on the server"
+            );
+            server.shutdown();
+            return;
+        }
+        panic!("the socket never took a whole 1.2 MB reply at once in 10 rounds");
     }
 
     /// The observability layer's discipline: once a metric is registered,

@@ -727,23 +727,38 @@ impl Out {
     /// A packed array: element type code, VLS count, aligned payload.
     ///
     /// With `refs`, the payload is left in `values` and recorded there
-    /// instead of copied when the stream is in native byte order, the
-    /// payload is at least [`MIN_REF_BYTES`] and `refs` has room;
-    /// otherwise it is copied as without.
+    /// instead of copied when [`defer_array`](Out::defer_array) leaves it
+    /// and `refs` has room; otherwise it is copied as without.
     pub fn array<'v, T: Primitive>(&mut self, values: &'v [T], refs: Option<&mut Refs<'v>>) {
+        if let Some(refs) = refs.filter(|refs| refs.len < refs.cap) {
+            if let Some(bytes) = self.defer_array(values) {
+                refs.at[refs.len] = self.0.as_bytes().len();
+                refs.bytes[refs.len] = bytes;
+                refs.len += 1;
+            }
+            return;
+        }
         self.0.put_raw_u8(T::TYPE_CODE as u8);
         self.0.put_vls(values.len() as u64);
-        if let Some(refs) = refs {
-            if refs.len < refs.cap && std::mem::size_of_val(values) >= MIN_REF_BYTES {
-                if let Some(bytes) = self.0.defer_packed(values) {
-                    refs.at[refs.len] = self.0.as_bytes().len();
-                    refs.bytes[refs.len] = bytes;
-                    refs.len += 1;
-                    return;
-                }
+        self.0.put_packed(values);
+    }
+
+    /// A packed array whose payload stays in `values` when the stream
+    /// is in native byte order and the payload is at least
+    /// [`MIN_REF_BYTES`]: the head and padding are written, the payload
+    /// is counted, and its bytes come back for the caller to send right
+    /// after the buffer as it stands. Otherwise the array is copied and
+    /// this returns `None`.
+    pub fn defer_array<'v, T: Primitive>(&mut self, values: &'v [T]) -> Option<&'v [u8]> {
+        self.0.put_raw_u8(T::TYPE_CODE as u8);
+        self.0.put_vls(values.len() as u64);
+        if std::mem::size_of_val(values) >= MIN_REF_BYTES {
+            if let Some(bytes) = self.0.defer_packed(values) {
+                return Some(bytes);
             }
         }
         self.0.put_packed(values);
+        None
     }
 
     /// Append a checksum frame covering everything already written.

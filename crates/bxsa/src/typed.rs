@@ -69,7 +69,7 @@ use crate::error::{BxsaError, BxsaResult};
 use crate::estimate::{self, framed};
 use crate::frame::{Cursor, Frame, FrameType, Open, Out, Scopes, CHECKSUM_FRAME_LEN};
 use crate::pull::{LeafValue, PullEvent};
-use crate::MAX_DEPTH;
+use crate::{MAX_DEPTH, MAX_REFS};
 
 /// A namespace declaration as typed schemas carry them: `(prefix, uri)`,
 /// `None` prefix for the default namespace. `'static` because typed
@@ -104,7 +104,63 @@ impl TypedName {
 /// allocations — and debug builds assert the buffer never reallocated
 /// mid-message, turning "the estimate is an upper bound" into a checked
 /// invariant.
-pub struct FrameWriter {
+///
+/// # Gathered encodes
+///
+/// An encoder (soap's `ToBxsa`, say) lends the writer its values only
+/// for the length of one call, so a message whose large arrays go to
+/// the socket from where the caller holds them is written in two passes
+/// over the same encoder:
+///
+/// 1. With [`set_gather`](FrameWriter::set_gather) on, the message is
+///    written as usual, except that each array of at least 4 KiB (at
+///    most [`MAX_REFS`] of them) is counted in the frame sizes but left
+///    out of the buffer, exactly as
+///    [`encode_parts_into`](crate::encode_parts_into) leaves a tree's
+///    arrays. Only the machine's own byte order and no checksum leave
+///    arrays out. The buffer then holds every byte but those arrays,
+///    and [`deferred_bytes`](FrameWriter::deferred_bytes) says how many
+///    bytes they add.
+/// 2. [`replay`](FrameWriter::replay) gives a writer that writes
+///    nothing: the same encoder run against it hands each left-out
+///    array, with the buffer's bytes before it, to a sink, and
+///    [`finish_replay`](FrameWriter::finish_replay) hands over the rest.
+///    An array whose type or size differs from pass 1, or one missing,
+///    is an error, so the pieces are either exactly the flat encode or
+///    an error.
+///
+/// ```
+/// use bxsa::typed::{FrameWriter, TypedName};
+/// use xbs::ByteOrder;
+///
+/// let values = vec![1.5f64; 1024];
+/// let body = bxsa::estimate::plain_array_body_bound("v", &[], xbs::TypeCode::F64, values.len());
+/// let encode = |w: &mut FrameWriter<'_>| w.array(TypedName::new(None, "v"), &[], &values);
+///
+/// let mut w = FrameWriter::new(ByteOrder::native());
+/// let mut flat = Vec::new();
+/// w.begin_document(&mut flat, 1, FrameWriter::document_bound(body));
+/// encode(&mut w).unwrap();
+/// w.finish_document(&mut flat).unwrap();
+///
+/// w.set_gather(true);
+/// let mut head = Vec::new();
+/// w.begin_document(&mut head, 1, FrameWriter::document_bound(body));
+/// encode(&mut w).unwrap();
+/// w.finish_document(&mut head).unwrap();
+/// assert_eq!(head.len() + w.deferred_bytes(), flat.len());
+///
+/// let mut gathered = Vec::new();
+/// let mut sink = |head: &[u8], payload: &[u8]| {
+///     gathered.extend_from_slice(head);
+///     gathered.extend_from_slice(payload);
+/// };
+/// let mut replay = w.replay(&head, &mut sink);
+/// encode(&mut replay).unwrap();
+/// replay.finish_replay().unwrap();
+/// assert_eq!(gathered, flat);
+/// ```
+pub struct FrameWriter<'s> {
     out: Out,
     order: ByteOrder,
     /// Open frames, innermost last.
@@ -116,11 +172,70 @@ pub struct FrameWriter {
     guard: (usize, usize),
     /// Append a CRC32C checksum frame after each document frame.
     checksum: bool,
+    /// Leave large arrays out of the buffer (pass 1 of a gathered encode).
+    gather: bool,
+    /// The arrays the last message left out, in wire order.
+    deferred: Vec<Deferred>,
+    /// `array` calls so far in this message.
+    arrays: usize,
+    /// Pass 2 of a gathered encode: set on writers made by `replay`.
+    replay: Option<Replay<'s>>,
 }
 
-impl FrameWriter {
+/// An array a gathering encode left out of the buffer: where its bytes
+/// belong in the buffer, which `array` call of the message wrote it, and
+/// its element type and payload size, which the replay must match.
+#[derive(Debug, Clone, Copy)]
+struct Deferred {
+    at: usize,
+    ordinal: usize,
+    code: TypeCode,
+    bytes: usize,
+}
+
+/// A replay's progress through the buffer pass 1 wrote.
+struct Replay<'s> {
+    head: &'s [u8],
+    deferred: &'s [Deferred],
+    sink: &'s mut (dyn FnMut(&[u8], &[u8]) + Send),
+    /// The next entry of `deferred` to send.
+    next: usize,
+    /// Bytes of `head` handed to the sink so far.
+    sent: usize,
+}
+
+impl Replay<'_> {
+    /// The `ordinal`th array of the replayed message: send it with the
+    /// head bytes before it if pass 1 left it out.
+    fn array(&mut self, ordinal: usize, code: TypeCode, payload: &[u8]) -> BxsaResult<()> {
+        let Some(d) = self
+            .deferred
+            .get(self.next)
+            .filter(|d| d.ordinal == ordinal)
+        else {
+            return Ok(());
+        };
+        if d.code != code || d.bytes != payload.len() {
+            return Err(BxsaError::Structure {
+                what: format!(
+                    "replayed array {ordinal} is {code:?} x {} bytes; the encode it replays \
+                     wrote {:?} x {} bytes",
+                    payload.len(),
+                    d.code,
+                    d.bytes
+                ),
+            });
+        }
+        (self.sink)(&self.head[self.sent..d.at], payload);
+        self.sent = d.at;
+        self.next += 1;
+        Ok(())
+    }
+}
+
+impl<'s> FrameWriter<'s> {
     /// A writer encoding in the given byte order.
-    pub fn new(order: ByteOrder) -> FrameWriter {
+    pub fn new(order: ByteOrder) -> FrameWriter<'s> {
         FrameWriter {
             out: Out(XbsWriter::new(order)),
             order,
@@ -129,6 +244,10 @@ impl FrameWriter {
             scope_starts: Vec::new(),
             guard: (0, 0),
             checksum: false,
+            gather: false,
+            deferred: Vec::new(),
+            arrays: 0,
+            replay: None,
         }
     }
 
@@ -139,6 +258,24 @@ impl FrameWriter {
         self.checksum = enabled;
     }
 
+    /// Leave large arrays out of the buffer on subsequent messages, for
+    /// a gathered encode (see the type's docs). Has no effect on a
+    /// message with a checksum or in a foreign byte order.
+    pub fn set_gather(&mut self, enabled: bool) {
+        self.gather = enabled;
+    }
+
+    /// Payload bytes of the arrays the last message left out of its
+    /// buffer: the buffer's length plus this is the message's length.
+    pub fn deferred_bytes(&self) -> usize {
+        self.deferred.iter().map(|d| d.bytes).sum()
+    }
+
+    /// How many arrays the last message left out of its buffer.
+    pub fn deferred_arrays(&self) -> usize {
+        self.deferred.len()
+    }
+
     /// The byte order frames are written in.
     pub fn order(&self) -> ByteOrder {
         self.order
@@ -147,6 +284,54 @@ impl FrameWriter {
     /// Change the byte order for subsequent messages.
     pub fn set_order(&mut self, order: ByteOrder) {
         self.order = order;
+    }
+
+    /// Pass 2 of a gathered encode: a writer that writes nothing, for
+    /// running the same encoder again over `head`, the buffer this
+    /// writer's last message wrote. Each array this message left out goes
+    /// to `sink` as `(head bytes before it, its payload)`, from the
+    /// values the encoder lends; every other call only returns `Ok`.
+    /// Finish with [`finish_replay`](FrameWriter::finish_replay).
+    pub fn replay<'r>(
+        &'r self,
+        head: &'r [u8],
+        sink: &'r mut (dyn FnMut(&[u8], &[u8]) + Send),
+    ) -> FrameWriter<'r> {
+        let mut w = FrameWriter::new(self.order);
+        w.replay = Some(Replay {
+            head,
+            deferred: &self.deferred,
+            sink,
+            next: 0,
+            sent: 0,
+        });
+        w
+    }
+
+    /// End a replay: hand the sink the head bytes after the last array
+    /// (as `(rest, &[])`, when there are any). Errors, sending nothing
+    /// more, if the replay did not reach every array pass 1 left out.
+    ///
+    /// # Panics
+    /// Panics on a writer not made by [`replay`](FrameWriter::replay).
+    pub fn finish_replay(mut self) -> BxsaResult<()> {
+        let r = self
+            .replay
+            .as_mut()
+            .expect("finish_replay on a writer made by replay");
+        if r.next != r.deferred.len() {
+            return Err(BxsaError::Structure {
+                what: format!(
+                    "the replay reached {} of the {} arrays the encode it replays left out",
+                    r.next,
+                    r.deferred.len()
+                ),
+            });
+        }
+        if r.sent < r.head.len() {
+            (r.sink)(&r.head[r.sent..], &[]);
+        }
+        Ok(())
     }
 
     /// Start a document frame into `buf` (taken over; cleared, capacity
@@ -169,6 +354,8 @@ impl FrameWriter {
         self.frames.clear();
         self.decls.clear();
         self.scope_starts.clear();
+        self.deferred.clear();
+        self.arrays = 0;
         self.frames
             .push(self.out.open(FrameType::Document, body_bound));
         self.out.0.put_vls(child_count as u64);
@@ -218,6 +405,7 @@ impl FrameWriter {
         self.frames.clear();
         self.decls.clear();
         self.scope_starts.clear();
+        self.deferred.clear();
         *buf = self.out.0.take_buf();
         buf.clear();
     }
@@ -235,6 +423,9 @@ impl FrameWriter {
         child_count: usize,
         body_bound: usize,
     ) -> BxsaResult<()> {
+        if self.replay.is_some() {
+            return Ok(());
+        }
         self.frames
             .push(self.out.open(FrameType::Component, body_bound));
         self.header(name, decls)?;
@@ -244,6 +435,9 @@ impl FrameWriter {
 
     /// Close the innermost open component.
     pub fn end_component(&mut self) -> BxsaResult<()> {
+        if self.replay.is_some() {
+            return Ok(());
+        }
         if self.frames.len() < 2 {
             return Err(BxsaError::Structure {
                 what: "end_component with no open component".into(),
@@ -292,17 +486,39 @@ impl FrameWriter {
         })
     }
 
-    /// Write a complete packed-array element frame.
+    /// Write a complete packed-array element frame. In a gathered
+    /// encode, a large array's payload is left out of the buffer (pass
+    /// 1) or handed to the replay's sink (pass 2).
     pub fn array<T: Primitive>(
         &mut self,
         name: TypedName,
         decls: &[TypedDecl],
         values: &[T],
     ) -> BxsaResult<()> {
+        let ordinal = self.arrays;
+        self.arrays += 1;
+        if let Some(r) = &mut self.replay {
+            return r.array(ordinal, T::TYPE_CODE, xbs::prim::bytes_of(values));
+        }
+        let defer = self.gather && !self.checksum && self.deferred.len() < MAX_REFS;
+        let mut left_at = None;
         let bound = estimate::plain_array_body_bound(name.local, decls, T::TYPE_CODE, values.len());
         self.element(FrameType::Array, name, decls, bound, |out| {
-            out.array(values, None)
-        })
+            if !defer {
+                out.array(values, None);
+            } else if out.defer_array(values).is_some() {
+                left_at = Some(out.0.as_bytes().len());
+            }
+        })?;
+        if let Some(at) = left_at {
+            self.deferred.push(Deferred {
+                at,
+                ordinal,
+                code: T::TYPE_CODE,
+                bytes: std::mem::size_of_val(values),
+            });
+        }
+        Ok(())
     }
 
     /// A whole leaf or array element frame: header, then `content`.
@@ -314,6 +530,9 @@ impl FrameWriter {
         bound: usize,
         content: impl FnOnce(&mut Out),
     ) -> BxsaResult<()> {
+        if self.replay.is_some() {
+            return Ok(());
+        }
         let frame = self.out.open(kind, bound);
         self.header(name, decls)?;
         content(&mut self.out);
@@ -850,6 +1069,257 @@ mod tests {
         view_matches_copy_u64: u64 => U64,
         view_matches_copy_f32: f32 => F32,
         view_matches_copy_f64: f64 => F64,
+    }
+
+    mod gather {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A typed message: what a `ToBxsa` encoder hands the writer.
+        #[derive(Debug, Clone)]
+        enum Shape {
+            Array(ArrayValue),
+            Leaf(i64),
+            Text(String),
+            Component { ns: bool, children: Vec<Shape> },
+        }
+
+        const DECLS: &[TypedDecl] = &[(Some("p"), "urn:p")];
+
+        fn decls(ns: bool) -> &'static [TypedDecl] {
+            if ns {
+                DECLS
+            } else {
+                &[]
+            }
+        }
+
+        fn bound(shape: &Shape) -> usize {
+            match shape {
+                Shape::Array(a) => plain_array_body_bound("a", &[], a.type_code(), a.len()),
+                Shape::Leaf(_) => plain_leaf_body_bound("n", &[], TypeCode::I64, 0),
+                Shape::Text(t) => plain_leaf_body_bound("s", &[], TypeCode::Str, t.len()),
+                Shape::Component { ns, children } => plain_component_body_bound(
+                    "c",
+                    decls(*ns),
+                    children.len(),
+                    children.iter().map(|c| framed(bound(c))).sum(),
+                ),
+            }
+        }
+
+        fn write(w: &mut FrameWriter<'_>, shape: &Shape) -> BxsaResult<()> {
+            let name = |local| TypedName::new(None, local);
+            match shape {
+                Shape::Array(a) => match a {
+                    ArrayValue::I8(v) => w.array(name("a"), &[], v),
+                    ArrayValue::U8(v) => w.array(name("a"), &[], v),
+                    ArrayValue::I16(v) => w.array(name("a"), &[], v),
+                    ArrayValue::U16(v) => w.array(name("a"), &[], v),
+                    ArrayValue::I32(v) => w.array(name("a"), &[], v),
+                    ArrayValue::U32(v) => w.array(name("a"), &[], v),
+                    ArrayValue::I64(v) => w.array(name("a"), &[], v),
+                    ArrayValue::U64(v) => w.array(name("a"), &[], v),
+                    ArrayValue::F32(v) => w.array(name("a"), &[], v),
+                    ArrayValue::F64(v) => w.array(name("a"), &[], v),
+                },
+                Shape::Leaf(v) => w.leaf(name("n"), &[], *v),
+                Shape::Text(t) => w.leaf_str(name("s"), &[], t),
+                Shape::Component { ns, children } => {
+                    let c = if *ns {
+                        TypedName::new(Some("p"), "c")
+                    } else {
+                        name("c")
+                    };
+                    w.begin_component(c, decls(*ns), children.len(), bound(shape))?;
+                    for child in children {
+                        write(w, child)?;
+                    }
+                    w.end_component()
+                }
+            }
+        }
+
+        /// One message into `buf` through `w`, in whatever mode `w` is.
+        fn encode(w: &mut FrameWriter<'_>, root: &Shape, buf: &mut Vec<u8>) {
+            w.begin_document(buf, 1, FrameWriter::document_bound(bound(root)));
+            write(w, root).unwrap();
+            w.finish_document(buf).unwrap();
+        }
+
+        /// Both passes of a gathered encode: the pieces the sink got,
+        /// concatenated, and how many arrays pass 1 left out.
+        fn gathered(
+            w: &mut FrameWriter<'_>,
+            root: &Shape,
+            replayed: &Shape,
+        ) -> BxsaResult<(Vec<u8>, usize)> {
+            let mut head = Vec::new();
+            w.set_gather(true);
+            encode(w, root, &mut head);
+            w.set_gather(false);
+            let mut wire = Vec::new();
+            let mut pieces = 0;
+            let mut sink = |h: &[u8], payload: &[u8]| {
+                wire.extend_from_slice(h);
+                wire.extend_from_slice(payload);
+                pieces += 1;
+            };
+            let mut replay = w.replay(&head, &mut sink);
+            write(&mut replay, replayed)?;
+            replay.finish_replay()?;
+            assert!(
+                pieces >= w.deferred_arrays(),
+                "each left-out array is a piece"
+            );
+            assert_eq!(wire.len(), head.len() + w.deferred_bytes());
+            Ok((wire, w.deferred_arrays()))
+        }
+
+        /// Counts around the 4 KiB threshold for an element width.
+        fn count_for(width: usize, pick: usize) -> usize {
+            let at = crate::frame::MIN_REF_BYTES / width;
+            [0, 1, 3, at - 1, at, at + 1, 2 * at + 3][pick]
+        }
+
+        fn array_value(kind: u8, pick: usize, seed: u64) -> ArrayValue {
+            let n = |width| count_for(width, pick);
+            let mix = |i: usize| {
+                seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(i as u64)
+            };
+            match kind {
+                0 => ArrayValue::I8((0..n(1)).map(|i| mix(i) as i8).collect()),
+                1 => ArrayValue::U8((0..n(1)).map(|i| mix(i) as u8).collect()),
+                2 => ArrayValue::I16((0..n(2)).map(|i| mix(i) as i16).collect()),
+                3 => ArrayValue::U16((0..n(2)).map(|i| mix(i) as u16).collect()),
+                4 => ArrayValue::I32((0..n(4)).map(|i| mix(i) as i32).collect()),
+                5 => ArrayValue::U32((0..n(4)).map(|i| mix(i) as u32).collect()),
+                6 => ArrayValue::I64((0..n(8)).map(|i| mix(i) as i64).collect()),
+                7 => ArrayValue::U64((0..n(8)).map(mix).collect()),
+                8 => ArrayValue::F32((0..n(4)).map(|i| mix(i) as f32).collect()),
+                _ => ArrayValue::F64((0..n(8)).map(|i| f64::from_bits(mix(i))).collect()),
+            }
+        }
+
+        fn arb_shape() -> impl Strategy<Value = Shape> {
+            let leaf_like = prop_oneof![
+                3 => (0u8..10, 0usize..7, any::<u64>())
+                    .prop_map(|(kind, pick, seed)| Shape::Array(array_value(kind, pick, seed))),
+                1 => any::<i64>().prop_map(Shape::Leaf),
+                1 => "[a-z]{0,9}".prop_map(Shape::Text),
+            ];
+            leaf_like.prop_recursive(3, 24, 4, |inner| {
+                (proptest::collection::vec(inner, 0..5), any::<bool>())
+                    .prop_map(|(children, ns)| Shape::Component { ns, children })
+            })
+        }
+
+        fn foreign() -> ByteOrder {
+            match ByteOrder::native() {
+                ByteOrder::Little => ByteOrder::Big,
+                ByteOrder::Big => ByteOrder::Little,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            /// The two passes, concatenated, are the flat encode's bytes:
+            /// every array type, counts around the threshold, nested
+            /// components, both byte orders, checksum on and off. Nothing
+            /// is left out on a foreign order or with a checksum.
+            #[test]
+            fn gathered_typed_encode_equals_the_flat_encode(
+                root in arb_shape(),
+                native in any::<bool>(),
+                checksum in any::<bool>(),
+            ) {
+                let root = Shape::Component { ns: true, children: vec![root] };
+                let order = if native { ByteOrder::native() } else { foreign() };
+                let mut w = FrameWriter::new(order);
+                w.set_checksum(checksum);
+                let mut flat = Vec::new();
+                encode(&mut w, &root, &mut flat);
+                let (wire, left_out) = gathered(&mut w, &root, &root).unwrap();
+                prop_assert_eq!(&wire, &flat);
+                if !native || checksum {
+                    prop_assert_eq!(left_out, 0);
+                }
+            }
+        }
+
+        fn pair(index: Vec<i32>, values: Vec<f64>) -> Shape {
+            Shape::Component {
+                ns: false,
+                children: vec![
+                    Shape::Array(ArrayValue::I32(index)),
+                    Shape::Array(ArrayValue::F64(values)),
+                ],
+            }
+        }
+
+        /// A replay whose arrays differ from pass 1 in type, size, order
+        /// or number is an error, never bytes that frame wrongly.
+        #[test]
+        fn a_replay_that_differs_from_pass_one_is_an_error() {
+            let n = 2048;
+            let root = pair(vec![7; n], vec![0.5; n]);
+            let mut w = FrameWriter::new(ByteOrder::native());
+            let (_, left_out) = gathered(&mut w, &root, &root).unwrap();
+            assert_eq!(left_out, 2);
+            let longer = pair(vec![7; n + 1], vec![0.5; n]);
+            let shorter = pair(vec![7; n], vec![0.5; n - 1]);
+            let swapped = Shape::Component {
+                ns: false,
+                children: vec![
+                    Shape::Array(ArrayValue::F64(vec![0.5; n])),
+                    Shape::Array(ArrayValue::I32(vec![7; n])),
+                ],
+            };
+            // Same payload size as the f64 array, another type.
+            let retyped = Shape::Component {
+                ns: false,
+                children: vec![
+                    Shape::Array(ArrayValue::I32(vec![7; n])),
+                    Shape::Array(ArrayValue::I64(vec![1; n])),
+                ],
+            };
+            let missing = Shape::Component {
+                ns: false,
+                children: vec![Shape::Array(ArrayValue::I32(vec![7; n]))],
+            };
+            for replayed in [&longer, &shorter, &swapped, &retyped, &missing] {
+                let err = gathered(&mut w, &root, replayed).unwrap_err();
+                assert!(
+                    matches!(err, BxsaError::Structure { .. }),
+                    "{replayed:?}: {err:?}"
+                );
+            }
+        }
+
+        /// A replay error hands the sink nothing past the array it
+        /// refused: no piece of a wrong frame goes out.
+        #[test]
+        fn a_refused_array_is_never_sent() {
+            let n = 2048;
+            let root = pair(vec![7; n], vec![0.5; n]);
+            let mut w = FrameWriter::new(ByteOrder::native());
+            let mut head = Vec::new();
+            w.set_gather(true);
+            encode(&mut w, &root, &mut head);
+            let mut sent = Vec::new();
+            let mut sink = |h: &[u8], p: &[u8]| sent.push((h.len(), p.len()));
+            let mut replay = w.replay(&head, &mut sink);
+            let bad = pair(vec![7; n], vec![0.5; n + 1]);
+            assert!(write(&mut replay, &bad).is_err());
+            drop(replay);
+            assert_eq!(
+                sent.len(),
+                1,
+                "only the index array, which matched, went out"
+            );
+            assert_eq!(sent[0].1, n * 4);
+        }
     }
 
     /// Walk every top-level frame with `skip` alone, then `finish`.

@@ -70,7 +70,8 @@ pub use fault::{FaultCode, SoapFault};
 pub use intermediary::Intermediary;
 pub use server::{HttpSoapServer, TcpSoapServer};
 pub use service::{
-    fault_for_error, DecodeScratch, HandleOutcome, ServiceHandler, ServiceRegistry, SoapService,
+    fault_for_error, DecodeScratch, HandleOutcome, ReplyTarget, ServiceHandler, ServiceRegistry,
+    SoapService,
 };
 pub use streaming::{PartScratch, StreamEncoding, StreamOp};
 /// The one cap on a streamed part, owned by the transport that enforces

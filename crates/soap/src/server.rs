@@ -10,11 +10,11 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use transport::{HttpResponse, HttpServerConfig, Reply, ReplyControl, TcpServerConfig};
+use transport::{GatherSink, HttpResponse, HttpServerConfig, Reply, ReplyControl, TcpServerConfig};
 
 use crate::encoding::EncodingPolicy;
 use crate::error::SoapResult;
-use crate::service::{DecodeScratch, HandleOutcome, ServiceRegistry, SoapService};
+use crate::service::{DecodeScratch, HandleOutcome, ReplyTarget, ServiceRegistry, SoapService};
 use crate::streaming::{Endpoint, Session, StreamEncoding};
 
 /// An HTTP reply a [`HandleOutcome`] is written onto: a buffered
@@ -41,6 +41,51 @@ impl HttpReplyHead for HttpResponse {
     }
     fn add_header(&mut self, name: &str, value: &str) {
         self.headers.push((name.to_owned(), value.to_owned()));
+    }
+}
+
+/// A framed-TCP handler's reply: the connection's reply buffer, and its
+/// socket for a gathered reply.
+struct FramedReply<'a, 'c> {
+    out: &'a mut Vec<u8>,
+    ctl: &'a mut ReplyControl<'c>,
+}
+
+impl ReplyTarget for FramedReply<'_, '_> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        self.out
+    }
+
+    fn can_gather(&self) -> bool {
+        self.ctl.can_gather()
+    }
+
+    fn gather(&mut self, len: usize) -> Option<GatherSink<'_>> {
+        self.ctl.gather(len)
+    }
+}
+
+/// An HTTP handler's reply: the connection's [`Reply`], and its socket
+/// for a gathered reply, which goes out as a `200` with the service's
+/// content type (a gathered reply is never a fault).
+struct HttpReply<'a, 'c> {
+    reply: &'a mut Reply,
+    ctl: &'a mut ReplyControl<'c>,
+    content_type: &'static str,
+}
+
+impl ReplyTarget for HttpReply<'_, '_> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.reply.body
+    }
+
+    fn can_gather(&self) -> bool {
+        self.ctl.can_gather()
+    }
+
+    fn gather(&mut self, len: usize) -> Option<GatherSink<'_>> {
+        self.reply
+            .gather(self.ctl, len, &[("Content-Type", self.content_type)])
     }
 }
 
@@ -137,23 +182,22 @@ impl TcpSoapServer {
         TcpSoapServer::serve(builder_for(addr, &config), &config, service)
     }
 
-    /// [`bind`](TcpSoapServer::bind) with every accepted stream wrapped
-    /// in a fault-injecting transport drawing from `injector` —
-    /// byte-level torture of the server's own read *and write* paths
-    /// under a live accept loop. Apart from the injected faults it
-    /// serves exactly like [`bind_service_with`](TcpSoapServer::bind_service_with).
+    /// [`bind_service_with`](TcpSoapServer::bind_service_with) with every
+    /// accepted stream wrapped in a fault-injecting transport drawing
+    /// from `injector` — byte-level torture of the server's own read
+    /// *and write* paths under a live accept loop. Apart from the
+    /// injected faults it serves exactly like `bind_service_with`.
     pub fn bind_faulty<E>(
         addr: &str,
         config: TcpServerConfig,
         injector: transport::SharedInjector,
-        encoding: E,
-        registry: Arc<ServiceRegistry>,
+        service: SoapService<E>,
     ) -> SoapResult<TcpSoapServer>
     where
         E: EncodingPolicy + Send + Sync + 'static,
     {
         let builder = builder_for(addr, &config).faults(injector);
-        TcpSoapServer::serve(builder, &config, SoapService::new(encoding, registry))
+        TcpSoapServer::serve(builder, &config, service)
     }
 
     /// The one framed-TCP SOAP funnel: every constructor above ends here,
@@ -183,7 +227,8 @@ impl TcpSoapServer {
         let inner = builder
             .shed_payload(shed_payload)
             .serve_framed(DecodeScratch::default, move |scratch, request, out, ctl| {
-                service.handle(scratch, request, out).cap_write(ctl);
+                let outcome = service.handle(scratch, request, &mut FramedReply { out, ctl });
+                outcome.cap_write(ctl);
             })?;
         Ok(TcpSoapServer { inner })
     }
@@ -288,9 +333,21 @@ impl HttpSoapServer {
                     reply.respond(transport::HttpResponse::not_found());
                     return;
                 }
-                service
-                    .handle(scratch, body, &mut reply.body)
-                    .write_http(content_type, reply, Some(ctl));
+                let outcome = service.handle(
+                    scratch,
+                    body,
+                    &mut HttpReply {
+                        reply,
+                        ctl,
+                        content_type,
+                    },
+                );
+                if ctl.gathered() {
+                    // The head went out with the reply's first piece.
+                    outcome.cap_write(ctl);
+                } else {
+                    outcome.write_http(content_type, reply, Some(ctl));
+                }
             },
         )?;
         Ok(HttpSoapServer { inner })

@@ -14,6 +14,7 @@ use crate::typed::{
     decode_view_request, peek_bxsa_operation, BxsaView, FromBxsa, ToBxsa, TypedEncoding,
     TypedRequest, TypedScratch,
 };
+use transport::GatherSink;
 
 /// A service operation: request envelope in, response envelope out.
 pub type ServiceHandler =
@@ -74,14 +75,14 @@ impl ServiceRegistry {
         let op = move |enc: &BxsaEncoding,
                        request: &[u8],
                        outcome: &mut HandleOutcome,
-                       out: &mut Vec<u8>|
+                       reply: &mut dyn ReplyTarget|
               -> bool {
             let Ok(Some((deadline, view))) = decode_view_request::<V>(request) else {
                 return false;
             };
             with_scratch(&scratch, |(resp, ts)| {
                 let handle = |resp: &mut Resp| handler(&view, resp);
-                answer_typed(enc, Ok(deadline), handle, resp, ts, outcome, out);
+                answer_typed(enc, Ok(deadline), handle, resp, ts, outcome, reply);
             });
             true
         };
@@ -194,15 +195,46 @@ impl DecodeScratch {
 }
 
 /// A type-erased typed-operation servicer: request bytes in, response
-/// bytes and outcome out. `false` means the request doesn't fit the
-/// typed fast path (foreign headers, wrong operation shape) and the
-/// generic tree pipeline must run instead.
-type TypedOp = dyn Fn(&[u8], &mut HandleOutcome, &mut Vec<u8>) -> bool + Send + Sync;
+/// and outcome out. `false` means the request doesn't fit the typed fast
+/// path (foreign headers, wrong operation shape) and the generic tree
+/// pipeline must run instead.
+type TypedOp = dyn Fn(&[u8], &mut HandleOutcome, &mut dyn ReplyTarget) -> bool + Send + Sync;
 
 /// A type-erased view operation: the service's BXSA policy and the
-/// request bytes in, response bytes and outcome out. `false` means the
-/// request doesn't fit the view, and the tree pipeline runs instead.
-type ViewOp = dyn Fn(&BxsaEncoding, &[u8], &mut HandleOutcome, &mut Vec<u8>) -> bool + Send + Sync;
+/// request bytes in, response and outcome out. `false` means the request
+/// doesn't fit the view, and the tree pipeline runs instead.
+type ViewOp =
+    dyn Fn(&BxsaEncoding, &[u8], &mut HandleOutcome, &mut dyn ReplyTarget) -> bool + Send + Sync;
+
+/// Where a reply goes, as [`SoapService::handle`] is given it: always a
+/// buffer to encode into and, on a live connection, the socket itself,
+/// so that a reply's large packed arrays go out from where the handler
+/// holds them instead of through a copy (a gathered reply; see
+/// [`transport::gather`]). A plain `Vec<u8>` is a target with no socket.
+pub trait ReplyTarget {
+    /// The buffer a whole reply is encoded into (contents replaced).
+    fn buf(&mut self) -> &mut Vec<u8>;
+
+    /// Can a gathered reply start here? Default: no.
+    fn can_gather(&self) -> bool {
+        false
+    }
+
+    /// Start a gathered reply of `len` bytes: a successful answer (never
+    /// a fault), framed and sent through the returned sink. `None` when
+    /// the target cannot take one; the reply is then encoded whole into
+    /// [`buf`](ReplyTarget::buf). Default: `None`.
+    fn gather(&mut self, len: usize) -> Option<GatherSink<'_>> {
+        let _ = len;
+        None
+    }
+}
+
+impl ReplyTarget for Vec<u8> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        self
+    }
+}
 
 /// A type-erased operation peek: wire bytes in, borrowed operation name
 /// out (`None` when the bytes don't parse far enough to name one).
@@ -220,10 +252,10 @@ fn with_scratch<S: Default, R>(shared: &parking_lot::Mutex<S>, f: impl FnOnce(&m
 
 /// Answer a request the typed or view path read (`request` is its
 /// `bx:Deadline` header, or the error reading it): `handle` fills `resp`
-/// behind the arrival gate, and `resp` is encoded straight to `out`. An
-/// error reading or handling the request is encoded as its
-/// [`fault_for_error`] fault; a reply that fails to encode, as
-/// [`unencodable_reply`]'s Server fault.
+/// behind the arrival gate, and `resp` is sent straight from its fields
+/// ([`TypedEncoding::send_typed`]). An error reading or handling the
+/// request is encoded as its [`fault_for_error`] fault; a reply that
+/// fails to encode, as [`unencodable_reply`]'s Server fault.
 fn answer_typed<E: TypedEncoding, Resp: ToBxsa>(
     enc: &E,
     request: SoapResult<Option<DeadlineHeader>>,
@@ -231,20 +263,20 @@ fn answer_typed<E: TypedEncoding, Resp: ToBxsa>(
     resp: &mut Resp,
     ts: &mut TypedScratch,
     outcome: &mut HandleOutcome,
-    out: &mut Vec<u8>,
+    reply: &mut dyn ReplyTarget,
 ) {
     let served = request.map_err(fault_for_error).and_then(|deadline| {
         outcome
             .serve_within(deadline.map(|h| h.admit()), |_| {
                 handle(resp).map_err(fault_for_error)?;
-                enc.encode_typed(&*resp, None, ts, out)
+                enc.send_typed(&*resp, ts, reply)
                     .map_err(unencodable_reply)
             })
             .map_err(fault_for_error)?
     });
     outcome.is_fault = match served {
         Ok(()) => false,
-        Err(fault) => encode_reply(enc, fault_envelope(fault), out),
+        Err(fault) => encode_reply(enc, fault_envelope(fault), reply.buf()),
     };
 }
 
@@ -348,16 +380,21 @@ impl<E: EncodingPolicy> SoapService<E> {
 
     /// Serve `request` through the typed fast path if a typed operation
     /// or, on BXSA, a registry view matches. `true` means the response
-    /// was written to `out`; `false` means "take the generic pipeline".
-    fn try_typed(&self, request: &[u8], outcome: &mut HandleOutcome, out: &mut Vec<u8>) -> bool {
+    /// went to `reply`; `false` means "take the generic pipeline".
+    fn try_typed(
+        &self,
+        request: &[u8],
+        outcome: &mut HandleOutcome,
+        reply: &mut dyn ReplyTarget,
+    ) -> bool {
         let Some(op) = self.typed_peek.as_ref().and_then(|peek| peek(request)) else {
             return false;
         };
         if let Some(serve) = self.typed_ops.get(op) {
-            return serve(request, outcome, out);
+            return serve(request, outcome, reply);
         }
         match (self.encoding.as_bxsa(), self.registry.views.get(op)) {
-            (Some(bxsa), Some(serve)) => serve(bxsa, request, outcome, out),
+            (Some(bxsa), Some(serve)) => serve(bxsa, request, outcome, reply),
             _ => false,
         }
     }
@@ -367,11 +404,19 @@ impl<E: EncodingPolicy> SoapService<E> {
         &self.encoding
     }
 
-    /// Process one encoded request into an encoded response in `out`
-    /// (replaced, capacity kept) — the one receive path both servers
-    /// run. "Receiving the message is just the reverse procedure" (paper
-    /// §5.1): decode → envelope → dispatch → envelope → encode. It never
-    /// fails: every error becomes an encoded fault envelope.
+    /// Process one encoded request into an encoded response sent to
+    /// `reply` — the one receive path both servers run. "Receiving the
+    /// message is just the reverse procedure" (paper §5.1): decode →
+    /// envelope → dispatch → envelope → encode. It never fails: every
+    /// error becomes an encoded fault envelope.
+    ///
+    /// A `Vec<u8>` target receives the whole response (replaced,
+    /// capacity kept). A target on a live connection
+    /// ([`ReplyTarget::gather`]) takes a successful typed BXSA reply
+    /// whose packed arrays are 4 KiB or more in the machine's byte
+    /// order, with no checksum, gathered: the arrays go to the socket
+    /// from the typed response's fields, not through the reply buffer.
+    /// Tree replies are always encoded whole into the buffer.
     ///
     /// The request is decoded into `scratch`'s document in place, so a
     /// server keeping one scratch per connection serves same-shape
@@ -384,10 +429,10 @@ impl<E: EncodingPolicy> SoapService<E> {
         &self,
         scratch: &mut DecodeScratch,
         request: &[u8],
-        out: &mut Vec<u8>,
+        reply: &mut dyn ReplyTarget,
     ) -> HandleOutcome {
         let mut outcome = HandleOutcome::default();
-        if self.try_typed(request, &mut outcome, out) {
+        if self.try_typed(request, &mut outcome, reply) {
             return outcome;
         }
         let response = scratch
@@ -399,7 +444,7 @@ impl<E: EncodingPolicy> SoapService<E> {
                 outcome.serve_within(arrived, |_| self.registry.dispatch(envelope))
             })
             .unwrap_or_else(|e| fault_envelope(fault_for_error(e)));
-        outcome.is_fault = encode_reply(&self.encoding, response, out);
+        outcome.is_fault = encode_reply(&self.encoding, response, reply.buf());
         outcome
     }
 }
@@ -435,30 +480,31 @@ impl<E: TypedEncoding + Clone + Send + Sync + 'static> SoapService<E> {
         // fresh scratch rather than waiting on the lock.
         let scratch: parking_lot::Mutex<(Req, Resp, TypedScratch)> =
             parking_lot::Mutex::new((Req::default(), Resp::default(), TypedScratch::default()));
-        let op = move |request: &[u8], outcome: &mut HandleOutcome, out: &mut Vec<u8>| -> bool {
-            with_scratch(&scratch, |(req, resp, ts)| {
-                // The operation matched but its payload didn't decode:
-                // that's the sender's bad message, not a shape mismatch —
-                // answer the Client fault here (a typed-only operation has
-                // no tree handler to fall back to, and "unknown operation"
-                // would mislead).
-                let deadline = match enc.decode_typed_request(request, req) {
-                    Ok(TypedRequest::Matched { deadline }) => Ok(deadline),
-                    Ok(TypedRequest::Fallback) => return false,
-                    Err(e) => Err(e),
-                };
-                answer_typed(
-                    &enc,
-                    deadline,
-                    |resp| handler(req, resp),
-                    resp,
-                    ts,
-                    outcome,
-                    out,
-                );
-                true
-            })
-        };
+        let op =
+            move |request: &[u8], outcome: &mut HandleOutcome, reply: &mut dyn ReplyTarget| -> bool {
+                with_scratch(&scratch, |(req, resp, ts)| {
+                    // The operation matched but its payload didn't decode:
+                    // that's the sender's bad message, not a shape mismatch —
+                    // answer the Client fault here (a typed-only operation has
+                    // no tree handler to fall back to, and "unknown operation"
+                    // would mislead).
+                    let deadline = match enc.decode_typed_request(request, req) {
+                        Ok(TypedRequest::Matched { deadline }) => Ok(deadline),
+                        Ok(TypedRequest::Fallback) => return false,
+                        Err(e) => Err(e),
+                    };
+                    answer_typed(
+                        &enc,
+                        deadline,
+                        |resp| handler(req, resp),
+                        resp,
+                        ts,
+                        outcome,
+                        reply,
+                    );
+                    true
+                })
+            };
         self.typed_ops.insert(name.to_owned(), Box::new(op));
     }
 }

@@ -40,6 +40,7 @@ use crate::envelope::{
     deadline_number, DeadlineHeader, DEADLINE_HEADER_LOCAL, SOAP_ENV_PREFIX, SOAP_ENV_URI,
 };
 use crate::error::{SoapError, SoapResult};
+use crate::service::ReplyTarget;
 
 /// The namespace declarations every envelope root carries, in the exact
 /// order `SoapEnvelope::to_document` declares them (a prerequisite for
@@ -132,7 +133,7 @@ pub trait BxsaView: 'static {
 /// worker; reuse is what keeps the steady state allocation-free.
 pub struct TypedScratch {
     /// The frame writer reused across BXSA envelope encodes.
-    pub frame: FrameWriter,
+    pub frame: FrameWriter<'static>,
 }
 
 impl Default for TypedScratch {
@@ -207,6 +208,21 @@ pub trait TypedEncoding: EncodingPolicy {
     /// entry) without decoding the message, for dispatch. `None` when the
     /// bytes don't look like an envelope.
     fn peek_operation<'a>(&self, bytes: &'a [u8]) -> Option<&'a str>;
+
+    /// Send `msg` as a reply envelope (no header) to `reply`: the bytes
+    /// [`encode_typed`](TypedEncoding::encode_typed) writes, gathered
+    /// where the policy and the target can — large packed arrays going
+    /// to the socket from `msg`'s own fields — and otherwise encoded
+    /// whole into [`ReplyTarget::buf`]. Default: whole, through
+    /// `encode_typed`.
+    fn send_typed<M: ToBxsa>(
+        &self,
+        msg: &M,
+        scratch: &mut TypedScratch,
+        reply: &mut dyn ReplyTarget,
+    ) -> SoapResult<()> {
+        self.encode_typed(msg, None, scratch, reply.buf())
+    }
 }
 
 /// Frame-body bounds for the deadline header chain: `(Deadline component,
@@ -220,16 +236,43 @@ fn deadline_bounds() -> (usize, usize) {
     (deadline, header)
 }
 
+/// The frame-body bounds of a typed envelope: its child count and the
+/// `Envelope` and `Body` components' body bounds.
+struct EnvelopeBounds {
+    children: usize,
+    envelope: usize,
+    body: usize,
+}
+
+impl EnvelopeBounds {
+    fn new<M: ToBxsa>(msg: &M, deadline: Option<&DeadlineHeader>) -> EnvelopeBounds {
+        let body = plain_component_body_bound("Body", &[], 1, framed(msg.bxsa_body_bound()));
+        let (children, header_frames) = match deadline {
+            Some(_) => (2, framed(deadline_bounds().1)),
+            None => (1, 0),
+        };
+        let envelope = plain_component_body_bound(
+            "Envelope",
+            &ENVELOPE_DECLS,
+            children,
+            header_frames + framed(body),
+        );
+        EnvelopeBounds {
+            children,
+            envelope,
+            body,
+        }
+    }
+}
+
 fn write_bxsa_envelope<M: ToBxsa>(
-    w: &mut FrameWriter,
+    w: &mut FrameWriter<'_>,
     msg: &M,
     deadline: Option<&DeadlineHeader>,
-    child_count: usize,
-    env_body: usize,
-    body_body: usize,
+    bounds: &EnvelopeBounds,
 ) -> SoapResult<()> {
     let env = TypedName::new(Some(SOAP_ENV_PREFIX), "Envelope");
-    w.begin_component(env, &ENVELOPE_DECLS, child_count, env_body)?;
+    w.begin_component(env, &ENVELOPE_DECLS, bounds.children, bounds.envelope)?;
     if let Some(h) = deadline {
         let (dl_body, header_body) = deadline_bounds();
         let bx = xmltext::BX_PREFIX;
@@ -258,7 +301,7 @@ fn write_bxsa_envelope<M: ToBxsa>(
         TypedName::new(Some(SOAP_ENV_PREFIX), "Body"),
         &[],
         1,
-        body_body,
+        bounds.body,
     )?;
     msg.encode_bxsa(w)?;
     w.end_component()?;
@@ -450,24 +493,63 @@ impl TypedEncoding for BxsaEncoding {
         scratch.frame.set_order(self.options.byte_order);
         scratch.frame.set_checksum(self.options.checksum);
         let w = &mut scratch.frame;
-        let body_body = plain_component_body_bound("Body", &[], 1, framed(msg.bxsa_body_bound()));
-        let (child_count, header_frames) = match deadline {
-            Some(_) => (2, framed(deadline_bounds().1)),
-            None => (1, 0),
-        };
-        let env_body = plain_component_body_bound(
-            "Envelope",
-            &ENVELOPE_DECLS,
-            child_count,
-            header_frames + framed(body_body),
-        );
-        w.begin_document(out, 1, FrameWriter::document_bound(env_body));
-        match write_bxsa_envelope(w, msg, deadline, child_count, env_body, body_body) {
+        let bounds = EnvelopeBounds::new(msg, deadline);
+        w.begin_document(out, 1, FrameWriter::document_bound(bounds.envelope));
+        match write_bxsa_envelope(w, msg, deadline, &bounds) {
             Ok(()) => Ok(w.finish_document(out)?),
             Err(e) => {
                 w.abandon(out);
                 Err(e)
             }
+        }
+    }
+
+    /// Gathered in two passes over `msg` (see [`FrameWriter`]'s docs)
+    /// when the byte order is the machine's own, no checksum is asked
+    /// for and the target takes a gathered reply. Pass 1 encodes into
+    /// the target's buffer, counting each array of 4 KiB or more
+    /// without copying it, which settles the length; a reply with no
+    /// such array is then already whole there. Otherwise the buffer
+    /// holds the frame heads, and pass 2 replays the encode, handing the
+    /// target's sink each array with the head bytes before it.
+    fn send_typed<M: ToBxsa>(
+        &self,
+        msg: &M,
+        scratch: &mut TypedScratch,
+        reply: &mut dyn ReplyTarget,
+    ) -> SoapResult<()> {
+        let options = &self.options;
+        if options.checksum || !options.byte_order.is_native() || !reply.can_gather() {
+            return self.encode_typed(msg, None, scratch, reply.buf());
+        }
+        scratch.frame.set_gather(true);
+        let pass1 = self.encode_typed(msg, None, scratch, reply.buf());
+        scratch.frame.set_gather(false);
+        pass1?;
+        let w = &scratch.frame;
+        if w.deferred_arrays() == 0 {
+            return Ok(());
+        }
+        // The heads leave the buffer while the sink holds the target,
+        // and go back (emptied, capacity kept) once it is done.
+        let mut head = std::mem::take(reply.buf());
+        let len = head.len() + w.deferred_bytes();
+        let sent = (|| -> SoapResult<bool> {
+            let Some(mut sink) = reply.gather(len) else {
+                return Ok(false);
+            };
+            let mut put = |head: &[u8], payload: &[u8]| sink.put(head, payload);
+            let mut replay = w.replay(&head, &mut put);
+            write_bxsa_envelope(&mut replay, msg, None, &EnvelopeBounds::new(msg, None))?;
+            replay.finish_replay()?;
+            Ok(true)
+        })();
+        head.clear();
+        *reply.buf() = head;
+        if sent? {
+            Ok(())
+        } else {
+            self.encode_typed(msg, None, scratch, reply.buf())
         }
     }
 

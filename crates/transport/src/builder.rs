@@ -137,7 +137,7 @@ impl ServerBuilder {
     where
         S: 'static,
         I: Fn() -> S + Send + Sync + 'static,
-        H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl) + Send + Sync + 'static,
+        H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl<'_>) + Send + Sync + 'static,
     {
         let config = TcpServerConfig {
             read_timeout: self.read_timeout,
@@ -166,7 +166,7 @@ impl ServerBuilder {
     where
         S: 'static,
         I: Fn() -> S + Send + Sync + 'static,
-        H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl)
+        H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl<'_>)
             + Send
             + Sync
             + 'static,

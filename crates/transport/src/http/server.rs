@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::{TransportError, TransportResult};
+use crate::gather::{Framing, GatherSink, Gathered, ReplyConn};
 use crate::http::response::HttpResponse;
 use crate::metrics;
 use crate::reactor::conn::HttpDriver;
@@ -253,10 +254,72 @@ impl Reply {
     /// The wire head into `head` (contents replaced): status line,
     /// headers, `Content-Length` and one `Connection:` header.
     pub(crate) fn write_head(&self, keep_alive: bool, head: &mut Vec<u8>) {
+        self.write_head_with(self.body.len(), &[], keep_alive, head);
+    }
+
+    /// [`write_head`](Reply::write_head) for a body of `len` bytes, with
+    /// `extra` headers after this reply's own (`Content-Length` and
+    /// `Connection:` among them dropped: those are the server's).
+    fn write_head_with(
+        &self,
+        len: usize,
+        extra: &[(&str, &str)],
+        keep_alive: bool,
+        head: &mut Vec<u8>,
+    ) {
         head.clear();
         crate::http::push_status_line(head, self.status, &self.reason);
         head.extend_from_slice(&self.headers);
-        crate::http::push_framing(head, Some(self.body.len()), keep_alive);
+        for &(name, value) in extra {
+            if !name.eq_ignore_ascii_case("content-length") && !name.eq_ignore_ascii_case("connection")
+            {
+                crate::http::push_header(head, name, value);
+            }
+        }
+        crate::http::push_framing(head, Some(len), keep_alive);
+    }
+
+    /// Start sending this reply with a `len`-byte body that goes to the
+    /// socket from the handler's memory (see [`crate::gather`]): the
+    /// head — this reply's status and headers as they stand now, then
+    /// `extra`, then `Content-Length: len` — goes out with the first
+    /// piece handed to the returned sink, and [`body`](Reply::body) is
+    /// not sent. `None` — and nothing staged — when `ctl` is not an HTTP
+    /// connection's, a gather was already started, or `len` is over
+    /// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN).
+    pub fn gather<'s>(
+        &self,
+        ctl: &'s mut ReplyControl<'_>,
+        len: usize,
+        extra: &[(&str, &str)],
+    ) -> Option<GatherSink<'s>> {
+        let ReplyConn {
+            io,
+            framing: Framing::Http { head, keep_alive },
+            spill,
+            gathered,
+        } = ctl.conn.as_mut()?
+        else {
+            return None;
+        };
+        if gathered.started || len > crate::MAX_FRAME_LEN {
+            return None;
+        }
+        let keep_alive = *keep_alive && !self.close;
+        self.write_head_with(len, extra, keep_alive, head);
+        *gathered = Gathered {
+            started: true,
+            len,
+            framing_len: head.len(),
+            keep_alive,
+            ..Gathered::default()
+        };
+        Some(GatherSink {
+            io: &mut **io,
+            framing: &head[..],
+            spill,
+            gathered,
+        })
     }
 }
 
@@ -272,7 +335,10 @@ pub(crate) fn bind_http_inner<S, I, H>(
 where
     S: 'static,
     I: Fn() -> S + Send + Sync + 'static,
-    H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl) + Send + Sync + 'static,
+    H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl<'_>)
+        + Send
+        + Sync
+        + 'static,
 {
     let m = metrics::http_server();
     let handler = Arc::new(handler);

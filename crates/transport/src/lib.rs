@@ -31,6 +31,7 @@ pub mod error;
 pub mod faulty;
 pub mod fileserver;
 pub mod framed;
+pub mod gather;
 pub mod http;
 pub mod iovec;
 pub mod metrics;
@@ -47,6 +48,7 @@ pub use error::{TransportError, TransportResult, HTTP_STATUS_BODY_PREFIX};
 pub use faulty::{FaultAction, FaultInjector, FaultProfile, FaultingTransport, SharedInjector};
 pub use fileserver::FileServer;
 pub use framed::{FramedStream, MAX_FRAME_LEN};
+pub use gather::GatherSink;
 pub use http::client::{
     http_get, http_post, send_request, send_request_with, send_request_with_into, HttpConnection,
 };

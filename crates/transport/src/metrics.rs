@@ -39,6 +39,13 @@ pub struct ServerMetrics {
     /// check whose response has not yet been fully written. One half of
     /// the overload signal ([`crate::OverloadConfig::max_inflight`]).
     pub requests_inflight: Gauge,
+    /// `bx_server_gathered_replies_total` — replies whose large pieces
+    /// went to the socket from the handler's memory ([`crate::gather`]).
+    pub gathered_replies: Counter,
+    /// `bx_server_gather_spilled_bytes_total` — bytes of gathered
+    /// replies the socket did not take while the handler ran, copied into
+    /// the connection's reply buffer instead.
+    pub gather_spilled_bytes: Counter,
 }
 
 impl ServerMetrics {
@@ -52,6 +59,8 @@ impl ServerMetrics {
             handler_latency: Histogram::new(),
             accept_to_dispatch: Histogram::new(),
             requests_inflight: Gauge::new(),
+            gathered_replies: Counter::new(),
+            gather_spilled_bytes: Counter::new(),
         }
     }
 
@@ -105,6 +114,18 @@ impl ServerMetrics {
             "Requests admitted and not yet fully answered.",
             labels,
             &self.requests_inflight,
+        );
+        r.register_counter(
+            "bx_server_gathered_replies_total",
+            "Replies whose large pieces went to the socket from the handler's memory.",
+            labels,
+            &self.gathered_replies,
+        );
+        r.register_counter(
+            "bx_server_gather_spilled_bytes_total",
+            "Bytes of gathered replies the socket did not take at once, copied to the reply buffer.",
+            labels,
+            &self.gather_spilled_bytes,
         );
     }
 }

@@ -19,6 +19,7 @@ use super::overload::{DriveCtx, Overload};
 use crate::error::{TransportError, TransportResult};
 use crate::faulty::FaultingTransport;
 use crate::framed::{MAX_FRAME_LEN, RECV_CHUNK};
+use crate::gather::{Framing, Gathered};
 use crate::http::chunked::{self, ChunkDecoder, ChunkEvent};
 use crate::http::response::HttpResponse;
 use crate::http::server::{BodyKind, ParsedHead, Reply, RequestHead};
@@ -33,6 +34,9 @@ use crate::tcpserver::ReplyControl;
 pub(crate) enum ConnIo {
     Plain(TcpStream),
     Faulty(FaultingTransport<TcpStream>),
+    /// A scripted in-memory socket for the drivers' unit tests.
+    #[cfg(test)]
+    Mem(tests::MemIo),
 }
 
 impl ConnIo {
@@ -40,6 +44,8 @@ impl ConnIo {
         match self {
             ConnIo::Plain(s) => s.as_raw_fd(),
             ConnIo::Faulty(f) => f.get_ref().as_raw_fd(),
+            #[cfg(test)]
+            ConnIo::Mem(_) => -1,
         }
     }
 }
@@ -49,6 +55,8 @@ impl Read for ConnIo {
         match self {
             ConnIo::Plain(s) => s.read(out),
             ConnIo::Faulty(f) => f.read(out),
+            #[cfg(test)]
+            ConnIo::Mem(m) => m.read(out),
         }
     }
 }
@@ -58,6 +66,8 @@ impl Write for ConnIo {
         match self {
             ConnIo::Plain(s) => s.write(data),
             ConnIo::Faulty(f) => f.write(data),
+            #[cfg(test)]
+            ConnIo::Mem(m) => m.write(data),
         }
     }
 
@@ -70,6 +80,8 @@ impl Write for ConnIo {
                 Some(first) => f.write(first),
                 None => Ok(0),
             },
+            #[cfg(test)]
+            ConnIo::Mem(m) => m.write_vectored(bufs),
         }
     }
 
@@ -77,6 +89,8 @@ impl Write for ConnIo {
         match self {
             ConnIo::Plain(s) => s.flush(),
             ConnIo::Faulty(f) => f.flush(),
+            #[cfg(test)]
+            ConnIo::Mem(_) => Ok(()),
         }
     }
 }
@@ -168,6 +182,30 @@ fn run_handler(f: impl FnOnce()) -> TransportResult<()> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|_| {
         TransportError::Io(std::io::Error::other("handler panicked"))
     })
+}
+
+/// Record one handler run in the handler-latency histogram and the
+/// overload signal: the time since `started`, less what the handler's
+/// gathered reply spent in socket writes, which is the connection's
+/// time, not the handler's.
+fn observe_handler(
+    metrics: &ServerMetrics,
+    overload: &Overload,
+    started: Instant,
+    gathered: Option<&Gathered>,
+) {
+    let writes = gathered.map_or(Duration::ZERO, |g| g.write_time);
+    let elapsed = started.elapsed().saturating_sub(writes);
+    metrics.handler_latency.observe_duration(elapsed);
+    overload.observe_handler_latency(elapsed);
+}
+
+/// Count a gathered reply, and the bytes of it the socket did not take
+/// while the handler ran (`spill`, now in the reply buffer). The spill
+/// is counted first, so whoever sees the reply counted sees its spill.
+fn count_gathered(metrics: &ServerMetrics, spill: &[u8]) {
+    metrics.gather_spilled_bytes.add(spill.len() as u64);
+    metrics.gathered_replies.inc();
 }
 
 /// Read into `buf[*filled..]`, translating the outcome for a state
@@ -276,6 +314,8 @@ enum FramedPhase {
     /// Reading an `expected`-byte payload into `request`.
     Payload { expected: usize },
     /// Writing prefix + response (`written` of `4 + response.len()`).
+    /// After a gathered reply, `response` holds only what the socket did
+    /// not take while the handler ran.
     Write { written: usize },
 }
 
@@ -293,8 +333,14 @@ pub(crate) struct FramedDriver<S, H> {
     prefix: [u8; 4],
     request: MessageBuf,
     response: Vec<u8>,
+    /// What the socket did not take of a gathered reply, swapped into
+    /// `response` once the handler returns.
+    spill: Vec<u8>,
     out_prefix: [u8; 4],
-    ctl: ReplyControl,
+    /// The reply's length, whatever part of it the handler already sent.
+    reply_len: usize,
+    /// The write budget the handler capped this reply to.
+    write_cap: Option<Duration>,
     /// This driver holds one unit of the inflight gauge (a dispatched
     /// request whose response write hasn't completed) — released at
     /// write-complete, or in `Drop` when the connection dies mid-write.
@@ -303,7 +349,7 @@ pub(crate) struct FramedDriver<S, H> {
 
 impl<S, H> FramedDriver<S, H>
 where
-    H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl),
+    H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl<'_>),
 {
     pub(crate) fn new(
         state: S,
@@ -320,10 +366,19 @@ where
             prefix: [0; 4],
             request: MessageBuf::default(),
             response: Vec::new(),
+            spill: Vec::new(),
             out_prefix: [0; 4],
-            ctl: ReplyControl::default(),
+            reply_len: 0,
+            write_cap: None,
             holds_inflight: false,
         }
+    }
+
+    /// Queue `response` whole: its prefix, then all of it.
+    fn stage_response(&mut self) {
+        self.out_prefix = (self.response.len() as u32).to_be_bytes();
+        self.reply_len = self.response.len();
+        self.phase = FramedPhase::Write { written: 0 };
     }
 
     /// Shed the just-read request if the overload signal says so: the
@@ -338,39 +393,48 @@ where
             Some(payload) => {
                 self.response.clear();
                 self.response.extend_from_slice(&payload);
-                self.ctl.reset();
-                self.out_prefix = (self.response.len() as u32).to_be_bytes();
-                self.phase = FramedPhase::Write { written: 0 };
+                self.write_cap = None;
+                self.stage_response();
                 Some(None)
             }
             None => Some(Some(Step::close())),
         }
     }
 
-    fn dispatch(&mut self) -> TransportResult<()> {
+    fn dispatch(&mut self, io: &mut ConnIo) -> TransportResult<()> {
         self.metrics.bytes_in.add(self.request.len() as u64);
         self.metrics.requests.inc();
         self.metrics.requests_inflight.add(1.0);
         self.holds_inflight = true;
         self.response.clear();
-        self.ctl.reset();
         let started = Instant::now();
+        let mut ctl =
+            ReplyControl::for_conn(io, Framing::Prefix(&mut self.out_prefix), &mut self.spill);
         let (state, handler) = (&mut self.state, &self.handler);
-        let (request, response, ctl) = (self.request.bytes(), &mut self.response, &mut self.ctl);
-        if let Err(e) = run_handler(|| handler(state, request, response, ctl)) {
+        let (request, response) = (self.request.bytes(), &mut self.response);
+        let handled = run_handler(|| handler(state, request, response, &mut ctl));
+        let (write_cap, gathered) = ctl.finish();
+        observe_handler(self.metrics, &self.overload, started, gathered.as_ref());
+        if let Err(e) = handled {
             crate::metrics::count_handler_panic("tcp");
             return Err(e);
         }
-        let elapsed = started.elapsed();
-        self.metrics.handler_latency.observe_duration(elapsed);
-        self.overload.observe_handler_latency(elapsed);
+        self.write_cap = write_cap;
+        if let Some(gathered) = gathered {
+            std::mem::swap(&mut self.response, &mut self.spill);
+            count_gathered(self.metrics, &self.response);
+            self.reply_len = gathered.len;
+            self.phase = FramedPhase::Write {
+                written: gathered.resume_at()?,
+            };
+            return Ok(());
+        }
         if self.response.len() > MAX_FRAME_LEN {
             return Err(TransportError::FrameTooLarge {
                 declared: self.response.len() as u64,
             });
         }
-        self.out_prefix = (self.response.len() as u32).to_be_bytes();
-        self.phase = FramedPhase::Write { written: 0 };
+        self.stage_response();
         Ok(())
     }
 }
@@ -385,7 +449,7 @@ impl<S, H> Drop for FramedDriver<S, H> {
 
 impl<S, H> ConnDriver for FramedDriver<S, H>
 where
-    H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl),
+    H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl<'_>),
 {
     fn drive(&mut self, io: &mut ConnIo, ctx: &DriveCtx) -> TransportResult<Step> {
         loop {
@@ -423,14 +487,14 @@ where
                     match self.maybe_shed(ctx) {
                         Some(Some(step)) => return Ok(step),
                         Some(None) => {}
-                        None => self.dispatch()?,
+                        None => self.dispatch(io)?,
                     }
                 }
                 FramedPhase::Write { written } => {
                     if !write_pair(io, &self.out_prefix, &self.response, written)? {
-                        return Ok(Step::write(self.ctl.write_budget()));
+                        return Ok(Step::write(self.write_cap));
                     }
-                    self.metrics.bytes_out.add(self.response.len() as u64);
+                    self.metrics.bytes_out.add(self.reply_len as u64);
                     if self.holds_inflight {
                         self.metrics.requests_inflight.add(-1.0);
                         self.holds_inflight = false;
@@ -526,7 +590,9 @@ enum HttpPhase {
     /// chunk to the stream session as one part; otherwise the body is
     /// de-chunked into the ordinary request buffer for buffered dispatch.
     ChunkedBody { streaming: bool },
-    /// Writing `head_out` + the reply body (`written` bytes done).
+    /// Writing `head_out` + the reply body (`written` bytes done). After
+    /// a gathered reply, the body holds only what the socket did not
+    /// take while the handler ran.
     Write { written: usize },
     /// Writing a streamed (chunked) reply: flush `head_out` + the staged
     /// chunk batch in the reply body, refill from the session when
@@ -559,11 +625,18 @@ pub(crate) struct HttpDriver<S, H> {
     body: MessageBuf,
     reply: Reply,
     head_out: Vec<u8>,
+    /// What the socket did not take of a gathered reply, swapped into
+    /// the reply body once the handler returns.
+    spill: Vec<u8>,
     /// One part of a streamed reply, pulled from the session.
     part: Vec<u8>,
     /// Disposition of the response currently being written.
     keep_alive: bool,
-    ctl: ReplyControl,
+    /// The reply body's length, whatever part of it the handler already
+    /// sent.
+    reply_len: usize,
+    /// The write budget the handler capped this reply to.
+    write_cap: Option<Duration>,
     /// One unit of the inflight gauge held by a dispatched request whose
     /// response hasn't fully gone out (released in `Drop` if the
     /// connection dies mid-write).
@@ -578,7 +651,7 @@ pub(crate) struct HttpDriver<S, H> {
 
 impl<S, H> HttpDriver<S, H>
 where
-    H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl),
+    H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl<'_>),
 {
     pub(crate) fn new(
         state: S,
@@ -601,9 +674,11 @@ where
             body: MessageBuf::default(),
             reply: Reply::default(),
             head_out: Vec::new(),
+            spill: Vec::new(),
             part: Vec::new(),
             keep_alive: false,
-            ctl: ReplyControl::default(),
+            reply_len: 0,
+            write_cap: None,
             holds_inflight: false,
             stream_factory,
             session: None,
@@ -620,6 +695,7 @@ where
             self.keep_alive = false;
         }
         self.reply.write_head(self.keep_alive, &mut self.head_out);
+        self.reply_len = self.reply.body.len();
         self.phase = HttpPhase::Write { written: 0 };
     }
 
@@ -682,7 +758,7 @@ where
                     self.metrics.requests.inc();
                     self.metrics.requests_inflight.add(1.0);
                     self.holds_inflight = true;
-                    self.ctl.reset();
+                    self.write_cap = None;
                 }
                 self.phase = HttpPhase::ChunkedBody { streaming };
                 Ok(true)
@@ -729,33 +805,71 @@ where
         self.metrics_path == Some(head.path) && head.method == "GET"
     }
 
-    fn dispatch(&mut self) {
+    /// Run the handler on the request just read and queue its reply.
+    /// Errors only when a gathered reply cannot be finished, so the
+    /// connection must close.
+    fn dispatch(&mut self, io: &mut ConnIo) -> TransportResult<()> {
         self.metrics.bytes_in.add(self.body.len() as u64);
         self.metrics.requests.inc();
         self.metrics.requests_inflight.add(1.0);
         self.holds_inflight = true;
-        self.ctl.reset();
+        self.write_cap = None;
         self.reply.reset();
         if self.is_metrics_scrape() {
             self.reply.respond(crate::http::server::metrics_response());
-        } else {
-            let started = Instant::now();
-            let (state, handler, head) = (&mut self.state, &self.handler, self.head.view());
-            let (body, reply, ctl) = (self.body.bytes(), &mut self.reply, &mut self.ctl);
-            let result = run_handler(|| handler(state, &head, body, reply, ctl));
-            let elapsed = started.elapsed();
-            self.metrics.handler_latency.observe_duration(elapsed);
-            self.overload.observe_handler_latency(elapsed);
-            if result.is_err() {
+            self.stage_reply();
+            return Ok(());
+        }
+        let started = Instant::now();
+        let mut ctl = ReplyControl::for_conn(
+            io,
+            Framing::Http {
+                head: &mut self.head_out,
+                keep_alive: self.keep_alive,
+            },
+            &mut self.spill,
+        );
+        let (state, handler, head) = (&mut self.state, &self.handler, self.head.view());
+        let (body, reply) = (self.body.bytes(), &mut self.reply);
+        let handled = run_handler(|| handler(state, &head, body, reply, &mut ctl));
+        let (write_cap, gathered) = ctl.finish();
+        observe_handler(self.metrics, &self.overload, started, gathered.as_ref());
+        self.write_cap = write_cap;
+        if handled.is_err() {
+            crate::metrics::count_handler_panic("http");
+        }
+        match (handled, gathered) {
+            // The head may be on the wire: the reply cannot be replaced.
+            (Err(e), Some(_)) => Err(e),
+            (Err(_), None) => {
                 // A panicked handler still owes the peer an answer; the
                 // connection closes right after it.
-                crate::metrics::count_handler_panic("http");
                 self.keep_alive = false;
                 self.reply
                     .respond(HttpResponse::server_error(b"handler failed".to_vec()));
+                self.stage_reply();
+                Ok(())
+            }
+            (Ok(()), Some(gathered)) => self.stage_gathered(gathered),
+            (Ok(()), None) => {
+                self.stage_reply();
+                Ok(())
             }
         }
-        self.stage_reply();
+    }
+
+    /// Finish a reply the handler gathered: the head is staged and
+    /// perhaps on the wire, and the spill, which becomes the body to
+    /// write, holds what the socket did not take.
+    fn stage_gathered(&mut self, gathered: Gathered) -> TransportResult<()> {
+        std::mem::swap(&mut self.reply.body, &mut self.spill);
+        count_gathered(self.metrics, &self.reply.body);
+        self.keep_alive = gathered.keep_alive;
+        self.reply_len = gathered.len;
+        self.phase = HttpPhase::Write {
+            written: gathered.resume_at()?,
+        };
+        Ok(())
     }
 
     /// Pump a chunked request body: decode whatever is buffered, refill
@@ -830,7 +944,7 @@ where
                 return Ok(None);
             }
             if ended {
-                self.finish_chunked(ctx);
+                self.finish_chunked(io, ctx)?;
                 return Ok(None);
             }
             if !self.input.fill(io)? {
@@ -841,13 +955,12 @@ where
 
     /// The chunked request terminator arrived: dispatch the buffered
     /// fallback, or ask the stream session for its reply.
-    fn finish_chunked(&mut self, ctx: &DriveCtx) {
+    fn finish_chunked(&mut self, io: &mut ConnIo, ctx: &DriveCtx) -> TransportResult<()> {
         if ctx.draining {
             self.keep_alive = false;
         }
         let Some(session) = self.session.as_mut() else {
-            self.dispatch();
-            return;
+            return self.dispatch(io);
         };
         match session.finish() {
             Ok(StreamReply::Buffered(response)) => {
@@ -871,6 +984,7 @@ where
                 self.stage_response(HttpResponse::server_error(e.to_string().into_bytes()));
             }
         }
+        Ok(())
     }
 
     /// A reply is on the wire: release the inflight unit and decide
@@ -901,7 +1015,7 @@ where
 
 impl<S, H> ConnDriver for HttpDriver<S, H>
 where
-    H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl),
+    H: Fn(&mut S, &RequestHead<'_>, &[u8], &mut Reply, &mut ReplyControl<'_>),
 {
     fn drive(&mut self, io: &mut ConnIo, ctx: &DriveCtx) -> TransportResult<Step> {
         let mut served = 0usize;
@@ -942,7 +1056,7 @@ where
                         // response says close.
                         self.keep_alive = false;
                     }
-                    self.dispatch();
+                    self.dispatch(io)?;
                 }
                 HttpPhase::ChunkedBody { streaming } => {
                     let streaming = *streaming;
@@ -982,7 +1096,7 @@ where
                     }
                     let source_done = *source_done;
                     if !write_pair(io, &self.head_out, &self.reply.body, written)? {
-                        return Ok(Step::write(self.ctl.write_budget()));
+                        return Ok(Step::write(self.write_cap));
                     }
                     self.metrics.bytes_out.add(self.reply.body.len() as u64);
                     if source_done {
@@ -995,9 +1109,9 @@ where
                 }
                 HttpPhase::Write { written } => {
                     if !write_pair(io, &self.head_out, &self.reply.body, written)? {
-                        return Ok(Step::write(self.ctl.write_budget()));
+                        return Ok(Step::write(self.write_cap));
                     }
-                    self.metrics.bytes_out.add(self.reply.body.len() as u64);
+                    self.metrics.bytes_out.add(self.reply_len as u64);
                     if let Some(step) = self.reply_done(ctx, &mut served) {
                         return Ok(step);
                     }
@@ -1138,6 +1252,160 @@ mod tests {
         assert_eq!((view.method, view.path), ("GET", "/b"));
         assert_eq!(view.headers().collect::<Vec<_>>(), [("D", "4")]);
         assert_eq!(view.header("a"), None);
+    }
+
+    /// An in-memory socket: reads drain `input`; writes land in `output`,
+    /// each call taking at most `take` bytes (then `WouldBlock` once
+    /// `budget` bytes went out) and sleeping `delay` first.
+    #[derive(Default)]
+    pub(crate) struct MemIo {
+        pub input: std::collections::VecDeque<u8>,
+        pub output: Vec<u8>,
+        pub take: usize,
+        pub budget: usize,
+        pub delay: Duration,
+    }
+
+    impl Read for MemIo {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if self.input.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = out.len().min(self.input.len());
+            for (slot, byte) in out.iter_mut().zip(self.input.drain(..n)) {
+                *slot = byte;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for MemIo {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            std::thread::sleep(self.delay);
+            let n = data.len().min(self.take).min(self.budget);
+            if n == 0 && !data.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.budget -= n;
+            self.output.extend_from_slice(&data[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn mem(request: &[u8], take: usize, budget: usize, delay: Duration) -> ConnIo {
+        let mut input = (request.len() as u32).to_be_bytes().to_vec();
+        input.extend_from_slice(request);
+        ConnIo::Mem(MemIo {
+            input: input.into(),
+            take,
+            budget,
+            delay,
+            ..MemIo::default()
+        })
+    }
+
+    fn ctx() -> DriveCtx {
+        DriveCtx {
+            draining: false,
+            batch_started: Instant::now(),
+        }
+    }
+
+    fn overload() -> Arc<Overload> {
+        Arc::new(Overload::new(&Default::default(), None, None))
+    }
+
+    /// A framed handler that answers `len` bytes of 0..=255 gathered, in
+    /// pieces of `piece` bytes.
+    fn gathering_driver(len: usize, piece: usize, overload: &Arc<Overload>) -> Box<dyn ConnDriver> {
+        let reply: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let handler = move |_: &mut (), _: &[u8], _: &mut Vec<u8>, ctl: &mut ReplyControl<'_>| {
+            let mut sink = ctl.gather(reply.len()).expect("a live connection gathers");
+            for chunk in reply.chunks(piece) {
+                sink.put(&chunk[..1], &chunk[1..]);
+            }
+        };
+        Box::new(FramedDriver::new(
+            (),
+            Arc::new(handler),
+            crate::metrics::tcp_server(),
+            Arc::clone(overload),
+        ))
+    }
+
+    fn framed_reply(len: usize) -> Vec<u8> {
+        let mut wire = (len as u32).to_be_bytes().to_vec();
+        wire.extend((0..len).map(|i| i as u8));
+        wire
+    }
+
+    /// Time the handler's gathered reply spends in socket writes is not
+    /// handler time: a socket that takes 40 ms per write leaves the
+    /// overload signal (fed the same sample as the handler-latency
+    /// histogram) far below one write.
+    #[test]
+    fn gathered_write_time_is_not_handler_time() {
+        let overload = overload();
+        let mut driver = gathering_driver(3 * 1024, 1024, &overload);
+        let mut io = mem(b"go", usize::MAX, usize::MAX, Duration::from_millis(40));
+        let step = driver.drive(&mut io, &ctx()).unwrap();
+        assert_eq!(step.wants, Wants::Read, "the reply went out whole");
+        let ConnIo::Mem(m) = &io else { unreachable!() };
+        assert_eq!(m.output, framed_reply(3 * 1024));
+        assert!(
+            overload.ewma_latency() < Duration::from_millis(20),
+            "handler latency counted the writes: {:?}",
+            overload.ewma_latency()
+        );
+    }
+
+    /// However the socket splits a gathered reply — a few bytes per
+    /// write, a stop inside the prefix, inside a head piece or inside a
+    /// payload — the bytes on the wire are the flat reply's, the rest
+    /// going out from the reply buffer once the socket drains.
+    #[test]
+    fn a_gathered_reply_survives_every_split() {
+        let len = 2000;
+        let flat = framed_reply(len);
+        for take in [1, 3, 7, 500, usize::MAX] {
+            for budget in [0, 2, 4, 5, 300, 1501, usize::MAX] {
+                let mut driver = gathering_driver(len, 300, &overload());
+                let mut io = mem(b"go", take, budget, Duration::ZERO);
+                let mut step = driver.drive(&mut io, &ctx()).unwrap();
+                let ConnIo::Mem(m) = &mut io else {
+                    unreachable!()
+                };
+                m.budget = usize::MAX;
+                if step.wants == Wants::Write {
+                    step = driver.drive(&mut io, &ctx()).unwrap();
+                }
+                assert_eq!(step.wants, Wants::Read, "take {take} budget {budget}");
+                let ConnIo::Mem(m) = &io else { unreachable!() };
+                assert_eq!(m.output, flat, "take {take} budget {budget}");
+                assert!(!driver.in_flight());
+            }
+        }
+    }
+
+    /// A reply that ends short of the length its framing declared is
+    /// never finished: the connection errors out instead.
+    #[test]
+    fn a_short_gathered_reply_ends_the_connection() {
+        let handler = |_: &mut (), _: &[u8], _: &mut Vec<u8>, ctl: &mut ReplyControl<'_>| {
+            ctl.gather(10).unwrap().put(b"abc", b"");
+        };
+        let mut driver = FramedDriver::new(
+            (),
+            Arc::new(handler),
+            crate::metrics::tcp_server(),
+            overload(),
+        );
+        let mut io = mem(b"go", usize::MAX, usize::MAX, Duration::ZERO);
+        assert!(driver.drive(&mut io, &ctx()).is_err());
     }
 
     #[test]

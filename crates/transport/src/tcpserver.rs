@@ -19,11 +19,14 @@
 //! `bx_server_connection_errors_total{transport="tcp"}`, and the
 //! listener stays alive for everyone else.
 
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::TransportResult;
 use crate::faulty::SharedInjector;
+use crate::framed::MAX_FRAME_LEN;
+use crate::gather::{Framing, GatherSink, Gathered, ReplyConn};
 use crate::metrics;
 use crate::reactor::conn::FramedDriver;
 use crate::reactor::overload::{Overload, OverloadConfig};
@@ -47,12 +50,48 @@ pub struct TcpServerConfig {
 /// Per-reply knobs a handler may set — most importantly, capping the
 /// reply's write budget to the *caller's* remaining deadline instead of
 /// the server's static [`TcpServerConfig`]. Reset before each message.
-#[derive(Debug, Default)]
-pub struct ReplyControl {
+///
+/// On a live connection it also lends the handler the socket, for a
+/// reply whose large pieces go out straight from the handler's memory
+/// ([`gather`](ReplyControl::gather) here on framed TCP,
+/// [`Reply::gather`](crate::Reply::gather) on HTTP; see
+/// [`crate::gather`]).
+#[derive(Default)]
+pub struct ReplyControl<'c> {
     write_budget: Option<Duration>,
+    pub(crate) conn: Option<ReplyConn<'c>>,
 }
 
-impl ReplyControl {
+impl std::fmt::Debug for ReplyControl<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplyControl")
+            .field("write_budget", &self.write_budget)
+            .field("can_gather", &self.can_gather())
+            .finish()
+    }
+}
+
+impl<'c> ReplyControl<'c> {
+    /// The control a connection lends its handler: the socket, where the
+    /// framing of a gathered reply goes, and the buffer a gather spills
+    /// into (cleared here).
+    pub(crate) fn for_conn(
+        io: &'c mut (dyn Write + Send),
+        framing: Framing<'c>,
+        spill: &'c mut Vec<u8>,
+    ) -> ReplyControl<'c> {
+        spill.clear();
+        ReplyControl {
+            write_budget: None,
+            conn: Some(ReplyConn {
+                io,
+                framing,
+                spill,
+                gathered: Gathered::default(),
+            }),
+        }
+    }
+
     /// Cap the budget for writing this reply (combined with the static
     /// config by taking the minimum). A handler that knows the caller
     /// only has 80 ms left should not spend 5 s pushing bytes at it.
@@ -65,8 +104,56 @@ impl ReplyControl {
         self.write_budget
     }
 
-    pub(crate) fn reset(&mut self) {
-        self.write_budget = None;
+    /// Does this reply go to a live connection that can take a gathered
+    /// reply?
+    pub fn can_gather(&self) -> bool {
+        self.conn.as_ref().is_some_and(|c| !c.gathered.started)
+    }
+
+    /// Has a gathered reply been started? Whatever the handler leaves in
+    /// its reply buffer is then not sent.
+    pub fn gathered(&self) -> bool {
+        self.conn.as_ref().is_some_and(|c| c.gathered.started)
+    }
+
+    /// Start a framed-TCP reply of `len` bytes that goes to the socket
+    /// from the handler's memory: the length prefix goes out with the
+    /// first piece handed to the returned sink, and the reply buffer the
+    /// handler was given is not sent. `None` — and nothing staged — when
+    /// the connection is not framed TCP, a gather was already started,
+    /// or `len` is over [`MAX_FRAME_LEN`].
+    pub fn gather(&mut self, len: usize) -> Option<GatherSink<'_>> {
+        let ReplyConn {
+            io,
+            framing: Framing::Prefix(prefix),
+            spill,
+            gathered,
+        } = self.conn.as_mut()?
+        else {
+            return None;
+        };
+        if gathered.started || len > MAX_FRAME_LEN {
+            return None;
+        }
+        **prefix = (len as u32).to_be_bytes();
+        *gathered = Gathered {
+            started: true,
+            len,
+            framing_len: prefix.len(),
+            ..Gathered::default()
+        };
+        Some(GatherSink {
+            io: &mut **io,
+            framing: &prefix[..],
+            spill,
+            gathered,
+        })
+    }
+
+    /// The write cap, and the gathered reply if one was started.
+    pub(crate) fn finish(self) -> (Option<Duration>, Option<Gathered>) {
+        let gathered = self.conn.map(|c| c.gathered).filter(|g| g.started);
+        (self.write_budget, gathered)
     }
 }
 
@@ -83,7 +170,7 @@ pub(crate) fn bind_framed_inner<S, I, H>(
 where
     S: 'static,
     I: Fn() -> S + Send + Sync + 'static,
-    H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl) + Send + Sync + 'static,
+    H: Fn(&mut S, &[u8], &mut Vec<u8>, &mut ReplyControl<'_>) + Send + Sync + 'static,
 {
     let m = metrics::tcp_server();
     let handler = Arc::new(handler);

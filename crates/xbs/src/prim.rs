@@ -73,7 +73,7 @@ impl_primitive! {
 /// The bytes of `values` in memory, which are their wire bytes in the
 /// machine's native byte order.
 #[inline]
-pub(crate) fn bytes_of<T: Primitive>(values: &[T]) -> &[u8] {
+pub fn bytes_of<T: Primitive>(values: &[T]) -> &[u8] {
     // SAFETY: `T` is one of the sealed plain numeric types above: no
     // padding, every byte initialized. A `u8` view needs alignment 1,
     // covers exactly `size_of_val(values)` bytes of the same allocation,

@@ -15,7 +15,10 @@
 //!   past the 4 KiB mark where a gathering encode leaves arrays in place,
 //!   encodes to the same bytes gathered (`encode_parts_into`, the parts
 //!   concatenated) as flat, in both byte orders, with and without a
-//!   checksum, and with too few part slots for every array.
+//!   checksum, and with too few part slots for every array. The same
+//!   holds for the typed writer's two-pass gathered encode
+//!   (`FrameWriter::set_gather`, then `replay`) of a typed message shaped
+//!   like the document.
 //! * The field reader's in-place array read (`read_array_view`) and its
 //!   copying read (`read_array_into`) accept the same array frames with
 //!   the same values or the same error, for every primitive type, with
@@ -215,6 +218,92 @@ fn gathered_equals_flat(doc: &bxdm::Document) {
     }
 }
 
+/// The typed message a document's elements shape: each component
+/// element a component `c` of its child elements, each leaf a leaf `n`,
+/// each array an array `a` of its values (typed names are static).
+fn typed_bound(e: &bxdm::Element) -> usize {
+    use bxsa::estimate::{framed, plain_array_body_bound, plain_component_body_bound};
+    match &e.content {
+        bxdm::Content::Children(_) => {
+            let (count, body) = e.child_elements().fold((0, 0), |(count, body), child| {
+                (count + 1, body + framed(typed_bound(child)))
+            });
+            plain_component_body_bound("c", &[], count, body)
+        }
+        bxdm::Content::Leaf(_) => {
+            bxsa::estimate::plain_leaf_body_bound("n", &[], xbs::TypeCode::I64, 0)
+        }
+        bxdm::Content::Array(a) => plain_array_body_bound("a", &[], a.type_code(), a.len()),
+    }
+}
+
+fn typed_write(w: &mut bxsa::FrameWriter<'_>, e: &bxdm::Element) -> bxsa::BxsaResult<()> {
+    let name = |local| bxsa::TypedName::new(None, local);
+    match &e.content {
+        bxdm::Content::Children(_) => {
+            let count = e.child_elements().count();
+            w.begin_component(name("c"), &[], count, typed_bound(e))?;
+            for child in e.child_elements() {
+                typed_write(w, child)?;
+            }
+            w.end_component()
+        }
+        bxdm::Content::Leaf(_) => w.leaf(name("n"), &[], 0i64),
+        bxdm::Content::Array(a) => match a {
+            bxdm::ArrayValue::I8(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::U8(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::I16(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::U16(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::I32(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::U32(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::I64(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::U64(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::F32(v) => w.array(name("a"), &[], v),
+            bxdm::ArrayValue::F64(v) => w.array(name("a"), &[], v),
+        },
+    }
+}
+
+/// The typed two-pass gathered encode of each top-level element's typed
+/// message, its pieces concatenated, equals the flat typed encode.
+fn typed_gathered_equals_flat(doc: &bxdm::Document) {
+    let native = xbs::ByteOrder::native();
+    let foreign = match native {
+        xbs::ByteOrder::Little => xbs::ByteOrder::Big,
+        xbs::ByteOrder::Big => xbs::ByteOrder::Little,
+    };
+    for root in doc.children.iter().filter_map(bxdm::Node::as_element) {
+        let bound = bxsa::FrameWriter::document_bound(typed_bound(root));
+        for order in [native, foreign] {
+            for checksum in [false, true] {
+                let mut w = bxsa::FrameWriter::new(order);
+                w.set_checksum(checksum);
+                let mut flat = Vec::new();
+                w.begin_document(&mut flat, 1, bound);
+                typed_write(&mut w, root).expect("typed encode of a decoded shape");
+                w.finish_document(&mut flat).unwrap();
+                w.set_gather(true);
+                let mut head = Vec::new();
+                w.begin_document(&mut head, 1, bound);
+                typed_write(&mut w, root).expect("gathering typed encode");
+                w.finish_document(&mut head).unwrap();
+                let mut gathered = Vec::new();
+                let mut sink = |h: &[u8], payload: &[u8]| {
+                    gathered.extend_from_slice(h);
+                    gathered.extend_from_slice(payload);
+                };
+                let mut replay = w.replay(&head, &mut sink);
+                typed_write(&mut replay, root).expect("replay of the same message");
+                replay.finish_replay().expect("replay reached every array");
+                assert_eq!(
+                    gathered, flat,
+                    "typed gathered pieces differ from the flat encode"
+                );
+            }
+        }
+    }
+}
+
 fuzz_target!(|data: &[u8]| {
     let fresh = bxsa::decode(data);
 
@@ -255,9 +344,11 @@ fuzz_target!(|data: &[u8]| {
             drive_pull(data).expect("pull reader rejected tree-decodable input");
             drive_field_reader(data).expect("field reader rejected tree-decodable input");
             gathered_equals_flat(doc);
+            typed_gathered_equals_flat(doc);
             let mut grown = doc.clone();
             grown.children.iter_mut().for_each(inflate);
             gathered_equals_flat(&grown);
+            typed_gathered_equals_flat(&grown);
         }
         Err(e) => {
             assert!(

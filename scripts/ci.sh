@@ -6,7 +6,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q --workspace
+# --no-fail-fast: one crate's failing test must not hide the results of
+# the crates after it; the step still fails if any test failed.
+cargo test -q --workspace --no-fail-fast
 # Zero-allocation steady-state gates: encode (PR 1) and decode (PR 3).
 # `steady_state_decode_is_allocation_free` fails this step — and the
 # build — if a change reintroduces per-message decode allocation.

@@ -20,16 +20,20 @@
 //! still crash, written to the artifact directory as `crash-<hash>`,
 //! and the process exits nonzero.
 
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::cov;
 use crate::mutate::{havoc, Rng};
 
-/// Last panic message captured by the quiet hook.
-static PANIC_MSG: Mutex<Option<String>> = Mutex::new(None);
+thread_local! {
+    /// Last panic message the quiet hook captured on this thread. The
+    /// hook runs on the panicking thread, so each `exec` reads its own
+    /// target's message even while other threads panic too.
+    static PANIC_MSG: RefCell<Option<String>> = const { RefCell::new(None) };
+}
 
 /// Runtime configuration parsed from the command line.
 struct Config {
@@ -93,20 +97,20 @@ fn install_quiet_hook() {
             .location()
             .map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()))
             .unwrap_or_else(|| "<unknown>".to_string());
-        *PANIC_MSG.lock().unwrap() = Some(format!("panicked at {loc}:\n{msg}"));
+        // `try_with`: a panic during thread teardown has no slot left.
+        let _ =
+            PANIC_MSG.try_with(|m| *m.borrow_mut() = Some(format!("panicked at {loc}:\n{msg}")));
     }));
 }
 
 /// Run the target once; `Err(message)` if it panicked.
 fn exec(target: &mut dyn FnMut(&[u8]), data: &[u8]) -> Result<(), String> {
     cov::reset_counters();
-    PANIC_MSG.lock().unwrap().take();
+    PANIC_MSG.with(|m| m.borrow_mut().take());
     match panic::catch_unwind(AssertUnwindSafe(|| target(data))) {
         Ok(()) => Ok(()),
         Err(_) => Err(PANIC_MSG
-            .lock()
-            .unwrap()
-            .take()
+            .with(|m| m.borrow_mut().take())
             .unwrap_or_else(|| "panic with no captured message".to_string())),
     }
 }

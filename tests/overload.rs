@@ -258,8 +258,7 @@ fn framed_shed_answers_a_retryable_fault_and_keeps_the_connection() {
                 "127.0.0.1:0",
                 config,
                 FaultInjector::new(FaultProfile::clean(7)).shared(),
-                BxsaEncoding::default(),
-                nap_registry(Duration::ZERO),
+                SoapService::new(BxsaEncoding::default(), nap_registry(Duration::ZERO)),
             )
             .unwrap(),
         ),

@@ -501,8 +501,7 @@ fn live_server_survives_fault_injection_on_its_own_sockets() {
             ..TcpServerConfig::default()
         },
         Arc::clone(&injector),
-        BxsaEncoding::default(),
-        Arc::new(registry),
+        soap::SoapService::new(BxsaEncoding::default(), Arc::new(registry)),
     )
     .unwrap();
     let addr = server.local_addr().to_string();
