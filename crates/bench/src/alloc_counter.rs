@@ -598,6 +598,92 @@ mod tests {
         panic!("the socket never took a whole 1.2 MB reply at once in 10 rounds");
     }
 
+    /// A warm 100k-pair typed call whose reply's arrays are read from
+    /// the socket into typed slots and exchanged with the caller's
+    /// (cleared) `Vec`s allocates nothing on the client, over framed TCP
+    /// and over HTTP: the caller's old buffers become the next call's
+    /// slots.
+    #[test]
+    fn scattered_typed_reply_is_allocation_free() {
+        use soap::{BxsaEncoding, CallOptions, SoapEngine};
+
+        const PAIRS: usize = 100_000;
+        fn service() -> soap::SoapService<BxsaEncoding> {
+            let (index, values) = bxsoap::lead_dataset(PAIRS, 7);
+            let mut service = soap::SoapService::new(
+                BxsaEncoding::native_order(),
+                std::sync::Arc::new(soap::ServiceRegistry::new()),
+            );
+            service.register_typed::<bxsoap::VerifyResponse, bxsoap::VerifyRequest, _>(
+                "VerifyResponse",
+                move |req, resp| {
+                    let n = (req.count as usize).min(PAIRS);
+                    resp.index.clear();
+                    resp.index.extend_from_slice(&index[..n]);
+                    resp.values.clear();
+                    resp.values.extend_from_slice(&values[..n]);
+                    Ok(())
+                },
+            );
+            service
+        }
+        fn warm_call_allocs(binding: impl soap::BindingPolicy) -> Allocs {
+            let mut engine = SoapEngine::new(BxsaEncoding::native_order(), binding);
+            let ask = bxsoap::VerifyResponse {
+                ok: true,
+                count: PAIRS as i64,
+            };
+            let mut got = bxsoap::VerifyRequest::default();
+            let mut call = |got: &mut bxsoap::VerifyRequest| {
+                got.index.clear();
+                got.values.clear();
+                engine
+                    .call_typed_into(&ask, got, &CallOptions::new())
+                    .unwrap();
+            };
+            call(&mut got);
+            call(&mut got);
+            let scattered = soap::metrics::engine().scattered_bytes.get();
+            let ((), allocs) = measure_allocs(|| call(&mut got));
+            assert!(
+                soap::metrics::engine().scattered_bytes.get() - scattered >= (PAIRS * 12) as u64,
+                "both arrays were placed"
+            );
+            assert_eq!((got.index.len(), got.values.len()), (PAIRS, PAIRS));
+            allocs
+        }
+        let tcp = soap::TcpSoapServer::bind_service_with(
+            "127.0.0.1:0",
+            transport::TcpServerConfig::default(),
+            service(),
+        )
+        .unwrap();
+        let allocs = warm_call_allocs(soap::TcpBinding::new(&tcp.local_addr().to_string()));
+        println!("scattered typed reply over TCP: {allocs:?}");
+        assert_eq!(
+            allocs.events, 0,
+            "a warm placed TCP reply allocated {allocs:?}"
+        );
+        tcp.shutdown();
+        let http = soap::HttpSoapServer::bind_service_with(
+            "127.0.0.1:0",
+            "/soap",
+            transport::HttpServerConfig::default(),
+            service(),
+        )
+        .unwrap();
+        let allocs = warm_call_allocs(soap::HttpBinding::new(
+            &http.local_addr().to_string(),
+            "/soap",
+        ));
+        println!("scattered typed reply over HTTP: {allocs:?}");
+        assert_eq!(
+            allocs.events, 0,
+            "a warm placed HTTP reply allocated {allocs:?}"
+        );
+        http.shutdown();
+    }
+
     /// The observability layer's discipline: once a metric is registered,
     /// updating it — counters on every message, gauges on every breaker
     /// transition, histogram observations on every call — is pure atomic

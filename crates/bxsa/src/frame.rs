@@ -134,12 +134,18 @@ pub(crate) struct Frame {
 /// `buf`; a buffer ending inside the size field is an `UnexpectedEof`
 /// error.
 pub(crate) fn frame_in(buf: &[u8], start: usize) -> BxsaResult<Frame> {
-    let byte = *buf.get(start).ok_or(XbsError::UnexpectedEof {
+    frame_at(buf.get(start..).unwrap_or_default(), start, buf.len())
+}
+
+/// [`frame_in`] for the frame at stream offset `start`, whose first bytes
+/// are `bytes`, in a stream that ends at `stream_end`.
+fn frame_at(bytes: &[u8], start: usize, stream_end: usize) -> BxsaResult<Frame> {
+    let byte = *bytes.first().ok_or(XbsError::UnexpectedEof {
         offset: start,
         needed: 1,
     })?;
     let (order, kind) = parse_prefix(byte, start)?;
-    let (size, used) = xbs::vls::read_vls_padded(&buf[start + 1..], start + 1)?;
+    let (size, used) = xbs::vls::read_vls_padded(&bytes[1..], start + 1)?;
     let body = start + 1 + used;
     let end = usize::try_from(size)
         .ok()
@@ -148,7 +154,7 @@ pub(crate) fn frame_in(buf: &[u8], start: usize) -> BxsaResult<Frame> {
         .ok_or_else(|| BxsaError::Structure {
             what: format!("frame at offset {start} declares impossible size {size}"),
         })?;
-    if end > buf.len() {
+    if end > stream_end {
         return Err(BxsaError::Structure {
             what: format!("frame at offset {start} declares size {size} past buffer end"),
         });
@@ -263,14 +269,28 @@ pub(crate) struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor {
-            r: XbsReader::new(buf, ByteOrder::Little),
-            depth: 0,
-        }
+        Cursor::over(XbsReader::new(buf, ByteOrder::Little), 0)
+    }
+
+    /// A cursor reading with `r` (a reader over a stream with gaps, say)
+    /// inside `depth` open element frames.
+    pub fn over(r: XbsReader<'a>, depth: usize) -> Cursor<'a> {
+        Cursor { r, depth }
     }
 
     fn head(&mut self) -> BxsaResult<Frame> {
-        let frame = frame_in(self.r.buffer(), self.r.position())?;
+        let start = self.r.position();
+        let frame = frame_at(self.r.unread(), start, start + self.r.remaining()).map_err(|e| {
+            // Cut short by a gap, not by the end of the stream.
+            match e {
+                BxsaError::Xbs(XbsError::UnexpectedEof { .. })
+                    if self.r.remaining() > self.r.unread().len() =>
+                {
+                    BxsaError::Xbs(XbsError::Gap { offset: start })
+                }
+                e => e,
+            }
+        })?;
         self.r.set_order(frame.order);
         self.r.seek(frame.body)?;
         Ok(frame)
@@ -350,7 +370,19 @@ impl<'a> Cursor<'a> {
             self.check_end(doc)?;
         }
         let at = self.r.position();
-        if is_checksum_at(self.r.buffer(), at) {
+        if self
+            .r
+            .unread()
+            .first()
+            .is_some_and(|&b| is_checksum_at(&[b], 0))
+        {
+            // A checksum covers the stream whole; a reader that passed
+            // gaps holds only part of it.
+            if at != self.r.buffer().len() - self.r.unread().len() {
+                return Err(BxsaError::Structure {
+                    what: format!("checksum frame at offset {at} after bytes held out of line"),
+                });
+            }
             let end = verify_checksum_frame(self.r.buffer(), at)?;
             self.r.seek(end)?;
         }
@@ -512,7 +544,7 @@ impl<'a> Cursor<'a> {
     pub fn skip_array(&mut self) -> BxsaResult<()> {
         let (code, len) = self.array_head()?;
         let width = code.width().expect("array heads are fixed-width");
-        self.r.read_bytes(len * width)?;
+        self.r.skip_run(len * width)?;
         Ok(())
     }
 

@@ -55,6 +55,7 @@ pub mod estimate;
 pub mod frame;
 pub mod pull;
 pub mod scan;
+pub mod scatter;
 pub mod transcode;
 pub mod typed;
 mod wellformed;
@@ -68,6 +69,7 @@ pub use error::{BxsaError, BxsaResult};
 pub use frame::{FrameType, MAX_DEPTH, MAX_REFS};
 pub use pull::{ArrayHandle, ElementStart, LeafValue, PullEvent, PullReader};
 pub use scan::FrameScanner;
+pub use scatter::Scatter;
 pub use transcode::{bxsa_to_xml, xml_to_bxsa};
 pub use typed::{ElementHead, FieldReader, FrameWriter, TypedDecl, TypedName};
 

@@ -69,6 +69,7 @@ use crate::error::{BxsaError, BxsaResult};
 use crate::estimate::{self, framed};
 use crate::frame::{Cursor, Frame, FrameType, Open, Out, Scopes, CHECKSUM_FRAME_LEN};
 use crate::pull::{LeafValue, PullEvent};
+use crate::scatter::Slot;
 use crate::{MAX_DEPTH, MAX_REFS};
 
 /// A namespace declaration as typed schemas carry them: `(prefix, uri)`,
@@ -608,26 +609,60 @@ pub struct ElementHead<'a> {
 /// of each open element: open/close state lives in the caller's control
 /// flow as [`ElementHead`] values, so a schema-known decode performs no
 /// heap allocation at all beyond the arrays it refills in place.
+///
+/// A reader from [`crate::Scatter::reader`] reads a document whose large
+/// arrays were received into typed slots: it counts each one in its
+/// stream offsets, and hands it over when read (see
+/// [`read_array_into`](FieldReader::read_array_into)). Clones share the
+/// slots.
 #[derive(Clone)]
 pub struct FieldReader<'a> {
     c: Cursor<'a>,
     doc: Frame,
     top_count: usize,
     scopes: Scopes,
+    /// The placed arrays' slots, by gap (none for flat bytes).
+    slots: &'a [Slot],
 }
 
 impl<'a> FieldReader<'a> {
     /// Open a document: validates the document frame prefix and size
     /// field, and positions the cursor at the first child frame.
     pub fn new(bytes: &'a [u8]) -> BxsaResult<FieldReader<'a>> {
-        let mut c = Cursor::new(bytes);
+        FieldReader::open_document(Cursor::new(bytes), &[])
+    }
+
+    /// [`new`](FieldReader::new) over a received document's head, its
+    /// placed payloads `gaps`, and their slots.
+    pub(crate) fn placed(
+        head: &'a [u8],
+        gaps: &'a [xbs::reader::Gap],
+        slots: &'a [Slot],
+    ) -> BxsaResult<FieldReader<'a>> {
+        let r = xbs::XbsReader::with_gaps(head, ByteOrder::Little, gaps);
+        FieldReader::open_document(Cursor::over(r, 0), slots)
+    }
+
+    fn open_document(mut c: Cursor<'a>, slots: &'a [Slot]) -> BxsaResult<FieldReader<'a>> {
         let (doc, top_count) = c.document()?;
         Ok(FieldReader {
             c,
             doc,
             top_count,
             scopes: [0; MAX_DEPTH],
+            slots,
         })
+    }
+
+    /// The slot of the placed array at the cursor, when one of `bytes`
+    /// payload bytes starts here: passed over, for the caller to take.
+    fn placed_here(&mut self, bytes: Option<usize>) -> Option<&'a Slot> {
+        let (gap, len) = self.c.r.gap_here()?;
+        if Some(len) != bytes {
+            return None;
+        }
+        self.c.r.pass_gap();
+        self.slots.get(gap)
     }
 
     /// Declared number of top-level frames (a SOAP message has one).
@@ -761,6 +796,11 @@ impl<'a> FieldReader<'a> {
     /// Refill `out` (cleared, capacity kept) from an opened array frame
     /// (and close the frame). Steady-state decode of same-shape messages
     /// allocates nothing once `out` has grown to the working set.
+    ///
+    /// An array placed in a slot by a [`crate::Scatter`] is not copied:
+    /// `out` exchanges buffers with the slot, which keeps `out`'s old
+    /// buffer for the next message, instead of refilling its capacity.
+    /// A placed array is handed over once; reading it again is an error.
     pub fn read_array_into<T: Primitive>(
         &mut self,
         head: &ElementHead<'a>,
@@ -768,7 +808,10 @@ impl<'a> FieldReader<'a> {
     ) -> BxsaResult<()> {
         expect_kind(head, FrameType::Array)?;
         let len = self.c.array_of::<T>()?;
-        self.c.r.read_packed_into(len, out)?;
+        match self.placed_here(len.checked_mul(T::WIDTH)) {
+            Some(slot) => slot.take_into(out)?,
+            None => self.c.r.read_packed_into(len, out)?,
+        }
         self.close(head)
     }
 
@@ -784,6 +827,12 @@ impl<'a> FieldReader<'a> {
     ) -> BxsaResult<Cow<'a, [T]>> {
         expect_kind(head, FrameType::Array)?;
         let len = self.c.array_of::<T>()?;
+        if let Some(slot) = self.placed_here(len.checked_mul(T::WIDTH)) {
+            let mut values = Vec::new();
+            slot.take_into(&mut values)?;
+            self.close(head)?;
+            return Ok(Cow::Owned(values));
+        }
         let values = match self.c.r.read_packed_zero_copy(len)? {
             Some(view) => Cow::Borrowed(view),
             None => Cow::Owned(self.c.r.read_packed(len)?),
@@ -1245,6 +1294,148 @@ mod tests {
                 if !native || checksum {
                     prop_assert_eq!(left_out, 0);
                 }
+            }
+        }
+
+        /// Everything a schema-free typed decode reads from `r`: each
+        /// array's bytes (read with the typed reader of its own type, or
+        /// skipped where `skip` has the array's bit set), each leaf value
+        /// and text, in document order; then the document's end.
+        fn read_all(r: &mut FieldReader<'_>, skip: u64) -> BxsaResult<Vec<Vec<u8>>> {
+            fn read<'a, T: Primitive>(
+                r: &mut FieldReader<'a>,
+                h: &ElementHead<'a>,
+            ) -> BxsaResult<Vec<u8>> {
+                let mut out = Vec::new();
+                r.read_array_into::<T>(h, &mut out)?;
+                Ok(bits(&out))
+            }
+            fn walk<'a>(
+                r: &mut FieldReader<'a>,
+                h: &ElementHead<'a>,
+                skip: u64,
+                seen: &mut Vec<Vec<u8>>,
+            ) -> BxsaResult<()> {
+                match h.kind {
+                    FrameType::Component => {
+                        for _ in 0..h.child_count {
+                            let c = r.open()?;
+                            walk(r, &c, skip, seen)?;
+                        }
+                        r.close(h)
+                    }
+                    FrameType::Array if skip >> (seen.len() % 64) & 1 == 1 => {
+                        seen.push(Vec::new());
+                        r.skip(h)
+                    }
+                    FrameType::Array => {
+                        let values = if r.is_array_of::<i8>(h) {
+                            read::<i8>(r, h)
+                        } else if r.is_array_of::<u8>(h) {
+                            read::<u8>(r, h)
+                        } else if r.is_array_of::<i16>(h) {
+                            read::<i16>(r, h)
+                        } else if r.is_array_of::<u16>(h) {
+                            read::<u16>(r, h)
+                        } else if r.is_array_of::<i32>(h) {
+                            read::<i32>(r, h)
+                        } else if r.is_array_of::<u32>(h) {
+                            read::<u32>(r, h)
+                        } else if r.is_array_of::<i64>(h) {
+                            read::<i64>(r, h)
+                        } else if r.is_array_of::<u64>(h) {
+                            read::<u64>(r, h)
+                        } else if r.is_array_of::<f32>(h) {
+                            read::<f32>(r, h)
+                        } else {
+                            read::<f64>(r, h)
+                        }?;
+                        seen.push(values);
+                        Ok(())
+                    }
+                    FrameType::Leaf => {
+                        seen.push(format!("{:?}", r.read_leaf(h)?).into_bytes());
+                        Ok(())
+                    }
+                    _ => r.skip(h),
+                }
+            }
+            let mut seen = Vec::new();
+            for _ in 0..r.top_count() {
+                let h = r.open()?;
+                walk(r, &h, skip, &mut seen)?;
+            }
+            r.finish()?;
+            Ok(seen)
+        }
+
+        /// Receive `bytes` into `s` in reads whose sizes cycle through
+        /// `splits`.
+        fn receive(s: &mut crate::Scatter, bytes: &[u8], splits: &[usize]) {
+            s.begin(bytes.len());
+            let (mut from, mut i) = (0, 0);
+            loop {
+                let buf = s.next_buf(1 << 20);
+                if buf.is_empty() {
+                    break;
+                }
+                let n = buf.len().min(splits[i % splits.len()]);
+                i += 1;
+                buf[..n].copy_from_slice(&bytes[from..from + n]);
+                from += n;
+                s.filled(n);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(384))]
+            /// A document received with its large arrays placed reads as
+            /// the flat bytes read: the same values, or on damaged input an
+            /// error of the same kind. Every array type, counts around the
+            /// 4 KiB mark, nested components, arrays before the body (a
+            /// header), both byte orders, checksum on and off, any read
+            /// splits, arrays read or skipped.
+            #[test]
+            fn scattered_read_equals_the_flat_read(
+                header in arb_shape(),
+                body in arb_shape(),
+                native in any::<bool>(),
+                checksum in any::<bool>(),
+                splits in proptest::collection::vec(1usize..6000, 1..6),
+                skip in any::<u64>(),
+                flip in proptest::option::of((any::<usize>(), 1u8..=255)),
+            ) {
+                let root = Shape::Component {
+                    ns: true,
+                    children: vec![Shape::Component { ns: false, children: vec![header] }, body],
+                };
+                let order = if native { ByteOrder::native() } else { foreign() };
+                let mut w = FrameWriter::new(order);
+                w.set_checksum(checksum);
+                let mut bytes = Vec::new();
+                encode(&mut w, &root, &mut bytes);
+                if let Some((at, mask)) = flip {
+                    let i = at % bytes.len();
+                    bytes[i] ^= mask;
+                }
+                let flat = FieldReader::new(&bytes).and_then(|mut r| read_all(&mut r, skip));
+                let mut s = crate::Scatter::new();
+                receive(&mut s, &bytes, &splits);
+                let placed = s.placed_bytes();
+                if !native || checksum {
+                    prop_assert_eq!(placed, 0);
+                }
+                let scattered = s.reader().and_then(|mut r| read_all(&mut r, skip));
+                match (&flat, &scattered) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                    (Err(a), Err(b)) => prop_assert_eq!(
+                        std::mem::discriminant(a),
+                        std::mem::discriminant(b),
+                        "{:?} vs {:?}", a, b
+                    ),
+                    _ => prop_assert!(false, "flat {:?} vs scattered {:?} ({} placed)", flat, scattered, placed),
+                }
+                prop_assert_eq!(s.flatten().len(), bytes.len());
             }
         }
 

@@ -9,8 +9,8 @@
 
 use transport::faulty::FaultAction;
 use transport::{
-    Deadline, FramedStream, HttpConnection, HttpResponse, SharedInjector, Timeouts, TransportError,
-    MAX_PART_LEN,
+    BodySink, Deadline, FramedStream, HttpConnection, HttpResponse, SharedInjector, Timeouts,
+    TransportError, MAX_PART_LEN,
 };
 
 use crate::error::{SoapError, SoapResult};
@@ -75,6 +75,20 @@ pub trait BindingPolicy {
             [payload] => self.exchange_into(payload, content_type, out),
             _ => self.exchange_into(&parts.concat(), content_type, out),
         }
+    }
+
+    /// [`exchange_parts_into`](BindingPolicy::exchange_parts_into) with
+    /// the response body read through `reply` as it arrives, so the
+    /// receiver can put parts of it where they are going to be used (the
+    /// typed call path places a BXSA reply's large arrays this way).
+    /// Default: the whole body into [`BodySink::whole`].
+    fn exchange_parts_to(
+        &mut self,
+        parts: &[&[u8]],
+        content_type: &str,
+        reply: &mut dyn BodySink,
+    ) -> SoapResult<()> {
+        self.exchange_parts_into(parts, content_type, reply.whole())
     }
 
     /// One-way send (no response expected).
@@ -269,9 +283,15 @@ impl Clone for HttpBinding {
 
 impl HttpBinding {
     /// One HTTP exchange whose body is `parts` concatenated, written in
-    /// one gather write after the head; the response waits in
-    /// `self.response` for `receive_response_into`.
-    fn send_parts(&mut self, parts: &[&[u8]], content_type: &str) -> SoapResult<()> {
+    /// one gather write after the head. The response body goes to
+    /// `reply` when given; otherwise it waits in `self.response` for
+    /// `receive_response_into`.
+    fn send_parts(
+        &mut self,
+        parts: &[&[u8]],
+        content_type: &str,
+        reply: Option<&mut dyn BodySink>,
+    ) -> SoapResult<()> {
         self.pending = false;
         self.set_headers(content_type);
         // One HTTP exchange = write + read on the cached connection
@@ -282,22 +302,40 @@ impl HttpBinding {
             Some(d) => self.timeouts.clamped_to(d).map_err(SoapError::Transport)?,
             None => self.timeouts,
         };
-        self.conn
-            .exchange_with_into(&self.request, parts, &timeouts, &mut self.response)?;
+        let placed = reply.is_some();
+        match reply {
+            Some(reply) => {
+                self.conn.exchange_with_to(
+                    &self.request,
+                    parts,
+                    &timeouts,
+                    &mut self.response,
+                    reply,
+                )?;
+                // A fault's 500 body was read into the response whole.
+                if self.response.status == 500 {
+                    std::mem::swap(reply.whole(), &mut self.response.body);
+                }
+            }
+            None => {
+                self.conn
+                    .exchange_with_into(&self.request, parts, &timeouts, &mut self.response)?
+            }
+        }
         // SOAP-over-HTTP delivers faults in 500 responses with a SOAP
         // body; anything else non-2xx is a transport-level error carrying
         // the status, a body prefix, and any Retry-After.
         if !self.response.is_success() && self.response.status != 500 {
             return Err(SoapError::Transport(self.response.status_error()));
         }
-        self.pending = true;
+        self.pending = !placed;
         Ok(())
     }
 }
 
 impl BindingPolicy for HttpBinding {
     fn send_request(&mut self, payload: &[u8], content_type: &str) -> SoapResult<()> {
-        self.send_parts(&[payload], content_type)
+        self.send_parts(&[payload], content_type, None)
     }
 
     fn exchange_parts_into(
@@ -306,8 +344,17 @@ impl BindingPolicy for HttpBinding {
         content_type: &str,
         out: &mut Vec<u8>,
     ) -> SoapResult<()> {
-        self.send_parts(parts, content_type)?;
+        self.send_parts(parts, content_type, None)?;
         self.receive_response_into(out)
+    }
+
+    fn exchange_parts_to(
+        &mut self,
+        parts: &[&[u8]],
+        content_type: &str,
+        reply: &mut dyn BodySink,
+    ) -> SoapResult<()> {
+        self.send_parts(parts, content_type, Some(reply))
     }
 
     fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
@@ -424,6 +471,20 @@ impl BindingPolicy for TcpBinding {
     ) -> SoapResult<()> {
         self.send_parts(parts)?;
         self.receive_response_into(out)
+    }
+
+    fn exchange_parts_to(
+        &mut self,
+        parts: &[&[u8]],
+        _content_type: &str,
+        reply: &mut dyn BodySink,
+    ) -> SoapResult<()> {
+        self.send_parts(parts)?;
+        let result = self.stream()?.recv_to(reply);
+        if result.is_err() {
+            self.stream = None;
+        }
+        result.map_err(Into::into)
     }
 
     fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {

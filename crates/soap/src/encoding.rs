@@ -93,11 +93,11 @@ impl EncodingPolicy for XmlEncoding {
     }
 
     fn encode_into(&self, doc: &Document, out: &mut Vec<u8>) -> SoapResult<()> {
-        // Reuse the byte buffer's capacity as the writer's String; the
-        // round trip through from_utf8 is free (the buffer's prior
-        // contents don't matter — write_into clears the string first,
-        // so a non-UTF-8 residue just falls back to a fresh String).
-        let mut text = String::from_utf8(std::mem::take(out)).unwrap_or_default();
+        // Reuse the byte buffer's capacity as the writer's String. Clear
+        // it *before* the UTF-8 conversion: validating an empty vector is
+        // free, where validating the last message's bytes is an O(n) scan
+        // (and non-UTF-8 residue would lose the capacity).
+        let mut text = String::from_utf8(cleared(out)).expect("an empty vector is valid UTF-8");
         let Ok(()) = xmltext::write_into(doc, &self.write_options, &mut text);
         *out = text.into_bytes();
         Ok(())
@@ -174,6 +174,13 @@ impl EncodingPolicy for BxsaEncoding {
     }
 }
 
+/// Take `out`'s buffer, emptied, capacity kept.
+pub(crate) fn cleared(out: &mut Vec<u8>) -> Vec<u8> {
+    let mut bytes = std::mem::take(out);
+    bytes.clear();
+    bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +194,33 @@ mod tests {
                 .with_child(Element::array("m:v", ArrayValue::I32(vec![1, 2, 3]))),
         )
         .to_document()
+    }
+
+    /// The XML encoders reuse the caller's buffer whatever it holds — the
+    /// previous message, or bytes that are not UTF-8: the same
+    /// allocation, and the bytes of a fresh encode.
+    #[test]
+    fn xml_encoders_reuse_a_dirty_buffer() {
+        use crate::streaming::StreamEncoding;
+        let xml = XmlEncoding::default();
+        let doc = sample_doc();
+        let part = Element::array("m:v", ArrayValue::F64(vec![0.5; 40]));
+        let mut fresh = Vec::new();
+        xml.encode_into(&doc, &mut fresh).unwrap();
+        let mut fresh_part = Vec::new();
+        xml.encode_part_into(&part, &mut fresh_part).unwrap();
+        for residue in [fresh.clone(), fresh_part.clone(), vec![0xff; 64]] {
+            let mut buf = Vec::with_capacity(4 * (fresh.len() + fresh_part.len()));
+            buf.extend_from_slice(&residue);
+            let held = (buf.as_ptr(), buf.capacity());
+            xml.encode_into(&doc, &mut buf).unwrap();
+            assert_eq!(buf, fresh);
+            assert_eq!((buf.as_ptr(), buf.capacity()), held);
+            buf.extend_from_slice(&residue);
+            xml.encode_part_into(&part, &mut buf).unwrap();
+            assert_eq!(buf, fresh_part);
+            assert_eq!((buf.as_ptr(), buf.capacity()), held);
+        }
     }
 
     #[test]

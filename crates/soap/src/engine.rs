@@ -18,6 +18,10 @@ const MAX_PARTS: usize = 2 * bxsa::MAX_REFS + 1;
 
 /// What a call sends, stamped and encoded afresh for each attempt.
 trait Outgoing<E> {
+    /// Is the reply read through the engine's [`Placed`] receiver (a
+    /// typed reply), not into its flat response buffer?
+    const PLACED: bool = false;
+
     /// Stamp `header`, if any, then encode into `out` and `parts` as
     /// [`EncodingPolicy::encode_parts_into`] does; returns the number of
     /// filled slots.
@@ -55,6 +59,8 @@ struct TypedOutgoing<'r, Req> {
 }
 
 impl<E: TypedEncoding, Req: ToBxsa> Outgoing<E> for TypedOutgoing<'_, Req> {
+    const PLACED: bool = true;
+
     fn encode<'a>(
         &'a mut self,
         enc: &E,
@@ -65,6 +71,30 @@ impl<E: TypedEncoding, Req: ToBxsa> Outgoing<E> for TypedOutgoing<'_, Req> {
         enc.encode_typed(self.request, header, self.scratch, out)?;
         parts[0] = out;
         Ok(1)
+    }
+}
+
+/// The typed-reply receiver: a reply's frame heads in one buffer, its
+/// large native-order arrays read from the socket into typed slots that
+/// the decode then exchanges with the caller's `Vec`s.
+#[derive(Default)]
+struct Placed(bxsa::Scatter);
+
+impl transport::BodySink for Placed {
+    fn begin(&mut self, len: usize) {
+        self.0.begin(len);
+    }
+
+    fn next_buf(&mut self, max: usize) -> &mut [u8] {
+        self.0.next_buf(max)
+    }
+
+    fn filled(&mut self, n: usize) {
+        self.0.filled(n);
+    }
+
+    fn whole(&mut self) -> &mut Vec<u8> {
+        self.0.whole()
     }
 }
 
@@ -195,9 +225,12 @@ pub struct SoapEngine<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy = N
     /// A tree call gathers large arrays from its request document, so
     /// this holds only the bytes around them.
     encode_buf: Vec<u8>,
-    /// Response-byte scratch: the binding lands each reply's payload
-    /// here, reusing the buffer's capacity call over call.
+    /// Response-byte scratch: the binding lands each tree reply's
+    /// payload here, reusing the buffer's capacity call over call.
     response_buf: Vec<u8>,
+    /// Typed replies land here instead: their large arrays go straight
+    /// into slots, so they never pass through a flat buffer.
+    reply: Placed,
     /// Response-document scratch: each reply is decoded into this
     /// document in place, so steady-state decoding of similarly-shaped
     /// responses allocates nothing.
@@ -230,6 +263,7 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
             last_attempts: 0,
             encode_buf: Vec::new(),
             response_buf: Vec::new(),
+            reply: Placed::default(),
             decode_buf: Document::new(),
             typed_scratch: TypedScratch::default(),
             part_scratch: Default::default(),
@@ -321,10 +355,10 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
     /// Every attempt encodes afresh: the gathered parts borrow the
     /// request, which a deadline re-stamps between attempts, and a
     /// gathering re-encode of a bulk request writes only frame heads.
-    fn run_exchange<R>(
+    fn run_exchange<R, O: Outgoing<E>>(
         &mut self,
         options: &CallOptions,
-        outgoing: &mut impl Outgoing<E>,
+        outgoing: &mut O,
         finish: impl FnOnce(&mut Self) -> SoapResult<R>,
     ) -> SoapResult<R> {
         // `Deadline::none()` is unbounded: treat it as no deadline.
@@ -379,11 +413,18 @@ impl<E: EncodingPolicy, B: BindingPolicy, S: SecurityPolicy> SoapEngine<E, B, S>
                 }
                 self.last_attempts += 1;
                 m.attempts.inc();
-                match self.binding.exchange_parts_into(
-                    &parts[..filled],
-                    self.encoding.content_type(),
-                    &mut self.response_buf,
-                ) {
+                let content_type = self.encoding.content_type();
+                let exchanged = if O::PLACED {
+                    self.binding
+                        .exchange_parts_to(&parts[..filled], content_type, &mut self.reply)
+                } else {
+                    self.binding.exchange_parts_into(
+                        &parts[..filled],
+                        content_type,
+                        &mut self.response_buf,
+                    )
+                };
+                match exchanged {
                     Ok(()) => {
                         if let Some(b) = &breaker {
                             b.record(true);
@@ -521,17 +562,24 @@ impl<E: TypedEncoding, B: BindingPolicy> SoapEngine<E, B, NoSecurity> {
         result
     }
 
+    /// Decode a typed reply once, in place: a placed array changes
+    /// hands with the field it decodes into.
     fn finish_typed_call<Resp: FromBxsa>(&mut self, response: &mut Resp) -> SoapResult<()> {
-        let typed = self
-            .encoding
-            .decode_typed_reply(&self.response_buf, response);
+        let reply = &mut self.reply.0;
+        metrics::engine()
+            .scattered_bytes
+            .add(reply.placed_bytes() as u64);
+        let typed = self.encoding.decode_placed_reply(reply, response);
         if let Ok(TypedDecode::Matched) = typed {
             return Ok(());
         }
         // Fallback: decode as a tree to classify the reply — a fault, a
         // foreign shape, or garbage (which errors here like any call).
+        // The typed decode ran on the body entry it matched, so an array
+        // it took back (zeros in the flat bytes) is never part of a fault
+        // and its values decide nothing here.
         self.encoding
-            .decode_into(&self.response_buf, &mut self.decode_buf)?;
+            .decode_into(reply.flatten(), &mut self.decode_buf)?;
         let envelope = SoapEnvelope::take_from(&mut self.decode_buf)?;
         if let Some(fault) = envelope.as_fault() {
             return Err(SoapError::Fault(fault));
@@ -1198,6 +1246,174 @@ mod tests {
                 let mut reply = Vec::new();
                 service.handle(&mut scratch, bytes, &mut reply);
                 reply
+            }
+        }
+
+        /// Answers every request with `reply`: whole by default, or read
+        /// through the engine's receiver in reads that cycle through
+        /// `splits`.
+        struct Scripted {
+            reply: Vec<u8>,
+            splits: Option<Vec<usize>>,
+        }
+
+        impl BindingPolicy for Scripted {
+            fn send_request(&mut self, _: &[u8], _: &str) -> SoapResult<()> {
+                Ok(())
+            }
+
+            fn receive_response_into(&mut self, out: &mut Vec<u8>) -> SoapResult<()> {
+                out.clone_from(&self.reply);
+                Ok(())
+            }
+
+            fn exchange_parts_to(
+                &mut self,
+                parts: &[&[u8]],
+                content_type: &str,
+                reply: &mut dyn transport::BodySink,
+            ) -> SoapResult<()> {
+                let Some(splits) = &self.splits else {
+                    return self.exchange_parts_into(parts, content_type, reply.whole());
+                };
+                reply.begin(self.reply.len());
+                let (mut from, mut i) = (0, 0);
+                loop {
+                    let buf = reply.next_buf(1 << 20);
+                    if buf.is_empty() {
+                        return Ok(());
+                    }
+                    let n = buf.len().min(splits[i % splits.len()]);
+                    i += 1;
+                    buf[..n].copy_from_slice(&self.reply[from..from + n]);
+                    from += n;
+                    reply.filled(n);
+                }
+            }
+        }
+
+        /// What a typed `Probe` call made of `reply`: the response, or
+        /// the error (faults compared whole, other errors by kind).
+        fn typed_outcome(reply: &[u8], splits: Option<Vec<usize>>) -> Result<Probe, String> {
+            placed_outcome(reply, splits).0
+        }
+
+        /// [`typed_outcome`], and the reply bytes that were placed.
+        fn placed_outcome(
+            reply: &[u8],
+            splits: Option<Vec<usize>>,
+        ) -> (Result<Probe, String>, usize) {
+            let binding = Scripted {
+                reply: reply.to_vec(),
+                splits,
+            };
+            let mut engine = SoapEngine::new(BxsaEncoding::native_order(), binding);
+            let mut out = Probe::default();
+            let outcome = match engine.call_typed_into(&probe(1), &mut out, &CallOptions::new()) {
+                Ok(()) => Ok(out),
+                Err(SoapError::Fault(f)) => Err(format!("fault {f:?}")),
+                Err(e) => Err(format!("{:?}", std::mem::discriminant(&e))),
+            };
+            (outcome, engine.reply.0.placed_bytes())
+        }
+
+        /// The replies the oracle runs: a matching reply of each size,
+        /// a fault, a foreign operation, a header carrying an array, and a
+        /// second `Body` (a fault) after a matching one, each in both byte
+        /// orders, with and without a checksum.
+        fn oracle_replies() -> Vec<Vec<u8>> {
+            use crate::envelope::SoapEnvelope;
+            use crate::fault::{FaultCode, SoapFault};
+            use bxdm::{ArrayValue, Element};
+            let big = || Element::array("big", ArrayValue::I64((0..700).collect()));
+            let mut envelopes = Vec::new();
+            for n in [0usize, 3, 511, 512, 5000] {
+                envelopes.push(crate::typed::probe::tree_envelope(&probe(n), None));
+            }
+            envelopes.push(SoapEnvelope::with_body(
+                SoapFault::new(FaultCode::Server, "no").to_element(),
+            ));
+            envelopes.push(SoapEnvelope::with_body(
+                Element::component("Other").with_child(big()),
+            ));
+            envelopes.push(
+                crate::typed::probe::tree_envelope(&probe(900), None)
+                    .with_header(Element::component("H").with_child(big())),
+            );
+            let mut docs: Vec<bxdm::Document> =
+                envelopes.iter().map(SoapEnvelope::to_document).collect();
+            let mut two_bodies =
+                crate::typed::probe::tree_envelope(&probe(900), None).to_document();
+            let second = Element::component("soapenv:Body").with_child(
+                SoapFault::new(FaultCode::Client, "late")
+                    .to_element()
+                    .with_child(Element::component("detail").with_child(big())),
+            );
+            two_bodies
+                .root_mut()
+                .unwrap()
+                .push_node(bxdm::Node::Element(second));
+            docs.push(two_bodies);
+            let mut out = Vec::new();
+            for doc in &docs {
+                for byte_order in [xbs::ByteOrder::Little, xbs::ByteOrder::Big] {
+                    for checksum in [false, true] {
+                        let enc = BxsaEncoding {
+                            options: bxsa::EncodeOptions {
+                                byte_order,
+                                checksum,
+                            },
+                        };
+                        out.push(enc.encode(doc).unwrap());
+                    }
+                }
+            }
+            out
+        }
+
+        fn replies() -> &'static [Vec<u8>] {
+            static REPLIES: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+            REPLIES.get_or_init(oracle_replies)
+        }
+
+        /// The typed decode of a reply received with its arrays placed
+        /// gives what the flat receive gives, for every reply of the
+        /// oracle set: the same values, the same fault, or an error of the
+        /// same kind.
+        #[test]
+        fn a_placed_reply_decodes_as_the_flat_reply() {
+            let mut placed = 0;
+            for reply in replies() {
+                let flat = typed_outcome(reply, None);
+                let (outcome, bytes) = placed_outcome(reply, Some(vec![1 << 20]));
+                assert_eq!(outcome, flat);
+                placed += usize::from(bytes > 0);
+            }
+            // In native order without a checksum: the 512- and 5000-value
+            // replies and the one with a header array keep their arrays
+            // placed. The foreign operation and the second Body fall back,
+            // which flattens them.
+            assert_eq!(placed, 3);
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+            /// The same, damaged, under any read splits.
+            #[test]
+            fn a_placed_damaged_reply_decodes_as_the_flat_reply(
+                which in 0usize..1000,
+                flip in proptest::option::of((proptest::prelude::any::<usize>(), 1u8..=255)),
+                splits in proptest::collection::vec(1usize..9000, 1..5),
+            ) {
+                let mut reply = replies()[which % replies().len()].clone();
+                if let Some((at, mask)) = flip {
+                    let i = at % reply.len();
+                    reply[i] ^= mask;
+                }
+                proptest::prop_assert_eq!(
+                    typed_outcome(&reply, Some(splits)),
+                    typed_outcome(&reply, None)
+                );
             }
         }
 

@@ -28,6 +28,10 @@ pub struct EngineMetrics {
     /// `bx_engine_call_latency_nanoseconds` — wall time of the whole
     /// call, every attempt and backoff included.
     pub call_latency: Histogram,
+    /// `bx_engine_scattered_bytes_total` — typed-reply array bytes read
+    /// from the socket straight into typed slots, not into the reply
+    /// buffer.
+    pub scattered_bytes: Counter,
 }
 
 impl EngineMetrics {
@@ -39,6 +43,7 @@ impl EngineMetrics {
             deadline_expired: Counter::new(),
             circuit_open: Counter::new(),
             call_latency: Histogram::new(),
+            scattered_bytes: Counter::new(),
         }
     }
 }
@@ -84,6 +89,12 @@ pub fn engine() -> &'static EngineMetrics {
             "Wall time of a whole call, attempts and backoff included.",
             &[],
             &METRICS.call_latency,
+        );
+        r.register_counter(
+            "bx_engine_scattered_bytes_total",
+            "Typed-reply array bytes received straight into typed slots.",
+            &[],
+            &METRICS.scattered_bytes,
         );
     });
     &METRICS

@@ -101,8 +101,10 @@ impl StreamEncoding for BxsaEncoding {
 impl StreamEncoding for XmlEncoding {
     fn encode_part_into(&self, part: &Element, out: &mut Vec<u8>) -> SoapResult<()> {
         // Same buffer-as-String trick as the whole-document encoder:
-        // the byte buffer's capacity is the writer's capacity.
-        let mut text = String::from_utf8(std::mem::take(out)).unwrap_or_default();
+        // the byte buffer's capacity is the writer's capacity, emptied
+        // before the UTF-8 conversion.
+        let mut text = String::from_utf8(crate::encoding::cleared(out))
+            .expect("an empty vector is valid UTF-8");
         xmltext::write_element_into(part, &self.write_options, &mut text);
         *out = text.into_bytes();
         Ok(())

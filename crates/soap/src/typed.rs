@@ -194,6 +194,18 @@ pub trait TypedEncoding: EncodingPolicy {
         out: &mut M,
     ) -> SoapResult<TypedDecode>;
 
+    /// [`decode_typed_reply`](TypedEncoding::decode_typed_reply) of a
+    /// reply received through a [`bxsa::Scatter`], whose large arrays may
+    /// sit in typed slots. Default: the reply as flat bytes
+    /// ([`bxsa::Scatter::flatten`], which copies placed arrays back).
+    fn decode_placed_reply<M: FromBxsa>(
+        &self,
+        reply: &mut bxsa::Scatter,
+        out: &mut M,
+    ) -> SoapResult<TypedDecode> {
+        self.decode_typed_reply(reply.flatten(), out)
+    }
+
     /// Decode a request envelope directly into `out`, extracting the
     /// `bx:Deadline` header. Any *other* header entry — understood or not
     /// — forces a fallback, so `mustUnderstand` semantics always run on
@@ -379,7 +391,8 @@ fn deadline_of(budget: Option<u64>, hops: Option<u64>) -> Option<DeadlineHeader>
     ))
 }
 
-/// Walk a BXSA envelope whose single body entry is named `local`:
+/// Walk a BXSA envelope, read by `r`, whose single body entry is named
+/// `local`:
 /// `Header` entries go to `header` (which returns `false`, or an error,
 /// to fall back: a header the typed path cannot read is answered on the
 /// tree path), the body entry to `body`, and then `Body`, `Envelope` and
@@ -388,12 +401,11 @@ fn deadline_of(budget: Option<u64>, hops: Option<u64>) -> Option<DeadlineHeader>
 /// body, a late header, anything else) — decode it on the generic tree
 /// path.
 fn decode_bxsa_envelope<'a>(
-    bytes: &'a [u8],
+    mut r: FieldReader<'a>,
     local: &str,
     mut header: impl FnMut(&mut FieldReader<'a>, &ElementHead<'a>) -> SoapResult<bool>,
     mut body: impl FnMut(&mut FieldReader<'a>, &ElementHead<'a>) -> SoapResult<()>,
 ) -> SoapResult<bool> {
-    let mut r = FieldReader::new(bytes)?;
     if r.top_count() != 1 {
         return Ok(false);
     }
@@ -471,7 +483,7 @@ pub(crate) fn decode_view_request<'a, V: BxsaView>(
 ) -> SoapResult<Option<(Option<DeadlineHeader>, V::View<'a>)>> {
     let (mut deadline, mut view) = (None, None);
     let matched = decode_bxsa_envelope(
-        bytes,
+        FieldReader::new(bytes)?,
         V::expected_local(),
         |r, header| read_request_header_bxsa(r, header, &mut deadline),
         |r, head| {
@@ -558,20 +570,17 @@ impl TypedEncoding for BxsaEncoding {
         bytes: &[u8],
         out: &mut M,
     ) -> SoapResult<TypedDecode> {
-        let matched = decode_bxsa_envelope(
-            bytes,
-            M::expected_local(),
-            |r, header| {
-                r.skip(header)?;
-                Ok(true)
-            },
-            |r, head| out.decode_bxsa(r, head),
-        )?;
-        Ok(if matched {
-            TypedDecode::Matched
-        } else {
-            TypedDecode::Fallback
-        })
+        decode_bxsa_reply(FieldReader::new(bytes)?, out)
+    }
+
+    /// Read in place: a placed array goes to `out`'s field by exchanging
+    /// buffers (see [`FieldReader::read_array_into`]).
+    fn decode_placed_reply<M: FromBxsa>(
+        &self,
+        reply: &mut bxsa::Scatter,
+        out: &mut M,
+    ) -> SoapResult<TypedDecode> {
+        decode_bxsa_reply(reply.reader()?, out)
     }
 
     fn decode_typed_request<M: FromBxsa>(
@@ -581,7 +590,7 @@ impl TypedEncoding for BxsaEncoding {
     ) -> SoapResult<TypedRequest> {
         let mut deadline = None;
         let matched = decode_bxsa_envelope(
-            bytes,
+            FieldReader::new(bytes)?,
             M::expected_local(),
             |r, header| read_request_header_bxsa(r, header, &mut deadline),
             |r, head| out.decode_bxsa(r, head),
@@ -596,6 +605,25 @@ impl TypedEncoding for BxsaEncoding {
     fn peek_operation<'a>(&self, bytes: &'a [u8]) -> Option<&'a str> {
         peek_bxsa_operation(bytes)
     }
+}
+
+/// A reply whose single body entry is an `M`, read by `r` (any header
+/// is read past).
+fn decode_bxsa_reply<M: FromBxsa>(r: FieldReader<'_>, out: &mut M) -> SoapResult<TypedDecode> {
+    let matched = decode_bxsa_envelope(
+        r,
+        M::expected_local(),
+        |r, header| {
+            r.skip(header)?;
+            Ok(true)
+        },
+        |r, head| out.decode_bxsa(r, head),
+    )?;
+    Ok(if matched {
+        TypedDecode::Matched
+    } else {
+        TypedDecode::Fallback
+    })
 }
 
 /// [`TypedEncoding::peek_operation`] for BXSA, which needs no policy
@@ -721,9 +749,8 @@ impl TypedEncoding for XmlEncoding {
         // tree policy does. Clear *before* the UTF-8 conversion: the old
         // contents are discarded anyway, and validating an empty vector
         // is free where validating last message's bytes is an O(n) scan.
-        let mut bytes = std::mem::take(out);
-        bytes.clear();
-        let mut text = String::from_utf8(bytes).expect("an empty vector is valid UTF-8");
+        let mut text = String::from_utf8(crate::encoding::cleared(out))
+            .expect("an empty vector is valid UTF-8");
         if self.write_options.declaration {
             text.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
         }

@@ -51,6 +51,50 @@ pub(crate) fn read_len_into<E>(
     Ok(())
 }
 
+/// Where a received body's bytes go as they arrive. The client reply
+/// readers ([`FramedStream::recv_to`],
+/// [`HttpConnection::exchange_with_to`](crate::HttpConnection::exchange_with_to))
+/// read a declared-length body through it, so a receiver can put each
+/// part of the body where it is going to be used instead of into one
+/// buffer.
+pub trait BodySink {
+    /// A body of `len` bytes (already checked against the frame cap)
+    /// follows.
+    fn begin(&mut self, len: usize);
+    /// Where the next bytes go: at most `max` bytes, and the sink's
+    /// storage grows by no more than that. Empty once the body is in.
+    fn next_buf(&mut self, max: usize) -> &mut [u8];
+    /// `n` bytes arrived at the front of the last
+    /// [`next_buf`](BodySink::next_buf).
+    fn filled(&mut self, n: usize);
+    /// The buffer a body is taken into whole instead (contents replaced):
+    /// a chunked body, or a reader that only fills one buffer.
+    fn whole(&mut self) -> &mut Vec<u8>;
+}
+
+/// Read a `len`-byte body into `sink`, each piece with `read` (which
+/// returns 0 when the peer has closed). The sink's storage grows by at
+/// most [`RECV_CHUNK`] past the bytes received, as in [`read_len_into`].
+pub(crate) fn read_len_to(
+    len: usize,
+    sink: &mut dyn BodySink,
+    mut read: impl FnMut(&mut [u8]) -> std::io::Result<usize>,
+) -> std::io::Result<bool> {
+    sink.begin(len);
+    loop {
+        let buf = sink.next_buf(RECV_CHUNK);
+        if buf.is_empty() {
+            return Ok(true);
+        }
+        match read(buf) {
+            Ok(0) => return Ok(false),
+            Ok(n) => sink.filled(n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// A framed message stream over any `Read + Write` (usually a
 /// [`TcpStream`]).
 #[derive(Debug)]
@@ -198,6 +242,25 @@ impl<S: Read + Write> FramedStream<S> {
         let mut len_bytes = [0u8; 4];
         self.read_exact_or_closed(started, &mut len_bytes)?;
         self.recv_payload(started, u32::from_be_bytes(len_bytes), payload)
+    }
+
+    /// [`recv_into`](FramedStream::recv_into) with the payload read
+    /// through `sink` as it arrives.
+    pub fn recv_to(&mut self, sink: &mut dyn BodySink) -> TransportResult<()> {
+        let started = Instant::now();
+        let mut len_bytes = [0u8; 4];
+        self.read_exact_or_closed(started, &mut len_bytes)?;
+        let len = u32::from_be_bytes(len_bytes) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(TransportError::FrameTooLarge {
+                declared: len as u64,
+            });
+        }
+        match read_len_to(len, sink, |buf| self.inner.read(buf)) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(TransportError::ConnectionClosed),
+            Err(e) => Err(Self::io_err(e, started, self.read_budget)),
+        }
     }
 
     /// Try to receive; returns `None` on a clean EOF at a message

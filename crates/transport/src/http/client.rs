@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use crate::deadline::Timeouts;
 use crate::error::{TransportError, TransportResult};
-use crate::framed::connect_stream;
+use crate::framed::{connect_stream, BodySink};
 use crate::http::chunked::{self, ChunkDecoder};
 use crate::http::request::HttpRequest;
 use crate::http::response::HttpResponse;
@@ -134,6 +134,32 @@ impl HttpConnection {
         timeouts: &Timeouts,
         response: &mut HttpResponse,
     ) -> TransportResult<()> {
+        self.exchange_with(request, body, timeouts, response, None)
+    }
+
+    /// [`exchange_with_into`](HttpConnection::exchange_with_into) with a
+    /// success body read through `sink` as it arrives (see
+    /// [`HttpResponse::read_to`]); `response` gets the head, and the body
+    /// of any other status.
+    pub fn exchange_with_to(
+        &mut self,
+        request: &HttpRequest,
+        body: &[&[u8]],
+        timeouts: &Timeouts,
+        response: &mut HttpResponse,
+        sink: &mut dyn BodySink,
+    ) -> TransportResult<()> {
+        self.exchange_with(request, body, timeouts, response, Some(sink))
+    }
+
+    fn exchange_with<'s>(
+        &mut self,
+        request: &HttpRequest,
+        body: &[&[u8]],
+        timeouts: &Timeouts,
+        response: &mut HttpResponse,
+        mut sink: Option<&mut (dyn BodySink + 's)>,
+    ) -> TransportResult<()> {
         if !matches!(self.phase, StreamPhase::Idle) {
             // A plain exchange over a half-finished chunked message would
             // desynchronize the connection; start fresh instead.
@@ -144,7 +170,16 @@ impl HttpConnection {
             let reused = self.stream.is_some();
             self.connected(timeouts)?;
             let reader = self.stream.as_mut().expect("just connected");
-            match try_exchange(reader, request, body, timeouts, response, &mut self.head) {
+            let attempt = try_exchange(
+                reader,
+                request,
+                body,
+                timeouts,
+                response,
+                sink.as_deref_mut(),
+                &mut self.head,
+            );
+            match attempt {
                 Ok(()) => {
                     if crate::http::response_keeps_alive(crate::http::pairs(&response.headers)) {
                         if reused {
@@ -371,13 +406,14 @@ impl HttpConnection {
 }
 
 /// One wire attempt on an established connection, building the request
-/// head in `head`.
-fn try_exchange(
+/// head in `head`; the response body goes to `sink` when there is one.
+fn try_exchange<'s>(
     reader: &mut BufReader<TcpStream>,
     request: &HttpRequest,
     body: &[&[u8]],
     timeouts: &Timeouts,
     response: &mut HttpResponse,
+    sink: Option<&mut (dyn BodySink + 's)>,
     head: &mut Vec<u8>,
 ) -> Result<(), Attempt> {
     let started = Instant::now();
@@ -409,7 +445,11 @@ fn try_exchange(
         Err(io) if is_stale_pipe(&io) => return Err(Attempt::Stale),
         Err(io) => return Err(Attempt::Fatal(TransportError::Io(io))),
     }
-    HttpResponse::read_from_into(reader, response).map_err(|e| match e {
+    match sink {
+        Some(sink) => HttpResponse::read_to(reader, response, sink),
+        None => HttpResponse::read_from_into(reader, response),
+    }
+    .map_err(|e| match e {
         TransportError::Io(io) if TransportError::io_is_timeout(&io) => {
             Attempt::Fatal(TransportError::TimedOut {
                 elapsed: started.elapsed(),

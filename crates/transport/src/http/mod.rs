@@ -230,10 +230,46 @@ pub(crate) fn read_body_into(
     headers: &[(String, String)],
     body: &mut Vec<u8>,
 ) -> crate::TransportResult<()> {
+    let Some(len) = body_len(headers)? else {
+        return chunked::read_chunked_body_into(reader, body, crate::framed::MAX_FRAME_LEN);
+    };
+    // The declared length is capped, but memory is still only committed
+    // as bytes arrive: a hostile Content-Length paired with a trickle
+    // costs at most one chunk beyond what was received.
+    crate::framed::read_len_into(len, body, |chunk| {
+        reader.read_exact(chunk).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => crate::TransportError::ConnectionClosed,
+            _ => crate::TransportError::Io(e),
+        })
+    })
+}
+
+/// [`read_body_into`] through `sink`: a `Content-Length` body as it
+/// arrives, a chunked one whole into [`BodySink::whole`].
+///
+/// [`BodySink::whole`]: crate::framed::BodySink::whole
+pub(crate) fn read_body_to(
+    reader: &mut impl std::io::BufRead,
+    headers: &[(String, String)],
+    sink: &mut dyn crate::framed::BodySink,
+) -> crate::TransportResult<()> {
+    let Some(len) = body_len(headers)? else {
+        return chunked::read_chunked_body_into(reader, sink.whole(), crate::framed::MAX_FRAME_LEN);
+    };
+    match crate::framed::read_len_to(len, sink, |buf| reader.read(buf)) {
+        Ok(true) => Ok(()),
+        Ok(false) => Err(crate::TransportError::ConnectionClosed),
+        Err(e) => Err(crate::TransportError::Io(e)),
+    }
+}
+
+/// The declared body length under the frame cap, or `None` for a chunked
+/// body.
+fn body_len(headers: &[(String, String)]) -> crate::TransportResult<Option<usize>> {
     use crate::TransportError;
 
     if body_is_chunked(pairs(headers)) {
-        return chunked::read_chunked_body_into(reader, body, crate::framed::MAX_FRAME_LEN);
+        return Ok(None);
     }
     let len = match find_header(pairs(headers), "Content-Length") {
         Some(v) => v.parse::<usize>().map_err(|_| TransportError::BadHttp {
@@ -246,15 +282,7 @@ pub(crate) fn read_body_into(
             declared: len as u64,
         });
     }
-    // The declared length is capped above, but memory is still only
-    // committed as bytes arrive: a hostile Content-Length paired with a
-    // trickle costs at most one chunk beyond what was received.
-    crate::framed::read_len_into(len, body, |chunk| {
-        reader.read_exact(chunk).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => TransportError::ConnectionClosed,
-            _ => TransportError::Io(e),
-        })
-    })
+    Ok(Some(len))
 }
 
 #[cfg(test)]

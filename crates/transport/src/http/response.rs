@@ -3,8 +3,9 @@
 use std::io::{BufRead, Write};
 
 use crate::error::{TransportError, TransportResult};
+use crate::framed::BodySink;
 use crate::http::{
-    find_header, pairs, push_framing, push_headers, push_status_line, read_body_into,
+    find_header, pairs, push_framing, push_headers, push_status_line, read_body_into, read_body_to,
     read_headers_into, read_line,
 };
 
@@ -191,6 +192,23 @@ impl HttpResponse {
     ) -> TransportResult<()> {
         HttpResponse::read_head_into(reader, into)?;
         read_body_into(reader, &into.headers, &mut into.body)
+    }
+
+    /// [`read_from_into`](HttpResponse::read_from_into) with a success
+    /// (2xx) body read through `sink` as it arrives. Any other status's
+    /// body is read into `into.body`, where
+    /// [`status_error`](HttpResponse::status_error) finds it.
+    pub fn read_to(
+        reader: &mut impl BufRead,
+        into: &mut HttpResponse,
+        sink: &mut dyn BodySink,
+    ) -> TransportResult<()> {
+        HttpResponse::read_head_into(reader, into)?;
+        if !into.is_success() {
+            return read_body_into(reader, &into.headers, &mut into.body);
+        }
+        into.body.clear();
+        read_body_to(reader, &into.headers, sink)
     }
 
     /// Parse only the status line and headers into an existing value —

@@ -47,7 +47,7 @@ pub use deadline::{Deadline, Timeouts};
 pub use error::{TransportError, TransportResult, HTTP_STATUS_BODY_PREFIX};
 pub use faulty::{FaultAction, FaultInjector, FaultProfile, FaultingTransport, SharedInjector};
 pub use fileserver::FileServer;
-pub use framed::{FramedStream, MAX_FRAME_LEN};
+pub use framed::{BodySink, FramedStream, MAX_FRAME_LEN};
 pub use gather::GatherSink;
 pub use http::client::{
     http_get, http_post, send_request, send_request_with, send_request_with_into, HttpConnection,

@@ -32,6 +32,10 @@ pub enum XbsError {
     /// XBS mandates zero padding; anything else indicates a desynchronized
     /// or corrupt stream.
     BadPadding { offset: usize },
+    /// A read or seek at `offset` reaches into a run of the stream held
+    /// outside the reader's buffer (see [`crate::reader::Gap`]): bytes
+    /// placed elsewhere, or not yet received.
+    Gap { offset: usize },
 }
 
 impl fmt::Display for XbsError {
@@ -59,6 +63,9 @@ impl fmt::Display for XbsError {
             }
             XbsError::BadPadding { offset } => {
                 write!(f, "non-zero alignment padding at offset {offset}")
+            }
+            XbsError::Gap { offset } => {
+                write!(f, "read at offset {offset} reaches into bytes held out of line")
             }
         }
     }

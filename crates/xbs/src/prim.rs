@@ -83,6 +83,21 @@ pub fn bytes_of<T: Primitive>(values: &[T]) -> &[u8] {
     }
 }
 
+/// The bytes of `values` in memory, writable: filling them with wire
+/// bytes in the machine's native byte order fills `values`.
+#[inline]
+pub fn bytes_of_mut<T: Primitive>(values: &mut [T]) -> &mut [u8] {
+    // SAFETY: as for `bytes_of`, and every byte pattern is a valid `T`,
+    // so any bytes written through the view leave valid values. The view
+    // borrows `values` mutably for its whole lifetime.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            values.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(values),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +154,21 @@ mod tests {
         }
         assert_eq!(bytes_of(&values), &expect[..]);
         assert!(bytes_of::<f64>(&[]).is_empty());
+    }
+
+    #[test]
+    fn writable_byte_view_fills_native_order_values() {
+        let native = ByteOrder::native();
+        let mut values = [0u32; 3];
+        let mut wire = Vec::new();
+        for v in [0x0102_0304u32, 0xa0b0_c0d0, 7] {
+            let mut b = [0u8; 4];
+            v.write_bytes(native, &mut b);
+            wire.extend_from_slice(&b);
+        }
+        bytes_of_mut(&mut values).copy_from_slice(&wire);
+        assert_eq!(values, [0x0102_0304, 0xa0b0_c0d0, 7]);
+        assert!(bytes_of_mut::<f64>(&mut []).is_empty());
     }
 
     #[test]

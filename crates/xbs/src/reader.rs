@@ -5,24 +5,65 @@ use crate::error::{XbsError, XbsResult};
 use crate::prim::Primitive;
 use crate::vls;
 
+/// A run of `len` stream bytes held outside a reader's buffer: they
+/// belong right before the buffer's byte at `at`.
+///
+/// A receiver that puts a large packed run straight where its values end
+/// up leaves a gap in the buffer it parses; a reader given the gaps
+/// counts them in its stream offset, as [`XbsWriter::defer_packed`]
+/// counts a deferred run, so alignment and declared sizes are checked on
+/// the same offsets as in the stream whole.
+///
+/// [`XbsWriter::defer_packed`]: crate::XbsWriter::defer_packed
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gap {
+    /// Buffer index the run belongs before.
+    pub at: usize,
+    /// Stream bytes in the run.
+    pub len: usize,
+}
+
 /// A cursor over an XBS byte stream.
 ///
-/// The reader tracks an absolute offset into the buffer so it can
+/// The reader tracks an absolute offset into the stream so it can
 /// reconstruct the alignment decisions the writer made. For the reads to
 /// line up, the buffer passed in must start where the writer's stream
 /// started (BXSA documents are self-contained, so this is the natural
-/// usage).
+/// usage). A reader made [`with_gaps`](XbsReader::with_gaps) parses a
+/// stream some of whose runs are held elsewhere: its offsets are stream
+/// offsets, and a read that reaches into a gap is an [`XbsError::Gap`].
 #[derive(Debug, Clone)]
 pub struct XbsReader<'a> {
     buf: &'a [u8],
     pos: usize,
     order: ByteOrder,
+    gaps: &'a [Gap],
+    /// The first gap not yet passed.
+    next: usize,
+    /// Bytes of the gaps passed: the stream offset is `pos + passed`.
+    passed: usize,
+    /// Bytes of the gaps not yet passed.
+    ahead: usize,
 }
 
 impl<'a> XbsReader<'a> {
     /// Wrap `buf`, starting at offset zero, decoding in `order`.
     pub fn new(buf: &'a [u8], order: ByteOrder) -> XbsReader<'a> {
-        XbsReader { buf, pos: 0, order }
+        XbsReader::with_gaps(buf, order, &[])
+    }
+
+    /// Wrap `buf`, whose stream also holds the runs `gaps` (in stream
+    /// order, each `at` within the buffer), starting at offset zero.
+    pub fn with_gaps(buf: &'a [u8], order: ByteOrder, gaps: &'a [Gap]) -> XbsReader<'a> {
+        XbsReader {
+            buf,
+            pos: 0,
+            order,
+            gaps,
+            next: 0,
+            passed: 0,
+            ahead: gaps.iter().map(|g| g.len).sum(),
+        }
     }
 
     /// Byte order used for numeric decoding.
@@ -37,36 +78,56 @@ impl<'a> XbsReader<'a> {
         self.order = order;
     }
 
-    /// Current absolute offset.
+    /// Current absolute offset in the stream.
     #[inline]
     pub fn position(&self) -> usize {
-        self.pos
+        self.pos + self.passed
     }
 
-    /// Move the cursor to an absolute offset (used by skip-scans).
+    /// Move the cursor to an absolute stream offset (used by
+    /// skip-scans), passing any gaps on the way.
     ///
-    /// The offset may be up to and including the end of the buffer.
+    /// The offset may be up to and including the end of the stream, but
+    /// not inside a gap.
     pub fn seek(&mut self, pos: usize) -> XbsResult<()> {
-        if pos > self.buf.len() {
+        if pos < self.position() {
+            self.ahead += self.passed;
+            self.passed = 0;
+            self.next = 0;
+        }
+        while let Some(gap) = self.gaps.get(self.next) {
+            let start = gap.at + self.passed;
+            if pos < start + gap.len {
+                if pos > start {
+                    return Err(XbsError::Gap { offset: start });
+                }
+                break;
+            }
+            self.passed += gap.len;
+            self.ahead -= gap.len;
+            self.next += 1;
+        }
+        let at = pos - self.passed;
+        if at > self.buf.len() {
             return Err(XbsError::UnexpectedEof {
-                offset: self.buf.len(),
-                needed: pos - self.buf.len(),
+                offset: self.buf.len() + self.passed,
+                needed: at - self.buf.len(),
             });
         }
-        self.pos = pos;
+        self.pos = at;
         Ok(())
     }
 
-    /// Bytes left before the end of the buffer.
+    /// Stream bytes left before the end of the stream (gaps included).
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len() - self.pos + self.ahead
     }
 
-    /// `true` when the cursor has consumed the whole buffer.
+    /// `true` when the cursor has consumed the whole stream.
     #[inline]
     pub fn is_at_end(&self) -> bool {
-        self.pos == self.buf.len()
+        self.remaining() == 0
     }
 
     /// The entire underlying buffer (not just the unread part).
@@ -75,30 +136,87 @@ impl<'a> XbsReader<'a> {
         self.buf
     }
 
+    /// The unread buffer bytes up to the next gap (or the buffer's end).
+    #[inline]
+    pub fn unread(&self) -> &'a [u8] {
+        let end = self.gaps.get(self.next).map_or(self.buf.len(), |g| g.at);
+        &self.buf[self.pos..end]
+    }
+
+    /// The next gap, as its index in the reader's gap list and its
+    /// length, when it starts at the cursor.
+    #[inline]
+    pub fn gap_here(&self) -> Option<(usize, usize)> {
+        self.gaps
+            .get(self.next)
+            .filter(|g| g.at == self.pos)
+            .map(|g| (self.next, g.len))
+    }
+
+    /// Step over the gap at the cursor, counting its bytes in the stream
+    /// offset; `false` (and nothing moves) when no gap starts here.
+    pub fn pass_gap(&mut self) -> bool {
+        let Some((index, len)) = self.gap_here() else {
+            return false;
+        };
+        self.next = index + 1;
+        self.passed += len;
+        self.ahead -= len;
+        true
+    }
+
+    /// Step over `n` bytes left unread: buffer bytes, or exactly the gap
+    /// at the cursor when it is `n` bytes long.
+    pub fn skip_run(&mut self, n: usize) -> XbsResult<()> {
+        if n > 0 && self.gap_here().is_some_and(|(_, len)| len == n) {
+            self.pass_gap();
+            return Ok(());
+        }
+        self.read_bytes(n).map(|_| ())
+    }
+
+    /// An end-of-buffer error from a read of the unread bytes is a gap
+    /// when the stream goes on past them.
+    fn cut(&self, e: XbsError) -> XbsError {
+        match e {
+            XbsError::UnexpectedEof { .. } if self.ahead > 0 => XbsError::Gap {
+                offset: self.position(),
+            },
+            e => e,
+        }
+    }
+
     fn need(&self, n: usize) -> XbsResult<()> {
         if self.remaining() < n {
             Err(XbsError::UnexpectedEof {
-                offset: self.pos,
+                offset: self.position(),
                 needed: n - self.remaining(),
+            })
+        } else if self.unread().len() < n {
+            Err(XbsError::Gap {
+                offset: self.position(),
             })
         } else {
             Ok(())
         }
     }
 
-    /// Advance past zero padding so the cursor is `align`-aligned.
+    /// Advance past zero padding so the stream offset is
+    /// `align`-aligned.
     ///
     /// Fails if any skipped byte is non-zero (a desynchronized stream) or
     /// if the padding runs past the end of the buffer.
     pub fn align(&mut self, align: usize) -> XbsResult<()> {
-        let target = crate::align_up(self.pos, align);
-        self.need(target - self.pos)?;
-        for i in self.pos..target {
-            if self.buf[i] != 0 {
-                return Err(XbsError::BadPadding { offset: i });
-            }
+        let at = self.position();
+        let pad = crate::align_up(at, align) - at;
+        self.need(pad)?;
+        if let Some(i) = self.buf[self.pos..self.pos + pad]
+            .iter()
+            .position(|&b| b != 0)
+        {
+            return Err(XbsError::BadPadding { offset: at + i });
         }
-        self.pos = target;
+        self.pos += pad;
         Ok(())
     }
 
@@ -121,7 +239,8 @@ impl<'a> XbsReader<'a> {
 
     /// Read a variable-length size integer.
     pub fn read_vls(&mut self) -> XbsResult<u64> {
-        let (value, used) = vls::read_vls(&self.buf[self.pos..], self.pos)?;
+        let (value, used) =
+            vls::read_vls(self.unread(), self.position()).map_err(|e| self.cut(e))?;
         self.pos += used;
         Ok(value)
     }
@@ -129,7 +248,8 @@ impl<'a> XbsReader<'a> {
     /// Read a possibly padded (non-canonical) VLS — the BXSA frame-size
     /// field only.
     pub fn read_vls_padded(&mut self) -> XbsResult<u64> {
-        let (value, used) = vls::read_vls_padded(&self.buf[self.pos..], self.pos)?;
+        let (value, used) =
+            vls::read_vls_padded(self.unread(), self.position()).map_err(|e| self.cut(e))?;
         self.pos += used;
         Ok(value)
     }
@@ -138,7 +258,7 @@ impl<'a> XbsReader<'a> {
     /// remaining (`bytes_per_item` ≥ 1 prevents count-overflow attacks on
     /// preallocation).
     pub fn read_count(&mut self, bytes_per_item: usize) -> XbsResult<usize> {
-        let offset = self.pos;
+        let offset = self.position();
         let declared = self.read_vls()?;
         let max_items = (self.remaining() / bytes_per_item.max(1)) as u64;
         if declared > max_items {
@@ -158,7 +278,9 @@ impl<'a> XbsReader<'a> {
     pub fn read_str(&mut self) -> XbsResult<&'a str> {
         let len = self.read_count(1)?;
         let bytes = self.read_bytes(len)?;
-        std::str::from_utf8(bytes).map_err(|_| XbsError::BadPadding { offset: self.pos - len })
+        std::str::from_utf8(bytes).map_err(|_| XbsError::BadPadding {
+            offset: self.position() - len,
+        })
     }
 
     /// Read one aligned fixed-width value.
@@ -191,13 +313,11 @@ impl<'a> XbsReader<'a> {
         out: &mut Vec<T>,
     ) -> XbsResult<()> {
         self.align(T::WIDTH)?;
-        let total = count
-            .checked_mul(T::WIDTH)
-            .ok_or(XbsError::LengthOverrun {
-                offset: self.pos,
-                declared: count as u64,
-                available: self.remaining(),
-            })?;
+        let total = count.checked_mul(T::WIDTH).ok_or(XbsError::LengthOverrun {
+            offset: self.position(),
+            declared: count as u64,
+            available: self.remaining(),
+        })?;
         self.need(total)?;
         let src = &self.buf[self.pos..self.pos + total];
         out.clear();
@@ -241,13 +361,11 @@ impl<'a> XbsReader<'a> {
         count: usize,
     ) -> XbsResult<Option<&'a [T]>> {
         self.align(T::WIDTH)?;
-        let total = count
-            .checked_mul(T::WIDTH)
-            .ok_or(XbsError::LengthOverrun {
-                offset: self.pos,
-                declared: count as u64,
-                available: self.remaining(),
-            })?;
+        let total = count.checked_mul(T::WIDTH).ok_or(XbsError::LengthOverrun {
+            offset: self.position(),
+            declared: count as u64,
+            available: self.remaining(),
+        })?;
         self.need(total)?;
         if !self.order.is_native() {
             return Ok(None);
@@ -420,6 +538,73 @@ mod tests {
         // The error path must not leave stale values visible.
         assert_eq!(r.position(), 0);
         assert_eq!(out, vec![9.0f64; 4]);
+    }
+
+    /// A stream read with a packed run held out of line: the reader
+    /// counts the gap in its offsets, so alignment lines up as in the
+    /// whole stream, and refuses to read into it.
+    #[test]
+    fn gaps_count_in_the_stream_offset() {
+        let mut w = crate::XbsWriter::new(ByteOrder::native());
+        w.put_u8(7);
+        let run = [1.5f64, -2.0, 3.25];
+        w.put_array(&run);
+        w.put_u16(0xbeef);
+        let whole = w.into_bytes();
+        // The run's payload starts after the count and the padding.
+        let payload_at = crate::align_up(2, 8);
+        let mut head = whole[..payload_at].to_vec();
+        head.extend_from_slice(&whole[payload_at + 24..]);
+        let gaps = [Gap {
+            at: payload_at,
+            len: 24,
+        }];
+        let mut r = XbsReader::with_gaps(&head, ByteOrder::native(), &gaps);
+        assert_eq!(r.remaining(), whole.len());
+        assert_eq!(r.read_u8().unwrap(), 7);
+        assert_eq!(r.read_count(8).unwrap(), 3);
+        r.align(8).unwrap();
+        assert_eq!(r.gap_here(), Some((0, 24)));
+        let mut copy = r.clone();
+        assert!(
+            matches!(copy.read_bytes(1), Err(XbsError::Gap { offset }) if offset == payload_at)
+        );
+        assert!(matches!(
+            copy.read_packed::<f64>(3),
+            Err(XbsError::Gap { .. })
+        ));
+        r.skip_run(24).unwrap();
+        assert_eq!(r.position(), payload_at + 24);
+        assert_eq!(r.read_u16().unwrap(), 0xbeef);
+        assert!(r.is_at_end());
+        // Seeks translate stream offsets, back and forth across the gap,
+        // and refuse to land inside it.
+        r.seek(payload_at + 24).unwrap();
+        assert_eq!(r.read_u16().unwrap(), 0xbeef);
+        r.seek(1).unwrap();
+        assert_eq!(r.read_count(8).unwrap(), 3);
+        assert!(matches!(r.seek(payload_at + 8), Err(XbsError::Gap { .. })));
+        assert!(r.seek(whole.len() + 1).is_err());
+    }
+
+    /// A read cut short by a gap is a gap, not the end of the input; a
+    /// gap at the buffer's end stands for bytes still to come.
+    #[test]
+    fn a_read_cut_by_a_gap_is_a_gap() {
+        let head = [0x80u8];
+        let tail = [Gap { at: 1, len: 5 }];
+        let mut r = XbsReader::with_gaps(&head, ByteOrder::Little, &tail);
+        assert!(matches!(r.read_vls(), Err(XbsError::Gap { .. })));
+        assert!(matches!(
+            r.read_bytes(7),
+            Err(XbsError::UnexpectedEof { .. })
+        ));
+        let mut flat = XbsReader::new(&head, ByteOrder::Little);
+        assert!(matches!(
+            flat.read_vls(),
+            Err(XbsError::UnexpectedEof { .. })
+        ));
+        assert!(!flat.pass_gap());
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //!   copying read (`read_array_into`) accept the same array frames with
 //!   the same values or the same error, for every primitive type, with
 //!   the input at an aligned and at an odd address.
+//! * The input received into a `Scatter` (large native-order arrays
+//!   placed in typed slots) under several read splits reads as the flat
+//!   input reads: the same values, or an error of the same kind. The
+//!   same holds for a decoded document with its arrays grown past 4 KiB,
+//!   encoded in the machine's order, where arrays are placed.
 
 use libfuzzer_sys::fuzz_target;
 
@@ -304,6 +309,106 @@ fn typed_gathered_equals_flat(doc: &bxdm::Document) {
     }
 }
 
+/// Everything a schema-free typed decode reads: each array's bytes (read
+/// with the typed reader of its type), each leaf value, in document
+/// order; then the document's end.
+fn read_all(r: &mut bxsa::FieldReader<'_>) -> Result<Vec<Vec<u8>>, bxsa::BxsaError> {
+    fn read<'a, T: xbs::Primitive>(
+        r: &mut bxsa::FieldReader<'a>,
+        h: &bxsa::ElementHead<'a>,
+    ) -> Result<Vec<u8>, bxsa::BxsaError> {
+        let mut out = Vec::new();
+        r.read_array_into::<T>(h, &mut out)?;
+        Ok(bits(&out))
+    }
+    fn walk<'a>(
+        r: &mut bxsa::FieldReader<'a>,
+        h: &bxsa::ElementHead<'a>,
+        seen: &mut Vec<Vec<u8>>,
+    ) -> Result<(), bxsa::BxsaError> {
+        use bxsa::FrameType;
+        match h.kind {
+            FrameType::Component => {
+                for _ in 0..h.child_count {
+                    let c = r.open()?;
+                    walk(r, &c, seen)?;
+                }
+                r.close(h)
+            }
+            FrameType::Array => {
+                let values = if r.is_array_of::<i8>(h) {
+                    read::<i8>(r, h)
+                } else if r.is_array_of::<u8>(h) {
+                    read::<u8>(r, h)
+                } else if r.is_array_of::<i16>(h) {
+                    read::<i16>(r, h)
+                } else if r.is_array_of::<u16>(h) {
+                    read::<u16>(r, h)
+                } else if r.is_array_of::<i32>(h) {
+                    read::<i32>(r, h)
+                } else if r.is_array_of::<u32>(h) {
+                    read::<u32>(r, h)
+                } else if r.is_array_of::<i64>(h) {
+                    read::<i64>(r, h)
+                } else if r.is_array_of::<u64>(h) {
+                    read::<u64>(r, h)
+                } else if r.is_array_of::<f32>(h) {
+                    read::<f32>(r, h)
+                } else {
+                    read::<f64>(r, h)
+                }?;
+                seen.push(values);
+                Ok(())
+            }
+            FrameType::Leaf => {
+                seen.push(format!("{:?}", r.read_leaf(h)?).into_bytes());
+                Ok(())
+            }
+            _ => r.skip(h),
+        }
+    }
+    let mut seen = Vec::new();
+    for _ in 0..r.top_count() {
+        let h = r.open()?;
+        walk(r, &h, &mut seen)?;
+    }
+    r.finish()?;
+    Ok(seen)
+}
+
+/// `data` received into a `Scatter` in reads of each of several sizes
+/// reads as the flat `data` reads.
+fn scattered_equals_flat(data: &[u8]) {
+    let flat = bxsa::FieldReader::new(data).and_then(|mut r| read_all(&mut r));
+    let mut s = bxsa::Scatter::new();
+    let first = usize::from(data.first().copied().unwrap_or(0));
+    for split in [1 + first * 37, 4096, usize::MAX] {
+        s.begin(data.len());
+        let mut from = 0;
+        loop {
+            let buf = s.next_buf(1 << 20);
+            if buf.is_empty() {
+                break;
+            }
+            let n = buf.len().min(split);
+            buf[..n].copy_from_slice(&data[from..from + n]);
+            from += n;
+            s.filled(n);
+        }
+        let scattered = s.reader().and_then(|mut r| read_all(&mut r));
+        match (&flat, &scattered) {
+            (Ok(a), Ok(b)) => assert!(a == b, "scattered values differ from the flat read"),
+            (Err(a), Err(b)) => assert_eq!(
+                std::mem::discriminant(a),
+                std::mem::discriminant(b),
+                "scattered error {b:?}, flat error {a:?}"
+            ),
+            _ => panic!("flat read {flat:?}, scattered read {scattered:?}"),
+        }
+        assert_eq!(s.flatten().len(), data.len());
+    }
+}
+
 fuzz_target!(|data: &[u8]| {
     let fresh = bxsa::decode(data);
 
@@ -349,6 +454,13 @@ fuzz_target!(|data: &[u8]| {
             grown.children.iter_mut().for_each(inflate);
             gathered_equals_flat(&grown);
             typed_gathered_equals_flat(&grown);
+            let native = bxsa::EncodeOptions {
+                byte_order: xbs::ByteOrder::native(),
+                checksum: false,
+            };
+            if let Ok(bytes) = bxsa::encode_with(&grown, &native) {
+                scattered_equals_flat(&bytes);
+            }
         }
         Err(e) => {
             assert!(
@@ -364,5 +476,6 @@ fuzz_target!(|data: &[u8]| {
 
     drive_views(data);
     drive_scanner(data);
+    scattered_equals_flat(data);
     let _ = bxsa::decode_element(data);
 });

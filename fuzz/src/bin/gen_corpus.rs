@@ -82,6 +82,32 @@ fn main() {
         write(&dir, "part.bin", &part);
     }
 
+    // Scatter seeds: native-order documents whose arrays are placed.
+    let native = bxsa::EncodeOptions {
+        byte_order: ByteOrder::native(),
+        ..Default::default()
+    };
+    let placed = Document::with_root(
+        Element::component("p:r")
+            .with_namespace("p", "urn:p")
+            .with_child(Element::leaf("p:n", AtomicValue::I64(2)))
+            .with_child(
+                Element::component("p:h").with_child(Element::array(
+                    "p:i",
+                    ArrayValue::I32((0..1100).collect()),
+                )),
+            )
+            .with_child(Element::array(
+                "p:v",
+                ArrayValue::F64((0..600).map(|i| f64::from(i) * 0.5).collect()),
+            )),
+    );
+    let dir = root.join("fuzz_bxsa");
+    write(&dir, "placed_arrays.bin", &bxsa::encode_with(&placed, &native).unwrap());
+    let mut cut = bxsa::encode_with(&placed, &native).unwrap();
+    cut.truncate(cut.len() - 7);
+    write(&dir, "placed_arrays_cut.bin", &cut);
+
     // xbs seeds: an opcode script prefix (first byte selects the split)
     // ahead of real encoded frames gives the reader loop live data.
     let dir = root.join("fuzz_xbs");

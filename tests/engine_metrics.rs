@@ -1,7 +1,9 @@
 //! The engine's counters add up: on a healthy path calls == attempts ==
 //! handler runs, a retried call counts one attempt per exchange and one
-//! retry per backoff, a non-idempotent call is never replayed, and an
-//! expired deadline stops a call before its first attempt. This is its
+//! retry per backoff, a non-idempotent call is never replayed, an
+//! expired deadline stops a call before its first attempt, and only a
+//! bulk BXSA typed reply has bytes received straight into typed slots
+//! (`bx_engine_scattered_bytes_total`). This is its
 //! own test binary, and its one test runs the phases in turn: the
 //! counters are process-global, and here they see only these calls.
 
@@ -11,7 +13,7 @@ use std::time::Duration;
 use bxsoap::{lead_dataset, verify_request_envelope, VerifyRequest, VerifyResponse};
 use soap::{
     BxsaEncoding, CallOptions, RetryPolicy, ServiceRegistry, SoapEngine, SoapService, TcpBinding,
-    TcpSoapServer,
+    TcpSoapServer, XmlEncoding,
 };
 use transport::TcpServerConfig;
 
@@ -31,6 +33,7 @@ struct Counts {
     call_latency: u64,
     server_requests: u64,
     handler_runs: u64,
+    scattered_bytes: u64,
 }
 
 impl Counts {
@@ -46,6 +49,7 @@ impl Counts {
             call_latency: e.call_latency.count(),
             server_requests: s.requests.get(),
             handler_runs: s.handler_latency.count(),
+            scattered_bytes: e.scattered_bytes.get(),
         }
     }
 
@@ -61,6 +65,7 @@ impl Counts {
             call_latency: now.call_latency - before.call_latency,
             server_requests: now.server_requests - before.server_requests,
             handler_runs: now.handler_runs - before.handler_runs,
+            scattered_bytes: now.scattered_bytes - before.scattered_bytes,
         }
     }
 }
@@ -72,12 +77,37 @@ fn refused_addr() -> String {
     listener.local_addr().unwrap().to_string()
 }
 
-#[test]
-fn engine_counters_match_the_calls_made() {
+/// Pairs of the bulk typed reply: 1.2 MB of arrays.
+const BULK: usize = 100_000;
+
+/// A service answering `Verify` (tree and typed) and, with the bulk
+/// typed reply, a `VerifyResponse` naming a pair count: that many pairs
+/// as a `Verify` body.
+fn bulk_service<E: soap::TypedEncoding + Clone + Send + Sync + 'static>(
+    encoding: E,
+) -> SoapService<E> {
     let mut registry = ServiceRegistry::new();
     bxsoap::register_verify(&mut registry);
-    let mut service = SoapService::new(BxsaEncoding::default(), Arc::new(registry));
+    let mut service = SoapService::new(encoding, Arc::new(registry));
     bxsoap::register_verify_typed(&mut service);
+    let (index, values) = lead_dataset(BULK, 5);
+    service.register_typed::<VerifyResponse, VerifyRequest, _>(
+        "VerifyResponse",
+        move |req, resp| {
+            let n = (req.count as usize).min(BULK);
+            resp.index.clear();
+            resp.index.extend_from_slice(&index[..n]);
+            resp.values.clear();
+            resp.values.extend_from_slice(&values[..n]);
+            Ok(())
+        },
+    );
+    service
+}
+
+#[test]
+fn engine_counters_match_the_calls_made() {
+    let service = bulk_service(BxsaEncoding::native_order());
     let server =
         TcpSoapServer::bind_service_with("127.0.0.1:0", TcpServerConfig::default(), service)
             .unwrap();
@@ -113,7 +143,47 @@ fn engine_counters_match_the_calls_made() {
         assert!(reply.ok);
     }
     assert_eq!(Counts::since(before), healthy, "typed calls");
+
+    // A bulk typed reply: both arrays, 12 bytes a pair, go to slots.
+    let fetch = VerifyResponse {
+        ok: true,
+        count: BULK as i64,
+    };
+    let mut got = VerifyRequest::default();
+    let before = Counts::now();
+    for _ in 0..N {
+        engine
+            .call_typed_into(&fetch, &mut got, &CallOptions::new())
+            .unwrap();
+        assert_eq!(got.index.len(), BULK);
+    }
+    let bulk = Counts {
+        scattered_bytes: N * (BULK as u64) * 12,
+        ..healthy
+    };
+    assert_eq!(Counts::since(before), bulk, "bulk typed calls");
     server.shutdown();
+
+    // The same typed calls in XML place nothing.
+    let xml = TcpSoapServer::bind_service_with(
+        "127.0.0.1:0",
+        TcpServerConfig::default(),
+        bulk_service(XmlEncoding::default()),
+    )
+    .unwrap();
+    let mut xml_engine = SoapEngine::new(
+        XmlEncoding::default(),
+        TcpBinding::new(&xml.local_addr().to_string()),
+    );
+    let before = Counts::now();
+    for _ in 0..N {
+        xml_engine
+            .call_typed_into(&fetch, &mut got, &CallOptions::new())
+            .unwrap();
+        assert_eq!(got.values.len(), BULK);
+    }
+    assert_eq!(Counts::since(before), healthy, "XML typed calls");
+    xml.shutdown();
 
     // An engine retry policy against a refused port: K attempts, and a
     // retry before each one after the first.

@@ -10,7 +10,9 @@
 //! encoding however the socket takes it — at once, after a stall that
 //! leaves the rest to the connection's reply buffer, or one slice per
 //! write through the fault-injecting socket — and a peer that hangs up
-//! midway must leave the server's gauges balanced.
+//! midway must leave the server's gauges balanced. A typed call's client
+//! reads such a reply's arrays from the socket into the response's
+//! fields, and must decode what the flat receive decodes.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -205,7 +207,8 @@ fn typed_service(max: usize) -> SoapService<BxsaEncoding> {
     );
     let data = pairs(max);
     service.register_typed::<VerifyResponse, VerifyRequest, _>(PAIRS_OP, move |req, resp| {
-        let n = req.count as usize;
+        let n = usize::try_from(req.count)
+            .map_err(|_| soap::SoapError::Protocol("a negative pair count".into()))?;
         resp.index.clear();
         resp.index.extend_from_slice(&data.index[..n]);
         resp.values.clear();
@@ -309,6 +312,119 @@ fn typed_replies_over_http_are_the_flat_encoding() {
         "the gathered replies kept the connection"
     );
     typed.shutdown();
+}
+
+/// A binding that receives every reply whole: the inner binding with
+/// its placing receive (`exchange_parts_to`) left at the default.
+struct Flat<B>(B);
+
+impl<B: BindingPolicy> BindingPolicy for Flat<B> {
+    fn send_request(&mut self, payload: &[u8], content_type: &str) -> soap::SoapResult<()> {
+        self.0.send_request(payload, content_type)
+    }
+
+    fn receive_response_into(&mut self, out: &mut Vec<u8>) -> soap::SoapResult<()> {
+        self.0.receive_response_into(out)
+    }
+
+    fn exchange_parts_into(
+        &mut self,
+        parts: &[&[u8]],
+        content_type: &str,
+        out: &mut Vec<u8>,
+    ) -> soap::SoapResult<()> {
+        self.0.exchange_parts_into(parts, content_type, out)
+    }
+}
+
+/// Typed calls against `typed_service` through `placed` (the binding's
+/// own receive) and `flat`: a gathered 100k-pair reply decodes to the
+/// same arrays, both placed straight into the response's fields; a
+/// server fault and a reply of another shape give the same errors.
+fn placed_calls_decode_as_flat(placed: impl BindingPolicy, flat: impl BindingPolicy) {
+    let mut placed = SoapEngine::new(BxsaEncoding::native_order(), placed);
+    let mut flat = SoapEngine::new(BxsaEncoding::native_order(), Flat(flat));
+    let ask = |count: i64| VerifyResponse { ok: true, count };
+    let opts = CallOptions::new();
+    let scattered = &soap::metrics::engine().scattered_bytes;
+    let expected = pairs(PAIRS);
+    let (mut got, mut want) = (VerifyRequest::default(), VerifyRequest::default());
+    for _ in 0..3 {
+        // The caller's buffers come back as slots, and its fields get the
+        // placed arrays.
+        got.index.clear();
+        got.values.clear();
+        let before = scattered.get();
+        placed
+            .call_typed_into(&ask(PAIRS as i64), &mut got, &opts)
+            .unwrap();
+        assert_eq!(scattered.get() - before, (PAIRS * 12) as u64);
+        flat.call_typed_into(&ask(PAIRS as i64), &mut want, &opts)
+            .unwrap();
+        assert!(got.index == want.index && got.values == want.values);
+        assert!(got.index == expected.index && got.values == expected.values);
+    }
+    fn fault(engine: &mut SoapEngine<BxsaEncoding, impl BindingPolicy>) -> String {
+        let ask = VerifyResponse {
+            ok: true,
+            count: -1,
+        };
+        let err = engine
+            .call_typed::<_, VerifyRequest>(&ask, &CallOptions::new())
+            .unwrap_err();
+        assert!(matches!(err, soap::SoapError::Fault(_)), "{err}");
+        err.to_string()
+    }
+    assert_eq!(fault(&mut placed), fault(&mut flat));
+    // A 100k-pair Verify body where a VerifyResponse is expected.
+    fn foreign(engine: &mut SoapEngine<BxsaEncoding, impl BindingPolicy>) -> String {
+        let ask = VerifyResponse {
+            ok: true,
+            count: PAIRS as i64,
+        };
+        engine
+            .call_typed::<_, VerifyResponse>(&ask, &CallOptions::new())
+            .unwrap_err()
+            .to_string()
+    }
+    let err = foreign(&mut placed);
+    assert_eq!(err, foreign(&mut flat));
+    assert!(
+        err.contains("expected a VerifyResponse reply, got Verify"),
+        "{err}"
+    );
+}
+
+#[test]
+fn placed_typed_replies_over_tcp_decode_as_flat() {
+    let _serial = serial();
+    let server = TcpSoapServer::bind_service_with(
+        "127.0.0.1:0",
+        TcpServerConfig::default(),
+        typed_service(PAIRS),
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    placed_calls_decode_as_flat(TcpBinding::new(&addr), TcpBinding::new(&addr));
+    server.shutdown();
+}
+
+#[test]
+fn placed_typed_replies_over_http_decode_as_flat() {
+    let _serial = serial();
+    let server = HttpSoapServer::bind_service_with(
+        "127.0.0.1:0",
+        "/soap",
+        HttpServerConfig::default(),
+        typed_service(PAIRS),
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    placed_calls_decode_as_flat(
+        HttpBinding::new(&addr, "/soap"),
+        HttpBinding::new(&addr, "/soap"),
+    );
+    server.shutdown();
 }
 
 /// A small typed reply has no array worth leaving in place: it goes out
